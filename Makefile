@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-shard bench bench-kernel bench-shard bench-scale bench-spectrum bench-geo lint lint-report vet trace
+.PHONY: all build test race race-shard bench bench-record bench-compare bench-kernel bench-shard bench-scale bench-spectrum bench-geo lint lint-report vet trace
 
 all: build lint test
 
@@ -26,6 +26,23 @@ race-shard:
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' -short -timeout 15m ./...
+
+# The benchmark of record (BENCHMARK.json, bench/README.md): four host-time
+# workloads, end-to-end metrics with regression bounds, results in
+# bench/out/result.json. BENCH_ARGS passes flags through, e.g.
+# `make bench-record BENCH_ARGS="-trace 1"` for the per-layer ladder.
+# Performance claims rest on this, not on the legacy bench-* targets below.
+BENCH_ARGS ?=
+bench-record:
+	bash bench/run.sh $(BENCH_ARGS)
+
+# Delta table between two bench-record result files, bounds applied; exits
+# 1 on a regression: `make bench-compare OLD=parent.json NEW=change.json`.
+OLD ?=
+NEW ?=
+bench-compare:
+	@test -n "$(OLD)" && test -n "$(NEW)" || { echo "usage: make bench-compare OLD=old.json NEW=new.json"; exit 2; }
+	$(GO) run ./bench -compare $(OLD) $(NEW)
 
 # Kernel hot-path benchmarks (scheduler, spawn churn, queue cycle) at
 # stable iteration counts, archived as a JSON artifact (see DESIGN.md §9).

@@ -880,19 +880,17 @@ func (db *DB) scan(p *sim.Proc, coord *Replica, start kv.Key, limit int) []stora
 			f.Set(part)
 		})
 	}
-	// Merge all parts in key order, deduplicating replicated rows.
-	merged := make(map[kv.Key]*storage.Row)
+	// Merge all parts in key order, deduplicating replicated rows. The
+	// rows are the replicas' own frozen rows: Merged keeps the first copy
+	// unless a later replica really holds something newer.
+	merged := make(map[kv.Key]*storage.Row, limit)
 	for _, f := range futs {
 		part := f.Await(p)
 		if !part.ok {
 			continue
 		}
 		for _, r := range part.rows {
-			if have, ok := merged[r.Key]; ok {
-				have.MergeFrom(r.Row)
-			} else {
-				merged[r.Key] = r.Row
-			}
+			merged[r.Key] = storage.Merged(merged[r.Key], r.Row)
 		}
 	}
 	keys := make([]kv.Key, 0, len(merged))

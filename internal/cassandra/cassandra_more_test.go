@@ -2,11 +2,13 @@ package cassandra
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
 	"cloudbench/internal/kv"
 	"cloudbench/internal/sim"
+	"cloudbench/internal/storage"
 )
 
 func TestCoordinatorRoundRobinSkipsDownNodes(t *testing.T) {
@@ -251,5 +253,105 @@ func TestDeterministicAcrossRunsFullStack(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("runs diverge:\n%s\n%s", a, b)
+	}
+}
+
+// TestSharedRowsSurviveRepairAndScan drives the two coordinator paths that
+// reconcile rows from several replicas — read repair and the range-scan
+// dedup — over replicas that disagree, with every replica's copy sitting
+// in an SSTable. Engine reads hand those stored rows out uncopied, so the
+// test pins that nothing above storage writes into them: no frozen-row
+// panic, the stored rows are unchanged afterwards, the client still sees
+// the newest cells, and a direct mutation of a stored row does panic.
+func TestSharedRowsSurviveRepairAndScan(t *testing.T) {
+	k := sim.NewKernel(61)
+	db, base := testDB(k, 4, 3, func(c *Config) { c.ReadRepairChance = 1.0 })
+	all := base.WithConsistency(kv.All, kv.All)
+	const keys = 20
+	type stored struct {
+		rep   *Replica
+		key   kv.Key
+		row   *storage.Row
+		rec   kv.Record
+		ver   kv.Version
+		bytes int
+	}
+	k.Spawn("client", func(p *sim.Proc) {
+		for i := 0; i < keys; i++ {
+			rec := kv.Record{"v": kv.SizedValue(i + 1), "w": kv.SizedValue(50)}
+			if err := all.Insert(p, key(i), rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		db.FlushAll()
+		p.Sleep(time.Second)
+		var snaps []stored
+		for i := 0; i < keys; i++ {
+			for _, rep := range db.ReplicasFor(key(i)) {
+				row := rep.engine.Get(p, key(i))
+				if row == nil || rep.engine.Get(p, key(i)) != row {
+					t.Fatalf("replica %s key %d: flushed row not shared between reads", rep.Node.Name, i)
+				}
+				snaps = append(snaps, stored{rep, key(i), row, row.Record(), row.Version(), row.Bytes()})
+			}
+		}
+		// Diverge: a newer partial write reaches only the main replica —
+		// left in its memtable for even keys, flushed for odd ones.
+		for i := 0; i < keys; i++ {
+			main := db.ReplicasFor(key(i))[0]
+			main.engine.Apply(p, key(i), kv.Record{"v": kv.SizedValue(100 + i)}, db.version())
+			if i%2 == 1 {
+				main.engine.ForceFlush()
+			}
+		}
+		p.Sleep(time.Second)
+
+		check := func(what string, i int, rec kv.Record) {
+			if rec["v"].Bytes() != 100+i || rec["w"].Bytes() != 50 {
+				t.Errorf("%s key %d = %v, want v=%d w=50", what, i, rec, 100+i)
+			}
+		}
+		rows, err := base.Scan(p, key(0), keys, nil)
+		if err != nil || len(rows) != keys {
+			t.Fatalf("scan: %d rows, err %v", len(rows), err)
+		}
+		for i, r := range rows {
+			check("scan", i, r.Record)
+		}
+		for i := 0; i < keys; i++ {
+			cl := base // ONE: background repair across the replica set
+			if i%3 == 0 {
+				cl = all // ALL: digest mismatch, blocking repair
+			}
+			rec, err := cl.Read(p, key(i), nil)
+			if err != nil {
+				t.Fatalf("read %d: %v", i, err)
+			}
+			check("read", i, rec)
+		}
+		p.Sleep(time.Second)
+		if db.BlockingRepairs == 0 || db.AsyncRepairs == 0 || db.RepairWrites == 0 {
+			t.Errorf("repairs did not run: blocking=%d async=%d writes=%d", db.BlockingRepairs, db.AsyncRepairs, db.RepairWrites)
+		}
+		rows, _ = base.Scan(p, key(0), keys, nil)
+		for i, r := range rows {
+			check("scan after repair", i, r.Record)
+		}
+		for _, s := range snaps {
+			if !reflect.DeepEqual(s.row.Record(), s.rec) || s.row.Version() != s.ver || s.row.Bytes() != s.bytes {
+				t.Errorf("replica %s key %s: stored row changed to %+v", s.rep.Node.Name, s.key, s.row)
+			}
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("writing into a stored row did not panic")
+				}
+			}()
+			snaps[0].row.Apply(kv.Record{"v": kv.SizedValue(1)}, db.version())
+		}()
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
 	}
 }

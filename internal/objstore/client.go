@@ -182,7 +182,7 @@ func (c *Client) Read(p *sim.Proc, key kv.Key, fields []string) (kv.Record, erro
 	if row == nil || !row.Live() {
 		return nil, kv.ErrNotFound
 	}
-	return row.Record().Project(fields), nil
+	return row.Project(fields), nil
 }
 
 // Insert implements kv.Client.
@@ -289,18 +289,16 @@ func (c *Client) Scan(p *sim.Proc, start kv.Key, limit int, fields []string) ([]
 			f.Set(part)
 		})
 	}
-	merged := make(map[kv.Key]*storage.Row)
+	// The parts hold the servers' own frozen rows; Merged keeps the first
+	// copy unless a later server really holds something newer.
+	merged := make(map[kv.Key]*storage.Row, limit)
 	for _, f := range futs {
 		part := f.Await(p)
 		if !part.ok {
 			continue
 		}
 		for _, r := range part.rows {
-			if have, ok := merged[r.Key]; ok {
-				have.MergeFrom(r.Row)
-			} else {
-				merged[r.Key] = r.Row
-			}
+			merged[r.Key] = storage.Merged(merged[r.Key], r.Row)
 		}
 	}
 	keys := make([]kv.Key, 0, len(merged))
@@ -311,7 +309,7 @@ func (c *Client) Scan(p *sim.Proc, start kv.Key, limit int, fields []string) ([]
 	out := make([]kv.KV, 0, limit)
 	for _, k := range keys {
 		if row := merged[k]; row.Live() {
-			out = append(out, kv.KV{Key: k, Record: row.Record().Project(fields)})
+			out = append(out, kv.KV{Key: k, Record: row.Project(fields)})
 			if len(out) == limit {
 				break
 			}

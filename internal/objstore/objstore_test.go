@@ -2,6 +2,7 @@ package objstore
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"cloudbench/internal/consistency"
 	"cloudbench/internal/kv"
 	"cloudbench/internal/sim"
+	"cloudbench/internal/storage"
 	"cloudbench/internal/trace"
 )
 
@@ -315,6 +317,75 @@ func TestDisabledHooksZeroAlloc(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("disabled hook path allocated %.1f allocs/op, want 0", allocs)
 		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestScanLeavesStoredRowsUntouched: the client scan deduplicates rows
+// that several servers return, and the engines hand their SSTable rows
+// out uncopied. With servers that disagree (a newer partial write on one
+// of them), the scan must return the newest cells without writing into
+// any server's stored row.
+func TestScanLeavesStoredRowsUntouched(t *testing.T) {
+	k := sim.NewKernel(23)
+	db, c, _ := testDB(k, 4, 3, nil)
+	const keys = 12
+	k.Spawn("driver", func(p *sim.Proc) {
+		defer db.Stop()
+		for i := 0; i < keys; i++ {
+			if err := c.Insert(p, key(i), kv.Record{"f0": kv.SizedValue(i + 1), "f1": kv.SizedValue(40)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		p.Sleep(2 * time.Second) // async replication delivers
+		db.FlushAll()
+		p.Sleep(time.Second)
+		type stored struct {
+			row   *storage.Row
+			rec   kv.Record
+			bytes int
+		}
+		var snaps []stored
+		for i := 0; i < keys; i++ {
+			placement := db.PlacementFor(key(i))
+			for _, s := range placement {
+				row := s.engine.Get(p, key(i))
+				if row == nil || s.engine.Get(p, key(i)) != row {
+					t.Fatalf("server %d key %d: flushed row not shared between reads", s.Node.ID, i)
+				}
+				snaps = append(snaps, stored{row, row.Record(), row.Bytes()})
+			}
+			// Only the last placement member sees the newer write, so the
+			// dedup meets the stale copies first for most keys.
+			last := placement[len(placement)-1]
+			last.engine.Apply(p, key(i), kv.Record{"f0": kv.SizedValue(100 + i)}, db.version())
+			if i%2 == 1 {
+				last.engine.ForceFlush()
+			}
+		}
+		p.Sleep(time.Second)
+		rows, err := c.Scan(p, key(0), keys, []string{"f0", "f1"})
+		if err != nil || len(rows) != keys {
+			t.Fatalf("scan: %d rows, err %v", len(rows), err)
+		}
+		for i, r := range rows {
+			if r.Key != key(i) || r.Record["f0"].Bytes() != 100+i || r.Record["f1"].Bytes() != 40 {
+				t.Errorf("row %d = %s %v, want f0=%d f1=40", i, r.Key, r.Record, 100+i)
+			}
+		}
+		for _, s := range snaps {
+			if !reflect.DeepEqual(s.row.Record(), s.rec) || s.row.Bytes() != s.bytes {
+				t.Errorf("stored row changed to %+v, want %v", s.row, s.rec)
+			}
+		}
+		defer func() {
+			if recover() == nil {
+				t.Error("writing into a stored row did not panic")
+			}
+		}()
+		snaps[0].row.Delete(db.version())
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)

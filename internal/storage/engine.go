@@ -131,35 +131,45 @@ func (e *Engine) ApplyDelete(p *sim.Proc, key kv.Key, ver kv.Version) {
 }
 
 // Get returns the reconciled row at key (merged across memtable, flushing
-// snapshots, and SSTables), or nil if the key has never been written. The
-// caller owns the returned row. Deleted rows are returned with their
-// tombstone so replica reconciliation can propagate deletes; use Live() to
-// test visibility.
+// snapshots, and SSTables), or nil if the key has never been written.
+// Deleted rows are returned with their tombstone so replica reconciliation
+// can propagate deletes; use Live() to test visibility.
+//
+// The result is read-only for the caller: when exactly one immutable source
+// holds the key it is that source's frozen row itself, shared with every
+// other reader. A row in the active memtable is copied on the spot, and one
+// merged row is built only when a second source holds something the first
+// lacks (see fold).
 func (e *Engine) Get(p *sim.Proc, key kv.Key) *Row {
 	e.Gets++
-	var out *Row
-	merge := func(r *Row) {
-		if r == nil {
-			return
-		}
-		if out == nil {
-			out = NewRow()
-		}
-		out.MergeFrom(r)
-	}
-	merge(e.mem.Get(key))
+	out := fold(nil, e.mem.Get(key))
 	for _, m := range e.imm {
-		merge(m.Get(key))
+		out = fold(out, m.Get(key))
 	}
 	for _, t := range e.tables {
-		if r := t.Get(p, e.io, e.cache, key); r != nil {
-			merge(r)
-		}
+		out = fold(out, t.Get(p, e.io, e.cache, key))
 	}
 	return out
 }
 
-// ScanRow is one result of Engine.Scan.
+// fold adds the next-older source's row r to the read result out. An
+// unfrozen r sits in the active memtable and is copied at once: writers may
+// run while a later source loads a block. A frozen out is some source's own
+// row and is never written — Merged copies it only if r really contributes;
+// an unfrozen out is a copy this read already made, so r merges in place.
+func fold(out, r *Row) *Row {
+	switch {
+	case r == nil:
+		return out
+	case out == nil && !r.frozen:
+		return r.Clone()
+	case out == nil || out.frozen:
+		return Merged(out, r)
+	}
+	out.MergeFrom(r)
+	return out
+}
+
 // rowIter is a merge cursor over one level (memtable, immutable memtable,
 // or SSTable). Using the iterators' method sets directly — instead of a
 // struct of captured method values — keeps Scan free of per-source closure
@@ -172,16 +182,18 @@ type rowIter interface {
 	Next()
 }
 
+// ScanRow is one result of Engine.Scan.
 type ScanRow struct {
 	Key kv.Key
 	Row *Row
 }
 
 // Scan returns up to limit live rows with key ≥ start, in key order,
-// reconciled across all levels. I/O is charged per block entered.
+// reconciled across all levels. I/O is charged per block entered. Rows are
+// shared under the same read-only contract as Get.
 func (e *Engine) Scan(p *sim.Proc, start kv.Key, limit int) []ScanRow {
 	e.Scans++
-	var srcs []rowIter
+	srcs := make([]rowIter, 0, 1+len(e.imm)+len(e.tables))
 	srcs = append(srcs, e.mem.Seek(start))
 	for _, m := range e.imm {
 		srcs = append(srcs, m.Seek(start))
@@ -189,32 +201,39 @@ func (e *Engine) Scan(p *sim.Proc, start kv.Key, limit int) []ScanRow {
 	for _, t := range e.tables {
 		srcs = append(srcs, t.Iter(p, e.io, e.cache, start))
 	}
-	var out []ScanRow
+	out := make([]ScanRow, 0, max(limit, 0))
 	for len(out) < limit {
-		// Find the smallest current key across sources.
-		var minKey kv.Key
-		found := false
-		for _, s := range srcs {
-			if s.Valid() && (!found || s.Key() < minKey) {
-				minKey = s.Key()
-				found = true
-			}
-		}
-		if !found {
+		key, row, ok := mergeNext(srcs)
+		if !ok {
 			break
 		}
-		row := NewRow()
-		for _, s := range srcs {
-			if s.Valid() && s.Key() == minKey {
-				row.MergeFrom(s.Row())
-				s.Next()
-			}
-		}
 		if row.Live() {
-			out = append(out, ScanRow{Key: minKey, Row: row})
+			out = append(out, ScanRow{Key: key, Row: row})
 		}
 	}
 	return out
+}
+
+// mergeNext pops the smallest current key across srcs (newest source
+// first) and returns it with its reconciled row, advancing every source
+// that held it.
+func mergeNext(srcs []rowIter) (kv.Key, *Row, bool) {
+	var minKey kv.Key
+	found := false
+	for _, s := range srcs {
+		if s.Valid() && (!found || s.Key() < minKey) {
+			minKey = s.Key()
+			found = true
+		}
+	}
+	var row *Row
+	for _, s := range srcs {
+		if s.Valid() && s.Key() == minKey {
+			row = fold(row, s.Row())
+			s.Next()
+		}
+	}
+	return minKey, row, found
 }
 
 // maybeFlush rotates a full memtable into the flushing list and starts a
@@ -233,6 +252,9 @@ func (e *Engine) ForceFlush() {
 		return
 	}
 	snap := e.mem
+	for it := snap.First(); it.Valid(); it.Next() {
+		it.Row().frozen = true // rotated out: readers share these rows from now on
+	}
 	e.imm = append([]*skiplist{snap}, e.imm...)
 	e.mem = newSkiplist(e.rng)
 	e.memBytes = 0
@@ -317,51 +339,41 @@ func (e *Engine) compact(p *sim.Proc, inputs []*SSTable) {
 		e.io.ReadTable(p, t.ID, t.Bytes())
 	}
 
-	// Merge newest-first: cell-wise MergeFrom makes order irrelevant,
-	// but iterating tables in order keeps allocation predictable.
-	merged := make(map[kv.Key]*Row)
-	var keys []kv.Key
-	for _, t := range inputs {
-		for _, en := range t.entries {
-			if r, ok := merged[en.Key]; ok {
-				r.MergeFrom(en.Row)
-			} else {
-				keys = append(keys, en.Key)
-				merged[en.Key] = en.Row.Clone()
-			}
-		}
+	// Streaming k-way merge over the inputs' already-sorted entries,
+	// newest input first so version ties resolve as they do on reads. A
+	// key held by one input keeps that input's frozen row.
+	srcs := make([]rowIter, len(inputs))
+	total := 0
+	for i, t := range inputs {
+		srcs[i] = &entryIter{entries: t.entries}
+		total += len(t.entries)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	entries := make([]TableEntry, 0, len(keys))
-	for _, k := range keys {
-		entries = append(entries, TableEntry{Key: k, Row: merged[k]})
+	entries := make([]TableEntry, 0, total)
+	for {
+		key, row, ok := mergeNext(srcs)
+		if !ok {
+			break
+		}
+		entries = append(entries, TableEntry{Key: key, Row: row})
 	}
 	e.nextTableID++
 	out := BuildTable(e.nextTableID, entries, e.cfg.BlockBytes, e.cfg.BloomBitsPerKey)
 	e.io.WriteTable(p, out.ID, out.Bytes())
 	out.WarmCache(e.cache)
 
-	// Replace inputs with the merged table, preserving relative order of
-	// the survivors; the merged table takes the position of the oldest
-	// input so newer tables still shadow it.
-	var next []*SSTable
-	inserted := false
+	// Replace the inputs with the merged table, preserving the relative
+	// order of the survivors. The merged table takes the position of the
+	// newest input (one compaction runs at a time, so every input is still
+	// listed): reads reconcile cell-wise by version, not by table position,
+	// so a survivor that ends up below it is still read correctly.
+	next := make([]*SSTable, 0, len(e.tables)-len(inputs)+1)
 	for _, t := range e.tables {
-		if inSet[t] {
-			if !inserted {
-				// Will insert after all survivors newer than the
-				// oldest input; simplest correct placement is at the
-				// position of the first (newest) input since inputs
-				// hold disjoint data after merging.
-				next = append(next, out)
-				inserted = true
-			}
-			continue
+		switch {
+		case !inSet[t]:
+			next = append(next, t)
+		case t == inputs[0]:
+			next = append(next, out)
 		}
-		next = append(next, t)
-	}
-	if !inserted {
-		next = append(next, out)
 	}
 	e.tables = next
 	for _, t := range inputs {

@@ -10,63 +10,172 @@
 package storage
 
 import (
+	"slices"
+	"strings"
+
 	"cloudbench/internal/kv"
 )
 
 // Cell is one field value with the version that wrote it.
 type Cell struct {
-	Val kv.Value
-	Ver kv.Version
+	Field string
+	Val   kv.Value
+	Ver   kv.Version
 }
 
 // Row is the storage representation of a record: per-cell versions enable
 // last-write-wins reconciliation of partial updates, and a tombstone
 // version shadows older cells after a delete.
+//
+// Cells live in one flat slice sorted by field name. A row is mutable while
+// its creator owns it and frozen once it is shared: the engine freezes a
+// memtable's rows when the memtable is rotated and BuildTable freezes the
+// rows it installs. Engine.Get and Engine.Scan hand frozen rows out
+// without copying, so Apply, Delete and MergeFrom on a frozen row panic;
+// readers that need a reconciled row use Merged, which copies only when
+// the two rows actually diverge.
 type Row struct {
-	Cells map[string]Cell
-	Tomb  kv.Version // delete timestamp; cells with Ver <= Tomb are dead
+	cells  []Cell     // sorted by Field, no duplicates
+	Tomb   kv.Version // delete timestamp; cells with Ver <= Tomb are dead
+	frozen bool
 }
 
-// NewRow returns an empty row.
-func NewRow() *Row { return &Row{Cells: make(map[string]Cell)} }
+// NewRow returns an empty mutable row.
+func NewRow() *Row { return &Row{} }
 
-// Apply merges a write of rec at version ver into the row, keeping the
-// newest version of each cell.
-func (r *Row) Apply(rec kv.Record, ver kv.Version) {
-	for f, v := range rec {
-		if c, ok := r.Cells[f]; !ok || ver > c.Ver {
-			r.Cells[f] = Cell{Val: v, Ver: ver}
+// Cell returns the cell stored under field, dead or alive.
+func (r *Row) Cell(field string) (Cell, bool) {
+	for _, c := range r.cells {
+		if c.Field == field {
+			return c, true
 		}
 	}
+	return Cell{}, false
+}
+
+func (r *Row) mustOwn() {
+	if r.frozen {
+		panic("storage: mutation of a frozen row (shared with an SSTable or a flushing memtable); use Merged or Clone")
+	}
+}
+
+// Apply merges a write of rec at version ver into the row, keeping the
+// newest version of each cell. A write into an empty row sizes the cell
+// slice once from len(rec); a write of fields the row already holds
+// updates them in place without allocating.
+func (r *Row) Apply(rec kv.Record, ver kv.Version) {
+	r.mustOwn()
+	if len(r.cells) == 0 {
+		r.cells = appendSorted(make([]Cell, 0, len(rec)), rec, ver)
+		return
+	}
+	var buf [16]Cell // stack scratch: mergeCells copies out of it
+	r.mergeCells(appendSorted(buf[:0], rec, ver))
+}
+
+// appendSorted appends rec's fields to dst as cells at version ver, sorted
+// by field, so that map iteration order never reaches a row.
+func appendSorted(dst []Cell, rec kv.Record, ver kv.Version) []Cell {
+	for f, v := range rec {
+		dst = append(dst, Cell{Field: f, Val: v, Ver: ver})
+	}
+	slices.SortFunc(dst, func(a, b Cell) int { return strings.Compare(a.Field, b.Field) })
+	return dst
 }
 
 // Delete applies a tombstone at version ver.
 func (r *Row) Delete(ver kv.Version) {
+	r.mustOwn()
 	if ver > r.Tomb {
 		r.Tomb = ver
 	}
 }
 
 // MergeFrom folds another row's cells and tombstone into r (cell-wise
-// newest wins). It is the reconciliation step used when reading across
-// memtable and SSTables, and between replicas.
+// newest wins, the incumbent keeps a version tie). It is the
+// reconciliation step used when reading across memtable and SSTables, and
+// between replicas. o is only read.
 func (r *Row) MergeFrom(o *Row) {
+	r.mustOwn()
 	if o == nil {
 		return
 	}
 	if o.Tomb > r.Tomb {
 		r.Tomb = o.Tomb
 	}
-	for f, c := range o.Cells {
-		if mine, ok := r.Cells[f]; !ok || c.Ver > mine.Ver {
-			r.Cells[f] = c
+	r.mergeCells(o.cells)
+}
+
+// mergeCells is the two-pointer merge of field-sorted add into r.cells.
+// Fields r already holds are reconciled in place; fields it lacks cost one
+// exact-capacity reallocation. add is copied from, never retained.
+func (r *Row) mergeCells(add []Cell) {
+	old := r.cells
+	missing, i := 0, 0
+	for _, c := range add {
+		for i < len(old) && old[i].Field < c.Field {
+			i++
+		}
+		if i == len(old) || old[i].Field != c.Field {
+			missing++
+		} else if c.Ver > old[i].Ver {
+			old[i] = c
 		}
 	}
+	if missing == 0 {
+		return
+	}
+	out := make([]Cell, 0, len(old)+missing)
+	i = 0
+	for _, c := range add {
+		for i < len(old) && old[i].Field < c.Field {
+			out = append(out, old[i])
+			i++
+		}
+		if i == len(old) || old[i].Field != c.Field {
+			out = append(out, c)
+		}
+	}
+	r.cells = append(out, old[i:]...)
+}
+
+// Merged returns the reconciliation of a and b (a is the incumbent on
+// version ties) without mutating either: a itself when b holds no newer
+// cell or tombstone — the common case between in-sync replicas and between
+// a compacted table and the tables it shadows — and a fresh mutable row
+// otherwise. Either may be nil; the other is returned.
+func Merged(a, b *Row) *Row {
+	if a == nil {
+		return b
+	}
+	if b == nil || !a.gainsFrom(b) {
+		return a
+	}
+	m := a.Clone()
+	m.MergeFrom(b)
+	return m
+}
+
+// gainsFrom reports whether merging o into r would change r.
+func (r *Row) gainsFrom(o *Row) bool {
+	if o.Tomb > r.Tomb {
+		return true
+	}
+	i := 0
+	for _, c := range o.cells {
+		for i < len(r.cells) && r.cells[i].Field < c.Field {
+			i++
+		}
+		if i == len(r.cells) || r.cells[i].Field != c.Field || c.Ver > r.cells[i].Ver {
+			return true
+		}
+	}
+	return false
 }
 
 // Live reports whether the row has any cell newer than its tombstone.
 func (r *Row) Live() bool {
-	for _, c := range r.Cells {
+	for _, c := range r.cells {
 		if c.Ver > r.Tomb {
 			return true
 		}
@@ -75,12 +184,16 @@ func (r *Row) Live() bool {
 }
 
 // Record materializes the row's live cells as a Record, or nil if the row
-// is fully dead. Two passes keep the map iteration order-insensitive: the
-// first only counts (sizing the allocation exactly), the second only does
-// per-key writes.
-func (r *Row) Record() kv.Record {
+// is fully dead.
+func (r *Row) Record() kv.Record { return r.Project(nil) }
+
+// Project materializes the row's live cells restricted to fields (nil or
+// empty selects all) in one pass with an exact size hint. A fully dead row
+// yields nil; a live row yields a non-nil record even when none of the
+// requested fields is live.
+func (r *Row) Project(fields []string) kv.Record {
 	live := 0
-	for _, c := range r.Cells {
+	for _, c := range r.cells {
 		if c.Ver > r.Tomb {
 			live++
 		}
@@ -88,9 +201,18 @@ func (r *Row) Record() kv.Record {
 	if live == 0 {
 		return nil
 	}
-	rec := make(kv.Record, live)
-	for f, c := range r.Cells {
-		if c.Ver > r.Tomb {
+	if len(fields) == 0 {
+		rec := make(kv.Record, live)
+		for _, c := range r.cells {
+			if c.Ver > r.Tomb {
+				rec[c.Field] = c.Val
+			}
+		}
+		return rec
+	}
+	rec := make(kv.Record, min(live, len(fields)))
+	for _, f := range fields {
+		if c, ok := r.Cell(f); ok && c.Ver > r.Tomb {
 			rec[f] = c.Val
 		}
 	}
@@ -101,7 +223,7 @@ func (r *Row) Record() kv.Record {
 // versions and tombstone. Replica digests compare this value.
 func (r *Row) Version() kv.Version {
 	v := r.Tomb
-	for _, c := range r.Cells {
+	for _, c := range r.cells {
 		if c.Ver > v {
 			v = c.Ver
 		}
@@ -112,18 +234,16 @@ func (r *Row) Version() kv.Version {
 // Bytes returns the row's modeled on-disk size.
 func (r *Row) Bytes() int {
 	n := 16 // key/row overhead
-	for f, c := range r.Cells {
-		n += len(f) + 10 + c.Val.Bytes()
+	for _, c := range r.cells {
+		n += len(c.Field) + 10 + c.Val.Bytes()
 	}
 	return n
 }
 
-// Clone returns a deep copy of the row's cell map (values are immutable by
+// Clone returns a mutable copy of the row (values are immutable by
 // convention).
 func (r *Row) Clone() *Row {
-	c := &Row{Cells: make(map[string]Cell, len(r.Cells)), Tomb: r.Tomb}
-	for f, cell := range r.Cells {
-		c.Cells[f] = cell
-	}
+	c := &Row{cells: make([]Cell, len(r.cells)), Tomb: r.Tomb}
+	copy(c.cells, r.cells)
 	return c
 }

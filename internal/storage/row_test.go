@@ -1,0 +1,372 @@
+package storage
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+
+	"cloudbench/internal/kv"
+	"cloudbench/internal/sim"
+)
+
+// refRow is the map-based row the flat Row replaced, kept as the reference
+// model for the differential test below.
+type refRow struct {
+	cells map[string]Cell
+	tomb  kv.Version
+}
+
+func newRefRow() *refRow { return &refRow{cells: map[string]Cell{}} }
+
+func (r *refRow) apply(rec kv.Record, ver kv.Version) {
+	for f, v := range rec {
+		if c, ok := r.cells[f]; !ok || ver > c.Ver {
+			r.cells[f] = Cell{Field: f, Val: v, Ver: ver}
+		}
+	}
+}
+
+func (r *refRow) delete(ver kv.Version) { r.tomb = max(r.tomb, ver) }
+
+func (r *refRow) mergeFrom(o *refRow) {
+	r.tomb = max(r.tomb, o.tomb)
+	for f, c := range o.cells {
+		if mine, ok := r.cells[f]; !ok || c.Ver > mine.Ver {
+			r.cells[f] = c
+		}
+	}
+}
+
+func (r *refRow) clone() *refRow {
+	c := newRefRow()
+	c.mergeFrom(r)
+	return c
+}
+
+// check compares every observable of the flat row against the model.
+func (r *refRow) check(t *testing.T, step int, got *Row) {
+	t.Helper()
+	var rec kv.Record
+	ver, bytes, live := r.tomb, 16, false
+	for f, c := range r.cells {
+		ver = max(ver, c.Ver)
+		bytes += len(f) + 10 + c.Val.Bytes()
+		if c.Ver > r.tomb {
+			live = true
+			if rec == nil {
+				rec = kv.Record{}
+			}
+			rec[f] = c.Val
+		}
+	}
+	if !reflect.DeepEqual(got.Record(), rec) || got.Version() != ver || got.Live() != live ||
+		got.Bytes() != bytes || got.Tomb != r.tomb || len(got.cells) != len(r.cells) {
+		t.Fatalf("step %d: flat row %+v diverged from model %+v", step, got, r)
+	}
+	if !sort.SliceIsSorted(got.cells, func(i, j int) bool { return got.cells[i].Field < got.cells[j].Field }) {
+		t.Fatalf("step %d: cells out of field order: %+v", step, got.cells)
+	}
+	for _, want := range r.cells {
+		if c, ok := got.Cell(want.Field); !ok || !reflect.DeepEqual(c, want) {
+			t.Fatalf("step %d: cell %q = %+v, want %+v", step, want.Field, c, want)
+		}
+	}
+}
+
+func sameRow(a, b *Row) bool {
+	return a.Tomb == b.Tomb && len(a.cells) == len(b.cells) &&
+		(len(a.cells) == 0 || reflect.DeepEqual(a.cells, b.cells))
+}
+
+// TestRowMatchesMapModel drives random Apply/Delete/MergeFrom/Merged
+// sequences through the flat Row and the map model. Versions come from a
+// small range so ties are frequent, and a tying write carries a different
+// value, so a tie resolved toward the newcomer is caught.
+func TestRowMatchesMapModel(t *testing.T) {
+	for seed := int64(1); seed <= 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		randRec := func() kv.Record {
+			rec := kv.Record{}
+			for n := rng.Intn(5); n >= 0; n-- {
+				rec[fmt.Sprintf("f%d", rng.Intn(12))] = kv.SizedValue(1 + rng.Intn(1000))
+			}
+			return rec
+		}
+		rows := []*Row{NewRow(), NewRow(), NewRow()}
+		refs := []*refRow{newRefRow(), newRefRow(), newRefRow()}
+		for step := 0; step < 400; step++ {
+			i, j := rng.Intn(3), rng.Intn(3)
+			ver := kv.Version(1 + rng.Intn(20))
+			switch op := rng.Intn(10); {
+			case op < 5:
+				rec := randRec()
+				rows[i].Apply(rec, ver)
+				refs[i].apply(rec, ver)
+			case op < 6:
+				rows[i].Delete(ver)
+				refs[i].delete(ver)
+			case op < 8 && i != j:
+				rows[i].MergeFrom(rows[j])
+				refs[i].mergeFrom(refs[j])
+			case i != j:
+				before := rows[i].Clone()
+				m := Merged(rows[i], rows[j])
+				want := refs[i].clone()
+				want.mergeFrom(refs[j])
+				want.check(t, step, m)
+				if !sameRow(rows[i], before) {
+					t.Fatalf("step %d: Merged mutated its first argument", step)
+				}
+				if sameRow(m, before) && m != rows[i] {
+					t.Fatalf("step %d: Merged copied a row the other side adds nothing to", step)
+				}
+				if m != rows[i] {
+					rows[i], refs[i] = m, want
+				}
+			}
+			refs[i].check(t, step, rows[i])
+		}
+	}
+}
+
+func TestRowProjectMatchesRecordProject(t *testing.T) {
+	r := NewRow()
+	r.Apply(kv.Record{"a": kv.SizedValue(1), "b": kv.SizedValue(2), "c": kv.SizedValue(3)}, 10)
+	r.Delete(12)
+	r.Apply(kv.Record{"b": kv.SizedValue(4)}, 15)
+	for _, fields := range [][]string{nil, {}, {"b"}, {"a", "b", "zz"}, {"a"}, {"b", "b"}} {
+		if got, want := r.Project(fields), r.Record().Project(fields); !reflect.DeepEqual(got, want) || got == nil {
+			t.Errorf("Project(%v) = %v, want %v", fields, got, want)
+		}
+	}
+	r.Delete(20)
+	if r.Project(nil) != nil || r.Project([]string{"b"}) != nil {
+		t.Error("projection of a dead row should be nil")
+	}
+}
+
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s on a frozen row did not panic", what)
+		}
+	}()
+	f()
+}
+
+// fullRecord is a YCSB-shaped record: n 100-byte fields.
+func fullRecord(n int) kv.Record {
+	rec := kv.Record{}
+	for f := 0; f < n; f++ {
+		rec[fmt.Sprintf("field%d", f)] = kv.SizedValue(100)
+	}
+	return rec
+}
+
+// flushedEngine returns an engine holding rows keys in one cache-resident
+// SSTable and nothing in its memtable.
+func flushedEngine(t *testing.T, k *sim.Kernel, rows int) *Engine {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.MemtableBytes = 1 << 30
+	cfg.CacheBytes = 1 << 30
+	cfg.SyncWAL = false
+	e, _ := newTestEngine(t, k, cfg)
+	k.Spawn("load", func(p *sim.Proc) {
+		for i := 0; i < rows; i++ {
+			e.Apply(p, kv.Key(fmt.Sprintf("user%06d", i)), fullRecord(10), kv.Version(i+1))
+		}
+		e.ForceFlush()
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if e.Tables() != 1 || e.mem.Len() != 0 || len(e.imm) != 0 {
+		t.Fatalf("tables=%d mem=%d imm=%d, want one table only", e.Tables(), e.mem.Len(), len(e.imm))
+	}
+	return e
+}
+
+// TestReadsShareFrozenRows pins the ownership contract: a key held by one
+// SSTable comes back from Get and Scan as the table's own row, uncopied and
+// frozen; a key also in the memtable comes back as a private merged copy;
+// and nothing a reader can do changes what the table stores.
+func TestReadsShareFrozenRows(t *testing.T) {
+	k := sim.NewKernel(1)
+	e := flushedEngine(t, k, 200)
+	stored := e.tables[0].entries[7]
+	want := stored.Row.Clone()
+	k.Spawn("reader", func(p *sim.Proc) {
+		got := e.Get(p, stored.Key)
+		scanned := e.Scan(p, stored.Key, 3)
+		if got != stored.Row || scanned[0].Row != stored.Row {
+			t.Error("single-source read copied the SSTable's row")
+		}
+		mustPanic(t, "Apply", func() { got.Apply(kv.Record{"field0": kv.SizedValue(1)}, 1<<40) })
+		mustPanic(t, "Delete", func() { got.Delete(1 << 40) })
+		mustPanic(t, "MergeFrom", func() { scanned[0].Row.MergeFrom(want) })
+
+		// A newer partial write in the memtable: reads now return a merged
+		// copy, and the rows underneath stay as they were.
+		e.Apply(p, stored.Key, kv.Record{"field3": kv.SizedValue(7)}, 1<<40)
+		memRow := e.mem.Get(stored.Key)
+		for _, r := range []*Row{e.Get(p, stored.Key), e.Scan(p, stored.Key, 1)[0].Row} {
+			if r == stored.Row || r == memRow {
+				t.Error("two-source read aliased one of its sources")
+			}
+			if r.Version() != 1<<40 || len(r.cells) != 10 || r.Record()["field3"].Bytes() != 7 {
+				t.Errorf("merged row = %+v", r)
+			}
+			r.Delete(1 << 41) // the merged copy is the caller's own
+		}
+		if len(memRow.cells) != 1 || memRow.Tomb != 0 {
+			t.Errorf("memtable row changed under readers: %+v", memRow)
+		}
+		// Rotating the memtable freezes its rows.
+		e.ForceFlush()
+		mustPanic(t, "Apply", func() { memRow.Apply(kv.Record{"x": kv.SizedValue(1)}, 1<<42) })
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !sameRow(stored.Row, want) || !stored.Row.frozen {
+		t.Errorf("stored row changed: %+v, want %+v", stored.Row, want)
+	}
+}
+
+// TestCompactionMatchesMapMerge checks the streaming k-way merge against
+// the map-and-sort merge it replaced: same keys in the same order, same
+// merged cells, same modeled size, and untouched single-input rows reused.
+func TestCompactionMatchesMapMerge(t *testing.T) {
+	k := sim.NewKernel(1)
+	cfg := DefaultConfig()
+	cfg.MemtableBytes = 1 << 30
+	cfg.CompactMinTables = 4
+	cfg.SyncWAL = false
+	e, _ := newTestEngine(t, k, cfg)
+	model := map[kv.Key]*refRow{}
+	rng := rand.New(rand.NewSource(9))
+	var once *Row
+	k.Spawn("load", func(p *sim.Proc) {
+		ver := kv.Version(0)
+		for table := 0; table < 4; table++ {
+			for i := 0; i < 300; i++ {
+				key := kv.Key(fmt.Sprintf("user%04d", rng.Intn(400)))
+				rec := kv.Record{fmt.Sprintf("f%d", rng.Intn(6)): kv.SizedValue(10 + rng.Intn(90))}
+				ver++
+				if model[key] == nil {
+					model[key] = newRefRow()
+				}
+				if rng.Intn(20) == 0 {
+					e.ApplyDelete(p, key, ver)
+					model[key].delete(ver)
+					continue
+				}
+				e.Apply(p, key, rec, ver)
+				model[key].apply(rec, ver)
+			}
+			if table == 0 {
+				e.Apply(p, "solo", kv.Record{"f": kv.SizedValue(1)}, 1)
+				model["solo"] = newRefRow()
+				model["solo"].apply(kv.Record{"f": kv.SizedValue(1)}, 1)
+				once = e.mem.Get("solo")
+			}
+			e.ForceFlush()
+			p.Sleep(1e9)
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if e.Compactions != 1 || e.Tables() != 1 {
+		t.Fatalf("compactions=%d tables=%d, want 1 and 1", e.Compactions, e.Tables())
+	}
+	out := e.tables[0]
+	if out.Len() != len(model) {
+		t.Fatalf("compacted table has %d keys, want %d", out.Len(), len(model))
+	}
+	var bytes int64
+	for i, en := range out.entries {
+		if i > 0 && out.entries[i-1].Key >= en.Key {
+			t.Fatalf("entries out of order at %d: %q then %q", i, out.entries[i-1].Key, en.Key)
+		}
+		model[en.Key].check(t, i, en.Row)
+		if !en.Row.frozen {
+			t.Fatalf("row %q installed unfrozen", en.Key)
+		}
+		bytes += int64(en.Row.Bytes() + len(en.Key))
+	}
+	if out.Bytes() != bytes {
+		t.Errorf("table bytes = %d, want %d", out.Bytes(), bytes)
+	}
+	if got := out.entries[sort.Search(out.Len(), func(i int) bool { return out.entries[i].Key >= "solo" })].Row; got != once {
+		t.Error("a key held by one input was copied instead of reused")
+	}
+}
+
+// The allocation gates: the regression fence for the copy-free read path.
+
+func TestGetSingleSSTableZeroAlloc(t *testing.T) {
+	k := sim.NewKernel(1)
+	e := flushedEngine(t, k, 500)
+	k.Spawn("reader", func(p *sim.Proc) {
+		i := 0
+		allocs := testing.AllocsPerRun(1000, func() {
+			i = (i + 37) % 500
+			if e.Get(p, e.tables[0].entries[i].Key) == nil {
+				t.Error("missing row")
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("Get of a key in one cache-resident SSTable: %.1f allocs/op, want 0", allocs)
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestRowMergeFromFreshAllocs(t *testing.T) {
+	src := NewRow()
+	src.Apply(fullRecord(10), 1)
+	allocs := testing.AllocsPerRun(1000, func() {
+		r := NewRow()
+		r.MergeFrom(src)
+		if len(r.cells) != 10 {
+			t.Error("short merge")
+		}
+	})
+	if allocs > 2 {
+		t.Errorf("NewRow+MergeFrom(10 fields): %.1f allocs/op, want <= 2", allocs)
+	}
+	// Rewriting fields a row already holds stays in place.
+	rec := kv.Record{"field3": kv.SizedValue(5)}
+	ver := kv.Version(1)
+	if allocs := testing.AllocsPerRun(1000, func() { ver++; src.Apply(rec, ver) }); allocs != 0 {
+		t.Errorf("Apply over existing fields: %.1f allocs/op, want 0", allocs)
+	}
+}
+
+func TestScanSingleTableAllocsIndependentOfRows(t *testing.T) {
+	k := sim.NewKernel(1)
+	e := flushedEngine(t, k, 500)
+	k.Spawn("reader", func(p *sim.Proc) {
+		for _, limit := range []int{5, 50, 400} {
+			allocs := testing.AllocsPerRun(200, func() {
+				if rows := e.Scan(p, "user000010", limit); len(rows) != limit {
+					t.Errorf("scan returned %d rows, want %d", len(rows), limit)
+				}
+			})
+			// srcs, the result slice and one iterator per level.
+			if allocs > 4 {
+				t.Errorf("Scan(limit %d) over one flushed table: %.1f allocs/op, want <= 4", limit, allocs)
+			}
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+}

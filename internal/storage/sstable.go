@@ -10,7 +10,7 @@ import (
 // TableEntry is one key's frozen row inside an SSTable.
 type TableEntry struct {
 	Key kv.Key
-	Row *Row // immutable once in a table
+	Row *Row // frozen by BuildTable
 }
 
 // SSTable is an immutable sorted run of rows, organized into fixed-size
@@ -29,11 +29,13 @@ type SSTable struct {
 }
 
 // BuildTable constructs an SSTable from entries, which must be sorted by
-// key and contain no duplicates.
+// key and contain no duplicates. It freezes every row it installs: from
+// here on reads hand the rows out uncopied.
 func BuildTable(id int64, entries []TableEntry, blockBytes, bloomBitsPerKey int) *SSTable {
 	t := &SSTable{ID: id, entries: entries, bloom: NewBloom(len(entries), bloomBitsPerKey)}
 	cur := 0
 	for i, e := range entries {
+		e.Row.frozen = true
 		t.bloom.Add(e.Key)
 		if cur == 0 || cur >= blockBytes {
 			t.blockStart = append(t.blockStart, i)
@@ -165,3 +167,15 @@ func (it *TableIter) Next() {
 	it.i++
 	it.chargeBlock()
 }
+
+// entryIter walks a table's entries without charging I/O; compaction bills
+// its inputs as whole-table sequential reads up front.
+type entryIter struct {
+	entries []TableEntry
+	i       int
+}
+
+func (it *entryIter) Valid() bool { return it.i < len(it.entries) }
+func (it *entryIter) Key() kv.Key { return it.entries[it.i].Key }
+func (it *entryIter) Row() *Row   { return it.entries[it.i].Row }
+func (it *entryIter) Next()       { it.i++ }

@@ -12,6 +12,12 @@ import (
 	"cloudbench/internal/sim"
 )
 
+// verOf returns the version of row's cell under field, 0 if absent.
+func verOf(row *Row, field string) kv.Version {
+	c, _ := row.Cell(field)
+	return c.Ver
+}
+
 func TestSkiplistInsertAndGet(t *testing.T) {
 	s := newSkiplist(rand.New(rand.NewSource(1)))
 	keys := []kv.Key{"m", "a", "z", "b", "q"}
@@ -24,7 +30,7 @@ func TestSkiplistInsertAndGet(t *testing.T) {
 	}
 	for i, k := range keys {
 		row := s.Get(k)
-		if row == nil || row.Cells["f"].Ver != kv.Version(i+1) {
+		if row == nil || verOf(row, "f") != kv.Version(i+1) {
 			t.Fatalf("get %q = %+v", k, row)
 		}
 	}
@@ -114,8 +120,8 @@ func TestRowApplyLWWPerCell(t *testing.T) {
 	r.Apply(kv.Record{"a": kv.SizedValue(1), "b": kv.SizedValue(1)}, 10)
 	r.Apply(kv.Record{"a": kv.SizedValue(2)}, 20)
 	r.Apply(kv.Record{"b": kv.SizedValue(3)}, 5) // stale, must lose
-	if r.Cells["a"].Ver != 20 || r.Cells["b"].Ver != 10 {
-		t.Fatalf("cells = %+v", r.Cells)
+	if verOf(r, "a") != 20 || verOf(r, "b") != 10 {
+		t.Fatalf("cells = %+v", r)
 	}
 }
 
@@ -150,8 +156,8 @@ func TestRowMergeFromCommutative(t *testing.T) {
 	a1.MergeFrom(b1)
 	a2, b2 := mk()
 	b2.MergeFrom(a2)
-	if a1.Version() != b2.Version() || a1.Cells["x"].Ver != b2.Cells["x"].Ver ||
-		a1.Cells["y"].Ver != b2.Cells["y"].Ver || a1.Tomb != b2.Tomb {
+	if a1.Version() != b2.Version() || verOf(a1, "x") != verOf(b2, "x") ||
+		verOf(a1, "y") != verOf(b2, "y") || a1.Tomb != b2.Tomb {
 		t.Fatalf("merge not commutative: %+v vs %+v", a1, b2)
 	}
 }

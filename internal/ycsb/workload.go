@@ -3,6 +3,7 @@ package ycsb
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"cloudbench/internal/kv"
 )
@@ -92,7 +93,24 @@ func (s *Spec) keySpace() int64 {
 // KeyFor maps a logical key number to its row key.
 func (s *Spec) KeyFor(n int64) kv.Key {
 	scattered := (n % s.keySpace()) * keyMultiplier % s.keySpace()
-	return kv.Key(fmt.Sprintf("user%0*d", s.KeyPad, scattered))
+	return formatKey(s.KeyPad, scattered)
+}
+
+// formatKey renders "user" + v zero-padded to pad digits, byte-for-byte
+// what fmt.Sprintf("user%0*d", pad, v) prints, built in a stack buffer so
+// the key string is the only allocation of a generated operation's key.
+func formatKey(pad int, v int64) kv.Key {
+	var buf [32]byte
+	var num [20]byte
+	b := append(buf[:0], "user"...)
+	digits := strconv.AppendInt(num[:0], v, 10)
+	if v < 0 { // the sign counts toward the width and precedes the zeros
+		b, digits, pad = append(b, '-'), digits[1:], pad-1
+	}
+	for i := len(digits); i < pad; i++ {
+		b = append(b, '0')
+	}
+	return kv.Key(append(b, digits...))
 }
 
 // SplitPoints returns n-1 keys that divide the key space into n equal
@@ -104,7 +122,7 @@ func (s *Spec) SplitPoints(n int) []kv.Key {
 	var out []kv.Key
 	space := s.keySpace()
 	for i := 1; i < n; i++ {
-		out = append(out, kv.Key(fmt.Sprintf("user%0*d", s.KeyPad, space/int64(n)*int64(i))))
+		out = append(out, formatKey(s.KeyPad, space/int64(n)*int64(i)))
 	}
 	return out
 }
@@ -197,16 +215,15 @@ func (w *Workload) nextKeynum(rng *rand.Rand) int64 {
 // buildValues creates a record of all fields (inserts) or one random field
 // (updates with WriteAllFields=false).
 func (w *Workload) buildValues(rng *rand.Rand, all bool) kv.Record {
-	rec := make(kv.Record)
 	if all {
+		rec := make(kv.Record, len(w.fieldNames))
 		for _, f := range w.fieldNames {
 			rec[f] = kv.SizedValue(w.Spec.FieldLength)
 		}
 		return rec
 	}
 	f := w.fieldNames[rng.Intn(len(w.fieldNames))]
-	rec[f] = kv.SizedValue(w.Spec.FieldLength)
-	return rec
+	return kv.Record{f: kv.SizedValue(w.Spec.FieldLength)}
 }
 
 // LoadOp returns the insert for load-phase record n.

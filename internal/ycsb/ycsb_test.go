@@ -1,6 +1,7 @@
 package ycsb
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -170,6 +171,42 @@ func TestKeyForFixedWidthSortable(t *testing.T) {
 	k1 := s.KeyFor(123)
 	if len(k1) != len("user")+8 {
 		t.Fatalf("key %q has wrong width", k1)
+	}
+}
+
+// TestKeyFormatMatchesSprintf pins the hand-rolled key formatter to the
+// fmt.Sprintf form it replaced, byte for byte, across pad widths and the
+// values where the widths change — and KeyFor/SplitPoints through it.
+func TestKeyFormatMatchesSprintf(t *testing.T) {
+	values := []int64{0, 1, 9, 10, 99, 100, 12345, 999999, 1000000, 9999999999, 10000000000,
+		math.MaxInt64, -1, -42, -1000000, math.MinInt64}
+	for _, pad := range []int{0, 1, 2, 4, 6, 8, 10, 12, 18, 19, 20, 24, 40} {
+		for _, v := range values {
+			if got, want := formatKey(pad, v), kv.Key(fmt.Sprintf("user%0*d", pad, v)); got != want {
+				t.Errorf("formatKey(%d, %d) = %q, want %q", pad, v, got, want)
+			}
+		}
+		if pad == 0 || pad > 18 {
+			continue // keySpace overflows int64 past 18 digits
+		}
+		s := Spec{KeyPad: pad}
+		space := s.keySpace()
+		for _, n := range []int64{0, 1, 7, space - 1, space, space + 3, 123456789} {
+			want := kv.Key(fmt.Sprintf("user%0*d", pad, (n%space)*keyMultiplier%space))
+			if got := s.KeyFor(n); got != want {
+				t.Errorf("KeyPad %d: KeyFor(%d) = %q, want %q", pad, n, got, want)
+			}
+		}
+		for i, got := range s.SplitPoints(7) {
+			if want := kv.Key(fmt.Sprintf("user%0*d", pad, space/7*int64(i+1))); got != want {
+				t.Errorf("KeyPad %d: split %d = %q, want %q", pad, i, got, want)
+			}
+		}
+	}
+	s := Spec{KeyPad: 10}
+	n := int64(0)
+	if allocs := testing.AllocsPerRun(1000, func() { n++; _ = s.KeyFor(n) }); allocs > 1 {
+		t.Errorf("KeyFor: %.1f allocs/op, want <= 1", allocs)
 	}
 }
 
