@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-shard bench bench-record bench-compare bench-kernel bench-shard bench-scale bench-spectrum bench-geo lint lint-report vet trace
+.PHONY: all build test race race-shard bench bench-record bench-compare bench-kernel bench-scale bench-spectrum bench-geo lint lint-report vet trace loc
 
 all: build lint test
 
@@ -52,15 +52,6 @@ bench-kernel:
 		| $(GO) run ./cmd/benchjson -o BENCH_kernel.json
 	@cat BENCH_kernel.json
 
-# Single-cell scaling on the sharded kernel: the 64-node saturating
-# shardscale cell at 1/2/4/8 shards, archived as a JSON artifact beside
-# BENCH_kernel.json. Wall-clock scaling needs host cores — on a 1-core
-# runner the curve records engine overhead at ~1x instead (DESIGN.md §10).
-bench-shard:
-	$(GO) test -bench=ShardScale -benchmem -benchtime=3x -run='^$$' -timeout 30m . \
-		| $(GO) run ./cmd/benchjson -o BENCH_shard.json
-	@cat BENCH_shard.json
-
 # Deployment-scale scaling curve: the 512-node, million-session megascale
 # deployment at 1/2/4/8 shards, archived with the host's GOMAXPROCS and
 # CPU count (benchjson records both — the curve is uninterpretable
@@ -106,6 +97,15 @@ lint: vet
 # by all seven analyzers, under 60s even on a cold build cache.
 lint-report:
 	$(GO) run ./cmd/simlint -ignores -budget 60s ./...
+
+# Non-test Go line counts (comments included) for the packages ROADMAP's
+# "One of each" item tracks; CI echoes this so the count is on record per
+# commit.
+loc:
+	@total=0; for d in sim core cassandra objstore ring; do \
+		n=$$(find internal/$$d -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
+		printf '%-20s %6d\n' internal/$$d $$n; total=$$((total + n)); \
+	done; printf '%-20s %6d\n' total $$total
 
 # Per-phase latency decomposition at smoke scale: tracebreak.csv holds the
 # phase-share grid, trace.json one span-retaining cell in Chrome

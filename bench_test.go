@@ -426,44 +426,9 @@ func BenchmarkSweepParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkShardScale measures single-cell scaling on the sharded kernel:
-// the 64-node saturating shardscale cell (see DESIGN §10) split into 1, 2,
-// 4, and 8 segments, each on its own member kernel. Total nodes, threads,
-// and ops are fixed, so wall-clock ns/op across the sub-benchmarks is the
-// engine's per-core scaling curve — `make bench-shard` records it in
-// BENCH_shard.json.
-func BenchmarkShardScale(b *testing.B) {
-	for _, shards := range []int{1, 2, 4, 8} {
-		shards := shards
-		// "shards=N", not benchName's "shards-N": benchjson strips a
-		// trailing -N as the GOMAXPROCS suffix, which on a 1-core host
-		// (no suffix appended) would collapse the four curves into one.
-		b.Run("shards="+itoa(shards), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				o := core.DefaultShardScaleOptions()
-				o.Shards = shards
-				if testing.Short() {
-					o.TotalNodes = 16
-					o.TotalThreads = 64
-					o.TotalOps = 2_000
-					o.RecordsPerSegment = 400
-				}
-				o.Seed = int64(i + 1)
-				res, err := core.RunShardScale(o)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Errors != 0 {
-					b.Fatalf("%d errors", res.Errors)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkMegaScale measures deployment-scale scaling on the sharded
 // kernel: the 512-node, RF-3, million-session megascale Cassandra
-// deployment (DESIGN §14) split into 1, 2, 4, and 8 segments, each on its
+// deployment (DESIGN §10) split into 1, 2, 4, and 8 segments, each on its
 // own member kernel with WAN-chain delivery floors between them. Total
 // nodes, sessions, and ops are fixed, so wall-clock ns/op across the
 // sub-benchmarks is the engine's scaling curve at deployment scale —

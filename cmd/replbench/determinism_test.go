@@ -2,7 +2,10 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"flag"
 	"fmt"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -28,6 +31,11 @@ func capture(t *testing.T, args ...string) string {
 	return out[:i]
 }
 
+// smokeReports holds the seed-42 smoke reports the gates below have already
+// captured, keyed by golden name, so TestSmokeGoldenDigests hashes those
+// instead of running each sweep once more.
+var smokeReports = map[string]string{}
+
 // TestSweepBitIdentical is the determinism regression test: a same-seed
 // sweep must produce byte-identical CSV whatever the worker-pool size.
 // This is the invariant the detwalk and seedflow analyzers exist to
@@ -38,6 +46,7 @@ func TestSweepBitIdentical(t *testing.T) {
 		t.Run(experiment, func(t *testing.T) {
 			base := []string{"-experiment", experiment, "-profile", "smoke", "-csv", "-seed", "42"}
 			serial := capture(t, append(base, "-parallel", "1")...)
+			smokeReports[experiment] = serial
 			wide := capture(t, append(base, "-parallel", "8")...)
 			if serial != wide {
 				t.Errorf("-parallel 1 and -parallel 8 reports differ:\n%s", firstDiff(serial, wide))
@@ -54,12 +63,15 @@ func TestSweepBitIdentical(t *testing.T) {
 // subsystem: the multi-DC grid — WAN-link jitter streams, per-DC quorum
 // fan-out, the DC-partition fault cells, and the adaptive controller's
 // probability-driven decisions — must produce byte-identical CSV across
-// worker-pool sizes AND across kernel shard counts (the 2-DC cells align
-// DC blocks with shard boundaries, so the WAN lookahead path is on trial
-// too).
+// worker-pool sizes AND across kernel shard counts. Geo cells deploy whole
+// on the home shard like every other experiment — the WAN lives inside one
+// kernel — so -shards 4 checks the group's solo path, not cross-shard
+// delivery; TestMegaScaleWorkersBitIdentical is the gate that reaches
+// multi-shard windows.
 func TestGeoSweepBitIdentical(t *testing.T) {
 	base := []string{"-experiment", "geo", "-profile", "smoke", "-csv", "-seed", "42"}
 	serial := capture(t, append(base, "-parallel", "1")...)
+	smokeReports["geo"] = serial
 	wide := capture(t, append(base, "-parallel", "8")...)
 	if serial != wide {
 		t.Errorf("-parallel 1 and -parallel 8 geo reports differ:\n%s", firstDiff(serial, wide))
@@ -79,8 +91,9 @@ func TestGeoSweepBitIdentical(t *testing.T) {
 // sizes, and the raw span stream — IDs included, which are drawn from the
 // per-proc seeded RNGs — must be identical across same-seed runs.
 func TestTraceBitIdentical(t *testing.T) {
-	base := []string{"-experiment", "tracebreak", "-profile", "smoke", "-seed", "42", "-rf", "1,3"}
+	base := []string{"-experiment", "tracebreak", "-profile", "smoke", "-csv", "-seed", "42", "-rf", "1,3"}
 	serial := capture(t, append(base, "-parallel", "1")...)
+	smokeReports["tracebreak"] = serial
 	wide := capture(t, append(base, "-parallel", "8")...)
 	if serial != wide {
 		t.Errorf("-parallel 1 and -parallel 8 tracebreak reports differ:\n%s", firstDiff(serial, wide))
@@ -125,6 +138,7 @@ func TestShardedSweepBitIdentical(t *testing.T) {
 		t.Run(experiment, func(t *testing.T) {
 			base := []string{"-experiment", experiment, "-profile", "smoke", "-csv", "-seed", "42", "-rf", "1,3"}
 			seq := capture(t, append(base, "-shards", "1")...)
+			smokeReports[experiment] = seq
 			sharded := capture(t, append(base, "-shards", "4")...)
 			if seq != sharded {
 				t.Errorf("-shards 1 and -shards 4 reports differ:\n%s", firstDiff(seq, sharded))
@@ -133,32 +147,22 @@ func TestShardedSweepBitIdentical(t *testing.T) {
 	}
 }
 
-// TestPinnedWorkersMatchSpawnPerWindow is the engine-swap differential
-// gate at the experiment level: on 4-shard groups, the pinned-worker
-// barrier must produce reports byte-identical to the legacy
-// goroutine-per-window executor (CLOUDBENCH_SPAWN_WINDOWS=1), and the
-// pinned engine must be worker-count-independent — for the fig1, audit,
-// and geo sweeps. Adaptive windows are on throughout (the default), so
-// the widened barriers are on trial too.
-func TestPinnedWorkersMatchSpawnPerWindow(t *testing.T) {
-	for _, experiment := range []string{"fig1", "audit", "geo"} {
-		t.Run(experiment, func(t *testing.T) {
-			base := []string{"-experiment", experiment, "-profile", "smoke", "-csv", "-seed", "42", "-shards", "4"}
-			if experiment != "geo" {
-				base = append(base, "-rf", "1,3")
-			}
-			t.Setenv("CLOUDBENCH_SPAWN_WINDOWS", "")
-			pinned := capture(t, append(base, "-shard-workers", "4")...)
-			oneWorker := capture(t, append(base, "-shard-workers", "1")...)
-			if pinned != oneWorker {
-				t.Errorf("pinned engine differs across worker counts:\n%s", firstDiff(pinned, oneWorker))
-			}
-			t.Setenv("CLOUDBENCH_SPAWN_WINDOWS", "1")
-			spawn := capture(t, append(base, "-shard-workers", "4")...)
-			if pinned != spawn {
-				t.Errorf("pinned and spawn-per-window engines differ:\n%s", firstDiff(pinned, spawn))
-			}
-		})
+// TestMegaScaleWorkersBitIdentical is the window-engine gate at the CLI:
+// megascale is the one experiment whose model spans shards, so it is the
+// one whose report passes through multi-shard windows, the barrier merge
+// and the message lane. On 4 shards the report must be byte-identical
+// whether those windows run in line on one worker (the sequential
+// reference) or on four pinned workers.
+func TestMegaScaleWorkersBitIdentical(t *testing.T) {
+	base := []string{"-experiment", "megascale", "-short", "-csv", "-seed", "42", "-shards", "4"}
+	inline := capture(t, append(base, "-shard-workers", "1")...)
+	smokeReports["megascale-shards4"] = inline
+	if !strings.Contains(inline, "megascale: 4 shards, ") || strings.Contains(inline, " 0 conservative windows") {
+		t.Fatalf("megascale did not run multi-shard windows:\n%s", inline)
+	}
+	pinned := capture(t, append(base, "-shard-workers", "4")...)
+	if inline != pinned {
+		t.Errorf("-shard-workers 1 and -shard-workers 4 megascale reports differ:\n%s", firstDiff(inline, pinned))
 	}
 }
 
@@ -188,6 +192,76 @@ func TestShardedTraceSpansBitIdentical(t *testing.T) {
 			}
 		}
 		t.Fatalf("span streams differ in length: %d vs %d", len(a), len(b))
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite "+goldenDigests+" from this checkout's reports")
+
+const goldenDigests = "testdata/smoke_seed42.sha256"
+
+// TestSmokeGoldenDigests is the cross-commit identity gate. Every other
+// test in this file compares a run against another run of the same
+// checkout; this one compares the seed-42 smoke report of each experiment
+// family against the sha256 recorded when the figures were last moved on
+// purpose, so a refactor that shifts a number anywhere fails here. fig2 and
+// fig3 run only outside -short, like TestShardedSweepBitIdentical.
+// Regenerate with -update, and only in a change that declares the
+// re-baseline.
+func TestSmokeGoldenDigests(t *testing.T) {
+	reports := []struct {
+		name  string // golden name: the experiment, plus a -suffix where flags vary
+		extra []string
+		long  bool
+	}{
+		{name: "fig1"},
+		{name: "fig2", long: true},
+		{name: "fig3", long: true},
+		{name: "audit"},
+		{name: "spectrum"},
+		{name: "tracebreak", extra: []string{"-rf", "1,3"}}, // smoke's own RF set; unset, tracebreak sweeps 1-6
+		{name: "geo"},
+		{name: "megascale-shards2", extra: []string{"-shards", "2"}},
+		{name: "megascale-shards4", extra: []string{"-shards", "4"}},
+	}
+	raw, err := os.ReadFile(goldenDigests)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimRight(string(raw), "\n"), "\n")
+	want := map[string]string{}
+	for _, line := range lines[1:] { // line 0 is the provenance comment
+		sum, name, ok := strings.Cut(line, "  ")
+		if !ok {
+			t.Fatalf("%s: malformed line %q", goldenDigests, line)
+		}
+		want[name] = sum
+	}
+	for _, r := range reports {
+		if r.long && testing.Short() && !*update {
+			continue
+		}
+		out, ok := smokeReports[r.name]
+		if !ok {
+			experiment, _, _ := strings.Cut(r.name, "-")
+			args := []string{"-experiment", experiment, "-profile", "smoke", "-csv", "-seed", "42"}
+			out = capture(t, append(args, r.extra...)...)
+		}
+		got := fmt.Sprintf("%x", sha256.Sum256([]byte(out)))
+		if *update {
+			want[r.name] = got
+		} else if got != want[r.name] {
+			t.Errorf("%s: report sha256 %s, golden %s — the seed-42 smoke figures moved", r.name, got, want[r.name])
+		}
+	}
+	if *update {
+		var b strings.Builder
+		b.WriteString(lines[0] + "\n")
+		for _, r := range reports {
+			fmt.Fprintf(&b, "%s  %s\n", want[r.name], r.name)
+		}
+		if err := os.WriteFile(goldenDigests, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

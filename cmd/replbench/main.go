@@ -4,15 +4,17 @@
 // Usage:
 //
 //	replbench -experiment <name>|findings|all \
-//	          [-profile smoke|quick|paper] [-short] [-seed N] [-rf 1,2,3] [-parallel N] [-shards N] [-csv] [-o results.txt] [-trace-out trace.json]
+//	          [-profile smoke|quick|paper] [-short] [-seed N] [-rf 1,2,3] [-parallel N] [-shards N] [-shard-workers N] [-csv] [-o results.txt] [-trace-out trace.json]
 //
 // The experiment names (table1, fig1, ..., spectrum) come from a single
 // registry; run with an unknown name to get the current list. Sweeps fan
 // their independent cells out across host CPUs (-parallel bounds the
 // worker pool; 0 means one worker per CPU). -shards additionally runs
-// each cell's kernel as a sharded group (see DESIGN §10). Every cell is a
-// deterministic simulation whose event order is independent of both knobs,
-// so the report is bit-identical whatever the parallelism or shard count.
+// each cell's kernel as a sharded group (see DESIGN §10); -shard-workers
+// caps the goroutines megascale — the one experiment whose model spans
+// shards — executes its windows on. Every cell is a deterministic
+// simulation whose event order is independent of all three knobs, so the
+// report is bit-identical whatever their values.
 // -seed and -csv apply uniformly to every experiment, including the geo and
 // failover extensions.
 //
@@ -50,6 +52,10 @@ type runContext struct {
 	traceOut string
 	seed     int64
 	profile  string // resolved -profile name; megascale sizes its cell by it
+
+	// shardWorkers is -shard-workers. Only megascale reads it: every other
+	// experiment deploys on one shard and never opens a multi-shard window.
+	shardWorkers int
 }
 
 // render prints a table in the format -csv selected, followed by a blank
@@ -117,7 +123,7 @@ func run(args []string, stdout io.Writer) error {
 	seed := fs.Int64("seed", 1, "simulation seed")
 	parallel := fs.Int("parallel", 0, "sweep cells run concurrently (0 = one per CPU); results are bit-identical for every value")
 	shards := fs.Int("shards", 0, "kernel execution shards per simulation cell (0/1 = sequential kernel); results are bit-identical for every value")
-	shardWorkers := fs.Int("shard-workers", 0, "pinned worker goroutines per sharded group (0 = one per CPU); results are bit-identical for every value")
+	shardWorkers := fs.Int("shard-workers", 0, "pinned worker goroutines megascale runs its shard windows on (0 = one per CPU); results are bit-identical for every value")
 	rfList := fs.String("rf", "", "comma-separated replication factors (default 1-6)")
 	noReadRepair := fs.Bool("no-read-repair", false, "disable Cassandra read repair (ablation A1 inline)")
 	csv := fs.Bool("csv", false, "emit CSV instead of aligned tables")
@@ -168,9 +174,6 @@ func run(args []string, stdout io.Writer) error {
 	if *shardWorkers < 0 {
 		return fmt.Errorf("bad -shard-workers %d", *shardWorkers)
 	}
-	if *shardWorkers > 0 {
-		o.ShardWorkers = *shardWorkers
-	}
 	if *rfList != "" {
 		var rfs []int
 		for _, part := range strings.Split(*rfList, ",") {
@@ -207,15 +210,15 @@ func run(args []string, stdout io.Writer) error {
 		traceOut: *traceOut,
 		seed:     *seed,
 		profile:  *profile,
+
+		shardWorkers: *shardWorkers,
 	}
 
 	for _, e := range registry {
 		if *experimentFlag != e.name && *experimentFlag != "all" {
 			continue
 		}
-		if e.run == nil {
-			continue
-		}
+		//simlint:ignore hookguard every registry entry carries its run func
 		if err := e.run(ctx); err != nil {
 			return err
 		}
@@ -387,7 +390,7 @@ func runFailover(ctx *runContext) error {
 	return nil
 }
 
-// runMegaScale drives the partitioned deployment (DESIGN §14). The cell
+// runMegaScale drives the partitioned deployment (DESIGN §10). The cell
 // scales with -profile: smoke is the small CI cell, quick a mid-size cell
 // that keeps `-experiment all` tolerable, paper the full 512-node
 // million-session deployment. -shards and -shard-workers carry over, with
@@ -408,7 +411,7 @@ func runMegaScale(ctx *runContext) error {
 		mo.LiveSessions = 256
 	}
 	mo.Seed = ctx.seed
-	mo.Workers = ctx.o.ShardWorkers
+	mo.Workers = ctx.shardWorkers
 	mo.Shards = ctx.o.Shards
 	if mo.Shards < 2 {
 		mo.Shards = 2

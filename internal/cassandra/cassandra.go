@@ -20,6 +20,7 @@ import (
 	"cloudbench/internal/cluster"
 	"cloudbench/internal/consistency"
 	"cloudbench/internal/kv"
+	"cloudbench/internal/ring"
 	"cloudbench/internal/sim"
 	"cloudbench/internal/storage"
 	"cloudbench/internal/trace"
@@ -127,7 +128,7 @@ type DB struct {
 	cfg  Config
 	cl   *cluster.Cluster
 	reps []*Replica
-	ring ring
+	ring *ring.Ring[*Replica]
 
 	nextVersion  kv.Version
 	rrSeq        uint64 // deterministic read-repair dice
@@ -196,7 +197,7 @@ func New(k *sim.Kernel, cfg Config, nodes []*cluster.Node) *DB {
 		db.reps = append(db.reps, rep)
 	}
 	rng := k.Rand()
-	db.ring = buildRing(db.reps, cfg.VNodes, rng.Uint64)
+	db.ring = ring.New(db.reps, func(r *Replica) int { return r.Node.Zone }, cfg.VNodes, rng.Uint64)
 	return db
 }
 
@@ -235,13 +236,14 @@ func (db *DB) Replicas() []*Replica { return db.reps }
 // ReplicasFor returns the replica set for key in ring order (main replica
 // first).
 func (db *DB) ReplicasFor(key kv.Key) []*Replica {
+	t := ring.Hash(key)
 	if len(db.cfg.DCReplicas) > 0 {
-		return db.ring.replicasForDCs(key, db.cfg.DCReplicas)
+		return db.ring.PerZone(t, db.cfg.DCReplicas)
 	}
 	if db.cfg.TopologyAware {
-		return db.ring.replicasForTopology(key, db.cfg.Replication)
+		return db.ring.ZoneSpread(t, db.cfg.Replication)
 	}
-	return db.ring.replicasFor(key, db.cfg.Replication)
+	return db.ring.Simple(t, db.cfg.Replication)
 }
 
 // localPlan restricts a replica list to the coordinator's zone for

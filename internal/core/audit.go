@@ -112,23 +112,10 @@ func auditCells(o Options) []auditCell {
 		}
 	}
 	cells = append(cells, auditCell{
-		db: "Cassandra", lv: levels()[0], rf: auditFaultRF(o),
+		db: "Cassandra", lv: levels()[0], rf: anchorRF(o),
 		spec: ycsb.ReadUpdate(o.StressRecords), fault: true,
 	})
 	return cells
-}
-
-// auditFaultRF picks the fault cell's replication factor: the paper's
-// recommended 3 when the sweep includes it, otherwise the largest swept
-// factor (so the healthy counterpart cell always exists).
-func auditFaultRF(o Options) int {
-	rf := o.ReplicationFactors[len(o.ReplicationFactors)-1]
-	for _, f := range o.ReplicationFactors {
-		if f == 3 {
-			return 3
-		}
-	}
-	return rf
 }
 
 // RunConsistencyAudit runs the audit grid. Each cell is a self-contained
@@ -136,17 +123,13 @@ func auditFaultRF(o Options) int {
 // like every experiment the report is bit-identical for any parallelism.
 func RunConsistencyAudit(o Options) (AuditResults, error) {
 	cells := auditCells(o)
-	results, err := runCells(o.workers(), len(cells), func(i int) (AuditResult, error) {
+	return runCells(o.workers(), len(cells), func(i int) (AuditResult, error) {
 		res, err := runAuditCell(o, cells[i])
 		if err != nil {
 			return res, fmt.Errorf("audit %s/%s/rf%d: %w", cells[i].db, cells[i].lv.Name, cells[i].rf, err)
 		}
 		return res, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
 }
 
 // runAuditCell deploys one database, attaches an oracle, loads, runs the

@@ -43,38 +43,34 @@ func engineConfig(o Options) storage.Config {
 	return cfg
 }
 
-// newKernelAndCluster builds the 16-machine rack. With Options.Shards > 1
-// it builds a sharded kernel group instead of a plain kernel and deploys
-// the rack on the group's home shard: benchmark clients touch every node
-// directly (SendTo/RoundTrip are process-carried), so the rack model
-// cannot be split across member kernels without changing its event order.
-// The home shard inherits the cell seed unchanged, which is what makes
-// `-shards N` byte-identical to `-shards 1` for every experiment — the
-// window engine chops the same sequential event stream into conservative
-// windows without reordering it. Spatially partitioned parallelism is
-// exercised by the shardscale workload, whose segments are independent
-// clusters pinned one per shard.
+// newKernel returns the kernel an experiment cell deploys on. With
+// Options.Shards > 1 that is the home shard of a member-kernel group
+// planned from the cell's topology, otherwise a plain kernel (nil group).
+// Benchmark clients touch every node directly (SendTo/RoundTrip are
+// process-carried), so an experiment's model cannot be split across member
+// kernels without changing its event order: every cell deploys whole onto
+// the home shard, which inherits the cell seed unchanged. That is what
+// makes `-shards N` byte-identical to `-shards 1` for every experiment —
+// with the other members idle the group runs the home shard solo, the same
+// sequential event stream. Spatially partitioned parallelism is exercised
+// by RunMegaScale, whose segments are independent clusters pinned one per
+// shard.
+func newKernel(o Options, ccfg cluster.Config) (*sim.Kernel, *sim.ShardGroup) {
+	if o.Shards <= 1 {
+		return sim.NewKernel(o.Seed), nil
+	}
+	plan := cluster.PlanShards(ccfg, o.Shards)
+	g := sim.NewShardGroup(o.Seed, plan.Shards, plan.Lookahead)
+	g.SetPairLookahead(plan.PairLookahead)
+	return g.Shard(0).Kernel(), g
+}
+
+// newKernelAndCluster builds the 16-machine rack on newKernel's kernel.
 func newKernelAndCluster(o Options) (*sim.Kernel, *cluster.Cluster, *sim.ShardGroup) {
 	ccfg := o.Cluster
 	ccfg.Nodes = o.ServerNodes + 1
-	if o.Shards > 1 {
-		g := newShardGroup(o, cluster.PlanShards(ccfg, o.Shards))
-		k := g.Shard(0).Kernel()
-		return k, cluster.New(k, ccfg), g
-	}
-	k := sim.NewKernel(o.Seed)
-	return k, cluster.New(k, ccfg), nil
-}
-
-// newShardGroup builds the member-kernel group for a shard plan: the
-// per-pair delivery floors feed adaptive window widening, and the pinned
-// worker cap comes straight from Options.
-func newShardGroup(o Options, plan cluster.ShardPlan) *sim.ShardGroup {
-	g := sim.NewShardGroup(o.Seed, plan.Shards, plan.Lookahead)
-	g.SetPairLookahead(plan.PairLookahead)
-	g.SetWorkers(o.ShardWorkers)
-	g.SetSpawnPerWindow(envSpawnWindows())
-	return g
+	k, g := newKernel(o, ccfg)
+	return k, cluster.New(k, ccfg), g
 }
 
 // deployHBase provisions HBase at the given replication factor with

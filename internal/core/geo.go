@@ -187,10 +187,12 @@ type GeoResults []GeoResult
 // RunGeo runs the geo-replication grid. Like every experiment, each cell
 // is a self-contained deterministic simulation fanned out across the
 // sweep scheduler, and the report is bit-identical for any Parallelism or
-// Shards value.
+// Shards value: a geo cell deploys all its DCs on the home shard like
+// every other experiment, so the WAN is modelled inside one kernel and
+// the group's cross-shard lookahead never comes into play.
 func RunGeo(o Options) (GeoResults, error) {
 	cells := geoCells(o)
-	results, err := runCells(o.workers(), len(cells), func(i int) (GeoResult, error) {
+	return runCells(o.workers(), len(cells), func(i int) (GeoResult, error) {
 		c := cells[i]
 		res, err := runGeoCell(o, c)
 		if err != nil {
@@ -198,10 +200,6 @@ func RunGeo(o Options) (GeoResults, error) {
 		}
 		return res, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
 }
 
 // deployGeo provisions one multi-DC Cassandra cell: dcs blocks of
@@ -226,15 +224,7 @@ func deployGeo(o Options, c geoCell) (*deployment, *geo.Controller) {
 		WANJitter: geoWANJitter,
 	}
 
-	var k *sim.Kernel
-	var group *sim.ShardGroup
-	if o.Shards > 1 {
-		g := newShardGroup(o, cluster.PlanShards(ccfg, o.Shards))
-		k = g.Shard(0).Kernel()
-		group = g
-	} else {
-		k = sim.NewKernel(o.Seed)
-	}
+	k, group := newKernel(o, ccfg)
 	clus := cluster.New(k, ccfg)
 
 	servers := make([]*cluster.Node, 0, c.dcs*spd)

@@ -15,7 +15,12 @@ import (
 // Megascale is the ROADMAP's "one huge deployment": a paper-scale
 // Cassandra cluster — hundreds of database machines, RF 3, on the order
 // of a million YCSB client processes — partitioned across member kernels
-// by cluster.PlanShards rather than shardscale's synthetic equal cells.
+// by cluster.PlanShards. It is the one experiment whose model is spatially
+// split: the fig/audit/tracebreak/geo cells are process-carried — one
+// client machine's threads touch every server directly — so they run whole
+// on a group's home shard, while each megascale segment is an independent
+// cluster on its own member kernel and a controlled fraction of reads
+// crosses segments through the group's conservative delivery API.
 // The deployment is laid out as one geo topology (one DC per segment on a
 // WAN chain), PlanShards derives the shard map and the per-pair delivery
 // floors from it, and those floors are what the adaptive window engine
@@ -130,7 +135,7 @@ type MegaScaleResult struct {
 // Table renders the per-segment breakdown plus a totals row — the CSV the
 // CI scale job archives next to BENCH_scale.json.
 func (r MegaScaleResult) Table() *stats.Table {
-	t := stats.NewTable("Megascale — partitioned Cassandra deployment, session churn per segment (DESIGN §14)",
+	t := stats.NewTable("Megascale — partitioned Cassandra deployment, session churn per segment (DESIGN §10)",
 		"segment", "nodes", "sessions", "measured-ops", "simops/s", "mean-latency", "remote-reads", "not-found", "errors")
 	for i, s := range r.Segments {
 		t.AddRow(i, s.Nodes, s.Sessions, s.Ops, s.Throughput, s.MeanLatency, s.RemoteReads, s.NotFound, s.Errors)
@@ -155,6 +160,59 @@ type megaSegment struct {
 	server kv.Client
 	result ycsb.Result
 	remote int64
+}
+
+// remoteMixClient wraps a segment-local client and diverts every n'th read
+// to a destination segment over the shard group's delivery API — each hop
+// paying the pair's delivery floor. All other verbs stay local.
+type remoteMixClient struct {
+	kv.Client
+	src    *sim.Shard
+	dst    *sim.Shard
+	server kv.Client // destination segment's serving client
+	remote *int64    // cross-segment read counter, owned by the source shard
+	every  int
+	n      int
+}
+
+type remoteResp struct {
+	rec kv.Record
+	err error
+}
+
+func (c *remoteMixClient) Read(p *sim.Proc, key kv.Key, fields []string) (kv.Record, error) {
+	c.n++
+	if c.every <= 0 || c.n%c.every != 0 {
+		return c.Client.Read(p, key, fields)
+	}
+	*c.remote++
+	src := c.src
+	srcID := src.ID()
+	hop := src.Group().Floor(srcID, c.dst.ID())
+	back := src.Group().Floor(c.dst.ID(), srcID)
+	fut := sim.NewFuture[remoteResp](src.Kernel())
+	server := c.server
+	src.Send(c.dst.ID(), hop, func(ds *sim.Shard) {
+		// Serve the read as a fresh process on the destination segment —
+		// delivery runs in event context and must not block — then ship
+		// the response home, where the future completes on the source
+		// shard's kernel.
+		ds.Kernel().Go("megascale-remote-read", func(rp *sim.Proc) {
+			// server is the destination segment's client (megaSegment.server
+			// is only ever touched by code delivered here), so reaching its
+			// kernel from this closure is the sanctioned pattern, not a
+			// sending-side leak.
+			rec, err := server.Read(rp, key, fields)
+			resp := remoteResp{rec: rec, err: err}
+			// The reply future is the sanctioned cross-shard handle; the
+			// engine keys generic Future cells by Origin, so fut.val merges
+			// every instantiation's payload (DESIGN.md §12, soundness notes).
+			//simlint:ignore shardsafe reply future; generic cells merge instantiations in the points-to engine
+			ds.Send(srcID, back, func(*sim.Shard) { fut.Set(resp) })
+		})
+	})
+	resp := fut.Await(p)
+	return resp.rec, resp.err
 }
 
 // RunMegaScale builds the deployment and runs the session churn to

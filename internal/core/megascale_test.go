@@ -34,6 +34,9 @@ func TestMegaScaleRuns(t *testing.T) {
 		if shards > 1 && res.RemoteReads == 0 {
 			t.Errorf("shards=%d: no cross-segment reads flowed", shards)
 		}
+		if shards == 1 && res.RemoteReads != 0 {
+			t.Errorf("shards=1: %d remote reads from a lone segment", res.RemoteReads)
+		}
 		if shards > 1 && res.Windows == 0 {
 			t.Errorf("shards=%d: no conservative windows executed", shards)
 		}

@@ -36,29 +36,6 @@ func envShards() int {
 	return 0
 }
 
-// envShardWorkers reads the CLOUDBENCH_SHARD_WORKERS override, the
-// companion knob to CLOUDBENCH_SHARDS: how many OS-level pinned workers a
-// sharded group runs windows on. 0 means unset (GOMAXPROCS). Results are
-// bit-identical for every value, so CI can pin e.g. 2 workers on a large
-// shard count to exercise work-stealing without changing any output.
-func envShardWorkers() int {
-	if s := os.Getenv("CLOUDBENCH_SHARD_WORKERS"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 0 {
-			return n
-		}
-	}
-	return 0
-}
-
-// envSpawnWindows reads CLOUDBENCH_SPAWN_WINDOWS, a differential/debug
-// escape hatch that switches sharded groups back to the legacy
-// goroutine-per-window executor (sim.ShardGroup.SetSpawnPerWindow). The
-// determinism suite uses it to pin the pinned-worker engine's delivery
-// order to the legacy engine's, byte for byte.
-func envSpawnWindows() bool {
-	return os.Getenv("CLOUDBENCH_SPAWN_WINDOWS") == "1"
-}
-
 // Options controls the scale and knobs of every experiment.
 type Options struct {
 	Seed int64
@@ -76,16 +53,9 @@ type Options struct {
 	// Parallelism's across-cell pool. 0 or 1 is the plain sequential
 	// kernel. Results are bit-identical for every value — the benchmark
 	// deployments place the whole model on the home shard, whose kernel
-	// inherits the cell seed unchanged, and the conservative window engine
-	// never reorders events. Defaults to $CLOUDBENCH_SHARDS when set.
+	// inherits the cell seed unchanged and runs solo while the other
+	// members stay idle. Defaults to $CLOUDBENCH_SHARDS when set.
 	Shards int
-
-	// ShardWorkers caps the pinned worker goroutines a sharded group
-	// (Shards > 1) executes windows on — sim.ShardGroup.SetWorkers. 0
-	// means one per available CPU. Like Shards, it changes wall-clock
-	// only, never results. Defaults to $CLOUDBENCH_SHARD_WORKERS when
-	// set.
-	ShardWorkers int
 
 	// Topology: ServerNodes database machines plus one client machine
 	// (which also hosts the HBase master), mirroring the paper's 15+1.
@@ -183,7 +153,6 @@ func QuickOptions() Options {
 	return Options{
 		Seed:                1,
 		Shards:              envShards(),
-		ShardWorkers:        envShardWorkers(),
 		ServerNodes:         15,
 		Cluster:             ccfg,
 		MicroRecords:        30_000,
@@ -244,6 +213,20 @@ func PaperOptions() Options {
 	o.StressOps = 30_000
 	o.CacheBytes = 16 << 20
 	return o
+}
+
+// anchorRF picks the replication factor of the cells an experiment pins
+// rather than sweeps (the audit's fault cell, the spectrum's cross-backend
+// comparison): the paper's recommended 3 when the sweep includes it,
+// otherwise the largest swept factor, so the swept counterpart cell always
+// exists.
+func anchorRF(o Options) int {
+	for _, f := range o.ReplicationFactors {
+		if f == 3 {
+			return 3
+		}
+	}
+	return o.ReplicationFactors[len(o.ReplicationFactors)-1]
 }
 
 // Levels returns the Fig. 3 consistency configurations in paper order:

@@ -84,25 +84,13 @@ type spectrumCell struct {
 	fault    bool
 }
 
-// spectrumAnchorRF picks the replication factor for the cross-backend
-// comparison cells: the paper's recommended 3 when swept, otherwise the
-// largest swept factor.
-func spectrumAnchorRF(o Options) int {
-	for _, f := range o.ReplicationFactors {
-		if f == 3 {
-			return 3
-		}
-	}
-	return o.ReplicationFactors[len(o.ReplicationFactors)-1]
-}
-
 // spectrumCells enumerates the canonical order: workload-major; per
 // workload the anchor-RF backend comparison (HBase, the three Cassandra
 // levels, objstore read-quorum), then the object store's RF sweep at the
 // fastest anti-entropy interval and its interval sweep at the anchor RF;
 // finally one fault-injected object-store cell per interval.
 func spectrumCells(o Options) []spectrumCell {
-	anchor := spectrumAnchorRF(o)
+	anchor := anchorRF(o)
 	ivals := o.SpectrumReplIntervals
 	fastest := ivals[0]
 	var cells []spectrumCell
@@ -311,7 +299,7 @@ func (r SpectrumResults) Table() *stats.Table {
 
 // CheckSpectrum evaluates the spectrum's qualitative claims.
 func CheckSpectrum(o Options, r SpectrumResults) []Finding {
-	anchor := spectrumAnchorRF(o)
+	anchor := anchorRF(o)
 	fastest := o.SpectrumReplIntervals[0]
 	var fs []Finding
 

@@ -1,124 +1,65 @@
 package objstore
 
 import (
-	"sort"
-
 	"cloudbench/internal/kv"
+	"cloudbench/internal/ring"
 )
 
-// Token is a position on the hash ring.
-type Token uint64
-
-// hashKey maps an object key to its token: FNV-1a over the key bytes with
-// a murmur-style 64-bit finalizer for avalanche (the same family the
-// other backends use; Swift's md5-of-path plays this role).
-func hashKey(key kv.Key) Token {
-	var h uint64 = 14695981039346656037
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= 1099511628211
-	}
-	// fmix64
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	h *= 0xc4ceb9fe1a85ec53
-	h ^= h >> 33
-	return Token(h)
-}
-
-// ringEntry is one virtual node: a token owned by a server.
-type ringEntry struct {
-	token Token
-	srv   *Server
-}
-
-// ring is a Swift-style consistent-hash ring: keys map to one of 2^partPower
-// partitions by the top bits of their token, and each partition maps to a
-// fixed replica set plus a handoff order. Both tables are precomputed at
-// build time from the vnode layout alone, so placement is a pure function
-// of (topology, seed): node failures never rebuild the ring — a down
-// primary's writes go to the first live handoff, exactly like Swift's
-// get_more_nodes.
-type ring struct {
+// partTable is the Swift-style partition table over the shared
+// consistent-hash ring: keys map to one of 2^partPower partitions by the
+// top bits of their token, and each partition maps to a fixed replica set
+// plus a handoff order. Both tables are precomputed at build time from the
+// vnode layout alone, so placement is a pure function of (topology, seed):
+// node failures never rebuild the ring — a down primary's writes go to the
+// first live handoff, exactly like Swift's get_more_nodes.
+type partTable struct {
 	partPower uint
 	parts     [][]*Server // placement per partition, ring order, primary first
 	handoffs  [][]*Server // remaining servers per partition, ring order
 }
 
-// buildRing assigns vnodes tokens to every server from the deterministic
-// rng stream, sorts the ring, and precomputes per-partition placement.
-// With zones configured (topologyAware), the first placement pass takes at
+// buildPartTable draws the vnode ring from the deterministic rng stream
+// and precomputes, per partition, the full server order clockwise from the
+// partition's base token, split into the rf-wide placement set and the
+// handoff tail. With zones configured (topologyAware), the order takes at
 // most one server per zone before doubling up, mirroring Swift's
 // as-unique-as-possible placement.
-func buildRing(servers []*Server, vnodes int, partPower uint, topologyAware bool, randToken func() uint64) ring {
-	entries := make([]ringEntry, 0, len(servers)*vnodes)
-	for _, s := range servers {
-		for v := 0; v < vnodes; v++ {
-			entries = append(entries, ringEntry{token: Token(randToken()), srv: s})
-		}
+func buildPartTable(servers []*Server, vnodes int, partPower uint, topologyAware bool, rf int, randToken func() uint64) partTable {
+	r := ring.New(servers, func(s *Server) int { return s.Node.Zone }, vnodes, randToken)
+	if rf > len(servers) {
+		rf = len(servers)
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].token < entries[j].token })
-
-	r := ring{partPower: partPower}
 	nparts := 1 << partPower
-	r.parts = make([][]*Server, nparts)
-	r.handoffs = make([][]*Server, nparts)
-	for part := 0; part < nparts; part++ {
-		base := Token(uint64(part) << (64 - partPower))
-		start := sort.Search(len(entries), func(i int) bool { return entries[i].token >= base })
-		order := make([]*Server, 0, len(servers))
-		seen := make(map[*Server]bool, len(servers))
+	t := partTable{
+		partPower: partPower,
+		parts:     make([][]*Server, nparts),
+		handoffs:  make([][]*Server, nparts),
+	}
+	for part := range t.parts {
+		base := ring.Token(uint64(part) << (64 - partPower))
+		var order []*Server
 		if topologyAware {
-			zoneTaken := make(map[int]bool)
-			for i := 0; i < len(entries) && len(order) < len(servers); i++ {
-				e := entries[(start+i)%len(entries)]
-				if seen[e.srv] || zoneTaken[e.srv.Node.Zone] {
-					continue
-				}
-				seen[e.srv] = true
-				zoneTaken[e.srv.Node.Zone] = true
-				order = append(order, e.srv)
-			}
+			order = r.ZoneSpread(base, len(servers))
+		} else {
+			order = r.Simple(base, len(servers))
 		}
-		for i := 0; i < len(entries) && len(order) < len(servers); i++ {
-			e := entries[(start+i)%len(entries)]
-			if !seen[e.srv] {
-				seen[e.srv] = true
-				order = append(order, e.srv)
-			}
-		}
-		r.parts[part] = order
-		r.handoffs[part] = nil // split by replication factor in finish
+		t.parts[part], t.handoffs[part] = order[:rf], order[rf:]
 	}
-	return r
-}
-
-// finish splits each partition's full server order into the rf-wide
-// placement set and the handoff tail.
-func (r *ring) finish(rf int) {
-	for part := range r.parts {
-		order := r.parts[part]
-		if rf > len(order) {
-			rf = len(order)
-		}
-		r.parts[part] = order[:rf]
-		r.handoffs[part] = order[rf:]
-	}
+	return t
 }
 
 // partition maps a key to its partition: the top partPower bits of its
 // token.
-func (r *ring) partition(key kv.Key) int {
-	if r.partPower == 0 {
+func (t *partTable) partition(key kv.Key) int {
+	if t.partPower == 0 {
 		return 0
 	}
-	return int(uint64(hashKey(key)) >> (64 - r.partPower))
+	return int(uint64(ring.Hash(key)) >> (64 - t.partPower))
 }
 
 // placement returns the partition's replica set, primary first.
-func (r *ring) placement(part int) []*Server { return r.parts[part] }
+func (t *partTable) placement(part int) []*Server { return t.parts[part] }
 
 // handoff returns the partition's handoff order: the servers that stand in,
 // in ring order, when placement members are down.
-func (r *ring) handoff(part int) []*Server { return r.handoffs[part] }
+func (t *partTable) handoff(part int) []*Server { return t.handoffs[part] }

@@ -144,7 +144,7 @@ type DB struct {
 	cfg  Config
 	cl   *cluster.Cluster
 	srvs []*Server
-	ring ring
+	ring partTable
 
 	nextVersion kv.Version
 	stopped     bool
@@ -195,8 +195,7 @@ func New(k *sim.Kernel, cfg Config, nodes []*cluster.Node) *DB {
 		db.srvs = append(db.srvs, s)
 	}
 	rng := k.Rand()
-	db.ring = buildRing(db.srvs, cfg.VNodes, cfg.PartPower, cfg.TopologyAware, rng.Uint64)
-	db.ring.finish(cfg.Replication)
+	db.ring = buildPartTable(db.srvs, cfg.VNodes, cfg.PartPower, cfg.TopologyAware, cfg.Replication, rng.Uint64)
 	if cfg.ReplicatorInterval > 0 {
 		db.k.Go("o*-replicator", db.replicatorLoop)
 	}

@@ -47,16 +47,20 @@ import (
 //
 // Adaptive window widening: the static window end W+L-1 assumes every
 // shard might send at W. But each shard's next event time is known at the
-// barrier, and a shard cannot send before it next executes, so shard i
-// can safely run to min over other active shards j of
-// (bound_j + lookahead(j→i)) - 1 — often far past the static end when
-// shards are at different virtual times. Fewer barriers, same results.
+// barrier, and nothing reaches shard i except down a chain of sends that
+// starts with some shard k executing an event — at or after bound_k — and
+// pays a delivery floor per hop. So shard i can safely run to min over
+// active shards k of (bound_k + reach(k→i)) - 1, where reach is the
+// cheapest such chain; k = i counts too, with the cheapest round trip,
+// because i's own sends can wake a peer whose reply comes straight back.
+// That is often far past the static end when shards are at different
+// virtual times. Fewer barriers, same results.
 //
 // Execution: persistent per-shard worker goroutines parked on an epoch
 // barrier (pinnedWorkers). A window costs two atomic phases — release
-// (epoch bump) and arrival (counter decrement) — instead of the
-// goroutine-spawn + WaitGroup fan-out of the original engine, which is
-// retained behind SetSpawnPerWindow for differential testing.
+// (epoch bump) and arrival (counter decrement). With one worker the
+// coordinator runs the active shards in line, in shard order; that loop is
+// the sequential reference the differential tests pin the barrier against.
 //
 // Cross-shard interaction happens only through Shard.Send. The delivery
 // closure runs in the destination shard's kernel context and must touch
@@ -105,9 +109,9 @@ type ShardGroup struct {
 	seed      int64
 	lookahead Duration
 	pairLA    [][]Duration // optional per-(src,dst) delivery floors; nil = uniform lookahead
+	reach     [][]Duration // cheapest chain of one or more sends src→dst; [i][i] is i's cheapest round trip
 	workers   int
 	adaptive  bool // per-shard window widening (on by default)
-	spawnWin  bool // legacy spawn-per-window execution, for differential tests
 	shards    []*Shard
 	active    []*Shard // scratch: shards with pending work this window
 	panics    []*any   // scratch: per-active-shard recovered panics
@@ -171,7 +175,38 @@ func NewShardGroup(seed int64, n int, lookahead Duration) *ShardGroup {
 		s.k.extShard = s
 		g.shards = append(g.shards, s)
 	}
+	g.computeReach()
 	return g
+}
+
+// computeReach rebuilds the reach matrix from the delivery floors: all-pairs
+// cheapest paths of at least one hop (Floyd–Warshall with the diagonal left
+// open, so [i][i] closes as the cheapest cycle through i). Intermediate
+// shards need not be busy — an idle shard relays as soon as a message
+// wakes it.
+func (g *ShardGroup) computeReach() {
+	const unreachable = Duration(maxTime)
+	n := len(g.shards)
+	g.reach = make([][]Duration, n)
+	for i := range g.reach {
+		g.reach[i] = make([]Duration, n)
+		for j := range g.reach[i] {
+			g.reach[i][j] = unreachable
+			if i != j {
+				g.reach[i][j] = g.floor(i, j)
+			}
+		}
+	}
+	for k := 0; k < n; k++ {
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				ik, kj := g.reach[i][k], g.reach[k][j]
+				if ik != unreachable && kj != unreachable && ik+kj < g.reach[i][j] {
+					g.reach[i][j] = ik + kj
+				}
+			}
+		}
+	}
 }
 
 // Shards returns the number of member kernels.
@@ -194,11 +229,6 @@ func (g *ShardGroup) SetWorkers(n int) { g.workers = n }
 // so turning it off is only useful for differential tests and debugging.
 func (g *ShardGroup) SetAdaptive(on bool) { g.adaptive = on }
 
-// SetSpawnPerWindow switches window execution back to the original
-// spawn-a-goroutine-per-window engine. Kept for differential testing
-// against the pinned-worker barrier; results are bit-identical.
-func (g *ShardGroup) SetSpawnPerWindow(on bool) { g.spawnWin = on }
-
 // SetPairLookahead installs per-(source, destination) delivery floors,
 // typically cluster.PlanShards' PairLookahead matrix. Entry [i][j] is the
 // minimum delay a Send from shard i to shard j must carry; every
@@ -207,12 +237,8 @@ func (g *ShardGroup) SetSpawnPerWindow(on bool) { g.spawnWin = on }
 // the per-pair floors to push window ends further than the uniform
 // lookahead allows. Passing nil reverts to the uniform floor.
 func (g *ShardGroup) SetPairLookahead(la [][]Duration) {
-	if la == nil {
-		g.pairLA = nil
-		return
-	}
 	n := len(g.shards)
-	if len(la) != n {
+	if la != nil && len(la) != n {
 		panic("sim: pair-lookahead matrix must be shards x shards")
 	}
 	for i, row := range la {
@@ -226,6 +252,7 @@ func (g *ShardGroup) SetPairLookahead(la [][]Duration) {
 		}
 	}
 	g.pairLA = la
+	g.computeReach()
 }
 
 // Floor returns the delivery floor for the directed shard pair: the
@@ -383,14 +410,15 @@ func (g *ShardGroup) computeWindow() Time {
 
 // computeEnds assigns each active shard its window end. The static end is
 // W + lookahead - 1 for every shard. With adaptive widening, shard i can
-// additionally run to min over other active shards j of
-// (bound_j + floor(j→i)) - 1: shard j cannot execute — and so cannot
-// send — before bound_j, and anything it sends to i arrives at least
-// floor(j→i) later, so no message can reach i at or before that end.
-// Idle shards cannot send at all until a message wakes them, which only
-// happens at a barrier. The adaptive end is never below the static end
-// (bounds are ≥ W), and ends are computed single-threaded at the barrier,
-// so they are identical at every worker count.
+// additionally run to min over active shards k (itself included) of
+// (bound_k + reach(k→i)) - 1: shard k cannot execute — and so cannot
+// start a chain of sends — before bound_k, and the cheapest chain from k
+// to i, relayed by whichever shards it wakes, takes reach(k→i), so no
+// message can reach i at or before that end. Idle shards start nothing;
+// they only relay, which reach already prices in. The adaptive end is
+// never below the static end (bounds are ≥ W, reach ≥ lookahead), and ends
+// are computed single-threaded at the barrier, so they are identical at
+// every worker count.
 //
 //simlint:hotpath
 func (g *ShardGroup) computeEnds(w, limit Time) {
@@ -410,12 +438,9 @@ func (g *ShardGroup) computeEnds(w, limit Time) {
 	for _, s := range g.active {
 		end := maxTime
 		for _, o := range g.active {
-			if o == s {
-				continue
-			}
 			// A negative candidate (virtual-time overflow) sorts below the
 			// static end and is ignored — conservative either way.
-			if cand := o.bound.Add(g.floor(o.id, s.id)) - 1; cand < end {
+			if cand := o.bound.Add(g.reach[o.id][s.id]) - 1; cand < end {
 				end = cand
 			}
 		}
@@ -481,6 +506,11 @@ func (g *ShardGroup) deliver() {
 		}
 		sort.Sort(&dst.stage)
 		k := dst.k
+		if batch[0].t < k.now {
+			// The window ends exist to make this impossible; executing the
+			// message late would silently change the results.
+			panic("sim: cross-shard message lands in its destination's past")
+		}
 		left := k.inbox[k.inboxIdx:]
 		merged := dst.merge[:0]
 		i, j := 0, 0
@@ -538,19 +568,15 @@ func (g *ShardGroup) runWindow() {
 	for i := range g.panics {
 		g.panics[i] = nil
 	}
-	if g.spawnWin {
-		g.spawnWindow(workers)
-	} else {
-		if g.pw == nil || g.pw.n < workers-1 {
-			g.startWorkers(workers - 1)
-		}
-		pw := g.pw
-		pw.next.Store(-1)
-		pw.remain.Store(int64(pw.n))
-		pw.release()
-		pw.work()
-		<-pw.done
+	if g.pw == nil || g.pw.n < workers-1 {
+		g.startWorkers(workers - 1)
 	}
+	pw := g.pw
+	pw.next.Store(-1)
+	pw.remain.Store(int64(pw.n))
+	pw.release()
+	pw.work()
+	<-pw.done
 	for _, p := range g.panics {
 		if p != nil {
 			panic(*p)
@@ -697,40 +723,4 @@ func (w *pinnedWorkers) runShard(s *Shard, i int) {
 		}
 	}()
 	s.k.runWindow(s.end)
-}
-
-// spawnWindow is the original window executor — a fresh goroutine fan-out
-// with a WaitGroup barrier per window. Retained behind SetSpawnPerWindow
-// so differential tests can pin the pinned-worker engine's results
-// against it.
-//
-//simlint:coldpath legacy differential-testing path; the pinned-worker barrier is the performance path
-func (g *ShardGroup) spawnWindow(workers int) {
-	active := g.active
-	var (
-		next atomic.Int64
-		wg   sync.WaitGroup
-	)
-	next.Store(-1)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1))
-				if i >= len(active) {
-					return
-				}
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							g.panics[i] = &r
-						}
-					}()
-					active[i].k.runWindow(active[i].end)
-				}()
-			}
-		}()
-	}
-	wg.Wait()
 }

@@ -88,26 +88,31 @@ func (m *ringModel) signature() string {
 }
 
 // TestShardWorkersBitIdentical is the engine's differential gate: the same
-// 4-shard model must produce byte-identical logs whether windows run on 1
-// worker, 4 workers, or 16, and across repeated runs at the same width.
+// 4-shard model must produce byte-identical logs on the in-line sequential
+// loop (workers=1, the reference) and on the pinned-worker barrier at 2, 4,
+// and 16 workers, with adaptive widening on and off, and across repeated
+// runs at the same width.
 func TestShardWorkersBitIdentical(t *testing.T) {
 	const lookahead = 200 * time.Nanosecond
-	run := func(workers int) string {
+	run := func(workers int, adaptive bool) string {
 		g := NewShardGroup(7, 4, lookahead)
 		g.SetWorkers(workers)
+		g.SetAdaptive(adaptive)
 		m := &ringModel{nodes: 8, rounds: 40}
 		return m.runOnGroup(t, g, lookahead)
 	}
-	ref := run(1)
+	ref := run(1, false)
 	if ref == "" {
 		t.Fatal("empty signature")
 	}
-	for _, w := range []int{4, 16} {
-		if got := run(w); got != ref {
-			t.Errorf("workers=%d signature differs from workers=1", w)
+	for _, adaptive := range []bool{false, true} {
+		for _, w := range []int{1, 2, 4, 16} {
+			if got := run(w, adaptive); got != ref {
+				t.Errorf("workers=%d adaptive=%v signature differs from workers=1 static", w, adaptive)
+			}
 		}
 	}
-	if again := run(16); again != ref {
+	if again := run(16, true); again != ref {
 		t.Errorf("repeated workers=16 run differs")
 	}
 }
@@ -253,35 +258,6 @@ func TestShardGroupDeadlock(t *testing.T) {
 	}
 	if len(de.Blocked) != 1 || !strings.Contains(de.Blocked[0], "stuck") {
 		t.Errorf("deadlock report %v does not name the stuck process", de.Blocked)
-	}
-}
-
-// TestShardPinnedMatchesSpawnPerWindow is the engine-swap differential
-// gate: the persistent pinned-worker barrier must produce byte-identical
-// logs to the original spawn-a-goroutine-per-window executor, at several
-// worker counts and with adaptive widening both on and off.
-func TestShardPinnedMatchesSpawnPerWindow(t *testing.T) {
-	const lookahead = 200 * time.Nanosecond
-	run := func(spawn, adaptive bool, workers int) string {
-		g := NewShardGroup(7, 4, lookahead)
-		g.SetWorkers(workers)
-		g.SetSpawnPerWindow(spawn)
-		g.SetAdaptive(adaptive)
-		m := &ringModel{nodes: 8, rounds: 40}
-		return m.runOnGroup(t, g, lookahead)
-	}
-	ref := run(false, true, 4)
-	if ref == "" {
-		t.Fatal("empty signature")
-	}
-	for _, spawn := range []bool{false, true} {
-		for _, adaptive := range []bool{false, true} {
-			for _, w := range []int{2, 4, 16} {
-				if got := run(spawn, adaptive, w); got != ref {
-					t.Errorf("spawn=%v adaptive=%v workers=%d signature differs", spawn, adaptive, w)
-				}
-			}
-		}
 	}
 }
 
@@ -457,8 +433,7 @@ func TestShardKillWhileParkedAtBarrier(t *testing.T) {
 
 // TestShardPanicInPinnedWorkerLowestWins panics two shards inside the same
 // window and checks the pinned-worker engine re-raises the lowest shard's
-// panic, deterministically, at every worker count — the same contract the
-// spawn-per-window engine had.
+// panic, deterministically, at every worker count.
 func TestShardPanicInPinnedWorkerLowestWins(t *testing.T) {
 	for _, workers := range []int{2, 4, 8} {
 		g := NewShardGroup(1, 4, time.Microsecond)
