@@ -18,6 +18,7 @@ import (
 	"cloudbench/internal/core"
 	"cloudbench/internal/kv"
 	"cloudbench/internal/sim"
+	"cloudbench/internal/stats"
 	"cloudbench/internal/trace"
 	"cloudbench/internal/ycsb"
 )
@@ -58,135 +59,100 @@ func BenchmarkTable1Workloads(b *testing.B) {
 }
 
 // BenchmarkFig1Micro regenerates the micro benchmark for replication: one
-// sub-benchmark per (database, replication factor), reporting the four
+// sub-benchmark per replication factor, reporting both databases' four
 // atomic-operation latencies in microseconds of simulated time.
 func BenchmarkFig1Micro(b *testing.B) {
 	o := benchOptions()
-	for _, db := range []string{"HBase", "Cassandra"} {
-		for _, rf := range o.ReplicationFactors {
-			db, rf := db, rf
-			b.Run(benchName(db, "rf", rf), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					opts := o
-					opts.ReplicationFactors = []int{rf}
-					opts.Seed = int64(i + 1)
-					res, err := core.RunFig1Round(opts, db, rf)
-					if err != nil {
-						b.Fatal(err)
-					}
-					for _, m := range res {
-						b.ReportMetric(float64(m.Mean.Microseconds()), m.Op+"-µs")
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkFig2Stress regenerates the stress benchmark for replication:
-// one sub-benchmark per (database, replication factor), reporting each
-// Table 1 workload's peak runtime throughput in simulated ops/s.
-func BenchmarkFig2Stress(b *testing.B) {
-	o := benchOptions()
-	for _, db := range []string{"HBase", "Cassandra"} {
-		for _, rf := range o.ReplicationFactors {
-			db, rf := db, rf
-			b.Run(benchName(db, "rf", rf), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					opts := o
-					opts.Seed = int64(i + 1)
-					res, err := core.RunFig2Round(opts, db, rf)
-					if err != nil {
-						b.Fatal(err)
-					}
-					for _, m := range res {
-						b.ReportMetric(m.Throughput, m.Workload+"-simops/s")
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkFig3Consistency regenerates the stress benchmark for
-// consistency: one sub-benchmark per consistency level, reporting each
-// workload's runtime throughput at the capacity target.
-func BenchmarkFig3Consistency(b *testing.B) {
-	o := benchOptions()
-	o.Fig3TargetFractions = []float64{1.0}
-	for _, lv := range core.Levels() {
-		lv := lv
-		b.Run(lv.Name, func(b *testing.B) {
+	for _, rf := range o.ReplicationFactors {
+		rf := rf
+		b.Run(benchName("rf", rf), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				opts := o
+				opts.ReplicationFactors = []int{rf}
 				opts.Seed = int64(i + 1)
-				res, err := core.RunFig3Level(opts, lv)
+				res, err := core.RunFig1(opts)
 				if err != nil {
 					b.Fatal(err)
 				}
 				for _, m := range res {
-					if m.Target == 0 {
-						b.ReportMetric(m.Runtime, m.Workload+"-simops/s")
-					}
+					b.ReportMetric(float64(m.Mean.Microseconds()), m.DB+"-"+m.Op+"-µs")
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkFig2Stress regenerates the stress benchmark for replication:
+// one sub-benchmark per replication factor, reporting each database's peak
+// runtime throughput on each Table 1 workload in simulated ops/s.
+func BenchmarkFig2Stress(b *testing.B) {
+	o := benchOptions()
+	for _, rf := range o.ReplicationFactors {
+		rf := rf
+		b.Run(benchName("rf", rf), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				opts := o
+				opts.ReplicationFactors = []int{rf}
+				opts.Seed = int64(i + 1)
+				res, err := core.RunFig2(opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, m := range res {
+					b.ReportMetric(m.Throughput, m.DB+"-"+m.Workload+"-simops/s")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkFig3Consistency regenerates the stress benchmark for
+// consistency without its throttled targets: every (consistency level,
+// workload) cell runs once, closed-loop, and reports its runtime
+// throughput.
+func BenchmarkFig3Consistency(b *testing.B) {
+	o := benchOptions()
+	o.Fig3TargetFractions = nil
+	for i := 0; i < b.N; i++ {
+		opts := o
+		opts.Seed = int64(i + 1)
+		res, err := core.RunFig3(opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, m := range res {
+			b.ReportMetric(m.Runtime, m.Level+"-"+m.Workload+"-simops/s")
+		}
 	}
 }
 
 // BenchmarkAblationReadRepair quantifies A1: Cassandra micro read latency
 // at RF 6 with read repair on versus off.
 func BenchmarkAblationReadRepair(b *testing.B) {
-	o := benchOptions()
-	for _, mode := range []struct {
-		name   string
-		chance float64
-	}{{"on", o.ReadRepairChance}, {"off", 0}} {
-		mode := mode
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				opts := o
-				opts.ReadRepairChance = mode.chance
-				opts.Seed = int64(i + 1)
-				res, err := core.RunFig1Round(opts, "Cassandra", 6)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, m := range res {
-					if m.Op == "read" {
-						b.ReportMetric(float64(m.Mean.Microseconds()), "read-µs")
-					}
-				}
-			}
-		})
-	}
+	benchAblation(b, core.AblationReadRepair, "read-µs")
 }
 
 // BenchmarkAblationHBaseSyncRepl quantifies A2: HBase micro update latency
 // at RF 6 with in-memory versus synchronous replication.
 func BenchmarkAblationHBaseSyncRepl(b *testing.B) {
+	benchAblation(b, core.AblationHBaseSyncRepl, "update-µs")
+}
+
+// benchAblation runs a two-mode micro ablation at RF 6 only and reports
+// each mode's median latency under its series name.
+func benchAblation(b *testing.B, run func(core.Options) (*stats.Figure, error), unit string) {
 	o := benchOptions()
-	for _, mode := range []struct {
-		name string
-		mem  bool
-	}{{"in-memory", true}, {"synchronous", false}} {
-		mode := mode
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				opts := o
-				opts.MemReplication = mode.mem
-				opts.Seed = int64(i + 1)
-				res, err := core.RunFig1Round(opts, "HBase", 6)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for _, m := range res {
-					if m.Op == "update" {
-						b.ReportMetric(float64(m.Mean.Microseconds()), "update-µs")
-					}
-				}
-			}
-		})
+	o.ReplicationFactors = []int{6}
+	for i := 0; i < b.N; i++ {
+		opts := o
+		opts.Seed = int64(i + 1)
+		fig, err := run(opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, s := range fig.Series {
+			b.ReportMetric(s.Y[0], s.Name+"-"+unit)
+		}
 	}
 }
 
@@ -196,7 +162,7 @@ func BenchmarkAblationClientThreads(b *testing.B) {
 	o := benchOptions()
 	for _, threads := range []int{2, 8, 32} {
 		threads := threads
-		b.Run(benchName("threads", "", threads), func(b *testing.B) {
+		b.Run(benchName("threads", threads), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				opts := o
 				opts.Seed = int64(i + 1)
@@ -411,7 +377,7 @@ func BenchmarkTracerEnabled(b *testing.B) {
 func BenchmarkSweepParallel(b *testing.B) {
 	for _, workers := range []int{1, 4} {
 		workers := workers
-		b.Run(benchName("workers", "", workers), func(b *testing.B) {
+		b.Run(benchName("workers", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				o := benchOptions()
 				o.Parallelism = workers
@@ -514,38 +480,27 @@ func BenchmarkSimKernel(b *testing.B) {
 }
 
 // BenchmarkEndToEndOps measures full-stack simulated operations per
-// wall-clock second for each database at RF 3 — the simulator's headline
+// wall-clock second for both databases at RF 3 — the simulator's headline
 // cost metric.
 func BenchmarkEndToEndOps(b *testing.B) {
-	for _, db := range []string{"HBase", "Cassandra"} {
-		db := db
-		b.Run(db, func(b *testing.B) {
-			o := benchOptions()
-			o.MicroOps = int64(b.N)
-			if o.MicroOps < 1000 {
-				o.MicroOps = 1000
-			}
-			res, err := core.RunFig1Round(o, db, 3)
-			if err != nil {
-				b.Fatal(err)
-			}
-			var tput float64
-			for _, m := range res {
-				if m.Op == "read" {
-					tput = m.Throughput
-				}
-			}
-			b.ReportMetric(tput, "simops/s")
-		})
+	o := benchOptions()
+	o.ReplicationFactors = []int{3}
+	o.MicroOps = int64(b.N)
+	if o.MicroOps < 1000 {
+		o.MicroOps = 1000
+	}
+	res, err := core.RunFig1(o)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, m := range res {
+		if m.Op == "read" {
+			b.ReportMetric(m.Throughput, m.DB+"-simops/s")
+		}
 	}
 }
 
-func benchName(a, sep string, n int) string {
-	if sep == "" {
-		return a + "-" + itoa(n)
-	}
-	return a + "/" + sep + itoa(n)
-}
+func benchName(a string, n int) string { return a + "-" + itoa(n) }
 
 func itoa(n int) string {
 	if n == 0 {

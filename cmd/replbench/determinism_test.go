@@ -222,6 +222,12 @@ func TestSmokeGoldenDigests(t *testing.T) {
 		{name: "geo"},
 		{name: "megascale-shards2", extra: []string{"-shards", "2"}},
 		{name: "megascale-shards4", extra: []string{"-shards", "4"}},
+		{name: "table1"},
+		{name: "ablation-a1"},
+		{name: "ablation-a2"},
+		{name: "ablation-a3"},
+		{name: "sla"},
+		{name: "failover", long: true}, // four 40-s-of-sim-time timelines: as slow as fig3
 	}
 	raw, err := os.ReadFile(goldenDigests)
 	if err != nil {
@@ -242,7 +248,7 @@ func TestSmokeGoldenDigests(t *testing.T) {
 		}
 		out, ok := smokeReports[r.name]
 		if !ok {
-			experiment, _, _ := strings.Cut(r.name, "-")
+			experiment, _, _ := strings.Cut(r.name, "-shards")
 			args := []string{"-experiment", experiment, "-profile", "smoke", "-csv", "-seed", "42"}
 			out = capture(t, append(args, r.extra...)...)
 		}

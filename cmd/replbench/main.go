@@ -33,76 +33,14 @@ import (
 	"time"
 
 	"cloudbench/internal/core"
-	"cloudbench/internal/stats"
-	"cloudbench/internal/trace"
-	"cloudbench/internal/ycsb"
 )
-
-// coreReadMostly adapts the read-mostly preset for the SLA search.
-func coreReadMostly(records int64) ycsb.Spec { return ycsb.ReadMostly(records) }
-
-// runContext carries the resolved options and output plumbing into each
-// experiment's runner.
-type runContext struct {
-	o        core.Options
-	w        io.Writer
-	csv      bool
-	findings *[]core.Finding
-	rfFlag   string // raw -rf value: some experiments re-default when unset
-	traceOut string
-	seed     int64
-	profile  string // resolved -profile name; megascale sizes its cell by it
-
-	// shardWorkers is -shard-workers. Only megascale reads it: every other
-	// experiment deploys on one shard and never opens a multi-shard window.
-	shardWorkers int
-}
-
-// render prints a table in the format -csv selected, followed by a blank
-// separator line.
-func (ctx *runContext) render(t *stats.Table) {
-	if ctx.csv {
-		t.CSV(ctx.w)
-	} else {
-		t.Render(ctx.w)
-	}
-	fmt.Fprintln(ctx.w)
-}
-
-// experiment is one registry entry. The -experiment usage string, the
-// dispatch, and the `all` order are all generated from this single list —
-// adding an experiment here is the whole wiring.
-type experiment struct {
-	name string
-	run  func(ctx *runContext) error
-}
-
-// experiments returns the registry in canonical (`all`) order.
-func experiments() []experiment {
-	return []experiment{
-		{"table1", runTable1},
-		{"fig1", runFig1},
-		{"fig2", runFig2},
-		{"fig3", runFig3},
-		{"audit", runAudit},
-		{"spectrum", runSpectrum},
-		{"tracebreak", runTracebreak},
-		{"ablation-a1", runAblationA1},
-		{"ablation-a2", runAblationA2},
-		{"ablation-a3", runAblationA3},
-		{"geo", runGeo},
-		{"failover", runFailover},
-		{"sla", runSLA},
-		{"megascale", runMegaScale},
-	}
-}
 
 // experimentNames renders the registry (plus the two pseudo-experiments)
 // for the usage string and the unknown-name error.
 func experimentNames() string {
 	var names []string
-	for _, e := range experiments() {
-		names = append(names, e.name)
+	for _, e := range core.Experiments(core.CLI{}) {
+		names = append(names, e.Name)
 	}
 	return strings.Join(append(names, "findings", "all"), "|")
 }
@@ -132,23 +70,23 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	registry := experiments()
-	if *experimentFlag != "all" && *experimentFlag != "findings" {
-		known := false
-		for _, e := range registry {
-			if e.name == *experimentFlag {
-				known = true
-				break
-			}
-		}
-		if !known {
-			return fmt.Errorf("unknown experiment %q (valid: %s)", *experimentFlag, experimentNames())
-		}
-	}
-
 	if *short {
 		*profile = "smoke"
 	}
+	registry := core.Experiments(core.CLI{
+		Profile:      *profile,
+		ShardWorkers: *shardWorkers,
+		RFSet:        *rfList != "",
+		TraceOut:     *traceOut,
+	})
+	known := *experimentFlag == "all" || *experimentFlag == "findings"
+	for _, e := range registry {
+		known = known || e.Name == *experimentFlag
+	}
+	if !known {
+		return fmt.Errorf("unknown experiment %q (valid: %s)", *experimentFlag, experimentNames())
+	}
+
 	var o core.Options
 	switch *profile {
 	case "smoke":
@@ -201,27 +139,19 @@ func run(args []string, stdout io.Writer) error {
 
 	started := time.Now()
 	var findings []core.Finding
-	ctx := &runContext{
-		o:        o,
-		w:        w,
-		csv:      *csv,
-		findings: &findings,
-		rfFlag:   *rfList,
-		traceOut: *traceOut,
-		seed:     *seed,
-		profile:  *profile,
-
-		shardWorkers: *shardWorkers,
-	}
-
 	for _, e := range registry {
-		if *experimentFlag != e.name && *experimentFlag != "all" {
+		if *experimentFlag != e.Name && *experimentFlag != "all" {
 			continue
 		}
 		//simlint:ignore hookguard every registry entry carries its run func
-		if err := e.run(ctx); err != nil {
+		rep, err := e.Run(o)
+		if err != nil {
 			return err
 		}
+		for _, t := range rep.Tables() {
+			t.Write(w, *csv)
+		}
+		findings = append(findings, rep.Findings(o)...)
 	}
 	if len(findings) > 0 || *experimentFlag == "findings" {
 		fmt.Fprintln(w, "Findings versus the paper's qualitative claims:")
@@ -231,205 +161,5 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintln(w)
 	}
 	fmt.Fprintf(w, "done in %v (wall clock)\n", time.Since(started).Round(time.Second))
-	return nil
-}
-
-func runTable1(ctx *runContext) error {
-	if err := core.VerifyTable1(); err != nil {
-		return err
-	}
-	ctx.render(core.Table1())
-	return nil
-}
-
-func runFig1(ctx *runContext) error {
-	res, err := core.RunFig1(ctx.o)
-	if err != nil {
-		return err
-	}
-	for _, f := range res.Figures() {
-		ctx.render(f.Table())
-	}
-	ctx.render(res.Table())
-	*ctx.findings = append(*ctx.findings, core.CheckFig1(res)...)
-	return nil
-}
-
-func runFig2(ctx *runContext) error {
-	res, err := core.RunFig2(ctx.o)
-	if err != nil {
-		return err
-	}
-	for _, f := range res.ThroughputFigures() {
-		ctx.render(f.Table())
-	}
-	for _, f := range res.LatencyFigures() {
-		ctx.render(f.Table())
-	}
-	*ctx.findings = append(*ctx.findings, core.CheckFig2(res)...)
-	return nil
-}
-
-func runFig3(ctx *runContext) error {
-	res, err := core.RunFig3(ctx.o)
-	if err != nil {
-		return err
-	}
-	for _, f := range res.Figures() {
-		ctx.render(f.Table())
-	}
-	*ctx.findings = append(*ctx.findings, core.CheckFig3(res)...)
-	return nil
-}
-
-func runAudit(ctx *runContext) error {
-	res, err := core.RunConsistencyAudit(ctx.o)
-	if err != nil {
-		return err
-	}
-	ctx.render(res.Table())
-	*ctx.findings = append(*ctx.findings, core.CheckAudit(res)...)
-	return nil
-}
-
-func runSpectrum(ctx *runContext) error {
-	res, err := core.RunSpectrum(ctx.o)
-	if err != nil {
-		return err
-	}
-	ctx.render(res.Table())
-	*ctx.findings = append(*ctx.findings, core.CheckSpectrum(ctx.o, res)...)
-	return nil
-}
-
-func runTracebreak(ctx *runContext) error {
-	to := ctx.o
-	if ctx.rfFlag == "" {
-		// The per-phase decomposition is about how shares move with
-		// the replication factor (F4's read-repair growth needs at
-		// least RF 3..6); sweep the full range at every profile scale
-		// unless -rf narrowed it explicitly.
-		to.ReplicationFactors = []int{1, 2, 3, 4, 5, 6}
-	}
-	res, err := core.RunTraceBreakdown(to)
-	if err != nil {
-		return err
-	}
-	// The decomposition is a long narrow table meant for downstream
-	// plotting; emit CSV regardless of -csv.
-	res.Table().CSV(ctx.w)
-	fmt.Fprintln(ctx.w)
-	*ctx.findings = append(*ctx.findings, core.CheckTrace(res)...)
-	if ctx.traceOut != "" {
-		_, spans, err := core.RunTraceSpans(to, core.TraceSpanKeep)
-		if err != nil {
-			return err
-		}
-		f, err := os.Create(ctx.traceOut)
-		if err != nil {
-			return err
-		}
-		if err := trace.WriteChrome(f, spans); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(ctx.w, "wrote %d spans to %s (chrome://tracing / Perfetto format)\n\n", len(spans), ctx.traceOut)
-	}
-	return nil
-}
-
-func runAblationA1(ctx *runContext) error {
-	fig, err := core.AblationReadRepair(ctx.o)
-	if err != nil {
-		return err
-	}
-	ctx.render(fig.Table())
-	return nil
-}
-
-func runAblationA2(ctx *runContext) error {
-	fig, err := core.AblationHBaseSyncRepl(ctx.o)
-	if err != nil {
-		return err
-	}
-	ctx.render(fig.Table())
-	return nil
-}
-
-func runAblationA3(ctx *runContext) error {
-	fig, err := core.AblationClientThreads(ctx.o, nil, 3000)
-	if err != nil {
-		return err
-	}
-	ctx.render(fig.Table())
-	return nil
-}
-
-func runGeo(ctx *runContext) error {
-	res, err := core.RunGeo(ctx.o)
-	if err != nil {
-		return err
-	}
-	ctx.render(res.Table())
-	*ctx.findings = append(*ctx.findings, core.CheckGeo(ctx.o, res)...)
-	return nil
-}
-
-func runFailover(ctx *runContext) error {
-	fo := core.DefaultFailoverOptions()
-	fo.Seed = ctx.seed
-	res, err := core.RunFailover(fo)
-	if err != nil {
-		return err
-	}
-	ctx.render(res.ThroughputFigure().Table())
-	ctx.render(res.Figure().Table())
-	return nil
-}
-
-// runMegaScale drives the partitioned deployment (DESIGN §10). The cell
-// scales with -profile: smoke is the small CI cell, quick a mid-size cell
-// that keeps `-experiment all` tolerable, paper the full 512-node
-// million-session deployment. -shards and -shard-workers carry over, with
-// the shard count clamped to at least 2 so the partitioned engine
-// actually runs (a megascale deployment on one member kernel is just a
-// very slow sequential simulation).
-func runMegaScale(ctx *runContext) error {
-	var mo core.MegaScaleOptions
-	switch ctx.profile {
-	case "smoke":
-		mo = core.MegaSmokeOptions()
-	case "paper":
-		mo = core.DefaultMegaScaleOptions()
-	default: // quick
-		mo = core.DefaultMegaScaleOptions()
-		mo.Nodes = 64
-		mo.Sessions = 20_000
-		mo.LiveSessions = 256
-	}
-	mo.Seed = ctx.seed
-	mo.Workers = ctx.shardWorkers
-	mo.Shards = ctx.o.Shards
-	if mo.Shards < 2 {
-		mo.Shards = 2
-	}
-	res, err := core.RunMegaScale(mo)
-	if err != nil {
-		return err
-	}
-	ctx.render(res.Table())
-	fmt.Fprintf(ctx.w, "megascale: %d shards, %d conservative windows\n\n", res.Shards, res.Windows)
-	return nil
-}
-
-func runSLA(ctx *runContext) error {
-	res, err := core.RunSLASearch(ctx.o, "Cassandra", 3, coreReadMostly, core.SLA{Percentile: 95, Limit: 20 * time.Millisecond}, 6)
-	if err != nil {
-		return err
-	}
-	ctx.render(res.Table())
 	return nil
 }

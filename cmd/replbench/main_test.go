@@ -1,8 +1,11 @@
 package main
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"cloudbench/internal/core"
 )
 
 func TestRunTable1(t *testing.T) {
@@ -99,12 +102,61 @@ func TestRunRejectsUnknownExperiment(t *testing.T) {
 	}
 }
 
-func TestUsageListsRegistry(t *testing.T) {
-	names := experimentNames()
-	for _, e := range experiments() {
-		if !strings.Contains(names, e.name) {
-			t.Errorf("usage string missing experiment %q", e.name)
+// TestRegistryMatchesCLI: core.Experiments() is the only list. The usage
+// string and the unknown-name error are generated from it, every entry
+// runs and reports at least one table, and `-experiment all` is exactly
+// the entries' reports in registry order followed by their findings.
+func TestRegistryMatchesCLI(t *testing.T) {
+	cli := core.CLI{Profile: "smoke", RFSet: true}
+	var names []string
+	for _, e := range core.Experiments(cli) {
+		names = append(names, e.Name)
+	}
+	valid := strings.Join(append(names, "findings", "all"), "|")
+	if got := experimentNames(); got != valid {
+		t.Errorf("usage string = %q, want the registry %q", got, valid)
+	}
+	var sink strings.Builder
+	err := run([]string{"-experiment", "bogus"}, &sink)
+	if want := `unknown experiment "bogus" (valid: ` + valid + ")"; err == nil || err.Error() != want {
+		t.Errorf("unknown-name error = %v, want %q", err, want)
+	}
+
+	o := core.SmokeOptions()
+	o.Seed = 42
+	o.ReplicationFactors = []int{3}
+	if testing.Short() {
+		// Plumbing only: the per-cell cost is what -short cannot afford.
+		o.StressRecords, o.StressOps = 300, 600
+		o.MicroRecords, o.MicroOps = 500, 500
+	}
+	var want strings.Builder
+	var findings []core.Finding
+	for _, e := range core.Experiments(cli) {
+		rep, err := e.Run(o)
+		if err != nil {
+			t.Fatalf("%s: %v", e.Name, err)
 		}
+		tables := rep.Tables()
+		if len(tables) == 0 {
+			t.Errorf("%s: no tables", e.Name)
+		}
+		for _, tb := range tables {
+			tb.Write(&want, true)
+		}
+		findings = append(findings, rep.Findings(o)...)
+	}
+	if testing.Short() {
+		return
+	}
+	want.WriteString("Findings versus the paper's qualitative claims:\n")
+	for _, f := range findings {
+		fmt.Fprintln(&want, " ", f)
+	}
+	want.WriteString("\n")
+	got := capture(t, "-experiment", "all", "-profile", "smoke", "-rf", "3", "-csv", "-seed", "42")
+	if got != want.String() {
+		t.Errorf("-experiment all is not the registry in order:\n%s", firstDiff(got, want.String()))
 	}
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"cloudbench/internal/sim"
 	"cloudbench/internal/stats"
@@ -14,51 +13,13 @@ import (
 // update+read pipeline at each replication factor with read repair on and
 // off. The "off" series should flatten.
 func AblationReadRepair(o Options) (*stats.Figure, error) {
-	modes := []struct {
-		name   string
-		chance float64
-	}{{"read-repair-on", o.ReadRepairChance}, {"read-repair-off", 0}}
 	f := stats.NewFigure("Ablation A1 — Cassandra micro read latency vs RF, read repair on/off",
 		"replication-factor", "mean read latency (µs)")
-	cells := abCells(len(modes), o.ReplicationFactors)
-	vals, err := runCells(o.workers(), len(cells), func(i int) (float64, error) {
-		c := cells[i]
-		opts := o
-		opts.ReadRepairChance = modes[c.mode].chance
-		res, err := runFig1Round(opts, "Cassandra", c.rf)
-		if err != nil {
-			return 0, fmt.Errorf("ablation read-repair rf=%d: %w", c.rf, err)
-		}
-		return float64(res.get("Cassandra", "read", c.rf).Microseconds()), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for mi, mode := range modes {
-		s := f.AddSeries(mode.name)
-		for ri, rf := range o.ReplicationFactors {
-			s.Add(float64(rf), vals[mi*len(o.ReplicationFactors)+ri])
-		}
-	}
-	return f, nil
-}
-
-// abCell is one (mode, replication factor) point of an ablation sweep.
-type abCell struct {
-	mode int
-	rf   int
-}
-
-// abCells enumerates a mode × RF ablation grid in mode-major order, which
-// matches the legacy sequential nesting (outer mode loop, inner RF loop).
-func abCells(modes int, rfs []int) []abCell {
-	cells := make([]abCell, 0, modes*len(rfs))
-	for m := 0; m < modes; m++ {
-		for _, rf := range rfs {
-			cells = append(cells, abCell{mode: m, rf: rf})
-		}
-	}
-	return cells
+	one := func(rf int) backend { return cassandraAt(rf, levels()[0]) }
+	off := o
+	off.ReadRepairChance = 0
+	return microAblation(o, "ablation-a1", f, one, "read",
+		abMode{"read-repair-on", o}, abMode{"read-repair-off", off})
 }
 
 // AblationHBaseSyncRepl isolates the cause of F2 (§4.1: HBase write
@@ -66,22 +27,43 @@ func abCells(modes int, rfs []int) []abCell {
 // micro update test with the paper-described in-memory replication versus
 // synchronous disk replication. The sync series should climb with RF.
 func AblationHBaseSyncRepl(o Options) (*stats.Figure, error) {
-	modes := []struct {
-		name string
-		mem  bool
-	}{{"in-memory-replication", true}, {"synchronous-replication", false}}
 	f := stats.NewFigure("Ablation A2 — HBase micro update latency vs RF, in-memory vs sync replication",
 		"replication-factor", "mean update latency (µs)")
-	cells := abCells(len(modes), o.ReplicationFactors)
-	vals, err := runCells(o.workers(), len(cells), func(i int) (float64, error) {
-		c := cells[i]
-		opts := o
-		opts.MemReplication = modes[c.mode].mem
-		res, err := runFig1Round(opts, "HBase", c.rf)
-		if err != nil {
-			return 0, fmt.Errorf("ablation sync-repl rf=%d: %w", c.rf, err)
+	mem, sync := o, o
+	mem.MemReplication, sync.MemReplication = true, false
+	return microAblation(o, "ablation-a2", f, hbaseAt, "update",
+		abMode{"in-memory-replication", mem}, abMode{"synchronous-replication", sync})
+}
+
+// abMode is one series of a micro ablation: a name and the Options with
+// the ablated knob turned.
+type abMode struct {
+	name string
+	o    Options
+}
+
+// abCell is one (mode, replication factor) point of an ablation sweep.
+type abCell struct {
+	abMode
+	rf int
+}
+
+func (c abCell) String() string { return fmt.Sprintf("%s rf=%d", c.name, c.rf) }
+
+// microAblation reruns one database's Fig. 1 round at every replication
+// factor under each mode and plots op's median latency, one series per
+// mode, into f. Cells are mode-major: outer mode loop, inner RF loop.
+func microAblation(o Options, name string, f *stats.Figure, at func(rf int) backend, op string, modes ...abMode) (*stats.Figure, error) {
+	var cells []abCell
+	for _, mode := range modes {
+		for _, rf := range o.ReplicationFactors {
+			cells = append(cells, abCell{mode, rf})
 		}
-		return float64(res.get("HBase", "update", c.rf).Microseconds()), nil
+	}
+	vals, err := sweep(o, name, cells, func(_ Options, c abCell) ([]float64, error) {
+		b := at(c.rf)
+		res, err := runFig1Cell(c.o, b)
+		return []float64{float64(res.get(b.db, op, b.rf).Microseconds())}, err
 	})
 	if err != nil {
 		return nil, err
@@ -107,29 +89,19 @@ func AblationClientThreads(o Options, threadCounts []int, target float64) (*stat
 		fmt.Sprintf("Ablation A3 — intended latency vs client threads at %d ops/s offered", int(target)),
 		"client-threads", "mean intended latency (µs)")
 	s := f.AddSeries("HBase read-mostly")
-	vals, err := runCells(o.workers(), len(threadCounts), func(i int) (float64, error) {
-		threads := threadCounts[i]
+	vals, err := sweep(o, "ablation-a3 threads", threadCounts, func(o Options, threads int) ([]float64, error) {
 		spec := ycsb.ReadMostly(o.StressRecords)
-		d := deployHBase(o, 3, spec)
-		var mean time.Duration
-		err := d.drive(func(p *sim.Proc) {
-			w := ycsb.NewWorkload(spec)
-			d.loadAndSettle(p, w, o.Threads)
-			run := ycsb.NewWorkload(ycsb.ReadMostly(w.Inserted()))
-			res := ycsb.Run(p, d.newClient, run, ycsb.RunConfig{
-				Threads:          threads,
-				Ops:              o.StressOps,
-				TargetThroughput: target,
-				WarmupFraction:   o.WarmupFraction,
-			})
+		d := deploy(o, hbaseAt(3), spec)
+		var mean float64
+		err := d.run(o.Threads, func(p *sim.Proc) {
+			rcfg := o.stressRun(target)
+			rcfg.Threads = threads
+			res := d.phase(p, spec, rcfg)
 			// Intended latency (from each op's scheduled start) is what
 			// exposes client-side queueing when threads are too few.
-			mean = res.Intended.Mean()
+			mean = float64(res.Intended.Mean().Microseconds())
 		})
-		if err != nil {
-			return 0, fmt.Errorf("ablation threads=%d: %w", threads, err)
-		}
-		return float64(mean.Microseconds()), nil
+		return []float64{mean}, err
 	})
 	if err != nil {
 		return nil, err

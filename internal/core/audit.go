@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"cloudbench/internal/consistency"
-	"cloudbench/internal/sim"
 	"cloudbench/internal/stats"
 	"cloudbench/internal/ycsb"
 )
@@ -32,7 +30,7 @@ import (
 // The latency experiments leave the jitter off (it is second order for
 // latency); turning it on only here keeps Fig. 1–3 bit-identical.
 //
-// Expected shape, asserted by CheckAudit:
+// Expected shape, asserted by AuditResults.Findings:
 //   - HBase (single-owner regions, the strong-consistency control) and
 //     Cassandra at QUORUM/writeALL (R+W > N) never serve stale reads: any
 //     read set intersects every acked write set, and digest mismatch
@@ -58,34 +56,10 @@ const (
 	auditFaultSettle = 15 * time.Second
 )
 
-// AuditResult is one cell of the consistency audit: one database, one
-// workload, one consistency setting, one replication factor.
-type AuditResult struct {
-	DB       string
-	Workload string
-	Level    string
-	RF       int
-	Fault    bool // ran under the fail/recover cycle
-
-	// Performance, as in the paper's figures.
-	Runtime float64 // measured run-phase throughput, ops/s
-	Mean    time.Duration
-
-	// Client-centric consistency over the measured window.
-	Consistency consistency.Report
-}
-
-// AuditResults collects the full audit grid.
-type AuditResults []AuditResult
-
-// auditCell is one grid point to run.
-type auditCell struct {
-	db    string
-	lv    ConsistencySetting
-	rf    int
-	spec  ycsb.Spec
-	fault bool
-}
+// AuditResults collects the full audit grid. A cell is a spectrum cell
+// (SpectrumResult without the object store's columns); the audit has its
+// own grid, table and claims.
+type AuditResults []SpectrumResult
 
 // auditSpecs returns the audited workloads: the two stress workloads whose
 // read/write interleaving makes staleness observable.
@@ -99,125 +73,48 @@ func auditSpecs(o Options) []ycsb.Spec {
 // auditCells enumerates the canonical audit order: workload-major, the
 // HBase control sweep first, then Cassandra level-major with RF ascending,
 // and the single fault-injected cell last.
-func auditCells(o Options) []auditCell {
-	var cells []auditCell
+func auditCells(o Options) []spectrumCell {
+	var cells []spectrumCell
 	for _, spec := range auditSpecs(o) {
 		for _, rf := range o.ReplicationFactors {
-			cells = append(cells, auditCell{db: "HBase", lv: ConsistencySetting{Name: "strong"}, rf: rf, spec: spec})
+			cells = append(cells, spectrumCell{backend: hbaseAt(rf), spec: spec})
 		}
 		for _, lv := range levels() {
 			for _, rf := range o.ReplicationFactors {
-				cells = append(cells, auditCell{db: "Cassandra", lv: lv, rf: rf, spec: spec})
+				cells = append(cells, spectrumCell{backend: cassandraAt(rf, lv), spec: spec})
 			}
 		}
 	}
-	cells = append(cells, auditCell{
-		db: "Cassandra", lv: levels()[0], rf: anchorRF(o),
-		spec: ycsb.ReadUpdate(o.StressRecords), fault: true,
+	return append(cells, spectrumCell{
+		backend: cassandraAt(anchorRF(o), levels()[0]),
+		spec:    ycsb.ReadUpdate(o.StressRecords), fault: true,
 	})
-	return cells
 }
 
 // RunConsistencyAudit runs the audit grid. Each cell is a self-contained
 // deployment with a fresh oracle, fanned out across the sweep scheduler;
 // like every experiment the report is bit-identical for any parallelism.
 func RunConsistencyAudit(o Options) (AuditResults, error) {
-	cells := auditCells(o)
-	return runCells(o.workers(), len(cells), func(i int) (AuditResult, error) {
-		res, err := runAuditCell(o, cells[i])
-		if err != nil {
-			return res, fmt.Errorf("audit %s/%s/rf%d: %w", cells[i].db, cells[i].lv.Name, cells[i].rf, err)
-		}
-		return res, nil
-	})
+	rows, err := sweep(o, "audit", auditCells(o), runSpectrumCell)
+	return AuditResults(rows), err
 }
 
-// runAuditCell deploys one database, attaches an oracle, loads, runs the
-// workload (optionally failing and recovering a server mid-run), lets
-// repairs and hint replay settle, and snapshots the oracle's report.
-func runAuditCell(o Options, c auditCell) (AuditResult, error) {
-	var d *deployment
-	if c.db == "HBase" {
-		d = deployHBase(o, c.rf, c.spec)
-	} else {
-		oc := o
-		oc.MutationStageDelay = auditMutationStage
-		d = deployCassandra(oc, c.rf, c.lv.Read, c.lv.Write)
-	}
-	oracle := consistency.New()
-	if d.hb != nil {
-		d.hb.SetOracle(oracle)
-	} else {
-		d.ca.SetOracle(oracle)
-	}
-	out := AuditResult{DB: c.db, Workload: c.spec.Name, Level: c.lv.Name, RF: c.rf, Fault: c.fault}
-	err := d.drive(func(p *sim.Proc) {
-		w := ycsb.NewWorkload(c.spec)
-		d.loadAndSettle(p, w, o.Threads)
-		rcfg := ycsb.RunConfig{
-			Threads:        o.Threads,
-			Ops:            o.StressOps,
-			WarmupFraction: o.WarmupFraction,
-			Oracle:         oracle,
-		}
-		if c.fault {
-			// Fail one server a quarter into the run and recover it at
-			// the midpoint, by operation progress so the cycle lands
-			// inside the measured window at every profile scale.
-			victim := d.clus.Nodes[o.ServerNodes/2]
-			rcfg.Events = []ycsb.RunEvent{
-				{AfterOps: o.StressOps / 4, Fn: victim.Fail},
-				{AfterOps: o.StressOps / 2, Fn: victim.Recover},
-			}
-		}
-		run := c.spec
-		run.RecordCount = w.Inserted()
-		wl := ycsb.NewWorkload(run)
-		res := ycsb.Run(p, d.newClient, wl, rcfg)
-		out.Runtime = res.Throughput
-		out.Mean = res.MeanLatency()
-		settle := quiesce
-		if c.fault {
-			settle = auditFaultSettle
-		}
-		p.Sleep(settle)
-	})
-	// The final report (not the runner's end-of-phase snapshot) includes
-	// propagation that completed during the settle sleep — background
-	// repairs and hint replay — so t-visibility and apply counts are
-	// complete; the read-side staleness counters are identical, since no
-	// client reads happen after the run.
-	if oracle != nil {
-		out.Consistency = oracle.Report()
-	}
-	return out, err
-}
-
-// get returns the audit cell for (db, workload, level, rf) among the
-// healthy cells, or nil.
-func (r AuditResults) get(db, workload, level string, rf int) *AuditResult {
-	for i := range r {
-		m := &r[i]
-		if m.DB == db && m.Workload == workload && m.Level == level && m.RF == rf && !m.Fault {
-			return m
-		}
-	}
-	return nil
+// get returns the healthy cell for (db, workload, level, rf), or nil.
+func (r AuditResults) get(db, workload, level string, rf int) *SpectrumResult {
+	return SpectrumResults(r).get(db, workload, level, rf, 0)
 }
 
 // fault returns the fault-injected cell, or nil.
-func (r AuditResults) fault() *AuditResult {
-	for i := range r {
-		if r[i].Fault {
-			return &r[i]
-		}
+func (r AuditResults) fault() *SpectrumResult {
+	if f := SpectrumResults(r).faults(); len(f) > 0 {
+		return f[0]
 	}
 	return nil
 }
 
-// Table renders the audit as one paper-style row per cell: staleness and
+// Tables renders the audit as one paper-style row per cell: staleness and
 // visibility next to latency.
-func (r AuditResults) Table() *stats.Table {
+func (r AuditResults) Tables() []*stats.Table {
 	t := stats.NewTable("Consistency audit — client-centric staleness by consistency level and replication factor",
 		"db", "workload", "level", "rf", "fault",
 		"ops/sec", "mean-latency",
@@ -236,11 +133,11 @@ func (r AuditResults) Table() *stats.Table {
 			c.TVisAllP99.Round(time.Microsecond).String(),
 			c.MonotonicViolations, c.RepairApplies, c.HintApplies)
 	}
-	return t
+	return []*stats.Table{t}
 }
 
-// CheckAudit evaluates the audit's qualitative claims.
-func CheckAudit(r AuditResults) []Finding {
+// Findings evaluates the audit's qualitative claims.
+func (r AuditResults) Findings(Options) []Finding {
 	var fs []Finding
 
 	// FA1: HBase, the strong-consistency control, is always fresh.

@@ -27,7 +27,7 @@ func TestConsistencyAuditSmoke(t *testing.T) {
 	if res.fault() == nil {
 		t.Fatal("fault cell missing")
 	}
-	for _, f := range CheckAudit(res) {
+	for _, f := range res.Findings(o) {
 		t.Log(f)
 		if !f.Pass {
 			t.Errorf("finding failed: %s", f)
@@ -40,7 +40,7 @@ func TestConsistencyAuditSmoke(t *testing.T) {
 				m.DB, m.Workload, m.Level, m.RF, m.Runtime, m.Consistency.Reads)
 		}
 	}
-	out := res.Table().String()
+	out := res.Tables()[0].String()
 	for _, want := range []string{"stale-%", "tvis-q-p50", "mono-viol", "hint-applies", "HBase", "writeALL"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("table missing %q", want)
@@ -79,18 +79,18 @@ func syntheticAudit(rfs []int, oneStale []int64, faultStale, faultHints int64) A
 	}
 	for _, wl := range []string{"read-latest", "read-update"} {
 		for _, rf := range rfs {
-			res = append(res, AuditResult{DB: "HBase", Workload: wl, Level: "strong", RF: rf, Runtime: 1, Consistency: mk(0)})
+			res = append(res, SpectrumResult{DB: "HBase", Workload: wl, Level: "strong", RF: rf, Runtime: 1, Consistency: mk(0)})
 		}
 		for i, rf := range rfs {
-			res = append(res, AuditResult{DB: "Cassandra", Workload: wl, Level: "ONE", RF: rf, Runtime: 1, Consistency: mk(oneStale[i])})
+			res = append(res, SpectrumResult{DB: "Cassandra", Workload: wl, Level: "ONE", RF: rf, Runtime: 1, Consistency: mk(oneStale[i])})
 		}
 		for _, lv := range []string{"QUORUM", "writeALL"} {
 			for _, rf := range rfs {
-				res = append(res, AuditResult{DB: "Cassandra", Workload: wl, Level: lv, RF: rf, Runtime: 1, Consistency: mk(0)})
+				res = append(res, SpectrumResult{DB: "Cassandra", Workload: wl, Level: lv, RF: rf, Runtime: 1, Consistency: mk(0)})
 			}
 		}
 	}
-	res = append(res, AuditResult{
+	res = append(res, SpectrumResult{
 		DB: "Cassandra", Workload: "read-update", Level: "ONE", RF: rfs[len(rfs)-1], Fault: true, Runtime: 1,
 		Consistency: consistency.Report{Reads: 10_000, StaleReads: faultStale, HintApplies: faultHints},
 	})
@@ -113,7 +113,7 @@ func TestCheckAuditShape(t *testing.T) {
 
 	// The expected shape passes all four findings.
 	good := syntheticAudit(rfs, []int64{0, 40, 90}, 120, 7)
-	for _, f := range CheckAudit(good) {
+	for _, f := range good.Findings(Options{}) {
 		if !f.Pass {
 			t.Errorf("good grid failed %s: %s", f.ID, f.Detail)
 		}
@@ -121,7 +121,7 @@ func TestCheckAuditShape(t *testing.T) {
 
 	// A plateau at CL=ONE breaks FA3's strict monotonicity.
 	plateau := syntheticAudit(rfs, []int64{0, 40, 40}, 120, 7)
-	if f := findingByID(CheckAudit(plateau), "FA3"); f == nil || f.Pass {
+	if f := findingByID(plateau.Findings(Options{}), "FA3"); f == nil || f.Pass {
 		t.Error("FA3 passed on a non-increasing series")
 	}
 
@@ -133,22 +133,22 @@ func TestCheckAuditShape(t *testing.T) {
 			break
 		}
 	}
-	if f := findingByID(CheckAudit(dirty), "FA2"); f == nil || f.Pass {
+	if f := findingByID(dirty.Findings(Options{}), "FA2"); f == nil || f.Pass {
 		t.Error("FA2 passed with a stale quorum read")
 	}
 	dirty = syntheticAudit(rfs, []int64{0, 40, 90}, 120, 7)
 	dirty[0].Consistency.MonotonicViolations = 1
-	if f := findingByID(CheckAudit(dirty), "FA1"); f == nil || f.Pass {
+	if f := findingByID(dirty.Findings(Options{}), "FA1"); f == nil || f.Pass {
 		t.Error("FA1 passed with an HBase monotonic violation")
 	}
 
 	// FA4 requires hint replays and at least healthy-level staleness.
 	noHints := syntheticAudit(rfs, []int64{0, 40, 90}, 120, 0)
-	if f := findingByID(CheckAudit(noHints), "FA4"); f == nil || f.Pass {
+	if f := findingByID(noHints.Findings(Options{}), "FA4"); f == nil || f.Pass {
 		t.Error("FA4 passed without hint replays")
 	}
 	cleanFault := syntheticAudit(rfs, []int64{0, 40, 90}, 10, 7)
-	if f := findingByID(CheckAudit(cleanFault), "FA4"); f == nil || f.Pass {
+	if f := findingByID(cleanFault.Findings(Options{}), "FA4"); f == nil || f.Pass {
 		t.Error("FA4 passed with the fault cell less stale than healthy")
 	}
 }

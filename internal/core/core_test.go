@@ -52,8 +52,8 @@ func TestVerifyTable1(t *testing.T) {
 func TestDeployHBaseServesTraffic(t *testing.T) {
 	o := reducedOptions()
 	spec := ycsb.ReadMostly(100)
-	d := deployHBase(o, 3, spec)
-	err := d.drive(func(p *sim.Proc) {
+	d := deploy(o, hbaseAt(3), spec)
+	err := d.run(4, func(p *sim.Proc) {
 		cl := d.newClient()
 		if err := cl.Insert(p, spec.KeyFor(1), kv.Record{"f": kv.SizedValue(10)}); err != nil {
 			t.Error(err)
@@ -72,9 +72,9 @@ func TestDeployHBaseServesTraffic(t *testing.T) {
 
 func TestDeployCassandraServesTraffic(t *testing.T) {
 	o := reducedOptions()
-	d := deployCassandra(o, 3, kv.Quorum, kv.Quorum)
 	spec := ycsb.ReadMostly(100)
-	err := d.drive(func(p *sim.Proc) {
+	d := deploy(o, cassandraAt(3, levels()[1]), spec)
+	err := d.run(4, func(p *sim.Proc) {
 		cl := d.newClient()
 		if err := cl.Insert(p, spec.KeyFor(1), kv.Record{"f": kv.SizedValue(10)}); err != nil {
 			t.Error(err)
@@ -92,12 +92,12 @@ func TestDeployCassandraServesTraffic(t *testing.T) {
 }
 
 func TestGCStopsWithDriver(t *testing.T) {
-	// The drive wrapper must stop GC pause processes or Run never
-	// drains; a clean return proves it.
+	// run must stop GC pause processes when the driver finishes or the
+	// kernel never drains; a clean return proves it.
 	o := reducedOptions()
-	d := deployCassandra(o, 1, kv.One, kv.One)
+	d := deploy(o, cassandraAt(1, levels()[0]), ycsb.ReadMostly(100))
 	done := false
-	if err := d.drive(func(p *sim.Proc) {
+	if err := d.run(4, func(p *sim.Proc) {
 		p.Sleep(3 * time.Second) // several GC cycles
 		done = true
 	}); err != nil {
@@ -111,7 +111,7 @@ func TestGCStopsWithDriver(t *testing.T) {
 func TestFig1ReproducesMicroFindings(t *testing.T) {
 	if testing.Short() {
 		// 1-cell smoke: one database at one RF, plumbing only.
-		res, err := RunFig1Round(smokeOptions(), "Cassandra", 3)
+		res, err := runFig1Cell(smokeOptions(), cassandraAt(3, levels()[0]))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +130,7 @@ func TestFig1ReproducesMicroFindings(t *testing.T) {
 	if len(res) != 2*2*4 { // 2 DBs × 2 RFs × 4 ops
 		t.Fatalf("results = %d", len(res))
 	}
-	for _, f := range CheckFig1(res) {
+	for _, f := range res.Findings(Options{}) {
 		t.Log(f)
 		if !f.Pass {
 			t.Errorf("finding failed: %s", f)
@@ -149,7 +149,7 @@ func TestFig1ReproducesMicroFindings(t *testing.T) {
 func TestFig2ReproducesStressFindings(t *testing.T) {
 	if testing.Short() {
 		// 1-cell smoke: one database at one RF, plumbing only.
-		res, err := RunFig2Round(smokeOptions(), "HBase", 3)
+		res, err := runFig2Cell(smokeOptions(), hbaseAt(3))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,7 +168,7 @@ func TestFig2ReproducesStressFindings(t *testing.T) {
 	if len(res) != 2*2*5 {
 		t.Fatalf("results = %d", len(res))
 	}
-	for _, f := range CheckFig2(res) {
+	for _, f := range res.Findings(Options{}) {
 		t.Log(f)
 		if !f.Pass {
 			t.Errorf("finding failed: %s", f)
@@ -184,7 +184,7 @@ func TestFig3ReproducesConsistencyFindings(t *testing.T) {
 		// 1-cell smoke: one workload at one consistency level.
 		o := smokeOptions()
 		spec := ycsb.StressWorkloads(o.StressRecords)[0]
-		res, err := runFig3Workload(o, levels()[1], spec, []float64{0})
+		res, err := runFig3Cell(o, fig3Cell{levels()[1], spec, []float64{0}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +197,7 @@ func TestFig3ReproducesConsistencyFindings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range CheckFig3(res) {
+	for _, f := range res.Findings(Options{}) {
 		t.Log(f)
 		// F6a is the documented deviation (see EXPERIMENTS.md); the
 		// others must reproduce.

@@ -26,7 +26,7 @@ func TestRunGeoReproducesFindings(t *testing.T) {
 	if want := len(geoCells(o)); len(res) != want {
 		t.Fatalf("cells = %d, want %d", len(res), want)
 	}
-	for _, f := range CheckGeo(o, res) {
+	for _, f := range res.Findings(o) {
 		if !f.Pass {
 			t.Errorf("finding failed: %s", f)
 		}
@@ -53,7 +53,7 @@ func TestRunGeoReproducesFindings(t *testing.T) {
 	}
 	// The RF-per-DC sweep keeps the NetworkTopologyStrategy label in the
 	// rendered table.
-	if s := res.Table().String(); !strings.Contains(s, "3+1") || !strings.Contains(s, "sla-adaptive") {
+	if s := res.Tables()[0].String(); !strings.Contains(s, "3+1") || !strings.Contains(s, "sla-adaptive") {
 		t.Error("table missing RF-per-DC or SLA rows")
 	}
 }
@@ -61,7 +61,7 @@ func TestRunGeoReproducesFindings(t *testing.T) {
 func TestRunFailoverAvailabilityShapes(t *testing.T) {
 	o := DefaultFailoverOptions()
 	o.Threads = 16
-	res, err := RunFailover(o)
+	res, err := RunFailover(Options{Seed: 1}, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestRunFailoverAvailabilityShapes(t *testing.T) {
 			t.Errorf("%s: no hint replays after recovery", tl.System)
 		}
 	}
-	if len(res.Figure().Series) != 4 || len(res.ThroughputFigure().Series) != 4 {
-		t.Error("figures malformed")
+	if ts := res.Tables(); len(ts) != 2 || len(ts[0].Headers) != 5 || len(ts[1].Headers) != 5 {
+		t.Error("timeline tables malformed: want two, one column per system")
 	}
 }

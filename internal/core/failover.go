@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"time"
 
 	"cloudbench/internal/cassandra"
@@ -17,7 +16,6 @@ import (
 // (related work §5: Pokluda & Sun benchmark failover characteristics by
 // watching throughput and latency while a node fails and recovers).
 type FailoverOptions struct {
-	Seed        int64
 	Servers     int
 	Replication int
 	Records     int64
@@ -31,7 +29,6 @@ type FailoverOptions struct {
 // DefaultFailoverOptions fails one of six servers for four seconds.
 func DefaultFailoverOptions() FailoverOptions {
 	return FailoverOptions{
-		Seed:        1,
 		Servers:     6,
 		Replication: 3,
 		Records:     1_500,
@@ -49,91 +46,91 @@ type FailoverTimeline struct {
 	Bucket  time.Duration
 	OK      []int64 // successful ops per bucket
 	Errors  []int64
-	Hinted  int64 // hints replayed after recovery (Cassandra only)
-	Replays int64
+	Replays int64 // hints replayed after recovery (Cassandra only)
 }
 
 // FailoverResults holds all systems' traces.
 type FailoverResults []FailoverTimeline
 
-// Figure renders error counts over time, one series per system.
-func (r FailoverResults) Figure() *stats.Figure {
-	f := stats.NewFigure("Extension — errors per bucket through failure and recovery",
+// Tables renders the two timelines, one series per system: successful ops
+// per bucket, then errors per bucket.
+func (r FailoverResults) Tables() []*stats.Table {
+	ok := stats.NewFigure("Extension — successful ops per bucket through failure and recovery",
+		"time (s)", "ok-ops/bucket")
+	errs := stats.NewFigure("Extension — errors per bucket through failure and recovery",
 		"time (s)", "errors/bucket")
 	for _, tl := range r {
-		s := f.AddSeries(tl.System)
-		for i, e := range tl.Errors {
-			s.Add(float64(i)*tl.Bucket.Seconds(), float64(e))
+		so, se := ok.AddSeries(tl.System), errs.AddSeries(tl.System)
+		for i := range tl.OK {
+			x := float64(i) * tl.Bucket.Seconds()
+			so.Add(x, float64(tl.OK[i]))
+			se.Add(x, float64(tl.Errors[i]))
 		}
 	}
-	return f
+	return figureTables([]*stats.Figure{ok, errs})
 }
 
-// ThroughputFigure renders successful ops over time.
-func (r FailoverResults) ThroughputFigure() *stats.Figure {
-	f := stats.NewFigure("Extension — successful ops per bucket through failure and recovery",
-		"time (s)", "ok-ops/bucket")
-	for _, tl := range r {
-		s := f.AddSeries(tl.System)
-		for i, ok := range tl.OK {
-			s.Add(float64(i)*tl.Bucket.Seconds(), float64(ok))
-		}
-	}
-	return f
+// Findings is empty: the shapes are asserted by the package's tests.
+func (FailoverResults) Findings(Options) []Finding { return nil }
+
+// failoverSystem is one traced system: Cassandra at a consistency setting,
+// or single-owner HBase.
+type failoverSystem struct {
+	ConsistencySetting
+	hbase bool
 }
+
+func (s failoverSystem) String() string { return s.Name }
 
 // RunFailover traces availability through a fail/recover cycle for
-// Cassandra at ONE, QUORUM, and ALL, and for single-owner HBase.
-func RunFailover(o FailoverOptions) (FailoverResults, error) {
-	var out FailoverResults
-	for _, lv := range []ConsistencySetting{
-		{Name: "Cassandra-ONE", Read: kv.One, Write: kv.One},
-		{Name: "Cassandra-QUORUM", Read: kv.Quorum, Write: kv.Quorum},
-		{Name: "Cassandra-ALL", Read: kv.All, Write: kv.All},
-	} {
-		tl, err := runFailoverOne(o, lv.Name, func(k *sim.Kernel, servers []*cluster.Node, client *cluster.Node) (ycsb.ClientFactory, func() (int64, int64)) {
-			cfg := cassandra.DefaultConfig()
-			cfg.Replication = o.Replication
-			cfg.ReadCL, cfg.WriteCL = lv.Read, lv.Write
-			db := cassandra.New(k, cfg, servers)
-			return func() kv.Client { return db.NewClient(client) },
-				func() (int64, int64) { return db.HintsStored, db.HintsReplayed }
-		})
-		if err != nil {
-			return nil, fmt.Errorf("failover %s: %w", lv.Name, err)
-		}
-		out = append(out, tl)
+// Cassandra at ONE, QUORUM, and ALL, and for single-owner HBase. The four
+// systems are independent simulations, each on its own kernel seeded from
+// o.Seed, fanned out across the sweep scheduler (o.Parallelism).
+func RunFailover(o Options, fo FailoverOptions) (FailoverResults, error) {
+	systems := []failoverSystem{
+		{ConsistencySetting: ConsistencySetting{Name: "Cassandra-ONE", Read: kv.One, Write: kv.One}},
+		{ConsistencySetting: ConsistencySetting{Name: "Cassandra-QUORUM", Read: kv.Quorum, Write: kv.Quorum}},
+		{ConsistencySetting: ConsistencySetting{Name: "Cassandra-ALL", Read: kv.All, Write: kv.All}},
+		{ConsistencySetting: ConsistencySetting{Name: "HBase"}, hbase: true},
 	}
-	tl, err := runFailoverOne(o, "HBase", func(k *sim.Kernel, servers []*cluster.Node, client *cluster.Node) (ycsb.ClientFactory, func() (int64, int64)) {
-		spec := ycsb.ReadUpdate(o.Records)
-		db := hbase.New(k, hbase.DefaultConfig(), servers, client, spec.SplitPoints(2*o.Servers))
-		return func() kv.Client { return db.NewClient(client) },
-			func() (int64, int64) { return 0, 0 }
+	return sweep(o, "failover", systems, func(o Options, sys failoverSystem) (FailoverResults, error) {
+		tl, err := runFailoverOne(o.Seed, fo, sys)
+		return FailoverResults{tl}, err
 	})
-	if err != nil {
-		return nil, fmt.Errorf("failover hbase: %w", err)
-	}
-	out = append(out, tl)
-	return out, nil
 }
 
-func runFailoverOne(o FailoverOptions, name string, build func(*sim.Kernel, []*cluster.Node, *cluster.Node) (ycsb.ClientFactory, func() (int64, int64))) (FailoverTimeline, error) {
-	k := sim.NewKernel(o.Seed)
+// runFailoverOne is deliberately not a cell of cell.go's protocol: it
+// measures a timeline, not a run phase — a small default-configured rack,
+// no settle, and open-ended worker loops bucketed by simulated time.
+func runFailoverOne(seed int64, o FailoverOptions, sys failoverSystem) (FailoverTimeline, error) {
+	k := sim.NewKernel(seed)
 	ccfg := cluster.DefaultConfig()
 	ccfg.Nodes = o.Servers + 1
 	rack := cluster.New(k, ccfg)
 	servers, clientNode := rack.Nodes[:o.Servers], rack.Nodes[o.Servers]
-	factory, hintStats := build(k, servers, clientNode)
+	spec := ycsb.ReadUpdate(o.Records)
+	var factory ycsb.ClientFactory
+	replays := func() int64 { return 0 }
+	if sys.hbase {
+		db := hbase.New(k, hbase.DefaultConfig(), servers, clientNode, spec.SplitPoints(2*o.Servers))
+		factory = func() kv.Client { return db.NewClient(clientNode) }
+	} else {
+		cfg := cassandra.DefaultConfig()
+		cfg.Replication = o.Replication
+		cfg.ReadCL, cfg.WriteCL = sys.Read, sys.Write
+		db := cassandra.New(k, cfg, servers)
+		factory = func() kv.Client { return db.NewClient(clientNode) }
+		replays = func() int64 { return db.HintsReplayed }
+	}
 
 	buckets := int(o.End/o.Bucket) + 1
 	tl := FailoverTimeline{
-		System: name,
+		System: sys.Name,
 		Bucket: o.Bucket,
 		OK:     make([]int64, buckets),
 		Errors: make([]int64, buckets),
 	}
 	victim := servers[len(servers)/2]
-	spec := ycsb.ReadUpdate(o.Records)
 
 	k.Spawn("driver", func(p *sim.Proc) {
 		w := ycsb.NewWorkload(spec)
@@ -173,7 +170,7 @@ func runFailoverOne(o FailoverOptions, name string, build func(*sim.Kernel, []*c
 			wk.Done().Await(p)
 		}
 		p.Sleep(30 * time.Second) // hint replay window
-		_, tl.Replays = hintStats()
+		tl.Replays = replays()
 	})
 	err := k.Run()
 	return tl, err

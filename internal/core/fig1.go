@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"cloudbench/internal/kv"
 	"cloudbench/internal/sim"
 	"cloudbench/internal/stats"
 	"cloudbench/internal/ycsb"
@@ -49,54 +48,25 @@ func microSpec(op string, records int64) ycsb.Spec {
 // on an unsaturated cluster, for both databases. Rounds are independent
 // simulations and fan out across the sweep scheduler (Options.Parallelism).
 func RunFig1(o Options) (Fig1Results, error) {
-	cells := dbRFCells(o)
-	rounds, err := runCells(o.workers(), len(cells), func(i int) (Fig1Results, error) {
-		c := cells[i]
-		res, err := runFig1Round(o, c.db, c.rf)
-		if err != nil {
-			return nil, fmt.Errorf("fig1 %s rf=%d: %w", c.db, c.rf, err)
-		}
-		return res, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return flattenCells(rounds), nil
+	return sweep(o, "fig1", dbRFCells(o), runFig1Cell)
 }
 
-// RunFig1Round runs one round of the micro benchmark: one database at one
+// runFig1Cell runs one round of the micro benchmark: one database at one
 // replication factor, the four atomic tests in paper order.
-func RunFig1Round(o Options, db string, rf int) (Fig1Results, error) {
-	return runFig1Round(o, db, rf)
-}
-
-func runFig1Round(o Options, db string, rf int) (Fig1Results, error) {
-	loadSpec := ycsb.MicroUpdate(o.MicroRecords) // shape only; used for load
-	var d *deployment
-	if db == "HBase" {
-		d = deployHBase(o, rf, loadSpec)
-	} else {
-		// Micro tests use the default consistency strategy: ONE/ONE.
-		d = deployCassandra(o, rf, kv.One, kv.One)
-	}
+func runFig1Cell(o Options, b backend) (Fig1Results, error) {
+	d := deploy(o, b, ycsb.MicroUpdate(o.MicroRecords)) // shape only; used for load
 	var out Fig1Results
-	err := d.drive(func(p *sim.Proc) {
-		w := ycsb.NewWorkload(loadSpec)
-		d.loadAndSettle(p, w, o.Threads)
-		records := w.Inserted()
+	err := d.run(o.Threads, func(p *sim.Proc) {
 		for _, op := range microOrder {
-			spec := microSpec(op, records)
-			wl := ycsb.NewWorkload(spec)
-			res := ycsb.Run(p, d.newClient, wl, ycsb.RunConfig{
+			res := d.phase(p, microSpec(op, o.MicroRecords), ycsb.RunConfig{
 				Threads:          o.MicroThreads,
 				Ops:              o.MicroOps,
 				TargetThroughput: o.MicroThrottle,
 				WarmupFraction:   o.WarmupFraction,
 			})
-			records = wl.Inserted()
 			out = append(out, MicroResult{
-				DB:         db,
-				RF:         rf,
+				DB:         b.db,
+				RF:         b.rf,
 				Op:         op,
 				Mean:       res.MeanLatency(),
 				P50:        res.Overall.Percentile(50),
@@ -130,8 +100,9 @@ func (r Fig1Results) Figures() []*stats.Figure {
 	return figs
 }
 
-// Table renders every Fig. 1 point as one row.
-func (r Fig1Results) Table() *stats.Table {
+// Tables renders Fig. 1 as the paper's panels followed by every point as
+// one row.
+func (r Fig1Results) Tables() []*stats.Table {
 	t := stats.NewTable("Fig. 1 — micro benchmark for replication",
 		"db", "rf", "op", "median-latency", "mean-latency", "p95-latency", "ops/sec")
 	for _, m := range r {
@@ -141,7 +112,7 @@ func (r Fig1Results) Table() *stats.Table {
 			m.P95.Round(time.Microsecond).String(),
 			m.Throughput)
 	}
-	return t
+	return append(figureTables(r.Figures()), t)
 }
 
 // get returns the median latency for a specific point, or -1. The median

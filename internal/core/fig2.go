@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"cloudbench/internal/kv"
 	"cloudbench/internal/sim"
 	"cloudbench/internal/stats"
 	"cloudbench/internal/ycsb"
@@ -34,53 +33,21 @@ type Fig2Results []StressResult
 // are independent simulations and fan out across the sweep scheduler
 // (Options.Parallelism).
 func RunFig2(o Options) (Fig2Results, error) {
-	cells := dbRFCells(o)
-	rounds, err := runCells(o.workers(), len(cells), func(i int) (Fig2Results, error) {
-		c := cells[i]
-		res, err := runFig2Round(o, c.db, c.rf)
-		if err != nil {
-			return nil, fmt.Errorf("fig2 %s rf=%d: %w", c.db, c.rf, err)
-		}
-		return res, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return flattenCells(rounds), nil
+	return sweep(o, "fig2", dbRFCells(o), runFig2Cell)
 }
 
-// RunFig2Round runs one round of the stress benchmark for replication:
+// runFig2Cell runs one round of the stress benchmark for replication:
 // one database at one replication factor, the five Table 1 workloads in
 // paper order.
-func RunFig2Round(o Options, db string, rf int) (Fig2Results, error) {
-	return runFig2Round(o, db, rf)
-}
-
-func runFig2Round(o Options, db string, rf int) (Fig2Results, error) {
-	loadSpec := ycsb.ReadMostly(o.StressRecords)
-	var d *deployment
-	if db == "HBase" {
-		d = deployHBase(o, rf, loadSpec)
-	} else {
-		d = deployCassandra(o, rf, kv.One, kv.One)
-	}
+func runFig2Cell(o Options, b backend) (Fig2Results, error) {
+	d := deploy(o, b, ycsb.ReadMostly(o.StressRecords))
 	var out Fig2Results
-	err := d.drive(func(p *sim.Proc) {
-		w := ycsb.NewWorkload(loadSpec)
-		d.loadAndSettle(p, w, o.Threads)
-		records := w.Inserted()
-		for _, spec := range ycsb.StressWorkloads(records) {
-			spec.RecordCount = records
-			wl := ycsb.NewWorkload(spec)
-			res := ycsb.Run(p, d.newClient, wl, ycsb.RunConfig{
-				Threads:        o.Threads,
-				Ops:            o.StressOps,
-				WarmupFraction: o.WarmupFraction,
-			})
-			records = wl.Inserted()
+	err := d.run(o.Threads, func(p *sim.Proc) {
+		for _, spec := range ycsb.StressWorkloads(o.StressRecords) {
+			res := d.phase(p, spec, o.stressRun(0))
 			out = append(out, StressResult{
-				DB:         db,
-				RF:         rf,
+				DB:         b.db,
+				RF:         b.rf,
 				Workload:   spec.Name,
 				Throughput: res.Throughput,
 				Mean:       res.MeanLatency(),
@@ -130,16 +97,9 @@ func workloadOrder() []string {
 	return []string{"read-latest", "scan-short-ranges", "read-mostly", "read-modify-write", "read-update"}
 }
 
-// Table renders every Fig. 2 point as one row.
-func (r Fig2Results) Table() *stats.Table {
-	t := stats.NewTable("Fig. 2 — stress benchmark for replication",
-		"db", "rf", "workload", "ops/sec", "mean-latency", "p95-latency", "errors")
-	for _, m := range r {
-		t.AddRow(m.DB, m.RF, m.Workload, m.Throughput,
-			m.Mean.Round(time.Microsecond).String(),
-			m.P95.Round(time.Microsecond).String(), m.Errors)
-	}
-	return t
+// Tables renders Fig. 2 as the paper's panels: throughput, then latency.
+func (r Fig2Results) Tables() []*stats.Table {
+	return figureTables(append(r.ThroughputFigures(), r.LatencyFigures()...))
 }
 
 // get returns the (throughput, latency) for a point, or (-1, -1).

@@ -36,108 +36,66 @@ type Fig3Results []ConsistencyResult
 // so the capacity probes fan out across the sweep scheduler first and the
 // full level × workload grid fans out after the shared targets are known.
 func RunFig3(o Options) (Fig3Results, error) {
-	specs := ycsb.StressWorkloads(o.StressRecords)
-
 	// Capacity probe per workload at ONE.
-	probes, err := runCells(o.workers(), len(specs), func(i int) (Fig3Results, error) {
-		return runFig3Workload(o, levels()[0], specs[i], []float64{0})
-	})
+	out, err := sweep(o, "fig3 capacity probe", fig3Cells(o, levels()[:1], nil), runFig3Cell)
 	if err != nil {
-		return nil, fmt.Errorf("fig3 capacity probe: %w", err)
+		return nil, err
 	}
-	out := Fig3Results(flattenCells(probes))
-
-	// Build shared target lists from the probed capacities.
-	capacities := make(map[string]float64)
-	for _, m := range out {
-		if m.Target == 0 {
-			capacities[m.Workload] = m.Runtime
-		}
-	}
+	// Shared target lists from the probed capacities.
 	targets := make(map[string][]float64)
-	for wl, cap := range capacities {
+	for _, probe := range out {
 		for _, f := range o.Fig3TargetFractions {
-			targets[wl] = append(targets[wl], cap*f)
+			targets[probe.Workload] = append(targets[probe.Workload], probe.Runtime*f)
 		}
 	}
-
-	// Level × workload grid, level-major so the flattened results keep the
-	// paper's reporting order (ONE, QUORUM, writeALL).
-	type gridCell struct {
-		lv   ConsistencySetting
-		spec ycsb.Spec
-	}
-	var cells []gridCell
-	for _, lv := range levels() {
-		for _, spec := range specs {
-			cells = append(cells, gridCell{lv: lv, spec: spec})
-		}
-	}
-	rounds, err := runCells(o.workers(), len(cells), func(i int) (Fig3Results, error) {
-		c := cells[i]
-		// Unthrottled (closed-loop) first — the paper detects the *peak*
-		// runtime throughput and the closed loop is each level's natural
-		// maximum — then the throttled sweep ascending, so the overloaded
-		// high-target runs (which leave queue backlogs behind) come last.
-		tlist := append([]float64{0}, targets[c.spec.Name]...)
-		res, err := runFig3Workload(o, c.lv, c.spec, tlist)
-		if err != nil {
-			return nil, fmt.Errorf("fig3 %s: %w", c.lv.Name, err)
-		}
-		return res, nil
-	})
+	grid, err := sweep(o, "fig3", fig3Cells(o, levels(), targets), runFig3Cell)
 	if err != nil {
 		return nil, err
 	}
-	return append(out, flattenCells(rounds)...), nil
+	return append(out, grid...), nil
 }
 
-// RunFig3Level runs the five workloads once, unthrottled, at one
-// consistency setting — the capacity measurement underlying one Fig. 3
-// series (the Target field of each result is 0). Workloads fan out across
-// the sweep scheduler.
-func RunFig3Level(o Options, lv ConsistencySetting) (Fig3Results, error) {
-	specs := ycsb.StressWorkloads(o.StressRecords)
-	rounds, err := runCells(o.workers(), len(specs), func(i int) (Fig3Results, error) {
-		return runFig3Workload(o, lv, specs[i], []float64{0})
-	})
-	if err != nil {
-		return nil, err
+// fig3Cell is one workload at one consistency setting, run through a list
+// of target throughputs (0 = unthrottled closed loop).
+type fig3Cell struct {
+	lv      ConsistencySetting
+	spec    ycsb.Spec
+	targets []float64
+}
+
+func (c fig3Cell) String() string { return c.lv.Name + "/" + c.spec.Name }
+
+// fig3Cells enumerates level × workload, level-major so the rows keep the
+// paper's reporting order (ONE, QUORUM, writeALL). Each cell runs
+// unthrottled (closed-loop) first — the paper detects the *peak* runtime
+// throughput and the closed loop is each level's natural maximum — then
+// its workload's throttled targets ascending, so the overloaded
+// high-target runs (which leave queue backlogs behind) come last.
+func fig3Cells(o Options, lvs []ConsistencySetting, targets map[string][]float64) []fig3Cell {
+	var cells []fig3Cell
+	for _, lv := range lvs {
+		for _, spec := range ycsb.StressWorkloads(o.StressRecords) {
+			cells = append(cells, fig3Cell{lv, spec, append([]float64{0}, targets[spec.Name]...)})
+		}
 	}
-	return flattenCells(rounds), nil
+	return cells
 }
 
-// runFig3Workload runs one workload at one consistency setting through the
-// given target-throughput list (0 = unthrottled closed loop) — one sweep
-// cell of the Fig. 3 grid.
-//
-// Each cell gets a fresh deployment. The paper ran the five tests back to
-// back on one cluster and §4.3 itself attributes part of its scan result to
-// that ordering ("we run this test after the read latest test which has
-// repaired the majority of inconsistency"); isolating the workloads keeps
-// every measurement independent of its predecessors — and is what makes
-// the grid embarrassingly parallel.
-func runFig3Workload(o Options, lv ConsistencySetting, spec ycsb.Spec, tlist []float64) (Fig3Results, error) {
+// runFig3Cell gives the cell a fresh deployment. The paper ran the five
+// tests back to back on one cluster and §4.3 itself attributes part of its
+// scan result to that ordering ("we run this test after the read latest
+// test which has repaired the majority of inconsistency"); isolating the
+// workloads keeps every measurement independent of its predecessors — and
+// is what makes the grid embarrassingly parallel.
+func runFig3Cell(o Options, c fig3Cell) (Fig3Results, error) {
 	var out Fig3Results
-	d := deployCassandra(o, 3, lv.Read, lv.Write)
-	err := d.drive(func(p *sim.Proc) {
-		w := ycsb.NewWorkload(spec)
-		d.loadAndSettle(p, w, o.Threads)
-		records := w.Inserted()
-		for _, target := range tlist {
-			run := spec
-			run.RecordCount = records
-			wl := ycsb.NewWorkload(run)
-			res := ycsb.Run(p, d.newClient, wl, ycsb.RunConfig{
-				Threads:          o.Threads,
-				Ops:              o.StressOps,
-				TargetThroughput: target,
-				WarmupFraction:   o.WarmupFraction,
-			})
-			records = wl.Inserted()
+	d := deploy(o, cassandraAt(3, c.lv), c.spec)
+	err := d.run(o.Threads, func(p *sim.Proc) {
+		for _, target := range c.targets {
+			res := d.phase(p, c.spec, o.stressRun(target))
 			out = append(out, ConsistencyResult{
-				Workload: spec.Name,
-				Level:    lv.Name,
+				Workload: c.spec.Name,
+				Level:    c.lv.Name,
 				Target:   target,
 				Runtime:  res.Throughput,
 				Mean:     res.MeanLatency(),
@@ -170,16 +128,8 @@ func (r Fig3Results) Figures() []*stats.Figure {
 	return figs
 }
 
-// Table renders every Fig. 3 point as one row.
-func (r Fig3Results) Table() *stats.Table {
-	t := stats.NewTable("Fig. 3 — stress benchmark for consistency (Cassandra, RF=3)",
-		"workload", "level", "target-ops/sec", "runtime-ops/sec", "mean-latency")
-	for _, m := range r {
-		t.AddRow(m.Workload, m.Level, m.Target, m.Runtime,
-			m.Mean.Round(time.Microsecond).String())
-	}
-	return t
-}
+// Tables renders Fig. 3 as the paper's panels.
+func (r Fig3Results) Tables() []*stats.Table { return figureTables(r.Figures()) }
 
 // peak returns the best runtime throughput for (workload, level) across
 // the level's sweep, including its unthrottled closed-loop point, or -1.

@@ -50,8 +50,8 @@ func flatness(vals []time.Duration) float64 {
 	return ratio(float64(max), float64(min))
 }
 
-// CheckFig1 evaluates the paper's §4.1 micro-benchmark findings.
-func CheckFig1(r Fig1Results) []Finding {
+// Findings evaluates the paper's §4.1 micro-benchmark findings.
+func (r Fig1Results) Findings(Options) []Finding {
 	rfs := rfsOf(r)
 	series := func(db, op string) []time.Duration {
 		var out []time.Duration
@@ -124,8 +124,8 @@ func rfsOf(r Fig1Results) []int {
 	return out
 }
 
-// CheckFig2 evaluates the paper's §4.2 stress-benchmark findings.
-func CheckFig2(r Fig2Results) []Finding {
+// Findings evaluates the paper's §4.2 stress-benchmark findings.
+func (r Fig2Results) Findings(Options) []Finding {
 	var fs []Finding
 	rfs := map[int]bool{}
 	for _, m := range r {
@@ -212,11 +212,11 @@ func CheckFig2(r Fig2Results) []Finding {
 	return fs
 }
 
-// CheckFig3 evaluates the paper's §4.3 consistency findings against the
+// Findings evaluates the paper's §4.3 consistency findings against the
 // reproduction. F6a (read-latest: ONE worst) is reported but is a known
 // deviation — see EXPERIMENTS.md — so callers asserting reproduction
 // should gate on the others.
-func CheckFig3(r Fig3Results) []Finding {
+func (r Fig3Results) Findings(Options) []Finding {
 	var fs []Finding
 
 	// F6a: read latest — ONE worst, QUORUM/ALL closely better (paper).

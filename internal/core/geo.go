@@ -5,8 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"cloudbench/internal/cassandra"
-	"cloudbench/internal/cluster"
 	"cloudbench/internal/consistency"
 	"cloudbench/internal/geo"
 	"cloudbench/internal/kv"
@@ -123,13 +121,17 @@ const (
 	geoModeAdaptive = "sla-adaptive"
 )
 
-// geoCell is one grid point of the geo sweep.
+// geoCell is one grid point of the geo sweep: a multi-DC Cassandra
+// backend and what the cell does to it.
 type geoCell struct {
-	dcs   int
-	rtt   time.Duration
-	lv    ConsistencySetting
-	perDC []int
-	mode  string
+	backend
+	mode string
+}
+
+func (c geoCell) String() string { return c.backend.String() + "/" + c.mode }
+
+func geoAt(dcs int, rtt time.Duration, lv ConsistencySetting, perDC []int) backend {
+	return backend{db: "Cassandra", lv: lv, dcs: dcs, rtt: rtt, perDC: perDC}
 }
 
 // geoCells enumerates the canonical sweep order: the 2- and 3-DC RTT ×
@@ -140,21 +142,22 @@ func geoCells(o Options) []geoCell {
 	for _, dcs := range []int{2, 3} {
 		for _, rtt := range geoRTTs() {
 			for _, lv := range geoLevels() {
-				cells = append(cells, geoCell{dcs: dcs, rtt: rtt, lv: lv, perDC: geoUniformRF(dcs, 2), mode: geoModeGrid})
+				cells = append(cells, geoCell{geoAt(dcs, rtt, lv, geoUniformRF(dcs, 2)), geoModeGrid})
 			}
 		}
 	}
 	for _, perDC := range [][]int{{1, 1}, {3, 1}, {3, 3}} {
-		cells = append(cells, geoCell{dcs: 2, rtt: geoAnchorRTT, lv: geoLevels()[1], perDC: perDC, mode: geoModeGrid})
+		cells = append(cells, geoCell{geoAt(2, geoAnchorRTT, geoLevels()[1], perDC), geoModeGrid})
 	}
 	for _, lv := range []ConsistencySetting{geoLevels()[2], geoLevels()[1]} {
-		cells = append(cells, geoCell{dcs: 2, rtt: geoAnchorRTT, lv: lv, perDC: geoUniformRF(2, 2), mode: geoModeFault})
+		cells = append(cells, geoCell{geoAt(2, geoAnchorRTT, lv, geoUniformRF(2, 2)), geoModeFault})
 	}
-	cells = append(cells,
-		geoCell{dcs: 2, rtt: geoAnchorRTT, lv: geoLevels()[2], perDC: geoUniformRF(2, 2), mode: geoModeFixed},
-		geoCell{dcs: 2, rtt: geoAnchorRTT, lv: ConsistencySetting{Name: "adaptive", Read: kv.LocalQuorum}, perDC: geoUniformRF(2, 2), mode: geoModeAdaptive},
+	adaptive := geoAt(2, geoAnchorRTT, ConsistencySetting{Name: "adaptive", Read: kv.LocalQuorum}, geoUniformRF(2, 2))
+	adaptive.adaptive = true
+	return append(cells,
+		geoCell{geoAt(2, geoAnchorRTT, geoLevels()[2], geoUniformRF(2, 2)), geoModeFixed},
+		geoCell{adaptive, geoModeAdaptive},
 	)
-	return cells
 }
 
 // GeoResult is one cell of the geo experiment.
@@ -191,124 +194,31 @@ type GeoResults []GeoResult
 // every other experiment, so the WAN is modelled inside one kernel and
 // the group's cross-shard lookahead never comes into play.
 func RunGeo(o Options) (GeoResults, error) {
-	cells := geoCells(o)
-	return runCells(o.workers(), len(cells), func(i int) (GeoResult, error) {
-		c := cells[i]
-		res, err := runGeoCell(o, c)
-		if err != nil {
-			return res, fmt.Errorf("geo %ddc/%v/%s/%s: %w", c.dcs, c.rtt, c.lv.Name, c.mode, err)
-		}
-		return res, nil
-	})
-}
-
-// deployGeo provisions one multi-DC Cassandra cell: dcs blocks of
-// (geoServersPerDC+1) nodes — servers first, one client-attach machine
-// last — over a WANChain of the cell's RTT, replicated per the cell's
-// RF-per-DC allocation. Client threads round-robin across the per-DC
-// attach nodes (the ycsb runner calls the factory once per thread, in
-// thread order, so the assignment is deterministic). The sla-adaptive
-// cell wraps every thread's client in the adaptive ladder around one
-// shared controller.
-func deployGeo(o Options, c geoCell) (*deployment, *geo.Controller) {
-	spd := geoServersPerDC
-	ccfg := o.Cluster
-	ccfg.Nodes = c.dcs * (spd + 1)
-	sizes := make([]int, c.dcs)
-	for i := range sizes {
-		sizes[i] = spd + 1
-	}
-	ccfg.Geo = &cluster.GeoTopology{
-		DCSizes:   sizes,
-		WANOneWay: cluster.WANChain(c.dcs, c.rtt),
-		WANJitter: geoWANJitter,
-	}
-
-	k, group := newKernel(o, ccfg)
-	clus := cluster.New(k, ccfg)
-
-	servers := make([]*cluster.Node, 0, c.dcs*spd)
-	attach := make([]*cluster.Node, 0, c.dcs)
-	for dc := 0; dc < c.dcs; dc++ {
-		base := dc * (spd + 1)
-		servers = append(servers, clus.Nodes[base:base+spd]...)
-		attach = append(attach, clus.Nodes[base+spd])
-	}
-
-	cfg := cassandra.DefaultConfig()
-	cfg.DCReplicas = append([]int(nil), c.perDC...)
-	cfg.Engine = engineConfig(o)
-	cfg.Engine.SyncWAL = false // commitlog_sync: periodic
-	cfg.ReadRepairChance = o.ReadRepairChance
-	// Staleness is a reported column in every geo cell, so the replica
-	// MutationStage jitter is on, as in the consistency audit.
-	cfg.MutationStageMeanDelay = auditMutationStage
-	if c.mode != geoModeAdaptive {
-		cfg.ReadCL, cfg.WriteCL = c.lv.Read, c.lv.Write
-	}
-	db := cassandra.New(k, cfg, servers)
-
-	var ctrl *geo.Controller
-	var nextDC int
-	var newClient ycsb.ClientFactory
-	if c.mode == geoModeAdaptive {
-		ctrl = geo.NewController(geo.ControllerConfig{
-			Ladder:   geo.WriteLadder(kv.LocalQuorum),
-			Deadline: geoSLADeadline,
-			// Trust the estimate early so the step-down transient lands
-			// inside the warmup window at every profile scale, and hold
-			// the re-probe past the measured run so probe ops (paying
-			// the strong level's WAN price) cannot pollute the p99.
-			MinSamples: 10,
-			Cooldown:   30 * time.Second,
-		})
-		newClient = func() kv.Client {
-			base := db.NewClient(attach[nextDC%len(attach)])
-			nextDC++
-			return geo.NewClient(ctrl, func(s geo.Stage) kv.Client {
-				return base.WithConsistency(s.Read, s.Write)
-			})
-		}
-	} else {
-		newClient = func() kv.Client {
-			n := attach[nextDC%len(attach)]
-			nextDC++
-			return db.NewClient(n)
-		}
-	}
-
-	d := &deployment{
-		k:          k,
-		group:      group,
-		clus:       clus,
-		clientNode: attach[0],
-		newClient:  newClient,
-		flush:      db.FlushAll,
-		ca:         db,
-	}
-	return d, ctrl
+	return sweep(o, "geo", geoCells(o), runGeoCell)
 }
 
 // runGeoCell deploys one cell, loads, runs the read-update mixer
 // (optionally cutting and healing the DC 0–1 WAN link mid-run), lets
 // propagation settle, and snapshots the oracle and controller.
-func runGeoCell(o Options, c geoCell) (GeoResult, error) {
-	d, ctrl := deployGeo(o, c)
+func runGeoCell(o Options, c geoCell) (GeoResults, error) {
+	// GC stays off (see the header), and staleness is a reported column in
+	// every geo cell, so the replica MutationStage jitter is on, as in the
+	// consistency audit.
+	o.EnableGC = false
+	o.MutationStageDelay = auditMutationStage
+	spec := ycsb.ReadUpdate(o.StressRecords)
+	d := deploy(o, c.backend, spec)
 	oracle := consistency.New()
-	d.ca.SetOracle(oracle)
+	d.attach(oracle, nil)
 	out := GeoResult{
 		DCs: c.dcs, RTT: c.rtt, Level: c.lv.Name, PerDC: rfLabel(c.perDC), Mode: c.mode,
 	}
 	ops := geoOps(o)
-	err := d.drive(func(p *sim.Proc) {
-		spec := ycsb.ReadUpdate(o.StressRecords)
-		w := ycsb.NewWorkload(spec)
-		d.loadAndSettle(p, w, geoThreads(o))
+	err := d.run(geoThreads(o), func(p *sim.Proc) {
 		rcfg := ycsb.RunConfig{
 			Threads:        geoThreads(o),
 			Ops:            ops,
 			WarmupFraction: o.WarmupFraction,
-			Oracle:         oracle,
 		}
 		if c.mode == geoModeFault {
 			// Cut the DC 0–1 WAN link a quarter into the run and heal it
@@ -319,9 +229,7 @@ func runGeoCell(o Options, c geoCell) (GeoResult, error) {
 				{AfterOps: ops / 2, Fn: func() { d.clus.HealZones(0, 1) }},
 			}
 		}
-		run := spec
-		run.RecordCount = w.Inserted()
-		res := ycsb.Run(p, d.newClient, ycsb.NewWorkload(run), rcfg)
+		res := d.phase(p, spec, rcfg)
 		out.Throughput = res.Throughput
 		out.ReadMean = res.PerOp[ycsb.OpRead].Mean()
 		out.ReadP99 = res.PerOp[ycsb.OpRead].Percentile(99)
@@ -340,12 +248,12 @@ func runGeoCell(o Options, c geoCell) (GeoResult, error) {
 	if oracle != nil {
 		out.Consistency = oracle.Report()
 	}
-	if ctrl != nil {
-		m := ctrl.Metrics()
+	if d.ctrl != nil {
+		m := d.ctrl.Metrics()
 		out.Adaptive = &m
-		out.AdaptiveStage = ctrl.StageName()
+		out.AdaptiveStage = d.ctrl.StageName()
 	}
-	return out, err
+	return GeoResults{out}, err
 }
 
 // find returns the first cell matching (mode, dcs, rtt, level, perDC), or
@@ -360,10 +268,10 @@ func (r GeoResults) find(mode string, dcs int, rtt time.Duration, level, perDC s
 	return nil
 }
 
-// Table renders the geo grid as one row per cell: the latency profile,
+// Tables renders the geo grid as one row per cell: the latency profile,
 // availability, the oracle's staleness verdict, and the adaptive
 // controller's counters where they apply.
-func (r GeoResults) Table() *stats.Table {
+func (r GeoResults) Tables() []*stats.Table {
 	t := stats.NewTable("Geo-replication — multi-DC latency, availability, and staleness by write consistency level",
 		"dcs", "rtt", "write-cl", "rf-per-dc", "mode",
 		"ops/sec", "read-mean", "read-p99", "write-mean", "write-p99",
@@ -391,11 +299,11 @@ func (r GeoResults) Table() *stats.Table {
 			fmt.Sprintf("%.3f", 100*m.Consistency.StaleFraction()),
 			stage, stageOps, downs, misses)
 	}
-	return t
+	return []*stats.Table{t}
 }
 
-// CheckGeo evaluates the geo experiment's qualitative claims.
-func CheckGeo(o Options, r GeoResults) []Finding {
+// Findings evaluates the geo experiment's qualitative claims.
+func (r GeoResults) Findings(o Options) []Finding {
 	var fs []Finding
 	rtts := geoRTTs()
 	anchor := rfLabel(geoUniformRF(2, 2))

@@ -132,6 +132,39 @@ type MegaScaleResult struct {
 	Windows int64
 }
 
+// runMegaExperiment is the megascale registry entry. The cell scales with
+// -profile: smoke is the small CI cell, quick a mid-size cell that keeps
+// `-experiment all` tolerable, paper the full 512-node million-session
+// deployment. -shards and -shard-workers carry over, with the shard count
+// clamped to at least 2 so the partitioned engine actually runs (a
+// megascale deployment on one member kernel is just a very slow sequential
+// simulation).
+func runMegaExperiment(o Options, cli CLI) (Report, error) {
+	mo := DefaultMegaScaleOptions()
+	switch cli.Profile {
+	case "smoke":
+		mo = MegaSmokeOptions()
+	case "paper": // the full deployment
+	default: // quick
+		mo.Nodes = 64
+		mo.Sessions = 20_000
+		mo.LiveSessions = 256
+	}
+	mo.Seed = o.Seed
+	mo.Workers = cli.ShardWorkers
+	mo.Shards = o.Shards
+	if mo.Shards < 2 {
+		mo.Shards = 2
+	}
+	res, err := RunMegaScale(mo)
+	if err != nil {
+		return nil, err
+	}
+	t := res.Table()
+	t.Note = fmt.Sprintf("megascale: %d shards, %d conservative windows", res.Shards, res.Windows)
+	return printed{tables: []*stats.Table{t}}, nil
+}
+
 // Table renders the per-segment breakdown plus a totals row — the CSV the
 // CI scale job archives next to BENCH_scale.json.
 func (r MegaScaleResult) Table() *stats.Table {

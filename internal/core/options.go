@@ -229,10 +229,8 @@ func anchorRF(o Options) int {
 	return o.ReplicationFactors[len(o.ReplicationFactors)-1]
 }
 
-// Levels returns the Fig. 3 consistency configurations in paper order:
+// levels returns the Fig. 3 consistency configurations in paper order:
 // ONE, QUORUM, and "write ALL" (write ALL / read ONE, §2).
-func Levels() []ConsistencySetting { return levels() }
-
 func levels() []ConsistencySetting {
 	return []ConsistencySetting{
 		{Name: "ONE", Read: kv.One, Write: kv.One},

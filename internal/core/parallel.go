@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -8,18 +9,39 @@ import (
 
 // The parallel sweep scheduler.
 //
-// Every figure of the paper is a sweep over independent cells — (database,
-// replication factor) for Fig. 1 and Fig. 2, (consistency level, workload)
-// for Fig. 3, (mode, replication factor) for the ablations. Each cell is a
+// Every report is a sweep over independent cells — (database, replication
+// factor) for Fig. 1 and Fig. 2, (consistency level, workload) for Fig. 3,
+// (mode, replication factor) for the ablations, the audit, spectrum,
+// tracebreak and geo grids, the failover systems. Each cell is a
 // self-contained deterministic simulation: it builds its own sim.Kernel
 // from Options.Seed, runs single-threaded in virtual time, and shares no
 // state with any other cell. The sweep is therefore embarrassingly parallel
 // across host CPUs, and parallel execution is bit-identical to sequential
-// execution: the per-cell seed derivation is unchanged and results are
-// reassembled in canonical sweep order regardless of completion order.
+// execution: the per-cell seed derivation is unchanged and rows are
+// reassembled in cell enumeration order regardless of completion order.
 //
-// runCells is the single entry point; RunFig1/RunFig2/RunFig3, the
-// ablations, and RunSLASearch all submit their cells through it.
+// sweep is the single entry point: every experiment enumerates its cells,
+// hands them to sweep with its cell runner (cell.go), and gets the rows
+// back. Whatever is to be known per cell — its error label today, its wall
+// clock or a manifest line tomorrow — attaches here once.
+
+// sweep runs one experiment's cells on the worker pool and returns their
+// rows concatenated in cell order. A failing cell's error is labelled
+// "<experiment> <cell>", the cell formatted through its String method.
+func sweep[C any, S ~[]R, R any](o Options, name string, cells []C, run func(Options, C) (S, error)) (S, error) {
+	rows, err := runCells(o.workers(), len(cells), func(i int) (S, error) {
+		r, err := run(o, cells[i])
+		if err != nil {
+			return nil, fmt.Errorf("%s %v: %w", name, cells[i], err)
+		}
+		return r, nil
+	})
+	var out S
+	for _, r := range rows {
+		out = append(out, r...)
+	}
+	return out, err
+}
 
 // workers resolves the effective worker-pool size: Options.Parallelism when
 // set, otherwise one worker per available CPU.
@@ -110,33 +132,16 @@ func runCells[T any](workers, n int, run func(i int) (T, error)) ([]T, error) {
 	return out, nil
 }
 
-// flattenCells concatenates per-cell result slices in cell order.
-func flattenCells[S ~[]T, T any](cells []S) S {
-	var total int
-	for _, c := range cells {
-		total += len(c)
-	}
-	out := make(S, 0, total)
-	for _, c := range cells {
-		out = append(out, c...)
-	}
-	return out
-}
-
-// dbRFCell is one (database, replication factor) point of a Fig. 1/2 sweep.
-type dbRFCell struct {
-	db string
-	rf int
-}
-
 // dbRFCells enumerates the canonical Fig. 1/2 sweep order: databases in
-// paper order, replication factors ascending within each.
-func dbRFCells(o Options) []dbRFCell {
-	cells := make([]dbRFCell, 0, 2*len(o.ReplicationFactors))
-	for _, db := range []string{"HBase", "Cassandra"} {
-		for _, rf := range o.ReplicationFactors {
-			cells = append(cells, dbRFCell{db: db, rf: rf})
-		}
+// paper order, replication factors ascending within each. Cassandra runs
+// the default consistency strategy, ONE/ONE.
+func dbRFCells(o Options) []backend {
+	cells := make([]backend, 0, 2*len(o.ReplicationFactors))
+	for _, rf := range o.ReplicationFactors {
+		cells = append(cells, hbaseAt(rf))
+	}
+	for _, rf := range o.ReplicationFactors {
+		cells = append(cells, cassandraAt(rf, levels()[0]))
 	}
 	return cells
 }

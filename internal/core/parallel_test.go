@@ -114,6 +114,36 @@ func TestRunCellsSequentialStopsAtFirstError(t *testing.T) {
 	}
 }
 
+// TestSweepOrdersRowsAndLabelsErrors: sweep concatenates each cell's rows in
+// cell enumeration order whatever the completion order, and a failing
+// cell's error names the experiment and the cell — for Fig. 3, the level
+// *and* the workload, without which a failing grid cell cannot be found.
+func TestSweepOrdersRowsAndLabelsErrors(t *testing.T) {
+	o := Options{Parallelism: 4}
+	rows, err := sweep(o, "demo", []int{3, 1, 2}, func(_ Options, n int) ([]int, error) {
+		time.Sleep(time.Duration(n) * time.Millisecond) // finish out of order
+		out := make([]int, n)
+		for i := range out {
+			out[i] = n
+		}
+		return out, nil
+	})
+	if want := []int{3, 3, 3, 1, 2, 2}; err != nil || !reflect.DeepEqual(rows, want) {
+		t.Fatalf("rows = %v, %v; want %v", rows, err, want)
+	}
+
+	boom := errors.New("boom")
+	_, err = sweep(o, "fig3", fig3Cells(SmokeOptions(), levels(), nil), func(_ Options, c fig3Cell) ([]int, error) {
+		if c.lv.Name == "QUORUM" && c.spec.Name == "read-update" {
+			return nil, boom
+		}
+		return nil, nil
+	})
+	if !errors.Is(err, boom) || err.Error() != "fig3 QUORUM/read-update: boom" {
+		t.Fatalf("sweep error = %v, want the cell's level and workload in the label", err)
+	}
+}
+
 // TestParallelSweepDeterminism is the regression test for the scheduler's
 // core guarantee: fanning cells out across workers must not perturb seeds,
 // interleavings, or result ordering. A sequential and a 4-worker run of the

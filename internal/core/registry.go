@@ -1,0 +1,92 @@
+package core
+
+import (
+	"time"
+
+	"cloudbench/internal/stats"
+	"cloudbench/internal/ycsb"
+)
+
+// The experiment registry: the one list `replbench` dispatches on, renders
+// its usage string from, and walks for `-experiment all`.
+
+// Experiment is one registry entry: a name and the run that turns Options
+// into its report.
+type Experiment struct {
+	Name string
+	Run  func(Options) (Report, error)
+}
+
+// Report is what every experiment hands back: the tables it prints, in
+// print order, and its verdicts on the paper's claims (nil when it asserts
+// none). The typed results (Fig1Results, GeoResults, ...) are the Reports.
+type Report interface {
+	Tables() []*stats.Table
+	Findings(Options) []Finding
+}
+
+// CLI carries the four replbench inputs that are not experiment knobs, each
+// read by the one experiment named on it.
+type CLI struct {
+	Profile      string // resolved -profile; megascale sizes its deployment by it
+	ShardWorkers int    // -shard-workers; megascale's pinned window workers
+	RFSet        bool   // -rf given; tracebreak sweeps RF 1-6 at every profile otherwise
+	TraceOut     string // -trace-out; tracebreak exports one span-retaining cell here
+}
+
+// Experiments returns the registry in canonical (`all`) order.
+func Experiments(cli CLI) []Experiment {
+	return []Experiment{
+		{"table1", func(Options) (Report, error) { return printed{tables: []*stats.Table{Table1()}}, VerifyTable1() }},
+		{"fig1", report(RunFig1)},
+		{"fig2", report(RunFig2)},
+		{"fig3", report(RunFig3)},
+		{"audit", report(RunConsistencyAudit)},
+		{"spectrum", report(RunSpectrum)},
+		{"tracebreak", func(o Options) (Report, error) { return runTraceExperiment(o, cli) }},
+		{"ablation-a1", figure(AblationReadRepair)},
+		{"ablation-a2", figure(AblationHBaseSyncRepl)},
+		{"ablation-a3", figure(func(o Options) (*stats.Figure, error) { return AblationClientThreads(o, nil, 3000) })},
+		{"geo", report(RunGeo)},
+		{"failover", report(func(o Options) (FailoverResults, error) { return RunFailover(o, DefaultFailoverOptions()) })},
+		{"sla", report(func(o Options) (SLAResult, error) {
+			return RunSLASearch(o, "Cassandra", 3, ycsb.ReadMostly, SLA{Percentile: 95, Limit: 20 * time.Millisecond}, 6)
+		})},
+		{"megascale", func(o Options) (Report, error) { return runMegaExperiment(o, cli) }},
+	}
+}
+
+// report adapts a typed run to a registry entry.
+func report[R Report](run func(Options) (R, error)) func(Options) (Report, error) {
+	return func(o Options) (Report, error) { return run(o) }
+}
+
+// figure adapts a run that plots one figure and asserts nothing.
+func figure(run func(Options) (*stats.Figure, error)) func(Options) (Report, error) {
+	return func(o Options) (Report, error) {
+		f, err := run(o)
+		if err != nil {
+			return nil, err
+		}
+		return printed{tables: []*stats.Table{f.Table()}}, nil
+	}
+}
+
+// printed is a Report assembled by hand, for the entries whose result is
+// not itself one.
+type printed struct {
+	tables   []*stats.Table
+	findings []Finding
+}
+
+func (p printed) Tables() []*stats.Table     { return p.tables }
+func (p printed) Findings(Options) []Finding { return p.findings }
+
+// figureTables renders each figure as its series table.
+func figureTables(figs []*stats.Figure) []*stats.Table {
+	ts := make([]*stats.Table, len(figs))
+	for i, f := range figs {
+		ts[i] = f.Table()
+	}
+	return ts
+}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"cloudbench/internal/kv"
 	"cloudbench/internal/sim"
 	"cloudbench/internal/stats"
 	"cloudbench/internal/ycsb"
@@ -47,8 +46,8 @@ type SLAResult struct {
 	Probes        []SLAProbe
 }
 
-// Table renders the probe trail.
-func (r SLAResult) Table() *stats.Table {
+// Tables renders the probe trail.
+func (r SLAResult) Tables() []*stats.Table {
 	t := stats.NewTable(
 		fmt.Sprintf("SLA search — %s, %s, %s → max sustainable %.0f ops/s",
 			r.DB, r.Workload, r.SLA, r.MaxThroughput),
@@ -56,46 +55,39 @@ func (r SLAResult) Table() *stats.Table {
 	for _, p := range r.Probes {
 		t.AddRow(p.Target, p.Runtime, p.Latency.Round(time.Microsecond).String(), p.Pass)
 	}
-	return t
+	return []*stats.Table{t}
 }
+
+// Findings is empty: the search reports a number, not a claim.
+func (SLAResult) Findings(Options) []Finding { return nil }
 
 // RunSLASearch finds, by bisection over the target throughput, the
 // maximum offered load at which the given database and workload still
 // meet the SLA — the §6 extension that lets different systems be compared
 // at equal user experience instead of equal offered load.
 //
-// Each probe is a self-contained deployment submitted through the sweep
-// scheduler: isolating probes keeps a backlogged, overloaded probe from
-// polluting the one after it, and makes every probe's result a pure
-// function of (Options, target) — so the search outcome is independent of
-// Options.Parallelism even though bisection is inherently sequential (each
-// probe's target depends on the previous verdict).
+// Each probe is a self-contained deployment: isolating probes keeps a
+// backlogged, overloaded probe from polluting the one after it, and makes
+// every probe's result a pure function of (Options, target). Bisection is
+// inherently sequential (each probe's target depends on the previous
+// verdict), so the search is the one experiment that is not a sweep.
 func RunSLASearch(o Options, db string, rf int, specFn func(int64) ycsb.Spec, sla SLA, probes int) (SLAResult, error) {
 	if probes < 1 {
 		probes = 6
 	}
-	out := SLAResult{DB: db, SLA: sla}
-	out.Workload = specFn(o.StressRecords).Name
-
-	probe := func(target float64) (ycsb.Result, error) {
-		cells, err := runCells(o.workers(), 1, func(int) (ycsb.Result, error) {
-			return runSLAProbe(o, db, rf, specFn, target)
-		})
-		if err != nil {
-			return ycsb.Result{}, err
-		}
-		return cells[0], nil
-	}
+	spec := specFn(o.StressRecords)
+	out := SLAResult{DB: db, SLA: sla, Workload: spec.Name}
+	b := backend{db: db, rf: rf, lv: levels()[0]}
 
 	// Capacity probe bounds the search.
-	capRes, err := probe(0)
+	capRes, err := runSLAProbe(o, b, spec, 0)
 	if err != nil {
 		return out, err
 	}
 	lo, hi := 0.0, capRes.Throughput*1.25
 	for i := 0; i < probes; i++ {
 		target := (lo + hi) / 2
-		res, err := probe(target)
+		res, err := runSLAProbe(o, b, spec, target)
 		if err != nil {
 			return out, err
 		}
@@ -120,27 +112,11 @@ func RunSLASearch(o Options, db string, rf int, specFn func(int64) ycsb.Spec, sl
 
 // runSLAProbe deploys the database fresh, loads the base records, and runs
 // the workload once at the given offered load — one probe cell.
-func runSLAProbe(o Options, db string, rf int, specFn func(int64) ycsb.Spec, target float64) (ycsb.Result, error) {
-	spec := specFn(o.StressRecords)
-	var d *deployment
-	if db == "HBase" {
-		d = deployHBase(o, rf, spec)
-	} else {
-		d = deployCassandra(o, rf, kv.One, kv.One)
-	}
+func runSLAProbe(o Options, b backend, spec ycsb.Spec, target float64) (ycsb.Result, error) {
+	d := deploy(o, b, spec)
 	var out ycsb.Result
-	err := d.drive(func(p *sim.Proc) {
-		w := ycsb.NewWorkload(spec)
-		d.loadAndSettle(p, w, o.Threads)
-		run := specFn(w.Inserted())
-		run.RecordCount = w.Inserted()
-		wl := ycsb.NewWorkload(run)
-		out = ycsb.Run(p, d.newClient, wl, ycsb.RunConfig{
-			Threads:          o.Threads,
-			Ops:              o.StressOps,
-			TargetThroughput: target,
-			WarmupFraction:   o.WarmupFraction,
-		})
+	err := d.run(o.Threads, func(p *sim.Proc) {
+		out = d.phase(p, spec, o.stressRun(target))
 	})
 	return out, err
 }

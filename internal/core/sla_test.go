@@ -52,7 +52,7 @@ func TestSLASearchFindsSustainableThroughput(t *testing.T) {
 	if passes == 0 {
 		t.Error("no probe met the SLA")
 	}
-	out := res.Table().String()
+	out := res.Tables()[0].String()
 	if !strings.Contains(out, "p95") || !strings.Contains(out, "read-mostly") {
 		t.Errorf("table malformed:\n%s", out)
 	}

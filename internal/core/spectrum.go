@@ -26,12 +26,7 @@ import (
 // and anti-entropy-interval sweeps, reporting throughput, latency tails,
 // client-centric staleness, and t-visibility side by side.
 //
-// The object-store cells attach the oracle under AckAsync semantics: a
-// client that reads an older version while the newer write's replication
-// is still in flight is reported as an async regression (the priced-in
-// visibility cost of ack-before-replicate), not a monotonicity violation.
-//
-// Expected shape, asserted by CheckSpectrum:
+// Expected shape, asserted by SpectrumResults.Findings:
 //   - the async ack path decouples write latency from RF: the object
 //     store's write tail is flat across the RF sweep while all-replica
 //     visibility (TVisAll) keeps growing — replication work still scales
@@ -73,15 +68,27 @@ type SpectrumResult struct {
 // SpectrumResults collects the full spectrum grid.
 type SpectrumResults []SpectrumResult
 
-// spectrumCell is one grid point to run.
+// spectrumCell is one grid point of the spectrum — and of the consistency
+// audit, whose cells are the same protocol without the object-store arm.
 type spectrumCell struct {
-	db       string
-	lv       ConsistencySetting // Cassandra cells
-	mode     objstore.ReadMode  // object-store cells
-	rf       int
-	interval time.Duration // object-store cells
-	spec     ycsb.Spec
-	fault    bool
+	backend
+	spec  ycsb.Spec
+	fault bool // fail one server mid-run
+}
+
+func (c spectrumCell) String() string {
+	s := c.backend.String() + "/" + c.spec.Name
+	if c.interval > 0 {
+		s += "/" + c.interval.String()
+	}
+	if c.fault {
+		s += "/fault"
+	}
+	return s
+}
+
+func objstoreAt(rf int, interval time.Duration, mode objstore.ReadMode) backend {
+	return backend{db: "ObjStore", rf: rf, interval: interval, mode: mode}
 }
 
 // spectrumCells enumerates the canonical order: workload-major; per
@@ -95,28 +102,22 @@ func spectrumCells(o Options) []spectrumCell {
 	fastest := ivals[0]
 	var cells []spectrumCell
 	for _, spec := range auditSpecs(o) {
-		cells = append(cells, spectrumCell{db: "HBase", lv: ConsistencySetting{Name: "strong"}, rf: anchor, spec: spec})
+		cells = append(cells, spectrumCell{backend: hbaseAt(anchor), spec: spec})
 		for _, lv := range levels() {
-			cells = append(cells, spectrumCell{db: "Cassandra", lv: lv, rf: anchor, spec: spec})
+			cells = append(cells, spectrumCell{backend: cassandraAt(anchor, lv), spec: spec})
 		}
-		cells = append(cells, spectrumCell{
-			db: "ObjStore", mode: objstore.ReadQuorumFresh, rf: anchor, interval: fastest, spec: spec,
-		})
+		cells = append(cells, spectrumCell{backend: objstoreAt(anchor, fastest, objstore.ReadQuorumFresh), spec: spec})
 		for _, rf := range o.ReplicationFactors {
-			cells = append(cells, spectrumCell{
-				db: "ObjStore", mode: objstore.ReadOne, rf: rf, interval: fastest, spec: spec,
-			})
+			cells = append(cells, spectrumCell{backend: objstoreAt(rf, fastest, objstore.ReadOne), spec: spec})
 		}
 		for _, iv := range ivals[1:] {
-			cells = append(cells, spectrumCell{
-				db: "ObjStore", mode: objstore.ReadOne, rf: anchor, interval: iv, spec: spec,
-			})
+			cells = append(cells, spectrumCell{backend: objstoreAt(anchor, iv, objstore.ReadOne), spec: spec})
 		}
 	}
 	for _, iv := range ivals {
 		cells = append(cells, spectrumCell{
-			db: "ObjStore", mode: objstore.ReadOne, rf: anchor, interval: iv,
-			spec: ycsb.ReadUpdate(o.StressRecords), fault: true,
+			backend: objstoreAt(anchor, iv, objstore.ReadOne),
+			spec:    ycsb.ReadUpdate(o.StressRecords), fault: true,
 		})
 	}
 	return cells
@@ -127,22 +128,7 @@ func spectrumCells(o Options) []spectrumCell {
 // sweep scheduler; like every experiment the report is bit-identical for
 // any parallelism.
 func RunSpectrum(o Options) (SpectrumResults, error) {
-	cells := spectrumCells(o)
-	return runCells(o.workers(), len(cells), func(i int) (SpectrumResult, error) {
-		res, err := runSpectrumCell(o, cells[i])
-		if err != nil {
-			return res, fmt.Errorf("spectrum %s/%s/rf%d: %w", cells[i].db, cells[i].level(), cells[i].rf, err)
-		}
-		return res, nil
-	})
-}
-
-// level names the cell's consistency setting for reports.
-func (c spectrumCell) level() string {
-	if c.db == "ObjStore" {
-		return "async/" + c.mode.String()
-	}
-	return c.lv.Name
+	return sweep(o, "spectrum", spectrumCells(o), runSpectrumCell)
 }
 
 // tailOf returns h's p99, or zero for an absent/empty histogram.
@@ -163,76 +149,56 @@ func writeHistogram(res *ycsb.Result) *stats.Histogram {
 	return ins
 }
 
-// runSpectrumCell deploys one backend, attaches an oracle (AckAsync for
-// the object store), loads, runs the workload (optionally failing and
-// recovering a server mid-run), lets replication settle, and snapshots
-// the report.
-func runSpectrumCell(o Options, c spectrumCell) (SpectrumResult, error) {
-	var d *deployment
-	switch c.db {
-	case "HBase":
-		d = deployHBase(o, c.rf, c.spec)
-	case "Cassandra":
-		oc := o
-		oc.MutationStageDelay = auditMutationStage
-		d = deployCassandra(oc, c.rf, c.lv.Read, c.lv.Write)
-	default:
-		d = deployObjstore(o, c.rf, c.interval, c.mode)
-	}
+// runSpectrumCell deploys one backend, attaches an oracle, loads, runs the
+// workload (optionally failing and recovering a server mid-run), lets
+// replication, repairs and hint replay settle, and snapshots the report.
+// Cassandra cells run with the replica MutationStage jitter on (see the
+// audit's header): without it CL=ONE staleness is structurally zero.
+func runSpectrumCell(o Options, c spectrumCell) (SpectrumResults, error) {
+	o.MutationStageDelay = auditMutationStage
+	d := deploy(o, c.backend, c.spec)
 	oracle := consistency.New()
-	switch {
-	case d.hb != nil:
-		d.hb.SetOracle(oracle)
-	case d.ca != nil:
-		d.ca.SetOracle(oracle)
-	default:
-		if oracle != nil {
-			oracle.SetAckSemantics(consistency.AckAsync)
-		}
-		d.obj.SetOracle(oracle)
-	}
+	d.attach(oracle, nil)
 	out := SpectrumResult{
 		DB: c.db, Workload: c.spec.Name, Level: c.level(),
 		RF: c.rf, ReplInterval: c.interval, Fault: c.fault,
 	}
-	err := d.drive(func(p *sim.Proc) {
-		w := ycsb.NewWorkload(c.spec)
-		d.loadAndSettle(p, w, o.Threads)
-		rcfg := ycsb.RunConfig{
-			Threads:        o.Threads,
-			Ops:            o.StressOps,
-			WarmupFraction: o.WarmupFraction,
-			Oracle:         oracle,
-		}
+	err := d.run(o.Threads, func(p *sim.Proc) {
+		rcfg := o.stressRun(0)
 		if c.fault {
-			// Fail one server a quarter into the run and hold it down for a
-			// fixed wall of simulated time. Op-based recovery (the audit's
-			// scheme) would shrink the outage below the async retry budget
-			// at small scales, and the spillover-then-updater path — the
-			// mechanism whose interval dependence FS3 measures — needs the
-			// target to stay down past the retries.
+			// Fail one server a quarter into the run and recover it at
+			// the midpoint, by operation progress so the cycle lands
+			// inside the measured window at every profile scale.
 			victim := d.clus.Nodes[o.ServerNodes/2]
 			rcfg.Events = []ycsb.RunEvent{
-				{AfterOps: o.StressOps / 4, Fn: func() {
+				{AfterOps: o.StressOps / 4, Fn: victim.Fail},
+				{AfterOps: o.StressOps / 2, Fn: victim.Recover},
+			}
+			if d.obj != nil {
+				// The object store's victim instead stays down for a fixed
+				// wall of simulated time. Op-based recovery would shrink
+				// the outage below the async retry budget at small scales,
+				// and the spillover-then-updater path — the mechanism whose
+				// interval dependence FS3 measures — needs the target to
+				// stay down past the retries.
+				rcfg.Events = []ycsb.RunEvent{{AfterOps: o.StressOps / 4, Fn: func() {
 					victim.Fail()
 					d.k.Go("spectrum-recover", func(q *sim.Proc) {
 						q.Sleep(spectrumFaultDowntime)
 						victim.Recover()
 					})
-				}},
+				}}}
 			}
 		}
-		run := c.spec
-		run.RecordCount = w.Inserted()
-		wl := ycsb.NewWorkload(run)
-		res := ycsb.Run(p, d.newClient, wl, rcfg)
+		res := d.phase(p, c.spec, rcfg)
 		out.Runtime = res.Throughput
 		out.Mean = res.MeanLatency()
 		out.ReadP99 = tailOf(res.PerOp[ycsb.OpRead])
 		out.WriteP99 = tailOf(writeHistogram(&res))
 		// Settle long enough for at least two anti-entropy passes (the
 		// object store's convergence is interval-bounded) and, under
-		// fault injection, for the post-recovery catch-up to finish.
+		// fault injection, for the post-recovery catch-up and the
+		// hint-replay loop to finish.
 		settle := quiesce
 		if 2*c.interval > settle {
 			settle = 2 * c.interval
@@ -242,10 +208,15 @@ func runSpectrumCell(o Options, c spectrumCell) (SpectrumResult, error) {
 		}
 		p.Sleep(settle)
 	})
+	// The final report (not the runner's end-of-phase snapshot) includes
+	// propagation that completed during the settle sleep — background
+	// repairs and hint replay — so t-visibility and apply counts are
+	// complete; the read-side staleness counters are identical, since no
+	// client reads happen after the run.
 	if oracle != nil {
 		out.Consistency = oracle.Report()
 	}
-	return out, err
+	return SpectrumResults{out}, err
 }
 
 // get returns the healthy cell for (db, workload, level, rf, interval), or
@@ -272,8 +243,8 @@ func (r SpectrumResults) faults() []*SpectrumResult {
 	return out
 }
 
-// Table renders the spectrum as one row per cell.
-func (r SpectrumResults) Table() *stats.Table {
+// Tables renders the spectrum as one row per cell.
+func (r SpectrumResults) Tables() []*stats.Table {
 	t := stats.NewTable("Replication spectrum — synchronous to asynchronous replication side by side",
 		"db", "workload", "level", "rf", "repl-interval", "fault",
 		"ops/sec", "mean-latency", "read-p99", "write-p99",
@@ -294,11 +265,11 @@ func (r SpectrumResults) Table() *stats.Table {
 			c.TVisAllP50.Round(time.Microsecond).String(),
 			c.TVisAllP99.Round(time.Microsecond).String())
 	}
-	return t
+	return []*stats.Table{t}
 }
 
-// CheckSpectrum evaluates the spectrum's qualitative claims.
-func CheckSpectrum(o Options, r SpectrumResults) []Finding {
+// Findings evaluates the spectrum's qualitative claims.
+func (r SpectrumResults) Findings(o Options) []Finding {
 	anchor := anchorRF(o)
 	fastest := o.SpectrumReplIntervals[0]
 	var fs []Finding

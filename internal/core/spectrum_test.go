@@ -27,6 +27,10 @@ func TestSpectrumCellsCanonicalOrder(t *testing.T) {
 		last.interval != o.SpectrumReplIntervals[len(o.SpectrumReplIntervals)-1] {
 		t.Fatalf("last cell = %+v, want the slowest-interval fault cell", last)
 	}
+	// The label sweep errors carry names every axis the grid varies.
+	if got, want := last.String(), "ObjStore/async/read-one/rf3/read-update/2s/fault"; got != want {
+		t.Errorf("last cell label = %q, want %q", got, want)
+	}
 	for _, c := range cells {
 		if c.db == "ObjStore" && c.interval == 0 {
 			t.Fatalf("objstore cell without interval: %+v", c)
@@ -58,9 +62,9 @@ func TestSpectrumSmoke(t *testing.T) {
 		}
 	}
 	if testing.Verbose() {
-		t.Log("\n" + results.Table().String())
+		t.Log("\n" + results.Tables()[0].String())
 	}
-	for _, f := range CheckSpectrum(o, results) {
+	for _, f := range results.Findings(o) {
 		t.Log(f.String())
 		if !f.Pass {
 			t.Errorf("finding %s failed: %s", f.ID, f.Detail)
@@ -74,13 +78,13 @@ func TestSpectrumSmoke(t *testing.T) {
 // monotonicity violations.
 func TestSpectrumObjstoreAsyncAccounting(t *testing.T) {
 	o := SmokeOptions()
-	res, err := runSpectrumCell(o, spectrumCell{
-		db: "ObjStore", mode: objstore.ReadOne, rf: 3,
-		interval: 500 * time.Millisecond, spec: auditSpecs(o)[0],
+	rows, err := runSpectrumCell(o, spectrumCell{
+		backend: objstoreAt(3, 500*time.Millisecond, objstore.ReadOne), spec: auditSpecs(o)[0],
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := rows[0]
 	if res.Consistency.MonotonicViolations != 0 {
 		t.Errorf("monotonic violations = %d under AckAsync, want 0 (async regressions = %d)",
 			res.Consistency.MonotonicViolations, res.Consistency.AsyncRegressions)

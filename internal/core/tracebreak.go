@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"os"
 	"strings"
 	"time"
 
@@ -21,7 +22,7 @@ import (
 // swept over the replication factors, under the read&update stress
 // workload (the 50/50 mixer where both the read and write paths matter).
 //
-// Expected shape, asserted by CheckTrace:
+// Expected shape, asserted by TraceResults.Findings:
 //   - HBase reads are served by the single region owner: no replica
 //     fan-out phase at any replication factor (the mechanism behind F1 —
 //     HBase read latency is flat in RF);
@@ -52,23 +53,16 @@ type TraceResult struct {
 // TraceResults collects the full grid.
 type TraceResults []TraceResult
 
-// traceCell is one grid point to run.
-type traceCell struct {
-	db string
-	lv ConsistencySetting
-	rf int
-}
-
 // traceCells enumerates the canonical order: the HBase control sweep
 // first, then Cassandra level-major with RF ascending.
-func traceCells(o Options) []traceCell {
-	var cells []traceCell
+func traceCells(o Options) []backend {
+	var cells []backend
 	for _, rf := range o.ReplicationFactors {
-		cells = append(cells, traceCell{db: "HBase", lv: ConsistencySetting{Name: "strong"}, rf: rf})
+		cells = append(cells, hbaseAt(rf))
 	}
 	for _, lv := range levels() {
 		for _, rf := range o.ReplicationFactors {
-			cells = append(cells, traceCell{db: "Cassandra", lv: lv, rf: rf})
+			cells = append(cells, cassandraAt(rf, lv))
 		}
 	}
 	return cells
@@ -79,32 +73,61 @@ func traceCells(o Options) []traceCell {
 // span IDs come from per-proc seeded RNGs, so the report — and the raw
 // span stream — is bit-identical for any parallelism.
 func RunTraceBreakdown(o Options) (TraceResults, error) {
-	cells := traceCells(o)
-	return runCells(o.workers(), len(cells), func(i int) (TraceResult, error) {
-		res, _, err := runTraceCell(o, cells[i], 0)
-		if err != nil {
-			return res, fmt.Errorf("tracebreak %s/%s/rf%d: %w", cells[i].db, cells[i].lv.Name, cells[i].rf, err)
-		}
-		return res, nil
+	return sweep(o, "tracebreak", traceCells(o), func(o Options, b backend) (TraceResults, error) {
+		res, _, err := runTraceCell(o, b, 0)
+		return TraceResults{res}, err
 	})
 }
 
-// TraceSpanKeep bounds raw span retention for exports: enough for several
+// traceSpanKeep bounds raw span retention for exports: enough for several
 // thousand ops' full phase detail without unbounded growth.
-const TraceSpanKeep = 200_000
+const traceSpanKeep = 200_000
 
 // RunTraceSpans runs the one span-retaining cell — Cassandra at CL=ONE and
 // the largest swept replication factor, the cell with the richest phase
 // mix — and returns its result plus up to keep raw spans for export.
 func RunTraceSpans(o Options, keep int) (TraceResult, []trace.Span, error) {
 	rf := o.ReplicationFactors[len(o.ReplicationFactors)-1]
-	return runTraceCell(o, traceCell{db: "Cassandra", lv: levels()[0], rf: rf}, keep)
+	return runTraceCell(o, cassandraAt(rf, levels()[0]), keep)
+}
+
+// runTraceExperiment is the tracebreak registry entry. The decomposition
+// is about how shares move with the replication factor (F4's read-repair
+// growth needs at least RF 3..6), so it sweeps the full range at every
+// profile scale unless -rf narrowed it explicitly; with -trace-out it also
+// exports one span-retaining cell as Chrome trace-event JSON.
+func runTraceExperiment(o Options, cli CLI) (Report, error) {
+	if !cli.RFSet {
+		o.ReplicationFactors = []int{1, 2, 3, 4, 5, 6}
+	}
+	res, err := RunTraceBreakdown(o)
+	if err != nil || cli.TraceOut == "" {
+		return res, err
+	}
+	_, spans, err := RunTraceSpans(o, traceSpanKeep)
+	if err != nil {
+		return nil, err
+	}
+	f, err := os.Create(cli.TraceOut)
+	if err != nil {
+		return nil, err
+	}
+	if err := trace.WriteChrome(f, spans); err != nil {
+		f.Close()
+		return nil, err
+	}
+	if err := f.Close(); err != nil {
+		return nil, err
+	}
+	ts := res.Tables()
+	ts[0].Note = fmt.Sprintf("wrote %d spans to %s (chrome://tracing / Perfetto format)", len(spans), cli.TraceOut)
+	return printed{ts, res.Findings(o)}, nil
 }
 
 // runTraceCell deploys one database with a tracer attached, loads, runs
 // the stress workload with per-op root spans, lets background repair
 // settle, and snapshots the tracer's report.
-func runTraceCell(o Options, c traceCell, keep int) (TraceResult, []trace.Span, error) {
+func runTraceCell(o Options, b backend, keep int) (TraceResult, []trace.Span, error) {
 	// The decomposition is after the *structural* phase costs — how the
 	// request paths differ by database, consistency level, and replication
 	// factor. JVM pauses are additive noise on every phase and, at small
@@ -114,38 +137,21 @@ func runTraceCell(o Options, c traceCell, keep int) (TraceResult, []trace.Span, 
 	// latency experiments keep it on (and stay bit-identical).
 	o.EnableGC = false
 	spec := ycsb.ReadUpdate(o.StressRecords)
-	var d *deployment
-	if c.db == "HBase" {
-		d = deployHBase(o, c.rf, spec)
-	} else {
-		d = deployCassandra(o, c.rf, c.lv.Read, c.lv.Write)
-	}
+	d := deploy(o, b, spec)
 	tr := trace.New()
 	if tr != nil && keep > 0 {
 		tr.KeepSpans(keep)
 	}
-	if d.hb != nil {
-		d.hb.SetTracer(tr)
-	} else {
-		d.ca.SetTracer(tr)
-	}
-	out := TraceResult{DB: c.db, Level: c.lv.Name, RF: c.rf}
-	err := d.drive(func(p *sim.Proc) {
-		w := ycsb.NewWorkload(spec)
-		d.loadAndSettle(p, w, o.Threads)
-		run := spec
-		run.RecordCount = w.Inserted()
-		wl := ycsb.NewWorkload(run)
+	d.attach(nil, tr)
+	out := TraceResult{DB: b.db, Level: b.level(), RF: b.rf}
+	err := d.run(o.Threads, func(p *sim.Proc) {
 		// The micro benchmark's unsaturated client shape (§4.1): at full
 		// stress concurrency, queue waits inside composite repair spans
 		// grow with cluster load, not with the replication factor, and
 		// drown the structural shares the decomposition is after.
-		res := ycsb.Run(p, d.newClient, wl, ycsb.RunConfig{
-			Threads:        o.MicroThreads,
-			Ops:            o.StressOps,
-			WarmupFraction: o.WarmupFraction,
-			Tracer:         tr,
-		})
+		rcfg := o.stressRun(0)
+		rcfg.Threads = o.MicroThreads
+		res := d.phase(p, spec, rcfg)
 		out.Runtime = res.Throughput
 		out.Mean = res.MeanLatency()
 		// Background repair spawned by measured reads is still attributed
@@ -185,8 +191,10 @@ func (m *TraceResult) phaseShare(class, phase string) float64 {
 	return ps.Share
 }
 
-// Table renders the decomposition as one row per (cell, class, phase).
-func (r TraceResults) Table() *stats.Table {
+// Tables renders the decomposition as one row per (cell, class, phase): a
+// long narrow table meant for downstream plotting, so CSV whatever -csv
+// says.
+func (r TraceResults) Tables() []*stats.Table {
 	t := stats.NewTable("Per-phase latency decomposition — phase share of class latency by consistency setting and replication factor",
 		"db", "level", "rf", "class", "ops", "ops/sec", "class-mean", "class-p99",
 		"phase", "count", "phase-total", "share-%", "phase-p50", "phase-p99")
@@ -205,11 +213,12 @@ func (r TraceResults) Table() *stats.Table {
 			}
 		}
 	}
-	return t
+	t.CSVOnly = true
+	return []*stats.Table{t}
 }
 
-// CheckTrace evaluates the decomposition's qualitative claims.
-func CheckTrace(r TraceResults) []Finding {
+// Findings evaluates the decomposition's qualitative claims.
+func (r TraceResults) Findings(Options) []Finding {
 	var fs []Finding
 
 	// FT1: HBase reads never fan out — the single region owner serves

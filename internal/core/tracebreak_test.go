@@ -20,7 +20,7 @@ func TestTraceBreakdownSmoke(t *testing.T) {
 	if want := len(traceCells(o)); len(res) != want {
 		t.Fatalf("cells = %d, want %d", len(res), want)
 	}
-	for _, f := range CheckTrace(res) {
+	for _, f := range res.Findings(o) {
 		t.Log(f)
 		if !f.Pass {
 			t.Errorf("finding failed: %s", f)
@@ -39,7 +39,7 @@ func TestTraceBreakdownSmoke(t *testing.T) {
 			}
 		}
 	}
-	out := res.Table().String()
+	out := res.Tables()[0].String()
 	for _, want := range []string{"share-%", "phase-p50", "read-repair", "coord-queue", "HBase", "writeALL"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("table missing %q", want)
@@ -84,7 +84,7 @@ func TestCheckTraceShape(t *testing.T) {
 	rfs := []int{1, 3, 4}
 
 	good := synthTrace(rfs, []float64{0.3, 0.5, 0.6})
-	for _, f := range CheckTrace(good) {
+	for _, f := range good.Findings(Options{}) {
 		if !f.Pass {
 			t.Errorf("good grid failed %s: %s", f.ID, f.Detail)
 		}
@@ -92,7 +92,7 @@ func TestCheckTraceShape(t *testing.T) {
 
 	// A plateau across the RF ≥ 3 points breaks FT2.
 	plateau := synthTrace(rfs, []float64{0.3, 0.5, 0.5})
-	if f := findingByID(CheckTrace(plateau), "FT2"); f == nil || f.Pass {
+	if f := findingByID(plateau.Findings(Options{}), "FT2"); f == nil || f.Pass {
 		t.Error("FT2 passed on a non-increasing repair-share series")
 	}
 
@@ -100,7 +100,7 @@ func TestCheckTraceShape(t *testing.T) {
 	fanout := synthTrace(rfs, []float64{0.3, 0.5, 0.6})
 	cs := fanout[0].Trace.Class("read")
 	cs.Phases = append(cs.Phases, trace.PhaseStat{Phase: "fanout", Count: 1})
-	if f := findingByID(CheckTrace(fanout), "FT1"); f == nil || f.Pass {
+	if f := findingByID(fanout.Findings(Options{}), "FT1"); f == nil || f.Pass {
 		t.Error("FT1 passed with HBase read fan-out spans")
 	}
 
@@ -108,7 +108,7 @@ func TestCheckTraceShape(t *testing.T) {
 	wal := synthTrace(rfs, []float64{0.3, 0.5, 0.6})
 	cs = wal[len(wal)-1].Trace.Class("update")
 	cs.Phases = append(cs.Phases, trace.PhaseStat{Phase: "wal", Count: 1})
-	if f := findingByID(CheckTrace(wal), "FT3"); f == nil || f.Pass {
+	if f := findingByID(wal.Findings(Options{}), "FT3"); f == nil || f.Pass {
 		t.Error("FT3 passed with Cassandra WAL spans")
 	}
 }

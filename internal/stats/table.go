@@ -12,6 +12,12 @@ type Table struct {
 	Title   string
 	Headers []string
 	Rows    [][]string
+
+	// CSVOnly marks a table too long and narrow to read aligned: Write
+	// emits it as CSV whatever format was asked for.
+	CSVOnly bool
+	// Note is a line of run metadata Write prints after the table.
+	Note string
 }
 
 // NewTable returns a table with the given title and column headers.
@@ -93,6 +99,21 @@ func (t *Table) CSV(w io.Writer) {
 			cells = append(cells, esc(c))
 		}
 		fmt.Fprintln(w, strings.Join(cells, ","))
+	}
+}
+
+// Write prints the table as one paragraph of a report: CSV when asked (or
+// CSVOnly), aligned otherwise, then a blank separator line, then the Note,
+// if any, and its own separator.
+func (t *Table) Write(w io.Writer, csv bool) {
+	if csv || t.CSVOnly {
+		t.CSV(w)
+	} else {
+		t.Render(w)
+	}
+	fmt.Fprintln(w)
+	if t.Note != "" {
+		fmt.Fprintf(w, "%s\n\n", t.Note)
 	}
 }
 
