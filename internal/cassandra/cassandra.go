@@ -796,17 +796,11 @@ func (db *DB) writeRepairs(p *sim.Proc, coord *Replica, key kv.Key, merged *stor
 	}
 }
 
-// scanPart is one replica's contribution to a range scan.
-type scanPart struct {
-	rows []storage.ScanRow
-	ok   bool
-}
-
 // scan is the coordinator range-scan path. With a hash partitioner,
 // consecutive keys scatter across the cluster, so the coordinator asks
 // every live host for its local rows ≥ start and merges — the cost shape
 // of get_range_slices over token ranges. Scans do not trigger read repair.
-func (db *DB) scan(p *sim.Proc, coord *Replica, start kv.Key, limit int) []storage.ScanRow {
+func (db *DB) scan(p *sim.Proc, coord *Replica, start kv.Key, limit int, fields []string) []kv.KV {
 	alive := 0
 	for _, rep := range db.reps {
 		if !rep.Node.Down() {
@@ -820,100 +814,73 @@ func (db *DB) scan(p *sim.Proc, coord *Replica, start kv.Key, limit int) []stora
 	// keys; fetch that share plus slack. (An exact range scan would need
 	// per-host iteration rounds; the slack makes short ranges complete
 	// in one round at realistic cost.)
-	perHost := limit*db.cfg.Replication/alive + 4
-	if perHost > limit {
-		perHost = limit
-	}
-	futs := make([]*sim.Future[scanPart], 0, len(db.reps))
-	for _, rep := range db.reps {
+	perHost := min(limit, limit*db.cfg.Replication/alive+4)
+	// One leg per live host fills that host's slot of parts; the
+	// coordinator sleeps until the last leg, answered or not, has counted
+	// down.
+	parts := make([][]storage.ScanRow, len(db.reps))
+	pending, done := alive, sim.NewFuture[struct{}](db.k)
+	for i, rep := range db.reps {
 		if rep.Node.Down() {
 			continue
 		}
-		rep := rep
-		f := sim.NewFuture[scanPart](db.k)
-		futs = append(futs, f)
+		part := &parts[i]
 		db.k.Go("c*-scan", func(q *sim.Proc) {
-			part := scanPart{}
-			reqSize := len(start) + db.cfg.RequestOverhead
-			if rep != coord {
-				var t0 sim.Time
-				if db.tracer != nil {
-					t0 = q.Now()
-				}
-				if !coord.Node.SendTo(q, rep.Node, reqSize) {
-					f.Set(part)
-					return
-				}
-				if db.tracer != nil {
-					db.tracer.Phase(q, trace.PhaseFanout, rep.Node.ID, t0)
-				}
+			*part = db.scanLeg(q, coord, rep, start, perHost)
+			if pending--; pending == 0 {
+				done.Set(struct{}{})
 			}
-			var s0 sim.Time
-			if db.tracer != nil {
-				s0 = q.Now()
-			}
-			rep.Node.Exec(q, db.cl.Config.CPUOpCost)
-			rows := rep.engine.Scan(q, start, perHost)
-			if n := len(rows); n > 0 && db.cl.Config.ScanRowCost > 0 {
-				rep.Node.Exec(q, time.Duration(n)*db.cl.Config.ScanRowCost)
-			}
-			if db.tracer != nil {
-				db.tracer.Phase(q, trace.PhaseStorage, rep.Node.ID, s0)
-			}
-			respSize := db.cfg.RequestOverhead
-			for _, r := range rows {
-				respSize += r.Row.Bytes()
-			}
-			if rep != coord {
-				var t1 sim.Time
-				if db.tracer != nil {
-					t1 = q.Now()
-				}
-				if !rep.Node.SendTo(q, coord.Node, respSize) {
-					f.Set(part)
-					return
-				}
-				if db.tracer != nil {
-					db.tracer.Phase(q, trace.PhaseFanout, coord.Node.ID, t1)
-				}
-			}
-			part.rows = rows
-			part.ok = true
-			f.Set(part)
 		})
 	}
-	// Merge all parts in key order, deduplicating replicated rows. The
-	// rows are the replicas' own frozen rows: Merged keeps the first copy
-	// unless a later replica really holds something newer.
-	merged := make(map[kv.Key]*storage.Row, limit)
-	for _, f := range futs {
-		part := f.Await(p)
-		if !part.ok {
-			continue
-		}
-		for _, r := range part.rows {
-			merged[r.Key] = storage.Merged(merged[r.Key], r.Row)
-		}
-	}
-	keys := make([]kv.Key, 0, len(merged))
-	for k := range merged {
-		keys = append(keys, k)
-	}
-	sortKeys(keys)
-	out := make([]storage.ScanRow, 0, limit)
-	for _, k := range keys {
-		if row := merged[k]; row.Live() {
-			out = append(out, storage.ScanRow{Key: k, Row: row})
-			if len(out) == limit {
-				break
-			}
-		}
-	}
-	return out
+	done.Await(p)
+	return storage.MergeScans(parts, limit, fields)
 }
 
-func sortKeys(keys []kv.Key) {
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+// scanLeg asks rep for its first perHost local rows ≥ start on behalf of
+// coord and returns them, read-only as Engine.Scan hands them out, or nil
+// if either message is lost.
+func (db *DB) scanLeg(q *sim.Proc, coord, rep *Replica, start kv.Key, perHost int) []storage.ScanRow {
+	if rep != coord {
+		var t0 sim.Time
+		if db.tracer != nil {
+			t0 = q.Now()
+		}
+		if !coord.Node.SendTo(q, rep.Node, len(start)+db.cfg.RequestOverhead) {
+			return nil
+		}
+		if db.tracer != nil {
+			db.tracer.Phase(q, trace.PhaseFanout, rep.Node.ID, t0)
+		}
+	}
+	var s0 sim.Time
+	if db.tracer != nil {
+		s0 = q.Now()
+	}
+	rep.Node.Exec(q, db.cl.Config.CPUOpCost)
+	rows := rep.engine.Scan(q, start, perHost)
+	if n := len(rows); n > 0 && db.cl.Config.ScanRowCost > 0 {
+		rep.Node.Exec(q, time.Duration(n)*db.cl.Config.ScanRowCost)
+	}
+	if db.tracer != nil {
+		db.tracer.Phase(q, trace.PhaseStorage, rep.Node.ID, s0)
+	}
+	if rep != coord {
+		respSize := db.cfg.RequestOverhead
+		for _, r := range rows {
+			respSize += r.Row.Bytes()
+		}
+		var t1 sim.Time
+		if db.tracer != nil {
+			t1 = q.Now()
+		}
+		if !rep.Node.SendTo(q, coord.Node, respSize) {
+			return nil
+		}
+		if db.tracer != nil {
+			db.tracer.Phase(q, trace.PhaseFanout, coord.Node.ID, t1)
+		}
+	}
+	return rows
 }
 
 // noteHint records a hint and ensures the replay process is running. The

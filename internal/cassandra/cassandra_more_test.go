@@ -316,7 +316,7 @@ func TestSharedRowsSurviveRepairAndScan(t *testing.T) {
 			t.Fatalf("scan: %d rows, err %v", len(rows), err)
 		}
 		for i, r := range rows {
-			check("scan", i, r.Record)
+			check("scan", i, r.Record())
 		}
 		for i := 0; i < keys; i++ {
 			cl := base // ONE: background repair across the replica set
@@ -335,7 +335,7 @@ func TestSharedRowsSurviveRepairAndScan(t *testing.T) {
 		}
 		rows, _ = base.Scan(p, key(0), keys, nil)
 		for i, r := range rows {
-			check("scan after repair", i, r.Record)
+			check("scan after repair", i, r.Record())
 		}
 		for _, s := range snaps {
 			if !reflect.DeepEqual(s.row.Record(), s.rec) || s.row.Version() != s.ver || s.row.Bytes() != s.bytes {

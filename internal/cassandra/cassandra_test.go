@@ -303,8 +303,8 @@ func TestScanReturnsOrderedMergedRows(t *testing.T) {
 			if r.Key != key(10+i) {
 				t.Fatalf("row %d = %v", i, r.Key)
 			}
-			if r.Record["v"].Bytes() != 11+i {
-				t.Fatalf("row %d record = %v", i, r.Record)
+			if rec := r.Record(); rec["v"].Bytes() != 11+i {
+				t.Fatalf("row %d record = %v", i, rec)
 			}
 		}
 	})

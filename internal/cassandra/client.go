@@ -146,9 +146,12 @@ func (c *Client) put(p *sim.Proc, key kv.Key, rec kv.Record, del bool) error {
 	return nil
 }
 
-// Scan implements kv.Client. Range scans are served at the scan path's
-// fixed semantics (one replica per range) and do not honor consistency
-// levels, matching get_range_slices behaviour the paper relies on.
+// Scan implements kv.Client. The coordinator asks every live host for its
+// local rows and reconciles the replicas of each key cell-wise, newest
+// wins (DB.scan). The client's consistency level is not honored — no ack
+// count to wait for, no read repair — which is the get_range_slices
+// behaviour behind the paper's finding that short-range scans perform
+// alike at every level (F6b).
 func (c *Client) Scan(p *sim.Proc, start kv.Key, limit int, fields []string) ([]kv.KV, error) {
 	coord, err := c.coordinator()
 	if err != nil {
@@ -160,13 +163,10 @@ func (c *Client) Scan(p *sim.Proc, start kv.Key, limit int, fields []string) ([]
 		return nil, kv.ErrUnavailable
 	}
 	c.db.execCoord(p, coord.Node, c.db.cl.Config.CPUOpCost)
-	rows := c.db.scan(p, coord, start, limit)
+	out := c.db.scan(p, coord, start, limit, fields)
 	respSize := c.db.cfg.RequestOverhead
-	out := make([]kv.KV, 0, len(rows))
-	for _, r := range rows {
-		rec := r.Row.Project(fields)
-		out = append(out, kv.KV{Key: r.Key, Record: rec})
-		respSize += rec.Bytes()
+	for _, r := range out {
+		respSize += r.Bytes()
 	}
 	if !coord.Node.SendTo(p, c.node, respSize) {
 		return nil, kv.ErrUnavailable

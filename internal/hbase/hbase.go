@@ -466,7 +466,7 @@ func (c *Client) put(p *sim.Proc, key kv.Key, rec kv.Record, del bool) error {
 // contacting each owning region server in turn.
 func (c *Client) Scan(p *sim.Proc, start kv.Key, limit int, fields []string) ([]kv.KV, error) {
 	c.db.ScansDone++
-	var out []kv.KV
+	out := make([]kv.KV, 0, max(limit, 0))
 	key := start
 	for len(out) < limit {
 		r, err := c.locate(p, key)
@@ -499,7 +499,7 @@ func (c *Client) Scan(p *sim.Proc, start kv.Key, limit int, fields []string) ([]
 			if r.EndKey != "" && row.Key >= r.EndKey {
 				break
 			}
-			out = append(out, kv.KV{Key: row.Key, Record: row.Row.Project(fields)})
+			out = append(out, kv.View(row.Key, row.Row, fields))
 			if len(out) == limit {
 				return out, nil
 			}

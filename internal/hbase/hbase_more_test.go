@@ -54,8 +54,8 @@ func TestScanProjectsFields(t *testing.T) {
 		if err != nil || len(rows) != 1 {
 			t.Fatalf("rows=%v err=%v", rows, err)
 		}
-		if len(rows[0].Record) != 1 || rows[0].Record["b"].Bytes() != 2 {
-			t.Fatalf("projection = %v", rows[0].Record)
+		if rec := rows[0].Record(); len(rec) != 1 || rec["b"].Bytes() != 2 || rows[0].Bytes() != rec.Bytes() {
+			t.Fatalf("projection = %v (%d bytes)", rec, rows[0].Bytes())
 		}
 	})
 	if err := k.Run(); err != nil {

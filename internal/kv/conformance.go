@@ -2,6 +2,10 @@ package kv
 
 import (
 	"fmt"
+	"reflect"
+	"runtime"
+	"slices"
+	"time"
 
 	"cloudbench/internal/sim"
 )
@@ -27,6 +31,9 @@ type Harness struct {
 	// Drive runs fn as a simulation process and executes the simulation
 	// to completion (deployments wrap their kernel/group Run here).
 	Drive func(fn func(p *sim.Proc)) error
+	// Flush rotates every node's memtable into a background flush (the
+	// deployment's FlushAll), so the suite can put rows into SSTables.
+	Flush func()
 }
 
 // RunConformance exercises h's backend against the shared kv.Client
@@ -35,12 +42,8 @@ type Harness struct {
 // change what a single client observes from its own writes.
 func RunConformance(t T, h Harness) {
 	t.Helper()
-	if h.NewClient == nil {
-		t.Fatalf("kv conformance: Harness.NewClient is required")
-		return
-	}
-	if h.Drive == nil {
-		t.Fatalf("kv conformance: Harness.Drive is required")
+	if h.NewClient == nil || h.Drive == nil || h.Flush == nil {
+		t.Fatalf("kv conformance: Harness needs NewClient, Drive and Flush")
 		return
 	}
 	c := h.NewClient()
@@ -138,8 +141,117 @@ func RunConformance(t T, h Harness) {
 		if err != nil || string(got["f0"].Data) != "back" {
 			t.Errorf("read after re-insert: got %v err=%v", got, err)
 		}
+
+		// Snapshot discipline: a scan result is a view of the rows as of
+		// the scan, not of the keys. Overwrite and delete the scanned
+		// keys, flush, and a kept result still shows the scanned values
+		// and sizes — both when the scan read rows still in memtables
+		// (its views must be private copies) and when it read them from
+		// flushed tables (its views share the stored rows).
+		old := Record{"f0": ByteValue([]byte("old")), "f1": SizedValue(32)}
+		snapshot := func(prefix Key, flushFirst bool, fields []string) {
+			keys := make([]Key, 4)
+			for i := range keys {
+				keys[i] = prefix + Key(fmt.Sprintf("%02d", i))
+				if err := c.Insert(p, keys[i], old); err != nil {
+					t.Fatalf("snapshot insert %s: %v", keys[i], err)
+				}
+			}
+			if flushFirst {
+				h.Flush()
+				p.Sleep(time.Second)
+			}
+			kept, err := c.Scan(p, prefix, len(keys), fields)
+			if err != nil || len(kept) != len(keys) {
+				t.Fatalf("snapshot scan %s: %d rows, err=%v", prefix, len(kept), err)
+			}
+			for i, key := range keys {
+				if i%2 == 0 {
+					err = c.Update(p, key, Record{"f0": ByteValue([]byte("rewritten")), "f2": SizedValue(8)})
+				} else {
+					err = c.Delete(p, key)
+				}
+				if err != nil {
+					t.Fatalf("snapshot overwrite %s: %v", key, err)
+				}
+			}
+			h.Flush()
+			p.Sleep(time.Second)
+			want := old.Project(fields)
+			for i, r := range kept {
+				if rec := r.Record(); r.Key != keys[i] || !reflect.DeepEqual(rec, want) || r.Bytes() != want.Bytes() {
+					t.Errorf("kept scan row %s changed under later writes: %v (%d bytes), want %v (%d bytes)",
+						r.Key, rec, r.Bytes(), want, want.Bytes())
+				}
+			}
+			now, err := c.Scan(p, prefix, len(keys), nil)
+			if err != nil || len(now) != 2 || now[1].Key != keys[2] || string(now[1].Record()["f0"].Data) != "rewritten" {
+				t.Errorf("scan %s after overwrite: rows=%v err=%v, want the two rewritten keys", prefix, now, err)
+			}
+		}
+		snapshot("conf-v", false, nil)
+		snapshot("conf-w", true, []string{"f0", "f0", "nope"})
 	})
 	if err != nil {
 		t.Fatalf("conformance drive: %v", err)
 	}
+}
+
+// RunScanAllocGate is the allocation fence of the copy-free scan path,
+// run by every backend on an idle deployment at its usual replication:
+// with the scanned rows flushed and the replicas in sync, the host
+// allocations of one Client.Scan are the same at limit 5, 50 and 400 —
+// slices sized once per call, nothing per returned row.
+func RunScanAllocGate(t T, h Harness) {
+	t.Helper()
+	if h.NewClient == nil || h.Drive == nil || h.Flush == nil {
+		t.Fatalf("kv conformance: Harness needs NewClient, Drive and Flush")
+		return
+	}
+	c := h.NewClient()
+	err := h.Drive(func(p *sim.Proc) {
+		rec := Record{}
+		for f := 0; f < 10; f++ {
+			rec[fmt.Sprintf("field%d", f)] = SizedValue(100)
+		}
+		for i := 0; i < 500; i++ {
+			if err := c.Insert(p, Key(fmt.Sprintf("user%08d", i)), rec); err != nil {
+				t.Fatalf("insert %d: %v", i, err)
+			}
+		}
+		p.Sleep(5 * time.Second) // replication settles
+		h.Flush()
+		p.Sleep(5 * time.Second)
+		// One OS thread, as testing.AllocsPerRun does: the counter is
+		// process-wide and the scan's legs run on other goroutines.
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		var perCall []uint64
+		for _, limit := range []int{5, 50, 400} {
+			scan := func() {
+				rows, err := c.Scan(p, "user00000010", limit, nil)
+				if err != nil || len(rows) != limit || rows[limit-1].Bytes() != rec.Bytes() {
+					t.Fatalf("scan limit %d: %d rows, err=%v", limit, len(rows), err)
+				}
+			}
+			scan() // warm the block caches
+			const runs = 20
+			before := mallocs()
+			for i := 0; i < runs; i++ {
+				scan()
+			}
+			perCall = append(perCall, (mallocs()-before)/runs)
+		}
+		if slices.Max(perCall) > slices.Min(perCall)+1 {
+			t.Errorf("Client.Scan allocations depend on the rows returned: %v per call at limit 5, 50, 400", perCall)
+		}
+	})
+	if err != nil {
+		t.Fatalf("scan alloc gate drive: %v", err)
+	}
+}
+
+func mallocs() uint64 {
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.Mallocs
 }

@@ -48,12 +48,16 @@ func SizedValue(n int) Value { return Value{Size: n} }
 // version, newest field wins.
 type Record map[string]Value
 
-// Bytes returns the modeled serialized size of the record, including a
-// small per-field key overhead.
+// FieldBytes returns the modeled serialized size of one named field: the
+// value plus its name and a small per-field overhead.
+func FieldBytes(name string, v Value) int { return len(name) + 2 + v.Bytes() }
+
+// Bytes returns the modeled serialized size of the record, the sum of its
+// FieldBytes.
 func (r Record) Bytes() int {
 	n := 0
 	for f, v := range r {
-		n += len(f) + 2 + v.Bytes()
+		n += FieldBytes(f, v)
 	}
 	return n
 }
@@ -190,8 +194,52 @@ var (
 	ErrTimeout = errors.New("kv: operation timed out")
 )
 
-// KV pairs a key with its record, as returned by scans.
+// Projector is the stored row behind a scan result. kv cannot import the
+// storage package (storage is built on kv's types), so KV holds its row
+// through this interface; *storage.Row is the implementation.
+type Projector interface {
+	// Project materialises the row's live cells restricted to fields
+	// (nil or empty = all); nil when the row is fully dead.
+	Project(fields []string) Record
+	// ProjectedBytes returns Project(fields).Bytes() without building
+	// the record.
+	ProjectedBytes(fields []string) int
+}
+
+// KV is one scan result: a key and a read-only view of its row as of the
+// scan. The view aliases a row no writer can change — an SSTable's or
+// flushing memtable's frozen row, or a copy the read made — so it keeps
+// showing the scanned values however the key is overwritten afterwards,
+// and a scan allocates nothing per returned row. The zero KV (and one with
+// only Key set) views no row: a nil Record of zero Bytes.
 type KV struct {
 	Key    Key
-	Record Record
+	row    Projector
+	fields []string
+}
+
+// View returns the scan result for key: row restricted to fields (nil or
+// empty = all). The view keeps fields without copying it; the caller must
+// not modify the slice while the result is in use.
+func View(key Key, row Projector, fields []string) KV {
+	return KV{Key: key, row: row, fields: fields}
+}
+
+// Record materialises the viewed row as a fresh Record, built on demand
+// because most scan consumers (the YCSB driver among them) only count
+// rows and charge bytes.
+func (e KV) Record() Record {
+	if e.row == nil {
+		return nil
+	}
+	return e.row.Project(e.fields)
+}
+
+// Bytes returns Record().Bytes(), the modeled response size of the
+// result, without building the record.
+func (e KV) Bytes() int {
+	if e.row == nil {
+		return 0
+	}
+	return e.row.ProjectedBytes(e.fields)
 }

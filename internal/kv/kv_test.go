@@ -1,6 +1,7 @@
 package kv
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -109,5 +110,62 @@ func TestConsistencyString(t *testing.T) {
 	}
 	if ConsistencyLevel(42).String() != "ConsistencyLevel(42)" {
 		t.Error("unknown level string")
+	}
+}
+
+// recRow is a stored row for view tests: a Record behind the Projector
+// interface, counting how often it is materialised.
+type recRow struct {
+	rec      Record
+	projects int
+}
+
+func (r *recRow) Project(fields []string) Record {
+	r.projects++
+	return r.rec.Project(fields)
+}
+
+func (r *recRow) ProjectedBytes(fields []string) int {
+	n := 0
+	for f, v := range r.rec {
+		if len(fields) == 0 || slices.Contains(fields, f) {
+			n += FieldBytes(f, v)
+		}
+	}
+	return n
+}
+
+func TestKVIsALazyView(t *testing.T) {
+	row := &recRow{rec: Record{"a": SizedValue(1), "b": SizedValue(2)}}
+	e := View("k", row, []string{"b"})
+	if e.Key != "k" || e.Bytes() != 1+2+2 || row.projects != 0 {
+		t.Fatalf("view = %+v, %d bytes after %d materialisations; want key k, 5 bytes, none", e, e.Bytes(), row.projects)
+	}
+	rec := e.Record()
+	if len(rec) != 1 || rec["b"].Bytes() != 2 || row.projects != 1 {
+		t.Fatalf("Record() = %v after %d materialisations", rec, row.projects)
+	}
+	rec["b"] = SizedValue(99)
+	if again := e.Record(); again["b"].Bytes() != 2 {
+		t.Fatalf("a caller's edit of one Record() reached the next: %v", again)
+	}
+	// What `make([]KV, n)` holds: a key-only result over no row.
+	var zero KV
+	if zero.Record() != nil || zero.Bytes() != 0 {
+		t.Fatalf("zero KV = %v, %d bytes; want nil, 0", zero.Record(), zero.Bytes())
+	}
+}
+
+func TestViewAndBytesZeroAlloc(t *testing.T) {
+	row := &recRow{rec: Record{"a": SizedValue(1), "b": SizedValue(2)}}
+	fields := []string{"b"}
+	out := make([]KV, 0, 1)
+	total := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		out = append(out[:0], View("k", row, fields))
+		total += out[0].Bytes()
+	})
+	if allocs != 0 || total == 0 {
+		t.Errorf("View + Bytes: %.1f allocs/op, want 0", allocs)
 	}
 }

@@ -224,12 +224,6 @@ func (c *Client) put(p *sim.Proc, key kv.Key, rec kv.Record, del bool) error {
 	return nil
 }
 
-// scanPart is one server's contribution to a range scan.
-type scanPart struct {
-	rows []storage.ScanRow
-	ok   bool
-}
-
 // Scan implements kv.Client. The ring's hash placement scatters
 // consecutive keys across the cluster (object stores have no ordered
 // listing of object contents), so the client asks every live server for
@@ -237,83 +231,64 @@ type scanPart struct {
 // shape.
 func (c *Client) Scan(p *sim.Proc, start kv.Key, limit int, fields []string) ([]kv.KV, error) {
 	db := c.db
-	var alive []*Server
-	for _, s := range db.srvs {
-		if !s.Node.Down() {
-			alive = append(alive, s)
+	alive := 0
+	for _, srv := range db.srvs {
+		if !srv.Node.Down() {
+			alive++
 		}
 	}
-	if len(alive) == 0 {
+	if alive == 0 {
 		db.Unavails++
 		return nil, kv.ErrUnavailable
 	}
 	db.ScansDone++
-	perHost := limit*db.cfg.Replication/len(alive) + 4
-	if perHost > limit {
-		perHost = limit
-	}
-	futs := make([]*sim.Future[scanPart], 0, len(alive))
-	for _, srv := range alive {
-		srv := srv
-		f := sim.NewFuture[scanPart](db.k)
-		futs = append(futs, f)
-		db.k.Go("o*-scan", func(q *sim.Proc) {
-			part := scanPart{}
-			reqSize := len(start) + db.cfg.RequestOverhead
-			if !c.node.SendTo(q, srv.Node, reqSize) {
-				f.Set(part)
-				return
-			}
-			db.execServer(q, srv.Node, db.cl.Config.CPUOpCost)
-			var s0 sim.Time
-			if db.tracer != nil {
-				s0 = q.Now()
-			}
-			rows := srv.engine.Scan(q, start, perHost)
-			if n := len(rows); n > 0 && db.cl.Config.ScanRowCost > 0 {
-				srv.Node.Exec(q, time.Duration(n)*db.cl.Config.ScanRowCost)
-			}
-			if db.tracer != nil {
-				db.tracer.Phase(q, trace.PhaseStorage, srv.Node.ID, s0)
-			}
-			respSize := db.cfg.RequestOverhead
-			for _, r := range rows {
-				respSize += r.Row.Bytes()
-			}
-			if !srv.Node.SendTo(q, c.node, respSize) {
-				f.Set(part)
-				return
-			}
-			part.rows = rows
-			part.ok = true
-			f.Set(part)
-		})
-	}
-	// The parts hold the servers' own frozen rows; Merged keeps the first
-	// copy unless a later server really holds something newer.
-	merged := make(map[kv.Key]*storage.Row, limit)
-	for _, f := range futs {
-		part := f.Await(p)
-		if !part.ok {
+	perHost := min(limit, limit*db.cfg.Replication/alive+4)
+	// One leg per live server fills that server's slot of parts; the
+	// client sleeps until the last leg, answered or not, has counted down.
+	parts := make([][]storage.ScanRow, len(db.srvs))
+	pending, done := alive, sim.NewFuture[struct{}](db.k)
+	for i, srv := range db.srvs {
+		if srv.Node.Down() {
 			continue
 		}
-		for _, r := range part.rows {
-			merged[r.Key] = storage.Merged(merged[r.Key], r.Row)
-		}
-	}
-	keys := make([]kv.Key, 0, len(merged))
-	for k := range merged {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	out := make([]kv.KV, 0, limit)
-	for _, k := range keys {
-		if row := merged[k]; row.Live() {
-			out = append(out, kv.KV{Key: k, Record: row.Project(fields)})
-			if len(out) == limit {
-				break
+		part := &parts[i]
+		db.k.Go("o*-scan", func(q *sim.Proc) {
+			*part = c.scanLeg(q, srv, start, perHost)
+			if pending--; pending == 0 {
+				done.Set(struct{}{})
 			}
-		}
+		})
 	}
-	return out, nil
+	done.Await(p)
+	return storage.MergeScans(parts, limit, fields), nil
+}
+
+// scanLeg asks srv for its first perHost local rows ≥ start and returns
+// them, read-only as Engine.Scan hands them out, or nil if either message
+// is lost.
+func (c *Client) scanLeg(q *sim.Proc, srv *Server, start kv.Key, perHost int) []storage.ScanRow {
+	db := c.db
+	if !c.node.SendTo(q, srv.Node, len(start)+db.cfg.RequestOverhead) {
+		return nil
+	}
+	db.execServer(q, srv.Node, db.cl.Config.CPUOpCost)
+	var s0 sim.Time
+	if db.tracer != nil {
+		s0 = q.Now()
+	}
+	rows := srv.engine.Scan(q, start, perHost)
+	if n := len(rows); n > 0 && db.cl.Config.ScanRowCost > 0 {
+		srv.Node.Exec(q, time.Duration(n)*db.cl.Config.ScanRowCost)
+	}
+	if db.tracer != nil {
+		db.tracer.Phase(q, trace.PhaseStorage, srv.Node.ID, s0)
+	}
+	respSize := db.cfg.RequestOverhead
+	for _, r := range rows {
+		respSize += r.Row.Bytes()
+	}
+	if !srv.Node.SendTo(q, c.node, respSize) {
+		return nil
+	}
+	return rows
 }

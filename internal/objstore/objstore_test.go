@@ -371,8 +371,8 @@ func TestScanLeavesStoredRowsUntouched(t *testing.T) {
 			t.Fatalf("scan: %d rows, err %v", len(rows), err)
 		}
 		for i, r := range rows {
-			if r.Key != key(i) || r.Record["f0"].Bytes() != 100+i || r.Record["f1"].Bytes() != 40 {
-				t.Errorf("row %d = %s %v, want f0=%d f1=40", i, r.Key, r.Record, 100+i)
+			if rec := r.Record(); r.Key != key(i) || rec["f0"].Bytes() != 100+i || rec["f1"].Bytes() != 40 {
+				t.Errorf("row %d = %s %v, want f0=%d f1=40", i, r.Key, rec, 100+i)
 			}
 		}
 		for _, s := range snaps {

@@ -1,6 +1,7 @@
 package objstore
 
 import (
+	"slices"
 	"sort"
 
 	"cloudbench/internal/consistency"
@@ -88,7 +89,7 @@ func sortedKeys(m map[kv.Key]kv.Version) []kv.Key {
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	slices.Sort(keys)
 	return keys
 }
 

@@ -170,18 +170,6 @@ func fold(out, r *Row) *Row {
 	return out
 }
 
-// rowIter is a merge cursor over one level (memtable, immutable memtable,
-// or SSTable). Using the iterators' method sets directly — instead of a
-// struct of captured method values — keeps Scan free of per-source closure
-// allocations and of nullable function fields (simlint's hookguard would
-// demand a nil check before every call through those).
-type rowIter interface {
-	Valid() bool
-	Key() kv.Key
-	Row() *Row
-	Next()
-}
-
 // ScanRow is one result of Engine.Scan.
 type ScanRow struct {
 	Key kv.Key
@@ -193,13 +181,13 @@ type ScanRow struct {
 // shared under the same read-only contract as Get.
 func (e *Engine) Scan(p *sim.Proc, start kv.Key, limit int) []ScanRow {
 	e.Scans++
-	srcs := make([]rowIter, 0, 1+len(e.imm)+len(e.tables))
-	srcs = append(srcs, e.mem.Seek(start))
+	var levels [scanLevels]cursor
+	srcs := append(levels[:0], e.mem.seek(start))
 	for _, m := range e.imm {
-		srcs = append(srcs, m.Seek(start))
+		srcs = append(srcs, m.seek(start))
 	}
 	for _, t := range e.tables {
-		srcs = append(srcs, t.Iter(p, e.io, e.cache, start))
+		srcs = append(srcs, t.seek(p, e.io, e.cache, start))
 	}
 	out := make([]ScanRow, 0, max(limit, 0))
 	for len(out) < limit {
@@ -214,26 +202,68 @@ func (e *Engine) Scan(p *sim.Proc, start kv.Key, limit int) []ScanRow {
 	return out
 }
 
+// scanLevels is how many levels (memtable, flushing snapshots, SSTables) a
+// scan holds cursors for on the stack; an engine deeper than that spills
+// them to one heap slice. Size-tiered compaction at the default
+// CompactMinTables keeps a few tables per tier, so 8 covers a loaded node.
+const scanLevels = 8
+
 // mergeNext pops the smallest current key across srcs (newest source
 // first) and returns it with its reconciled row, advancing every source
 // that held it.
-func mergeNext(srcs []rowIter) (kv.Key, *Row, bool) {
+func mergeNext(srcs []cursor) (kv.Key, *Row, bool) {
 	var minKey kv.Key
 	found := false
-	for _, s := range srcs {
-		if s.Valid() && (!found || s.Key() < minKey) {
-			minKey = s.Key()
+	for i := range srcs {
+		if s := &srcs[i]; s.valid() && (!found || s.key() < minKey) {
+			minKey = s.key()
 			found = true
 		}
 	}
 	var row *Row
-	for _, s := range srcs {
-		if s.Valid() && s.Key() == minKey {
-			row = fold(row, s.Row())
-			s.Next()
+	for i := range srcs {
+		if s := &srcs[i]; s.valid() && s.key() == minKey {
+			row = fold(row, s.row())
+			s.next()
 		}
 	}
 	return minKey, row, found
+}
+
+// MergeScans is the coordinator's half of a fanned-out range scan: a
+// streaming k-way merge of parts — one Engine.Scan result per replica
+// asked, a nil one for a replica that did not answer — into the first
+// limit live rows in key order, each a view restricted to fields. Replicas
+// of one key reconcile with Merged in part order, so the first replica's
+// own row is kept unless a later one really holds something newer. The
+// merge consumes parts (each is resliced past what it used) and stops at
+// limit without looking at the rest.
+func MergeScans(parts [][]ScanRow, limit int, fields []string) []kv.KV {
+	out := make([]kv.KV, 0, max(limit, 0))
+	for len(out) < limit {
+		var minKey kv.Key
+		found := false
+		for _, part := range parts {
+			if len(part) > 0 && (!found || part[0].Key < minKey) {
+				minKey = part[0].Key
+				found = true
+			}
+		}
+		if !found {
+			break
+		}
+		var row *Row
+		for i, part := range parts {
+			if len(part) > 0 && part[0].Key == minKey {
+				row = Merged(row, part[0].Row)
+				parts[i] = part[1:]
+			}
+		}
+		if row.Live() {
+			out = append(out, kv.View(minKey, row, fields))
+		}
+	}
+	return out
 }
 
 // maybeFlush rotates a full memtable into the flushing list and starts a
@@ -252,8 +282,8 @@ func (e *Engine) ForceFlush() {
 		return
 	}
 	snap := e.mem
-	for it := snap.First(); it.Valid(); it.Next() {
-		it.Row().frozen = true // rotated out: readers share these rows from now on
+	for c := snap.seek(""); c.valid(); c.next() {
+		c.row().frozen = true // rotated out: readers share these rows from now on
 	}
 	e.imm = append([]*skiplist{snap}, e.imm...)
 	e.mem = newSkiplist(e.rng)
@@ -266,8 +296,8 @@ func (e *Engine) ForceFlush() {
 
 func (e *Engine) flush(p *sim.Proc, snap *skiplist) {
 	entries := make([]TableEntry, 0, snap.Len())
-	for it := snap.First(); it.Valid(); it.Next() {
-		entries = append(entries, TableEntry{Key: it.Key(), Row: it.Row()})
+	for c := snap.seek(""); c.valid(); c.next() {
+		entries = append(entries, TableEntry{Key: c.key(), Row: c.row()})
 	}
 	e.nextTableID++
 	t := BuildTable(e.nextTableID, entries, e.cfg.BlockBytes, e.cfg.BloomBitsPerKey)
@@ -342,10 +372,10 @@ func (e *Engine) compact(p *sim.Proc, inputs []*SSTable) {
 	// Streaming k-way merge over the inputs' already-sorted entries,
 	// newest input first so version ties resolve as they do on reads. A
 	// key held by one input keeps that input's frozen row.
-	srcs := make([]rowIter, len(inputs))
+	srcs := make([]cursor, len(inputs))
 	total := 0
 	for i, t := range inputs {
-		srcs[i] = &entryIter{entries: t.entries}
+		srcs[i] = cursor{t: t} // no process: advancing charges nothing
 		total += len(t.entries)
 	}
 	entries := make([]TableEntry, 0, total)

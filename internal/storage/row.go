@@ -219,6 +219,27 @@ func (r *Row) Project(fields []string) kv.Record {
 	return rec
 }
 
+// ProjectedBytes returns Project(fields).Bytes() — the modeled size of the
+// row's live cells restricted to fields — without building the record. A
+// field named twice counts once, as it would in the map.
+func (r *Row) ProjectedBytes(fields []string) int {
+	n := 0
+	if len(fields) == 0 {
+		for _, c := range r.cells {
+			if c.Ver > r.Tomb {
+				n += kv.FieldBytes(c.Field, c.Val)
+			}
+		}
+		return n
+	}
+	for i, f := range fields {
+		if c, ok := r.Cell(f); ok && c.Ver > r.Tomb && !slices.Contains(fields[:i], f) {
+			n += kv.FieldBytes(f, c.Val)
+		}
+	}
+	return n
+}
+
 // Version returns the row's overall version: the maximum of its cell
 // versions and tombstone. Replica digests compare this value.
 func (r *Row) Version() kv.Version {

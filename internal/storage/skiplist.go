@@ -81,23 +81,5 @@ func (s *skiplist) GetOrCreate(k kv.Key) *Row {
 // Len returns the number of keys.
 func (s *skiplist) Len() int { return s.n }
 
-// iterator walks the list in key order.
-type slIter struct{ node *slNode }
-
-// Seek returns an iterator positioned at the first key ≥ k.
-func (s *skiplist) Seek(k kv.Key) *slIter { return &slIter{node: s.findGE(k, nil)} }
-
-// First returns an iterator at the smallest key.
-func (s *skiplist) First() *slIter { return &slIter{node: s.head.next[0]} }
-
-// Valid reports whether the iterator points at an entry.
-func (it *slIter) Valid() bool { return it.node != nil }
-
-// Key returns the current key; only valid when Valid().
-func (it *slIter) Key() kv.Key { return it.node.key }
-
-// Row returns the current row; only valid when Valid().
-func (it *slIter) Row() *Row { return it.node.row }
-
-// Next advances the iterator.
-func (it *slIter) Next() { it.node = it.node.next[0] }
+// seek returns a cursor at the first key ≥ k; seek("") is the smallest key.
+func (s *skiplist) seek(k kv.Key) cursor { return cursor{node: s.findGE(k, nil)} }

@@ -121,61 +121,11 @@ func (t *SSTable) WarmCache(cache *BlockCache) {
 	}
 }
 
-// Iter returns an iterator positioned at the first key ≥ start. Advancing
-// across block boundaries charges block loads.
-func (t *SSTable) Iter(p *sim.Proc, io TableIO, cache *BlockCache, start kv.Key) *TableIter {
+// seek returns a cursor at the first key ≥ start that charges p, against io
+// and cache, one block load per block it enters — the first one here.
+func (t *SSTable) seek(p *sim.Proc, io TableIO, cache *BlockCache, start kv.Key) cursor {
 	i := sort.Search(len(t.entries), func(i int) bool { return t.entries[i].Key >= start })
-	it := &TableIter{t: t, p: p, io: io, cache: cache, i: i, block: -1}
-	it.chargeBlock()
-	return it
+	c := cursor{t: t, i: i, block: -1, p: p, io: io, cache: cache}
+	c.chargeBlock()
+	return c
 }
-
-// TableIter iterates an SSTable in key order, charging one block load per
-// block entered.
-type TableIter struct {
-	t     *SSTable
-	p     *sim.Proc
-	io    TableIO
-	cache *BlockCache
-	i     int
-	block int
-}
-
-func (it *TableIter) chargeBlock() {
-	if it.i >= len(it.t.entries) {
-		return
-	}
-	b := it.t.blockFor(it.t.entries[it.i].Key)
-	if b != it.block {
-		it.block = b
-		it.t.loadBlock(it.p, it.io, it.cache, b)
-	}
-}
-
-// Valid reports whether the iterator points at an entry.
-func (it *TableIter) Valid() bool { return it.i < len(it.t.entries) }
-
-// Key returns the current key.
-func (it *TableIter) Key() kv.Key { return it.t.entries[it.i].Key }
-
-// Row returns the current row.
-func (it *TableIter) Row() *Row { return it.t.entries[it.i].Row }
-
-// Next advances the iterator, charging a block load when crossing into a
-// new block.
-func (it *TableIter) Next() {
-	it.i++
-	it.chargeBlock()
-}
-
-// entryIter walks a table's entries without charging I/O; compaction bills
-// its inputs as whole-table sequential reads up front.
-type entryIter struct {
-	entries []TableEntry
-	i       int
-}
-
-func (it *entryIter) Valid() bool { return it.i < len(it.entries) }
-func (it *entryIter) Key() kv.Key { return it.entries[it.i].Key }
-func (it *entryIter) Row() *Row   { return it.entries[it.i].Row }
-func (it *entryIter) Next()       { it.i++ }

@@ -58,8 +58,8 @@ func TestSkiplistIterationSorted(t *testing.T) {
 			seen[k] = true
 		}
 		var got []kv.Key
-		for it := s.First(); it.Valid(); it.Next() {
-			got = append(got, it.Key())
+		for c := s.seek(""); c.valid(); c.next() {
+			got = append(got, c.key())
 		}
 		if len(got) != len(seen) {
 			return false
@@ -76,12 +76,11 @@ func TestSkiplistSeek(t *testing.T) {
 	for _, k := range []kv.Key{"b", "d", "f"} {
 		s.GetOrCreate(k)
 	}
-	it := s.Seek("c")
-	if !it.Valid() || it.Key() != "d" {
-		t.Fatalf("seek(c) = %v", it.Key())
+	c := s.seek("c")
+	if !c.valid() || c.key() != "d" {
+		t.Fatalf("seek(c) = %v", c.key())
 	}
-	it = s.Seek("g")
-	if it.Valid() {
+	if c = s.seek("g"); c.valid() {
 		t.Fatal("seek past end should be invalid")
 	}
 }
@@ -214,7 +213,7 @@ func TestTableIterChargesPerBlock(t *testing.T) {
 	io := LocalIO{Disk: d}
 	k.Spawn("scanner", func(p *sim.Proc) {
 		n := 0
-		for it := tbl.Iter(p, io, nil, "user000050"); it.Valid() && n < 40; it.Next() {
+		for c := tbl.seek(p, io, nil, "user000050"); c.valid() && n < 40; c.next() {
 			n++
 		}
 	})
@@ -224,6 +223,15 @@ func TestTableIterChargesPerBlock(t *testing.T) {
 	// 40 rows over ~16-row blocks = 3-4 block reads, far fewer than 40.
 	if d.ReadOps < 2 || d.ReadOps > 6 {
 		t.Fatalf("read ops = %d, want 2..6", d.ReadOps)
+	}
+	// A cursor without a process is how compaction walks a table: the
+	// same rows, no block charged.
+	before, n := d.ReadOps, 0
+	for c := (cursor{t: tbl}); c.valid(); c.next() {
+		n++
+	}
+	if n != 200 || d.ReadOps != before {
+		t.Fatalf("free walk: %d rows, %d block reads, want 200 and 0", n, d.ReadOps-before)
 	}
 }
 
