@@ -1,7 +1,8 @@
 // Package cassandra implements a Cassandra-like cloud serving database on
 // the simulated cluster: a Murmur-style token ring with virtual nodes,
-// SimpleStrategy replica placement, coordinators that fan mutations out to
-// every replica while acknowledging at the requested consistency level,
+// SimpleStrategy or per-DC NetworkTopologyStrategy replica placement,
+// coordinators that fan mutations out to every replica while acknowledging
+// at the requested consistency level,
 // digest reads with blocking read repair, probabilistic background read
 // repair, hinted handoff, and per-node commit log + memtable + SSTable
 // storage with last-write-wins timestamps.
@@ -32,14 +33,10 @@ type Config struct {
 	Replication int
 	// VNodes is the number of virtual-node tokens per host.
 	VNodes int
-	// TopologyAware selects NetworkTopologyStrategy-style placement:
-	// replicas spread across zones (data centers) before doubling up in
-	// any one. With a single zone it is identical to SimpleStrategy.
-	TopologyAware bool
-	// DCReplicas, when non-empty, is full NetworkTopologyStrategy
-	// placement with an explicit replication factor per data center
-	// (DCReplicas[z] replicas in zone z), overriding Replication and
-	// TopologyAware. The effective total replication factor is the sum.
+	// DCReplicas, when non-empty, is NetworkTopologyStrategy placement
+	// with an explicit replication factor per data center (DCReplicas[z]
+	// replicas in zone z), overriding Replication: the effective total
+	// replication factor is the sum. Empty is SimpleStrategy.
 	DCReplicas []int
 	// ReadCL and WriteCL are the default consistency levels; clients may
 	// override per request.
@@ -112,13 +109,20 @@ type Replica struct {
 // Engine exposes the replica's storage engine for inspection.
 func (r *Replica) Engine() *storage.Engine { return r.engine }
 
+// mutation is one write on its way to the replicas. write builds it once
+// and every leg closure carries it by value.
+type mutation struct {
+	key  kv.Key
+	rec  kv.Record
+	del  bool
+	ver  kv.Version
+	size int // wire size
+}
+
 // hint is a mutation stored on behalf of a down replica.
 type hint struct {
 	target *Replica
-	key    kv.Key
-	rec    kv.Record
-	del    bool
-	ver    kv.Version
+	mutation
 	stored sim.Time
 }
 
@@ -240,22 +244,7 @@ func (db *DB) ReplicasFor(key kv.Key) []*Replica {
 	if len(db.cfg.DCReplicas) > 0 {
 		return db.ring.PerZone(t, db.cfg.DCReplicas)
 	}
-	if db.cfg.TopologyAware {
-		return db.ring.ZoneSpread(t, db.cfg.Replication)
-	}
 	return db.ring.Simple(t, db.cfg.Replication)
-}
-
-// localPlan restricts a replica list to the coordinator's zone for
-// LOCAL_QUORUM: it returns the live local replicas and the majority count
-// among them.
-func localPlan(replicas []*Replica, zone int) (local []*Replica, need int) {
-	for _, r := range replicas {
-		if r.Node.Zone == zone && !r.Node.Down() {
-			local = append(local, r)
-		}
-	}
-	return local, len(local)/2 + 1
 }
 
 // execCoord charges coordinator CPU for one request. With a tracer
@@ -272,6 +261,25 @@ func (db *DB) execCoord(p *sim.Proc, n *cluster.Node, cost time.Duration) {
 		db.tracer.Interval(p, trace.PhaseCoordQueue, n.ID, t0, t0.Add(wait))
 	}
 	db.tracer.Phase(p, trace.PhaseCoord, n.ID, t0.Add(wait))
+}
+
+// hop carries one message of size bytes from one node to another on q's
+// clock and reports whether it arrived. A node talking to itself is free;
+// with a tracer attached a delivered message is one span at the receiver,
+// wan when it crossed DCs and fanout otherwise.
+func (db *DB) hop(q *sim.Proc, from, to *cluster.Node, size int) bool {
+	if from == to {
+		return true
+	}
+	if db.tracer == nil {
+		return from.SendTo(q, to, size)
+	}
+	t0 := q.Now()
+	if !from.SendTo(q, to, size) {
+		return false
+	}
+	db.tracer.Phase(q, legPhase(from, to), to.ID, t0)
+	return true
 }
 
 // version issues the next write timestamp.
@@ -331,97 +339,52 @@ func (rep *Replica) applyLocal(p *sim.Proc, db *DB, key kv.Key, rec kv.Record, d
 }
 
 // write is the coordinator write path, executed by the client's process at
-// the coordinator node. It sends the mutation to every replica, stores
-// hints for down ones, and returns once cl.Required replicas acked.
+// the coordinator node. The mutation reaches every replica, but differently
+// per distance: replicas in the coordinator's own DC get a direct message
+// each, every other DC one message across the WAN (forwardToDC). Down
+// replicas are hinted at the coordinator, every live one acks it directly,
+// and write returns once the level's acknowledgement plan is decided. The
+// paper's single rack is the one-DC case: all legs direct, nothing
+// forwarded.
+//
+// The order is what every pinned digest depends on: availability is decided
+// before the version is drawn, DCs are walked in zone order and replicas in
+// ring order inside a DC, and a DC's hints are noted in that walk before
+// its leg is spawned.
 func (db *DB) write(p *sim.Proc, coord *Replica, key kv.Key, rec kv.Record, del bool, cl kv.ConsistencyLevel) error {
 	replicas := db.ReplicasFor(key)
-	if db.zones() > 1 {
-		return db.writeMultiDC(p, coord, key, rec, del, cl, replicas)
-	}
-	need := cl.Required(len(replicas))
-	// counts reports whether a replica's ack advances the quorum; for
-	// LOCAL_QUORUM only acks from the coordinator's zone count, though
-	// the mutation is still sent everywhere.
-	counts := func(*Replica) bool { return true }
-	countable := 0
-	for _, r := range replicas {
-		if !r.Node.Down() {
-			countable++
-		}
-	}
-	if cl == kv.LocalQuorum {
-		local, localNeed := localPlan(replicas, coord.Node.Zone)
-		need = localNeed
-		countable = len(local)
-		inLocal := make(map[*Replica]bool, len(local))
-		for _, r := range local {
-			inLocal[r] = true
-		}
-		counts = func(r *Replica) bool { return inLocal[r] }
-	}
-	if countable < need {
+	acks := db.planAcks(cl, coord.Node.Zone, replicas)
+	if acks == nil {
 		db.Unavails++
 		return kv.ErrUnavailable
 	}
-	ver := db.version()
+	m := mutation{key: key, rec: rec, del: del, ver: db.version(), size: db.mutationSize(key, rec)}
 	if db.oracle != nil {
-		db.oracle.WriteBegin(key, ver, len(replicas), db.k.Now())
+		db.oracle.WriteBegin(key, m.ver, len(replicas), db.k.Now())
 	}
-	size := db.mutationSize(key, rec)
-	q := sim.NewQuorum(db.k, need, countable)
-	for _, rep := range replicas {
-		rep := rep
-		if rep.Node.Down() {
-			if db.cfg.HintedHandoff {
-				db.noteHint(coord, hint{target: rep, key: key, rec: rec, del: del, ver: ver, stored: db.k.Now()})
-			}
+	for z, zones := 0, db.zones(); z < zones; z++ {
+		if z != coord.Node.Zone {
+			db.forwardToDC(coord, replicas, z, m, acks)
 			continue
 		}
-		if rep == coord {
-			// Local apply still runs concurrently so a slow local
-			// commit-log append does not serialize the fan-out.
-			db.k.Go("c*-local-write", func(q2 *sim.Proc) {
-				rep.applyLocal(q2, db, key, rec, del, ver, consistency.ApplyWrite)
-				if counts(rep) {
-					q.Succeed()
-				}
-			})
-			continue
+		for _, rep := range replicas {
+			if rep.Node.Zone != z {
+				continue
+			}
+			if rep.Node.Down() {
+				db.noteHint(coord, rep, m)
+				continue
+			}
+			// The coordinator's own apply runs concurrently too, so a slow
+			// local commit-log append does not serialize the fan-out.
+			label := "c*-repl-write"
+			if rep == coord {
+				label = "c*-local-write"
+			}
+			db.k.Go(label, func(q *sim.Proc) { db.deliver(q, coord.Node, rep, coord, m, acks) })
 		}
-		db.k.Go("c*-repl-write", func(q2 *sim.Proc) {
-			var t0 sim.Time
-			if db.tracer != nil {
-				t0 = q2.Now()
-			}
-			if !coord.Node.SendTo(q2, rep.Node, size) {
-				if counts(rep) {
-					q.Fail()
-				}
-				return
-			}
-			if db.tracer != nil {
-				db.tracer.Phase(q2, trace.PhaseFanout, rep.Node.ID, t0)
-			}
-			rep.applyLocal(q2, db, key, rec, del, ver, consistency.ApplyWrite)
-			var t1 sim.Time
-			if db.tracer != nil {
-				t1 = q2.Now()
-			}
-			if !rep.Node.SendTo(q2, coord.Node, db.cfg.RequestOverhead) {
-				if counts(rep) {
-					q.Fail()
-				}
-				return
-			}
-			if db.tracer != nil {
-				db.tracer.Phase(q2, trace.PhaseFanout, coord.Node.ID, t1)
-			}
-			if counts(rep) {
-				q.Succeed()
-			}
-		})
 	}
-	ok, decided := q.WaitTimeout(p, db.cfg.Timeout)
+	ok, decided := acks.f.AwaitTimeout(p, db.cfg.Timeout)
 	if !decided {
 		db.CoordinatorTimeouts++
 		return kv.ErrTimeout
@@ -431,9 +394,27 @@ func (db *DB) write(p *sim.Proc, coord *Replica, key kv.Key, rec kv.Record, del 
 		return kv.ErrUnavailable
 	}
 	if db.oracle != nil {
-		db.oracle.WriteAck(key, ver, db.k.Now())
+		db.oracle.WriteAck(key, m.ver, db.k.Now())
 	}
 	return nil
+}
+
+// deliver is one replica's leg of a write: the mutation arrives from the
+// node that sends it (the coordinator, or a remote DC's forwarder; free
+// when that is rep itself), rep applies it and acks the coordinator
+// directly.
+func (db *DB) deliver(q *sim.Proc, from *cluster.Node, rep, coord *Replica, m mutation, acks *ackPlan) {
+	z := rep.Node.Zone
+	if !db.hop(q, from, rep.Node, m.size) {
+		acks.fail(z)
+		return
+	}
+	rep.applyLocal(q, db, m.key, m.rec, m.del, m.ver, consistency.ApplyWrite)
+	if !db.hop(q, rep.Node, coord.Node, db.cfg.RequestOverhead) {
+		acks.fail(z)
+		return
+	}
+	acks.ack(z)
 }
 
 // readResponse carries one replica's answer to a read.
@@ -467,19 +448,9 @@ func (db *DB) fetchRow(coord, rep *Replica, key kv.Key, digestOnly bool, f *sim.
 			}
 		}
 		resp := readResponse{rep: rep, data: !digestOnly}
-		reqSize := len(key) + db.cfg.RequestOverhead
-		if rep != coord {
-			var t0 sim.Time
-			if db.tracer != nil {
-				t0 = q.Now()
-			}
-			if !coord.Node.SendTo(q, rep.Node, reqSize) {
-				f.Set(resp)
-				return
-			}
-			if db.tracer != nil {
-				db.tracer.Phase(q, legPhase(coord.Node, rep.Node), rep.Node.ID, t0)
-			}
+		if !db.hop(q, coord.Node, rep.Node, len(key)+db.cfg.RequestOverhead) {
+			f.Set(resp)
+			return
 		}
 		var s0 sim.Time
 		if db.tracer != nil {
@@ -494,18 +465,9 @@ func (db *DB) fetchRow(coord, rep *Replica, key kv.Key, digestOnly bool, f *sim.
 		if !digestOnly && row != nil {
 			respSize += row.Bytes()
 		}
-		if rep != coord {
-			var t1 sim.Time
-			if db.tracer != nil {
-				t1 = q.Now()
-			}
-			if !rep.Node.SendTo(q, coord.Node, respSize) {
-				f.Set(resp)
-				return
-			}
-			if db.tracer != nil {
-				db.tracer.Phase(q, legPhase(rep.Node, coord.Node), coord.Node.ID, t1)
-			}
+		if !db.hop(q, rep.Node, coord.Node, respSize) {
+			f.Set(resp)
+			return
 		}
 		resp.ok = true
 		if row != nil {
@@ -541,8 +503,8 @@ func (db *DB) read(p *sim.Proc, coord *Replica, key kv.Key, cl kv.ConsistencyLev
 	}
 	need := cl.Required(len(replicas))
 	pool := alive
-	switch {
-	case cl == kv.LocalQuorum && db.zones() > 1:
+	switch cl {
+	case kv.LocalQuorum:
 		// LOCAL_QUORUM reads contact only the coordinator's DC, blocking
 		// for a majority of its replication factor; a coordinator whose DC
 		// holds no replicas degrades to the plain-quorum pool.
@@ -550,14 +512,7 @@ func (db *DB) read(p *sim.Proc, coord *Replica, key kv.Key, cl kv.ConsistencyLev
 			pool = local
 			need = localNeed
 		}
-	case cl == kv.LocalQuorum:
-		// LOCAL_QUORUM reads contact only the coordinator's zone.
-		local, localNeed := localPlan(replicas, coord.Node.Zone)
-		if len(local) > 0 {
-			pool = local
-			need = localNeed
-		}
-	case cl == kv.EachQuorum && db.zones() > 1:
+	case kv.EachQuorum:
 		// EACH_QUORUM reads block on a majority in every DC.
 		eq, ok := db.eachQuorumRead(replicas, coord.Node.Zone)
 		if !ok {
@@ -840,17 +795,8 @@ func (db *DB) scan(p *sim.Proc, coord *Replica, start kv.Key, limit int, fields 
 // coord and returns them, read-only as Engine.Scan hands them out, or nil
 // if either message is lost.
 func (db *DB) scanLeg(q *sim.Proc, coord, rep *Replica, start kv.Key, perHost int) []storage.ScanRow {
-	if rep != coord {
-		var t0 sim.Time
-		if db.tracer != nil {
-			t0 = q.Now()
-		}
-		if !coord.Node.SendTo(q, rep.Node, len(start)+db.cfg.RequestOverhead) {
-			return nil
-		}
-		if db.tracer != nil {
-			db.tracer.Phase(q, trace.PhaseFanout, rep.Node.ID, t0)
-		}
+	if !db.hop(q, coord.Node, rep.Node, len(start)+db.cfg.RequestOverhead) {
+		return nil
 	}
 	var s0 sim.Time
 	if db.tracer != nil {
@@ -869,25 +815,22 @@ func (db *DB) scanLeg(q *sim.Proc, coord, rep *Replica, start kv.Key, perHost in
 		for _, r := range rows {
 			respSize += r.Row.Bytes()
 		}
-		var t1 sim.Time
-		if db.tracer != nil {
-			t1 = q.Now()
-		}
-		if !rep.Node.SendTo(q, coord.Node, respSize) {
+		if !db.hop(q, rep.Node, coord.Node, respSize) {
 			return nil
-		}
-		if db.tracer != nil {
-			db.tracer.Phase(q, trace.PhaseFanout, coord.Node.ID, t1)
 		}
 	}
 	return rows
 }
 
-// noteHint records a hint and ensures the replay process is running. The
+// noteHint, with hinted handoff on, stores m at the coordinator on behalf of
+// the down replica target and ensures the replay process is running. The
 // process exits when all hints have drained, so simulations with no failed
 // nodes terminate cleanly.
-func (db *DB) noteHint(coord *Replica, h hint) {
-	coord.hints = append(coord.hints, h)
+func (db *DB) noteHint(coord, target *Replica, m mutation) {
+	if !db.cfg.HintedHandoff {
+		return
+	}
+	coord.hints = append(coord.hints, hint{target: target, mutation: m, stored: db.k.Now()})
 	db.HintsStored++
 	if !db.hintProcLive {
 		db.hintProcLive = true
@@ -922,14 +865,13 @@ func (db *DB) hintReplayLoop(p *sim.Proc) {
 					keep = append(keep, h)
 					continue
 				}
-				size := db.mutationSize(h.key, h.rec)
 				var t0 sim.Time
 				var prev any
 				if db.tracer != nil {
 					t0 = p.Now()
 					prev = db.tracer.Mute(p)
 				}
-				if !rep.Node.SendTo(p, h.target.Node, size) {
+				if !rep.Node.SendTo(p, h.target.Node, h.size) {
 					if db.tracer != nil {
 						db.tracer.Unmute(p, prev)
 					}

@@ -4,33 +4,16 @@ import (
 	"testing"
 	"time"
 
-	"cloudbench/internal/cluster"
 	"cloudbench/internal/kv"
 	"cloudbench/internal/sim"
 )
 
-// geoDB builds a 2-zone cluster: servers split across zones, client in
-// zone 0.
-func geoDB(k *sim.Kernel, serversPerZone, rf int, topo bool) (*DB, *Client, *cluster.Cluster) {
-	ccfg := cluster.DefaultConfig()
-	ccfg.Nodes = 2*serversPerZone + 1
-	ccfg.Zones = 2
-	ccfg.InterZoneRTT = 80 * time.Millisecond
-	c := cluster.New(k, ccfg)
-	cfg := DefaultConfig()
-	cfg.Replication = rf
-	cfg.TopologyAware = topo
-	// The client node lands in zone 1 by contiguous split; relocate it
-	// conceptually by using a zone-0 node as the client's attach point.
-	servers := c.Nodes[:2*serversPerZone]
-	db := New(k, cfg, servers)
-	client := db.NewClient(c.Nodes[2*serversPerZone])
-	return db, client, c
-}
+// These tests run on multiDCDB's two-DC deployments, 80 ms apart.
+const wanRTT = 80 * time.Millisecond
 
 func TestZonesAssignedContiguously(t *testing.T) {
 	k := sim.NewKernel(1)
-	_, _, c := geoDB(k, 4, 3, true)
+	_, _, c := multiDCDB(k, 4, []int{2, 1}, wanRTT)
 	if c.Nodes[0].Zone != 0 || c.Nodes[3].Zone != 0 {
 		t.Fatalf("zones: %d %d", c.Nodes[0].Zone, c.Nodes[3].Zone)
 	}
@@ -44,7 +27,7 @@ func TestZonesAssignedContiguously(t *testing.T) {
 
 func TestTopologyPlacementSpreadsZones(t *testing.T) {
 	k := sim.NewKernel(2)
-	db, _, _ := geoDB(k, 4, 2, true)
+	db, _, _ := multiDCDB(k, 4, []int{1, 1}, wanRTT)
 	for i := 0; i < 200; i++ {
 		reps := db.ReplicasFor(key(i))
 		if len(reps) != 2 {
@@ -58,7 +41,8 @@ func TestTopologyPlacementSpreadsZones(t *testing.T) {
 
 func TestSimplePlacementIgnoresZones(t *testing.T) {
 	k := sim.NewKernel(3)
-	db, _, _ := geoDB(k, 4, 2, false)
+	db, _, _ := multiDCDB(k, 4, []int{1, 1}, wanRTT)
+	db.cfg.DCReplicas = nil // SimpleStrategy at RF 2 over the same ring
 	sameZone := 0
 	for i := 0; i < 200; i++ {
 		reps := db.ReplicasFor(key(i))
@@ -73,7 +57,7 @@ func TestSimplePlacementIgnoresZones(t *testing.T) {
 
 func TestInterZoneTrafficPaysWideAreaRTT(t *testing.T) {
 	k := sim.NewKernel(4)
-	_, _, c := geoDB(k, 2, 2, true)
+	_, _, c := multiDCDB(k, 2, []int{1, 1}, wanRTT)
 	var intra, inter time.Duration
 	k.Spawn("probe", func(p *sim.Proc) {
 		z0 := c.ZoneNodes(0)
@@ -95,7 +79,7 @@ func TestInterZoneTrafficPaysWideAreaRTT(t *testing.T) {
 
 func TestLocalQuorumAvoidsWideAreaWait(t *testing.T) {
 	k := sim.NewKernel(5)
-	db, base, _ := geoDB(k, 4, 4, true) // rf4 over 2 zones: 2 replicas per zone
+	db, base, _ := multiDCDB(k, 4, []int{2, 2}, wanRTT)
 	_ = db
 	lq := base.WithConsistency(kv.LocalQuorum, kv.LocalQuorum)
 	all := base.WithConsistency(kv.All, kv.All)
@@ -137,7 +121,7 @@ func TestLocalQuorumAvoidsWideAreaWait(t *testing.T) {
 
 func TestLocalQuorumStillReplicatesRemotely(t *testing.T) {
 	k := sim.NewKernel(6)
-	db, base, c := geoDB(k, 4, 4, true)
+	db, base, c := multiDCDB(k, 4, []int{2, 2}, wanRTT)
 	lq := base.WithConsistency(kv.LocalQuorum, kv.LocalQuorum)
 	k.Spawn("client", func(p *sim.Proc) {
 		if err := lq.Insert(p, key(7), kv.Record{"v": kv.SizedValue(42)}); err != nil {
@@ -160,7 +144,7 @@ func TestLocalQuorumStillReplicatesRemotely(t *testing.T) {
 
 func TestLocalQuorumUnavailableWhenZoneDown(t *testing.T) {
 	k := sim.NewKernel(7)
-	db, base, c := geoDB(k, 2, 4, true)
+	db, base, c := multiDCDB(k, 2, []int{2, 2}, wanRTT)
 	lq := base.WithConsistency(kv.LocalQuorum, kv.LocalQuorum)
 	k.Spawn("client", func(p *sim.Proc) {
 		target := key(3)

@@ -1,19 +1,17 @@
 package cassandra
 
-// Multi-datacenter coordinator paths. A cluster with more than one zone
-// (data center) switches writes and DC-aware reads onto the logic in this
-// file: per-DC acknowledgement targets for LOCAL_QUORUM and EACH_QUORUM,
-// and a forwarding write fan-out that sends ONE mutation per remote DC
-// across the WAN — to a forwarder replica that relays it over local links —
-// instead of one per remote replica, exactly as Cassandra's coordinator
-// does. Single-zone clusters never reach this code and keep the original
-// fan-out byte for byte.
+// The DC-aware half of the coordinator: the acknowledgement plan every
+// write waits on (one target for the zone-agnostic levels and
+// LOCAL_QUORUM, one per DC for EACH_QUORUM), the per-DC contact sets of
+// LOCAL_QUORUM and EACH_QUORUM reads, and the forward that sends ONE
+// mutation per remote DC across the WAN — to a forwarder replica that
+// relays it over local links — instead of one per remote replica, exactly
+// as Cassandra's coordinator does. The paper's single rack is one DC
+// holding every node: it runs this same code with one zone, so its
+// per-DC majorities are plain majorities and it has no DC to forward to.
 
 import (
-	"time"
-
 	"cloudbench/internal/cluster"
-	"cloudbench/internal/consistency"
 	"cloudbench/internal/kv"
 	"cloudbench/internal/sim"
 	"cloudbench/internal/trace"
@@ -25,7 +23,7 @@ func (db *DB) zones() int {
 	if db.cl == nil {
 		return 1
 	}
-	return db.cl.Config.Zones
+	return db.cl.Zones()
 }
 
 // legPhase picks the trace phase for one network leg: cross-DC legs bill
@@ -38,12 +36,12 @@ func legPhase(a, b *cluster.Node) trace.Phase {
 	return trace.PhaseFanout
 }
 
-// dcLocalPlan restricts replicas to the coordinator's DC with the real
-// NetworkTopologyStrategy LOCAL_QUORUM target: a majority of the DC's
-// replication factor, counting down replicas — a DC that has lost half its
-// replicas is unavailable at LOCAL_QUORUM even though the survivors could
-// form a majority among themselves. need is 0 when the DC holds no
-// replicas; the caller then degrades to a plain majority.
+// dcLocalPlan restricts replicas to one DC with the real
+// NetworkTopologyStrategy majority: the DC's live replicas in ring order
+// and a majority of its replication factor, counting down replicas — a DC
+// that has lost half its replicas cannot seat a quorum even though the
+// survivors could form a majority among themselves. need is 0 when the DC
+// holds no replicas.
 func dcLocalPlan(replicas []*Replica, zone int) (local []*Replica, need int) {
 	rf := 0
 	for _, r := range replicas {
@@ -55,10 +53,7 @@ func dcLocalPlan(replicas []*Replica, zone int) (local []*Replica, need int) {
 			local = append(local, r)
 		}
 	}
-	if rf == 0 {
-		return nil, 0
-	}
-	return local, rf/2 + 1
+	return local, kv.Quorum.Required(rf)
 }
 
 // eachQuorumRead selects the contact set for an EACH_QUORUM read: for
@@ -67,277 +62,134 @@ func dcLocalPlan(replicas []*Replica, zone int) (local []*Replica, need int) {
 // data read. ok is false when some DC cannot seat its majority.
 func (db *DB) eachQuorumRead(replicas []*Replica, zone int) (pool []*Replica, ok bool) {
 	zones := db.zones()
-	rfZ := make([]int, zones)
-	liveZ := make([][]*Replica, zones)
-	for _, r := range replicas {
-		z := r.Node.Zone
-		rfZ[z]++
-		if !r.Node.Down() {
-			liveZ[z] = append(liveZ[z], r)
-		}
-	}
 	for i := 0; i < zones; i++ {
-		z := (zone + i) % zones
-		if rfZ[z] == 0 {
-			continue
-		}
-		n := rfZ[z]/2 + 1
-		if len(liveZ[z]) < n {
+		local, need := dcLocalPlan(replicas, (zone+i)%zones)
+		if len(local) < need {
 			return nil, false
 		}
-		pool = append(pool, liveZ[z][:n]...)
+		pool = append(pool, local[:need]...)
 	}
 	return pool, true
 }
 
-// dcQuorum tracks write acknowledgements against either per-DC targets
-// (LOCAL_QUORUM, EACH_QUORUM) or a single global target (the zone-agnostic
-// levels), resolving a future as soon as the outcome is decided either
-// way.
-type dcQuorum struct {
-	f    *sim.Future[bool]
-	done bool
-	// Per-zone mode: remaining acks required and tolerable losses per
-	// zone; pending counts zones still short of their target.
-	need, spare []int
-	pending     int
-	// Global mode: remaining acks and tolerable losses over all zones.
-	global                bool
-	needTotal, spareTotal int
+// anyZone scopes an ackTarget to every replica, whatever its DC.
+const anyZone = -1
+
+// ackTarget is one requirement of a write's consistency level: need more
+// acknowledgements from the live replicas in zone (anyZone: anywhere),
+// which can lose spare more of them before need is out of reach.
+type ackTarget struct {
+	zone, need, spare int
 }
 
-// newZoneQuorum builds a per-zone tracker: need[z] acks from zone z, with
-// live[z] countable replicas there.
-func newZoneQuorum(k *sim.Kernel, need, live []int) *dcQuorum {
-	q := &dcQuorum{f: sim.NewFuture[bool](k), need: need, spare: make([]int, len(need))}
-	for z, n := range need {
-		if n > 0 {
-			q.pending++
-			q.spare[z] = live[z] - n
-		}
-	}
-	if q.pending == 0 {
-		q.settle(true)
-	}
-	return q
+// ackPlan tracks a write's acknowledgements against the level's targets
+// and settles f as soon as the outcome is decided either way: true when
+// every target is met, false when one no longer can be. The first decision
+// stands (Future.Set is first-wins).
+type ackPlan struct {
+	f       *sim.Future[bool]
+	targets []ackTarget
 }
 
-// newGlobalQuorum builds a zone-agnostic tracker: need acks from countable
-// live replicas anywhere.
-func newGlobalQuorum(k *sim.Kernel, need, countable int) *dcQuorum {
-	q := &dcQuorum{f: sim.NewFuture[bool](k), global: true, needTotal: need, spareTotal: countable - need}
-	if need <= 0 {
-		q.settle(true)
-	}
-	return q
-}
-
-func (q *dcQuorum) settle(v bool) {
-	if q.done {
-		return
-	}
-	q.done = true
-	q.f.Set(v)
-}
-
-// ack records a successful replica write in zone z.
-func (q *dcQuorum) ack(z int) {
-	if q.done {
-		return
-	}
-	if q.global {
-		q.needTotal--
-		if q.needTotal == 0 {
-			q.settle(true)
-		}
-		return
-	}
-	if q.need[z] <= 0 {
-		return
-	}
-	q.need[z]--
-	if q.need[z] == 0 {
-		q.pending--
-		if q.pending == 0 {
-			q.settle(true)
-		}
-	}
-}
-
-// fail records a lost replica write in zone z; once a zone (or the global
-// count) can no longer reach its target the write is unavailable.
-func (q *dcQuorum) fail(z int) {
-	if q.done {
-		return
-	}
-	if q.global {
-		q.spareTotal--
-		if q.spareTotal < 0 {
-			q.settle(false)
-		}
-		return
-	}
-	if q.need[z] <= 0 {
-		return
-	}
-	q.spare[z]--
-	if q.spare[z] < 0 {
-		q.settle(false)
-	}
-}
-
-// waitTimeout blocks until the outcome is decided or the deadline passes.
-func (q *dcQuorum) waitTimeout(p *sim.Proc, d time.Duration) (ok, decided bool) {
-	return q.f.AwaitTimeout(p, d)
-}
-
-// writeMultiDC is the coordinator write path on a multi-DC cluster. The
-// mutation reaches every replica, but differently per distance: replicas
-// in the coordinator's own DC get a direct message each, while each remote
-// DC with a live replica gets one message across the WAN to a forwarder
-// that applies it and relays it to the DC's other replicas over local
-// links. Every replica acks the coordinator directly; down replicas are
-// hinted at the coordinator as usual.
-func (db *DB) writeMultiDC(p *sim.Proc, coord *Replica, key kv.Key, rec kv.Record, del bool, cl kv.ConsistencyLevel, replicas []*Replica) error {
-	zones := db.zones()
-	rfZ := make([]int, zones)
-	liveZ := make([]int, zones)
-	byZone := make([][]*Replica, zones)
+// targetFor is cl's requirement over the replicas in zone: the level's
+// count at the replication factor of that scope — down replicas included,
+// so a DC that has lost half its replicas cannot seat a majority even
+// though the survivors could form one among themselves — with the live
+// ones to draw it from. need is 0 when the scope holds no replicas.
+func targetFor(cl kv.ConsistencyLevel, replicas []*Replica, zone int) ackTarget {
+	rf, live := 0, 0
 	for _, r := range replicas {
-		z := r.Node.Zone
-		rfZ[z]++
-		if !r.Node.Down() {
-			liveZ[z]++
+		if zone != anyZone && r.Node.Zone != zone {
+			continue
 		}
-		byZone[z] = append(byZone[z], r)
+		rf++
+		if !r.Node.Down() {
+			live++
+		}
 	}
-	countable := 0
-	for _, n := range liveZ {
-		countable += n
-	}
+	need := cl.Required(rf)
+	return ackTarget{zone: zone, need: need, spare: live - need}
+}
 
-	perZone := false
-	need := make([]int, zones)
-	needTotal := 0
+// planAcks turns cl into the targets a write coordinated from zone cz must
+// meet: EACH_QUORUM a majority in every DC holding replicas, LOCAL_QUORUM a
+// majority in the coordinator's DC, every other level — and LOCAL_QUORUM
+// from a DC holding no replicas — its count over all replicas. It returns
+// nil when the live replicas cannot meet a target: the write is
+// unavailable.
+func (db *DB) planAcks(cl kv.ConsistencyLevel, cz int, replicas []*Replica) *ackPlan {
+	var targets []ackTarget
 	switch cl {
 	case kv.EachQuorum:
-		perZone = true
-		for z, rf := range rfZ {
-			if rf > 0 {
-				need[z] = rf/2 + 1
+		for z, zones := 0, db.zones(); z < zones; z++ {
+			if t := targetFor(cl, replicas, z); t.need > 0 {
+				targets = append(targets, t)
 			}
 		}
 	case kv.LocalQuorum:
-		if cz := coord.Node.Zone; rfZ[cz] > 0 {
-			perZone = true
-			need[cz] = rfZ[cz]/2 + 1
-		} else {
-			// The coordinator's DC holds no replicas: degrade to a plain
-			// majority, mirroring the read path.
-			needTotal = cl.Required(len(replicas))
+		if t := targetFor(cl, replicas, cz); t.need > 0 {
+			targets = append(targets, t)
 		}
-	default:
-		needTotal = cl.Required(len(replicas))
 	}
-	var q *dcQuorum
-	if perZone {
-		for z := range need {
-			if liveZ[z] < need[z] {
-				db.Unavails++
-				return kv.ErrUnavailable
-			}
+	if len(targets) == 0 {
+		targets = append(targets, targetFor(cl, replicas, anyZone))
+	}
+	for _, t := range targets {
+		if t.spare < 0 {
+			return nil
 		}
-		q = newZoneQuorum(db.k, need, liveZ)
-	} else {
-		if countable < needTotal {
-			db.Unavails++
-			return kv.ErrUnavailable
-		}
-		q = newGlobalQuorum(db.k, needTotal, countable)
 	}
-
-	ver := db.version()
-	if db.oracle != nil {
-		db.oracle.WriteBegin(key, ver, len(replicas), db.k.Now())
-	}
-	size := db.mutationSize(key, rec)
-	cz := coord.Node.Zone
-	for z := 0; z < zones; z++ {
-		group := byZone[z]
-		if len(group) == 0 {
-			continue
-		}
-		if z == cz {
-			db.fanOutLocalDC(coord, group, key, rec, del, ver, size, q)
-			continue
-		}
-		db.forwardToDC(coord, group, key, rec, del, ver, size, q)
-	}
-	ok, decided := q.waitTimeout(p, db.cfg.Timeout)
-	if !decided {
-		db.CoordinatorTimeouts++
-		return kv.ErrTimeout
-	}
-	if !ok {
-		db.Unavails++
-		return kv.ErrUnavailable
-	}
-	if db.oracle != nil {
-		db.oracle.WriteAck(key, ver, db.k.Now())
-	}
-	return nil
+	a := &ackPlan{f: sim.NewFuture[bool](db.k), targets: targets}
+	a.settleIfMet()
+	return a
 }
 
-// fanOutLocalDC sends the mutation directly to every replica in the
-// coordinator's own DC — the single-DC fan-out, scoped to one zone.
-func (db *DB) fanOutLocalDC(coord *Replica, group []*Replica, key kv.Key, rec kv.Record, del bool, ver kv.Version, size int, q *dcQuorum) {
-	z := coord.Node.Zone
-	for _, rep := range group {
-		rep := rep
-		if rep.Node.Down() {
-			if db.cfg.HintedHandoff {
-				db.noteHint(coord, hint{target: rep, key: key, rec: rec, del: del, ver: ver, stored: db.k.Now()})
-			}
-			continue
+// ack records a successful replica write in zone z.
+func (a *ackPlan) ack(z int) {
+	for i := range a.targets {
+		if t := &a.targets[i]; t.zone == anyZone || t.zone == z {
+			t.need--
 		}
-		if rep == coord {
-			// Local apply still runs concurrently so a slow local
-			// commit-log append does not serialize the fan-out.
-			db.k.Go("c*-local-write", func(q2 *sim.Proc) {
-				rep.applyLocal(q2, db, key, rec, del, ver, consistency.ApplyWrite)
-				q.ack(z)
-			})
-			continue
+	}
+	a.settleIfMet()
+}
+
+// fail records a lost replica write in zone z. Every live replica answers
+// at most once, so a target that has been met cannot run out of spare.
+func (a *ackPlan) fail(z int) {
+	for i := range a.targets {
+		if t := &a.targets[i]; t.zone == anyZone || t.zone == z {
+			if t.spare--; t.spare < 0 {
+				a.f.Set(false)
+			}
 		}
-		db.k.Go("c*-repl-write", func(q2 *sim.Proc) {
-			var t0 sim.Time
-			if db.tracer != nil {
-				t0 = q2.Now()
-			}
-			if !coord.Node.SendTo(q2, rep.Node, size) {
-				q.fail(z)
-				return
-			}
-			if db.tracer != nil {
-				db.tracer.Phase(q2, trace.PhaseFanout, rep.Node.ID, t0)
-			}
-			rep.applyLocal(q2, db, key, rec, del, ver, consistency.ApplyWrite)
-			db.ackCoordinator(q2, rep, coord, q)
-		})
 	}
 }
 
-// forwardToDC sends the mutation once across the WAN to the first live
-// replica of a remote DC; that forwarder applies it and relays it over
-// local links to the DC's other live replicas. A dropped forward leg loses
-// the mutation for the whole DC, so it fails every live replica there.
-func (db *DB) forwardToDC(coord *Replica, group []*Replica, key kv.Key, rec kv.Record, del bool, ver kv.Version, size int, q *dcQuorum) {
-	live := make([]*Replica, 0, len(group))
-	for _, rep := range group {
+func (a *ackPlan) settleIfMet() {
+	for _, t := range a.targets {
+		if t.need > 0 {
+			return
+		}
+	}
+	a.f.Set(true)
+}
+
+// forwardToDC carries the mutation to zone z, a DC other than the
+// coordinator's: once across the WAN to the first live replica there in
+// ring order, which relays it over local links to the DC's other live
+// replicas — spawned after the WAN leg lands and before the forwarder's
+// own apply, so a slow commit log does not serialize the intra-DC fan-out.
+// A dropped forward leg loses the mutation for the whole DC, so it fails
+// once per live replica there.
+func (db *DB) forwardToDC(coord *Replica, replicas []*Replica, z int, m mutation, acks *ackPlan) {
+	var live []*Replica
+	for _, rep := range replicas {
+		if rep.Node.Zone != z {
+			continue
+		}
 		if rep.Node.Down() {
-			if db.cfg.HintedHandoff {
-				db.noteHint(coord, hint{target: rep, key: key, rec: rec, del: del, ver: ver, stored: db.k.Now()})
-			}
+			db.noteHint(coord, rep, m)
 			continue
 		}
 		live = append(live, rep)
@@ -345,63 +197,18 @@ func (db *DB) forwardToDC(coord *Replica, group []*Replica, key kv.Key, rec kv.R
 	if len(live) == 0 {
 		return
 	}
-	z := live[0].Node.Zone
 	fwd := live[0]
 	db.InterDCForwards++
-	db.k.Go("c*-fwd-write", func(q2 *sim.Proc) {
-		var t0 sim.Time
-		if db.tracer != nil {
-			t0 = q2.Now()
-		}
-		if !coord.Node.SendTo(q2, fwd.Node, size) {
+	db.k.Go("c*-fwd-write", func(q *sim.Proc) {
+		if !db.hop(q, coord.Node, fwd.Node, m.size) {
 			for range live {
-				q.fail(z)
+				acks.fail(z)
 			}
 			return
 		}
-		if db.tracer != nil {
-			db.tracer.Phase(q2, trace.PhaseWAN, fwd.Node.ID, t0)
-		}
-		// Relay before the forwarder's own apply so a slow local commit
-		// log does not serialize the intra-DC fan-out.
 		for _, rep := range live[1:] {
-			rep := rep
-			db.k.Go("c*-relay-write", func(q3 *sim.Proc) {
-				var r0 sim.Time
-				if db.tracer != nil {
-					r0 = q3.Now()
-				}
-				if !fwd.Node.SendTo(q3, rep.Node, size) {
-					q.fail(z)
-					return
-				}
-				if db.tracer != nil {
-					db.tracer.Phase(q3, trace.PhaseFanout, rep.Node.ID, r0)
-				}
-				rep.applyLocal(q3, db, key, rec, del, ver, consistency.ApplyWrite)
-				db.ackCoordinator(q3, rep, coord, q)
-			})
+			db.k.Go("c*-relay-write", func(q2 *sim.Proc) { db.deliver(q2, fwd.Node, rep, coord, m, acks) })
 		}
-		fwd.applyLocal(q2, db, key, rec, del, ver, consistency.ApplyWrite)
-		db.ackCoordinator(q2, fwd, coord, q)
+		db.deliver(q, fwd.Node, fwd, coord, m, acks)
 	})
-}
-
-// ackCoordinator sends a replica's write ack back to the coordinator —
-// billing cross-DC acks to the wan phase — and resolves it against the
-// quorum.
-func (db *DB) ackCoordinator(p *sim.Proc, rep, coord *Replica, q *dcQuorum) {
-	z := rep.Node.Zone
-	var t0 sim.Time
-	if db.tracer != nil {
-		t0 = p.Now()
-	}
-	if !rep.Node.SendTo(p, coord.Node, db.cfg.RequestOverhead) {
-		q.fail(z)
-		return
-	}
-	if db.tracer != nil {
-		db.tracer.Phase(p, legPhase(rep.Node, coord.Node), coord.Node.ID, t0)
-	}
-	q.ack(z)
 }

@@ -39,18 +39,10 @@ type Config struct {
 	LinkBandwidth float64       // bytes/second per NIC
 	BaseRTT       time.Duration // round-trip time between two nodes in the rack
 
-	// Geo topology (§6 future work: "build a geo-distributed testbed").
-	// Zones splits the nodes into contiguous equal groups (data centers);
-	// traffic between different zones pays InterZoneRTT instead of
-	// BaseRTT. Zones ≤ 1 is the paper's single rack.
-	Zones        int
-	InterZoneRTT time.Duration
-
-	// Geo, when non-nil, replaces the flat Zones/InterZoneRTT model with
-	// the full rack → DC hierarchy: explicit per-DC node blocks, racks
-	// inside each DC, and asymmetric per-direction WAN latency with
-	// bounded seeded jitter. Zones and InterZoneRTT are ignored when set
-	// (the zone count becomes len(Geo.DCSizes)).
+	// Geo is the multi-datacenter topology (§6 future work: "build a
+	// geo-distributed testbed"): explicit per-DC node blocks and
+	// asymmetric per-direction WAN latency with bounded seeded jitter.
+	// Nil is the paper's single rack — one DC holding every node.
 	Geo *GeoTopology
 
 	// Disk
@@ -86,12 +78,6 @@ type Cluster struct {
 
 // New builds a cluster of cfg.Nodes nodes on kernel k.
 func New(k *sim.Kernel, cfg Config) *Cluster {
-	if cfg.Geo != nil {
-		cfg.Zones = len(cfg.Geo.DCSizes)
-	}
-	if cfg.Zones < 1 {
-		cfg.Zones = 1
-	}
 	c := &Cluster{K: k, Config: cfg}
 	if cfg.Geo != nil {
 		c.geo = newGeoState(k, cfg)
@@ -99,14 +85,19 @@ func New(k *sim.Kernel, cfg Config) *Cluster {
 	for i := 0; i < cfg.Nodes; i++ {
 		n := newNode(c, i)
 		n.Zone = cfg.zoneOf(i)
-		n.Rack = cfg.rackOf(i)
 		c.Nodes = append(c.Nodes, n)
 	}
 	return c
 }
 
-// Zones returns the number of zones (data centers) in the topology.
-func (c *Cluster) Zones() int { return c.Config.Zones }
+// Zones returns the number of zones (data centers) in the topology: one
+// without a GeoTopology.
+func (c *Cluster) Zones() int {
+	if g := c.Config.Geo; g != nil {
+		return len(g.DCSizes)
+	}
+	return 1
+}
 
 // ZoneNodes returns the nodes in the given zone.
 func (c *Cluster) ZoneNodes(zone int) []*Node {
@@ -123,7 +114,6 @@ func (c *Cluster) ZoneNodes(zone int) []*Node {
 type Node struct {
 	ID      int
 	Zone    int // data center / region index, 0-based
-	Rack    int // rack index within the zone, 0-based (GeoTopology only)
 	Name    string
 	CPU     *sim.Resource
 	Disk    *Disk
@@ -223,14 +213,8 @@ func (n *Node) netDelay(dst *Node, size int) time.Duration {
 	done := start.Add(serialize)
 	n.nicFreeAt = done
 	prop := n.cluster.Config.BaseRTT / 2
-	if g := n.cluster.Config.Geo; g != nil {
-		if dst.Zone != n.Zone {
-			prop = n.cluster.wanDelay(n.Zone, dst.Zone)
-		} else if dst.Rack != n.Rack && g.InterRackRTT > 0 {
-			prop = g.InterRackRTT / 2
-		}
-	} else if dst.Zone != n.Zone && n.cluster.Config.InterZoneRTT > 0 {
-		prop = n.cluster.Config.InterZoneRTT / 2
+	if dst.Zone != n.Zone {
+		prop = n.cluster.wanDelay(n.Zone, dst.Zone)
 	}
 	return done.Sub(k.Now()) + prop
 }

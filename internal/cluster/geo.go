@@ -7,11 +7,10 @@ import (
 	"cloudbench/internal/sim"
 )
 
-// GeoTopology describes a multi-datacenter layout: the rack → DC hierarchy
-// of ROADMAP's geo-replication item. Nodes are assigned to data centers in
-// contiguous blocks (DCSizes), each DC is split into RacksPerDC contiguous
-// racks, and traffic between DCs pays a per-direction WAN base latency plus
-// bounded seeded jitter.
+// GeoTopology describes a multi-datacenter layout. Nodes are assigned to
+// data centers in contiguous blocks (DCSizes); each DC is one rack, so
+// traffic inside it pays BaseRTT, and traffic between DCs pays a
+// per-direction WAN base latency plus bounded seeded jitter.
 //
 // The WAN model is deliberately a pure function of (topology, kernel seed):
 // every directed DC pair owns its own jitter stream seeded from the kernel
@@ -23,11 +22,6 @@ type GeoTopology struct {
 	// assigned in contiguous blocks by id and the sizes must sum to
 	// Config.Nodes.
 	DCSizes []int
-	// RacksPerDC splits each DC into contiguous racks (≤ 1 means one
-	// rack per DC). Same-rack traffic pays BaseRTT; cross-rack same-DC
-	// traffic pays InterRackRTT when set.
-	RacksPerDC   int
-	InterRackRTT time.Duration
 	// WANOneWay[src][dst] is the base one-way latency from DC src to DC
 	// dst. The matrix may be asymmetric (routing rarely gives both
 	// directions of a long-haul path the same delay); the diagonal is
@@ -160,41 +154,22 @@ func (c *Cluster) zoneCut(a, b int) bool {
 	return c.geo != nil && a != b && c.geo.cut[a][b]
 }
 
-// zoneOf returns the zone (data center) of node i under cfg's topology
-// rules: contiguous DCSizes blocks with a GeoTopology, the contiguous
-// equal split otherwise. New and PlanShards share it so execution-shard
-// planning can never drift from the topology the cluster actually builds.
+// zoneOf returns the zone (data center) of node i: its contiguous DCSizes
+// block, or 0 on a single rack. New and PlanShards share it so
+// execution-shard planning can never drift from the topology the cluster
+// actually builds.
 func (cfg *Config) zoneOf(i int) int {
-	if g := cfg.Geo; g != nil {
-		for z, size := range g.DCSizes {
-			if i < size {
-				return z
-			}
-			i -= size
-		}
-		return len(g.DCSizes) - 1
-	}
-	zones := cfg.Zones
-	if zones < 1 {
-		zones = 1
-	}
-	return i * zones / cfg.Nodes
-}
-
-// rackOf returns the rack index (within its DC) of node i: contiguous
-// equal blocks inside the DC. 0 without a GeoTopology.
-func (cfg *Config) rackOf(i int) int {
 	g := cfg.Geo
-	if g == nil || g.RacksPerDC <= 1 {
+	if g == nil {
 		return 0
 	}
-	for _, size := range g.DCSizes {
+	for z, size := range g.DCSizes {
 		if i < size {
-			return i * g.RacksPerDC / size
+			return z
 		}
 		i -= size
 	}
-	return 0
+	return len(g.DCSizes) - 1
 }
 
 // minOneWay returns the minimum possible one-way latency between nodes i
@@ -204,21 +179,8 @@ func (cfg *Config) rackOf(i int) int {
 // lookahead from it.
 func (cfg *Config) minOneWay(i, j int) time.Duration {
 	zi, zj := cfg.zoneOf(i), cfg.zoneOf(j)
-	if g := cfg.Geo; g != nil {
-		if zi != zj {
-			d := g.WANOneWay[zi][zj]
-			if r := g.WANOneWay[zj][zi]; r < d {
-				d = r
-			}
-			return d
-		}
-		if cfg.rackOf(i) != cfg.rackOf(j) && g.InterRackRTT > 0 {
-			return g.InterRackRTT / 2
-		}
+	if zi == zj {
 		return cfg.BaseRTT / 2
 	}
-	if zi != zj && cfg.InterZoneRTT > 0 {
-		return cfg.InterZoneRTT / 2
-	}
-	return cfg.BaseRTT / 2
+	return min(cfg.Geo.WANOneWay[zi][zj], cfg.Geo.WANOneWay[zj][zi])
 }

@@ -44,27 +44,28 @@ func TestWANChainMatrix(t *testing.T) {
 	}
 }
 
-func TestGeoZoneAndRackAssignment(t *testing.T) {
+func TestGeoZoneAssignment(t *testing.T) {
 	k := sim.NewKernel(1)
 	cfg := DefaultConfig()
 	cfg.Nodes = 7
 	cfg.Geo = &GeoTopology{
-		DCSizes:      []int{4, 3},
-		RacksPerDC:   2,
-		InterRackRTT: time.Millisecond,
-		WANOneWay:    WANChain(2, 80*time.Millisecond),
+		DCSizes:   []int{4, 3},
+		WANOneWay: WANChain(2, 80*time.Millisecond),
 	}
 	c := New(k, cfg)
 	wantZone := []int{0, 0, 0, 0, 1, 1, 1}
-	wantRack := []int{0, 0, 1, 1, 0, 0, 1}
 	for i, n := range c.Nodes {
-		if n.Zone != wantZone[i] || n.Rack != wantRack[i] {
-			t.Fatalf("node %d: zone=%d rack=%d, want zone=%d rack=%d",
-				i, n.Zone, n.Rack, wantZone[i], wantRack[i])
+		if n.Zone != wantZone[i] {
+			t.Fatalf("node %d: zone=%d, want %d", i, n.Zone, wantZone[i])
 		}
 	}
 	if c.Zones() != 2 {
 		t.Fatalf("Zones() = %d", c.Zones())
+	}
+	// One rack is one DC holding every node.
+	cfg.Geo = nil
+	if c := New(k, cfg); c.Zones() != 1 || len(c.ZoneNodes(0)) != cfg.Nodes {
+		t.Fatalf("single rack: Zones() = %d, %d nodes in zone 0", c.Zones(), len(c.ZoneNodes(0)))
 	}
 }
 

@@ -29,22 +29,14 @@ type ShardPlan struct {
 // least that long, so it is the largest window width the conservative
 // scheme can safely use.
 //
-// Node i goes to shard i*shards/nodes — the same contiguous split rule New
-// uses for zones, so when the shard count divides the zone count evenly the
-// shard boundaries align with zone boundaries and the lookahead widens from
-// BaseRTT/2 to InterZoneRTT/2. With a GeoTopology whose DC blocks align
-// with the shard split (e.g. equal DCs, one shard per DC), every
-// cross-shard edge is a WAN edge and the lookahead widens to the minimum
-// cross-DC one-way base latency — WAN jitter is additive and non-negative,
-// so the base stays a true lower bound and the conservative window engine
-// stays correct.
+// Node i goes to shard i*shards/nodes. On a single rack every cross-shard
+// edge is a rack edge and the lookahead is BaseRTT/2. With a GeoTopology
+// whose DC blocks align with the shard split (e.g. equal DCs, one shard per
+// DC), every cross-shard edge is a WAN edge and the lookahead widens to the
+// minimum cross-DC one-way base latency — WAN jitter is additive and
+// non-negative, so the base stays a true lower bound and the conservative
+// window engine stays correct.
 func PlanShards(cfg Config, shards int) ShardPlan {
-	if cfg.Geo != nil {
-		cfg.Zones = len(cfg.Geo.DCSizes)
-	}
-	if cfg.Zones < 1 {
-		cfg.Zones = 1
-	}
 	if shards < 1 {
 		shards = 1
 	}

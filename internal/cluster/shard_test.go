@@ -24,14 +24,14 @@ func TestPlanShardsContiguous(t *testing.T) {
 
 func TestPlanShardsZoneAligned(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Zones = 4
-	cfg.InterZoneRTT = 10 * time.Millisecond
+	rtt := 10 * time.Millisecond
+	cfg.Geo = &GeoTopology{DCSizes: []int{4, 4, 4, 4}, WANOneWay: WANChain(4, rtt)}
 	// 4 shards over 4 zones: every cross-shard pair crosses a zone, so the
-	// lookahead widens to the inter-zone one-way latency.
+	// lookahead widens to the inter-zone one-way latency — the cheaper
+	// direction of one hop of the chain.
 	p := PlanShards(cfg, 4)
-	if p.Lookahead != cfg.InterZoneRTT/2 {
-		t.Errorf("zone-aligned lookahead = %v, want InterZoneRTT/2 = %v",
-			p.Lookahead, cfg.InterZoneRTT/2)
+	if want := rtt * 4 / 10; p.Lookahead != want {
+		t.Errorf("zone-aligned lookahead = %v, want %v", p.Lookahead, want)
 	}
 	// 8 shards over 4 zones: shards split zones, so some cross-shard pairs
 	// stay intra-zone and the lookahead falls back to BaseRTT/2.

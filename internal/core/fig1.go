@@ -59,10 +59,9 @@ func runFig1Cell(o Options, b backend) (Fig1Results, error) {
 	err := d.run(o.Threads, func(p *sim.Proc) {
 		for _, op := range microOrder {
 			res := d.phase(p, microSpec(op, o.MicroRecords), ycsb.RunConfig{
-				Threads:          o.MicroThreads,
-				Ops:              o.MicroOps,
-				TargetThroughput: o.MicroThrottle,
-				WarmupFraction:   o.WarmupFraction,
+				Threads:        o.MicroThreads,
+				Ops:            o.MicroOps,
+				WarmupFraction: o.WarmupFraction,
 			})
 			out = append(out, MicroResult{
 				DB:         b.db,

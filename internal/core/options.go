@@ -75,12 +75,11 @@ type Options struct {
 	Threads        int
 	WarmupFraction float64
 
-	// MicroThrottle keeps the micro benchmark unsaturated (§4.1 "we keep
+	// MicroThreads keeps the micro benchmark unsaturated (§4.1 "we keep
 	// the load of the testbed in unsaturated state by limiting the
-	// number of concurrence requests"), expressed in ops/second; 0 means
-	// closed-loop with MicroThreads only.
-	MicroThrottle float64
-	MicroThreads  int
+	// number of concurrence requests"): a closed loop of this many
+	// client threads.
+	MicroThreads int
 
 	// CacheBytes is the per-node block cache. Experiments size it to
 	// cover the working set after warmup, matching the paper's testbed
@@ -161,7 +160,6 @@ func QuickOptions() Options {
 		StressOps:           20_000,
 		Threads:             256,
 		WarmupFraction:      0.1,
-		MicroThrottle:       0,
 		MicroThreads:        110,
 		CacheBytes:          4 << 20,
 		ReplicationFactors:  []int{1, 2, 3, 4, 5, 6},

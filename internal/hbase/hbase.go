@@ -251,8 +251,7 @@ func (db *DB) version() kv.Version {
 // write is the region-server write path executed by p at the server.
 func (rs *RegionServer) write(p *sim.Proc, r *Region, key kv.Key, rec kv.Record, del bool) {
 	db := rs.db
-	cpu := db.cluster.Config.CPUOpCost
-	db.execServer(p, rs.Node, cpu)
+	db.execServer(p, rs.Node, db.cluster.Config.CPUOpCost)
 	ver := db.version()
 	if db.oracle != nil {
 		// One read-serving replica per key: the owning region. Peer
@@ -262,62 +261,20 @@ func (rs *RegionServer) write(p *sim.Proc, r *Region, key kv.Key, rec kv.Record,
 		db.oracle.WriteBegin(key, ver, 1, p.Now())
 	}
 
+	// WAL locally, replicate the edit to every peer in parallel, ack when
+	// all peers confirm (strong consistency). On the paper path a peer
+	// applies the edit to its memstore; on ablation A2 it WALs it to disk
+	// before acking — synchronous replication, what the paper's
+	// expectations predicted.
+	label := "hbase-syncrepl"
 	if db.cfg.MemReplication {
-		// Paper path: WAL locally, replicate the edit to peer memstores
-		// in parallel, ack when all peers confirm (strong consistency).
-		q := sim.NewQuorum(db.k, len(rs.memPeers), len(rs.memPeers))
-		size := rec.Bytes() + len(key) + db.cfg.RequestOverhead
-		for _, peer := range rs.memPeers {
-			peer := peer
-			db.ReplicationSends++
-			db.k.Go("hbase-memrepl", func(q2 *sim.Proc) {
-				var t0 sim.Time
-				if db.tracer != nil {
-					t0 = q2.Now()
-				}
-				if !rs.Node.SendTo(q2, peer, size) {
-					q.Fail()
-					return
-				}
-				// The pipeline receiver is the co-located DataNode — a
-				// small-heap daemon whose GC pauses are negligible — so
-				// the in-memory apply bypasses the region server's
-				// stop-the-world windows.
-				peer.ExecDaemon(q2, db.cluster.Config.MemOpCost)
-				if !peer.SendTo(q2, rs.Node, db.cfg.RequestOverhead) {
-					q.Fail()
-					return
-				}
-				if db.tracer != nil {
-					db.tracer.Phase(q2, trace.PhaseFanout, peer.ID, t0)
-				}
-				q.Succeed()
-			})
-		}
-		if del {
-			r.engine.ApplyDelete(p, key, ver)
-		} else {
-			r.engine.Apply(p, key, rec, ver)
-		}
-		if db.oracle != nil {
-			db.oracle.ReplicaApply(key, ver, rs.Node.ID, consistency.ApplyWrite, p.Now())
-		}
-		q.Wait(p)
-		if db.oracle != nil {
-			db.oracle.WriteAck(key, ver, p.Now())
-		}
-		return
+		label = "hbase-memrepl"
 	}
-
-	// Ablation path: synchronous replication to peer disks (what the
-	// paper's expectations predicted): each peer WALs the edit before
-	// acking.
 	q := sim.NewQuorum(db.k, len(rs.memPeers), len(rs.memPeers))
 	size := rec.Bytes() + len(key) + db.cfg.RequestOverhead
 	for _, peer := range rs.memPeers {
-		peer := peer
 		db.ReplicationSends++
-		db.k.Go("hbase-syncrepl", func(q2 *sim.Proc) {
+		db.k.Go(label, func(q2 *sim.Proc) {
 			var t0 sim.Time
 			if db.tracer != nil {
 				t0 = q2.Now()
@@ -326,8 +283,16 @@ func (rs *RegionServer) write(p *sim.Proc, r *Region, key kv.Key, rec kv.Record,
 				q.Fail()
 				return
 			}
-			peer.Exec(q2, cpu)
-			peer.Disk.Append(q2, size)
+			if db.cfg.MemReplication {
+				// The pipeline receiver is the co-located DataNode — a
+				// small-heap daemon whose GC pauses are negligible — so
+				// the in-memory apply bypasses the region server's
+				// stop-the-world windows.
+				peer.ExecDaemon(q2, db.cluster.Config.MemOpCost)
+			} else {
+				peer.Exec(q2, db.cluster.Config.CPUOpCost)
+				peer.Disk.Append(q2, size)
+			}
 			if !peer.SendTo(q2, rs.Node, db.cfg.RequestOverhead) {
 				q.Fail()
 				return

@@ -114,12 +114,12 @@ type ConsistencyLevel int
 
 // Consistency levels. One, Two and Three are absolute counts; Quorum is a
 // majority of the replication factor; All is every replica. LocalQuorum
-// is a majority of the replicas in the coordinator's zone (data center) —
-// the level multi-datacenter deployments use to avoid wide-area waits; on
-// a single-zone cluster it degenerates to Quorum. EachQuorum demands a
-// majority of the replicas in *every* data center, the strongest
-// cross-DC level Cassandra offers short of ALL; it too degenerates to
-// Quorum on a single zone.
+// is a majority of the replication factor of the coordinator's zone (data
+// center), down replicas counted — the level multi-datacenter deployments
+// use to avoid wide-area waits. EachQuorum demands such a majority in
+// *every* data center, the strongest cross-DC level Cassandra offers short
+// of ALL. A single rack is one data center, so there both are exactly
+// Quorum.
 const (
 	One ConsistencyLevel = iota + 1
 	Two

@@ -102,14 +102,13 @@ func TestRingIgnoresFailures(t *testing.T) {
 	}
 }
 
-// TestRingZoneAwarePlacement: with TopologyAware set and zones configured,
+// TestRingZoneAwarePlacement: with TopologyAware set on a multi-DC cluster,
 // each partition's replica set spans distinct zones (RF ≤ zone count).
 func TestRingZoneAwarePlacement(t *testing.T) {
 	k := sim.NewKernel(51)
 	ccfg := cluster.DefaultConfig()
 	ccfg.Nodes = 6
-	ccfg.Zones = 3
-	ccfg.InterZoneRTT = 10 * time.Millisecond
+	ccfg.Geo = &cluster.GeoTopology{DCSizes: []int{2, 2, 2}, WANOneWay: cluster.WANChain(3, 10*time.Millisecond)}
 	c := cluster.New(k, ccfg)
 	cfg := DefaultConfig()
 	cfg.Replication = 3
