@@ -1,6 +1,7 @@
 package cassandra
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"testing"
@@ -43,7 +44,11 @@ func TestSingleRackLocalQuorumIsQuorum(t *testing.T) {
 
 // ackCase is one write as the ack plan sees it: a level, the coordinator's
 // zone, the replicas' zones and liveness, and the order in which the live
-// replicas answer — each exactly once, with an ack or a loss.
+// replicas answer — each exactly once, with an ack or a loss. An event
+// marked joined shares its leg with the next one: a forward into a remote
+// DC that is lost fails every live replica there from one process. With
+// giveUp the coordinator times out after the first event instead of
+// waiting for the decision.
 type ackCase struct {
 	cl     kv.ConsistencyLevel
 	zones  int
@@ -51,11 +56,13 @@ type ackCase struct {
 	zone   []int  // per replica
 	down   []bool // per replica
 	events []ackEvent
+	giveUp bool
 }
 
 type ackEvent struct {
 	replica int
 	ok      bool
+	joined  bool
 }
 
 // refAcks is the brute-force reference for ackPlan: after every event it
@@ -118,103 +125,222 @@ func refAcks(c ackCase) (at int, outcome bool) {
 	return len(c.events), false
 }
 
-// checkAckCase plays c through the real plan and compares, event by event,
-// with refAcks — and for the zone-agnostic levels with sim.Quorum.
-func checkAckCase(t *testing.T, c ackCase) {
-	t.Helper()
-	k := sim.NewKernel(1)
-	// Each DC block holds its replicas plus one spare node, so a DC with no
-	// replica still exists.
-	sizes := make([]int, c.zones)
-	for z := range sizes {
-		sizes[z] = 1
-	}
-	for _, z := range c.zone {
-		sizes[z]++
-	}
-	ccfg := cluster.DefaultConfig()
-	ccfg.Nodes = len(c.zone) + c.zones
-	if c.zones > 1 {
-		ccfg.Geo = &cluster.GeoTopology{DCSizes: sizes, WANOneWay: cluster.WANChain(c.zones, 0)}
-	}
-	cl := cluster.New(k, ccfg)
-	db := &DB{k: k, cl: cl}
-	// Replica i sits on the next free node of its zone's block.
-	next := make([]int, c.zones)
-	start := make([]int, c.zones)
-	for z := 1; z < c.zones; z++ {
-		start[z] = start[z-1] + sizes[z-1]
-	}
-	replicas := make([]*Replica, len(c.zone))
-	live := 0
-	for i, z := range c.zone {
-		n := cl.Nodes[start[z]+next[z]]
-		next[z]++
-		if c.down[i] {
-			n.Fail()
-		} else {
-			live++
-		}
-		replicas[i] = &Replica{Node: n}
-	}
+// ackRun is one write of a sequence in flight: its case and reference
+// verdict, the pooled op it runs on, how many legs are still out, and how
+// far its events have been played.
+type ackRun struct {
+	c      ackCase
+	wantAt int
+	want   bool
+	op     *writeOp
+	legs   int         // legs still out: one per event that ends a leg
+	q      *sim.Quorum // second reference, zone-agnostic levels only
+	next   int         // next event to play
+	at     int         // event the plan decided at; len(events) while undecided
+	coord  bool        // the coordinator still holds the op
+}
 
-	wantAt, want := refAcks(c)
-	plan := db.planAcks(c.cl, c.cz, replicas)
-	if plan == nil {
-		if wantAt != -1 || want {
-			t.Fatalf("%+v: planned unavailable, reference decides %v at %d", c, want, wantAt)
-		}
-		return
+// planState is everything of a plan a stray ack or loss could disturb.
+type planState struct {
+	targets   [8]ackTarget
+	n         int
+	val, done bool
+}
+
+func (r *ackRun) state() planState {
+	var s planState
+	s.n = copy(s.targets[:], r.op.acks.targets)
+	s.val, s.done = r.op.acks.f.Value()
+	return s
+}
+
+// step plays r's next event: the ack or loss, then the end of its leg.
+func (r *ackRun) step(t *testing.T) {
+	t.Helper()
+	c, i := r.c, r.next
+	e := c.events[i]
+	r.next++
+	if e.ok {
+		r.op.acks.ack(c.zone[e.replica])
+	} else {
+		r.op.acks.fail(c.zone[e.replica])
 	}
-	var q *sim.Quorum
-	if c.cl != kv.LocalQuorum && c.cl != kv.EachQuorum {
-		q = sim.NewQuorum(k, c.cl.Required(len(replicas)), live)
-	}
-	at := len(c.events)
-	for i := -1; i < len(c.events); i++ {
-		if i >= 0 {
-			e := c.events[i]
-			if e.ok {
-				plan.ack(c.zone[e.replica])
-				if q != nil {
-					q.Succeed()
-				}
-			} else {
-				plan.fail(c.zone[e.replica])
-				if q != nil {
-					q.Fail()
-				}
-			}
-		}
-		got, done := plan.f.Value()
-		if q != nil {
-			if qv, qdone := q.Done().Value(); qdone != done || qv != got {
-				t.Fatalf("%+v: after event %d plan = %v/%v, sim.Quorum = %v/%v", c, i, got, done, qv, qdone)
-			}
-		}
-		if done && at == len(c.events) {
-			at = i
-			if got != want {
-				t.Fatalf("%+v: plan decides %v at %d, reference %v at %d", c, got, at, want, wantAt)
-			}
+	if r.q != nil {
+		if e.ok {
+			r.q.Succeed()
+		} else {
+			r.q.Fail()
 		}
 	}
-	if at != wantAt {
-		t.Fatalf("%+v: plan decides at %d, reference at %d", c, at, wantAt)
+	r.verify(t, i)
+	if !e.joined { // the leg's process ends: see deliver
+		r.legs--
+		r.op.release()
 	}
 }
 
-// decodeAckCase builds a case from fuzz bytes: level, zone count,
-// coordinator zone, then one byte per replica: zone in the low bits, 0x10
-// down, 0x20 its write is lost. The live replicas answer in an order
-// shuffled from the bytes.
+// verify compares the plan with both references after event i (-1: as
+// planned).
+func (r *ackRun) verify(t *testing.T, i int) {
+	t.Helper()
+	c := r.c
+	got, done := r.op.acks.f.Value()
+	if r.q != nil {
+		if qv, qdone := r.q.Done().Value(); qdone != done || qv != got {
+			t.Fatalf("%+v: after event %d plan = %v/%v, sim.Quorum = %v/%v", c, i, got, done, qv, qdone)
+		}
+	}
+	if done && r.at == len(c.events) {
+		r.at = i
+		if got != r.want {
+			t.Fatalf("%+v: plan decides %v at %d, reference %v at %d", c, got, i, r.want, r.wantAt)
+		}
+	}
+	if i == len(c.events)-1 && r.at != r.wantAt {
+		t.Fatalf("%+v: plan decides at %d, reference at %d", c, r.at, r.wantAt)
+	}
+}
+
+// checkAckSequence plays cases, which share a zone count, one after another
+// through one DB's pooled writeOps the way overlapping writes use them: a
+// write's coordinator lets go of its op once the plan has decided (or, with
+// giveUp, after one event), the next write starts, and the earlier writes'
+// remaining events — late acks and losses — arrive interleaved with it.
+// Every event is checked against refAcks (and sim.Quorum) for its own
+// write; no event may change another write's plan; and an op or leg struct
+// is reused only after everyone holding it has let go.
+func checkAckSequence(t *testing.T, cases []ackCase) {
+	t.Helper()
+	zones := cases[0].zones
+	k := sim.NewKernel(1)
+	// Each DC block holds one node per replica a case may place there plus a
+	// spare, so a DC with no replica still exists.
+	const perZone = 9
+	sizes := make([]int, zones)
+	for z := range sizes {
+		sizes[z] = perZone
+	}
+	ccfg := cluster.DefaultConfig()
+	ccfg.Nodes = perZone * zones
+	if zones > 1 {
+		ccfg.Geo = &cluster.GeoTopology{DCSizes: sizes, WANOneWay: cluster.WANChain(zones, 0)}
+	}
+	cl := cluster.New(k, ccfg)
+	db := &DB{k: k, cl: cl}
+
+	var runs []*ackRun
+	others := func(r *ackRun) map[*ackRun]planState {
+		m := map[*ackRun]planState{}
+		for _, o := range runs {
+			if o != r && (o.coord || o.legs > 0) {
+				m[o] = o.state()
+			}
+		}
+		return m
+	}
+	// play steps r once and requires every other write in flight untouched.
+	play := func(r *ackRun) {
+		before := others(r)
+		r.step(t)
+		for o, was := range before {
+			if now := o.state(); now != was {
+				t.Fatalf("an event of %+v changed the plan of %+v: %+v -> %+v", r.c, o.c, was, now)
+			}
+		}
+	}
+	// late plays one overdue event of the oldest write that has any.
+	late := func() {
+		for _, r := range runs {
+			if !r.coord && r.next < len(r.c.events) {
+				play(r)
+				return
+			}
+		}
+	}
+	structs := map[*writeOp]bool{}
+	for _, c := range cases {
+		// Replica i sits on the next free node of its zone's block.
+		next := make([]int, zones)
+		replicas := make([]*Replica, len(c.zone))
+		live := 0
+		for i, z := range c.zone {
+			n := cl.Nodes[z*perZone+next[z]]
+			next[z]++
+			if n.Recover(); c.down[i] {
+				n.Fail()
+			} else {
+				live++
+			}
+			replicas[i] = &Replica{Node: n}
+		}
+		r := &ackRun{c: c, coord: true, at: len(c.events)}
+		r.wantAt, r.want = refAcks(c)
+		if r.op = take(&db.writeOps); r.op == nil {
+			r.op = &writeOp{db: db}
+		}
+		for _, o := range runs {
+			if o.op == r.op && (o.coord || o.legs > 0) {
+				t.Fatalf("%+v took the op %+v still holds (%d legs out)", c, o.c, o.legs)
+			}
+		}
+		structs[r.op] = true
+		r.op.refs = 1
+		if !r.op.acks.plan(db, c.cl, c.cz, replicas) {
+			if r.wantAt != -1 || r.want {
+				t.Fatalf("%+v: planned unavailable, reference decides %v at %d", c, r.want, r.wantAt)
+			}
+			r.op.release()
+			continue
+		}
+		runs = append(runs, r)
+		if c.cl != kv.LocalQuorum && c.cl != kv.EachQuorum {
+			r.q = sim.NewQuorum(k, c.cl.Required(len(replicas)), live)
+		}
+		for _, e := range c.events {
+			if !e.joined {
+				r.op.leg(nil, replicas[e.replica])
+				r.legs++
+			}
+		}
+		r.verify(t, -1)
+		// The coordinator waits for the decision, earlier writes' late
+		// events arriving in between, then returns.
+		for n := 0; r.next < len(c.events) && r.at == len(c.events) && !(c.giveUp && n > 0); n++ {
+			late()
+			play(r)
+		}
+		r.coord = false
+		r.op.release()
+	}
+	for _, r := range runs {
+		for r.next < len(r.c.events) {
+			play(r)
+		}
+	}
+	if len(db.writeOps) != len(structs) {
+		t.Fatalf("%d op structs were made, %d are back on the free list", len(structs), len(db.writeOps))
+	}
+	for _, op := range db.writeOps {
+		if op.refs != 0 || op.used != 0 {
+			t.Fatalf("op on the free list with %d holders and %d legs in use", op.refs, op.used)
+		}
+	}
+}
+
+// decodeAckCase builds a case from fuzz bytes: level (0x80: the coordinator
+// gives up early), zone count, coordinator zone, then one byte per replica:
+// zone in the low bits, 0x10 down, 0x20 its write is lost, 0x40 — on a
+// replica outside the coordinator's DC — the forward into its DC is lost.
+// The live replicas answer in an order shuffled from the bytes, a lost
+// forward's replicas back to back.
 func decodeAckCase(data []byte) (ackCase, bool) {
 	if len(data) < 4 {
 		return ackCase{}, false
 	}
 	c := ackCase{
-		cl:    everyLevel[int(data[0])%len(everyLevel)],
-		zones: int(data[1])%3 + 1,
+		cl:     everyLevel[int(data[0]&0x7f)%len(everyLevel)],
+		zones:  int(data[1])%3 + 1,
+		giveUp: data[0]&0x80 != 0,
 	}
 	c.cz = int(data[2]) % c.zones
 	rest := data[3:]
@@ -222,11 +348,15 @@ func decodeAckCase(data []byte) (ackCase, bool) {
 		rest = rest[:8]
 	}
 	order := make([]int, 0, len(rest))
+	lostDC := make([]bool, c.zones)
 	for i, b := range rest {
 		c.zone = append(c.zone, int(b&0x03)%c.zones)
 		c.down = append(c.down, b&0x10 != 0)
 		if !c.down[i] {
 			order = append(order, i)
+			if b&0x40 != 0 && c.zone[i] != c.cz {
+				lostDC[c.zone[i]] = true
+			}
 		}
 	}
 	// Answer order: a permutation of the live replicas seeded by the bytes.
@@ -235,14 +365,45 @@ func decodeAckCase(data []byte) (ackCase, bool) {
 		seed = seed*131 + int64(b)
 	}
 	rand.New(rand.NewSource(seed)).Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+	emitted := make([]bool, len(rest))
 	for _, r := range order {
+		if emitted[r] {
+			continue
+		}
+		if z := c.zone[r]; lostDC[z] {
+			for _, o := range order {
+				if c.zone[o] == z {
+					emitted[o] = true
+					c.events = append(c.events, ackEvent{replica: o, joined: true})
+				}
+			}
+			c.events[len(c.events)-1].joined = false
+			continue
+		}
 		c.events = append(c.events, ackEvent{replica: r, ok: rest[r]&0x20 == 0})
 	}
 	return c, true
 }
 
+// decodeAckSequence splits fuzz bytes at 0xff into the writes of one
+// sequence; they share the first one's zone count.
+func decodeAckSequence(data []byte) []ackCase {
+	var cases []ackCase
+	for _, chunk := range bytes.Split(data, []byte{0xff}) {
+		if len(cases) > 0 && len(chunk) > 1 {
+			chunk = append([]byte(nil), chunk...)
+			chunk[1] = byte(cases[0].zones - 1)
+		}
+		if c, ok := decodeAckCase(chunk); ok {
+			cases = append(cases, c)
+		}
+	}
+	return cases
+}
+
 // ackSeeds are hand-picked layouts: every level on one rack and on two and
-// three DCs, healthy, with a down replica, with losses that decide late.
+// three DCs, healthy, with a down replica, with losses that decide late;
+// then sequences whose late acks and losses outlive their coordinator.
 var ackSeeds = [][]byte{
 	{0, 0, 0, 0, 0, 0},                      // ONE, one rack, all ack
 	{3, 0, 0, 0x20, 0, 0x20},                // QUORUM, one rack, two losses
@@ -258,24 +419,37 @@ var ackSeeds = [][]byte{
 	{3, 2, 2, 0, 0x20, 1, 0x21, 2, 0x22},    // QUORUM over 3 DCs, half lost
 	{1, 1, 0, 0x20, 0x21, 1},                // TWO, two losses of three
 	{2, 2, 0, 0, 1, 2, 0x10, 0x11, 0x12, 7}, // THREE, three down of seven
+	// ONE ×3 on one rack: each returns on its first ack, two late acks each.
+	{0, 0, 0, 0, 0, 0, 0xff, 0, 0, 0, 0, 0x20, 0, 0xff, 0, 0, 0, 0x20, 0x20, 0},
+	// QUORUM, then ALL with a late loss, then QUORUM again, 2 DCs.
+	{3, 1, 0, 0, 0, 1, 0xff, 4, 1, 0, 0, 0x20, 1, 0xff, 3, 1, 1, 0, 1, 0x21},
+	// EACH_QUORUM whose forward into DC 1 is lost, overlapped by ONE and EACH_QUORUM.
+	{6, 1, 0, 0, 0, 0x41, 1, 0xff, 0, 1, 0, 0, 0, 1, 1, 0xff, 6, 1, 0, 0, 0, 1, 1},
+	// A coordinator that times out after one event, its op reused only after the stragglers.
+	{0x84, 0, 0, 0, 0, 0, 0xff, 0, 0, 0, 0, 0, 0, 0xff, 0x83, 0, 0, 0, 0x20, 0},
 }
 
 // TestAckPlanMatchesReference drives the plan over the seed table and a
-// few thousand random layouts against refAcks and sim.Quorum.
+// few thousand random layouts and sequences against refAcks and sim.Quorum.
 func TestAckPlanMatchesReference(t *testing.T) {
 	for _, s := range ackSeeds {
-		c, ok := decodeAckCase(s)
-		if !ok {
+		cases := decodeAckSequence(s)
+		if len(cases) == 0 {
 			t.Fatalf("seed %v does not decode", s)
 		}
-		checkAckCase(t, c)
+		checkAckSequence(t, cases)
 	}
 	rng := rand.New(rand.NewSource(20))
 	for i := 0; i < 5000; i++ {
 		data := make([]byte, 3+rng.Intn(9))
 		rng.Read(data)
-		if c, ok := decodeAckCase(data); ok {
-			checkAckCase(t, c)
+		for n := rng.Intn(4); n > 0; n-- {
+			more := make([]byte, 3+rng.Intn(9))
+			rng.Read(more)
+			data = append(append(data, 0xff), more...)
+		}
+		if cases := decodeAckSequence(data); len(cases) > 0 {
+			checkAckSequence(t, cases)
 		}
 	}
 }
@@ -285,8 +459,8 @@ func FuzzAckPlan(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if c, ok := decodeAckCase(data); ok {
-			checkAckCase(t, c)
+		if cases := decodeAckSequence(data); len(cases) > 0 {
+			checkAckSequence(t, cases)
 		}
 	})
 }

@@ -15,7 +15,7 @@
 package cassandra
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"cloudbench/internal/cluster"
@@ -109,8 +109,8 @@ type Replica struct {
 // Engine exposes the replica's storage engine for inspection.
 func (r *Replica) Engine() *storage.Engine { return r.engine }
 
-// mutation is one write on its way to the replicas. write builds it once
-// and every leg closure carries it by value.
+// mutation is one write on its way to the replicas. write builds it once,
+// in the writeOp every leg of the write points at.
 type mutation struct {
 	key  kv.Key
 	rec  kv.Record
@@ -133,12 +133,21 @@ type DB struct {
 	cl   *cluster.Cluster
 	reps []*Replica
 	ring *ring.Ring[*Replica]
+	// placement is the configured strategy at every vnode of ring: the
+	// replica sets ReplicasFor hands out, shared and read-only.
+	placement *ring.Table[*Replica]
 
 	nextVersion  kv.Version
 	rrSeq        uint64 // deterministic read-repair dice
+	repairPeriod uint64 // every repairPeriod-th read repairs in the background; 0 never
 	hintProcLive bool
 	oracle       *consistency.Oracle
 	tracer       *trace.Tracer
+
+	// Free lists of the per-operation structs. A DB lives on one kernel,
+	// which runs one process at a time, so they need no lock.
+	writeOps []*writeOp
+	readOps  []*readOp
 
 	// Metrics.
 	Reads, Writes, ScansDone       int64
@@ -202,7 +211,22 @@ func New(k *sim.Kernel, cfg Config, nodes []*cluster.Node) *DB {
 	}
 	rng := k.Rand()
 	db.ring = ring.New(db.reps, func(r *Replica) int { return r.Node.Zone }, cfg.VNodes, rng.Uint64)
+	db.placement = db.ring.Memoize(db.place)
+	if cfg.ReadRepairChance > 0 {
+		db.repairPeriod = max(1, uint64(1.0/cfg.ReadRepairChance))
+	}
 	return db
+}
+
+// take pops a pooled struct off a free list; nil means build one.
+func take[T any](free *[]*T) *T {
+	n := len(*free)
+	if n == 0 {
+		return nil
+	}
+	x := (*free)[n-1]
+	*free = (*free)[:n-1]
+	return x
 }
 
 // SetOracle attaches a consistency oracle observing every write lifecycle
@@ -238,9 +262,14 @@ func (db *DB) Tracer() *trace.Tracer { return db.tracer }
 func (db *DB) Replicas() []*Replica { return db.reps }
 
 // ReplicasFor returns the replica set for key in ring order (main replica
-// first).
+// first). The slice is shared by every key the ring places alike: callers
+// must not modify it.
 func (db *DB) ReplicasFor(key kv.Key) []*Replica {
-	t := ring.Hash(key)
+	return db.placement.For(ring.Hash(key))
+}
+
+// place is the configured placement strategy.
+func (db *DB) place(t ring.Token) []*Replica {
 	if len(db.cfg.DCReplicas) > 0 {
 		return db.ring.PerZone(t, db.cfg.DCReplicas)
 	}
@@ -291,15 +320,11 @@ func (db *DB) version() kv.Version {
 // rollRepair decides deterministically whether a read triggers background
 // read repair, approximating an independent coin with P = ReadRepairChance.
 func (db *DB) rollRepair() bool {
-	if db.cfg.ReadRepairChance <= 0 {
+	if db.repairPeriod == 0 {
 		return false
 	}
 	db.rrSeq++
-	period := uint64(1.0 / db.cfg.ReadRepairChance)
-	if period == 0 {
-		period = 1
-	}
-	return db.rrSeq%period == 0
+	return db.rrSeq%db.repairPeriod == 0
 }
 
 // mutationSize models the wire size of a mutation.
@@ -338,53 +363,124 @@ func (rep *Replica) applyLocal(p *sim.Proc, db *DB, key kv.Key, rec kv.Record, d
 	}
 }
 
+// writeOp is one coordinator write, pooled: the mutation, the ack plan, its
+// legs (kept across uses) and a count of who still needs them — the
+// coordinator until it has its answer, and every leg in flight. ONE returns
+// while two legs are on their way, so the op goes back to the free list only
+// when the last holder lets go: a late ack or loss always lands on the write
+// it belongs to, whose future is settled and has nobody waiting.
+type writeOp struct {
+	db    *DB
+	refs  int
+	coord *Replica
+	m     mutation
+	acks  ackPlan
+	legs  []*writeLeg
+	used  int
+}
+
+// writeLeg carries its op's mutation from one node to rep and the ack back.
+// A leg into another DC also holds that DC's other live replicas, to relay
+// to once it has landed.
+type writeLeg struct {
+	op    *writeOp
+	from  *cluster.Node
+	rep   *Replica
+	relay []*Replica
+	run   func(*sim.Proc) // deliver, bound once: spawning a leg allocates nothing
+}
+
+//simlint:coldpath
+func newWriteLeg(op *writeOp) *writeLeg {
+	l := &writeLeg{op: op}
+	l.run = l.deliver
+	return l
+}
+
+// leg hands out op's next leg, aimed from from at rep; it holds op until
+// deliver has run.
+func (op *writeOp) leg(from *cluster.Node, rep *Replica) *writeLeg {
+	if op.used == len(op.legs) {
+		op.legs = append(op.legs, newWriteLeg(op))
+	}
+	l := op.legs[op.used]
+	op.used++
+	l.from, l.rep, l.relay = from, rep, l.relay[:0]
+	op.refs++
+	return l
+}
+
+// release drops one hold on op; the last one returns it to the free list.
+func (op *writeOp) release() {
+	if op.refs--; op.refs == 0 {
+		op.used, op.m = 0, mutation{}
+		op.db.writeOps = append(op.db.writeOps, op)
+	}
+}
+
 // write is the coordinator write path, executed by the client's process at
 // the coordinator node. The mutation reaches every replica, but differently
 // per distance: replicas in the coordinator's own DC get a direct message
-// each, every other DC one message across the WAN (forwardToDC). Down
-// replicas are hinted at the coordinator, every live one acks it directly,
-// and write returns once the level's acknowledgement plan is decided. The
-// paper's single rack is the one-DC case: all legs direct, nothing
-// forwarded.
+// each, every other DC one message across the WAN, to its first live
+// replica in ring order, which relays it (see deliver). Down replicas are
+// hinted at the coordinator, every live one acks it directly, and write
+// returns once the level's acknowledgement plan is decided. The paper's
+// single rack is the one-DC case: all legs direct, nothing forwarded.
 //
-// The order is what every pinned digest depends on: availability is decided
-// before the version is drawn, DCs are walked in zone order and replicas in
-// ring order inside a DC, and a DC's hints are noted in that walk before
-// its leg is spawned.
+//simlint:hotpath
 func (db *DB) write(p *sim.Proc, coord *Replica, key kv.Key, rec kv.Record, del bool, cl kv.ConsistencyLevel) error {
+	op := take(&db.writeOps)
+	if op == nil {
+		op = &writeOp{db: db}
+	}
+	op.refs, op.coord = 1, coord
+	err := op.coordinate(p, key, rec, del, cl)
+	op.release()
+	return err
+}
+
+// coordinate is write on its op. The order is what every pinned digest
+// depends on: availability is decided before the version is drawn, DCs are
+// walked in zone order and replicas in ring order inside a DC, and a DC's
+// hints are noted in that walk before its leg is spawned.
+//
+//simlint:hotpath
+func (op *writeOp) coordinate(p *sim.Proc, key kv.Key, rec kv.Record, del bool, cl kv.ConsistencyLevel) error {
+	db, coord := op.db, op.coord
 	replicas := db.ReplicasFor(key)
-	acks := db.planAcks(cl, coord.Node.Zone, replicas)
-	if acks == nil {
+	if !op.acks.plan(db, cl, coord.Node.Zone, replicas) {
 		db.Unavails++
 		return kv.ErrUnavailable
 	}
-	m := mutation{key: key, rec: rec, del: del, ver: db.version(), size: db.mutationSize(key, rec)}
+	op.m = mutation{key: key, rec: rec, del: del, ver: db.version(), size: db.mutationSize(key, rec)}
 	if db.oracle != nil {
-		db.oracle.WriteBegin(key, m.ver, len(replicas), db.k.Now())
+		db.oracle.WriteBegin(key, op.m.ver, len(replicas), db.k.Now())
 	}
 	for z, zones := 0, db.zones(); z < zones; z++ {
-		if z != coord.Node.Zone {
-			db.forwardToDC(coord, replicas, z, m, acks)
-			continue
-		}
+		var fwd *writeLeg // into another DC: the one leg that crosses the WAN
 		for _, rep := range replicas {
-			if rep.Node.Zone != z {
-				continue
+			switch {
+			case rep.Node.Zone != z:
+			case rep.Node.Down():
+				db.noteHint(coord, rep, op.m)
+			case rep == coord:
+				// The coordinator's own apply runs concurrently too, so a slow
+				// local commit-log append does not serialize the fan-out.
+				db.k.Go("c*-local-write", op.leg(coord.Node, rep).run)
+			case z == coord.Node.Zone:
+				db.k.Go("c*-repl-write", op.leg(coord.Node, rep).run)
+			case fwd == nil:
+				fwd = op.leg(coord.Node, rep)
+			default:
+				fwd.relay = append(fwd.relay, rep)
 			}
-			if rep.Node.Down() {
-				db.noteHint(coord, rep, m)
-				continue
-			}
-			// The coordinator's own apply runs concurrently too, so a slow
-			// local commit-log append does not serialize the fan-out.
-			label := "c*-repl-write"
-			if rep == coord {
-				label = "c*-local-write"
-			}
-			db.k.Go(label, func(q *sim.Proc) { db.deliver(q, coord.Node, rep, coord, m, acks) })
+		}
+		if fwd != nil {
+			db.InterDCForwards++
+			db.k.Go("c*-fwd-write", fwd.run)
 		}
 	}
-	ok, decided := acks.f.AwaitTimeout(p, db.cfg.Timeout)
+	ok, decided := op.acks.f.AwaitTimeout(p, db.cfg.Timeout)
 	if !decided {
 		db.CoordinatorTimeouts++
 		return kv.ErrTimeout
@@ -394,150 +490,263 @@ func (db *DB) write(p *sim.Proc, coord *Replica, key kv.Key, rec kv.Record, del 
 		return kv.ErrUnavailable
 	}
 	if db.oracle != nil {
-		db.oracle.WriteAck(key, m.ver, db.k.Now())
+		db.oracle.WriteAck(key, op.m.ver, db.k.Now())
 	}
 	return nil
 }
 
 // deliver is one replica's leg of a write: the mutation arrives from the
-// node that sends it (the coordinator, or a remote DC's forwarder; free
-// when that is rep itself), rep applies it and acks the coordinator
-// directly.
-func (db *DB) deliver(q *sim.Proc, from *cluster.Node, rep, coord *Replica, m mutation, acks *ackPlan) {
+// node that sends it (the coordinator, or a remote DC's forwarder), rep
+// applies it and acks the coordinator directly. On a leg into another DC
+// rep is that DC's forwarder: it relays to the DC's other live replicas
+// over local links once the WAN hop has landed and before its own apply, so
+// a slow commit log does not serialize the intra-DC fan-out; a dropped
+// forward loses the mutation for the whole DC, so it fails once per live
+// replica there.
+//
+//simlint:hotpath
+func (l *writeLeg) deliver(q *sim.Proc) {
+	op, rep, db := l.op, l.rep, l.op.db
 	z := rep.Node.Zone
-	if !db.hop(q, from, rep.Node, m.size) {
-		acks.fail(z)
-		return
+	if !db.hop(q, l.from, rep.Node, op.m.size) {
+		for range 1 + len(l.relay) {
+			op.acks.fail(z)
+		}
+	} else {
+		for _, r := range l.relay {
+			db.k.Go("c*-relay-write", op.leg(rep.Node, r).run)
+		}
+		rep.applyLocal(q, db, op.m.key, op.m.rec, op.m.del, op.m.ver, consistency.ApplyWrite)
+		if db.hop(q, rep.Node, op.coord.Node, db.cfg.RequestOverhead) {
+			op.acks.ack(z)
+		} else {
+			op.acks.fail(z)
+		}
 	}
-	rep.applyLocal(q, db, m.key, m.rec, m.del, m.ver, consistency.ApplyWrite)
-	if !db.hop(q, rep.Node, coord.Node, db.cfg.RequestOverhead) {
-		acks.fail(z)
-		return
-	}
-	acks.ack(z)
+	op.release()
 }
 
 // readResponse carries one replica's answer to a read.
 type readResponse struct {
-	rep  *Replica
-	row  *storage.Row // full data for the data read, nil for pure digests
-	ver  kv.Version   // row version (the digest)
-	ok   bool
-	data bool
+	rep *Replica
+	row *storage.Row // full data for the data read, nil for pure digests
+	ver kv.Version   // row version (the digest)
+	ok  bool
 }
 
-// fetchRow reads the full row from rep on behalf of a spawned process,
-// returning the response through f.
-func (db *DB) fetchRow(coord, rep *Replica, key kv.Key, digestOnly bool, f *sim.Future[readResponse], repair bool) {
-	db.k.Go("c*-read", func(q *sim.Proc) {
-		// A background-repair refetch bills its whole leg — request,
-		// replica service, response — as one read-repair span; the leg's
-		// fanout and storage sub-phases are muted so they are not
-		// double-counted. Per-leg billing is what makes the repair bill
-		// grow with the replication factor: the legs run concurrently, so
-		// a single wall-clock span over all of them would only measure
-		// the slowest.
-		if repair {
-			if tr := db.tracer; tr != nil {
-				t0 := q.Now()
-				prev := tr.Mute(q)
-				defer func() {
-					tr.Unmute(q, prev)
-					tr.Interval(q, trace.PhaseReadRepair, rep.Node.ID, t0, q.Now())
-				}()
-			}
-		}
-		resp := readResponse{rep: rep, data: !digestOnly}
-		if !db.hop(q, coord.Node, rep.Node, len(key)+db.cfg.RequestOverhead) {
-			f.Set(resp)
-			return
-		}
-		var s0 sim.Time
+// readOp is one coordinator read, pooled like a writeOp and held by the
+// coordinator and by every process working for it — fetch legs, the
+// background repair, repair writes — so a read that timed out or returned
+// at ONE is not reused while a leg still reads its key or sets its future.
+// The slices and legs are kept across uses.
+type readOp struct {
+	db    *DB
+	refs  int
+	coord *Replica
+	key   kv.Key
+
+	alive     []*Replica     // live replicas, proximity-sorted
+	pool      []*Replica     // LOCAL_QUORUM's and EACH_QUORUM's contact set
+	contacted []*Replica     // who the level made the coordinator wait for
+	resps     []readResponse // their answers
+	legs      []*readLeg
+	used      int
+
+	// The repair in progress: the reconciled record (nil: a delete), its
+	// version and the repair writes still out. A read runs one at a time:
+	// the blocking one is over before the background one is spawned.
+	rec      kv.Record
+	ver      kv.Version
+	repairs  int
+	repaired sim.Future[struct{}]
+
+	background func(*sim.Proc) // repairRest, bound once
+}
+
+// readLeg is one process spawned for a readOp: a fetch of rep's row,
+// answered through f, or a repair write to rep.
+type readLeg struct {
+	op                 *readOp
+	rep                *Replica
+	digestOnly, repair bool
+	f                  sim.Future[readResponse]
+	fetch, write       func(*sim.Proc) // fetchRow and repairWrite, bound once
+}
+
+//simlint:coldpath
+func newReadLeg(op *readOp) *readLeg {
+	l := &readLeg{op: op}
+	l.f.Init(op.db.k)
+	l.fetch, l.write = l.fetchRow, l.repairWrite
+	return l
+}
+
+// leg hands out op's next leg, aimed at rep; it holds op until its process
+// has finished.
+func (op *readOp) leg(rep *Replica, digestOnly, repair bool) *readLeg {
+	if op.used == len(op.legs) {
+		op.legs = append(op.legs, newReadLeg(op))
+	}
+	l := op.legs[op.used]
+	op.used++
+	l.rep, l.digestOnly, l.repair = rep, digestOnly, repair
+	op.refs++
+	return l
+}
+
+// release drops one hold on op; the last one forgets the rows and the
+// record the read saw and returns it to the free list.
+func (op *readOp) release() {
+	if op.refs--; op.refs > 0 {
+		return
+	}
+	for _, l := range op.legs[:op.used] {
+		l.f.Init(op.db.k)
+	}
+	clear(op.resps)
+	op.used, op.key, op.rec = 0, "", nil
+	op.db.readOps = append(op.db.readOps, op)
+}
+
+// muteLeg and billLeg bracket work of q that a tracer, if one is attached,
+// bills to node as one span of phase ph, dropping the sub-phases recorded
+// in between.
+func (db *DB) muteLeg(q *sim.Proc) (t0 sim.Time, prev any) {
+	if db.tracer == nil {
+		return 0, nil
+	}
+	return q.Now(), db.tracer.Mute(q)
+}
+
+func (db *DB) billLeg(q *sim.Proc, ph trace.Phase, node *cluster.Node, t0 sim.Time, prev any) {
+	if db.tracer != nil {
+		db.tracer.Unmute(q, prev)
+		db.tracer.Interval(q, ph, node.ID, t0, q.Now())
+	}
+}
+
+// fetchRow reads rep's row on behalf of the coordinator — request, replica
+// service, response — and answers through the leg's future.
+//
+// A background-repair refetch bills the whole leg as one read-repair span,
+// its fanout and storage sub-phases muted so they are not double-counted.
+// Per-leg billing is what makes the repair bill grow with the replication
+// factor: the legs run concurrently, so a single wall-clock span over all
+// of them would only measure the slowest.
+//
+//simlint:hotpath
+func (l *readLeg) fetchRow(q *sim.Proc) {
+	op, db, rep, coord := l.op, l.op.db, l.rep, l.op.coord
+	var t0, s0 sim.Time
+	var prev any
+	if l.repair {
+		t0, prev = db.muteLeg(q)
+	}
+	resp := readResponse{rep: rep}
+	if db.hop(q, coord.Node, rep.Node, len(op.key)+db.cfg.RequestOverhead) {
 		if db.tracer != nil {
 			s0 = q.Now()
 		}
 		rep.Node.Exec(q, db.cl.Config.CPUOpCost)
-		row := rep.engine.Get(q, key)
+		//simlint:ignore hotpath the closure SSTable.Get hands sort.Search does not escape (TestGetSingleSSTableZeroAlloc holds it at 0)
+		row := rep.engine.Get(q, op.key)
 		if db.tracer != nil {
 			db.tracer.Phase(q, trace.PhaseStorage, rep.Node.ID, s0)
 		}
 		respSize := db.cfg.RequestOverhead
-		if !digestOnly && row != nil {
+		if !l.digestOnly && row != nil {
 			respSize += row.Bytes()
 		}
-		if !db.hop(q, rep.Node, coord.Node, respSize) {
-			f.Set(resp)
-			return
-		}
-		resp.ok = true
-		if row != nil {
-			resp.ver = row.Version()
-			if !digestOnly {
-				resp.row = row
+		if db.hop(q, rep.Node, coord.Node, respSize) {
+			resp.ok = true
+			if row != nil {
+				resp.ver = row.Version()
+				if !l.digestOnly {
+					resp.row = row
+				}
 			}
 		}
-		f.Set(resp)
-	})
+	}
+	l.f.Set(resp)
+	if l.repair {
+		db.billLeg(q, trace.PhaseReadRepair, rep.Node, t0, prev)
+	}
+	op.release()
 }
 
 // read is the coordinator read path: a full data read from the main
 // replica, digest reads from the next cl.Required-1 replicas, blocking
 // read repair on digest mismatch, and probabilistic background repair
 // across all replicas.
+//
+//simlint:hotpath
 func (db *DB) read(p *sim.Proc, coord *Replica, key kv.Key, cl kv.ConsistencyLevel) (*storage.Row, error) {
-	replicas := db.ReplicasFor(key)
+	op := take(&db.readOps)
+	if op == nil {
+		op = &readOp{db: db}
+		op.background = op.repairRest
+	}
+	op.refs, op.coord, op.key = 1, coord, key
+	row, err := op.coordinate(p, cl)
+	op.release()
+	return row, err
+}
+
+// coordinate is read on its op.
+//
+//simlint:hotpath
+func (op *readOp) coordinate(p *sim.Proc, cl kv.ConsistencyLevel) (*storage.Row, error) {
+	db, coord := op.db, op.coord
+	replicas := db.ReplicasFor(op.key)
 	// Proximity-sort the live replicas (dynamic-snitch style): the
 	// coordinator's zone first, ring order within a zone. On the paper's
 	// single rack this is exactly ring order, so the "main replica" of
 	// §2 is unchanged there.
-	var alive []*Replica
+	op.alive = op.alive[:0]
 	for _, r := range replicas {
 		if !r.Node.Down() && r.Node.Zone == coord.Node.Zone {
-			alive = append(alive, r)
+			op.alive = append(op.alive, r)
 		}
 	}
 	for _, r := range replicas {
 		if !r.Node.Down() && r.Node.Zone != coord.Node.Zone {
-			alive = append(alive, r)
+			op.alive = append(op.alive, r)
 		}
 	}
 	need := cl.Required(len(replicas))
-	pool := alive
+	pool := op.alive
 	switch cl {
 	case kv.LocalQuorum:
 		// LOCAL_QUORUM reads contact only the coordinator's DC, blocking
 		// for a majority of its replication factor; a coordinator whose DC
 		// holds no replicas degrades to the plain-quorum pool.
-		if local, localNeed := dcLocalPlan(replicas, coord.Node.Zone); localNeed > 0 {
-			pool = local
-			need = localNeed
+		var localNeed int
+		if op.pool, localNeed = dcLocalPlan(op.pool[:0], replicas, coord.Node.Zone); localNeed > 0 {
+			pool, need = op.pool, localNeed
 		}
 	case kv.EachQuorum:
 		// EACH_QUORUM reads block on a majority in every DC.
-		eq, ok := db.eachQuorumRead(replicas, coord.Node.Zone)
-		if !ok {
+		var ok bool
+		if op.pool, ok = db.eachQuorumRead(op.pool[:0], replicas, coord.Node.Zone); !ok {
 			db.Unavails++
 			return nil, kv.ErrUnavailable
 		}
-		pool = eq
-		need = len(eq)
+		pool, need = op.pool, len(op.pool)
 	}
 	if len(pool) < need {
 		db.Unavails++
 		return nil, kv.ErrUnavailable
 	}
-	contacted := pool[:need]
-	futs := make([]*sim.Future[readResponse], len(contacted))
-	for i, rep := range contacted {
-		futs[i] = sim.NewFuture[readResponse](db.k)
-		db.fetchRow(coord, rep, key, i != 0, futs[i], false)
+	op.contacted = pool[:need]
+	for i, rep := range op.contacted {
+		db.k.Go("c*-read", op.leg(rep, i != 0, false).fetch)
 	}
 	deadline := db.cfg.Timeout
 	start := p.Now()
-	resps := make([]readResponse, 0, len(futs))
-	for _, f := range futs {
+	op.resps = op.resps[:0]
+	for _, l := range op.legs[:need] {
 		remaining := deadline - p.Now().Sub(start)
-		r, ok := f.AwaitTimeout(p, remaining)
+		r, ok := l.f.AwaitTimeout(p, remaining)
 		if !ok {
 			db.CoordinatorTimeouts++
 			return nil, kv.ErrTimeout
@@ -546,15 +755,15 @@ func (db *DB) read(p *sim.Proc, coord *Replica, key kv.Key, cl kv.ConsistencyLev
 			db.Unavails++
 			return nil, kv.ErrUnavailable
 		}
-		resps = append(resps, r)
+		op.resps = append(op.resps, r)
 	}
 
-	dataRow := resps[0].row
-	dataVer := resps[0].ver
+	dataRow := op.resps[0].row
+	dataVer := op.resps[0].ver
 
 	// Digest comparison → blocking read repair among contacted replicas.
 	mismatch := false
-	for _, r := range resps[1:] {
+	for _, r := range op.resps[1:] {
 		if r.ver != dataVer {
 			mismatch = true
 			break
@@ -566,189 +775,168 @@ func (db *DB) read(p *sim.Proc, coord *Replica, key kv.Key, cl kv.ConsistencyLev
 		// The repair is traced as one composite span: its internal
 		// refetches and repair writes are muted so they are not
 		// double-billed as fanout/storage work.
-		var t0 sim.Time
-		var prev any
 		if db.tracer != nil {
 			db.tracer.Mark(p, trace.PhaseDigest, coord.Node.ID)
-			t0 = p.Now()
-			prev = db.tracer.Mute(p)
 		}
-		dataRow = db.blockingRepair(p, coord, key, contacted, dataRow)
-		if db.tracer != nil {
-			db.tracer.Unmute(p, prev)
-			db.tracer.Interval(p, trace.PhaseReadRepair, coord.Node.ID, t0, p.Now())
-		}
+		t0, prev := db.muteLeg(p)
+		dataRow = op.blockingRepair(p, dataRow)
+		db.billLeg(p, trace.PhaseReadRepair, coord.Node, t0, prev)
 	}
 
 	// Background read repair across the full replica set. The replicas
 	// already contacted are not re-read: their responses feed the
 	// reconciliation directly (Cassandra folds the CL responses into the
 	// global repair's response set).
-	if len(alive) > len(contacted) && db.rollRepair() {
+	//
+	// The background repair process inherits this read's trace context, so
+	// its work is billed to the read class — the F4 mechanism made
+	// measurable. Each refetch and repair-write leg records its own
+	// read-repair span (the legs are concurrent, so per-leg billing — not
+	// one wall-clock span across them — is what scales the recorded bill
+	// with RF−1).
+	if len(op.alive) > need && db.rollRepair() {
 		db.AsyncRepairs++
-		inContacted := make(map[*Replica]bool, len(contacted))
-		for _, r := range contacted {
-			inContacted[r] = true
-		}
-		rest := make([]*Replica, 0, len(alive)-len(contacted))
-		for _, r := range alive {
-			if !inContacted[r] {
-				rest = append(rest, r)
-			}
-		}
-		known := make([]readResponse, len(resps))
-		copy(known, resps)
-		// The background repair process inherits this read's trace
-		// context, so its work is billed to the read class — the F4
-		// mechanism made measurable. Each refetch and repair-write leg
-		// records its own read-repair span (the legs are concurrent, so
-		// per-leg billing — not one wall-clock span across them — is
-		// what scales the recorded bill with RF−1).
-		db.k.Go("c*-bg-repair", func(q *sim.Proc) {
-			db.repairRest(q, coord, key, rest, known)
-		})
+		op.refs++
+		db.k.Go("c*-bg-repair", op.background)
 	}
 	return dataRow, nil
 }
 
-// reconcile folds the successful responses' rows into merged in ascending
-// replica node-id order. Row merging is last-write-wins with the incumbent
-// cell kept on a version tie, so a fixed fold order pins tie resolution to
-// the lowest node id regardless of contact order, arrival order, or which
-// replica happened to serve the data read. Write timestamps are unique
-// today (one coordinator counter), which makes this behavior-neutral; it
-// exists so reconciliation can never become order-dependent if versioning
-// ever gains ties, and so oracle version-lag counts stay deterministic.
-func reconcile(merged *storage.Row, resps []readResponse) {
-	order := make([]int, 0, len(resps))
+// reconcile folds the successful responses' rows in ascending replica
+// node-id order and returns the result: nil when no replica holds the row,
+// one replica's own frozen row when none of the others adds to it (the
+// common case between in-sync replicas), a fresh row otherwise. Row merging
+// is last-write-wins with the incumbent cell kept on a version tie, so a
+// fixed fold order pins tie resolution to the lowest node id regardless of
+// contact order, arrival order, or which replica happened to serve the data
+// read. Write timestamps are unique today (one coordinator counter), which
+// makes this behavior-neutral; it exists so reconciliation can never become
+// order-dependent if versioning ever gains ties, and so oracle version-lag
+// counts stay deterministic.
+func reconcile(resps []readResponse) *storage.Row {
+	var buf [8]int
+	order := buf[:0]
 	for i := range resps {
-		if resps[i].ok {
-			order = append(order, i)
+		if !resps[i].ok {
+			continue
 		}
+		j := len(order)
+		order = append(order, i)
+		for ; j > 0 && resps[order[j-1]].rep.Node.ID > resps[i].rep.Node.ID; j-- {
+			order[j] = order[j-1]
+		}
+		order[j] = i
 	}
-	sort.Slice(order, func(a, b int) bool {
-		return resps[order[a]].rep.Node.ID < resps[order[b]].rep.Node.ID
-	})
+	var merged *storage.Row
 	for _, i := range order {
-		merged.MergeFrom(resps[i].row)
+		merged = storage.Merged(merged, resps[i].row)
 	}
+	return merged
 }
 
 // blockingRepair fetches full rows from every contacted replica, merges
 // them, writes the reconciled row back to stale replicas, and returns the
 // merged row. The caller waits: this is Cassandra's foreground repair that
 // delays the read.
-func (db *DB) blockingRepair(p *sim.Proc, coord *Replica, key kv.Key, reps []*Replica, have *storage.Row) *storage.Row {
-	futs := make([]*sim.Future[readResponse], len(reps))
-	for i, rep := range reps {
-		futs[i] = sim.NewFuture[readResponse](db.k)
-		db.fetchRow(coord, rep, key, false, futs[i], false)
-	}
-	merged := storage.NewRow()
-	resps := make([]readResponse, 0, len(futs))
-	for _, f := range futs {
-		if r := f.Await(p); r.ok {
-			resps = append(resps, r)
-		}
-	}
-	reconcile(merged, resps)
+func (op *readOp) blockingRepair(p *sim.Proc, have *storage.Row) *storage.Row {
+	var buf [8]readResponse
+	resps := op.gather(p, op.contacted, nil, false, buf[:0])
 	// The original data read from the main replica is folded last: it can
 	// only matter when the main replica's refetch was lost in flight.
-	if have != nil {
-		merged.MergeFrom(have)
-	}
-	db.writeRepairs(p, coord, key, merged, resps, true)
-	if !merged.Live() && merged.Version() == 0 {
+	merged := storage.Merged(reconcile(resps), have)
+	op.writeRepairs(p, merged, resps, true)
+	if merged != nil && !merged.Live() && merged.Version() == 0 {
 		return nil
 	}
 	return merged
 }
 
-// repairRest reconciles the replicas of key that the read path did not
-// contact, folding in the already-known responses (the caller is a
-// dedicated background repair process).
+// repairRest is the background repair process: it reconciles the live
+// replicas the read did not contact, folding in the responses the read
+// already has.
 //
 // A subtlety: the contacted responses carried full data only for the main
 // replica; pure digests know the version but not the cells. Version
 // comparison against the merged row is still exact, so stale detection and
 // the repair write are correct; a digest replica whose version already
 // matches is skipped without a refetch, exactly like the real resolver.
-func (db *DB) repairRest(p *sim.Proc, coord *Replica, key kv.Key, rest []*Replica, known []readResponse) {
-	futs := make([]*sim.Future[readResponse], len(rest))
-	for i, rep := range rest {
-		futs[i] = sim.NewFuture[readResponse](db.k)
-		db.fetchRow(coord, rep, key, false, futs[i], true)
+//
+//simlint:hotpath
+func (op *readOp) repairRest(q *sim.Proc) {
+	var buf [8]readResponse
+	resps := op.gather(q, op.alive, op.contacted, true, append(buf[:0], op.resps...))
+	op.writeRepairs(q, reconcile(resps), resps, false)
+	op.release()
+}
+
+// gather fetches the full row from every one of reps not in skip, all at
+// once, and appends the answers that arrive to resps.
+func (op *readOp) gather(p *sim.Proc, reps, skip []*Replica, repair bool, resps []readResponse) []readResponse {
+	first := op.used
+	for _, rep := range reps {
+		if !slices.Contains(skip, rep) {
+			op.db.k.Go("c*-read", op.leg(rep, false, repair).fetch)
+		}
 	}
-	merged := storage.NewRow()
-	resps := make([]readResponse, 0, len(futs)+len(known))
-	for _, r := range known {
-		if r.ok {
+	for _, l := range op.legs[first:op.used] {
+		if r := l.f.Await(p); r.ok {
 			resps = append(resps, r)
 		}
 	}
-	for _, f := range futs {
-		if r := f.Await(p); r.ok {
-			resps = append(resps, r)
-		}
-	}
-	reconcile(merged, resps)
-	db.writeRepairs(p, coord, key, merged, resps, false)
+	return resps
 }
 
 // writeRepairs sends the reconciled row to every responder whose version
-// lags. When wait is true the caller blocks until the repairs finish.
-func (db *DB) writeRepairs(p *sim.Proc, coord *Replica, key kv.Key, merged *storage.Row, resps []readResponse, wait bool) {
+// lags; the record is built only once one does. When wait is true the
+// caller blocks until the repairs finish.
+func (op *readOp) writeRepairs(p *sim.Proc, merged *storage.Row, resps []readResponse, wait bool) {
+	if merged == nil {
+		return
+	}
 	target := merged.Version()
 	if target == 0 {
 		return
 	}
-	rec := merged.Record()
-	var stale []*Replica
+	op.repairs = 0
 	for _, r := range resps {
-		if r.ver < target {
-			stale = append(stale, r.rep)
+		if r.ver >= target {
+			continue
+		}
+		if op.repairs == 0 {
+			if op.rec, op.ver = merged.Record(), target; op.rec == nil {
+				op.ver = merged.Tomb
+			}
+			op.repaired.Init(op.db.k)
+		}
+		op.repairs++
+		op.db.RepairWrites++
+		op.db.k.Go("c*-repair-write", op.leg(r.rep, false, false).write)
+	}
+	if wait && op.repairs > 0 {
+		op.repaired.Await(p)
+	}
+}
+
+// repairWrite is one repair write's process. It is billed as a read-repair
+// leg; under a blocking repair the caller already muted the context and
+// holds the composite span, so the span is dropped there and only
+// background repair records per leg.
+//
+//simlint:hotpath
+func (l *readLeg) repairWrite(q *sim.Proc) {
+	op, db, rep, coord := l.op, l.op.db, l.rep, l.op.coord
+	t0, prev := db.muteLeg(q)
+	if rep == coord || coord.Node.SendTo(q, rep.Node, db.mutationSize(op.key, op.rec)) {
+		rep.applyLocal(q, db, op.key, op.rec, op.rec == nil, op.ver, consistency.ApplyRepair)
+		if rep != coord {
+			rep.Node.SendTo(q, coord.Node, db.cfg.RequestOverhead)
 		}
 	}
-	if len(stale) == 0 {
-		return
+	db.billLeg(q, trace.PhaseReadRepair, rep.Node, t0, prev)
+	if op.repairs--; op.repairs == 0 {
+		op.repaired.Set(struct{}{})
 	}
-	q := sim.NewQuorum(db.k, len(stale), len(stale))
-	for _, rep := range stale {
-		rep := rep
-		db.RepairWrites++
-		db.k.Go("c*-repair-write", func(q2 *sim.Proc) {
-			defer q.Succeed()
-			// Bill the repair write as a read-repair leg. Under a
-			// blocking repair the caller already muted the context and
-			// holds the composite span, so the Interval below is
-			// dropped there; only background repair records per leg.
-			if tr := db.tracer; tr != nil {
-				t0 := q2.Now()
-				prev := tr.Mute(q2)
-				defer func() {
-					tr.Unmute(q2, prev)
-					tr.Interval(q2, trace.PhaseReadRepair, rep.Node.ID, t0, q2.Now())
-				}()
-			}
-			size := db.mutationSize(key, rec)
-			if rep != coord {
-				if !coord.Node.SendTo(q2, rep.Node, size) {
-					return
-				}
-			}
-			if rec == nil {
-				rep.applyLocal(q2, db, key, nil, true, merged.Tomb, consistency.ApplyRepair)
-			} else {
-				rep.applyLocal(q2, db, key, rec, false, target, consistency.ApplyRepair)
-			}
-			if rep != coord {
-				rep.Node.SendTo(q2, coord.Node, db.cfg.RequestOverhead)
-			}
-		})
-	}
-	if wait {
-		q.Wait(p)
-	}
+	op.release()
 }
 
 // scan is the coordinator range-scan path. With a hash partitioner,
@@ -855,8 +1043,11 @@ func (db *DB) hintReplayLoop(p *sim.Proc) {
 			if len(rep.hints) == 0 || rep.Node.Down() {
 				continue
 			}
-			var keep []hint
-			for _, h := range rep.hints {
+			// Filter in place; hints stored here while this pass is blocked in
+			// a replay land past all and are carried over.
+			all := rep.hints
+			keep := all[:0]
+			for _, h := range all {
 				if p.Now().Sub(h.stored) > db.cfg.HintWindow {
 					db.HintsExpired++
 					continue
@@ -865,12 +1056,7 @@ func (db *DB) hintReplayLoop(p *sim.Proc) {
 					keep = append(keep, h)
 					continue
 				}
-				var t0 sim.Time
-				var prev any
-				if db.tracer != nil {
-					t0 = p.Now()
-					prev = db.tracer.Mute(p)
-				}
+				t0, prev := db.muteLeg(p)
 				if !rep.Node.SendTo(p, h.target.Node, h.size) {
 					if db.tracer != nil {
 						db.tracer.Unmute(p, prev)
@@ -880,13 +1066,13 @@ func (db *DB) hintReplayLoop(p *sim.Proc) {
 				}
 				h.target.applyLocal(p, db, h.key, h.rec, h.del, h.ver, consistency.ApplyHint)
 				h.target.Node.SendTo(p, rep.Node, db.cfg.RequestOverhead)
-				if db.tracer != nil {
-					db.tracer.Unmute(p, prev)
-					db.tracer.Interval(p, trace.PhaseHintReplay, h.target.Node.ID, t0, p.Now())
-				}
+				db.billLeg(p, trace.PhaseHintReplay, h.target.Node, t0, prev)
 				db.HintsReplayed++
 			}
-			rep.hints = keep
+			rep.hints = append(keep, rep.hints[len(all):]...)
+			if n := len(rep.hints); n < len(all) {
+				clear(all[n:]) // dropped hints' records are collectable
+			}
 		}
 	}
 }

@@ -355,3 +355,43 @@ func TestSharedRowsSurviveRepairAndScan(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestHintStoredDuringReplayPassSurvives: the replayer blocks on the
+// network while it replays a hint, and a write coordinated on the same node
+// in that window stores a new hint behind the ones being replayed. The pass
+// must carry it over, not overwrite the list with what it filtered.
+func TestHintStoredDuringReplayPassSurvives(t *testing.T) {
+	k := sim.NewKernel(23)
+	db, _ := testDB(k, 4, 3, nil)
+	coord, a, b := db.reps[0], db.reps[1], db.reps[2]
+	hintFor := func(target *Replica, i int) {
+		rec := kv.Record{"v": kv.SizedValue(8)}
+		db.noteHint(coord, target, mutation{key: key(i), rec: rec, ver: db.version(), size: db.mutationSize(key(i), rec)})
+	}
+	k.Spawn("client", func(p *sim.Proc) {
+		a.Node.Fail()
+		hintFor(a, 1) // starts the replayer: its first pass runs one interval from now
+		a.Node.Recover()
+		p.Sleep(db.cfg.HintReplayInterval + 20*time.Microsecond)
+		if db.HintsReplayed != 0 || len(coord.hints) != 1 {
+			t.Fatalf("replayed=%d pending=%d: the pass is not in flight, the test's timing is off", db.HintsReplayed, len(coord.hints))
+		}
+		b.Node.Fail()
+		hintFor(b, 2)
+		p.Sleep(time.Second)
+		if db.HintsReplayed != 1 || db.PendingHints() != 1 {
+			t.Fatalf("after the pass: replayed=%d pending=%d, want 1 and 1 (the hint stored during the pass was dropped)", db.HintsReplayed, db.PendingHints())
+		}
+		b.Node.Recover()
+		p.Sleep(2 * db.cfg.HintReplayInterval)
+		if db.HintsReplayed != 2 || db.PendingHints() != 0 {
+			t.Fatalf("replayed=%d pending=%d, want 2 and 0", db.HintsReplayed, db.PendingHints())
+		}
+		if row := b.engine.Get(p, key(2)); row == nil || !row.Live() {
+			t.Fatal("hinted write never reached the recovered replica")
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+}

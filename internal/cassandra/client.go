@@ -73,6 +73,8 @@ func (c *Client) coordinator() (*Replica, error) {
 }
 
 // Read implements kv.Client at the client's read consistency level.
+//
+//simlint:hotpath
 func (c *Client) Read(p *sim.Proc, key kv.Key, fields []string) (kv.Record, error) {
 	coord, err := c.coordinator()
 	if err != nil {
@@ -127,6 +129,7 @@ func (c *Client) Delete(p *sim.Proc, key kv.Key) error {
 	return c.put(p, key, nil, true)
 }
 
+//simlint:hotpath
 func (c *Client) put(p *sim.Proc, key kv.Key, rec kv.Record, del bool) error {
 	coord, err := c.coordinator()
 	if err != nil {

@@ -30,17 +30,14 @@ func TestReconcileTieBreaksByLowestNodeID(t *testing.T) {
 		{respLow, respHigh},
 		{respHigh, respLow},
 	} {
-		merged := storage.NewRow()
-		reconcile(merged, resps)
-		if got := merged.Record()["v"].Bytes(); got != 1 {
+		if got := reconcile(resps).Record()["v"].Bytes(); got != 1 {
 			t.Fatalf("order %v: tie winner value = %d, want node %d's value 1",
 				[]int{resps[0].rep.Node.ID, resps[1].rep.Node.ID}, got, low.Node.ID)
 		}
 	}
 
 	// Failed responses are excluded from the fold.
-	merged := storage.NewRow()
-	reconcile(merged, []readResponse{{rep: low, ok: false}, respHigh})
+	merged := reconcile([]readResponse{{rep: low, ok: false}, respHigh})
 	if got := merged.Record()["v"].Bytes(); got != 2 {
 		t.Fatalf("failed response included in reconcile: got %d", got)
 	}

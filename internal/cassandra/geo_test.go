@@ -43,6 +43,7 @@ func TestSimplePlacementIgnoresZones(t *testing.T) {
 	k := sim.NewKernel(3)
 	db, _, _ := multiDCDB(k, 4, []int{1, 1}, wanRTT)
 	db.cfg.DCReplicas = nil // SimpleStrategy at RF 2 over the same ring
+	db.placement = db.ring.Memoize(db.place)
 	sameZone := 0
 	for i := 0; i < 200; i++ {
 		reps := db.ReplicasFor(key(i))

@@ -3,10 +3,10 @@ package cassandra
 // The DC-aware half of the coordinator: the acknowledgement plan every
 // write waits on (one target for the zone-agnostic levels and
 // LOCAL_QUORUM, one per DC for EACH_QUORUM), the per-DC contact sets of
-// LOCAL_QUORUM and EACH_QUORUM reads, and the forward that sends ONE
-// mutation per remote DC across the WAN — to a forwarder replica that
-// relays it over local links — instead of one per remote replica, exactly
-// as Cassandra's coordinator does. The paper's single rack is one DC
+// LOCAL_QUORUM and EACH_QUORUM reads; the write path itself (cassandra.go)
+// sends ONE mutation per remote DC across the WAN — to a forwarder replica
+// that relays it over local links — instead of one per remote replica,
+// exactly as Cassandra's coordinator does. The paper's single rack is one DC
 // holding every node: it runs this same code with one zone, so its
 // per-DC majorities are plain majorities and it has no DC to forward to.
 
@@ -37,12 +37,12 @@ func legPhase(a, b *cluster.Node) trace.Phase {
 }
 
 // dcLocalPlan restricts replicas to one DC with the real
-// NetworkTopologyStrategy majority: the DC's live replicas in ring order
-// and a majority of its replication factor, counting down replicas — a DC
-// that has lost half its replicas cannot seat a quorum even though the
-// survivors could form a majority among themselves. need is 0 when the DC
-// holds no replicas.
-func dcLocalPlan(replicas []*Replica, zone int) (local []*Replica, need int) {
+// NetworkTopologyStrategy majority: the DC's live replicas in ring order,
+// appended to dst, and a majority of its replication factor, counting down
+// replicas — a DC that has lost half its replicas cannot seat a quorum even
+// though the survivors could form a majority among themselves. need is 0
+// when the DC holds no replicas.
+func dcLocalPlan(dst, replicas []*Replica, zone int) (local []*Replica, need int) {
 	rf := 0
 	for _, r := range replicas {
 		if r.Node.Zone != zone {
@@ -50,24 +50,25 @@ func dcLocalPlan(replicas []*Replica, zone int) (local []*Replica, need int) {
 		}
 		rf++
 		if !r.Node.Down() {
-			local = append(local, r)
+			dst = append(dst, r)
 		}
 	}
-	return local, kv.Quorum.Required(rf)
+	return dst, kv.Quorum.Required(rf)
 }
 
-// eachQuorumRead selects the contact set for an EACH_QUORUM read: for
-// every DC holding replicas, the first majority-of-RF live replicas in
-// ring order, the coordinator's DC first so a nearby replica serves the
-// data read. ok is false when some DC cannot seat its majority.
-func (db *DB) eachQuorumRead(replicas []*Replica, zone int) (pool []*Replica, ok bool) {
+// eachQuorumRead selects the contact set for an EACH_QUORUM read into
+// pool: for every DC holding replicas, the first majority-of-RF live
+// replicas in ring order, the coordinator's DC first so a nearby replica
+// serves the data read. ok is false when some DC cannot seat its majority.
+func (db *DB) eachQuorumRead(pool, replicas []*Replica, zone int) (_ []*Replica, ok bool) {
 	zones := db.zones()
 	for i := 0; i < zones; i++ {
-		local, need := dcLocalPlan(replicas, (zone+i)%zones)
-		if len(local) < need {
-			return nil, false
+		n, need := len(pool), 0
+		pool, need = dcLocalPlan(pool, replicas, (zone+i)%zones)
+		if len(pool)-n < need {
+			return pool, false
 		}
-		pool = append(pool, local[:need]...)
+		pool = pool[:n+need]
 	}
 	return pool, true
 }
@@ -85,10 +86,12 @@ type ackTarget struct {
 // ackPlan tracks a write's acknowledgements against the level's targets
 // and settles f as soon as the outcome is decided either way: true when
 // every target is met, false when one no longer can be. The first decision
-// stands (Future.Set is first-wins).
+// stands (Future.Set is first-wins). It lives inside its writeOp; the three
+// inline targets cover EACH_QUORUM over three DCs without allocating.
 type ackPlan struct {
-	f       *sim.Future[bool]
+	f       sim.Future[bool]
 	targets []ackTarget
+	buf     [3]ackTarget
 }
 
 // targetFor is cl's requirement over the replicas in zone: the level's
@@ -111,40 +114,42 @@ func targetFor(cl kv.ConsistencyLevel, replicas []*Replica, zone int) ackTarget 
 	return ackTarget{zone: zone, need: need, spare: live - need}
 }
 
-// planAcks turns cl into the targets a write coordinated from zone cz must
+// plan turns cl into the targets a write coordinated from zone cz must
 // meet: EACH_QUORUM a majority in every DC holding replicas, LOCAL_QUORUM a
 // majority in the coordinator's DC, every other level — and LOCAL_QUORUM
-// from a DC holding no replicas — its count over all replicas. It returns
-// nil when the live replicas cannot meet a target: the write is
-// unavailable.
-func (db *DB) planAcks(cl kv.ConsistencyLevel, cz int, replicas []*Replica) *ackPlan {
-	var targets []ackTarget
+// from a DC holding no replicas — its count over all replicas. It reports
+// false, leaving f as it was, when the live replicas cannot meet a target:
+// the write is unavailable.
+func (a *ackPlan) plan(db *DB, cl kv.ConsistencyLevel, cz int, replicas []*Replica) bool {
+	a.targets = a.buf[:0]
 	switch cl {
 	case kv.EachQuorum:
 		for z, zones := 0, db.zones(); z < zones; z++ {
 			if t := targetFor(cl, replicas, z); t.need > 0 {
-				targets = append(targets, t)
+				a.targets = append(a.targets, t)
 			}
 		}
 	case kv.LocalQuorum:
 		if t := targetFor(cl, replicas, cz); t.need > 0 {
-			targets = append(targets, t)
+			a.targets = append(a.targets, t)
 		}
 	}
-	if len(targets) == 0 {
-		targets = append(targets, targetFor(cl, replicas, anyZone))
+	if len(a.targets) == 0 {
+		a.targets = append(a.targets, targetFor(cl, replicas, anyZone))
 	}
-	for _, t := range targets {
+	for _, t := range a.targets {
 		if t.spare < 0 {
-			return nil
+			return false
 		}
 	}
-	a := &ackPlan{f: sim.NewFuture[bool](db.k), targets: targets}
+	a.f.Init(db.k)
 	a.settleIfMet()
-	return a
+	return true
 }
 
 // ack records a successful replica write in zone z.
+//
+//simlint:hotpath
 func (a *ackPlan) ack(z int) {
 	for i := range a.targets {
 		if t := &a.targets[i]; t.zone == anyZone || t.zone == z {
@@ -156,6 +161,8 @@ func (a *ackPlan) ack(z int) {
 
 // fail records a lost replica write in zone z. Every live replica answers
 // at most once, so a target that has been met cannot run out of spare.
+//
+//simlint:hotpath
 func (a *ackPlan) fail(z int) {
 	for i := range a.targets {
 		if t := &a.targets[i]; t.zone == anyZone || t.zone == z {
@@ -166,6 +173,7 @@ func (a *ackPlan) fail(z int) {
 	}
 }
 
+//simlint:hotpath
 func (a *ackPlan) settleIfMet() {
 	for _, t := range a.targets {
 		if t.need > 0 {
@@ -173,42 +181,4 @@ func (a *ackPlan) settleIfMet() {
 		}
 	}
 	a.f.Set(true)
-}
-
-// forwardToDC carries the mutation to zone z, a DC other than the
-// coordinator's: once across the WAN to the first live replica there in
-// ring order, which relays it over local links to the DC's other live
-// replicas — spawned after the WAN leg lands and before the forwarder's
-// own apply, so a slow commit log does not serialize the intra-DC fan-out.
-// A dropped forward leg loses the mutation for the whole DC, so it fails
-// once per live replica there.
-func (db *DB) forwardToDC(coord *Replica, replicas []*Replica, z int, m mutation, acks *ackPlan) {
-	var live []*Replica
-	for _, rep := range replicas {
-		if rep.Node.Zone != z {
-			continue
-		}
-		if rep.Node.Down() {
-			db.noteHint(coord, rep, m)
-			continue
-		}
-		live = append(live, rep)
-	}
-	if len(live) == 0 {
-		return
-	}
-	fwd := live[0]
-	db.InterDCForwards++
-	db.k.Go("c*-fwd-write", func(q *sim.Proc) {
-		if !db.hop(q, coord.Node, fwd.Node, m.size) {
-			for range live {
-				acks.fail(z)
-			}
-			return
-		}
-		for _, rep := range live[1:] {
-			db.k.Go("c*-relay-write", func(q2 *sim.Proc) { db.deliver(q2, fwd.Node, rep, coord, m, acks) })
-		}
-		db.deliver(q, fwd.Node, fwd, coord, m, acks)
-	})
 }

@@ -1,0 +1,54 @@
+package core
+
+import (
+	"testing"
+
+	"cloudbench/internal/sim"
+	"cloudbench/internal/ycsb"
+)
+
+// TestKernelStatsPerSimop prints, for a small cass_mixed-shaped cell
+// (Cassandra ONE/ONE, read repair on, 50/50 zipfian read/update) and the
+// same input through HBase, how often the kernel parked a process and how
+// often it had to allocate an event struct, per simulated YCSB operation.
+// Parks per simop is the size of the prize for ROADMAP item 6 (fewer
+// goroutine switches per op); free-list misses per simop is the evidence
+// that a canceled timeout's event is recycled — before eager unlinking it
+// was one miss per AwaitTimeout, i.e. at least one per operation.
+func TestKernelStatsPerSimop(t *testing.T) {
+	o := smokeOptions()
+	spec := ycsb.ReadUpdate(o.StressRecords)
+	for _, b := range []backend{cassandraAt(3, levels()[0]), hbaseAt(3)} {
+		d := deploy(o, b, spec)
+		var res ycsb.Result
+		var st sim.Stats
+		if err := d.run(o.Threads, func(p *sim.Proc) {
+			before := d.k.Stats()
+			res = d.phase(p, spec, o.stressRun(0))
+			st = d.k.Stats()
+			st.Events -= before.Events
+			st.Parks -= before.Parks
+			st.EventMisses -= before.EventMisses
+			st.EventHits -= before.EventHits
+			st.ProcMisses -= before.ProcMisses
+			st.TimersScheduled -= before.TimersScheduled
+			st.TimersCanceled -= before.TimersCanceled
+			st.TimersUnlinked -= before.TimersUnlinked
+		}); err != nil {
+			t.Fatal(err)
+		}
+		ops := float64(o.StressOps)
+		t.Logf("%-8s per simop: %.1f events, %.1f parks, %.4f event free-list misses, %.4f proc-pool misses; %.2f deadlines armed, %.2f canceled, %.2f of those unlinked eagerly",
+			b.db, float64(st.Events)/ops, float64(st.Parks)/ops, float64(st.EventMisses)/ops, float64(st.ProcMisses)/ops,
+			float64(st.TimersScheduled)/ops, float64(st.TimersCanceled)/ops, float64(st.TimersUnlinked)/ops)
+		if res.Errors != 0 {
+			t.Errorf("%s: %d failed operations", b.db, res.Errors)
+		}
+		if m := float64(st.EventMisses) / ops; m > 0.05 {
+			t.Errorf("%s: %.3f event free-list misses per simop, want ~0: canceled or fired events are not coming back", b.db, m)
+		}
+		if st.TimersCanceled != st.TimersUnlinked {
+			t.Logf("%s: %d canceled deadlines were dropped lazily (due batch, fast lane or overflow heap)", b.db, st.TimersCanceled-st.TimersUnlinked)
+		}
+	}
+}

@@ -137,3 +137,42 @@ func (r *Ring[M]) PerZone(t Token, quota []int) []M {
 		return true
 	})
 }
+
+// Table is one placement strategy evaluated at every vnode. A strategy's
+// result depends on the token only through the first vnode at or after it,
+// and a ring never changes, so a lookup is a binary search that allocates
+// nothing. The sets are shared between lookups: callers must not modify
+// them.
+type Table[M comparable] struct {
+	tokens []Token
+	sets   [][]M
+}
+
+// Memoize evaluates place — Simple, ZoneSpread or PerZone at fixed
+// arguments — at each vnode's token.
+func (r *Ring[M]) Memoize(place func(Token) []M) *Table[M] {
+	tb := &Table[M]{tokens: make([]Token, len(r.entries)), sets: make([][]M, len(r.entries))}
+	for i, e := range r.entries {
+		tb.tokens[i], tb.sets[i] = e.token, place(e.token)
+	}
+	return tb
+}
+
+// For returns what place returns for t; nil on an empty ring.
+func (tb *Table[M]) For(t Token) []M {
+	lo, hi := 0, len(tb.tokens)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); tb.tokens[mid] < t {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo == len(tb.tokens) {
+		if lo == 0 {
+			return nil
+		}
+		lo = 0 // past the last token: wrap to the first vnode
+	}
+	return tb.sets[lo]
+}

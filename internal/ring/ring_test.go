@@ -155,3 +155,36 @@ func TestPlacementAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestMemoizedTableMatchesWalk: a memoised strategy answers every token —
+// the vnode tokens themselves, their neighbours, both ends of the token
+// space and random ones — exactly as the walk does, without allocating.
+func TestMemoizedTableMatchesWalk(t *testing.T) {
+	r := build([]int{0, 0, 1, 1, 2, 2})
+	for name, place := range map[string]func(Token) []int{
+		"simple":  func(t Token) []int { return r.Simple(t, 3) },
+		"spread":  func(t Token) []int { return r.ZoneSpread(t, 3) },
+		"perzone": func(t Token) []int { return r.PerZone(t, []int{2, 1, 1}) },
+	} {
+		tb := r.Memoize(place)
+		tokens := []Token{0, ^Token(0)}
+		for _, e := range r.entries {
+			tokens = append(tokens, e.token-1, e.token, e.token+1)
+		}
+		rng := rand.New(rand.NewSource(3))
+		for i := 0; i < 1000; i++ {
+			tokens = append(tokens, Token(rng.Uint64()))
+		}
+		for _, tok := range tokens {
+			if got, want := tb.For(tok), place(tok); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s token %d: table %v, walk %v", name, tok, got, want)
+			}
+		}
+		if n := testing.AllocsPerRun(100, func() { tb.For(tokens[7]) }); n != 0 {
+			t.Errorf("%s: lookup allocates %v times, want 0", name, n)
+		}
+	}
+	if got := New([]int{}, func(int) int { return 0 }, 8, rand.Uint64).Memoize(func(Token) []int { return []int{1} }).For(5); got != nil {
+		t.Errorf("empty ring placed %v", got)
+	}
+}

@@ -44,15 +44,35 @@ func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 func (t Time) String() string { return Duration(t).String() }
 
 // event is a pending kernel event: at time t, run fn. A fired event has
-// fn == nil; a canceled one has canceled == true. There is no position
-// index: cancellation is lazy, and the scheduler drops canceled events
-// when it encounters them.
+// fn == nil. A wheel-resident event knows its position, so cancel unlinks
+// and recycles it at once; in the fast lane, the due batch or the overflow
+// heap (level -1) it is marked canceled and dropped when the scheduler
+// reaches it.
 type event struct {
 	t        Time
 	seq      uint64
 	fn       func()
 	canceled bool
-	pinned   bool // referenced outside the kernel (timers); never recycled
+	level    int8  // wheel level holding the event; -1 outside the wheel
+	idx      int32 // position in that level's slot
+}
+
+// timer is a cancelable handle on a scheduled event. Event structs are
+// recycled, so it carries the seq the event was scheduled under: a cancel
+// after the firing, or after the struct went on to a later event, is a no-op.
+type timer struct {
+	e   *event
+	seq uint64
+}
+
+// Stats counts what the kernel has done: events dispatched, process parks,
+// AwaitTimeout deadlines armed / canceled by a Set / of those, unlinked from
+// the wheel at once, and hits and misses of the event free list and of the
+// process-goroutine pool. Nothing reads the counters back.
+type Stats struct {
+	Events, Parks                                   int64
+	TimersScheduled, TimersCanceled, TimersUnlinked int64
+	EventHits, EventMisses, ProcHits, ProcMisses    int64
 }
 
 // eventHeap is the far-future overflow heap, ordered by (t, seq). Only
@@ -95,6 +115,7 @@ type Kernel struct {
 	due      []*event  // drained level-0 slot for the current instant, seq order
 	dueIdx   int
 	free     []*event // recycled event structs (see schedule/RunUntil)
+	stats    Stats
 	rng      *rand.Rand
 	seed     int64
 	live     int   // processes spawned and not yet terminated
@@ -162,15 +183,17 @@ func (k *Kernel) Seed() int64 { return k.seed }
 // yet terminated.
 func (k *Kernel) Live() int { return k.live }
 
+// Stats returns the kernel's activity counters.
+func (k *Kernel) Stats() Stats { return k.stats }
+
 // schedule enqueues fn to run at time t. Events at or before the current
 // instant go to the FIFO fast lane — the dominant wake pattern
 // schedule(k.now, p.wake) never touches the wheel — and later events go to
 // the wheel, or to the overflow heap beyond the wheel span. The event
 // struct comes from the kernel's free list when possible: Sleep-heavy
 // workloads churn millions of events per run, and recycling them keeps the
-// hot path allocation-free. Events handed out by schedule must not be
-// retained by callers — use scheduleTimer for events that are cancelable
-// later.
+// hot path allocation-free. A caller that may cancel the event keeps a
+// timer{e, e.seq}, never the bare pointer.
 //
 //simlint:hotpath
 func (k *Kernel) schedule(t Time, fn func()) *event {
@@ -178,10 +201,13 @@ func (k *Kernel) schedule(t Time, fn func()) *event {
 	if n := len(k.free); n > 0 {
 		e = k.free[n-1]
 		k.free = k.free[:n-1]
-		e.fn, e.canceled, e.pinned = fn, false, false
+		e.fn, e.canceled = fn, false
+		k.stats.EventHits++
 	} else {
 		e = &event{fn: fn}
+		k.stats.EventMisses++
 	}
+	e.level = -1
 	e.seq = k.seq
 	k.seq++
 	k.pending++
@@ -199,40 +225,34 @@ func (k *Kernel) schedule(t Time, fn func()) *event {
 	return e
 }
 
-// scheduleTimer is schedule for events whose pointer escapes the kernel
-// (future timeouts). Pinned events are exempt from recycling so a stale
-// cancel after the timer fired can never touch a reused struct.
-//
-//simlint:hotpath
-func (k *Kernel) scheduleTimer(t Time, fn func()) *event {
-	e := k.schedule(t, fn)
-	e.pinned = true
-	return e
-}
-
-// recycle returns a fired, unpinned event to the free list.
+// recycle returns a fired or canceled event no queue holds to the free list.
 //
 //simlint:hotpath
 func (k *Kernel) recycle(e *event) {
-	if e.pinned {
-		return
-	}
 	e.fn = nil
 	k.free = append(k.free, e)
 }
 
-// cancel marks a pending event dead. The event stays wherever it is queued
-// and is dropped when the scheduler encounters it; only the pending count
-// is updated eagerly, so run loops and deadlock detection see the true
-// number of live events. Canceling an already-fired event is a no-op.
+// cancel kills the pending event behind tm. A wheel-resident event is
+// unlinked and recycled here; elsewhere it is marked and the scheduler
+// drops it on sight. Either way the pending count is updated now, so run
+// loops and deadlock detection see the true number of live events.
 //
 //simlint:hotpath
-func (k *Kernel) cancel(e *event) {
-	if e == nil || e.canceled || e.fn == nil {
+func (k *Kernel) cancel(tm timer) {
+	e := tm.e
+	if e == nil || e.seq != tm.seq || e.canceled || e.fn == nil {
+		return
+	}
+	k.pending--
+	k.stats.TimersCanceled++
+	if e.level >= 0 {
+		k.wheel.unlink(e)
+		k.recycle(e)
+		k.stats.TimersUnlinked++
 		return
 	}
 	e.canceled = true
-	k.pending--
 }
 
 // After schedules fn to run in its own short-lived context d from now.
@@ -271,6 +291,36 @@ type Proc struct {
 	// schedules it, so allocating it once per process instead of once per
 	// event keeps Sleep and resource handoffs off the allocator.
 	wake func()
+
+	// AwaitTimeout state. A process waits on one future at a time, so the
+	// timeout callback (bound once, like wake), the handle a Set cancels,
+	// the future to leave on expiry and the outcome live here instead of in
+	// a closure per wait.
+	expire   func()
+	deadline timer
+	awaiting interface{ dropWaiter(*Proc) }
+	timedOut bool
+}
+
+// bind builds the callbacks every park of p reuses.
+//
+//simlint:coldpath
+func (p *Proc) bind() {
+	p.wake = func() { p.k.dispatch(p) }
+	p.expire = p.fireTimeout
+}
+
+// fireTimeout runs when p's deadline passes first: p leaves the future and
+// resumes inside this event, not via a scheduled wake.
+//
+//simlint:hotpath
+func (p *Proc) fireTimeout() {
+	p.deadline = timer{}
+	p.timedOut = true
+	p.awaiting.dropWaiter(p)
+	p.awaiting = nil
+	p.k.noteRunnable(p)
+	p.k.dispatch(p)
 }
 
 // killUnwinder is implemented by blocking primitives (Resource, Queue)
@@ -329,6 +379,7 @@ type procWorker struct {
 	pp     *Proc // reusable Proc for detached (Go) processes
 }
 
+//simlint:coldpath a worker's lifetime; getWorker starts one on a pool miss only
 func (w *procWorker) loop() {
 	for {
 		<-w.resume
@@ -397,8 +448,10 @@ func (k *Kernel) getWorker() *procWorker {
 		w := k.workerFree[n-1]
 		k.workerFree[n-1] = nil
 		k.workerFree = k.workerFree[:n-1]
+		k.stats.ProcHits++
 		return w
 	}
+	k.stats.ProcMisses++
 	w := &procWorker{k: k, resume: make(chan struct{})}
 	go w.loop()
 	return w
@@ -440,7 +493,7 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 	if k.current != nil {
 		p.tctx = k.current.tctx
 	}
-	p.wake = func() { k.dispatch(p) }
+	p.bind()
 	p.done = NewFuture[struct{}](k)
 	w.p = p
 	w.fn = fn
@@ -472,7 +525,7 @@ func (k *Kernel) Go(name string, fn func(p *Proc)) {
 	if p == nil {
 		src := NewSource(uint64(procSeed(k.seed, k.procs)))
 		p = &Proc{k: k, resume: w.resume, src: src, rng: rand.New(src)}
-		p.wake = func() { k.dispatch(p) }
+		p.bind()
 		w.pp = p
 	} else {
 		p.src.Reseed(uint64(procSeed(k.seed, k.procs)))
@@ -523,6 +576,7 @@ func (k *Kernel) dispatch(p *Proc) {
 //
 //simlint:hotpath
 func (p *Proc) park(why string) {
+	p.k.stats.Parks++
 	p.parked = why
 	p.k.current = nil
 	p.k.yield <- struct{}{}
@@ -604,8 +658,8 @@ func (k *Kernel) RunUntil(limit Time) error {
 			return nil
 		}
 		fn := e.fn
-		e.fn = nil
 		k.pending--
+		k.stats.Events++
 		k.recycle(e)
 		// Every scheduled event carries a fn (schedule never stores nil);
 		// a nil here is kernel corruption, and the panic is the best
@@ -662,6 +716,7 @@ func (k *Kernel) runWindow(limit Time) {
 			m := &k.inbox[k.inboxIdx]
 			k.inboxIdx++
 			k.pending--
+			k.stats.Events++
 			mfn := m.fn
 			m.fn = nil
 			//simlint:ignore hookguard Send rejects nil fns at enqueue, so every lane message carries one
@@ -673,8 +728,8 @@ func (k *Kernel) runWindow(limit Time) {
 			continue
 		}
 		fn := e.fn
-		e.fn = nil
 		k.pending--
+		k.stats.Events++
 		k.recycle(e)
 		// See RunUntil: a nil fn is kernel corruption and must panic.
 		//simlint:ignore hookguard event fns are set by schedule; nil means kernel corruption and must panic

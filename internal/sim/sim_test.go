@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestSleepAdvancesVirtualTime(t *testing.T) {
@@ -500,9 +501,9 @@ func TestProcSeedDecorrelated(t *testing.T) {
 }
 
 func TestEventRecyclingPreservesOrderAndTimers(t *testing.T) {
-	// Mix recycled sleep events with pinned timer events: ordering must
-	// stay FIFO-at-instant and a canceled timer must never cancel a
-	// recycled successor event.
+	// Mix recycled sleep events with a deadline event: ordering must stay
+	// FIFO-at-instant and a canceled deadline, itself recycled on cancel,
+	// must never cancel the event that reuses its struct.
 	k := NewKernel(1)
 	f := NewFuture[int](k)
 	var order []string
@@ -514,7 +515,7 @@ func TestEventRecyclingPreservesOrderAndTimers(t *testing.T) {
 	})
 	k.Spawn("setter", func(p *Proc) {
 		p.Sleep(time.Millisecond)
-		f.Set(9) // cancels the pinned timer; its struct must stay dead
+		f.Set(9) // cancels the deadline and recycles its struct
 		for i := 0; i < 100; i++ {
 			p.Sleep(time.Microsecond) // churn through the free list
 		}
@@ -788,5 +789,162 @@ func TestDrainPoolsReleasesWorkerGoroutines(t *testing.T) {
 			t.Fatalf("goroutines = %d, want <= %d (worker pool not drained)", runtime.NumGoroutine(), before+2)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// futureWaitAllocs runs ops waits on one embedded future from a pooled Go
+// process — each armed by Init, set 1µs later by a callback built once —
+// and returns the heap allocations of the steady state (after a warm-up
+// that fills the free lists), with the event free list's length and the
+// wheel's resident count at the warm-up's end and at the run's end.
+func futureWaitAllocs(t *testing.T, ops int, wait func(f *Future[int], p *Proc)) (allocs uint64, free, resident [2]int) {
+	t.Helper()
+	const warm = 1000
+	k := NewKernel(1)
+	var f Future[int]
+	set := func() { f.Set(7) }
+	var before, after runtime.MemStats
+	k.Go("waiter", func(p *Proc) {
+		for i := 0; i < warm+ops; i++ {
+			if i == warm {
+				free[0], resident[0] = len(k.free), k.wheel.count
+				runtime.ReadMemStats(&before)
+			}
+			f.Init(k)
+			k.After(time.Microsecond, set)
+			wait(&f, p)
+		}
+		runtime.ReadMemStats(&after)
+		free[1], resident[1] = len(k.free), k.wheel.count
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return after.Mallocs - before.Mallocs, free, resident
+}
+
+// TestFutureAwaitZeroAlloc: a one-waiter Await on an embedded future costs
+// no allocation (the waiter is stored inline).
+func TestFutureAwaitZeroAlloc(t *testing.T) {
+	const ops = 100_000
+	allocs, _, _ := futureWaitAllocs(t, ops, func(f *Future[int], p *Proc) {
+		if v := f.Await(p); v != 7 {
+			t.Errorf("await = %d, want 7", v)
+		}
+	})
+	if allocs*1000 > ops {
+		t.Errorf("%d allocations over %d waits, want 0 per wait", allocs, ops)
+	}
+}
+
+// TestAwaitTimeoutSteadyStateZeroAlloc: a wait that is set long before its
+// deadline costs no allocation, hands the deadline's event struct back to
+// the free list at the cancel, and leaves nothing behind in the wheel.
+func TestAwaitTimeoutSteadyStateZeroAlloc(t *testing.T) {
+	const ops = 100_000
+	allocs, free, resident := futureWaitAllocs(t, ops, func(f *Future[int], p *Proc) {
+		if v, ok := f.AwaitTimeout(p, 5*time.Second); !ok || v != 7 {
+			t.Errorf("await = %d,%v want 7,true", v, ok)
+		}
+	})
+	if allocs*1000 > ops {
+		t.Errorf("%d allocations over %d waits, want 0 per wait", allocs, ops)
+	}
+	if free[1] < free[0] {
+		t.Errorf("event free list shrank from %d to %d: canceled deadlines are not recycled", free[0], free[1])
+	}
+	if resident[1] != resident[0] {
+		t.Errorf("wheel.count went from %d to %d: canceled deadlines stay resident", resident[0], resident[1])
+	}
+}
+
+// TestFutureTimeoutKeepsWaiterOrder: a waiter that times out leaves the
+// list without reordering the others, and a later waiter queues behind
+// them.
+func TestFutureTimeoutKeepsWaiterOrder(t *testing.T) {
+	k := NewKernel(1)
+	f := NewFuture[int](k)
+	var order []string
+	wait := func(name string, start, d time.Duration) {
+		k.Spawn(name, func(p *Proc) {
+			p.Sleep(start)
+			if _, ok := f.AwaitTimeout(p, d); ok {
+				order = append(order, name)
+			} else {
+				order = append(order, name+"-timeout")
+			}
+		})
+	}
+	wait("a", 0, time.Millisecond) // first waiter, times out
+	wait("b", 0, time.Second)
+	wait("c", 0, 2*time.Millisecond) // middle of the list, times out
+	wait("d", 0, time.Second)
+	wait("e", 3*time.Millisecond, time.Second) // arrives after both timeouts
+	k.After(10*time.Millisecond, func() { f.Set(1) })
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprint(order), "[a-timeout c-timeout b d e]"; got != want {
+		t.Fatalf("order = %v, want %v", got, want)
+	}
+}
+
+// TestFutureInitRearms: Init forgets the previous value, and refuses a
+// future that still has a process parked on it.
+func TestFutureInitRearms(t *testing.T) {
+	k := NewKernel(1)
+	var f Future[int]
+	f.Init(k)
+	f.Set(1)
+	f.Init(k)
+	if v, ok := f.Value(); ok || v != 0 {
+		t.Fatalf("after Init: value = %d,%v want 0,false", v, ok)
+	}
+	k.Spawn("waiter", func(p *Proc) { f.Await(p) })
+	k.After(time.Millisecond, func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Init of a future with a parked waiter did not panic")
+			}
+			f.Set(2)
+		}()
+		f.Init(k)
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStaleTimerHandleCancelsNothing: a handle outlives its event; once
+// the event has fired or been canceled and its struct carries a later
+// event, canceling through the old handle must not touch that one.
+func TestStaleTimerHandleCancelsNothing(t *testing.T) {
+	k := NewKernel(1)
+	fired := 0
+	first := k.timerAt(Time(100), func() { fired++ })
+	k.cancel(first) // unlinked from the wheel and recycled at once
+	second := k.timerAt(Time(200), func() { fired++ })
+	if second.e != first.e {
+		t.Fatalf("the canceled event's struct was not recycled into the next event")
+	}
+	k.cancel(first) // stale: same struct, older seq
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if fired != 1 {
+		t.Fatalf("fired = %d, want 1: the stale handle canceled the recycled event", fired)
+	}
+	k.cancel(second) // after the firing: no-op
+	if st := k.Stats(); st.TimersCanceled != 1 || st.TimersUnlinked != 1 {
+		t.Fatalf("stats = %+v, want one cancel, unlinked eagerly", st)
+	}
+}
+
+// TestFutureHeapSize: a heap-allocated Future[struct{}] (one per sync WAL
+// append, per scan, per Spawn) must not outgrow the 64-byte size class it
+// had before the waiter moved inline.
+func TestFutureHeapSize(t *testing.T) {
+	if n := unsafe.Sizeof(Future[struct{}]{}); n > 64 {
+		t.Fatalf("Future[struct{}] is %d bytes, want at most 64", n)
 	}
 }

@@ -36,9 +36,13 @@ import (
 //     which is always before time reaches them; after migration the heap
 //     top is strictly beyond every wheel event.
 //
-// Canceled events are removed lazily (dropped when a drain, cascade, or
-// migration encounters them); k.pending counts only live events so run
-// loops and deadlock checks are unaffected by stale timers.
+// Cancellation is eager inside the wheel: a resident event records its
+// level and index, so Kernel.cancel swap-removes it in O(1) and recycles it,
+// and count is exactly the live events resident. The swap reorders a slot,
+// which is invisible: a cascade re-places events one by one and drainDue
+// sorts by seq (point 2), so the (t, seq) order of the events that fire is
+// unchanged. Only the fast lane, the due batch and the overflow heap hold a
+// canceled event until they reach it; k.pending counts live events only.
 const (
 	wheelBits   = 6
 	wheelSlots  = 1 << wheelBits // 64 slots per level
@@ -50,7 +54,7 @@ const (
 type timerWheel struct {
 	slots [wheelLevels][wheelSlots][]*event
 	occ   [wheelLevels]uint64 // per-level slot-occupancy bitmaps
-	count int                 // events resident in the wheel (incl. canceled)
+	count int                 // events resident in the wheel
 }
 
 // place files e into the level whose granularity matches its delta from
@@ -66,9 +70,28 @@ func (w *timerWheel) place(e *event, now Time) {
 		level = (bits.Len64(d) - 1) / wheelBits
 	}
 	slot := (uint64(e.t) >> (uint(level) * wheelBits)) & wheelMask
+	e.level, e.idx = int8(level), int32(len(w.slots[level][slot]))
 	w.slots[level][slot] = append(w.slots[level][slot], e)
 	w.occ[level] |= 1 << slot
 	w.count++
+}
+
+// unlink removes the resident event e; its slot's last event takes its place.
+//
+//simlint:hotpath
+func (w *timerWheel) unlink(e *event) {
+	slot := (uint64(e.t) >> (uint(e.level) * wheelBits)) & wheelMask
+	buf := w.slots[e.level][slot]
+	n := len(buf) - 1
+	buf[e.idx] = buf[n]
+	buf[e.idx].idx = e.idx
+	buf[n] = nil
+	w.slots[e.level][slot] = buf[:n]
+	if n == 0 {
+		w.occ[e.level] &^= 1 << slot
+	}
+	w.count--
+	e.level = -1
 }
 
 // next returns the level and lower-bound time of the earliest occupied
@@ -132,7 +155,7 @@ func (w *timerWheel) cascadeDown(l int, now Time) {
 // cascade empties the level-`level` slot whose lower bound is now,
 // re-placing current-cycle events into finer levels (an event at exactly
 // now lands in the due level-0 slot). Next-cycle events sharing the slot
-// stay put; canceled events are dropped.
+// stay put.
 //
 //simlint:hotpath
 func (w *timerWheel) cascade(level int, now Time) {
@@ -143,13 +166,11 @@ func (w *timerWheel) cascade(level int, now Time) {
 	w.count -= len(buf)
 	keep := 0
 	for _, e := range buf {
-		if e.canceled {
-			continue
-		}
 		if uint64(e.t)>>shift == cyc {
 			w.place(e, now)
 		} else {
 			buf[keep] = e
+			e.idx = int32(keep)
 			keep++
 			w.count++
 		}
@@ -165,7 +186,8 @@ func (w *timerWheel) cascade(level int, now Time) {
 
 // drainDue empties the level-0 slot at time t (== k.now) into k.due,
 // insertion-sorted by seq. Direct placements arrive in seq order already;
-// cascaded events interleave, so the sort is near-linear in practice.
+// cascaded events interleave and unlink swaps, so the sort is near-linear
+// in practice. The slot is occupied, so the batch is never empty.
 //
 //simlint:hotpath
 func (k *Kernel) drainDue(t Time) {
@@ -176,9 +198,7 @@ func (k *Kernel) drainDue(t Time) {
 	k.due = k.due[:0]
 	k.dueIdx = 0
 	for _, e := range buf {
-		if e.canceled {
-			continue
-		}
+		e.level = -1
 		j := len(k.due)
 		k.due = append(k.due, e)
 		for j > 0 && k.due[j-1].seq > e.seq {
@@ -205,6 +225,7 @@ func (k *Kernel) advance(limit Time) bool {
 		for len(k.overflow) > 0 && k.overflow[0].t-k.now < wheelSpan {
 			e := heap.Pop(&k.overflow).(*event)
 			if e.canceled {
+				k.recycle(e)
 				continue
 			}
 			k.wheel.place(e, k.now)
@@ -231,10 +252,7 @@ func (k *Kernel) advance(limit Time) bool {
 		k.now = lb
 		if level == 0 {
 			k.drainDue(lb)
-			if len(k.due) > 0 {
-				return true
-			}
-			continue // slot held only canceled events
+			return true
 		}
 		k.wheel.cascadeDown(level, lb)
 	}
@@ -255,12 +273,14 @@ func (k *Kernel) pop(limit Time) *event {
 			if !e.canceled {
 				return e
 			}
+			k.recycle(e)
 		}
 		for k.fast.len() > 0 {
 			e := k.fast.pop()
 			if !e.canceled {
 				return e
 			}
+			k.recycle(e)
 		}
 		if !k.advance(limit) {
 			return nil

@@ -19,6 +19,7 @@ type refEvent struct {
 	seq      uint64
 	id       uint64
 	canceled bool
+	fired    bool // FuzzWheel only: a cancel after the firing is a no-op
 }
 
 type refHeap []*refEvent
@@ -30,8 +31,8 @@ func (h refHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h refHeap) Swap(i, j int)   { h[i], h[j] = h[j], h[i] }
-func (h *refHeap) Push(x any)     { *h = append(*h, x.(*refEvent)) }
+func (h refHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x any)   { *h = append(*h, x.(*refEvent)) }
 func (h *refHeap) Pop() any {
 	old := *h
 	n := len(old)
@@ -60,7 +61,7 @@ func scriptDelay(id, c uint64) Duration {
 	case 2:
 		return Duration(64 + r%4032) // level 1
 	case 3:
-		return Duration((1 << (6 * (1 + r % 5))) + r%1000) // level boundaries
+		return Duration((1 << (6 * (1 + r%5))) + r%1000) // level boundaries
 	case 4:
 		return Duration(1<<(6*wheelLevels) - 1 - r%3) // just inside the span
 	case 5:
@@ -159,19 +160,19 @@ func runReferenceScript(seed uint64) []firing {
 }
 
 // runKernelScript executes the same script through the kernel scheduler
-// (fast lane + wheel + overflow heap), using pinned timers so cancels are
-// legal.
+// (fast lane + wheel + overflow heap), keeping a timer handle per event so
+// cancels are legal.
 func runKernelScript(t *testing.T, seed uint64) []firing {
 	k := NewKernel(int64(seed))
 	var (
 		next  uint64 = seed * 1_000_000
 		order []firing
 		depth = map[uint64]int{}
-		live  = map[uint64]*event{}
+		live  = map[uint64]timer{}
 	)
 	var fire func(id uint64) func()
 	spawn := func(id uint64, at Time) {
-		live[id] = k.scheduleTimer(at, fire(id))
+		live[id] = k.timerAt(at, fire(id))
 	}
 	fire = func(id uint64) func() {
 		return func() {
@@ -212,16 +213,23 @@ func runKernelScript(t *testing.T, seed uint64) []firing {
 	return order
 }
 
+// timerAt schedules fn at t and returns the handle that cancels it.
+func (k *Kernel) timerAt(t Time, fn func()) timer {
+	e := k.schedule(t, fn)
+	return timer{e, e.seq}
+}
+
 // --- targeted edge cases ---------------------------------------------------
 
 // TestWheelCancelWheelResidentAndOverflow cancels one timer resident in
 // the wheel and one parked in the overflow heap; neither may fire, and the
-// run must still drain (pending accounting handles lazy removal).
+// run must still drain (pending accounting covers the eager unlink and the
+// heap's lazy removal alike).
 func TestWheelCancelWheelResidentAndOverflow(t *testing.T) {
 	k := NewKernel(1)
 	fired := map[string]bool{}
-	nearVictim := k.scheduleTimer(Time(500), func() { fired["nearVictim"] = true })
-	farVictim := k.scheduleTimer(Time(wheelSpan+500), func() { fired["farVictim"] = true })
+	nearVictim := k.timerAt(Time(500), func() { fired["nearVictim"] = true })
+	farVictim := k.timerAt(Time(wheelSpan+500), func() { fired["farVictim"] = true })
 	k.After(100, func() {
 		fired["early"] = true
 		k.cancel(nearVictim)

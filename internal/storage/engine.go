@@ -276,7 +276,9 @@ func (e *Engine) maybeFlush() {
 }
 
 // ForceFlush rotates the current memtable (if non-empty) and flushes it in
-// the background.
+// the background: once per memtable, not per operation.
+//
+//simlint:coldpath
 func (e *Engine) ForceFlush() {
 	if e.mem.Len() == 0 {
 		return

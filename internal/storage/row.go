@@ -79,9 +79,11 @@ func appendSorted(dst []Cell, rec kv.Record, ver kv.Version) []Cell {
 	for f, v := range rec {
 		dst = append(dst, Cell{Field: f, Val: v, Ver: ver})
 	}
-	slices.SortFunc(dst, func(a, b Cell) int { return strings.Compare(a.Field, b.Field) })
+	slices.SortFunc(dst, byField)
 	return dst
 }
+
+func byField(a, b Cell) int { return strings.Compare(a.Field, b.Field) }
 
 // Delete applies a tombstone at version ver.
 func (r *Row) Delete(ver kv.Version) {
@@ -190,7 +192,10 @@ func (r *Row) Record() kv.Record { return r.Project(nil) }
 // Project materializes the row's live cells restricted to fields (nil or
 // empty selects all) in one pass with an exact size hint. A fully dead row
 // yields nil; a live row yields a non-nil record even when none of the
-// requested fields is live.
+// requested fields is live. The record is the published result of a read:
+// the one allocation a read's caller asks for.
+//
+//simlint:coldpath
 func (r *Row) Project(fields []string) kv.Record {
 	live := 0
 	for _, c := range r.cells {

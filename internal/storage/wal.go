@@ -13,8 +13,12 @@ type WAL struct {
 	log AppendLog
 
 	pendingBytes int
-	waiters      []*sim.Future[struct{}]
-	flushing     bool
+	// waiters collects the appends of the next batch; spare is the slice the
+	// batch on the device gave up, so the two trade places batch by batch and
+	// neither is grown again once it has held the largest batch.
+	waiters, spare []*sim.Future[struct{}]
+	flushing       bool
+	flush          func(*sim.Proc) // flushLoop, bound once: starting a flusher allocates nothing
 
 	// Appends counts individual Append calls; Batches counts device
 	// writes. Batches ≤ Appends, and the gap measures group commit.
@@ -24,7 +28,9 @@ type WAL struct {
 
 // NewWAL returns a WAL writing batches to log.
 func NewWAL(k *sim.Kernel, log AppendLog) *WAL {
-	return &WAL{k: k, log: log}
+	w := &WAL{k: k, log: log}
+	w.flush = w.flushLoop
+	return w
 }
 
 // Append durably logs bytes, blocking p until the batch containing this
@@ -51,7 +57,7 @@ func (w *WAL) AppendAsync(bytes int) {
 func (w *WAL) ensureFlusher() {
 	if !w.flushing {
 		w.flushing = true
-		w.k.Go("wal-flush", w.flushLoop)
+		w.k.Go("wal-flush", w.flush)
 	}
 }
 
@@ -60,13 +66,15 @@ func (w *WAL) flushLoop(p *sim.Proc) {
 		bytes := w.pendingBytes
 		waiters := w.waiters
 		w.pendingBytes = 0
-		w.waiters = nil
+		w.waiters = w.spare[:0]
 		w.log.Append(p, bytes)
 		w.Batches++
 		w.BytesLogged += int64(bytes)
-		for _, f := range waiters {
+		for i, f := range waiters {
 			f.Set(struct{}{})
+			waiters[i] = nil
 		}
+		w.spare = waiters
 	}
 	w.flushing = false
 }

@@ -96,3 +96,62 @@ func TestCacheDropTableOnDeleteEviction(t *testing.T) {
 		t.Fatalf("live blocks cached = %d, want most of table 2", live)
 	}
 }
+
+// TestWALFlusherStartZeroAlloc: a WAL that went idle starts its next
+// flusher — the common case under Cassandra's periodic commit log, where
+// every batch finds the log quiet again — without allocating: the loop is
+// bound once and the process comes from the kernel's pool.
+func TestWALFlusherStartZeroAlloc(t *testing.T) {
+	k := sim.NewKernel(1)
+	d := cluster.NewDisk(k, "wal", cluster.DefaultDiskConfig())
+	w := NewWAL(k, DiskLog{Disk: d})
+	var allocs float64
+	k.Spawn("writer", func(p *sim.Proc) {
+		round := func() {
+			w.AppendAsync(1000)
+			p.Sleep(time.Second) // the batch lands and the flusher exits
+		}
+		round() // warm the process pool
+		batches := w.Batches
+		allocs = testing.AllocsPerRun(200, round)
+		if got := w.Batches - batches; got != 201 {
+			t.Errorf("%d flusher starts over 201 rounds, want one each", got)
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Errorf("starting a flusher allocates %v times, want 0", allocs)
+	}
+}
+
+// TestWALSyncWaitersReuseBuffers: the waiter lists of successive sync
+// batches trade places instead of being regrown per batch.
+func TestWALSyncWaitersReuseBuffers(t *testing.T) {
+	k := sim.NewKernel(1)
+	d := cluster.NewDisk(k, "wal", cluster.DefaultDiskConfig())
+	w := NewWAL(k, DiskLog{Disk: d})
+	const writers, rounds = 8, 50
+	for i := 0; i < writers; i++ {
+		k.Spawn("writer", func(p *sim.Proc) {
+			for j := 0; j < rounds; j++ {
+				w.Append(p, 100)
+			}
+		})
+	}
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if w.Appends != writers*rounds || w.BytesLogged != writers*rounds*100 {
+		t.Fatalf("appends=%d logged=%d", w.Appends, w.BytesLogged)
+	}
+	if len(w.waiters) != 0 || cap(w.waiters) == 0 || cap(w.spare) == 0 {
+		t.Fatalf("waiter buffers: len %d cap %d, spare cap %d; want both kept and empty", len(w.waiters), cap(w.waiters), cap(w.spare))
+	}
+	for _, f := range w.spare[:cap(w.spare)] {
+		if f != nil {
+			t.Fatal("a released batch still references its waiters' futures")
+		}
+	}
+}
