@@ -104,10 +104,11 @@ lint-report:
 # tracked total) so lines moved between the CLI and core can be neither
 # booked as a saving nor hidden as a cost; internal/hbase and
 # internal/cluster are listed outside it too, so the total stays the series
-# it has been since PR 14.
+# it has been since PR 14. internal/replica (PR 22) is inside it: what moved
+# there out of cassandra and objstore still counts.
 loc:
 	@count() { find $$1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l; }; \
-	total=0; for d in sim core cassandra objstore ring; do \
+	total=0; for d in sim core cassandra objstore replica ring; do \
 		n=$$(count internal/$$d); \
 		printf '%-20s %6d\n' internal/$$d $$n; total=$$((total + n)); \
 	done; printf '%-20s %6d\n' total $$total; \

@@ -8,6 +8,7 @@ import (
 
 	"cloudbench/internal/cluster"
 	"cloudbench/internal/kv"
+	"cloudbench/internal/replica"
 	"cloudbench/internal/sim"
 )
 
@@ -226,7 +227,7 @@ func checkAckSequence(t *testing.T, cases []ackCase) {
 		ccfg.Geo = &cluster.GeoTopology{DCSizes: sizes, WANOneWay: cluster.WANChain(zones, 0)}
 	}
 	cl := cluster.New(k, ccfg)
-	db := &DB{k: k, cl: cl}
+	db := &DB{Env: replica.Env{K: k, Cluster: cl}}
 
 	var runs []*ackRun
 	others := func(r *ackRun) map[*ackRun]planState {
@@ -271,7 +272,7 @@ func checkAckSequence(t *testing.T, cases []ackCase) {
 			} else {
 				live++
 			}
-			replicas[i] = &Replica{Node: n}
+			replicas[i] = &Replica{Host: replica.Host{Node: n}}
 		}
 		r := &ackRun{c: c, coord: true, at: len(c.events)}
 		r.wantAt, r.want = refAcks(c)

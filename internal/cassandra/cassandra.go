@@ -21,6 +21,7 @@ import (
 	"cloudbench/internal/cluster"
 	"cloudbench/internal/consistency"
 	"cloudbench/internal/kv"
+	"cloudbench/internal/replica"
 	"cloudbench/internal/ring"
 	"cloudbench/internal/sim"
 	"cloudbench/internal/storage"
@@ -99,23 +100,17 @@ func DefaultConfig() Config {
 	}
 }
 
-// Replica is one Cassandra host: a cluster node plus its local storage.
+// Replica is one Cassandra host: a cluster node plus its local storage,
+// and the hints it holds as a coordinator.
 type Replica struct {
-	Node   *cluster.Node
-	engine *storage.Engine
-	hints  []hint
+	replica.Host
+	hints []hint
 }
-
-// Engine exposes the replica's storage engine for inspection.
-func (r *Replica) Engine() *storage.Engine { return r.engine }
 
 // mutation is one write on its way to the replicas. write builds it once,
 // in the writeOp every leg of the write points at.
 type mutation struct {
-	key  kv.Key
-	rec  kv.Record
-	del  bool
-	ver  kv.Version
+	replica.Mutation
 	size int // wire size
 }
 
@@ -128,21 +123,17 @@ type hint struct {
 
 // DB is one Cassandra deployment.
 type DB struct {
-	k    *sim.Kernel
+	replica.Env
 	cfg  Config
-	cl   *cluster.Cluster
 	reps []*Replica
 	ring *ring.Ring[*Replica]
 	// placement is the configured strategy at every vnode of ring: the
 	// replica sets ReplicasFor hands out, shared and read-only.
 	placement *ring.Table[*Replica]
 
-	nextVersion  kv.Version
 	rrSeq        uint64 // deterministic read-repair dice
 	repairPeriod uint64 // every repairPeriod-th read repairs in the background; 0 never
 	hintProcLive bool
-	oracle       *consistency.Oracle
-	tracer       *trace.Tracer
 
 	// Free lists of the per-operation structs. A DB lives on one kernel,
 	// which runs one process at a time, so they need no lock.
@@ -197,16 +188,16 @@ func New(k *sim.Kernel, cfg Config, nodes []*cluster.Node) *DB {
 	if cfg.VNodes < 1 {
 		cfg.VNodes = 1
 	}
-	db := &DB{k: k, cfg: cfg}
+	db := &DB{Env: replica.Env{K: k, RequestOverhead: cfg.RequestOverhead}, cfg: cfg}
 	if len(nodes) > 0 {
-		db.cl = nodes[0].Cluster()
+		db.Cluster = nodes[0].Cluster()
 	}
 	for i, n := range nodes {
-		rep := &Replica{Node: n}
-		rep.engine = storage.NewEngine(k, cfg.Engine,
+		rep := &Replica{}
+		db.Adopt(&rep.Host, n, storage.NewEngine(k, cfg.Engine,
 			storage.LocalIO{Disk: n.Disk},
 			storage.DiskLog{Disk: n.Disk},
-			k.Seed()^int64(i+101))
+			k.Seed()^int64(i+101)))
 		db.reps = append(db.reps, rep)
 	}
 	rng := k.Rand()
@@ -229,35 +220,6 @@ func take[T any](free *[]*T) *T {
 	return x
 }
 
-// SetOracle attaches a consistency oracle observing every write lifecycle
-// event and read observation. Pass nil (the default) to run unobserved:
-// every hook call site is gated on a nil check, so the paper's performance
-// experiments pay nothing for the instrumentation.
-func (db *DB) SetOracle(o *consistency.Oracle) { db.oracle = o }
-
-// Oracle returns the attached consistency oracle, if any.
-func (db *DB) Oracle() *consistency.Oracle { return db.oracle }
-
-// SetTracer attaches a request tracer recording per-phase spans along the
-// read, write, repair, and hint paths. Pass nil (the default) to run
-// untraced: like the oracle, every call site is nil-gated.
-func (db *DB) SetTracer(t *trace.Tracer) {
-	db.tracer = t
-	for _, rep := range db.reps {
-		node := rep.Node
-		if t == nil {
-			rep.engine.OnWALSync = nil
-			continue
-		}
-		rep.engine.OnWALSync = func(p *sim.Proc, start sim.Time) {
-			t.Phase(p, trace.PhaseWAL, node.ID, start)
-		}
-	}
-}
-
-// Tracer returns the attached tracer, if any.
-func (db *DB) Tracer() *trace.Tracer { return db.tracer }
-
 // Replicas returns the database's hosts.
 func (db *DB) Replicas() []*Replica { return db.reps }
 
@@ -276,47 +238,6 @@ func (db *DB) place(t ring.Token) []*Replica {
 	return db.ring.Simple(t, db.cfg.Replication)
 }
 
-// execCoord charges coordinator CPU for one request. With a tracer
-// attached it splits the time into coordinator queueing (stop-the-world
-// pause + CPU-slot wait) and coordinator service phases.
-func (db *DB) execCoord(p *sim.Proc, n *cluster.Node, cost time.Duration) {
-	if db.tracer == nil {
-		n.Exec(p, cost)
-		return
-	}
-	t0 := p.Now()
-	wait := n.ExecTimed(p, cost)
-	if wait > 0 {
-		db.tracer.Interval(p, trace.PhaseCoordQueue, n.ID, t0, t0.Add(wait))
-	}
-	db.tracer.Phase(p, trace.PhaseCoord, n.ID, t0.Add(wait))
-}
-
-// hop carries one message of size bytes from one node to another on q's
-// clock and reports whether it arrived. A node talking to itself is free;
-// with a tracer attached a delivered message is one span at the receiver,
-// wan when it crossed DCs and fanout otherwise.
-func (db *DB) hop(q *sim.Proc, from, to *cluster.Node, size int) bool {
-	if from == to {
-		return true
-	}
-	if db.tracer == nil {
-		return from.SendTo(q, to, size)
-	}
-	t0 := q.Now()
-	if !from.SendTo(q, to, size) {
-		return false
-	}
-	db.tracer.Phase(q, legPhase(from, to), to.ID, t0)
-	return true
-}
-
-// version issues the next write timestamp.
-func (db *DB) version() kv.Version {
-	db.nextVersion++
-	return kv.Version(db.k.Now()) + db.nextVersion
-}
-
 // rollRepair decides deterministically whether a read triggers background
 // read repair, approximating an independent coin with P = ReadRepairChance.
 func (db *DB) rollRepair() bool {
@@ -327,40 +248,17 @@ func (db *DB) rollRepair() bool {
 	return db.rrSeq%db.repairPeriod == 0
 }
 
-// mutationSize models the wire size of a mutation.
-func (db *DB) mutationSize(key kv.Key, rec kv.Record) int {
-	return rec.Bytes() + len(key) + db.cfg.RequestOverhead
-}
-
-// applyLocal performs the replica-side work of a mutation: CPU (internal
-// verb, cheaper than a client-facing request), commit log append, memtable
-// apply. src tells the oracle how the version reached this replica (write
-// fan-out, read repair, or hint replay).
-func (rep *Replica) applyLocal(p *sim.Proc, db *DB, key kv.Key, rec kv.Record, del bool, ver kv.Version, src consistency.ApplySource) {
+// apply is the replica-side work of a mutation: the MutationStage wait,
+// when one is modelled, then the shared host apply. src tells the oracle
+// how the version reached rep (write fan-out, read repair, or hint replay).
+//
+//simlint:hotpath
+func (db *DB) apply(p *sim.Proc, rep *replica.Host, m replica.Mutation, src consistency.ApplySource) {
 	if d := db.cfg.MutationStageMeanDelay; d > 0 {
 		mean := float64(d) * float64(db.cfg.Replication)
 		p.Sleep(time.Duration(p.Rand().ExpFloat64() * mean))
 	}
-	cost := db.cl.Config.InternalOpCost
-	if cost <= 0 {
-		cost = db.cl.Config.CPUOpCost
-	}
-	var t0 sim.Time
-	if db.tracer != nil {
-		t0 = p.Now()
-	}
-	rep.Node.Exec(p, cost)
-	if del {
-		rep.engine.ApplyDelete(p, key, ver)
-	} else {
-		rep.engine.Apply(p, key, rec, ver)
-	}
-	if db.tracer != nil {
-		db.tracer.Phase(p, trace.PhaseStorage, rep.Node.ID, t0)
-	}
-	if db.oracle != nil {
-		db.oracle.ReplicaApply(key, ver, rep.Node.ID, src, p.Now())
-	}
+	rep.Apply(p, m, src, true)
 }
 
 // writeOp is one coordinator write, pooled: the mutation, the ack plan, its
@@ -452,9 +350,9 @@ func (op *writeOp) coordinate(p *sim.Proc, key kv.Key, rec kv.Record, del bool, 
 		db.Unavails++
 		return kv.ErrUnavailable
 	}
-	op.m = mutation{key: key, rec: rec, del: del, ver: db.version(), size: db.mutationSize(key, rec)}
-	if db.oracle != nil {
-		db.oracle.WriteBegin(key, op.m.ver, len(replicas), db.k.Now())
+	op.m = mutation{replica.Mutation{Key: key, Rec: rec, Del: del, Ver: db.Version()}, db.MutationSize(key, rec)}
+	if db.Oracle != nil {
+		db.Oracle.WriteBegin(key, op.m.Ver, len(replicas), db.K.Now())
 	}
 	for z, zones := 0, db.zones(); z < zones; z++ {
 		var fwd *writeLeg // into another DC: the one leg that crosses the WAN
@@ -466,9 +364,9 @@ func (op *writeOp) coordinate(p *sim.Proc, key kv.Key, rec kv.Record, del bool, 
 			case rep == coord:
 				// The coordinator's own apply runs concurrently too, so a slow
 				// local commit-log append does not serialize the fan-out.
-				db.k.Go("c*-local-write", op.leg(coord.Node, rep).run)
+				db.K.Go("c*-local-write", op.leg(coord.Node, rep).run)
 			case z == coord.Node.Zone:
-				db.k.Go("c*-repl-write", op.leg(coord.Node, rep).run)
+				db.K.Go("c*-repl-write", op.leg(coord.Node, rep).run)
 			case fwd == nil:
 				fwd = op.leg(coord.Node, rep)
 			default:
@@ -477,7 +375,7 @@ func (op *writeOp) coordinate(p *sim.Proc, key kv.Key, rec kv.Record, del bool, 
 		}
 		if fwd != nil {
 			db.InterDCForwards++
-			db.k.Go("c*-fwd-write", fwd.run)
+			db.K.Go("c*-fwd-write", fwd.run)
 		}
 	}
 	ok, decided := op.acks.f.AwaitTimeout(p, db.cfg.Timeout)
@@ -489,8 +387,8 @@ func (op *writeOp) coordinate(p *sim.Proc, key kv.Key, rec kv.Record, del bool, 
 		db.Unavails++
 		return kv.ErrUnavailable
 	}
-	if db.oracle != nil {
-		db.oracle.WriteAck(key, op.m.ver, db.k.Now())
+	if db.Oracle != nil {
+		db.Oracle.WriteAck(key, op.m.Ver, db.K.Now())
 	}
 	return nil
 }
@@ -508,30 +406,22 @@ func (op *writeOp) coordinate(p *sim.Proc, key kv.Key, rec kv.Record, del bool, 
 func (l *writeLeg) deliver(q *sim.Proc) {
 	op, rep, db := l.op, l.rep, l.op.db
 	z := rep.Node.Zone
-	if !db.hop(q, l.from, rep.Node, op.m.size) {
+	if !db.Hop(q, l.from, rep.Node, op.m.size) {
 		for range 1 + len(l.relay) {
 			op.acks.fail(z)
 		}
 	} else {
 		for _, r := range l.relay {
-			db.k.Go("c*-relay-write", op.leg(rep.Node, r).run)
+			db.K.Go("c*-relay-write", op.leg(rep.Node, r).run)
 		}
-		rep.applyLocal(q, db, op.m.key, op.m.rec, op.m.del, op.m.ver, consistency.ApplyWrite)
-		if db.hop(q, rep.Node, op.coord.Node, db.cfg.RequestOverhead) {
+		db.apply(q, &rep.Host, op.m.Mutation, consistency.ApplyWrite)
+		if db.Hop(q, rep.Node, op.coord.Node, db.RequestOverhead) {
 			op.acks.ack(z)
 		} else {
 			op.acks.fail(z)
 		}
 	}
 	op.release()
-}
-
-// readResponse carries one replica's answer to a read.
-type readResponse struct {
-	rep *Replica
-	row *storage.Row // full data for the data read, nil for pure digests
-	ver kv.Version   // row version (the digest)
-	ok  bool
 }
 
 // readOp is one coordinator read, pooled like a writeOp and held by the
@@ -545,10 +435,10 @@ type readOp struct {
 	coord *Replica
 	key   kv.Key
 
-	alive     []*Replica     // live replicas, proximity-sorted
-	pool      []*Replica     // LOCAL_QUORUM's and EACH_QUORUM's contact set
-	contacted []*Replica     // who the level made the coordinator wait for
-	resps     []readResponse // their answers
+	alive     []*Replica         // live replicas, proximity-sorted
+	pool      []*Replica         // LOCAL_QUORUM's and EACH_QUORUM's contact set
+	contacted []*Replica         // who the level made the coordinator wait for
+	resps     []replica.Response // their answers
 	legs      []*readLeg
 	used      int
 
@@ -567,23 +457,23 @@ type readOp struct {
 // answered through f, or a repair write to rep.
 type readLeg struct {
 	op                 *readOp
-	rep                *Replica
+	rep                *replica.Host
 	digestOnly, repair bool
-	f                  sim.Future[readResponse]
+	f                  sim.Future[replica.Response]
 	fetch, write       func(*sim.Proc) // fetchRow and repairWrite, bound once
 }
 
 //simlint:coldpath
 func newReadLeg(op *readOp) *readLeg {
 	l := &readLeg{op: op}
-	l.f.Init(op.db.k)
+	l.f.Init(op.db.K)
 	l.fetch, l.write = l.fetchRow, l.repairWrite
 	return l
 }
 
 // leg hands out op's next leg, aimed at rep; it holds op until its process
 // has finished.
-func (op *readOp) leg(rep *Replica, digestOnly, repair bool) *readLeg {
+func (op *readOp) leg(rep *replica.Host, digestOnly, repair bool) *readLeg {
 	if op.used == len(op.legs) {
 		op.legs = append(op.legs, newReadLeg(op))
 	}
@@ -601,28 +491,11 @@ func (op *readOp) release() {
 		return
 	}
 	for _, l := range op.legs[:op.used] {
-		l.f.Init(op.db.k)
+		l.f.Init(op.db.K)
 	}
 	clear(op.resps)
 	op.used, op.key, op.rec = 0, "", nil
 	op.db.readOps = append(op.db.readOps, op)
-}
-
-// muteLeg and billLeg bracket work of q that a tracer, if one is attached,
-// bills to node as one span of phase ph, dropping the sub-phases recorded
-// in between.
-func (db *DB) muteLeg(q *sim.Proc) (t0 sim.Time, prev any) {
-	if db.tracer == nil {
-		return 0, nil
-	}
-	return q.Now(), db.tracer.Mute(q)
-}
-
-func (db *DB) billLeg(q *sim.Proc, ph trace.Phase, node *cluster.Node, t0 sim.Time, prev any) {
-	if db.tracer != nil {
-		db.tracer.Unmute(q, prev)
-		db.tracer.Interval(q, ph, node.ID, t0, q.Now())
-	}
 }
 
 // fetchRow reads rep's row on behalf of the coordinator — request, replica
@@ -636,40 +509,15 @@ func (db *DB) billLeg(q *sim.Proc, ph trace.Phase, node *cluster.Node, t0 sim.Ti
 //
 //simlint:hotpath
 func (l *readLeg) fetchRow(q *sim.Proc) {
-	op, db, rep, coord := l.op, l.op.db, l.rep, l.op.coord
-	var t0, s0 sim.Time
+	op, db := l.op, l.op.db
+	var t0 sim.Time
 	var prev any
 	if l.repair {
-		t0, prev = db.muteLeg(q)
+		t0, prev = db.Mute(q)
 	}
-	resp := readResponse{rep: rep}
-	if db.hop(q, coord.Node, rep.Node, len(op.key)+db.cfg.RequestOverhead) {
-		if db.tracer != nil {
-			s0 = q.Now()
-		}
-		rep.Node.Exec(q, db.cl.Config.CPUOpCost)
-		//simlint:ignore hotpath the closure SSTable.Get hands sort.Search does not escape (TestGetSingleSSTableZeroAlloc holds it at 0)
-		row := rep.engine.Get(q, op.key)
-		if db.tracer != nil {
-			db.tracer.Phase(q, trace.PhaseStorage, rep.Node.ID, s0)
-		}
-		respSize := db.cfg.RequestOverhead
-		if !l.digestOnly && row != nil {
-			respSize += row.Bytes()
-		}
-		if db.hop(q, rep.Node, coord.Node, respSize) {
-			resp.ok = true
-			if row != nil {
-				resp.ver = row.Version()
-				if !l.digestOnly {
-					resp.row = row
-				}
-			}
-		}
-	}
-	l.f.Set(resp)
+	l.f.Set(l.rep.Fetch(q, replica.Caller{Node: op.coord.Node}, op.key, l.digestOnly))
 	if l.repair {
-		db.billLeg(q, trace.PhaseReadRepair, rep.Node, t0, prev)
+		db.Bill(q, trace.PhaseReadRepair, l.rep.Node, t0, prev, true)
 	}
 	op.release()
 }
@@ -739,7 +587,7 @@ func (op *readOp) coordinate(p *sim.Proc, cl kv.ConsistencyLevel) (*storage.Row,
 	}
 	op.contacted = pool[:need]
 	for i, rep := range op.contacted {
-		db.k.Go("c*-read", op.leg(rep, i != 0, false).fetch)
+		db.K.Go("c*-read", op.leg(&rep.Host, i != 0, false).fetch)
 	}
 	deadline := db.cfg.Timeout
 	start := p.Now()
@@ -751,20 +599,20 @@ func (op *readOp) coordinate(p *sim.Proc, cl kv.ConsistencyLevel) (*storage.Row,
 			db.CoordinatorTimeouts++
 			return nil, kv.ErrTimeout
 		}
-		if !r.ok {
+		if !r.OK {
 			db.Unavails++
 			return nil, kv.ErrUnavailable
 		}
 		op.resps = append(op.resps, r)
 	}
 
-	dataRow := op.resps[0].row
-	dataVer := op.resps[0].ver
+	dataRow := op.resps[0].Row
+	dataVer := op.resps[0].Ver
 
 	// Digest comparison → blocking read repair among contacted replicas.
 	mismatch := false
 	for _, r := range op.resps[1:] {
-		if r.ver != dataVer {
+		if r.Ver != dataVer {
 			mismatch = true
 			break
 		}
@@ -775,12 +623,12 @@ func (op *readOp) coordinate(p *sim.Proc, cl kv.ConsistencyLevel) (*storage.Row,
 		// The repair is traced as one composite span: its internal
 		// refetches and repair writes are muted so they are not
 		// double-billed as fanout/storage work.
-		if db.tracer != nil {
-			db.tracer.Mark(p, trace.PhaseDigest, coord.Node.ID)
+		if db.Tracer != nil {
+			db.Tracer.Mark(p, trace.PhaseDigest, coord.Node.ID)
 		}
-		t0, prev := db.muteLeg(p)
+		t0, prev := db.Mute(p)
 		dataRow = op.blockingRepair(p, dataRow)
-		db.billLeg(p, trace.PhaseReadRepair, coord.Node, t0, prev)
+		db.Bill(p, trace.PhaseReadRepair, coord.Node, t0, prev, true)
 	}
 
 	// Background read repair across the full replica set. The replicas
@@ -797,41 +645,9 @@ func (op *readOp) coordinate(p *sim.Proc, cl kv.ConsistencyLevel) (*storage.Row,
 	if len(op.alive) > need && db.rollRepair() {
 		db.AsyncRepairs++
 		op.refs++
-		db.k.Go("c*-bg-repair", op.background)
+		db.K.Go("c*-bg-repair", op.background)
 	}
 	return dataRow, nil
-}
-
-// reconcile folds the successful responses' rows in ascending replica
-// node-id order and returns the result: nil when no replica holds the row,
-// one replica's own frozen row when none of the others adds to it (the
-// common case between in-sync replicas), a fresh row otherwise. Row merging
-// is last-write-wins with the incumbent cell kept on a version tie, so a
-// fixed fold order pins tie resolution to the lowest node id regardless of
-// contact order, arrival order, or which replica happened to serve the data
-// read. Write timestamps are unique today (one coordinator counter), which
-// makes this behavior-neutral; it exists so reconciliation can never become
-// order-dependent if versioning ever gains ties, and so oracle version-lag
-// counts stay deterministic.
-func reconcile(resps []readResponse) *storage.Row {
-	var buf [8]int
-	order := buf[:0]
-	for i := range resps {
-		if !resps[i].ok {
-			continue
-		}
-		j := len(order)
-		order = append(order, i)
-		for ; j > 0 && resps[order[j-1]].rep.Node.ID > resps[i].rep.Node.ID; j-- {
-			order[j] = order[j-1]
-		}
-		order[j] = i
-	}
-	var merged *storage.Row
-	for _, i := range order {
-		merged = storage.Merged(merged, resps[i].row)
-	}
-	return merged
 }
 
 // blockingRepair fetches full rows from every contacted replica, merges
@@ -839,11 +655,11 @@ func reconcile(resps []readResponse) *storage.Row {
 // merged row. The caller waits: this is Cassandra's foreground repair that
 // delays the read.
 func (op *readOp) blockingRepair(p *sim.Proc, have *storage.Row) *storage.Row {
-	var buf [8]readResponse
+	var buf [8]replica.Response
 	resps := op.gather(p, op.contacted, nil, false, buf[:0])
 	// The original data read from the main replica is folded last: it can
 	// only matter when the main replica's refetch was lost in flight.
-	merged := storage.Merged(reconcile(resps), have)
+	merged := storage.Merged(replica.Reconcile(resps), have)
 	op.writeRepairs(p, merged, resps, true)
 	if merged != nil && !merged.Live() && merged.Version() == 0 {
 		return nil
@@ -863,23 +679,23 @@ func (op *readOp) blockingRepair(p *sim.Proc, have *storage.Row) *storage.Row {
 //
 //simlint:hotpath
 func (op *readOp) repairRest(q *sim.Proc) {
-	var buf [8]readResponse
+	var buf [8]replica.Response
 	resps := op.gather(q, op.alive, op.contacted, true, append(buf[:0], op.resps...))
-	op.writeRepairs(q, reconcile(resps), resps, false)
+	op.writeRepairs(q, replica.Reconcile(resps), resps, false)
 	op.release()
 }
 
 // gather fetches the full row from every one of reps not in skip, all at
 // once, and appends the answers that arrive to resps.
-func (op *readOp) gather(p *sim.Proc, reps, skip []*Replica, repair bool, resps []readResponse) []readResponse {
+func (op *readOp) gather(p *sim.Proc, reps, skip []*Replica, repair bool, resps []replica.Response) []replica.Response {
 	first := op.used
 	for _, rep := range reps {
 		if !slices.Contains(skip, rep) {
-			op.db.k.Go("c*-read", op.leg(rep, false, repair).fetch)
+			op.db.K.Go("c*-read", op.leg(&rep.Host, false, repair).fetch)
 		}
 	}
 	for _, l := range op.legs[first:op.used] {
-		if r := l.f.Await(p); r.ok {
+		if r := l.f.Await(p); r.OK {
 			resps = append(resps, r)
 		}
 	}
@@ -889,7 +705,7 @@ func (op *readOp) gather(p *sim.Proc, reps, skip []*Replica, repair bool, resps 
 // writeRepairs sends the reconciled row to every responder whose version
 // lags; the record is built only once one does. When wait is true the
 // caller blocks until the repairs finish.
-func (op *readOp) writeRepairs(p *sim.Proc, merged *storage.Row, resps []readResponse, wait bool) {
+func (op *readOp) writeRepairs(p *sim.Proc, merged *storage.Row, resps []replica.Response, wait bool) {
 	if merged == nil {
 		return
 	}
@@ -899,18 +715,18 @@ func (op *readOp) writeRepairs(p *sim.Proc, merged *storage.Row, resps []readRes
 	}
 	op.repairs = 0
 	for _, r := range resps {
-		if r.ver >= target {
+		if r.Ver >= target {
 			continue
 		}
 		if op.repairs == 0 {
 			if op.rec, op.ver = merged.Record(), target; op.rec == nil {
 				op.ver = merged.Tomb
 			}
-			op.repaired.Init(op.db.k)
+			op.repaired.Init(op.db.K)
 		}
 		op.repairs++
 		op.db.RepairWrites++
-		op.db.k.Go("c*-repair-write", op.leg(r.rep, false, false).write)
+		op.db.K.Go("c*-repair-write", op.leg(r.Host, false, false).write)
 	}
 	if wait && op.repairs > 0 {
 		op.repaired.Await(p)
@@ -924,90 +740,19 @@ func (op *readOp) writeRepairs(p *sim.Proc, merged *storage.Row, resps []readRes
 //
 //simlint:hotpath
 func (l *readLeg) repairWrite(q *sim.Proc) {
-	op, db, rep, coord := l.op, l.op.db, l.rep, l.op.coord
-	t0, prev := db.muteLeg(q)
-	if rep == coord || coord.Node.SendTo(q, rep.Node, db.mutationSize(op.key, op.rec)) {
-		rep.applyLocal(q, db, op.key, op.rec, op.rec == nil, op.ver, consistency.ApplyRepair)
-		if rep != coord {
-			rep.Node.SendTo(q, coord.Node, db.cfg.RequestOverhead)
+	op, db, rep, coord := l.op, l.op.db, l.rep, l.op.coord.Node
+	t0, prev := db.Mute(q)
+	if rep.Node == coord || coord.SendTo(q, rep.Node, db.MutationSize(op.key, op.rec)) {
+		db.apply(q, rep, replica.Mutation{Key: op.key, Rec: op.rec, Del: op.rec == nil, Ver: op.ver}, consistency.ApplyRepair)
+		if rep.Node != coord {
+			rep.Node.SendTo(q, coord, db.RequestOverhead)
 		}
 	}
-	db.billLeg(q, trace.PhaseReadRepair, rep.Node, t0, prev)
+	db.Bill(q, trace.PhaseReadRepair, rep.Node, t0, prev, true)
 	if op.repairs--; op.repairs == 0 {
 		op.repaired.Set(struct{}{})
 	}
 	op.release()
-}
-
-// scan is the coordinator range-scan path. With a hash partitioner,
-// consecutive keys scatter across the cluster, so the coordinator asks
-// every live host for its local rows ≥ start and merges — the cost shape
-// of get_range_slices over token ranges. Scans do not trigger read repair.
-func (db *DB) scan(p *sim.Proc, coord *Replica, start kv.Key, limit int, fields []string) []kv.KV {
-	alive := 0
-	for _, rep := range db.reps {
-		if !rep.Node.Down() {
-			alive++
-		}
-	}
-	if alive == 0 {
-		return nil
-	}
-	// Each host holds roughly limit·RF/alive of the next limit global
-	// keys; fetch that share plus slack. (An exact range scan would need
-	// per-host iteration rounds; the slack makes short ranges complete
-	// in one round at realistic cost.)
-	perHost := min(limit, limit*db.cfg.Replication/alive+4)
-	// One leg per live host fills that host's slot of parts; the
-	// coordinator sleeps until the last leg, answered or not, has counted
-	// down.
-	parts := make([][]storage.ScanRow, len(db.reps))
-	pending, done := alive, sim.NewFuture[struct{}](db.k)
-	for i, rep := range db.reps {
-		if rep.Node.Down() {
-			continue
-		}
-		part := &parts[i]
-		db.k.Go("c*-scan", func(q *sim.Proc) {
-			*part = db.scanLeg(q, coord, rep, start, perHost)
-			if pending--; pending == 0 {
-				done.Set(struct{}{})
-			}
-		})
-	}
-	done.Await(p)
-	return storage.MergeScans(parts, limit, fields)
-}
-
-// scanLeg asks rep for its first perHost local rows ≥ start on behalf of
-// coord and returns them, read-only as Engine.Scan hands them out, or nil
-// if either message is lost.
-func (db *DB) scanLeg(q *sim.Proc, coord, rep *Replica, start kv.Key, perHost int) []storage.ScanRow {
-	if !db.hop(q, coord.Node, rep.Node, len(start)+db.cfg.RequestOverhead) {
-		return nil
-	}
-	var s0 sim.Time
-	if db.tracer != nil {
-		s0 = q.Now()
-	}
-	rep.Node.Exec(q, db.cl.Config.CPUOpCost)
-	rows := rep.engine.Scan(q, start, perHost)
-	if n := len(rows); n > 0 && db.cl.Config.ScanRowCost > 0 {
-		rep.Node.Exec(q, time.Duration(n)*db.cl.Config.ScanRowCost)
-	}
-	if db.tracer != nil {
-		db.tracer.Phase(q, trace.PhaseStorage, rep.Node.ID, s0)
-	}
-	if rep != coord {
-		respSize := db.cfg.RequestOverhead
-		for _, r := range rows {
-			respSize += r.Row.Bytes()
-		}
-		if !db.hop(q, rep.Node, coord.Node, respSize) {
-			return nil
-		}
-	}
-	return rows
 }
 
 // noteHint, with hinted handoff on, stores m at the coordinator on behalf of
@@ -1018,11 +763,11 @@ func (db *DB) noteHint(coord, target *Replica, m mutation) {
 	if !db.cfg.HintedHandoff {
 		return
 	}
-	coord.hints = append(coord.hints, hint{target: target, mutation: m, stored: db.k.Now()})
+	coord.hints = append(coord.hints, hint{target: target, mutation: m, stored: db.K.Now()})
 	db.HintsStored++
 	if !db.hintProcLive {
 		db.hintProcLive = true
-		db.k.Go("hint-replayer", db.hintReplayLoop)
+		db.K.Go("hint-replayer", db.hintReplayLoop)
 	}
 }
 
@@ -1034,8 +779,8 @@ func (db *DB) hintReplayLoop(p *sim.Proc) {
 	// detach so its long-lived work bills to the background class, not to
 	// that op. Each replayed hint is one composite hint-replay span with
 	// its internal apply muted.
-	if db.tracer != nil {
-		db.tracer.Detach(p)
+	if db.Tracer != nil {
+		db.Tracer.Detach(p)
 	}
 	for db.PendingHints() > 0 {
 		p.Sleep(db.cfg.HintReplayInterval)
@@ -1056,17 +801,15 @@ func (db *DB) hintReplayLoop(p *sim.Proc) {
 					keep = append(keep, h)
 					continue
 				}
-				t0, prev := db.muteLeg(p)
+				t0, prev := db.Mute(p)
 				if !rep.Node.SendTo(p, h.target.Node, h.size) {
-					if db.tracer != nil {
-						db.tracer.Unmute(p, prev)
-					}
+					db.Bill(p, trace.PhaseHintReplay, h.target.Node, t0, prev, false)
 					keep = append(keep, h)
 					continue
 				}
-				h.target.applyLocal(p, db, h.key, h.rec, h.del, h.ver, consistency.ApplyHint)
-				h.target.Node.SendTo(p, rep.Node, db.cfg.RequestOverhead)
-				db.billLeg(p, trace.PhaseHintReplay, h.target.Node, t0, prev)
+				db.apply(p, &h.target.Host, h.Mutation, consistency.ApplyHint)
+				h.target.Node.SendTo(p, rep.Node, db.RequestOverhead)
+				db.Bill(p, trace.PhaseHintReplay, h.target.Node, t0, prev, true)
 				db.HintsReplayed++
 			}
 			rep.hints = append(keep, rep.hints[len(all):]...)
@@ -1084,21 +827,4 @@ func (db *DB) PendingHints() int {
 		n += len(rep.hints)
 	}
 	return n
-}
-
-// FlushAll forces every replica's memtable to flush (between benchmark
-// phases).
-func (db *DB) FlushAll() {
-	for _, rep := range db.reps {
-		rep.engine.ForceFlush()
-	}
-}
-
-// Engines returns the per-replica engines for metric collection.
-func (db *DB) Engines() []*storage.Engine {
-	es := make([]*storage.Engine, len(db.reps))
-	for i, r := range db.reps {
-		es[i] = r.engine
-	}
-	return es
 }

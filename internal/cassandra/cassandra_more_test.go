@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"cloudbench/internal/kv"
+	"cloudbench/internal/replica"
 	"cloudbench/internal/sim"
 	"cloudbench/internal/storage"
 )
@@ -62,7 +63,7 @@ func TestScanPerHostFetchCapped(t *testing.T) {
 		_ = gets // engine.Scans counts scans, not rows; sanity only
 		var scans int64
 		for _, rep := range db.Replicas() {
-			scans += rep.engine.Scans
+			scans += rep.Engine.Scans
 		}
 		if scans != 10 {
 			t.Fatalf("engine scans = %d, want one per live host", scans)
@@ -76,7 +77,7 @@ func TestScanPerHostFetchCapped(t *testing.T) {
 func totalGets(db *DB) int64 {
 	var n int64
 	for _, rep := range db.Replicas() {
-		n += rep.engine.Gets
+		n += rep.Engine.Gets
 	}
 	return n
 }
@@ -172,7 +173,7 @@ func TestPendingHintsDrainToZero(t *testing.T) {
 			t.Fatalf("hints remaining = %d", db.PendingHints())
 		}
 		// The recovered node holds the newest version.
-		row := down.engine.Get(p, target)
+		row := down.Engine.Get(p, target)
 		if row == nil || !row.Live() {
 			t.Fatal("hinted data missing after replay")
 		}
@@ -288,8 +289,8 @@ func TestSharedRowsSurviveRepairAndScan(t *testing.T) {
 		var snaps []stored
 		for i := 0; i < keys; i++ {
 			for _, rep := range db.ReplicasFor(key(i)) {
-				row := rep.engine.Get(p, key(i))
-				if row == nil || rep.engine.Get(p, key(i)) != row {
+				row := rep.Engine.Get(p, key(i))
+				if row == nil || rep.Engine.Get(p, key(i)) != row {
 					t.Fatalf("replica %s key %d: flushed row not shared between reads", rep.Node.Name, i)
 				}
 				snaps = append(snaps, stored{rep, key(i), row, row.Record(), row.Version(), row.Bytes()})
@@ -299,9 +300,9 @@ func TestSharedRowsSurviveRepairAndScan(t *testing.T) {
 		// left in its memtable for even keys, flushed for odd ones.
 		for i := 0; i < keys; i++ {
 			main := db.ReplicasFor(key(i))[0]
-			main.engine.Apply(p, key(i), kv.Record{"v": kv.SizedValue(100 + i)}, db.version())
+			main.Engine.Apply(p, key(i), kv.Record{"v": kv.SizedValue(100 + i)}, db.Version())
 			if i%2 == 1 {
-				main.engine.ForceFlush()
+				main.Engine.ForceFlush()
 			}
 		}
 		p.Sleep(time.Second)
@@ -348,7 +349,7 @@ func TestSharedRowsSurviveRepairAndScan(t *testing.T) {
 					t.Error("writing into a stored row did not panic")
 				}
 			}()
-			snaps[0].row.Apply(kv.Record{"v": kv.SizedValue(1)}, db.version())
+			snaps[0].row.Apply(kv.Record{"v": kv.SizedValue(1)}, db.Version())
 		}()
 	})
 	if err := k.Run(); err != nil {
@@ -366,7 +367,7 @@ func TestHintStoredDuringReplayPassSurvives(t *testing.T) {
 	coord, a, b := db.reps[0], db.reps[1], db.reps[2]
 	hintFor := func(target *Replica, i int) {
 		rec := kv.Record{"v": kv.SizedValue(8)}
-		db.noteHint(coord, target, mutation{key: key(i), rec: rec, ver: db.version(), size: db.mutationSize(key(i), rec)})
+		db.noteHint(coord, target, mutation{replica.Mutation{Key: key(i), Rec: rec, Ver: db.Version()}, db.MutationSize(key(i), rec)})
 	}
 	k.Spawn("client", func(p *sim.Proc) {
 		a.Node.Fail()
@@ -387,7 +388,7 @@ func TestHintStoredDuringReplayPassSurvives(t *testing.T) {
 		if db.HintsReplayed != 2 || db.PendingHints() != 0 {
 			t.Fatalf("replayed=%d pending=%d, want 2 and 0", db.HintsReplayed, db.PendingHints())
 		}
-		if row := b.engine.Get(p, key(2)); row == nil || !row.Live() {
+		if row := b.Engine.Get(p, key(2)); row == nil || !row.Live() {
 			t.Fatal("hinted write never reached the recovered replica")
 		}
 	})

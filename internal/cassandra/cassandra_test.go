@@ -146,7 +146,7 @@ func TestConsistencyOneAllowsStaleReadUnderReplicaLag(t *testing.T) {
 		// Saturate the main replica's disk so its commit-log append (and
 		// thus its memtable apply) lags far behind the others.
 		for i := 0; i < 8; i++ {
-			db.k.Spawn("hog", func(q *sim.Proc) {
+			db.K.Spawn("hog", func(q *sim.Proc) {
 				main.Node.Disk.Read(q, 64<<20, true) // ~0.5s each
 			})
 		}
@@ -175,8 +175,8 @@ func TestDigestMismatchTriggersBlockingRepair(t *testing.T) {
 		target := key(3)
 		reps := db.ReplicasFor(target)
 		// Write directly to only the main replica, leaving others stale.
-		ver := db.version()
-		reps[0].engine.Apply(p, target, kv.Record{"v": kv.SizedValue(9)}, ver)
+		ver := db.Version()
+		reps[0].Engine.Apply(p, target, kv.Record{"v": kv.SizedValue(9)}, ver)
 		// An ALL read compares digests across all three replicas.
 		rec, err := cl.Read(p, target, nil)
 		if err != nil || rec["v"].Bytes() != 9 {
@@ -188,7 +188,7 @@ func TestDigestMismatchTriggersBlockingRepair(t *testing.T) {
 		p.Sleep(time.Second)
 		// All replicas converged.
 		for _, rep := range reps {
-			row := rep.engine.Get(p, target)
+			row := rep.Engine.Get(p, target)
 			if row == nil || row.Version() != ver {
 				t.Fatalf("replica %s not repaired: %+v", rep.Node.Name, row)
 			}
@@ -205,8 +205,8 @@ func TestBackgroundReadRepairConvergesReplicas(t *testing.T) {
 	k.Spawn("client", func(p *sim.Proc) {
 		target := key(5)
 		reps := db.ReplicasFor(target)
-		ver := db.version()
-		reps[0].engine.Apply(p, target, kv.Record{"v": kv.SizedValue(1)}, ver)
+		ver := db.Version()
+		reps[0].Engine.Apply(p, target, kv.Record{"v": kv.SizedValue(1)}, ver)
 		// ONE read from main: digests not compared (single contact), but
 		// chance=1 fires an async repair across all replicas.
 		if _, err := cl.Read(p, target, nil); err != nil {
@@ -217,7 +217,7 @@ func TestBackgroundReadRepairConvergesReplicas(t *testing.T) {
 			t.Fatal("expected a background repair")
 		}
 		for _, rep := range reps {
-			row := rep.engine.Get(p, target)
+			row := rep.Engine.Get(p, target)
 			if row == nil || row.Version() != ver {
 				t.Fatalf("replica %s not repaired", rep.Node.Name)
 			}
@@ -248,7 +248,7 @@ func TestHintedHandoffReplaysOnRecovery(t *testing.T) {
 		if db.HintsReplayed == 0 {
 			t.Fatal("hint not replayed after recovery")
 		}
-		row := down.engine.Get(p, target)
+		row := down.Engine.Get(p, target)
 		if row == nil || !row.Live() {
 			t.Fatal("recovered replica missing hinted write")
 		}

@@ -3,6 +3,7 @@ package cassandra
 import (
 	"cloudbench/internal/cluster"
 	"cloudbench/internal/kv"
+	"cloudbench/internal/replica"
 	"cloudbench/internal/sim"
 )
 
@@ -24,8 +25,8 @@ type Client struct {
 // default consistency levels.
 func (db *DB) NewClient(node *cluster.Node) *Client {
 	oid := -1
-	if db.oracle != nil {
-		oid = db.oracle.RegisterClient()
+	if db.Oracle != nil {
+		oid = db.Oracle.RegisterClient()
 	}
 	return &Client{
 		db: db, node: node,
@@ -82,16 +83,16 @@ func (c *Client) Read(p *sim.Proc, key kv.Key, fields []string) (kv.Record, erro
 	}
 	c.db.Reads++
 	start := p.Now()
-	reqSize := len(key) + c.db.cfg.RequestOverhead
+	reqSize := len(key) + c.db.RequestOverhead
 	if !c.node.SendTo(p, coord.Node, reqSize) {
 		return nil, kv.ErrUnavailable
 	}
-	c.db.execCoord(p, coord.Node, c.db.cl.Config.CPUOpCost)
+	c.db.Serve(p, coord.Node)
 	row, err := c.db.read(p, coord, key, c.readCL)
 	if err != nil {
 		return nil, err
 	}
-	if c.db.oracle != nil {
+	if c.db.Oracle != nil {
 		// The observed version is the reconciled row the coordinator is
 		// about to return (a tombstone's version for deleted rows, 0 for
 		// never-written keys) — exactly what this client sees.
@@ -99,13 +100,13 @@ func (c *Client) Read(p *sim.Proc, key kv.Key, fields []string) (kv.Record, erro
 		if row != nil {
 			ver = row.Version()
 		}
-		c.db.oracle.ReadObserved(c.oid, key, ver, start)
+		c.db.Oracle.ReadObserved(c.oid, key, ver, start)
 	}
 	var rec kv.Record
 	if row != nil && row.Live() {
 		rec = row.Project(fields)
 	}
-	if !coord.Node.SendTo(p, c.node, rec.Bytes()+c.db.cfg.RequestOverhead) {
+	if !coord.Node.SendTo(p, c.node, rec.Bytes()+c.db.RequestOverhead) {
 		return nil, kv.ErrUnavailable
 	}
 	if rec == nil {
@@ -136,14 +137,14 @@ func (c *Client) put(p *sim.Proc, key kv.Key, rec kv.Record, del bool) error {
 		return err
 	}
 	c.db.Writes++
-	if !c.node.SendTo(p, coord.Node, c.db.mutationSize(key, rec)) {
+	if !c.node.SendTo(p, coord.Node, c.db.MutationSize(key, rec)) {
 		return kv.ErrUnavailable
 	}
-	c.db.execCoord(p, coord.Node, c.db.cl.Config.CPUOpCost)
+	c.db.Serve(p, coord.Node)
 	if err := c.db.write(p, coord, key, rec, del, c.writeCL); err != nil {
 		return err
 	}
-	if !coord.Node.SendTo(p, c.node, c.db.cfg.RequestOverhead) {
+	if !coord.Node.SendTo(p, c.node, c.db.RequestOverhead) {
 		return kv.ErrUnavailable
 	}
 	return nil
@@ -151,8 +152,8 @@ func (c *Client) put(p *sim.Proc, key kv.Key, rec kv.Record, del bool) error {
 
 // Scan implements kv.Client. The coordinator asks every live host for its
 // local rows and reconciles the replicas of each key cell-wise, newest
-// wins (DB.scan). The client's consistency level is not honored — no ack
-// count to wait for, no read repair — which is the get_range_slices
+// wins (replica.ScanAll). The client's consistency level is not honored —
+// no ack count to wait for, no read repair — which is the get_range_slices
 // behaviour behind the paper's finding that short-range scans perform
 // alike at every level (F6b).
 func (c *Client) Scan(p *sim.Proc, start kv.Key, limit int, fields []string) ([]kv.KV, error) {
@@ -161,13 +162,13 @@ func (c *Client) Scan(p *sim.Proc, start kv.Key, limit int, fields []string) ([]
 		return nil, err
 	}
 	c.db.ScansDone++
-	reqSize := len(start) + c.db.cfg.RequestOverhead
+	reqSize := len(start) + c.db.RequestOverhead
 	if !c.node.SendTo(p, coord.Node, reqSize) {
 		return nil, kv.ErrUnavailable
 	}
-	c.db.execCoord(p, coord.Node, c.db.cl.Config.CPUOpCost)
-	out := c.db.scan(p, coord, start, limit, fields)
-	respSize := c.db.cfg.RequestOverhead
+	c.db.Serve(p, coord.Node)
+	out, _ := c.db.ScanAll(p, "c*-scan", replica.Caller{Node: coord.Node}, c.db.cfg.Replication, start, limit, fields)
+	respSize := c.db.RequestOverhead
 	for _, r := range out {
 		respSize += r.Bytes()
 	}

@@ -6,6 +6,7 @@ import (
 
 	"cloudbench/internal/consistency"
 	"cloudbench/internal/kv"
+	"cloudbench/internal/replica"
 	"cloudbench/internal/sim"
 	"cloudbench/internal/storage"
 )
@@ -23,21 +24,21 @@ func TestReconcileTieBreaksByLowestNodeID(t *testing.T) {
 		r.Apply(kv.Record{"v": kv.SizedValue(val)}, 50) // same version
 		return r
 	}
-	respLow := readResponse{rep: low, row: mkRow(1), ver: 50, ok: true}
-	respHigh := readResponse{rep: high, row: mkRow(2), ver: 50, ok: true}
+	respLow := replica.Response{Host: &low.Host, Row: mkRow(1), Ver: 50, OK: true}
+	respHigh := replica.Response{Host: &high.Host, Row: mkRow(2), Ver: 50, OK: true}
 
-	for _, resps := range [][]readResponse{
+	for _, resps := range [][]replica.Response{
 		{respLow, respHigh},
 		{respHigh, respLow},
 	} {
-		if got := reconcile(resps).Record()["v"].Bytes(); got != 1 {
+		if got := replica.Reconcile(resps).Record()["v"].Bytes(); got != 1 {
 			t.Fatalf("order %v: tie winner value = %d, want node %d's value 1",
-				[]int{resps[0].rep.Node.ID, resps[1].rep.Node.ID}, got, low.Node.ID)
+				[]int{resps[0].Host.Node.ID, resps[1].Host.Node.ID}, got, low.Node.ID)
 		}
 	}
 
 	// Failed responses are excluded from the fold.
-	merged := reconcile([]readResponse{{rep: low, ok: false}, respHigh})
+	merged := replica.Reconcile([]replica.Response{{Host: &low.Host, OK: false}, respHigh})
 	if got := merged.Record()["v"].Bytes(); got != 2 {
 		t.Fatalf("failed response included in reconcile: got %d", got)
 	}
@@ -181,7 +182,7 @@ func TestHintExpiryWindowBoundary(t *testing.T) {
 			t.Fatalf("expired=%d replayed=%d pending=%d, want 1/1/0",
 				db.HintsExpired, db.HintsReplayed, db.PendingHints())
 		}
-		row := down.engine.Get(p, target)
+		row := down.Engine.Get(p, target)
 		if row == nil || row.Record()["v"].Bytes() != 2 {
 			t.Fatalf("recovered replica row = %+v, want the surviving hint's v2", row)
 		}

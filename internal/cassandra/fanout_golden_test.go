@@ -114,7 +114,7 @@ func (s *fanoutScript) in(k kv.Key) (local, remote []*Replica) {
 // blip schedules node to fail after d and recover 400 ms later.
 func (s *fanoutScript) blip(n *cluster.Node, d time.Duration) func() {
 	return func() {
-		s.db.k.Go("blip", func(q *sim.Proc) {
+		s.db.K.Go("blip", func(q *sim.Proc) {
 			q.Sleep(d)
 			n.Fail()
 			q.Sleep(400 * time.Millisecond)
@@ -178,7 +178,7 @@ func (s *fanoutScript) run() {
 	s.step("partitioned-mid-flight", func(log *strings.Builder) {
 		// 60 ms in, the forward has landed and the acks are on the WAN.
 		s.ops(log, key(4), func() {
-			s.db.k.Go("cut", func(q *sim.Proc) {
+			s.db.K.Go("cut", func(q *sim.Proc) {
 				q.Sleep(60 * time.Millisecond)
 				s.c.PartitionZones(0, 1)
 				q.Sleep(400 * time.Millisecond)
@@ -222,7 +222,7 @@ func TestWriteFanoutGolden(t *testing.T) {
 		}},
 		{"rack", func(k *sim.Kernel) (*DB, *Client, *cluster.Cluster) {
 			db, cl := testDB(k, 5, 3, nil)
-			return db, cl, db.cl
+			return db, cl, db.Cluster
 		}},
 	}
 	var got []string

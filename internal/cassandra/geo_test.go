@@ -131,7 +131,7 @@ func TestLocalQuorumStillReplicatesRemotely(t *testing.T) {
 		}
 		p.Sleep(time.Second) // wide-area replication settles
 		for _, rep := range db.ReplicasFor(key(7)) {
-			row := rep.engine.Get(p, key(7))
+			row := rep.Engine.Get(p, key(7))
 			if row == nil || !row.Live() {
 				t.Errorf("replica %s (zone %d) missing the write", rep.Node.Name, rep.Node.Zone)
 			}

@@ -11,29 +11,17 @@ package cassandra
 // per-DC majorities are plain majorities and it has no DC to forward to.
 
 import (
-	"cloudbench/internal/cluster"
 	"cloudbench/internal/kv"
 	"cloudbench/internal/sim"
-	"cloudbench/internal/trace"
 )
 
 // zones returns the cluster's zone (data center) count; 1 without a
 // cluster.
 func (db *DB) zones() int {
-	if db.cl == nil {
+	if db.Cluster == nil {
 		return 1
 	}
-	return db.cl.Zones()
-}
-
-// legPhase picks the trace phase for one network leg: cross-DC legs bill
-// to the wan phase so tracebreak can attribute wide-area latency; local
-// legs stay replica fan-out.
-func legPhase(a, b *cluster.Node) trace.Phase {
-	if a.Zone != b.Zone {
-		return trace.PhaseWAN
-	}
-	return trace.PhaseFanout
+	return db.Cluster.Zones()
 }
 
 // dcLocalPlan restricts replicas to one DC with the real
@@ -142,7 +130,7 @@ func (a *ackPlan) plan(db *DB, cl kv.ConsistencyLevel, cz int, replicas []*Repli
 			return false
 		}
 	}
-	a.f.Init(db.k)
+	a.f.Init(db.K)
 	a.settleIfMet()
 	return true
 }

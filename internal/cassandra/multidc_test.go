@@ -106,7 +106,7 @@ func TestSingleForwardPerRemoteDC(t *testing.T) {
 		p.Sleep(time.Second) // wide-area relay settles
 		for i := 0; i < writes; i++ {
 			for _, rep := range db.ReplicasFor(key(i)) {
-				row := rep.engine.Get(p, key(i))
+				row := rep.Engine.Get(p, key(i))
 				if row == nil || !row.Live() {
 					t.Errorf("key %d: replica %s (zone %d) missing the write",
 						i, rep.Node.Name, rep.Node.Zone)

@@ -65,6 +65,15 @@ func DefaultConfig() Config {
 	}
 }
 
+// InternalCost is the CPU service time of a node-to-node verb: a
+// configuration that does not set InternalOpCost bills CPUOpCost for it.
+func (c *Config) InternalCost() time.Duration {
+	if c.InternalOpCost > 0 {
+		return c.InternalOpCost
+	}
+	return c.CPUOpCost
+}
+
 // Cluster is a rack of nodes sharing a kernel.
 type Cluster struct {
 	K      *sim.Kernel

@@ -24,16 +24,6 @@ type GCConfig struct {
 	MinPause time.Duration
 }
 
-// DefaultGCConfig returns pause behaviour typical of a busy 2013 JVM with
-// a large heap: a pause every few seconds, tens of milliseconds each.
-func DefaultGCConfig() GCConfig {
-	return GCConfig{
-		MeanInterval: 3 * time.Second,
-		MeanPause:    60 * time.Millisecond,
-		MinPause:     5 * time.Millisecond,
-	}
-}
-
 // GCController runs pause processes on a set of nodes and can stop them so
 // the simulation drains.
 type GCController struct {

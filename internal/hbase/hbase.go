@@ -16,12 +16,12 @@ package hbase
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"cloudbench/internal/cluster"
 	"cloudbench/internal/consistency"
 	"cloudbench/internal/hdfs"
 	"cloudbench/internal/kv"
+	"cloudbench/internal/replica"
 	"cloudbench/internal/sim"
 	"cloudbench/internal/storage"
 	"cloudbench/internal/trace"
@@ -63,68 +63,25 @@ func DefaultConfig() Config {
 // DB is one HBase deployment: a master, region servers on every server
 // node, and an HDFS instance over the same nodes.
 type DB struct {
-	k       *sim.Kernel
-	cfg     Config
-	cluster *cluster.Cluster
-	fs      *hdfs.FS
+	replica.Env
+	cfg Config
+	fs  *hdfs.FS
 
 	master  *cluster.Node
 	servers []*RegionServer
 	regions []*Region // sorted by StartKey
-
-	nextVersion kv.Version
-	oracle      *consistency.Oracle
-	tracer      *trace.Tracer
 
 	// Metrics.
 	Reads, Writes, ScansDone int64
 	ReplicationSends         int64
 }
 
-// SetOracle attaches a consistency oracle. HBase is the strong-consistency
-// control of the audit experiment: every key has exactly one serving
-// region, so the oracle should report zero stale reads and zero monotonic
-// violations. Hook call sites are nil-gated, so the default unobserved
-// runs pay nothing.
-func (db *DB) SetOracle(o *consistency.Oracle) { db.oracle = o }
-
-// Oracle returns the attached consistency oracle, if any.
-func (db *DB) Oracle() *consistency.Oracle { return db.oracle }
-
 // SetTracer attaches a request tracer recording per-phase spans along the
 // read, write, and flush paths, including WAL syncs and HDFS pipeline
 // hops. Pass nil (the default) to run untraced; call sites are nil-gated.
 func (db *DB) SetTracer(t *trace.Tracer) {
-	db.tracer = t
+	db.Env.SetTracer(t)
 	db.fs.SetTracer(t)
-	for _, r := range db.regions {
-		node := r.Server.Node
-		if t == nil {
-			r.engine.OnWALSync = nil
-			continue
-		}
-		r.engine.OnWALSync = func(p *sim.Proc, start sim.Time) {
-			t.Phase(p, trace.PhaseWAL, node.ID, start)
-		}
-	}
-}
-
-// Tracer returns the attached tracer, if any.
-func (db *DB) Tracer() *trace.Tracer { return db.tracer }
-
-// execServer charges region-server CPU for one request, splitting
-// queueing (stop-the-world + CPU-slot wait) from service when traced.
-func (db *DB) execServer(p *sim.Proc, n *cluster.Node, cost time.Duration) {
-	if db.tracer == nil {
-		n.Exec(p, cost)
-		return
-	}
-	t0 := p.Now()
-	wait := n.ExecTimed(p, cost)
-	if wait > 0 {
-		db.tracer.Interval(p, trace.PhaseCoordQueue, n.ID, t0, t0.Add(wait))
-	}
-	db.tracer.Phase(p, trace.PhaseCoord, n.ID, t0.Add(wait))
 }
 
 // RegionServer hosts a set of regions on one node.
@@ -138,11 +95,12 @@ type RegionServer struct {
 }
 
 // Region is one key range [StartKey, EndKey) with its own memstore and
-// store files; EndKey "" means unbounded.
+// store files, hosted on its region server's node; EndKey "" means
+// unbounded.
 type Region struct {
 	StartKey, EndKey kv.Key
 	Server           *RegionServer
-	engine           *storage.Engine
+	replica.Host
 }
 
 // hdfsIO adapts a region server's HDFS view to storage.TableIO: tables are
@@ -187,11 +145,10 @@ func New(k *sim.Kernel, cfg Config, serverNodes []*cluster.Node, masterNode *clu
 	fcfg := cfg.HDFS
 	fcfg.Replication = cfg.Replication
 	db := &DB{
-		k:       k,
-		cfg:     cfg,
-		fs:      hdfs.New(k, fcfg, serverNodes),
-		master:  masterNode,
-		cluster: masterNode.Cluster(),
+		Env:    replica.Env{K: k, Cluster: masterNode.Cluster(), RequestOverhead: cfg.RequestOverhead},
+		cfg:    cfg,
+		fs:     hdfs.New(k, fcfg, serverNodes),
+		master: masterNode,
 	}
 	for _, n := range serverNodes {
 		rs := &RegionServer{Node: n, db: db}
@@ -215,10 +172,10 @@ func New(k *sim.Kernel, cfg Config, serverNodes []*cluster.Node, masterNode *clu
 		}
 		rs := db.servers[i%len(db.servers)]
 		region := &Region{StartKey: start, EndKey: end, Server: rs}
-		region.engine = storage.NewEngine(k, cfg.Engine,
+		db.Adopt(&region.Host, rs.Node, storage.NewEngine(k, cfg.Engine,
 			hdfsIO{fs: db.fs, node: rs.Node, prefix: fmt.Sprintf("/hbase/r%d", i)},
 			storage.DiskLog{Disk: rs.Node.Disk},
-			k.Seed()^int64(i+1))
+			k.Seed()^int64(i+1)))
 		rs.Regions = append(rs.Regions, region)
 		db.regions = append(db.regions, region)
 	}
@@ -242,23 +199,19 @@ func (db *DB) regionFor(key kv.Key) *Region {
 	return db.regions[i-1]
 }
 
-// version issues the next write version.
-func (db *DB) version() kv.Version {
-	db.nextVersion++
-	return kv.Version(db.k.Now()) + db.nextVersion
-}
-
 // write is the region-server write path executed by p at the server.
 func (rs *RegionServer) write(p *sim.Proc, r *Region, key kv.Key, rec kv.Record, del bool) {
 	db := rs.db
-	db.execServer(p, rs.Node, db.cluster.Config.CPUOpCost)
-	ver := db.version()
-	if db.oracle != nil {
-		// One read-serving replica per key: the owning region. Peer
+	db.Serve(p, rs.Node)
+	ver := db.Version()
+	if db.Oracle != nil {
+		// HBase is the audit's strong-consistency control: zero stale reads,
+		// zero monotonic violations. One read-serving replica per key: the
+		// owning region. Peer
 		// memstores (or peer WALs on the ablation path) are durability
 		// copies that never serve reads, so they are not visibility
 		// events.
-		db.oracle.WriteBegin(key, ver, 1, p.Now())
+		db.Oracle.WriteBegin(key, ver, 1, p.Now())
 	}
 
 	// WAL locally, replicate the edit to every peer in parallel, ack when
@@ -270,13 +223,13 @@ func (rs *RegionServer) write(p *sim.Proc, r *Region, key kv.Key, rec kv.Record,
 	if db.cfg.MemReplication {
 		label = "hbase-memrepl"
 	}
-	q := sim.NewQuorum(db.k, len(rs.memPeers), len(rs.memPeers))
-	size := rec.Bytes() + len(key) + db.cfg.RequestOverhead
+	q := sim.NewQuorum(db.K, len(rs.memPeers), len(rs.memPeers))
+	size := db.MutationSize(key, rec)
 	for _, peer := range rs.memPeers {
 		db.ReplicationSends++
-		db.k.Go(label, func(q2 *sim.Proc) {
+		db.K.Go(label, func(q2 *sim.Proc) {
 			var t0 sim.Time
-			if db.tracer != nil {
+			if db.Tracer != nil {
 				t0 = q2.Now()
 			}
 			if !rs.Node.SendTo(q2, peer, size) {
@@ -288,32 +241,32 @@ func (rs *RegionServer) write(p *sim.Proc, r *Region, key kv.Key, rec kv.Record,
 				// small-heap daemon whose GC pauses are negligible — so
 				// the in-memory apply bypasses the region server's
 				// stop-the-world windows.
-				peer.ExecDaemon(q2, db.cluster.Config.MemOpCost)
+				peer.ExecDaemon(q2, db.Cluster.Config.MemOpCost)
 			} else {
-				peer.Exec(q2, db.cluster.Config.CPUOpCost)
+				peer.Exec(q2, db.Cluster.Config.CPUOpCost)
 				peer.Disk.Append(q2, size)
 			}
-			if !peer.SendTo(q2, rs.Node, db.cfg.RequestOverhead) {
+			if !peer.SendTo(q2, rs.Node, db.RequestOverhead) {
 				q.Fail()
 				return
 			}
-			if db.tracer != nil {
-				db.tracer.Phase(q2, trace.PhaseFanout, peer.ID, t0)
+			if db.Tracer != nil {
+				db.Tracer.Phase(q2, trace.PhaseFanout, peer.ID, t0)
 			}
 			q.Succeed()
 		})
 	}
 	if del {
-		r.engine.ApplyDelete(p, key, ver)
+		r.Engine.ApplyDelete(p, key, ver)
 	} else {
-		r.engine.Apply(p, key, rec, ver)
+		r.Engine.Apply(p, key, rec, ver)
 	}
-	if db.oracle != nil {
-		db.oracle.ReplicaApply(key, ver, rs.Node.ID, consistency.ApplyWrite, p.Now())
+	if db.Oracle != nil {
+		db.Oracle.ReplicaApply(key, ver, rs.Node.ID, consistency.ApplyWrite, p.Now())
 	}
 	q.Wait(p)
-	if db.oracle != nil {
-		db.oracle.WriteAck(key, ver, p.Now())
+	if db.Oracle != nil {
+		db.Oracle.WriteAck(key, ver, p.Now())
 	}
 }
 
@@ -329,21 +282,24 @@ type Client struct {
 // NewClient returns a client issuing requests from node.
 func (db *DB) NewClient(node *cluster.Node) *Client {
 	oid := -1
-	if db.oracle != nil {
-		oid = db.oracle.RegisterClient()
+	if db.Oracle != nil {
+		oid = db.Oracle.RegisterClient()
 	}
 	return &Client{db: db, node: node, meta: make(map[*Region]bool), oid: oid}
 }
 
 var _ kv.Client = (*Client)(nil)
 
+// caller is how the region servers see this client: a client-facing request.
+func (c *Client) caller() replica.Caller { return replica.Caller{Node: c.node, Client: true} }
+
 // locate resolves the region for key, paying one META round trip to the
 // master the first time a region is seen.
 func (c *Client) locate(p *sim.Proc, key kv.Key) (*Region, error) {
 	r := c.db.regionFor(key)
 	if !c.meta[r] {
-		if !c.node.RoundTrip(p, c.db.master, c.db.cfg.RequestOverhead, c.db.cfg.RequestOverhead, func() {
-			c.db.master.Exec(p, c.db.cluster.Config.MemOpCost)
+		if !c.node.RoundTrip(p, c.db.master, c.db.RequestOverhead, c.db.RequestOverhead, func() {
+			c.db.master.Exec(p, c.db.Cluster.Config.MemOpCost)
 		}) {
 			return nil, kv.ErrUnavailable
 		}
@@ -364,30 +320,22 @@ func (c *Client) Read(p *sim.Proc, key kv.Key, fields []string) (kv.Record, erro
 	}
 	c.db.Reads++
 	start := p.Now()
-	if !c.node.SendTo(p, r.Server.Node, len(key)+c.db.cfg.RequestOverhead) {
+	if !c.node.SendTo(p, r.Server.Node, len(key)+c.db.RequestOverhead) {
 		return nil, kv.ErrUnavailable
 	}
-	c.db.execServer(p, r.Server.Node, c.db.cluster.Config.CPUOpCost)
-	var t0 sim.Time
-	if c.db.tracer != nil {
-		t0 = p.Now()
-	}
 	var rec kv.Record
-	row := r.engine.Get(p, key)
-	if c.db.tracer != nil {
-		c.db.tracer.Phase(p, trace.PhaseStorage, r.Server.Node.ID, t0)
-	}
+	row := r.Get(p, c.caller(), key)
 	if row != nil && row.Live() {
 		rec = row.Project(fields)
 	}
-	if c.db.oracle != nil {
+	if c.db.Oracle != nil {
 		var ver kv.Version
 		if row != nil {
 			ver = row.Version()
 		}
-		c.db.oracle.ReadObserved(c.oid, key, ver, start)
+		c.db.Oracle.ReadObserved(c.oid, key, ver, start)
 	}
-	if !r.Server.Node.SendTo(p, c.node, rec.Bytes()+c.db.cfg.RequestOverhead) {
+	if !r.Server.Node.SendTo(p, c.node, rec.Bytes()+c.db.RequestOverhead) {
 		return nil, kv.ErrUnavailable
 	}
 	if rec == nil {
@@ -417,8 +365,7 @@ func (c *Client) put(p *sim.Proc, key kv.Key, rec kv.Record, del bool) error {
 		return err
 	}
 	c.db.Writes++
-	size := rec.Bytes() + len(key) + c.db.cfg.RequestOverhead
-	ok := c.node.RoundTrip(p, r.Server.Node, size, c.db.cfg.RequestOverhead, func() {
+	ok := c.node.RoundTrip(p, r.Server.Node, c.db.MutationSize(key, rec), c.db.RequestOverhead, func() {
 		r.Server.write(p, r, key, rec, del)
 	})
 	if !ok {
@@ -438,25 +385,10 @@ func (c *Client) Scan(p *sim.Proc, start kv.Key, limit int, fields []string) ([]
 		if err != nil {
 			return out, err
 		}
-		if !c.node.SendTo(p, r.Server.Node, len(key)+c.db.cfg.RequestOverhead) {
+		if !c.node.SendTo(p, r.Server.Node, len(key)+c.db.RequestOverhead) {
 			return out, kv.ErrUnavailable
 		}
-		c.db.execServer(p, r.Server.Node, c.db.cluster.Config.CPUOpCost)
-		var t0 sim.Time
-		if c.db.tracer != nil {
-			t0 = p.Now()
-		}
-		rows := r.engine.Scan(p, key, limit-len(out))
-		if n := len(rows); n > 0 && c.db.cluster.Config.ScanRowCost > 0 {
-			r.Server.Node.Exec(p, time.Duration(n)*c.db.cluster.Config.ScanRowCost)
-		}
-		if c.db.tracer != nil {
-			c.db.tracer.Phase(p, trace.PhaseStorage, r.Server.Node.ID, t0)
-		}
-		resp := c.db.cfg.RequestOverhead
-		for _, row := range rows {
-			resp += row.Row.Bytes()
-		}
+		rows, resp := r.Scan(p, c.caller(), key, limit-len(out))
 		if !r.Server.Node.SendTo(p, c.node, resp) {
 			return out, kv.ErrUnavailable
 		}
@@ -475,39 +407,4 @@ func (c *Client) Scan(p *sim.Proc, start kv.Key, limit int, fields []string) ([]
 		key = r.EndKey
 	}
 	return out, nil
-}
-
-// FlushAll forces every region's memstore to flush; used between the load
-// and run phases of a benchmark, like a YCSB-driven major flush.
-func (db *DB) FlushAll() {
-	for _, r := range db.regions {
-		r.engine.ForceFlush()
-	}
-}
-
-// Engines returns the per-region engines, for metric collection.
-func (db *DB) Engines() []*storage.Engine {
-	es := make([]*storage.Engine, len(db.regions))
-	for i, r := range db.regions {
-		es[i] = r.engine
-	}
-	return es
-}
-
-// WaitQuiesce sleeps p until background flushes and compactions complete
-// (best effort: bounded polling).
-func (db *DB) WaitQuiesce(p *sim.Proc, max time.Duration) {
-	deadline := p.Now().Add(max)
-	for p.Now() < deadline {
-		busy := false
-		for _, r := range db.regions {
-			if r.engine.Tables() > 2*db.cfg.Engine.CompactMinTables {
-				busy = true
-			}
-		}
-		if !busy {
-			return
-		}
-		p.Sleep(100 * time.Millisecond)
-	}
 }

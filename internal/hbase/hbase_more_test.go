@@ -105,21 +105,6 @@ func TestHigherRFWritesMoreHDFSBytes(t *testing.T) {
 	}
 }
 
-func TestWaitQuiesceReturns(t *testing.T) {
-	k := sim.NewKernel(3)
-	db, cl := testDB(k, 4, 3)
-	k.Spawn("client", func(p *sim.Proc) {
-		for i := 0; i < 100; i++ {
-			cl.Insert(p, key(i), kv.Record{"f": kv.SizedValue(200)})
-		}
-		db.FlushAll()
-		db.WaitQuiesce(p, 30*time.Second)
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestEnginesExposed(t *testing.T) {
 	k := sim.NewKernel(4)
 	db, _ := testDB(k, 4, 3)

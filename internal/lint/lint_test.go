@@ -1,6 +1,7 @@
 package lint_test
 
 import (
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -44,5 +45,29 @@ func TestMalformedDirective(t *testing.T) {
 	}
 	if !sawSuppressedAnyway {
 		t.Errorf("malformed ignore suppressed the diagnostic it was attached to; got %v", diags)
+	}
+}
+
+// TestSimReachableScopeIsDerived: detwalk, blockfree and shardsafe cover
+// every directory under internal/ except the linter's own, without anyone
+// having to list it — the hand-kept list this replaced never gained
+// objstore, ring or geo.
+func TestSimReachableScopeIsDerived(t *testing.T) {
+	dirs, err := os.ReadDir("..")
+	if err != nil || len(dirs) < 10 {
+		t.Fatalf("reading internal/: %v (%d entries)", err, len(dirs))
+	}
+	for _, a := range []*lint.Analyzer{lint.Detwalk, lint.Blockfree, lint.Shardsafe} {
+		for _, d := range dirs {
+			name := d.Name()
+			if got, want := a.AppliesTo("cloudbench/internal/"+name), name != "lint"; got != want {
+				t.Errorf("%s applies to internal/%s = %t, want %t", a.Name, name, got, want)
+			}
+		}
+		for _, out := range []string{"cloudbench/internal/lint/linttest", "cloudbench/bench", "cloudbench/cmd/replbench"} {
+			if a.AppliesTo(out) {
+				t.Errorf("%s applies to %s", a.Name, out)
+			}
+		}
 	}
 }

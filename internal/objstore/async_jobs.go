@@ -4,7 +4,7 @@ import (
 	"time"
 
 	"cloudbench/internal/consistency"
-	"cloudbench/internal/kv"
+	"cloudbench/internal/replica"
 	"cloudbench/internal/sim"
 	"cloudbench/internal/trace"
 )
@@ -23,10 +23,7 @@ import (
 
 // job is one pending replication of a single mutation to one target.
 type job struct {
-	key      kv.Key
-	rec      kv.Record
-	del      bool
-	ver      kv.Version
+	replica.Mutation
 	target   *Server
 	src      consistency.ApplySource
 	attempts int
@@ -53,7 +50,7 @@ func (s *Server) enqueue(db *DB, j job) {
 			// identical.
 			s.drain = func(p *sim.Proc) { db.jobWorker(p, s) }
 		}
-		db.k.Go("o*-async-jobs", s.drain)
+		db.K.Go("o*-async-jobs", s.drain)
 	}
 }
 
@@ -62,8 +59,8 @@ func (s *Server) enqueue(db *DB, j job) {
 // long-lived deliveries bill to the background class, not to that op.
 func (db *DB) jobWorker(p *sim.Proc, s *Server) {
 	defer func() { s.workers-- }()
-	if db.tracer != nil {
-		db.tracer.Detach(p)
+	if db.Tracer != nil {
+		db.Tracer.Detach(p)
 	}
 	for {
 		j, ok := s.jobs.TryPop()
@@ -113,25 +110,14 @@ func (db *DB) deliver(p *sim.Proc, s *Server, j job) bool {
 	if j.target.Node.Down() {
 		return false
 	}
-	size := db.mutationSize(j.key, j.rec)
-	var t0 sim.Time
-	var prev any
-	if db.tracer != nil {
-		t0 = p.Now()
-		prev = db.tracer.Mute(p)
-	}
-	ok := s.Node.SendTo(p, j.target.Node, size)
+	t0, prev := db.Mute(p)
+	ok := s.Node.SendTo(p, j.target.Node, db.MutationSize(j.Key, j.Rec))
 	if ok {
-		j.target.applyLocal(p, db, j.key, j.rec, j.del, j.ver, j.src, true)
+		j.target.apply(p, db, j.Mutation, j.src, true)
 		// The ack leg is best-effort: the apply already happened, so a
 		// source that died mid-ack does not undeliver the job.
-		j.target.Node.SendTo(p, s.Node, db.cfg.RequestOverhead)
+		j.target.Node.SendTo(p, s.Node, db.RequestOverhead)
 	}
-	if db.tracer != nil {
-		db.tracer.Unmute(p, prev)
-		if ok {
-			db.tracer.Interval(p, trace.PhaseAsyncJob, j.target.Node.ID, t0, p.Now())
-		}
-	}
+	db.Bill(p, trace.PhaseAsyncJob, j.target.Node, t0, prev, ok)
 	return ok
 }

@@ -9,6 +9,7 @@ import (
 	"cloudbench/internal/cluster"
 	"cloudbench/internal/consistency"
 	"cloudbench/internal/kv"
+	"cloudbench/internal/replica"
 	"cloudbench/internal/sim"
 	"cloudbench/internal/storage"
 	"cloudbench/internal/trace"
@@ -177,7 +178,7 @@ func TestAntiEntropyDigestPush(t *testing.T) {
 	k.Spawn("driver", func(p *sim.Proc) {
 		// Apply directly at the primary, bypassing the write path: models
 		// a replica whose async jobs were lost.
-		placement[0].applyLocal(p, db, target, rec("lone"), false, db.version(), consistency.ApplyWrite, true)
+		placement[0].apply(p, db, replica.Mutation{Key: target, Rec: rec("lone"), Ver: db.Version()}, consistency.ApplyWrite, true)
 		p.Sleep(2 * db.cfg.ReplicatorInterval)
 		db.Stop()
 	})
@@ -289,7 +290,7 @@ func TestDisabledHooksZeroAlloc(t *testing.T) {
 	k.Spawn("driver", func(p *sim.Proc) {
 		target := kv.Key("user42")
 		allocs := testing.AllocsPerRun(1000, func() {
-			// applyLocal's shape: timed storage phase plus gated report.
+			// replica.Host.Apply's shape: timed storage phase plus gated report.
 			var t0 sim.Time
 			if tr != nil {
 				t0 = p.Now()
@@ -351,8 +352,8 @@ func TestScanLeavesStoredRowsUntouched(t *testing.T) {
 		for i := 0; i < keys; i++ {
 			placement := db.PlacementFor(key(i))
 			for _, s := range placement {
-				row := s.engine.Get(p, key(i))
-				if row == nil || s.engine.Get(p, key(i)) != row {
+				row := s.Engine.Get(p, key(i))
+				if row == nil || s.Engine.Get(p, key(i)) != row {
 					t.Fatalf("server %d key %d: flushed row not shared between reads", s.Node.ID, i)
 				}
 				snaps = append(snaps, stored{row, row.Record(), row.Bytes()})
@@ -360,9 +361,9 @@ func TestScanLeavesStoredRowsUntouched(t *testing.T) {
 			// Only the last placement member sees the newer write, so the
 			// dedup meets the stale copies first for most keys.
 			last := placement[len(placement)-1]
-			last.engine.Apply(p, key(i), kv.Record{"f0": kv.SizedValue(100 + i)}, db.version())
+			last.Engine.Apply(p, key(i), kv.Record{"f0": kv.SizedValue(100 + i)}, db.Version())
 			if i%2 == 1 {
-				last.engine.ForceFlush()
+				last.Engine.ForceFlush()
 			}
 		}
 		p.Sleep(time.Second)
@@ -385,9 +386,37 @@ func TestScanLeavesStoredRowsUntouched(t *testing.T) {
 				t.Error("writing into a stored row did not panic")
 			}
 		}()
-		snaps[0].row.Delete(db.version())
+		snaps[0].row.Delete(db.Version())
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSpillDuringDrainSurvives: a job spilled onto a server while the
+// updater sweep is blocked delivering that server's earlier jobs is kept
+// for the next pass, not overwritten by the sweep's filtered list — every
+// spilled job is replayed exactly once.
+func TestSpillDuringDrainSurvives(t *testing.T) {
+	k := sim.NewKernel(9)
+	db, c, _ := testDB(k, 4, 3, func(cfg *Config) { cfg.AsyncQueueCap = 0 })
+	k.Spawn("driver", func(p *sim.Proc) {
+		// Two seconds of writes: several replicator passes sweep while
+		// more jobs spill.
+		for i := 0; i < 400; i++ {
+			if err := c.Insert(p, key(i), rec("spill")); err != nil {
+				t.Errorf("insert %d: %v", i, err)
+			}
+			p.Sleep(5 * time.Millisecond)
+		}
+		p.Sleep(3 * db.cfg.ReplicatorInterval)
+		db.Stop()
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if db.JobsSpilled != 800 || db.UpdaterReplays != db.JobsSpilled || db.PendingJobs() != 0 {
+		t.Errorf("spilled=%d replays=%d pending=%d, want 800 spilled and every one replayed",
+			db.JobsSpilled, db.UpdaterReplays, db.PendingJobs())
 	}
 }

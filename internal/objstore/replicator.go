@@ -6,6 +6,7 @@ import (
 
 	"cloudbench/internal/consistency"
 	"cloudbench/internal/kv"
+	"cloudbench/internal/replica"
 	"cloudbench/internal/sim"
 	"cloudbench/internal/trace"
 )
@@ -24,8 +25,8 @@ import (
 // spawned it (deployment setup) so its work bills to the background
 // class, and exits at the first wakeup after Stop.
 func (db *DB) replicatorLoop(p *sim.Proc) {
-	if db.tracer != nil {
-		db.tracer.Detach(p)
+	if db.Tracer != nil {
+		db.Tracer.Detach(p)
 	}
 	for !db.stopped {
 		p.Sleep(db.cfg.ReplicatorInterval)
@@ -61,15 +62,21 @@ func (db *DB) drainPending(p *sim.Proc, s *Server) {
 	if len(s.pending) == 0 {
 		return
 	}
-	var keep []job
-	for _, j := range s.pending {
+	// Filter in place; jobs spilled here while this sweep is blocked in a
+	// delivery land past all and are carried over.
+	all := s.pending
+	keep := all[:0]
+	for _, j := range all {
 		if db.deliver(p, s, j) {
 			db.UpdaterReplays++
 		} else {
 			keep = append(keep, j)
 		}
 	}
-	s.pending = keep
+	s.pending = append(keep, s.pending[len(all):]...)
+	if n := len(s.pending); n < len(all) {
+		clear(all[n:]) // replayed jobs' records are collectable
+	}
 }
 
 // sortedParts returns the partitions this server holds data for, in
@@ -104,23 +111,11 @@ func (db *DB) syncPartition(p *sim.Proc, s, peer *Server, part int) {
 	}
 	keys := sortedKeys(local)
 
-	var t0 sim.Time
-	var prev any
-	if db.tracer != nil {
-		t0 = p.Now()
-		prev = db.tracer.Mute(p)
-	}
-	done := func(record bool) {
-		if db.tracer != nil {
-			db.tracer.Unmute(p, prev)
-			if record {
-				db.tracer.Interval(p, trace.PhaseAntiEntropy, peer.Node.ID, t0, p.Now())
-			}
-		}
-	}
+	t0, prev := db.Mute(p)
+	done := func(record bool) { db.Bill(p, trace.PhaseAntiEntropy, peer.Node, t0, prev, record) }
 
 	// Digest request: (key, version) pairs for everything held locally.
-	digestSize := db.cfg.RequestOverhead
+	digestSize := db.RequestOverhead
 	for _, k := range keys {
 		digestSize += len(k) + 8
 	}
@@ -129,13 +124,9 @@ func (db *DB) syncPartition(p *sim.Proc, s, peer *Server, part int) {
 		done(false)
 		return
 	}
-	cost := db.cl.Config.InternalOpCost
-	if cost <= 0 {
-		cost = db.cl.Config.CPUOpCost
-	}
-	peer.Node.Exec(p, cost)
+	peer.Node.Exec(p, db.Cluster.Config.InternalCost())
 	var missing []kv.Key
-	respSize := db.cfg.RequestOverhead
+	respSize := db.RequestOverhead
 	for _, k := range keys {
 		if peer.localVersion(part, k) < local[k] {
 			missing = append(missing, k)
@@ -149,17 +140,16 @@ func (db *DB) syncPartition(p *sim.Proc, s, peer *Server, part int) {
 
 	// Push every missing version: local read, network, remote apply.
 	for _, k := range missing {
-		row := s.engine.Get(p, k)
+		row := s.Engine.Get(p, k)
 		if row == nil {
 			continue
 		}
 		rec := row.Record()
-		del := rec == nil
-		ver := row.Version()
-		if !s.Node.SendTo(p, peer.Node, db.mutationSize(k, rec)) {
+		m := replica.Mutation{Key: k, Rec: rec, Del: rec == nil, Ver: row.Version()}
+		if !s.Node.SendTo(p, peer.Node, db.MutationSize(k, rec)) {
 			break
 		}
-		peer.applyLocal(p, db, k, rec, del, ver, consistency.ApplyRepair, true)
+		peer.apply(p, db, m, consistency.ApplyRepair, true)
 		db.AntiEntropyPushes++
 	}
 	done(true)

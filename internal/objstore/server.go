@@ -29,9 +29,9 @@ import (
 	"cloudbench/internal/cluster"
 	"cloudbench/internal/consistency"
 	"cloudbench/internal/kv"
+	"cloudbench/internal/replica"
 	"cloudbench/internal/sim"
 	"cloudbench/internal/storage"
-	"cloudbench/internal/trace"
 )
 
 // ReadMode selects the client read policy.
@@ -124,8 +124,7 @@ func DefaultConfig() Config {
 // async replication job queue, and the partition→version index the
 // anti-entropy replicator exchanges digests from (Swift's hashes.pkl).
 type Server struct {
-	Node   *cluster.Node
-	engine *storage.Engine
+	replica.Host
 
 	jobs    *sim.Queue[job]
 	workers int             // live drain workers, ≤ Config.AsyncWorkers
@@ -135,22 +134,16 @@ type Server struct {
 	index map[int]map[kv.Key]kv.Version // partition → key → newest local version
 }
 
-// Engine exposes the server's storage engine for inspection.
-func (s *Server) Engine() *storage.Engine { return s.engine }
-
-// DB is one object-store deployment.
+// DB is one object-store deployment. An experiment that attaches an oracle
+// (SetOracle) should declare consistency.AckAsync on it: this database's
+// acks promise one durable copy, not a replicated one.
 type DB struct {
-	k    *sim.Kernel
+	replica.Env
 	cfg  Config
-	cl   *cluster.Cluster
 	srvs []*Server
 	ring partTable
 
-	nextVersion kv.Version
-	stopped     bool
-
-	oracle *consistency.Oracle
-	tracer *trace.Tracer
+	stopped bool
 
 	// Metrics.
 	Reads, Writes, ScansDone       int64
@@ -178,26 +171,25 @@ func New(k *sim.Kernel, cfg Config, nodes []*cluster.Node) *DB {
 	if cfg.AsyncWorkers < 1 {
 		cfg.AsyncWorkers = 1
 	}
-	db := &DB{k: k, cfg: cfg}
+	db := &DB{Env: replica.Env{K: k, RequestOverhead: cfg.RequestOverhead}, cfg: cfg}
 	if len(nodes) > 0 {
-		db.cl = nodes[0].Cluster()
+		db.Cluster = nodes[0].Cluster()
 	}
 	for i, n := range nodes {
 		s := &Server{
-			Node:  n,
 			jobs:  sim.NewQueue[job](k),
 			index: make(map[int]map[kv.Key]kv.Version),
 		}
-		s.engine = storage.NewEngine(k, cfg.Engine,
+		db.Adopt(&s.Host, n, storage.NewEngine(k, cfg.Engine,
 			storage.LocalIO{Disk: n.Disk},
 			storage.DiskLog{Disk: n.Disk},
-			k.Seed()^int64(i+211))
+			k.Seed()^int64(i+211)))
 		db.srvs = append(db.srvs, s)
 	}
 	rng := k.Rand()
 	db.ring = buildPartTable(db.srvs, cfg.VNodes, cfg.PartPower, cfg.TopologyAware, cfg.Replication, rng.Uint64)
 	if cfg.ReplicatorInterval > 0 {
-		db.k.Go("o*-replicator", db.replicatorLoop)
+		db.K.Go("o*-replicator", db.replicatorLoop)
 	}
 	return db
 }
@@ -205,34 +197,6 @@ func New(k *sim.Kernel, cfg Config, nodes []*cluster.Node) *DB {
 // Stop makes the anti-entropy replicator exit at its next wakeup so the
 // kernel can drain; experiments call it when the driver finishes.
 func (db *DB) Stop() { db.stopped = true }
-
-// SetOracle attaches a consistency oracle. Pass nil (the default) to run
-// unobserved; every hook call site is nil-gated. The attaching experiment
-// should declare consistency.AckAsync on the oracle: this database's acks
-// promise one durable copy, not a replicated one.
-func (db *DB) SetOracle(o *consistency.Oracle) { db.oracle = o }
-
-// Oracle returns the attached consistency oracle, if any.
-func (db *DB) Oracle() *consistency.Oracle { return db.oracle }
-
-// SetTracer attaches a request tracer; nil (the default) runs untraced
-// with every call site nil-gated.
-func (db *DB) SetTracer(t *trace.Tracer) {
-	db.tracer = t
-	for _, s := range db.srvs {
-		node := s.Node
-		if t == nil {
-			s.engine.OnWALSync = nil
-			continue
-		}
-		s.engine.OnWALSync = func(p *sim.Proc, start sim.Time) {
-			t.Phase(p, trace.PhaseWAL, node.ID, start)
-		}
-	}
-}
-
-// Tracer returns the attached tracer, if any.
-func (db *DB) Tracer() *trace.Tracer { return db.tracer }
 
 // Servers returns the deployment's object servers.
 func (db *DB) Servers() []*Server { return db.srvs }
@@ -267,36 +231,6 @@ func (db *DB) writeTarget(part int) (s *Server, inPlacement bool) {
 	return nil, false
 }
 
-// execServer charges server CPU for one client-facing request. With a
-// tracer attached it splits the time into queueing (CPU-slot wait +
-// stop-the-world pause) and service phases, like the other backends'
-// coordinators.
-func (db *DB) execServer(p *sim.Proc, n *cluster.Node, cost time.Duration) {
-	if db.tracer == nil {
-		n.Exec(p, cost)
-		return
-	}
-	t0 := p.Now()
-	wait := n.ExecTimed(p, cost)
-	if wait > 0 {
-		db.tracer.Interval(p, trace.PhaseCoordQueue, n.ID, t0, t0.Add(wait))
-	}
-	db.tracer.Phase(p, trace.PhaseCoord, n.ID, t0.Add(wait))
-}
-
-// version issues the next write timestamp. Versions are unique today (one
-// counter), but replica reconciliation still folds in ascending node-id
-// order so a tie could never become order-dependent — see reconcile.
-func (db *DB) version() kv.Version {
-	db.nextVersion++
-	return kv.Version(db.k.Now()) + db.nextVersion
-}
-
-// mutationSize models the wire size of a mutation.
-func (db *DB) mutationSize(key kv.Key, rec kv.Record) int {
-	return rec.Bytes() + len(key) + db.cfg.RequestOverhead
-}
-
 // noteVersion records the newest locally held version of key for digest
 // exchange. Pure bookkeeping: the real system derives this from its
 // on-disk hashes as a side effect of the apply it already did.
@@ -317,35 +251,13 @@ func (s *Server) localVersion(part int, key kv.Key) kv.Version {
 	return s.index[part][key]
 }
 
-// applyLocal performs the server-side work of one mutation: CPU, durable
-// WAL append, memtable apply, and the version-index update. report gates
-// the oracle hook: applies on placement members advance the write's
-// visibility, while a handoff server's local copy is a stand-in the
-// oracle must not count as a replica.
-func (s *Server) applyLocal(p *sim.Proc, db *DB, key kv.Key, rec kv.Record, del bool, ver kv.Version, src consistency.ApplySource, report bool) {
-	cost := db.cl.Config.InternalOpCost
-	if cost <= 0 {
-		cost = db.cl.Config.CPUOpCost
-	}
-	var t0 sim.Time
-	if db.tracer != nil {
-		t0 = p.Now()
-	}
-	s.Node.Exec(p, cost)
-	if del {
-		s.engine.ApplyDelete(p, key, ver)
-	} else {
-		s.engine.Apply(p, key, rec, ver)
-	}
-	s.noteVersion(db, key, ver)
-	if db.tracer != nil {
-		db.tracer.Phase(p, trace.PhaseStorage, s.Node.ID, t0)
-	}
-	if db.oracle != nil {
-		if report {
-			db.oracle.ReplicaApply(key, ver, s.Node.ID, src, p.Now())
-		}
-	}
+// apply is the server-side work of one mutation — the shared host apply —
+// plus the version-index update. report gates the oracle hook: applies on
+// placement members advance the write's visibility, while a handoff
+// server's local copy is a stand-in the oracle must not count as a replica.
+func (s *Server) apply(p *sim.Proc, db *DB, m replica.Mutation, src consistency.ApplySource, report bool) {
+	s.Apply(p, m, src, report)
+	s.noteVersion(db, m.Key, m.Ver)
 }
 
 // write is the W=1 server-side write path, executed by the client's
@@ -356,42 +268,25 @@ func (s *Server) applyLocal(p *sim.Proc, db *DB, key kv.Key, rec kv.Record, del 
 func (db *DB) write(p *sim.Proc, s *Server, inPlacement bool, key kv.Key, rec kv.Record, del bool) {
 	part := db.ring.partition(key)
 	placement := db.ring.placement(part)
-	ver := db.version()
-	if db.oracle != nil {
-		db.oracle.WriteBegin(key, ver, len(placement), db.k.Now())
+	m := replica.Mutation{Key: key, Rec: rec, Del: del, Ver: db.Version()}
+	if db.Oracle != nil {
+		db.Oracle.WriteBegin(key, m.Ver, len(placement), db.K.Now())
 	}
 	src := consistency.ApplyWrite
 	if !inPlacement {
 		src = consistency.ApplyHint
 		db.HandoffWrites++
 	}
-	s.applyLocal(p, db, key, rec, del, ver, src, inPlacement)
+	s.apply(p, db, m, src, inPlacement)
 	for _, peer := range placement {
 		if peer == s {
 			continue
 		}
-		s.enqueue(db, job{key: key, rec: rec, del: del, ver: ver, target: peer, src: src})
+		s.enqueue(db, job{Mutation: m, target: peer, src: src})
 	}
-	if db.oracle != nil {
-		db.oracle.WriteAck(key, ver, db.k.Now())
+	if db.Oracle != nil {
+		db.Oracle.WriteAck(key, m.Ver, db.K.Now())
 	}
-}
-
-// FlushAll forces every server's memtable to flush (between benchmark
-// phases).
-func (db *DB) FlushAll() {
-	for _, s := range db.srvs {
-		s.engine.ForceFlush()
-	}
-}
-
-// Engines returns the per-server engines for metric collection.
-func (db *DB) Engines() []*storage.Engine {
-	es := make([]*storage.Engine, len(db.srvs))
-	for i, s := range db.srvs {
-		es[i] = s.engine
-	}
-	return es
 }
 
 // PendingJobs reports queued plus spilled replication jobs across all

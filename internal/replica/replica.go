@@ -1,0 +1,401 @@
+// Package replica is the half of a cloud serving database that HBase,
+// Cassandra and the object store share. §2 of the paper describes them as
+// the same thing below the replication policy — a commit log, a memtable and
+// store files on a node with a CPU, a disk and a NIC — differing in who is
+// told about a write and when. The policy stays in each backend; what a
+// node does for it is written here once: how a request's CPU is billed and
+// traced, how a WAL sync becomes a span, how a mutation is applied and
+// reported to the oracle, how a row is fetched and a range scanned from one
+// host, and — for the two last-write-wins stores — how replica answers
+// reconcile and how a scan scatters over every live host.
+package replica
+
+import (
+	"time"
+
+	"cloudbench/internal/cluster"
+	"cloudbench/internal/consistency"
+	"cloudbench/internal/kv"
+	"cloudbench/internal/sim"
+	"cloudbench/internal/storage"
+	"cloudbench/internal/trace"
+)
+
+// Env is the state one deployment's hosts share; each backend's DB embeds
+// it. Tracer and Oracle are nil unless attached: every call site is gated
+// on a nil check, so the paper's performance experiments pay nothing for
+// the instrumentation.
+type Env struct {
+	K *sim.Kernel
+	// Cluster supplies the service times; nil only over no nodes.
+	Cluster *cluster.Cluster
+	// RequestOverhead is the fixed per-message overhead in bytes.
+	RequestOverhead int
+	Tracer          *trace.Tracer
+	Oracle          *consistency.Oracle
+
+	hosts       []*Host
+	nextVersion kv.Version
+}
+
+// Host is one storage engine on one node: a Cassandra replica, an object
+// server, an HBase region on its region server.
+type Host struct {
+	Node   *cluster.Node
+	Engine *storage.Engine
+	env    *Env
+}
+
+// Adopt makes h the host of engine on node, under e. Hosts keep the order
+// they were adopted in: ScanAll's legs, FlushAll and Engines walk it.
+func (e *Env) Adopt(h *Host, node *cluster.Node, engine *storage.Engine) {
+	*h = Host{Node: node, Engine: engine, env: e}
+	e.hosts = append(e.hosts, h)
+}
+
+// SetOracle attaches a consistency oracle observing every write lifecycle
+// event and read observation; nil (the default) runs unobserved.
+func (e *Env) SetOracle(o *consistency.Oracle) { e.Oracle = o }
+
+// SetTracer attaches a request tracer recording per-phase spans, each
+// host's synchronous WAL appends among them; nil (the default) runs
+// untraced.
+func (e *Env) SetTracer(t *trace.Tracer) {
+	e.Tracer = t
+	for _, h := range e.hosts {
+		if t == nil {
+			h.Engine.OnWALSync = nil
+			continue
+		}
+		node := h.Node.ID
+		h.Engine.OnWALSync = func(p *sim.Proc, start sim.Time) {
+			t.Phase(p, trace.PhaseWAL, node, start)
+		}
+	}
+}
+
+// FlushAll forces every host's memtable to flush (between benchmark
+// phases).
+func (e *Env) FlushAll() {
+	for _, h := range e.hosts {
+		h.Engine.ForceFlush()
+	}
+}
+
+// Engines returns the per-host engines for metric collection.
+func (e *Env) Engines() []*storage.Engine {
+	es := make([]*storage.Engine, len(e.hosts))
+	for i, h := range e.hosts {
+		es[i] = h.Engine
+	}
+	return es
+}
+
+// Version issues the next write timestamp. One counter per deployment
+// makes versions unique; Reconcile does not depend on it.
+func (e *Env) Version() kv.Version {
+	e.nextVersion++
+	return kv.Version(e.K.Now()) + e.nextVersion
+}
+
+// MutationSize models the wire size of a mutation.
+func (e *Env) MutationSize(key kv.Key, rec kv.Record) int {
+	return rec.Bytes() + len(key) + e.RequestOverhead
+}
+
+// Serve charges n's CPU for one client-facing request. With a tracer
+// attached it splits the time into queueing (stop-the-world pause +
+// CPU-slot wait) and service phases.
+//
+//simlint:hotpath
+func (e *Env) Serve(p *sim.Proc, n *cluster.Node) {
+	cost := e.Cluster.Config.CPUOpCost
+	if e.Tracer == nil {
+		n.Exec(p, cost)
+		return
+	}
+	t0 := p.Now()
+	wait := n.ExecTimed(p, cost)
+	if wait > 0 {
+		e.Tracer.Interval(p, trace.PhaseCoordQueue, n.ID, t0, t0.Add(wait))
+	}
+	e.Tracer.Phase(p, trace.PhaseCoord, n.ID, t0.Add(wait))
+}
+
+// Hop carries one node-to-node message of size bytes on q's clock and
+// reports whether it arrived. A node talking to itself is free; with a
+// tracer attached a delivered message is one span at the receiver, billed
+// to the wan phase when it crossed DCs — so tracebreak can attribute
+// wide-area latency — and to replica fan-out otherwise.
+//
+//simlint:hotpath
+func (e *Env) Hop(q *sim.Proc, from, to *cluster.Node, size int) bool {
+	if from == to {
+		return true
+	}
+	if e.Tracer == nil {
+		return from.SendTo(q, to, size)
+	}
+	t0 := q.Now()
+	if !from.SendTo(q, to, size) {
+		return false
+	}
+	ph := trace.PhaseFanout
+	if from.Zone != to.Zone {
+		ph = trace.PhaseWAN
+	}
+	e.Tracer.Phase(q, ph, to.ID, t0)
+	return true
+}
+
+// Mute and Bill bracket work of q that a tracer, if one is attached, bills
+// to node as one composite span of phase ph, dropping the sub-phases
+// recorded in between so they are not double-counted. Bill with record
+// false closes the bracket without a span: the work came to nothing.
+func (e *Env) Mute(q *sim.Proc) (t0 sim.Time, prev any) {
+	if e.Tracer == nil {
+		return 0, nil
+	}
+	return q.Now(), e.Tracer.Mute(q)
+}
+
+// Bill closes the bracket Mute opened.
+func (e *Env) Bill(q *sim.Proc, ph trace.Phase, node *cluster.Node, t0 sim.Time, prev any, record bool) {
+	if e.Tracer != nil {
+		e.Tracer.Unmute(q, prev)
+		if record {
+			e.Tracer.Interval(q, ph, node.ID, t0, q.Now())
+		}
+	}
+}
+
+// Mutation is one versioned write on its way to a host: a record's cells,
+// or a delete.
+type Mutation struct {
+	Key kv.Key
+	Rec kv.Record
+	Del bool
+	Ver kv.Version
+}
+
+// Apply performs the host-side work of a mutation that arrived as an
+// internal verb: CPU (cheaper than a client-facing request), commit log
+// append, memtable apply, billed as one storage span. src tells the oracle
+// how the version reached this host (write fan-out, repair, hint or job
+// replay); report false keeps it from the oracle altogether — a stand-in's
+// copy is not a replica.
+//
+//simlint:hotpath
+func (h *Host) Apply(p *sim.Proc, m Mutation, src consistency.ApplySource, report bool) {
+	e := h.env
+	var t0 sim.Time
+	if e.Tracer != nil {
+		t0 = p.Now()
+	}
+	h.Node.Exec(p, e.Cluster.Config.InternalCost())
+	if m.Del {
+		h.Engine.ApplyDelete(p, m.Key, m.Ver)
+	} else {
+		h.Engine.Apply(p, m.Key, m.Rec, m.Ver)
+	}
+	if e.Tracer != nil {
+		e.Tracer.Phase(p, trace.PhaseStorage, h.Node.ID, t0)
+	}
+	if e.Oracle != nil && report {
+		e.Oracle.ReplicaApply(m.Key, m.Ver, h.Node.ID, src, p.Now())
+	}
+}
+
+// Caller is who a host is reading for. A client machine (Client true)
+// sends a client-facing request: the host bills its CPU through Serve,
+// ahead of the storage span, and the two messages are the op's own network
+// time, untraced. Another database node sends an internal verb: plain CPU
+// inside the storage span, and each message a traced Hop.
+type Caller struct {
+	Node   *cluster.Node
+	Client bool
+}
+
+// send carries one message of c's exchange with a host.
+//
+//simlint:hotpath
+func (e *Env) send(q *sim.Proc, c Caller, from, to *cluster.Node, size int) bool {
+	if c.Client {
+		return from.SendTo(q, to, size)
+	}
+	return e.Hop(q, from, to, size)
+}
+
+// admit charges h's CPU for taking in one read request of c and returns
+// the start of its storage span.
+//
+//simlint:hotpath
+func (h *Host) admit(q *sim.Proc, c Caller) (s0 sim.Time) {
+	e := h.env
+	if c.Client {
+		e.Serve(q, h.Node)
+	}
+	if e.Tracer != nil {
+		s0 = q.Now()
+	}
+	if !c.Client {
+		h.Node.Exec(q, e.Cluster.Config.CPUOpCost)
+	}
+	return s0
+}
+
+// Get is the host-side service of a point read that has arrived: CPU and
+// the engine lookup, the row shared read-only as Engine.Get hands it out.
+//
+//simlint:hotpath
+func (h *Host) Get(q *sim.Proc, c Caller, key kv.Key) *storage.Row {
+	s0 := h.admit(q, c)
+	//simlint:ignore hotpath the closure SSTable.Get hands sort.Search does not escape (TestGetSingleSSTableZeroAlloc holds it at 0)
+	row := h.Engine.Get(q, key)
+	if h.env.Tracer != nil {
+		h.env.Tracer.Phase(q, trace.PhaseStorage, h.Node.ID, s0)
+	}
+	return row
+}
+
+// Scan is the host-side service of a range read that has arrived: CPU, the
+// engine's first n rows ≥ start (read-only as Engine.Scan hands them out),
+// CPU per row materialized. size is the response's wire size.
+func (h *Host) Scan(q *sim.Proc, c Caller, start kv.Key, n int) (rows []storage.ScanRow, size int) {
+	e := h.env
+	s0 := h.admit(q, c)
+	rows = h.Engine.Scan(q, start, n)
+	if n := len(rows); n > 0 && e.Cluster.Config.ScanRowCost > 0 {
+		h.Node.Exec(q, time.Duration(n)*e.Cluster.Config.ScanRowCost)
+	}
+	if e.Tracer != nil {
+		e.Tracer.Phase(q, trace.PhaseStorage, h.Node.ID, s0)
+	}
+	size = e.RequestOverhead
+	for _, r := range rows {
+		size += r.Row.Bytes()
+	}
+	return rows, size
+}
+
+// Response is one host's answer to a row fetch.
+type Response struct {
+	Host *Host
+	Row  *storage.Row // full data; nil for a pure digest or an absent row
+	Ver  kv.Version   // the row's version (the digest)
+	OK   bool
+}
+
+// Fetch reads h's row of key on behalf of c — request, host service,
+// response — on q's clock. A digest read answers with the version alone.
+// OK is false when either message is lost.
+//
+//simlint:hotpath
+func (h *Host) Fetch(q *sim.Proc, c Caller, key kv.Key, digestOnly bool) Response {
+	e := h.env
+	resp := Response{Host: h}
+	if !e.send(q, c, c.Node, h.Node, len(key)+e.RequestOverhead) {
+		return resp
+	}
+	row := h.Get(q, c, key)
+	size := e.RequestOverhead
+	if row != nil && !digestOnly {
+		size += row.Bytes()
+	}
+	if !e.send(q, c, h.Node, c.Node, size) {
+		return resp
+	}
+	resp.OK = true
+	if row != nil {
+		resp.Ver = row.Version()
+		if !digestOnly {
+			resp.Row = row
+		}
+	}
+	return resp
+}
+
+// Reconcile folds the successful responses' rows in ascending node-id order
+// and returns the result: nil when no host holds the row, one host's own
+// frozen row when none of the others adds to it (the common case between
+// in-sync replicas), a fresh row otherwise. Row merging is last-write-wins
+// with the incumbent cell kept on a version tie, so a fixed fold order pins
+// tie resolution to the lowest node id regardless of contact order, arrival
+// order, or which replica happened to serve the data read. Write timestamps
+// are unique today (Version), which makes this behavior-neutral; it exists
+// so reconciliation can never become order-dependent if versioning ever
+// gains ties, and so oracle version-lag counts stay deterministic.
+func Reconcile(resps []Response) *storage.Row {
+	var buf [8]int
+	order := buf[:0]
+	for i := range resps {
+		if !resps[i].OK {
+			continue
+		}
+		j := len(order)
+		order = append(order, i)
+		for ; j > 0 && resps[order[j-1]].Host.Node.ID > resps[i].Host.Node.ID; j-- {
+			order[j] = order[j-1]
+		}
+		order[j] = i
+	}
+	var merged *storage.Row
+	for _, i := range order {
+		merged = storage.Merged(merged, resps[i].Row)
+	}
+	return merged
+}
+
+// ScanAll is the range scan of a hash-partitioned store. Consecutive keys
+// scatter across the cluster, so c asks every live host for its local rows
+// ≥ start, each on its own process named label, and merges — the cost shape
+// of get_range_slices over token ranges. rf is the replication factor; ok
+// is false when no host is alive.
+func (e *Env) ScanAll(p *sim.Proc, label string, c Caller, rf int, start kv.Key, limit int, fields []string) (out []kv.KV, ok bool) {
+	alive := 0
+	for _, h := range e.hosts {
+		if !h.Node.Down() {
+			alive++
+		}
+	}
+	if alive == 0 {
+		return nil, false
+	}
+	// Each host holds roughly limit·RF/alive of the next limit global
+	// keys; fetch that share plus slack. (An exact range scan would need
+	// per-host iteration rounds; the slack makes short ranges complete
+	// in one round at realistic cost.)
+	perHost := min(limit, limit*rf/alive+4)
+	// One leg per live host fills that host's slot of parts; p sleeps until
+	// the last leg, answered or not, has counted down.
+	parts := make([][]storage.ScanRow, len(e.hosts))
+	pending, done := alive, sim.NewFuture[struct{}](e.K)
+	for i, h := range e.hosts {
+		if h.Node.Down() {
+			continue
+		}
+		part := &parts[i]
+		e.K.Go(label, func(q *sim.Proc) {
+			*part = h.scanLeg(q, c, start, perHost)
+			if pending--; pending == 0 {
+				done.Set(struct{}{})
+			}
+		})
+	}
+	done.Await(p)
+	return storage.MergeScans(parts, limit, fields), true
+}
+
+// scanLeg asks h for its first n local rows ≥ start on behalf of c and
+// returns them, or nil if either message is lost.
+func (h *Host) scanLeg(q *sim.Proc, c Caller, start kv.Key, n int) []storage.ScanRow {
+	e := h.env
+	if !e.send(q, c, c.Node, h.Node, len(start)+e.RequestOverhead) {
+		return nil
+	}
+	rows, size := h.Scan(q, c, start, n)
+	if !e.send(q, c, h.Node, c.Node, size) {
+		return nil
+	}
+	return rows
+}

@@ -183,17 +183,8 @@ func (q *Quorum) Fail() {
 	}
 }
 
-// Successes returns the number of successes recorded so far.
-func (q *Quorum) Successes() int { return q.succ }
-
 // Wait blocks p until the quorum outcome is decided and returns it.
 func (q *Quorum) Wait(p *Proc) bool { return q.result.Await(p) }
-
-// WaitTimeout blocks p until the quorum is decided or d elapses. ok is the
-// quorum outcome; decided reports whether it resolved in time.
-func (q *Quorum) WaitTimeout(p *Proc, d Duration) (ok, decided bool) {
-	return q.result.AwaitTimeout(p, d)
-}
 
 // Done returns the quorum's result future.
 func (q *Quorum) Done() *Future[bool] { return q.result }

@@ -11,7 +11,6 @@ type Queue[T any] struct {
 	k       *Kernel
 	items   ring[T]
 	waiters ring[*Proc]
-	pushed  int64
 }
 
 // NewQueue returns an empty queue bound to k.
@@ -22,15 +21,11 @@ func NewQueue[T any](k *Kernel) *Queue[T] {
 // Len returns the number of buffered items.
 func (q *Queue[T]) Len() int { return q.items.len() }
 
-// Pushed returns the total number of items ever pushed.
-func (q *Queue[T]) Pushed() int64 { return q.pushed }
-
 // Push appends v and wakes one waiting process, if any.
 //
 //simlint:hotpath
 func (q *Queue[T]) Push(v T) {
 	q.items.push(v)
-	q.pushed++
 	if q.waiters.len() > 0 {
 		p := q.waiters.pop()
 		q.k.noteRunnable(p)

@@ -16,7 +16,6 @@ type Resource struct {
 	created   Time
 	lastT     Time
 	busyInt   int64 // ∫ inUse dt, in unit·nanoseconds
-	queueInt  int64 // ∫ len(queue) dt
 	served    int64
 	waitTotal Duration
 }
@@ -46,7 +45,6 @@ func (r *Resource) QueueLen() int { return r.queue.len() }
 func (r *Resource) accumulate() {
 	dt := int64(r.k.now - r.lastT)
 	r.busyInt += int64(r.inUse) * dt
-	r.queueInt += int64(r.queue.len()) * dt
 	r.lastT = r.k.now
 }
 
@@ -145,16 +143,6 @@ func (r *Resource) Utilization() float64 {
 		return 0
 	}
 	return float64(r.busyInt) / float64(elapsed) / float64(r.capacity)
-}
-
-// MeanQueueLen returns the time-averaged queue length since creation.
-func (r *Resource) MeanQueueLen() float64 {
-	r.accumulate()
-	elapsed := int64(r.k.now - r.created)
-	if elapsed == 0 {
-		return 0
-	}
-	return float64(r.queueInt) / float64(elapsed)
 }
 
 // Served returns the number of completed Use calls.

@@ -67,9 +67,6 @@ func (c *BlockCache) Contains(table int64, block int) bool {
 	return ok
 }
 
-// Used returns the cached byte total.
-func (c *BlockCache) Used() int64 { return c.used }
-
 // HitRate returns the fraction of Touch calls that hit.
 func (c *BlockCache) HitRate() float64 {
 	t := c.Hits + c.Misses

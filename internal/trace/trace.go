@@ -116,11 +116,6 @@ func (ph Phase) String() string {
 	return "unknown"
 }
 
-// PhaseNames returns the phase labels in Phase order.
-func PhaseNames() []string {
-	return append([]string(nil), phaseNames[:]...)
-}
-
 // Span is one recorded trace interval. Root spans cover a whole op;
 // child spans cover one phase and point at their root via Parent.
 type Span struct {

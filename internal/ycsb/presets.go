@@ -141,50 +141,3 @@ func MicroScan(records int64) Spec {
 		RequestDistribution: DistUniform,
 	}, records)
 }
-
-// YCSB core workload analogues (A–E), provided for completeness and used
-// by the examples.
-
-// WorkloadA is update heavy: read/update 50/50, zipfian.
-func WorkloadA(records int64) Spec {
-	s := ReadUpdate(records)
-	s.Name = "ycsb-a"
-	s.Usage = "Session store"
-	return s
-}
-
-// WorkloadB is read mostly: read/update 95/5, zipfian.
-func WorkloadB(records int64) Spec {
-	s := ReadMostly(records)
-	s.Name = "ycsb-b"
-	s.Usage = "Photo tagging"
-	return s
-}
-
-// WorkloadC is read only, zipfian.
-func WorkloadC(records int64) Spec {
-	return StressDefaults(Spec{
-		Name:                "ycsb-c",
-		Usage:               "User profile cache",
-		ReadProportion:      1,
-		RequestDistribution: DistZipfian,
-	}, records)
-}
-
-// WorkloadD is read latest: read/insert 95/5.
-func WorkloadD(records int64) Spec {
-	s := ReadLatest(records)
-	s.Name = "ycsb-d"
-	s.Usage = "User status updates"
-	s.ReadProportion = 0.95
-	s.InsertProportion = 0.05
-	return s
-}
-
-// WorkloadE is short ranges: scan/insert 95/5.
-func WorkloadE(records int64) Spec {
-	s := ScanShortRanges(records)
-	s.Name = "ycsb-e"
-	s.Usage = "Threaded conversations"
-	return s
-}

@@ -127,9 +127,6 @@ func (s *Spec) SplitPoints(n int) []kv.Key {
 	return out
 }
 
-// RecordBytes returns the modeled size of one full record.
-func (s *Spec) RecordBytes() int { return s.FieldCount * s.FieldLength }
-
 // Op is one generated operation.
 type Op struct {
 	Type    OpType
