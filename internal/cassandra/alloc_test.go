@@ -1,18 +1,22 @@
 package cassandra
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
 	"cloudbench/internal/cluster"
 	"cloudbench/internal/kv"
 	"cloudbench/internal/sim"
+	"cloudbench/internal/storage"
 )
 
 // pointOpAllocs measures the steady-state heap allocations of one client
 // operation on an idle 15-node RF 3 deployment holding flushed 10-field
-// records, after a warm-up that fills the op, leg, process and event pools.
-func pointOpAllocs(t *testing.T, chance float64, cl kv.ConsistencyLevel, op func(p *sim.Proc, c *Client, key kv.Key) error) float64 {
+// records — each rewritten in part since the flush, when rewritten is set, so
+// that every replica's copy is a memtable row over a table's — after a
+// warm-up that fills the op, leg, process and event pools.
+func pointOpAllocs(t *testing.T, chance float64, cl kv.ConsistencyLevel, rewritten bool, op func(p *sim.Proc, c *Client, key kv.Key) error) float64 {
 	t.Helper()
 	k := sim.NewKernel(7)
 	db, base := testDB(k, 15, 3, func(c *Config) { c.ReadRepairChance = chance })
@@ -32,6 +36,12 @@ func pointOpAllocs(t *testing.T, chance float64, cl kv.ConsistencyLevel, op func
 		}
 		db.FlushAll()
 		p.Sleep(2 * time.Second)
+		for i := 0; rewritten && i < records; i++ {
+			if err := base.WithConsistency(kv.All, kv.All).Update(p, key(i), kv.Record{"f3": kv.SizedValue(7)}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
 		i := 0
 		run := func() {
 			if err := op(p, client, key(i%records)); err != nil {
@@ -54,29 +64,38 @@ func pointOpAllocs(t *testing.T, chance float64, cl kv.ConsistencyLevel, op func
 // TestPointOpAllocs fences what a Cassandra point operation costs the host:
 // each bound is the measured count plus one (the issue that introduced the
 // pooled ops allowed 10, 14 and 8; the parent measured 17, 37 and 17). What
-// remains is what the
-// operation models — the returned record, rows cloned out of the active
-// memtable, the memtable write — not coordinator bookkeeping.
+// remains is what the operation models — the returned record, the memtable
+// write — not coordinator bookkeeping, and not the rows a read takes out of
+// the active memtable: a key rewritten since its flush, which every replica
+// has to snapshot and merge, reads for what a flushed one does, because the
+// copies land in scratch rows the read's pooled op keeps.
 func TestPointOpAllocs(t *testing.T) {
 	read := func(p *sim.Proc, c *Client, key kv.Key) error {
-		_, err := c.Read(p, key, nil)
+		rec, err := c.Read(p, key, nil)
+		if len(rec) != 10 {
+			t.Errorf("read %d fields of %s, want 10", len(rec), key)
+		}
 		return err
 	}
 	update := func(p *sim.Proc, c *Client, key kv.Key) error {
 		return c.Update(p, key, kv.Record{"f0": kv.SizedValue(100)})
 	}
-	readPlain := pointOpAllocs(t, 0, kv.One, read)
-	readRepair := pointOpAllocs(t, 1.0, kv.One, read)
-	updateOne := pointOpAllocs(t, 1.0, kv.One, update)
-	updateQuorum := pointOpAllocs(t, 1.0, kv.Quorum, update)
-	t.Logf("allocs/op: read ONE %.2f, with background repair %.2f, update ONE %.2f, update QUORUM %.2f",
-		readPlain, readRepair, updateOne, updateQuorum)
+	readPlain := pointOpAllocs(t, 0, kv.One, false, read)
+	readRepair := pointOpAllocs(t, 1.0, kv.One, false, read)
+	rewrittenPlain := pointOpAllocs(t, 0, kv.One, true, read)
+	rewrittenRepair := pointOpAllocs(t, 1.0, kv.One, true, read)
+	updateOne := pointOpAllocs(t, 1.0, kv.One, false, update)
+	updateQuorum := pointOpAllocs(t, 1.0, kv.Quorum, false, update)
+	t.Logf("allocs/op: read ONE %.2f, with background repair %.2f; of a key rewritten since the flush %.2f and %.2f; update ONE %.2f, update QUORUM %.2f",
+		readPlain, readRepair, rewrittenPlain, rewrittenRepair, updateOne, updateQuorum)
 	for _, c := range []struct {
 		what       string
 		got, bound float64
 	}{
 		{"ONE read, read repair off", readPlain, 6},
 		{"ONE read, read repair on, replicas in sync", readRepair, 6},
+		{"ONE read of a key rewritten since the flush, read repair off", rewrittenPlain, readPlain},
+		{"ONE read of a key rewritten since the flush, read repair on", rewrittenRepair, readRepair},
 		{"ONE update", updateOne, 4},
 	} {
 		if c.got > c.bound {
@@ -156,5 +175,106 @@ func TestTimedOutReadHoldsItsOpUntilLegsFinish(t *testing.T) {
 	}
 	if db.CoordinatorTimeouts != slow {
 		t.Fatalf("timeouts = %d, want %d", db.CoordinatorTimeouts, slow)
+	}
+}
+
+// TestRecycledReadOpsNeverMixRows is the same hazard seen from the rows: a
+// read's rows now live in scratch rows its pooled op and legs keep, so an op
+// recycled early, or a scratch reused while somebody still reads it, would
+// answer one key with another key's cells. ONE reads of flushed keys time out
+// with their leg still at a degraded disk; in between, ONE reads with
+// background repair on — of memtable-resident keys, which every replica has
+// to snapshot — run on whatever ops come off the free list, while the keys
+// are rewritten and, every fourth read, the main replica alone is given a
+// newer cell, so that the background repair reconciles a real difference and
+// writes it back. Every record returned is checked against a model of the
+// writes. CI runs this under -race -count=20.
+func TestRecycledReadOpsNeverMixRows(t *testing.T) {
+	k := sim.NewKernel(11)
+	ccfg := cluster.DefaultConfig()
+	ccfg.Nodes = 6
+	ccfg.Disk.SeekTime = 300 * time.Millisecond
+	c := cluster.New(k, ccfg)
+	cfg := DefaultConfig()
+	cfg.Timeout = 20 * time.Millisecond
+	cfg.ReadRepairChance = 1.0
+	cfg.Engine.CacheBytes = 0
+	db := New(k, cfg, c.Nodes[:5])
+	all := db.NewClient(c.Nodes[5]).WithConsistency(kv.All, kv.All)
+	one := all.WithConsistency(kv.One, kv.One)
+	const slow, fast = 8, 6
+	model := map[int]kv.Record{}
+	k.Spawn("client", func(p *sim.Proc) {
+		write := func(i int, rec kv.Record) {
+			if err := all.Update(p, key(i), rec); err != nil {
+				t.Fatalf("write %d: %v", i, err)
+			}
+			model[i] = rec.Clone().MergeOlder(model[i])
+		}
+		for i := 0; i < slow; i++ {
+			write(i, kv.Record{"f0": kv.SizedValue(1000 * i)})
+		}
+		db.FlushAll()
+		p.Sleep(30 * time.Second)
+		for i := slow; i < slow+fast; i++ {
+			// Widths differ, so a recycled scratch has held a wider row.
+			rec := kv.Record{}
+			for f := 0; f <= i-slow; f++ {
+				rec[string(rune('a'+f))] = kv.SizedValue(1000*i + f)
+			}
+			write(i, rec)
+		}
+		reads := 0
+		for round := 0; round < slow; round++ {
+			if rec, err := one.Read(p, key(round), nil); err != kv.ErrTimeout {
+				t.Fatalf("read of flushed key %d: rec = %v, err = %v, want timeout", round, rec, err)
+			}
+			// 400 ms of reads that succeed at once, while the leg above is
+			// still at the disk and when it lands.
+			for j := 0; j < 40; j++ {
+				i := slow + (round+j)%fast
+				reads++
+				switch j % 4 {
+				case 1:
+					write(i, kv.Record{"a": kv.SizedValue(1000*i + 100 + reads)})
+				case 3:
+					rec := kv.Record{"z": kv.SizedValue(1000*i + 500 + reads)}
+					db.ReplicasFor(key(i))[0].Engine.Apply(p, key(i), rec, db.Version())
+					model[i] = rec.Clone().MergeOlder(model[i])
+				}
+				rec, err := one.Read(p, key(i), nil)
+				if err != nil || !reflect.DeepEqual(rec, model[i]) {
+					t.Fatalf("read %d, of key %d during read %d's late leg: rec = %v, err = %v, want %v", reads, i, round, rec, err, model[i])
+				}
+				p.Sleep(10 * time.Millisecond)
+			}
+		}
+		p.Sleep(30 * time.Second)
+		for _, op := range db.readOps {
+			rows := []*storage.Row{&op.blockingRow, &op.backgroundRow}
+			for _, l := range op.legs {
+				rows = append(rows, &l.row)
+			}
+			for _, r := range rows {
+				if op.refs != 0 || r.Version() != 0 || r.Bytes() != storage.NewRow().Bytes() {
+					t.Fatalf("op on the free list with %d holders and a scratch row still holding %v @%d", op.refs, r.Record(), r.Version())
+				}
+			}
+		}
+		// The background repairs did reconcile and write back: every
+		// replica now holds what the main one was given.
+		for i := slow; i < slow+fast; i++ {
+			for _, rep := range db.ReplicasFor(key(i)) {
+				if rec := rep.Engine.Get(p, key(i)).Record(); !reflect.DeepEqual(rec, model[i]) {
+					t.Errorf("key %d on node %d after repair: %v, want %v", i, rep.Node.ID, rec, model[i])
+				}
+			}
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if db.CoordinatorTimeouts != slow || db.AsyncRepairs == 0 || db.RepairWrites == 0 {
+		t.Fatalf("timeouts = %d (want %d), background repairs = %d, repair writes = %d", db.CoordinatorTimeouts, slow, db.AsyncRepairs, db.RepairWrites)
 	}
 }

@@ -428,7 +428,10 @@ func (l *writeLeg) deliver(q *sim.Proc) {
 // coordinator and by every process working for it — fetch legs, the
 // background repair, repair writes — so a read that timed out or returned
 // at ONE is not reused while a leg still reads its key or sets its future.
-// The slices and legs are kept across uses.
+// The slices and legs are kept across uses, and so is the capacity of the
+// scratch rows — each leg's fetch and the two reconciliations — that the
+// read's rows live in when a replica could not share a frozen one: they are
+// valid until the last holder lets go.
 type readOp struct {
 	db    *DB
 	refs  int
@@ -449,16 +452,22 @@ type readOp struct {
 	ver      kv.Version
 	repairs  int
 	repaired sim.Future[struct{}]
+	// What blockingRepair and repairRest reconcile into. The blocking one
+	// is the row the client is answered from, possibly while the background
+	// one is being built.
+	blockingRow, backgroundRow storage.Row
 
 	background func(*sim.Proc) // repairRest, bound once
 }
 
-// readLeg is one process spawned for a readOp: a fetch of rep's row,
-// answered through f, or a repair write to rep.
+// readLeg is one process spawned for a readOp: a fetch of rep's row into
+// row when the replica has to copy it, answered through f, or a repair write
+// to rep.
 type readLeg struct {
 	op                 *readOp
 	rep                *replica.Host
 	digestOnly, repair bool
+	row                storage.Row
 	f                  sim.Future[replica.Response]
 	fetch, write       func(*sim.Proc) // fetchRow and repairWrite, bound once
 }
@@ -485,14 +494,19 @@ func (op *readOp) leg(rep *replica.Host, digestOnly, repair bool) *readLeg {
 }
 
 // release drops one hold on op; the last one forgets the rows and the
-// record the read saw and returns it to the free list.
+// record the read saw and returns it to the free list. The scratch rows are
+// emptied, so a row used past this point reads as never written rather than
+// as the next read's.
 func (op *readOp) release() {
 	if op.refs--; op.refs > 0 {
 		return
 	}
 	for _, l := range op.legs[:op.used] {
 		l.f.Init(op.db.K)
+		l.row.Reset()
 	}
+	op.blockingRow.Reset()
+	op.backgroundRow.Reset()
 	clear(op.resps)
 	op.used, op.key, op.rec = 0, "", nil
 	op.db.readOps = append(op.db.readOps, op)
@@ -515,7 +529,7 @@ func (l *readLeg) fetchRow(q *sim.Proc) {
 	if l.repair {
 		t0, prev = db.Mute(q)
 	}
-	l.f.Set(l.rep.Fetch(q, replica.Caller{Node: op.coord.Node}, op.key, l.digestOnly))
+	l.f.Set(l.rep.Fetch(q, replica.Caller{Node: op.coord.Node}, op.key, l.digestOnly, &l.row))
 	if l.repair {
 		db.Bill(q, trace.PhaseReadRepair, l.rep.Node, t0, prev, true)
 	}
@@ -525,10 +539,13 @@ func (l *readLeg) fetchRow(q *sim.Proc) {
 // read is the coordinator read path: a full data read from the main
 // replica, digest reads from the next cl.Required-1 replicas, blocking
 // read repair on digest mismatch, and probabilistic background repair
-// across all replicas.
+// across all replicas. It answers with the reconciled row's live cells
+// restricted to fields (nil: none live, or no row) and, for the oracle, its
+// version — both taken before the coordinator's hold on the op is dropped,
+// because the row may live in the op's scratch.
 //
 //simlint:hotpath
-func (db *DB) read(p *sim.Proc, coord *Replica, key kv.Key, cl kv.ConsistencyLevel) (*storage.Row, error) {
+func (db *DB) read(p *sim.Proc, coord *Replica, key kv.Key, cl kv.ConsistencyLevel, fields []string) (rec kv.Record, ver kv.Version, err error) {
 	op := take(&db.readOps)
 	if op == nil {
 		op = &readOp{db: db}
@@ -536,11 +553,17 @@ func (db *DB) read(p *sim.Proc, coord *Replica, key kv.Key, cl kv.ConsistencyLev
 	}
 	op.refs, op.coord, op.key = 1, coord, key
 	row, err := op.coordinate(p, cl)
+	if row != nil {
+		if db.Oracle != nil {
+			ver = row.Version()
+		}
+		rec = row.Project(fields)
+	}
 	op.release()
-	return row, err
+	return rec, ver, err
 }
 
-// coordinate is read on its op.
+// coordinate is read on its op; the row it returns is valid while op is held.
 //
 //simlint:hotpath
 func (op *readOp) coordinate(p *sim.Proc, cl kv.ConsistencyLevel) (*storage.Row, error) {
@@ -659,7 +682,7 @@ func (op *readOp) blockingRepair(p *sim.Proc, have *storage.Row) *storage.Row {
 	resps := op.gather(p, op.contacted, nil, false, buf[:0])
 	// The original data read from the main replica is folded last: it can
 	// only matter when the main replica's refetch was lost in flight.
-	merged := storage.Merged(replica.Reconcile(resps), have)
+	merged := storage.Merged(replica.Reconcile(resps, &op.blockingRow), have, &op.blockingRow)
 	op.writeRepairs(p, merged, resps, true)
 	if merged != nil && !merged.Live() && merged.Version() == 0 {
 		return nil
@@ -681,7 +704,7 @@ func (op *readOp) blockingRepair(p *sim.Proc, have *storage.Row) *storage.Row {
 func (op *readOp) repairRest(q *sim.Proc) {
 	var buf [8]replica.Response
 	resps := op.gather(q, op.alive, op.contacted, true, append(buf[:0], op.resps...))
-	op.writeRepairs(q, replica.Reconcile(resps), resps, false)
+	op.writeRepairs(q, replica.Reconcile(resps, &op.backgroundRow), resps, false)
 	op.release()
 }
 

@@ -88,7 +88,7 @@ func (c *Client) Read(p *sim.Proc, key kv.Key, fields []string) (kv.Record, erro
 		return nil, kv.ErrUnavailable
 	}
 	c.db.Serve(p, coord.Node)
-	row, err := c.db.read(p, coord, key, c.readCL)
+	rec, ver, err := c.db.read(p, coord, key, c.readCL, fields)
 	if err != nil {
 		return nil, err
 	}
@@ -96,15 +96,7 @@ func (c *Client) Read(p *sim.Proc, key kv.Key, fields []string) (kv.Record, erro
 		// The observed version is the reconciled row the coordinator is
 		// about to return (a tombstone's version for deleted rows, 0 for
 		// never-written keys) — exactly what this client sees.
-		var ver kv.Version
-		if row != nil {
-			ver = row.Version()
-		}
 		c.db.Oracle.ReadObserved(c.oid, key, ver, start)
-	}
-	var rec kv.Record
-	if row != nil && row.Live() {
-		rec = row.Project(fields)
 	}
 	if !coord.Node.SendTo(p, c.node, rec.Bytes()+c.db.RequestOverhead) {
 		return nil, kv.ErrUnavailable

@@ -31,14 +31,14 @@ func TestReconcileTieBreaksByLowestNodeID(t *testing.T) {
 		{respLow, respHigh},
 		{respHigh, respLow},
 	} {
-		if got := replica.Reconcile(resps).Record()["v"].Bytes(); got != 1 {
+		if got := replica.Reconcile(resps, nil).Record()["v"].Bytes(); got != 1 {
 			t.Fatalf("order %v: tie winner value = %d, want node %d's value 1",
 				[]int{resps[0].Host.Node.ID, resps[1].Host.Node.ID}, got, low.Node.ID)
 		}
 	}
 
 	// Failed responses are excluded from the fold.
-	merged := replica.Reconcile([]replica.Response{{Host: &low.Host, OK: false}, respHigh})
+	merged := replica.Reconcile([]replica.Response{{Host: &low.Host, OK: false}, respHigh}, nil)
 	if got := merged.Record()["v"].Bytes(); got != 2 {
 		t.Fatalf("failed response included in reconcile: got %d", got)
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"cloudbench/internal/sim"
+	"cloudbench/internal/storage"
 	"cloudbench/internal/ycsb"
 )
 
@@ -14,7 +15,11 @@ import (
 // Parks per simop is the size of the prize for ROADMAP item 6 (fewer
 // goroutine switches per op); free-list misses per simop is the evidence
 // that a canceled timeout's event is recycled — before eager unlinking it
-// was one miss per AwaitTimeout, i.e. at least one per operation.
+// was one miss per AwaitTimeout, i.e. at least one per operation. Beside
+// them, what the storage engines did for the op: how many row lookups, and
+// how many of those could not hand out a stored row as it was and had to
+// snapshot the memtable's or merge two sources (Engine.Copies) — the reads
+// that cost a copy, into the caller's scratch row or a fresh one.
 func TestKernelStatsPerSimop(t *testing.T) {
 	o := smokeOptions()
 	spec := ycsb.ReadUpdate(o.StressRecords)
@@ -22,9 +27,24 @@ func TestKernelStatsPerSimop(t *testing.T) {
 		d := deploy(o, b, spec)
 		var res ycsb.Result
 		var st sim.Stats
+		var gets, copies int64
+		lookups := func(sign int64) {
+			var engines []*storage.Engine
+			if d.ca != nil {
+				engines = d.ca.Engines()
+			} else {
+				engines = d.hb.Engines()
+			}
+			for _, e := range engines {
+				gets += sign * e.Gets
+				copies += sign * e.Copies
+			}
+		}
 		if err := d.run(o.Threads, func(p *sim.Proc) {
 			before := d.k.Stats()
+			lookups(-1)
 			res = d.phase(p, spec, o.stressRun(0))
+			lookups(+1)
 			st = d.k.Stats()
 			st.Events -= before.Events
 			st.Parks -= before.Parks
@@ -41,6 +61,8 @@ func TestKernelStatsPerSimop(t *testing.T) {
 		t.Logf("%-8s per simop: %.1f events, %.1f parks, %.4f event free-list misses, %.4f proc-pool misses; %.2f deadlines armed, %.2f canceled, %.2f of those unlinked eagerly",
 			b.db, float64(st.Events)/ops, float64(st.Parks)/ops, float64(st.EventMisses)/ops, float64(st.ProcMisses)/ops,
 			float64(st.TimersScheduled)/ops, float64(st.TimersCanceled)/ops, float64(st.TimersUnlinked)/ops)
+		t.Logf("%-8s per simop: %.2f engine gets, %.2f of them copies (memtable snapshot or cross-source merge)",
+			b.db, float64(gets)/ops, float64(copies)/ops)
 		if res.Errors != 0 {
 			t.Errorf("%s: %d failed operations", b.db, res.Errors)
 		}

@@ -277,6 +277,13 @@ type Client struct {
 	node *cluster.Node
 	meta map[*Region]bool // regions already located
 	oid  int              // oracle client identity
+
+	// row is what a read's region server copies a row into when it cannot
+	// share a frozen one; Read has projected it by the time it next yields.
+	// A client serves one process at a time (kv.Client): reading marks the
+	// window in which a second Read would overwrite the first one's row.
+	row     storage.Row
+	reading bool
 }
 
 // NewClient returns a client issuing requests from node.
@@ -323,8 +330,12 @@ func (c *Client) Read(p *sim.Proc, key kv.Key, fields []string) (kv.Record, erro
 	if !c.node.SendTo(p, r.Server.Node, len(key)+c.db.RequestOverhead) {
 		return nil, kv.ErrUnavailable
 	}
+	if c.reading {
+		panic("hbase: Client.Read called by a second process while a read is in flight; a kv.Client serves one process at a time")
+	}
+	c.reading = true
 	var rec kv.Record
-	row := r.Get(p, c.caller(), key)
+	row := r.Get(p, c.caller(), key, &c.row)
 	if row != nil && row.Live() {
 		rec = row.Project(fields)
 	}
@@ -335,6 +346,7 @@ func (c *Client) Read(p *sim.Proc, key kv.Key, fields []string) (kv.Record, erro
 		}
 		c.db.Oracle.ReadObserved(c.oid, key, ver, start)
 	}
+	c.reading = false
 	if !r.Server.Node.SendTo(p, c.node, rec.Bytes()+c.db.RequestOverhead) {
 		return nil, kv.ErrUnavailable
 	}

@@ -8,6 +8,10 @@ import "cloudbench/internal/sim"
 //
 // A partial Record passed to Update writes only the supplied fields; the
 // merge with older fields happens at read time, newest version winning.
+// The rec handed to Insert or Update is shared and read-only: the caller may
+// pass the same map to any number of operations, on any client, at once, and
+// an implementation may keep it (a hint, a queued replication job) but never
+// writes to it — RunConformance checks this.
 //
 // The verbs are //simlint:coldpath: every implementation models database
 // I/O — RPC futures, WAL appends, memtable copies — and allocates by

@@ -77,7 +77,8 @@ func RunConformance(t T, h Harness) {
 
 		// Partial-record merge: updating one field leaves the others at
 		// their newest prior values.
-		if err := c.Update(p, "conf-a", Record{"f1": ByteValue([]byte("b1"))}); err != nil {
+		partial := Record{"f1": ByteValue([]byte("b1"))}
+		if err := c.Update(p, "conf-a", partial); err != nil {
 			t.Fatalf("partial update: %v", err)
 		}
 		got, err = conformRead("conf-a", nil)
@@ -191,6 +192,19 @@ func RunConformance(t T, h Harness) {
 		}
 		snapshot("conf-v", false, nil)
 		snapshot("conf-w", true, []string{"f0", "f0", "nope"})
+
+		// Written records are the caller's, shared and read-only: after
+		// replication, flushes and the reads above, what was handed to
+		// Insert and Update is what the caller still holds.
+		if want := (Record{"f0": ByteValue([]byte("a0")), "f1": ByteValue([]byte("b0")), "f2": SizedValue(64)}); !reflect.DeepEqual(full, want) {
+			t.Errorf("Insert changed the caller's record: %v, want %v", full, want)
+		}
+		if want := (Record{"f1": ByteValue([]byte("b1"))}); !reflect.DeepEqual(partial, want) {
+			t.Errorf("Update changed the caller's record: %v, want %v", partial, want)
+		}
+		if want := (Record{"f0": ByteValue([]byte("old")), "f1": SizedValue(32)}); !reflect.DeepEqual(old, want) {
+			t.Errorf("Insert of one record under eight keys changed it: %v, want %v", old, want)
+		}
 	})
 	if err != nil {
 		t.Fatalf("conformance drive: %v", err)

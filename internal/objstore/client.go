@@ -56,7 +56,7 @@ func liveReplicas(placement []*Server) []*Server {
 // fetch reads the full row from srv on a spawned process: request leg,
 // server service, response leg, like a proxy's GET to one object server.
 func (c *Client) fetch(srv *Server, key kv.Key, f *sim.Future[replica.Response]) {
-	c.db.K.Go("o*-read", func(q *sim.Proc) { f.Set(srv.Fetch(q, c.caller(), key, false)) })
+	c.db.K.Go("o*-read", func(q *sim.Proc) { f.Set(srv.Fetch(q, c.caller(), key, false, nil)) })
 }
 
 // Read implements kv.Client under the client's read mode.
@@ -103,7 +103,7 @@ func (c *Client) Read(p *sim.Proc, key kv.Key, fields []string) (kv.Record, erro
 		}
 		resps = append(resps, r)
 	}
-	row := replica.Reconcile(resps)
+	row := replica.Reconcile(resps, nil)
 	if db.Oracle != nil {
 		// Report the version the client actually observes after
 		// reconciliation (a tombstone's version for deleted rows, 0 for

@@ -245,13 +245,14 @@ func (h *Host) admit(q *sim.Proc, c Caller) (s0 sim.Time) {
 }
 
 // Get is the host-side service of a point read that has arrived: CPU and
-// the engine lookup, the row shared read-only as Engine.Get hands it out.
+// the engine lookup, the row read-only as Engine.GetInto hands it out — a
+// frozen row to keep, or into (nil: a fresh row) for as long as the caller
+// keeps that.
 //
 //simlint:hotpath
-func (h *Host) Get(q *sim.Proc, c Caller, key kv.Key) *storage.Row {
+func (h *Host) Get(q *sim.Proc, c Caller, key kv.Key, into *storage.Row) *storage.Row {
 	s0 := h.admit(q, c)
-	//simlint:ignore hotpath the closure SSTable.Get hands sort.Search does not escape (TestGetSingleSSTableZeroAlloc holds it at 0)
-	row := h.Engine.Get(q, key)
+	row := h.Engine.GetInto(q, key, into)
 	if h.env.Tracer != nil {
 		h.env.Tracer.Phase(q, trace.PhaseStorage, h.Node.ID, s0)
 	}
@@ -288,16 +289,17 @@ type Response struct {
 
 // Fetch reads h's row of key on behalf of c — request, host service,
 // response — on q's clock. A digest read answers with the version alone.
-// OK is false when either message is lost.
+// OK is false when either message is lost. into is the scratch row of
+// Host.Get: the response's Row may be it.
 //
 //simlint:hotpath
-func (h *Host) Fetch(q *sim.Proc, c Caller, key kv.Key, digestOnly bool) Response {
+func (h *Host) Fetch(q *sim.Proc, c Caller, key kv.Key, digestOnly bool, into *storage.Row) Response {
 	e := h.env
 	resp := Response{Host: h}
 	if !e.send(q, c, c.Node, h.Node, len(key)+e.RequestOverhead) {
 		return resp
 	}
-	row := h.Get(q, c, key)
+	row := h.Get(q, c, key, into)
 	size := e.RequestOverhead
 	if row != nil && !digestOnly {
 		size += row.Bytes()
@@ -316,16 +318,20 @@ func (h *Host) Fetch(q *sim.Proc, c Caller, key kv.Key, digestOnly bool) Respons
 }
 
 // Reconcile folds the successful responses' rows in ascending node-id order
-// and returns the result: nil when no host holds the row, one host's own
-// frozen row when none of the others adds to it (the common case between
-// in-sync replicas), a fresh row otherwise. Row merging is last-write-wins
-// with the incumbent cell kept on a version tie, so a fixed fold order pins
-// tie resolution to the lowest node id regardless of contact order, arrival
-// order, or which replica happened to serve the data read. Write timestamps
-// are unique today (Version), which makes this behavior-neutral; it exists
-// so reconciliation can never become order-dependent if versioning ever
-// gains ties, and so oracle version-lag counts stay deterministic.
-func Reconcile(resps []Response) *storage.Row {
+// and returns the result: nil when no host holds the row, one response's own
+// row when none of the others adds to it (the common case between in-sync
+// replicas), and otherwise the merge, built in into — which must be none of
+// the responses' rows — or in a fresh row when into is nil. Row merging is
+// last-write-wins with the incumbent cell kept on a version tie, so a fixed
+// fold order pins tie resolution to the lowest node id regardless of contact
+// order, arrival order, or which replica happened to serve the data read.
+// Write timestamps are unique today (Version), which makes this
+// behavior-neutral; it exists so reconciliation can never become
+// order-dependent if versioning ever gains ties, and so oracle version-lag
+// counts stay deterministic.
+//
+//simlint:hotpath
+func Reconcile(resps []Response, into *storage.Row) *storage.Row {
 	var buf [8]int
 	order := buf[:0]
 	for i := range resps {
@@ -341,7 +347,7 @@ func Reconcile(resps []Response) *storage.Row {
 	}
 	var merged *storage.Row
 	for _, i := range order {
-		merged = storage.Merged(merged, resps[i].Row)
+		merged = storage.Merged(merged, resps[i].Row, into)
 	}
 	return merged
 }

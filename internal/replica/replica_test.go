@@ -107,7 +107,7 @@ func checkReconcile(t *testing.T, data []byte) {
 	slices.Reverse(reversed)
 	rotated := append(slices.Clone(resps[len(resps)/2:]), resps[:len(resps)/2]...)
 	for _, order := range [][]Response{resps, reversed, rotated} {
-		got := Reconcile(order)
+		got := Reconcile(order, nil)
 		if (got != nil) != held {
 			t.Fatalf("case %v: reconciled row %v, reference holds a row: %t", data, got, held)
 		}
@@ -200,7 +200,7 @@ func TestFetchBillsByCaller(t *testing.T) {
 		k.Spawn("driver", func(p *sim.Proc) {
 			caller, h := c(hosts)
 			tr.StartOp(p, trace.ClassRead)
-			if r := h.Fetch(p, caller, "user1", false); !r.OK || r.Row != nil || r.Host != h {
+			if r := h.Fetch(p, caller, "user1", false, nil); !r.OK || r.Row != nil || r.Host != h {
 				t.Errorf("fetch of an absent row: %+v", r)
 			}
 			tr.EndOp(p)
@@ -232,8 +232,11 @@ func TestFetchBillsByCaller(t *testing.T) {
 
 // TestSharedReadPathAllocs fences the bodies every point read now runs
 // through, untraced and unobserved as the performance experiments run
-// them: serving a request, fetching a flushed row as a node or as a client,
-// and reconciling replicas that agree allocate nothing.
+// them: serving a request, fetching a row as a node or as a client and
+// reconciling the replicas allocate nothing — when the rows are flushed and
+// agree, and equally when one replica holds a newer write in its memtable,
+// so that its fetch snapshots a merge and the reconciliation builds one, all
+// in scratch rows the caller keeps.
 func TestSharedReadPathAllocs(t *testing.T) {
 	k := sim.NewKernel(7)
 	e, hosts := testEnv(k, 3)
@@ -247,18 +250,41 @@ func TestSharedReadPathAllocs(t *testing.T) {
 		p.Sleep(2e9) // the flushes land
 		node, client := Caller{Node: hosts[0].Node}, Caller{Node: hosts[0].Node, Client: true}
 		var resps [3]Response
-		read := func() {
+		var fetched [3]storage.Row
+		var merged storage.Row
+		read := func() *storage.Row {
 			e.Serve(p, hosts[0].Node)
-			resps[0] = hosts[0].Fetch(p, node, key, false)
-			resps[1] = hosts[1].Fetch(p, node, key, true)
-			resps[2] = hosts[2].Fetch(p, client, key, false)
-			if row := Reconcile(resps[:]); row != resps[0].Row || row.Version() != m.Ver {
-				t.Errorf("reconciled %v, want host 0's own row at %d", row, m.Ver)
+			resps[0] = hosts[0].Fetch(p, node, key, false, &fetched[0])
+			resps[1] = hosts[1].Fetch(p, node, key, true, &fetched[1])
+			resps[2] = hosts[2].Fetch(p, client, key, false, &fetched[2])
+			return Reconcile(resps[:], &merged)
+		}
+		inSync := func() {
+			if row := read(); row != resps[0].Row || row == &fetched[0] || row.Version() != m.Ver {
+				t.Errorf("reconciled %v, want host 0's own stored row at %d", row, m.Ver)
 			}
 		}
-		read() // the block cache is warm from here on
-		if allocs := testing.AllocsPerRun(200, read); allocs != 0 {
-			t.Errorf("serve + three fetches + reconcile: %.2f allocs, want 0", allocs)
+		inSync() // the block cache is warm from here on
+		if allocs := testing.AllocsPerRun(200, inSync); allocs != 0 {
+			t.Errorf("in sync: serve + three fetches + reconcile: %.2f allocs, want 0", allocs)
+		}
+
+		// Host 2 alone takes a newer write of another field: its fetch is a
+		// memtable-over-SSTable merge, and the reconciliation gains from it.
+		newer := Mutation{Key: key, Rec: kv.Record{"w": kv.SizedValue(7)}, Ver: e.Version()}
+		hosts[2].Apply(p, newer, consistency.ApplyWrite, true)
+		diverged := func() {
+			row := read()
+			if resps[2].Row != &fetched[2] || row != &merged {
+				t.Errorf("diverged read did not land in the caller's scratch rows")
+			}
+			if row.Version() != newer.Ver || row.ProjectedBytes(nil) != kv.FieldBytes("v", m.Rec["v"])+kv.FieldBytes("w", newer.Rec["w"]) {
+				t.Errorf("reconciled %v @%d, want v and w @%d", row.Record(), row.Version(), newer.Ver)
+			}
+		}
+		diverged() // the scratch rows grow to the row's width once
+		if allocs := testing.AllocsPerRun(200, diverged); allocs != 0 {
+			t.Errorf("diverged: serve + three fetches + reconcile: %.2f allocs, want 0", allocs)
 		}
 	})
 	if err := k.Run(); err != nil {

@@ -65,6 +65,9 @@ type Engine struct {
 	Puts, Gets, Scans    int64
 	Flushes, Compactions int64
 	CompactedBytes       int64
+	// Copies counts the Gets that could not hand out a source's own frozen
+	// row: the key was in the active memtable, or two sources diverged.
+	Copies int64
 }
 
 // NewEngine returns an engine writing tables through io and logging through
@@ -130,41 +133,54 @@ func (e *Engine) ApplyDelete(p *sim.Proc, key kv.Key, ver kv.Version) {
 	e.maybeFlush()
 }
 
-// Get returns the reconciled row at key (merged across memtable, flushing
-// snapshots, and SSTables), or nil if the key has never been written.
-// Deleted rows are returned with their tombstone so replica reconciliation
-// can propagate deletes; use Live() to test visibility.
+// Get is GetInto without a scratch row: what it cannot share it allocates.
+func (e *Engine) Get(p *sim.Proc, key kv.Key) *Row { return e.GetInto(p, key, nil) }
+
+// GetInto returns the reconciled row at key (merged across memtable,
+// flushing snapshots, and SSTables), or nil if the key has never been
+// written. Deleted rows are returned with their tombstone so replica
+// reconciliation can propagate deletes; use Live() to test visibility.
 //
 // The result is read-only for the caller: when exactly one immutable source
 // holds the key it is that source's frozen row itself, shared with every
-// other reader. A row in the active memtable is copied on the spot, and one
-// merged row is built only when a second source holds something the first
-// lacks (see fold).
-func (e *Engine) Get(p *sim.Proc, key kv.Key) *Row {
+// other reader and valid forever. A row in the active memtable is
+// snapshotted on the spot, and a merge is built only when a second source
+// holds something the first lacks (see fold) — both in into, reusing its
+// cell capacity, so such a result is the caller's for as long as into is;
+// with into nil each is a fresh row.
+//
+//simlint:hotpath
+func (e *Engine) GetInto(p *sim.Proc, key kv.Key, into *Row) *Row {
 	e.Gets++
-	out := fold(nil, e.mem.Get(key))
+	out := fold(nil, e.mem.Get(key), into)
 	for _, m := range e.imm {
-		out = fold(out, m.Get(key))
+		out = fold(out, m.Get(key), into)
 	}
 	for _, t := range e.tables {
-		out = fold(out, t.Get(p, e.io, e.cache, key))
+		out = fold(out, t.Get(p, e.io, e.cache, key), into)
+	}
+	if out != nil && !out.frozen {
+		e.Copies++
 	}
 	return out
 }
 
 // fold adds the next-older source's row r to the read result out. An
-// unfrozen r sits in the active memtable and is copied at once: writers may
-// run while a later source loads a block. A frozen out is some source's own
-// row and is never written — Merged copies it only if r really contributes;
-// an unfrozen out is a copy this read already made, so r merges in place.
-func fold(out, r *Row) *Row {
+// unfrozen r sits in the active memtable and is snapshotted at once: writers
+// may run while a later source loads a block. A frozen out is some source's
+// own row and is never written — Merged copies it only if r really
+// contributes; an unfrozen out is the copy this read already made, so r
+// merges in place. Copies go to into, or to a fresh row when it is nil.
+//
+//simlint:hotpath
+func fold(out, r, into *Row) *Row {
 	switch {
 	case r == nil:
 		return out
 	case out == nil && !r.frozen:
-		return r.Clone()
+		return r.snapshot(into)
 	case out == nil || out.frozen:
-		return Merged(out, r)
+		return Merged(out, r, into)
 	}
 	out.MergeFrom(r)
 	return out
@@ -223,7 +239,7 @@ func mergeNext(srcs []cursor) (kv.Key, *Row, bool) {
 	var row *Row
 	for i := range srcs {
 		if s := &srcs[i]; s.valid() && s.key() == minKey {
-			row = fold(row, s.row())
+			row = fold(row, s.row(), nil)
 			s.next()
 		}
 	}
@@ -255,7 +271,7 @@ func MergeScans(parts [][]ScanRow, limit int, fields []string) []kv.KV {
 		var row *Row
 		for i, part := range parts {
 			if len(part) > 0 && part[0].Key == minKey {
-				row = Merged(row, part[0].Row)
+				row = Merged(row, part[0].Row, nil)
 				parts[i] = part[1:]
 			}
 		}

@@ -20,7 +20,10 @@ type TableIO interface {
 	WriteTable(p *sim.Proc, id int64, bytes int64)
 	// ReadTable reads table id in full, sequentially (compaction input).
 	ReadTable(p *sim.Proc, id int64, bytes int64)
-	// ReadBlock reads one block of table id at a random offset.
+	// ReadBlock reads one block of table id at a random offset: what a
+	// block-cache miss costs. Device I/O is the allocation boundary of the
+	// point-read hot path (HBase's opens an HDFS file by name).
+	//simlint:coldpath
 	ReadBlock(p *sim.Proc, id int64, bytes int)
 	// DeleteTable drops table id's backing storage (post-compaction).
 	DeleteTable(id int64)

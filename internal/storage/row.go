@@ -33,7 +33,9 @@ type Cell struct {
 // rows it installs. Engine.Get and Engine.Scan hand frozen rows out
 // without copying, so Apply, Delete and MergeFrom on a frozen row panic;
 // readers that need a reconciled row use Merged, which copies only when
-// the two rows actually diverge.
+// the two rows actually diverge — into a scratch row the reader owns, when
+// it passes one. The zero Row is an empty mutable row, so an owner can embed
+// its scratch by value.
 type Row struct {
 	cells  []Cell     // sorted by Field, no duplicates
 	Tomb   kv.Version // delete timestamp; cells with Ver <= Tomb are dead
@@ -109,8 +111,12 @@ func (r *Row) MergeFrom(o *Row) {
 }
 
 // mergeCells is the two-pointer merge of field-sorted add into r.cells.
-// Fields r already holds are reconciled in place; fields it lacks cost one
-// exact-capacity reallocation. add is copied from, never retained.
+// Fields r already holds are reconciled in place. Fields it lacks are merged
+// in back to front when r.cells has the spare capacity — a scratch row that
+// has held a row this wide before — and cost one exact-capacity reallocation
+// otherwise. add is copied from, never retained, and must not alias r.cells.
+//
+//simlint:hotpath
 func (r *Row) mergeCells(add []Cell) {
 	old := r.cells
 	missing, i := 0, 0
@@ -125,6 +131,26 @@ func (r *Row) mergeCells(add []Cell) {
 		}
 	}
 	if missing == 0 {
+		return
+	}
+	if n := len(old) + missing; n <= cap(old) {
+		// Every slot at or above the write index has been read already: w
+		// stays ahead of i by the number of add's cells still to place.
+		out := old[:n]
+		i, w := len(old)-1, n-1
+		for j := len(add) - 1; j >= 0; j-- {
+			for i >= 0 && old[i].Field > add[j].Field {
+				out[w] = old[i]
+				i--
+				w--
+			}
+			if i >= 0 && old[i].Field == add[j].Field {
+				continue // reconciled in the first pass
+			}
+			out[w] = add[j]
+			w--
+		}
+		r.cells = out
 		return
 	}
 	out := make([]Cell, 0, len(old)+missing)
@@ -142,20 +168,46 @@ func (r *Row) mergeCells(add []Cell) {
 }
 
 // Merged returns the reconciliation of a and b (a is the incumbent on
-// version ties) without mutating either: a itself when b holds no newer
+// version ties) without mutating a source: a itself when b holds no newer
 // cell or tombstone — the common case between in-sync replicas and between
-// a compacted table and the tables it shadows — and a fresh mutable row
-// otherwise. Either may be nil; the other is returned.
-func Merged(a, b *Row) *Row {
+// a compacted table and the tables it shadows — and a mutable row
+// otherwise: into, reusing its cell capacity, or a fresh row when into is
+// nil. An a that already is into is merged in place. Either of a and b may
+// be nil; the other is returned. into must not be b.
+//
+//simlint:hotpath
+func Merged(a, b, into *Row) *Row {
 	if a == nil {
 		return b
 	}
 	if b == nil || !a.gainsFrom(b) {
 		return a
 	}
-	m := a.Clone()
+	m := into
+	if m != a {
+		m = a.snapshot(into)
+	}
 	m.MergeFrom(b)
 	return m
+}
+
+// snapshot copies r as it is now into into's reused cell capacity — a fresh
+// row when into is nil — and returns the mutable copy.
+func (r *Row) snapshot(into *Row) *Row {
+	if into == nil {
+		return r.Clone()
+	}
+	into.mustOwn()
+	into.cells = append(into.cells[:0], r.cells...)
+	into.Tomb = r.Tomb
+	return into
+}
+
+// Reset empties a scratch row, keeping its cell capacity: whoever still
+// holds it reads a row that was never written.
+func (r *Row) Reset() {
+	r.mustOwn()
+	r.cells, r.Tomb = r.cells[:0], 0
 }
 
 // gainsFrom reports whether merging o into r would change r.

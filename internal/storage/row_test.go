@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+	"time"
 
 	"cloudbench/internal/kv"
 	"cloudbench/internal/sim"
@@ -105,7 +106,10 @@ func sameRow(a, b *Row) bool {
 // TestRowMatchesMapModel drives random Apply/Delete/MergeFrom/Merged
 // sequences through the flat Row and the map model. Versions come from a
 // small range so ties are frequent, and a tying write carries a different
-// value, so a tie resolved toward the newcomer is caught.
+// value, so a tie resolved toward the newcomer is caught. Half the Merged
+// calls build their result in one scratch row reused for the whole sequence,
+// which has by then held rows of every width: the merge runs back to front
+// in its spare capacity.
 func TestRowMatchesMapModel(t *testing.T) {
 	for seed := int64(1); seed <= 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -118,6 +122,7 @@ func TestRowMatchesMapModel(t *testing.T) {
 		}
 		rows := []*Row{NewRow(), NewRow(), NewRow()}
 		refs := []*refRow{newRefRow(), newRefRow(), newRefRow()}
+		scratch := NewRow()
 		for step := 0; step < 400; step++ {
 			i, j := rng.Intn(3), rng.Intn(3)
 			ver := kv.Version(1 + rng.Intn(20))
@@ -132,9 +137,9 @@ func TestRowMatchesMapModel(t *testing.T) {
 			case op < 8 && i != j:
 				rows[i].MergeFrom(rows[j])
 				refs[i].mergeFrom(refs[j])
-			case i != j:
+			case op < 9 && i != j:
 				before := rows[i].Clone()
-				m := Merged(rows[i], rows[j])
+				m := Merged(rows[i], rows[j], nil)
 				want := refs[i].clone()
 				want.mergeFrom(refs[j])
 				want.check(t, step, m)
@@ -147,8 +152,206 @@ func TestRowMatchesMapModel(t *testing.T) {
 				if m != rows[i] {
 					rows[i], refs[i] = m, want
 				}
+			case i != j:
+				// The same into the scratch, then the third row folded into
+				// the result where it lies, as Reconcile does.
+				before, third := rows[i].Clone(), 3-i-j
+				room := cap(scratch.cells)
+				m := Merged(rows[i], rows[j], scratch)
+				want := refs[i].clone()
+				want.mergeFrom(refs[j])
+				want.check(t, step, m)
+				m = Merged(m, rows[third], scratch)
+				want.mergeFrom(refs[third])
+				want.check(t, step, m)
+				if !sameRow(rows[i], before) || m != rows[i] && m != scratch {
+					t.Fatalf("step %d: Merged into a scratch mutated its first argument or built its result elsewhere", step)
+				}
+				if len(m.cells) <= room && cap(scratch.cells) != room {
+					t.Fatalf("step %d: a %d-cell merge reallocated a scratch with room for %d", step, len(m.cells), room)
+				}
 			}
 			refs[i].check(t, step, rows[i])
+		}
+	}
+}
+
+// TestMergeCellsInPlaceKeepsIncumbentOnTies is the case the random
+// sequences above reach only by chance, spelled out: a scratch that has held
+// a wide row takes a narrow one and merges a row that interleaves with it —
+// fields before, between and after its own, one of its fields at a tying
+// version with another value, one older, one newer — without leaving its
+// backing array.
+func TestMergeCellsInPlaceKeepsIncumbentOnTies(t *testing.T) {
+	cell := func(f string, size int, ver kv.Version) Cell {
+		return Cell{Field: f, Val: kv.SizedValue(size), Ver: ver}
+	}
+	wide, narrow, other := NewRow(), NewRow(), NewRow()
+	wide.Apply(fullRecord(12), 1)
+	narrow.cells = []Cell{cell("b", 1, 2), cell("d", 1, 2), cell("f", 1, 2)}
+	other.cells = []Cell{cell("a", 2, 1), cell("b", 2, 2), cell("c", 2, 3), cell("d", 2, 1), cell("f", 2, 3), cell("g", 2, 1)}
+	other.Tomb = 1
+	var scratch Row
+	wide.snapshot(&scratch)
+	backing := &scratch.cells[0]
+	m := Merged(narrow, other, &scratch)
+	want := []Cell{cell("a", 2, 1), cell("b", 1, 2), cell("c", 2, 3), cell("d", 1, 2), cell("f", 2, 3), cell("g", 2, 1)}
+	if m != &scratch || !reflect.DeepEqual(m.cells, want) || m.Tomb != 1 {
+		t.Errorf("merged %+v (tomb %d), want %+v (tomb 1) in the scratch", m.cells, m.Tomb, want)
+	}
+	if &m.cells[0] != backing {
+		t.Error("a 6-cell merge left a 12-cell scratch's backing array")
+	}
+	if len(narrow.cells) != 3 || !reflect.DeepEqual(narrow.cells[0], cell("b", 1, 2)) {
+		t.Errorf("the incumbent was written: %+v", narrow.cells)
+	}
+	scratch.Reset()
+	if scratch.Live() || scratch.Version() != 0 || len(scratch.cells) != 0 || cap(scratch.cells) < 12 {
+		t.Errorf("reset scratch: %+v, want an empty never-written row with its capacity", scratch)
+	}
+}
+
+// checkGetInto runs a script of writes, deletes, flushes and pauses against
+// one engine and, after every step, reads each key twice: with a scratch
+// row reused for the whole script, and with none. The two must agree cell
+// for cell, both with the map model of the same writes, and a scratch read
+// must hand out either a stored frozen row or the scratch itself — never a
+// row it allocated. Three bytes a step: the operation and five field bits;
+// the key and six more field bits; the version.
+//
+// Versions come from a small range, so writes arrive out of order and tie.
+// A cell's value is a function of its field and version: which of two tying
+// writes a read keeps depends on where compaction has put them (DESIGN §6
+// has versions unique), and the model does not follow that.
+func checkGetInto(t *testing.T, script []byte) {
+	t.Helper()
+	k := sim.NewKernel(1)
+	cfg := DefaultConfig()
+	cfg.MemtableBytes = 1 << 30 // the script says when to flush
+	cfg.CompactMinTables = 2
+	cfg.CacheBytes = 0 // every table a read touches is a disk read it sleeps through
+	cfg.SyncWAL = false
+	e, _ := newTestEngine(t, k, cfg)
+	keys := []kv.Key{"k0", "k1", "k2", "k3"}
+	model := make([]*refRow, len(keys))
+	var scratch Row
+	k.Spawn("script", func(p *sim.Proc) {
+		for step := 0; len(script) >= 3; step, script = step+1, script[3:] {
+			op, key, ver := script[0], int(script[1])%len(keys), kv.Version(1+script[2]%32)
+			if op%8 < 5 && model[key] == nil {
+				model[key] = newRefRow()
+			}
+			switch op % 8 {
+			case 0, 1, 2, 3:
+				rec := kv.Record{}
+				for f, bits := 0, max(1, uint(op>>3)|uint(script[1]>>2)<<5); f < 11; f++ {
+					if bits>>f&1 == 1 {
+						rec[fmt.Sprintf("f%02d", f)] = kv.SizedValue(1 + 16*int(ver) + f)
+					}
+				}
+				e.Apply(p, keys[key], rec, ver)
+				model[key].apply(rec, ver)
+			case 4:
+				e.ApplyDelete(p, keys[key], ver)
+				model[key].delete(ver)
+			case 5:
+				e.ForceFlush() // the reads below find the snapshot still flushing
+			case 6:
+				p.Sleep(time.Second) // flushes and compactions land
+			}
+			for i, key := range keys {
+				got := e.GetInto(p, key, &scratch)
+				if (got == nil) != (model[i] == nil) {
+					t.Fatalf("step %d: GetInto(%s) = %v, model %v", step, key, got, model[i])
+				}
+				if got == nil {
+					continue
+				}
+				if !got.frozen && got != &scratch {
+					t.Fatalf("step %d: GetInto(%s) built a row outside the scratch it was given", step, key)
+				}
+				model[i].check(t, step, got)
+				if want := e.Get(p, key); !sameRow(got, want) {
+					t.Fatalf("step %d: GetInto(%s) = %+v, Get = %+v", step, key, got, want)
+				}
+			}
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// getIntoScripts are the differential test's inputs and the fuzz target's
+// seeds: one spelled out — a wide row and a narrow one, flushed, rewritten
+// in part, flushed again and compacted, with a delete in between — and
+// random ones.
+func getIntoScripts() [][]byte {
+	scripts := [][]byte{{
+		0xf8, 0xfc, 1, // k0: eleven fields at version 2
+		0x08, 0x01, 1, // k1: one field
+		5, 0, 0, // flush, read while flushing
+		6, 0, 0, // settle
+		0x10, 0x04, 4, // k0: two other fields, newer: memtable over SSTable
+		0x08, 0x01, 0, // k1: the same field, older
+		4, 1, 2, // k1 deleted
+		5, 0, 0, 6, 0, 0, // second table: compaction
+		0x18, 0x00, 9, // k0 again, over the compacted table
+	}}
+	rng := rand.New(rand.NewSource(23))
+	for n := 0; n < 40; n++ {
+		script := make([]byte, 3*(20+rng.Intn(100)))
+		rng.Read(script)
+		scripts = append(scripts, script)
+	}
+	return scripts
+}
+
+// TestGetIntoMatchesGet is the differential test of the scratch-row read
+// path against the allocating one and the map model.
+func TestGetIntoMatchesGet(t *testing.T) {
+	for _, script := range getIntoScripts() {
+		checkGetInto(t, script)
+	}
+}
+
+func FuzzGetInto(f *testing.F) {
+	for _, script := range getIntoScripts()[:8] {
+		f.Add(script)
+	}
+	f.Fuzz(checkGetInto)
+}
+
+// TestGetIntoSnapshotsAtTheLookup: a read that finds its key in the active
+// memtable and then sleeps on a table's disk block answers with the
+// memtable row as it was when it looked, whatever is written meanwhile —
+// with a scratch row exactly as without one.
+func TestGetIntoSnapshotsAtTheLookup(t *testing.T) {
+	for _, into := range []*Row{nil, NewRow()} {
+		k := sim.NewKernel(1)
+		cfg := DefaultConfig()
+		cfg.MemtableBytes = 1 << 30
+		cfg.CacheBytes = 0
+		cfg.SyncWAL = false
+		e, _ := newTestEngine(t, k, cfg)
+		k.Spawn("reader", func(p *sim.Proc) {
+			e.Apply(p, "k", kv.Record{"a": kv.SizedValue(1), "b": kv.SizedValue(1)}, 1)
+			e.ForceFlush()
+			p.Sleep(time.Second)
+			e.Apply(p, "k", kv.Record{"b": kv.SizedValue(2)}, 2)
+			k.Go("writer", func(q *sim.Proc) { // runs once the reader is at the disk
+				e.Apply(q, "k", kv.Record{"a": kv.SizedValue(3), "c": kv.SizedValue(3)}, 3)
+			})
+			row, before := e.GetInto(p, "k", into), p.Now()
+			if p.Now() == before && e.mem.Get("k").Version() != 3 {
+				t.Fatal("the writer did not run during the read")
+			}
+			if rec := row.Record(); row.Version() != 2 || len(rec) != 2 || rec["a"].Bytes() != 1 || rec["b"].Bytes() != 2 {
+				t.Errorf("into %v: read %v @%d, want a=1 b=2 @2: the row as of the memtable lookup", into != nil, rec, row.Version())
+			}
+		})
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -350,6 +553,41 @@ func TestGetSingleSSTableZeroAlloc(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("Get of a key in one cache-resident SSTable: %.1f allocs/op, want 0", allocs)
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestGetMemtableOverSSTableZeroAlloc: the zipfian case — a key rewritten
+// in part since its flush, so the read snapshots the memtable row and merges
+// the table's under it — costs nothing either once the caller's scratch row
+// has held a row that wide, and is counted as a copy.
+func TestGetMemtableOverSSTableZeroAlloc(t *testing.T) {
+	k := sim.NewKernel(1)
+	e := flushedEngine(t, k, 500)
+	k.Spawn("reader", func(p *sim.Proc) {
+		for i := 0; i < 500; i += 2 {
+			e.Apply(p, e.tables[0].entries[i].Key, kv.Record{"field3": kv.SizedValue(7)}, 1<<40)
+		}
+		var scratch Row
+		i, copies := 0, e.Copies
+		read := func() {
+			i = (i + 74) % 500
+			if row := e.GetInto(p, e.tables[0].entries[i].Key, &scratch); row != &scratch || len(row.cells) != 10 || row.Version() != 1<<40 {
+				t.Errorf("row %d = %+v, want the ten-cell merge in the scratch", i, row)
+			}
+		}
+		read()
+		if allocs := testing.AllocsPerRun(1000, read); allocs != 0 {
+			t.Errorf("GetInto of a key in the memtable over one cache-resident SSTable: %.1f allocs/op, want 0", allocs)
+		}
+		if n := e.Copies - copies; n != 1002 {
+			t.Errorf("Copies rose by %d over 1002 merging reads", n)
+		}
+		if e.GetInto(p, e.tables[0].entries[1].Key, &scratch) != e.tables[0].entries[1].Row || e.Copies-copies != 1002 {
+			t.Error("a single-source read was copied, or counted as a copy")
 		}
 	})
 	if err := k.Run(); err != nil {

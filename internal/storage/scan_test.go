@@ -19,7 +19,7 @@ func refScanMerge(parts [][]ScanRow, limit int) []ScanRow {
 	merged := map[kv.Key]*Row{}
 	for _, part := range parts {
 		for _, r := range part {
-			merged[r.Key] = Merged(merged[r.Key], r.Row)
+			merged[r.Key] = Merged(merged[r.Key], r.Row, nil)
 		}
 	}
 	keys := make([]kv.Key, 0, len(merged))

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"slices"
 	"sort"
 
 	"cloudbench/internal/kv"
@@ -71,7 +72,10 @@ func (t *SSTable) MayContain(key kv.Key) bool {
 // blockFor returns the index of the block that would hold key, or -1 if
 // key precedes the table.
 func (t *SSTable) blockFor(key kv.Key) int {
-	i := sort.Search(len(t.firstKeys), func(i int) bool { return t.firstKeys[i] > key })
+	i, starts := slices.BinarySearch(t.firstKeys, key)
+	if starts {
+		return i // key is a block's first key
+	}
 	return i - 1
 }
 
@@ -88,6 +92,8 @@ func (t *SSTable) loadBlock(p *sim.Proc, io TableIO, cache *BlockCache, b int) {
 }
 
 // Get returns the row at key, charging bloom-filtered block I/O, or nil.
+//
+//simlint:hotpath
 func (t *SSTable) Get(p *sim.Proc, io TableIO, cache *BlockCache, key kv.Key) *Row {
 	if !t.MayContain(key) {
 		return nil
@@ -101,6 +107,7 @@ func (t *SSTable) Get(p *sim.Proc, io TableIO, cache *BlockCache, key kv.Key) *R
 	if b+1 < len(t.blockStart) {
 		hi = t.blockStart[b+1]
 	}
+	//simlint:ignore hotpath the closure handed to sort.Search does not escape (TestGetSingleSSTableZeroAlloc holds it at 0)
 	i := lo + sort.Search(hi-lo, func(i int) bool { return t.entries[lo+i].Key >= key })
 	if i < hi && t.entries[i].Key == key {
 		return t.entries[i].Row

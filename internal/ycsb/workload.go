@@ -129,11 +129,15 @@ func (s *Spec) SplitPoints(n int) []kv.Key {
 
 // Op is one generated operation.
 type Op struct {
-	Type    OpType
-	Key     kv.Key
-	Keynum  int64     // logical key number; inserts acknowledge it
-	Record  kv.Record // for writes
-	Fields  []string  // for reads; nil = all
+	Type   OpType
+	Key    kv.Key
+	Keynum int64 // logical key number; inserts acknowledge it
+	// Record is what a write writes. It is shared — every operation of a
+	// Workload that writes the same fields carries the same map — and
+	// read-only: neither the caller nor the kv.Client it is handed to may
+	// modify it.
+	Record  kv.Record
+	Fields  []string // for reads; nil = all
 	ScanLen int
 }
 
@@ -147,13 +151,25 @@ type Workload struct {
 	scanLen    Uniform
 	inserted   *AcknowledgedCounter
 	fieldNames []string
+	// keys[n] is Spec.KeyFor(n) once some operation has asked for it ("":
+	// not yet), over the loaded records [0, RecordCount).
+	keys []kv.Key
+	// The records writes carry, built once: every field, and one per field
+	// name (parallel to fieldNames). Field values are modeled sizes, so all
+	// writes of the same fields are the same record.
+	allFields kv.Record
+	oneField  []kv.Record
 }
 
 // NewWorkload prepares generators for the spec. The insert counter starts
 // at RecordCount: the load phase inserts [0, RecordCount) and the run
 // phase appends beyond it.
 func NewWorkload(spec Spec) *Workload {
-	w := &Workload{Spec: spec, inserted: NewAcknowledgedCounter(spec.RecordCount)}
+	w := &Workload{
+		Spec:     spec,
+		inserted: NewAcknowledgedCounter(spec.RecordCount),
+		keys:     make([]kv.Key, max(spec.RecordCount, 0)),
+	}
 	switch spec.RequestDistribution {
 	case DistUniform:
 		w.keyChooser = Uniform{Lo: 0, Hi: spec.RecordCount - 1}
@@ -174,10 +190,27 @@ func NewWorkload(spec Spec) *Workload {
 		maxScan = 1
 	}
 	w.scanLen = Uniform{Lo: 1, Hi: int64(maxScan)}
+	w.allFields = make(kv.Record, spec.FieldCount)
 	for i := 0; i < spec.FieldCount; i++ {
-		w.fieldNames = append(w.fieldNames, fmt.Sprintf("field%d", i))
+		f, v := fmt.Sprintf("field%d", i), kv.SizedValue(spec.FieldLength)
+		w.fieldNames = append(w.fieldNames, f)
+		w.allFields[f] = v
+		w.oneField = append(w.oneField, kv.Record{f: v})
 	}
 	return w
+}
+
+// keyFor is Spec.KeyFor through the table of keys already built: a loaded
+// record's key string is made once per Workload, a run-phase insert's (past
+// RecordCount) each time.
+func (w *Workload) keyFor(n int64) kv.Key {
+	if n < 0 || n >= int64(len(w.keys)) {
+		return w.Spec.KeyFor(n)
+	}
+	if w.keys[n] == "" {
+		w.keys[n] = w.Spec.KeyFor(n)
+	}
+	return w.keys[n]
 }
 
 // Inserted returns the count of records assumed present: the load base
@@ -209,25 +242,21 @@ func (w *Workload) nextKeynum(rng *rand.Rand) int64 {
 	return n
 }
 
-// buildValues creates a record of all fields (inserts) or one random field
-// (updates with WriteAllFields=false).
+// buildValues picks the record of all fields (inserts) or of one random
+// field (updates with WriteAllFields=false): shared and read-only, see
+// Op.Record.
 func (w *Workload) buildValues(rng *rand.Rand, all bool) kv.Record {
 	if all {
-		rec := make(kv.Record, len(w.fieldNames))
-		for _, f := range w.fieldNames {
-			rec[f] = kv.SizedValue(w.Spec.FieldLength)
-		}
-		return rec
+		return w.allFields
 	}
-	f := w.fieldNames[rng.Intn(len(w.fieldNames))]
-	return kv.Record{f: kv.SizedValue(w.Spec.FieldLength)}
+	return w.oneField[rng.Intn(len(w.fieldNames))]
 }
 
 // LoadOp returns the insert for load-phase record n.
 func (w *Workload) LoadOp(rng *rand.Rand, n int64) Op {
 	return Op{
 		Type:   OpInsert,
-		Key:    w.Spec.KeyFor(n),
+		Key:    w.keyFor(n),
 		Record: w.buildValues(rng, true),
 	}
 }
@@ -238,23 +267,23 @@ func (w *Workload) NextOp(rng *rand.Rand) Op {
 	switch t {
 	case OpInsert:
 		n := w.inserted.Next(nil)
-		return Op{Type: OpInsert, Key: w.Spec.KeyFor(n), Keynum: n, Record: w.buildValues(rng, true)}
+		return Op{Type: OpInsert, Key: w.keyFor(n), Keynum: n, Record: w.buildValues(rng, true)}
 	case OpUpdate:
 		return Op{
 			Type:   OpUpdate,
-			Key:    w.Spec.KeyFor(w.nextKeynum(rng)),
+			Key:    w.keyFor(w.nextKeynum(rng)),
 			Record: w.buildValues(rng, w.Spec.WriteAllFields),
 		}
 	case OpScan:
 		return Op{
 			Type:    OpScan,
-			Key:     w.Spec.KeyFor(w.nextKeynum(rng)),
+			Key:     w.keyFor(w.nextKeynum(rng)),
 			ScanLen: int(w.scanLen.Next(rng)),
 		}
 	case OpReadModifyWrite:
 		return Op{
 			Type:   OpReadModifyWrite,
-			Key:    w.Spec.KeyFor(w.nextKeynum(rng)),
+			Key:    w.keyFor(w.nextKeynum(rng)),
 			Record: w.buildValues(rng, w.Spec.WriteAllFields),
 		}
 	default:
@@ -262,6 +291,6 @@ func (w *Workload) NextOp(rng *rand.Rand) Op {
 		if !w.Spec.ReadAllFields {
 			fields = []string{w.fieldNames[rng.Intn(len(w.fieldNames))]}
 		}
-		return Op{Type: OpRead, Key: w.Spec.KeyFor(w.nextKeynum(rng)), Fields: fields}
+		return Op{Type: OpRead, Key: w.keyFor(w.nextKeynum(rng)), Fields: fields}
 	}
 }

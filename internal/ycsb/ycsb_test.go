@@ -314,6 +314,49 @@ func TestWorkloadUpdateWritesOneField(t *testing.T) {
 	}
 }
 
+// TestNextOpAllocsNothingOnLoadedKeys: the driver hands out the key strings
+// and write records it has built — a loaded record's key once per Workload,
+// one record per set of fields written — so a generated read or update of a
+// loaded key costs the host nothing, and what it hands out is what it used
+// to build per operation.
+func TestNextOpAllocsNothingOnLoadedKeys(t *testing.T) {
+	spec := ReadUpdate(500)
+	w := NewWorkload(spec)
+	rng := rand.New(rand.NewSource(12))
+	for n := int64(0); n < spec.RecordCount; n++ {
+		op := w.LoadOp(rng, n)
+		if op.Key != spec.KeyFor(n) || len(op.Record) != spec.FieldCount || op.Record["field0"].Bytes() != spec.FieldLength {
+			t.Fatalf("load op %d = %+v", n, op)
+		}
+	}
+	one := map[string]bool{}
+	check := func() {
+		op := w.NextOp(rng)
+		if op.Type != OpUpdate {
+			return
+		}
+		for f, v := range op.Record {
+			one[f] = true
+			if len(op.Record) != 1 || v.Bytes() != spec.FieldLength {
+				t.Fatalf("update record %v", op.Record)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(2000, check); allocs != 0 {
+		t.Errorf("NextOp over loaded keys: %.2f allocs/op, want 0", allocs)
+	}
+	if len(one) != spec.FieldCount {
+		t.Errorf("updates wrote %d distinct fields, want all %d", len(one), spec.FieldCount)
+	}
+	// Past the loaded records — a run-phase insert, a key number beyond
+	// the key space — the key is Spec.KeyFor's, built on the spot.
+	for _, n := range []int64{-1, spec.RecordCount, spec.RecordCount + 7, spec.keySpace() + 3} {
+		if got := w.keyFor(n); got != spec.KeyFor(n) {
+			t.Errorf("keyFor(%d) = %q, want %q", n, got, spec.KeyFor(n))
+		}
+	}
+}
+
 func TestTable1PresetRatios(t *testing.T) {
 	cases := []struct {
 		spec  Spec
