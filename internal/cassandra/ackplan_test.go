@@ -276,7 +276,7 @@ func checkAckSequence(t *testing.T, cases []ackCase) {
 		}
 		r := &ackRun{c: c, coord: true, at: len(c.events)}
 		r.wantAt, r.want = refAcks(c)
-		if r.op = take(&db.writeOps); r.op == nil {
+		if r.op = sim.Take(&db.writeOps); r.op == nil {
 			r.op = &writeOp{db: db}
 		}
 		for _, o := range runs {

@@ -1,7 +1,9 @@
 package cassandra
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -22,14 +24,18 @@ func pointOpAllocs(t *testing.T, chance float64, cl kv.ConsistencyLevel, rewritt
 	db, base := testDB(k, 15, 3, func(c *Config) { c.ReadRepairChance = chance })
 	client := base.WithConsistency(cl, cl)
 	const records = 64
+	keys := make([]kv.Key, records) // made up front: the op is all that is measured
+	for i := range keys {
+		keys[i] = key(i)
+	}
 	var allocs float64
 	k.Spawn("client", func(p *sim.Proc) {
-		for i := 0; i < records; i++ {
+		for _, key := range keys {
 			rec := kv.Record{}
 			for _, f := range []string{"f0", "f1", "f2", "f3", "f4", "f5", "f6", "f7", "f8", "f9"} {
 				rec[f] = kv.SizedValue(100)
 			}
-			if err := base.WithConsistency(kv.All, kv.All).Insert(p, key(i), rec); err != nil {
+			if err := base.WithConsistency(kv.All, kv.All).Insert(p, key, rec); err != nil {
 				t.Error(err)
 				return
 			}
@@ -37,14 +43,14 @@ func pointOpAllocs(t *testing.T, chance float64, cl kv.ConsistencyLevel, rewritt
 		db.FlushAll()
 		p.Sleep(2 * time.Second)
 		for i := 0; rewritten && i < records; i++ {
-			if err := base.WithConsistency(kv.All, kv.All).Update(p, key(i), kv.Record{"f3": kv.SizedValue(7)}); err != nil {
+			if err := base.WithConsistency(kv.All, kv.All).Update(p, keys[i], kv.Record{"f3": kv.SizedValue(7)}); err != nil {
 				t.Error(err)
 				return
 			}
 		}
 		i := 0
 		run := func() {
-			if err := op(p, client, key(i%records)); err != nil {
+			if err := op(p, client, keys[i%records]); err != nil {
 				t.Error(err)
 			}
 			i++
@@ -61,14 +67,15 @@ func pointOpAllocs(t *testing.T, chance float64, cl kv.ConsistencyLevel, rewritt
 	return allocs
 }
 
-// TestPointOpAllocs fences what a Cassandra point operation costs the host:
-// each bound is the measured count plus one (the issue that introduced the
-// pooled ops allowed 10, 14 and 8; the parent measured 17, 37 and 17). What
-// remains is what the operation models — the returned record, the memtable
-// write — not coordinator bookkeeping, and not the rows a read takes out of
-// the active memtable: a key rewritten since its flush, which every replica
-// has to snapshot and merge, reads for what a flushed one does, because the
-// copies land in scratch rows the read's pooled op keeps.
+// TestPointOpAllocs fences what a Cassandra point operation costs the host
+// in the steady state: nothing. (The issue that introduced the pooled ops
+// allowed 10, 14 and 8; their parent measured 17, 37 and 17.) A read fills
+// the record its client keeps and an update of a key the memtable holds
+// rewrites its cells in place; coordinator bookkeeping is pooled, and so are
+// the rows a read takes out of the active memtable: a key rewritten since its
+// flush, which every replica has to snapshot and merge, reads for what a
+// flushed one does, because the copies land in scratch rows the read's
+// pooled op keeps.
 func TestPointOpAllocs(t *testing.T) {
 	read := func(p *sim.Proc, c *Client, key kv.Key) error {
 		rec, err := c.Read(p, key, nil)
@@ -77,9 +84,8 @@ func TestPointOpAllocs(t *testing.T) {
 		}
 		return err
 	}
-	update := func(p *sim.Proc, c *Client, key kv.Key) error {
-		return c.Update(p, key, kv.Record{"f0": kv.SizedValue(100)})
-	}
+	f0 := kv.Record{"f0": kv.SizedValue(100)}
+	update := func(p *sim.Proc, c *Client, key kv.Key) error { return c.Update(p, key, f0) }
 	readPlain := pointOpAllocs(t, 0, kv.One, false, read)
 	readRepair := pointOpAllocs(t, 1.0, kv.One, false, read)
 	rewrittenPlain := pointOpAllocs(t, 0, kv.One, true, read)
@@ -92,11 +98,11 @@ func TestPointOpAllocs(t *testing.T) {
 		what       string
 		got, bound float64
 	}{
-		{"ONE read, read repair off", readPlain, 6},
-		{"ONE read, read repair on, replicas in sync", readRepair, 6},
-		{"ONE read of a key rewritten since the flush, read repair off", rewrittenPlain, readPlain},
-		{"ONE read of a key rewritten since the flush, read repair on", rewrittenRepair, readRepair},
-		{"ONE update", updateOne, 4},
+		{"ONE read, read repair off", readPlain, 0},
+		{"ONE read, read repair on, replicas in sync", readRepair, 0},
+		{"ONE read of a key rewritten since the flush, read repair off", rewrittenPlain, 0},
+		{"ONE read of a key rewritten since the flush, read repair on", rewrittenRepair, 0},
+		{"ONE update", updateOne, 0},
 	} {
 		if c.got > c.bound {
 			t.Errorf("%s: %.2f allocs/op, want at most %v", c.what, c.got, c.bound)
@@ -260,6 +266,11 @@ func TestRecycledReadOpsNeverMixRows(t *testing.T) {
 					t.Fatalf("op on the free list with %d holders and a scratch row still holding %v @%d", op.refs, r.Record(), r.Version())
 				}
 			}
+			// The record its repairs wrote is the op's too, refilled by the
+			// next repair: the replicas checked below copied its cells.
+			if op.rec != nil || len(op.repairRec) != 0 {
+				t.Fatalf("op on the free list still holding the repair record %v", op.repairRec)
+			}
 		}
 		// The background repairs did reconcile and write back: every
 		// replica now holds what the main one was given.
@@ -277,4 +288,112 @@ func TestRecycledReadOpsNeverMixRows(t *testing.T) {
 	if db.CoordinatorTimeouts != slow || db.AsyncRepairs == 0 || db.RepairWrites == 0 {
 		t.Fatalf("timeouts = %d (want %d), background repairs = %d, repair writes = %d", db.CoordinatorTimeouts, slow, db.AsyncRepairs, db.RepairWrites)
 	}
+}
+
+// TestSharedClientReadsReturnOwnKeys: two processes read through one client
+// (megascale's serving client is shared like this), each its own keys, whose
+// field names no other key has. The client fills the one record it keeps only
+// once a read's response has arrived, and returns it without yielding again,
+// so however the two reads interleave — across blocking repairs, background
+// repairs and reads that time out with their legs still at a degraded disk —
+// each process finds exactly its own key's fields in what Read returned. CI
+// runs this under -race -count=20.
+func TestSharedClientReadsReturnOwnKeys(t *testing.T) {
+	k := sim.NewKernel(11)
+	ccfg := cluster.DefaultConfig()
+	ccfg.Nodes = 6
+	ccfg.Disk.SeekTime = 300 * time.Millisecond
+	c := cluster.New(k, ccfg)
+	cfg := DefaultConfig()
+	cfg.Timeout = 20 * time.Millisecond
+	cfg.ReadRepairChance = 1.0
+	cfg.Engine.CacheBytes = 0
+	db := New(k, cfg, c.Nodes[:5])
+	all := db.NewClient(c.Nodes[5]).WithConsistency(kv.All, kv.All)
+	shared := all.WithConsistency(kv.Quorum, kv.Quorum)
+	const slow, fast, readers = 4, 8, 2
+	model := map[int]kv.Record{}
+	overlapped := 0
+	k.Spawn("setup", func(p *sim.Proc) {
+		write := func(p *sim.Proc, i int, rec kv.Record) {
+			if err := all.Update(p, key(i), rec); err != nil {
+				t.Fatalf("write %d: %v", i, err)
+			}
+			model[i] = rec.Clone().MergeOlder(model[i])
+		}
+		for i := 0; i < slow; i++ {
+			write(p, i, kv.Record{"slow": kv.SizedValue(1000 * i)})
+		}
+		db.FlushAll()
+		p.Sleep(30 * time.Second)
+		for i := slow; i < slow+fast; i++ {
+			rec := kv.Record{}
+			for f := 0; f <= i-slow; f++ {
+				rec[fmt.Sprintf("k%d-f%d", i, f)] = kv.SizedValue(1000*i + f)
+			}
+			write(p, i, rec)
+		}
+		inRead := 0
+		for r := 0; r < readers; r++ {
+			k.Spawn("reader", func(p *sim.Proc) {
+				read := func(i int) (kv.Record, error) {
+					if inRead++; inRead > 1 {
+						overlapped++
+					}
+					rec, err := shared.Read(p, key(i), nil)
+					inRead--
+					return rec, err
+				}
+				for n := 0; n < 200; n++ {
+					i := slow + r + readers*(n%(fast/readers)) // this reader's keys
+					switch n % 8 {
+					case 2:
+						write(p, i, kv.Record{fmt.Sprintf("k%d-f0", i): kv.SizedValue(1000*i + 100 + n)})
+					case 5:
+						// The main replica alone gets a newer cell: the digests
+						// differ and the read repairs before it answers.
+						rec := kv.Record{fmt.Sprintf("k%d-z", i): kv.SizedValue(1000*i + 500 + n)}
+						db.ReplicasFor(key(i))[0].Engine.Apply(p, key(i), rec, db.Version())
+						model[i] = rec.Clone().MergeOlder(model[i])
+					case 7:
+						if rec, err := read((n / 8) % slow); err != kv.ErrTimeout {
+							t.Fatalf("reader %d: read of a flushed key: rec = %v, err = %v, want timeout", r, rec, err)
+						}
+					}
+					if rec, err := read(i); err != nil || !reflect.DeepEqual(rec, model[i]) {
+						t.Fatalf("reader %d, read %d of key %d: rec = %v, err = %v, want %v", r, n, i, rec, err, model[i])
+					}
+					p.Sleep(time.Duration(3+4*r) * time.Millisecond)
+				}
+			})
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if overlapped == 0 || db.BlockingRepairs == 0 || db.AsyncRepairs == 0 || db.CoordinatorTimeouts == 0 {
+		t.Fatalf("reads that overlapped = %d, blocking repairs = %d, background repairs = %d, timeouts = %d: the hazard was not exercised",
+			overlapped, db.BlockingRepairs, db.AsyncRepairs, db.CoordinatorTimeouts)
+	}
+}
+
+// TestClientScanSharedByTwoProcessesPanicsByName: a scan's result is merged
+// into the slice the client keeps before its response travels, so a second
+// process scanning through the same client meanwhile would overwrite what the
+// first is about to return; the client refuses by name instead.
+func TestClientScanSharedByTwoProcessesPanicsByName(t *testing.T) {
+	k := sim.NewKernel(7)
+	_, client := testDB(k, 6, 3, nil)
+	for i := 0; i < 2; i++ {
+		k.Spawn("scanner", func(p *sim.Proc) { client.Scan(p, key(i), 5, nil) })
+	}
+	defer func() {
+		if r, _ := recover().(string); !strings.Contains(r, "cassandra: Client.Scan") || !strings.Contains(r, "one process at a time") {
+			t.Errorf("two processes on one client: recovered %q, want the client's own panic", r)
+		}
+	}()
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	t.Error("two concurrent scans through one client both returned")
 }

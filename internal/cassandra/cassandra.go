@@ -209,17 +209,6 @@ func New(k *sim.Kernel, cfg Config, nodes []*cluster.Node) *DB {
 	return db
 }
 
-// take pops a pooled struct off a free list; nil means build one.
-func take[T any](free *[]*T) *T {
-	n := len(*free)
-	if n == 0 {
-		return nil
-	}
-	x := (*free)[n-1]
-	*free = (*free)[:n-1]
-	return x
-}
-
 // Replicas returns the database's hosts.
 func (db *DB) Replicas() []*Replica { return db.reps }
 
@@ -327,7 +316,7 @@ func (op *writeOp) release() {
 //
 //simlint:hotpath
 func (db *DB) write(p *sim.Proc, coord *Replica, key kv.Key, rec kv.Record, del bool, cl kv.ConsistencyLevel) error {
-	op := take(&db.writeOps)
+	op := sim.Take(&db.writeOps)
 	if op == nil {
 		op = &writeOp{db: db}
 	}
@@ -430,8 +419,8 @@ func (l *writeLeg) deliver(q *sim.Proc) {
 // at ONE is not reused while a leg still reads its key or sets its future.
 // The slices and legs are kept across uses, and so is the capacity of the
 // scratch rows — each leg's fetch and the two reconciliations — that the
-// read's rows live in when a replica could not share a frozen one: they are
-// valid until the last holder lets go.
+// read's rows live in when a replica could not share a frozen one, and of the
+// record a repair writes: they are valid until the last holder lets go.
 type readOp struct {
 	db    *DB
 	refs  int
@@ -447,11 +436,14 @@ type readOp struct {
 
 	// The repair in progress: the reconciled record (nil: a delete), its
 	// version and the repair writes still out. A read runs one at a time:
-	// the blocking one is over before the background one is spawned.
-	rec      kv.Record
-	ver      kv.Version
-	repairs  int
-	repaired sim.Future[struct{}]
+	// the blocking one is over before the background one is spawned. The
+	// record is projected into repairRec, which only the repair legs — they
+	// hold the op — ever see: Host.Apply copies its cells into the memtable
+	// and a repair write leaves no hint.
+	rec, repairRec kv.Record
+	ver            kv.Version
+	repairs        int
+	repaired       sim.Future[struct{}]
 	// What blockingRepair and repairRest reconcile into. The blocking one
 	// is the row the client is answered from, possibly while the background
 	// one is being built.
@@ -508,6 +500,7 @@ func (op *readOp) release() {
 	op.blockingRow.Reset()
 	op.backgroundRow.Reset()
 	clear(op.resps)
+	clear(op.repairRec)
 	op.used, op.key, op.rec = 0, "", nil
 	op.db.readOps = append(op.db.readOps, op)
 }
@@ -539,28 +532,21 @@ func (l *readLeg) fetchRow(q *sim.Proc) {
 // read is the coordinator read path: a full data read from the main
 // replica, digest reads from the next cl.Required-1 replicas, blocking
 // read repair on digest mismatch, and probabilistic background repair
-// across all replicas. It answers with the reconciled row's live cells
-// restricted to fields (nil: none live, or no row) and, for the oracle, its
-// version — both taken before the coordinator's hold on the op is dropped,
-// because the row may live in the op's scratch.
+// across all replicas. It answers with the reconciled row (nil: no replica
+// holds one) and the op that read it: the row may live in the op's scratch,
+// so it is the caller's until the caller releases the op, which it must do on
+// every path.
 //
 //simlint:hotpath
-func (db *DB) read(p *sim.Proc, coord *Replica, key kv.Key, cl kv.ConsistencyLevel, fields []string) (rec kv.Record, ver kv.Version, err error) {
-	op := take(&db.readOps)
+func (db *DB) read(p *sim.Proc, coord *Replica, key kv.Key, cl kv.ConsistencyLevel) (*readOp, *storage.Row, error) {
+	op := sim.Take(&db.readOps)
 	if op == nil {
 		op = &readOp{db: db}
 		op.background = op.repairRest
 	}
 	op.refs, op.coord, op.key = 1, coord, key
 	row, err := op.coordinate(p, cl)
-	if row != nil {
-		if db.Oracle != nil {
-			ver = row.Version()
-		}
-		rec = row.Project(fields)
-	}
-	op.release()
-	return rec, ver, err
+	return op, row, err
 }
 
 // coordinate is read on its op; the row it returns is valid while op is held.
@@ -742,8 +728,10 @@ func (op *readOp) writeRepairs(p *sim.Proc, merged *storage.Row, resps []replica
 			continue
 		}
 		if op.repairs == 0 {
-			if op.rec, op.ver = merged.Record(), target; op.rec == nil {
+			if op.rec, op.ver = merged.ProjectInto(nil, op.repairRec), target; op.rec == nil {
 				op.ver = merged.Tomb
+			} else {
+				op.repairRec = op.rec
 			}
 			op.repaired.Init(op.db.K)
 		}

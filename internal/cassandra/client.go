@@ -19,6 +19,12 @@ type Client struct {
 	writeCL kv.ConsistencyLevel
 	next    int
 	oid     int // oracle client identity for monotonic-read tracking
+
+	// What the client last returned, refilled by its next Read and Scan
+	// (kv.Client): made by the first one that needs it.
+	rec      kv.Record
+	kvs      []kv.KV
+	scanning bool // from the merge into kvs to Scan's return
 }
 
 // NewClient returns a client issuing requests from node at the database's
@@ -41,6 +47,7 @@ func (c *Client) WithConsistency(read, write kv.ConsistencyLevel) *Client {
 	cc := *c
 	cc.readCL = read
 	cc.writeCL = write
+	cc.rec, cc.kvs = nil, nil // the copy returns its own
 	return &cc
 }
 
@@ -73,7 +80,11 @@ func (c *Client) coordinator() (*Replica, error) {
 	return nil, kv.ErrUnavailable
 }
 
-// Read implements kv.Client at the client's read consistency level.
+// Read implements kv.Client at the client's read consistency level. The
+// response is priced from the row and the record filled from it only once it
+// has arrived, while the read's op is still held: Read does not yield between
+// filling the record and returning it, so processes sharing a client each
+// return their own key's fields.
 //
 //simlint:hotpath
 func (c *Client) Read(p *sim.Proc, key kv.Key, fields []string) (kv.Record, error) {
@@ -88,23 +99,32 @@ func (c *Client) Read(p *sim.Proc, key kv.Key, fields []string) (kv.Record, erro
 		return nil, kv.ErrUnavailable
 	}
 	c.db.Serve(p, coord.Node)
-	rec, ver, err := c.db.read(p, coord, key, c.readCL, fields)
+	op, row, err := c.db.read(p, coord, key, c.readCL)
 	if err != nil {
+		op.release()
 		return nil, err
+	}
+	respSize := c.db.RequestOverhead
+	if row != nil {
+		respSize += row.ProjectedBytes(fields)
 	}
 	if c.db.Oracle != nil {
 		// The observed version is the reconciled row the coordinator is
 		// about to return (a tombstone's version for deleted rows, 0 for
 		// never-written keys) — exactly what this client sees.
+		var ver kv.Version
+		if row != nil {
+			ver = row.Version()
+		}
 		c.db.Oracle.ReadObserved(c.oid, key, ver, start)
 	}
-	if !coord.Node.SendTo(p, c.node, rec.Bytes()+c.db.RequestOverhead) {
+	if !coord.Node.SendTo(p, c.node, respSize) {
+		op.release()
 		return nil, kv.ErrUnavailable
 	}
-	if rec == nil {
-		return nil, kv.ErrNotFound
-	}
-	return rec, nil
+	rec, err := replica.Fill(&c.rec, row, fields)
+	op.release()
+	return rec, err
 }
 
 // Insert implements kv.Client.
@@ -159,13 +179,19 @@ func (c *Client) Scan(p *sim.Proc, start kv.Key, limit int, fields []string) ([]
 		return nil, kv.ErrUnavailable
 	}
 	c.db.Serve(p, coord.Node)
-	out, _ := c.db.ScanAll(p, "c*-scan", replica.Caller{Node: coord.Node}, c.db.cfg.Replication, start, limit, fields)
+	if c.scanning {
+		panic("cassandra: Client.Scan called by a second process while a scan is in flight; a kv.Client serves one process at a time")
+	}
+	c.scanning = true
+	c.kvs, _ = c.db.ScanAll(p, "c*-scan", replica.Caller{Node: coord.Node}, c.db.cfg.Replication, start, limit, fields, c.kvs)
 	respSize := c.db.RequestOverhead
-	for _, r := range out {
+	for _, r := range c.kvs {
 		respSize += r.Bytes()
 	}
-	if !coord.Node.SendTo(p, c.node, respSize) {
+	ok := coord.Node.SendTo(p, c.node, respSize)
+	c.scanning = false
+	if !ok {
 		return nil, kv.ErrUnavailable
 	}
-	return out, nil
+	return c.kvs, nil
 }

@@ -234,8 +234,13 @@ func (c *remoteMixClient) Read(p *sim.Proc, key kv.Key, fields []string) (kv.Rec
 			// server is the destination segment's client (megaSegment.server
 			// is only ever touched by code delivered here), so reaching its
 			// kernel from this closure is the sanctioned pattern, not a
-			// sending-side leak.
+			// sending-side leak. Every remote read of the segment shares it,
+			// and its record is refilled by the next one (kv.Client): the
+			// copy is what may leave for another shard's kernel thread.
 			rec, err := server.Read(rp, key, fields)
+			if rec != nil {
+				rec = rec.Clone()
+			}
 			resp := remoteResp{rec: rec, err: err}
 			// The reply future is the sanctioned cross-shard handle; the
 			// engine keys generic Future cells by Origin, so fut.val merges

@@ -222,7 +222,9 @@ func NewClient(ctrl *Controller, factory func(Stage) kv.Client) *Client {
 
 var _ kv.Client = (*Client)(nil)
 
-// Read implements kv.Client at the adaptive consistency level.
+// Read implements kv.Client at the adaptive consistency level. The record
+// is the serving stage client's scratch, passed through: it holds until that
+// stage next reads, so at least until this client's next Read.
 func (c *Client) Read(p *sim.Proc, key kv.Key, fields []string) (kv.Record, error) {
 	s, probe := c.ctrl.stageFor(p)
 	start := p.Now()
@@ -266,7 +268,8 @@ func (c *Client) Delete(p *sim.Proc, key kv.Key) error {
 
 // Scan implements kv.Client. Scans bypass the ladder (the scan path does
 // not honor consistency levels) and are served by the strongest stage's
-// client without feeding the controller.
+// client without feeding the controller. The slice is that stage client's
+// scratch, passed through: valid until this client's next Scan.
 func (c *Client) Scan(p *sim.Proc, start kv.Key, limit int, fields []string) ([]kv.KV, error) {
 	return c.stages[0].Scan(p, start, limit, fields)
 }

@@ -71,6 +71,8 @@ type DB struct {
 	servers []*RegionServer
 	regions []*Region // sorted by StartKey
 
+	writeOps []*writeOp // free list
+
 	// Metrics.
 	Reads, Writes, ScansDone int64
 	ReplicationSends         int64
@@ -199,6 +201,52 @@ func (db *DB) regionFor(key kv.Key) *Region {
 	return db.regions[i-1]
 }
 
+// writeOp is one write's replication to the server's peers, pooled: the
+// edit's size, the ack count, the legs (kept across uses) and a count of who
+// still needs them — the write until it is answered, and every leg in
+// flight. One lost message fails the write while the other peer's leg is on
+// its way, so the op goes back to the free list only when the last holder
+// lets go: a late confirmation always lands on the write it belongs to.
+type writeOp struct {
+	db   *DB
+	refs int
+	rs   *RegionServer
+	size int // the edit's wire size
+	acks sim.Quorum
+	legs []*writeLeg
+	used int
+}
+
+// writeLeg carries its op's edit to one peer and the confirmation back.
+type writeLeg struct {
+	op   *writeOp
+	peer *cluster.Node
+	run  func(*sim.Proc) // replicate, bound once: spawning a leg allocates nothing
+}
+
+// leg hands out op's next leg, aimed at peer; it holds op until replicate
+// has run.
+func (op *writeOp) leg(peer *cluster.Node) *writeLeg {
+	if op.used == len(op.legs) {
+		l := &writeLeg{op: op}
+		l.run = l.replicate
+		op.legs = append(op.legs, l)
+	}
+	l := op.legs[op.used]
+	op.used++
+	l.peer = peer
+	op.refs++
+	return l
+}
+
+// release drops one hold on op; the last one returns it to the free list.
+func (op *writeOp) release() {
+	if op.refs--; op.refs == 0 {
+		op.used = 0
+		op.db.writeOps = append(op.db.writeOps, op)
+	}
+}
+
 // write is the region-server write path executed by p at the server.
 func (rs *RegionServer) write(p *sim.Proc, r *Region, key kv.Key, rec kv.Record, del bool) {
 	db := rs.db
@@ -215,46 +263,20 @@ func (rs *RegionServer) write(p *sim.Proc, r *Region, key kv.Key, rec kv.Record,
 	}
 
 	// WAL locally, replicate the edit to every peer in parallel, ack when
-	// all peers confirm (strong consistency). On the paper path a peer
-	// applies the edit to its memstore; on ablation A2 it WALs it to disk
-	// before acking — synchronous replication, what the paper's
-	// expectations predicted.
+	// all peers confirm (strong consistency).
 	label := "hbase-syncrepl"
 	if db.cfg.MemReplication {
 		label = "hbase-memrepl"
 	}
-	q := sim.NewQuorum(db.K, len(rs.memPeers), len(rs.memPeers))
-	size := db.MutationSize(key, rec)
+	op := sim.Take(&db.writeOps)
+	if op == nil {
+		op = &writeOp{db: db}
+	}
+	op.refs, op.rs, op.size = 1, rs, db.MutationSize(key, rec)
+	op.acks.Init(db.K, len(rs.memPeers), len(rs.memPeers))
 	for _, peer := range rs.memPeers {
 		db.ReplicationSends++
-		db.K.Go(label, func(q2 *sim.Proc) {
-			var t0 sim.Time
-			if db.Tracer != nil {
-				t0 = q2.Now()
-			}
-			if !rs.Node.SendTo(q2, peer, size) {
-				q.Fail()
-				return
-			}
-			if db.cfg.MemReplication {
-				// The pipeline receiver is the co-located DataNode — a
-				// small-heap daemon whose GC pauses are negligible — so
-				// the in-memory apply bypasses the region server's
-				// stop-the-world windows.
-				peer.ExecDaemon(q2, db.Cluster.Config.MemOpCost)
-			} else {
-				peer.Exec(q2, db.Cluster.Config.CPUOpCost)
-				peer.Disk.Append(q2, size)
-			}
-			if !peer.SendTo(q2, rs.Node, db.RequestOverhead) {
-				q.Fail()
-				return
-			}
-			if db.Tracer != nil {
-				db.Tracer.Phase(q2, trace.PhaseFanout, peer.ID, t0)
-			}
-			q.Succeed()
-		})
+		db.K.Go(label, op.leg(peer).run)
 	}
 	if del {
 		r.Engine.ApplyDelete(p, key, ver)
@@ -264,10 +286,46 @@ func (rs *RegionServer) write(p *sim.Proc, r *Region, key kv.Key, rec kv.Record,
 	if db.Oracle != nil {
 		db.Oracle.ReplicaApply(key, ver, rs.Node.ID, consistency.ApplyWrite, p.Now())
 	}
-	q.Wait(p)
+	op.acks.Wait(p)
 	if db.Oracle != nil {
 		db.Oracle.WriteAck(key, ver, p.Now())
 	}
+	op.release()
+}
+
+// replicate is one peer's leg of a write. On the paper path the peer applies
+// the edit to its memstore; on ablation A2 it WALs it to disk before
+// confirming — synchronous replication, what the paper's expectations
+// predicted.
+func (l *writeLeg) replicate(q *sim.Proc) {
+	op, db, peer, rs := l.op, l.op.db, l.peer, l.op.rs
+	var t0 sim.Time
+	if db.Tracer != nil {
+		t0 = q.Now()
+	}
+	ok := rs.Node.SendTo(q, peer, op.size)
+	if ok {
+		if db.cfg.MemReplication {
+			// The pipeline receiver is the co-located DataNode — a
+			// small-heap daemon whose GC pauses are negligible — so
+			// the in-memory apply bypasses the region server's
+			// stop-the-world windows.
+			peer.ExecDaemon(q, db.Cluster.Config.MemOpCost)
+		} else {
+			peer.Exec(q, db.Cluster.Config.CPUOpCost)
+			peer.Disk.Append(q, op.size)
+		}
+		ok = peer.SendTo(q, rs.Node, db.RequestOverhead)
+	}
+	if ok {
+		if db.Tracer != nil {
+			db.Tracer.Phase(q, trace.PhaseFanout, peer.ID, t0)
+		}
+		op.acks.Succeed()
+	} else {
+		op.acks.Fail()
+	}
+	op.release()
 }
 
 // Client is an HBase client bound to a client machine. It caches region
@@ -279,11 +337,18 @@ type Client struct {
 	oid  int              // oracle client identity
 
 	// row is what a read's region server copies a row into when it cannot
-	// share a frozen one; Read has projected it by the time it next yields.
-	// A client serves one process at a time (kv.Client): reading marks the
-	// window in which a second Read would overwrite the first one's row.
-	row     storage.Row
-	reading bool
+	// share a frozen one, rows what a scan's region servers list their
+	// ranges in. rec and kvs are what the client last returned, refilled by
+	// its next Read and Scan (kv.Client) and made by the first one that
+	// needs them. A client serves one process at a time: reading and
+	// scanning mark the windows in which a second Read or Scan would
+	// overwrite the first one's.
+	row      storage.Row
+	rec      kv.Record
+	rows     []storage.ScanRow
+	kvs      []kv.KV
+	reading  bool
+	scanning bool
 }
 
 // NewClient returns a client issuing requests from node.
@@ -334,10 +399,10 @@ func (c *Client) Read(p *sim.Proc, key kv.Key, fields []string) (kv.Record, erro
 		panic("hbase: Client.Read called by a second process while a read is in flight; a kv.Client serves one process at a time")
 	}
 	c.reading = true
-	var rec kv.Record
 	row := r.Get(p, c.caller(), key, &c.row)
-	if row != nil && row.Live() {
-		rec = row.Project(fields)
+	respSize := c.db.RequestOverhead
+	if row != nil {
+		respSize += row.ProjectedBytes(fields)
 	}
 	if c.db.Oracle != nil {
 		var ver kv.Version
@@ -346,14 +411,14 @@ func (c *Client) Read(p *sim.Proc, key kv.Key, fields []string) (kv.Record, erro
 		}
 		c.db.Oracle.ReadObserved(c.oid, key, ver, start)
 	}
+	// The row stays the read's across the response: the record is filled
+	// once it has arrived, and Read does not yield again before returning it.
+	arrived := r.Server.Node.SendTo(p, c.node, respSize)
 	c.reading = false
-	if !r.Server.Node.SendTo(p, c.node, rec.Bytes()+c.db.RequestOverhead) {
+	if !arrived {
 		return nil, kv.ErrUnavailable
 	}
-	if rec == nil {
-		return nil, kv.ErrNotFound
-	}
-	return rec, nil
+	return replica.Fill(&c.rec, row, fields)
 }
 
 // Insert implements kv.Client.
@@ -390,27 +455,34 @@ func (c *Client) put(p *sim.Proc, key kv.Key, rec kv.Record, del bool) error {
 // contacting each owning region server in turn.
 func (c *Client) Scan(p *sim.Proc, start kv.Key, limit int, fields []string) ([]kv.KV, error) {
 	c.db.ScansDone++
-	out := make([]kv.KV, 0, max(limit, 0))
+	if c.scanning {
+		panic("hbase: Client.Scan called by a second process while a scan is in flight; a kv.Client serves one process at a time")
+	}
+	c.scanning = true
+	defer func() { c.scanning = false }()
+	// Each region's rows land in c.rows and their views in c.kvs.
+	c.kvs = c.kvs[:0]
 	key := start
-	for len(out) < limit {
+	for len(c.kvs) < limit {
 		r, err := c.locate(p, key)
 		if err != nil {
-			return out, err
+			return c.kvs, err
 		}
 		if !c.node.SendTo(p, r.Server.Node, len(key)+c.db.RequestOverhead) {
-			return out, kv.ErrUnavailable
+			return c.kvs, kv.ErrUnavailable
 		}
-		rows, resp := r.Scan(p, c.caller(), key, limit-len(out))
+		var resp int
+		c.rows, resp = r.Scan(p, c.caller(), key, limit-len(c.kvs), c.rows)
 		if !r.Server.Node.SendTo(p, c.node, resp) {
-			return out, kv.ErrUnavailable
+			return c.kvs, kv.ErrUnavailable
 		}
-		for _, row := range rows {
+		for _, row := range c.rows {
 			if r.EndKey != "" && row.Key >= r.EndKey {
 				break
 			}
-			out = append(out, kv.View(row.Key, row.Row, fields))
-			if len(out) == limit {
-				return out, nil
+			c.kvs = append(c.kvs, kv.View(row.Key, row.Row, fields))
+			if len(c.kvs) == limit {
+				return c.kvs, nil
 			}
 		}
 		if r.EndKey == "" {
@@ -418,5 +490,5 @@ func (c *Client) Scan(p *sim.Proc, start kv.Key, limit int, fields []string) ([]
 		}
 		key = r.EndKey
 	}
-	return out, nil
+	return c.kvs, nil
 }

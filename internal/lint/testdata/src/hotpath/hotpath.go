@@ -44,6 +44,22 @@ func (r *ring) boxes(v int, p *ring) {
 	take(p)       // concrete parameter: ok
 }
 
+// Filling a record the caller supplies (storage's Row.ProjectInto): clearing
+// a map and storing into it are not allocation sites the analyzer tracks, and
+// neither is the make behind the nil entry — an alloc gate proves the reuse.
+//
+//simlint:hotpath
+func (r *ring) fill(into map[int]int) map[int]int {
+	clear(into)
+	if into == nil {
+		into = make(map[int]int, len(r.buf)) // sized once, for the caller without a map: ok
+	}
+	for i, v := range r.buf {
+		into[i] = v // store into a map that has held this many keys: ok
+	}
+	return into
+}
+
 // Unmarked functions may do all of this freely.
 func coldPath(r *ring) string {
 	defer fmt.Println("cold")

@@ -18,6 +18,13 @@ type Client struct {
 	mode ReadMode
 	next int
 	oid  int // oracle client identity for monotonic-read tracking
+
+	// What the client last returned, refilled by its next Read and Scan
+	// (kv.Client): made by the first one that needs it. Both are filled
+	// after the call's last yield, so processes sharing a client each return
+	// their own.
+	rec kv.Record
+	kvs []kv.KV
 }
 
 // NewClient returns a client issuing requests from node at the database's
@@ -34,6 +41,7 @@ func (db *DB) NewClient(node *cluster.Node) *Client {
 func (c *Client) WithReadMode(m ReadMode) *Client {
 	cc := *c
 	cc.mode = m
+	cc.rec, cc.kvs = nil, nil // the copy returns its own
 	return &cc
 }
 
@@ -114,10 +122,7 @@ func (c *Client) Read(p *sim.Proc, key kv.Key, fields []string) (kv.Record, erro
 		}
 		db.Oracle.ReadObserved(c.oid, key, ver, start)
 	}
-	if row == nil || !row.Live() {
-		return nil, kv.ErrNotFound
-	}
-	return row.Project(fields), nil
+	return replica.Fill(&c.rec, row, fields)
 }
 
 // Insert implements kv.Client.
@@ -166,11 +171,12 @@ func (c *Client) put(p *sim.Proc, key kv.Key, rec kv.Record, del bool) error {
 // shape.
 func (c *Client) Scan(p *sim.Proc, start kv.Key, limit int, fields []string) ([]kv.KV, error) {
 	db := c.db
-	out, ok := db.ScanAll(p, "o*-scan", c.caller(), db.cfg.Replication, start, limit, fields)
+	out, ok := db.ScanAll(p, "o*-scan", c.caller(), db.cfg.Replication, start, limit, fields, c.kvs)
 	if !ok {
 		db.Unavails++
 		return nil, kv.ErrUnavailable
 	}
 	db.ScansDone++
+	c.kvs = out
 	return out, nil
 }

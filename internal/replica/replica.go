@@ -36,6 +36,7 @@ type Env struct {
 
 	hosts       []*Host
 	nextVersion kv.Version
+	scanOps     []*scanOp // free list; one kernel runs one process at a time
 }
 
 // Host is one storage engine on one node: a Cassandra replica, an object
@@ -260,12 +261,15 @@ func (h *Host) Get(q *sim.Proc, c Caller, key kv.Key, into *storage.Row) *storag
 }
 
 // Scan is the host-side service of a range read that has arrived: CPU, the
-// engine's first n rows ≥ start (read-only as Engine.Scan hands them out),
-// CPU per row materialized. size is the response's wire size.
-func (h *Host) Scan(q *sim.Proc, c Caller, start kv.Key, n int) (rows []storage.ScanRow, size int) {
+// engine's first n rows ≥ start (read-only as Engine.ScanInto hands them
+// out, in into under its terms), CPU per row materialized. size is the
+// response's wire size.
+//
+//simlint:hotpath
+func (h *Host) Scan(q *sim.Proc, c Caller, start kv.Key, n int, into []storage.ScanRow) (rows []storage.ScanRow, size int) {
 	e := h.env
 	s0 := h.admit(q, c)
-	rows = h.Engine.Scan(q, start, n)
+	rows = h.Engine.ScanInto(q, start, n, into)
 	if n := len(rows); n > 0 && e.Cluster.Config.ScanRowCost > 0 {
 		h.Node.Exec(q, time.Duration(n)*e.Cluster.Config.ScanRowCost)
 	}
@@ -352,12 +356,82 @@ func Reconcile(resps []Response, into *storage.Row) *storage.Row {
 	return merged
 }
 
+// Fill ends a client's point read: it projects the reconciled row the read
+// found (nil: none) onto fields, into the record the client keeps — *rec, made
+// here by the first read that finds a live row and refilled by every later one
+// — and returns what kv.Client.Read does. It does not yield, so a client that
+// calls it after its last message returns the record unshared.
+//
+//simlint:hotpath
+func Fill(rec *kv.Record, row *storage.Row, fields []string) (kv.Record, error) {
+	var out kv.Record
+	if row != nil {
+		out = row.ProjectInto(fields, *rec)
+	}
+	if out == nil {
+		return nil, kv.ErrNotFound
+	}
+	*rec = out
+	return out, nil
+}
+
+// scanOp is one ScanAll, pooled like the backends' point ops: a slot per
+// host for its answer, the future the coordinator sleeps on, and a leg per
+// host that keeps its row buffer across uses. A point op is held by every
+// leg because its coordinator may return first; here every leg has counted
+// down, and touches nothing afterwards, before done is set, so ScanAll is
+// the only holder.
+type scanOp struct {
+	env     *Env
+	c       Caller
+	start   kv.Key
+	perHost int
+	parts   [][]storage.ScanRow // by host; nil: down, or a message was lost
+	pending int
+	done    sim.Future[struct{}]
+	legs    []*scanLeg // by host
+}
+
+// scanLeg asks one host for its share of its op's range.
+type scanLeg struct {
+	op   *scanOp
+	host int               // index into env.hosts and op.parts
+	rows []storage.ScanRow // what the host's engine last filled
+	run  func(*sim.Proc)   // scan, bound once: spawning a leg allocates nothing
+}
+
+//simlint:coldpath
+func (e *Env) newScanOp() *scanOp {
+	op := &scanOp{env: e, parts: make([][]storage.ScanRow, len(e.hosts))}
+	for i := range e.hosts {
+		l := &scanLeg{op: op, host: i}
+		l.run = l.scan
+		op.legs = append(op.legs, l)
+	}
+	return op
+}
+
+// release empties the buffers — a row that compaction has since replaced is
+// not kept alive by a scan that once returned it — and returns op to the
+// free list.
+func (op *scanOp) release() {
+	for _, l := range op.legs {
+		clear(l.rows)
+	}
+	clear(op.parts)
+	op.start = ""
+	op.env.scanOps = append(op.env.scanOps, op)
+}
+
 // ScanAll is the range scan of a hash-partitioned store. Consecutive keys
 // scatter across the cluster, so c asks every live host for its local rows
 // ≥ start, each on its own process named label, and merges — the cost shape
 // of get_range_slices over token ranges. rf is the replication factor; ok
-// is false when no host is alive.
-func (e *Env) ScanAll(p *sim.Proc, label string, c Caller, rf int, start kv.Key, limit int, fields []string) (out []kv.KV, ok bool) {
+// is false when no host is alive. The result is built in into (nil: a fresh
+// slice), as storage.MergeScans builds it.
+//
+//simlint:hotpath
+func (e *Env) ScanAll(p *sim.Proc, label string, c Caller, rf int, start kv.Key, limit int, fields []string, into []kv.KV) (out []kv.KV, ok bool) {
 	alive := 0
 	for _, h := range e.hosts {
 		if !h.Node.Down() {
@@ -367,41 +441,46 @@ func (e *Env) ScanAll(p *sim.Proc, label string, c Caller, rf int, start kv.Key,
 	if alive == 0 {
 		return nil, false
 	}
+	op := sim.Take(&e.scanOps)
+	if op == nil {
+		op = e.newScanOp()
+	}
 	// Each host holds roughly limit·RF/alive of the next limit global
 	// keys; fetch that share plus slack. (An exact range scan would need
 	// per-host iteration rounds; the slack makes short ranges complete
 	// in one round at realistic cost.)
-	perHost := min(limit, limit*rf/alive+4)
+	op.c, op.start, op.perHost = c, start, min(limit, limit*rf/alive+4)
 	// One leg per live host fills that host's slot of parts; p sleeps until
 	// the last leg, answered or not, has counted down.
-	parts := make([][]storage.ScanRow, len(e.hosts))
-	pending, done := alive, sim.NewFuture[struct{}](e.K)
+	op.pending = alive
+	op.done.Init(e.K)
 	for i, h := range e.hosts {
-		if h.Node.Down() {
-			continue
+		if !h.Node.Down() {
+			e.K.Go(label, op.legs[i].run)
 		}
-		part := &parts[i]
-		e.K.Go(label, func(q *sim.Proc) {
-			*part = h.scanLeg(q, c, start, perHost)
-			if pending--; pending == 0 {
-				done.Set(struct{}{})
-			}
-		})
 	}
-	done.Await(p)
-	return storage.MergeScans(parts, limit, fields), true
+	op.done.Await(p)
+	out = storage.MergeScans(op.parts, limit, fields, into)
+	op.release()
+	return out, true
 }
 
-// scanLeg asks h for its first n local rows ≥ start on behalf of c and
-// returns them, or nil if either message is lost.
-func (h *Host) scanLeg(q *sim.Proc, c Caller, start kv.Key, n int) []storage.ScanRow {
-	e := h.env
-	if !e.send(q, c, c.Node, h.Node, len(start)+e.RequestOverhead) {
-		return nil
+// scan asks the leg's host for its first perHost local rows ≥ start on
+// behalf of the op's caller; the host's slot stays nil if either message is
+// lost.
+//
+//simlint:hotpath
+func (l *scanLeg) scan(q *sim.Proc) {
+	op, e := l.op, l.op.env
+	h, c := e.hosts[l.host], op.c
+	if e.send(q, c, c.Node, h.Node, len(op.start)+e.RequestOverhead) {
+		var size int
+		l.rows, size = h.Scan(q, c, op.start, op.perHost, l.rows)
+		if e.send(q, c, h.Node, c.Node, size) {
+			op.parts[l.host] = l.rows
+		}
 	}
-	rows, size := h.Scan(q, c, start, n)
-	if !e.send(q, c, h.Node, c.Node, size) {
-		return nil
+	if op.pending--; op.pending == 0 {
+		op.done.Set(struct{}{})
 	}
-	return rows
 }

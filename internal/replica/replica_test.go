@@ -291,3 +291,68 @@ func TestSharedReadPathAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestScanAllRunsOnAPooledOp: scans into a caller's reused slice answer as
+// scans into a fresh one do, with a host down and from two processes at once
+// (each on its own op); and an op on the free list keeps its buffers'
+// capacity but none of the rows they held, so a scan does not pin what
+// compaction has since replaced.
+func TestScanAllRunsOnAPooledOp(t *testing.T) {
+	k := sim.NewKernel(3)
+	e, hosts := testEnv(k, 4)
+	caller := Caller{Node: hosts[0].Node}
+	k.Spawn("driver", func(p *sim.Proc) {
+		for i := 0; i < 60; i++ { // key i on hosts i%4 and (i+1)%4; a third flushed
+			m := Mutation{Key: kv.Key(fmt.Sprintf("user%03d", i)), Rec: kv.Record{"v": kv.SizedValue(100 + i)}, Ver: e.Version()}
+			hosts[i%4].Apply(p, m, consistency.ApplyWrite, true)
+			hosts[(i+1)%4].Apply(p, m, consistency.ApplyWrite, true)
+			if i == 20 {
+				e.FlushAll()
+			}
+		}
+		p.Sleep(2e9)
+		hosts[3].Node.Fail()
+		keys := func(rows []kv.KV) (out []string) {
+			for _, r := range rows {
+				out = append(out, fmt.Sprint(r.Key, r.Bytes()))
+			}
+			return out
+		}
+		scanner := func(q *sim.Proc) {
+			var into []kv.KV
+			for n := 0; n < 30; n++ {
+				start, limit := kv.Key(fmt.Sprintf("user%03d", (7*n)%50)), 1+(11*n)%25
+				fresh, ok := e.ScanAll(q, "scan", caller, 2, start, limit, nil, nil)
+				if !ok || len(fresh) == 0 || fresh[0].Key < start {
+					t.Fatalf("scan %d from %s: %v, ok = %t", n, start, keys(fresh), ok)
+				}
+				if into, ok = e.ScanAll(q, "scan", caller, 2, start, limit, nil, into); !ok || !slices.Equal(keys(into), keys(fresh)) {
+					t.Fatalf("scan %d from %s into a used slice: %v, into a fresh one %v", n, start, keys(into), keys(fresh))
+				}
+			}
+		}
+		other := k.Spawn("second scanner", scanner)
+		scanner(p)
+		other.Done().Await(p)
+		if len(e.scanOps) != 2 {
+			t.Fatalf("%d scan ops on the free list, want one per concurrent scanner", len(e.scanOps))
+		}
+		for _, op := range e.scanOps {
+			held := 0
+			for i, l := range op.legs {
+				held += cap(l.rows)
+				for _, r := range l.rows[:cap(l.rows)] {
+					if r.Row != nil || r.Key != "" || op.parts[i] != nil {
+						t.Fatalf("op on the free list still holds host %d's row %s", i, r.Key)
+					}
+				}
+			}
+			if held == 0 || op.start != "" {
+				t.Fatalf("op on the free list: %d rows of buffer kept, start %q", held, op.start)
+			}
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -33,6 +33,19 @@ func (f *Future[T]) Init(k *Kernel) {
 	*f = Future[T]{k: k, more: f.more}
 }
 
+// Take pops a pooled struct — an operation with embedded futures, its legs,
+// its scratch — off its owner's free list; nil means build one. Everything on
+// one kernel runs one process at a time, so the lists need no lock.
+func Take[T any](free *[]*T) *T {
+	n := len(*free)
+	if n == 0 {
+		return nil
+	}
+	x := (*free)[n-1]
+	*free = (*free)[:n-1]
+	return x
+}
+
 // Done reports whether the future has been set.
 func (f *Future[T]) Done() bool { return f.done }
 
@@ -150,21 +163,31 @@ func (f *Future[T]) AwaitTimeout(p *Proc, d Duration) (T, bool) {
 // resolves as soon as the outcome is decided: success when need attempts
 // succeed, failure when so many have failed that need can no longer be
 // reached. It models the coordinator ack-counting at the heart of tunable
-// consistency.
+// consistency. Like the Future it holds, a Quorum may be embedded by value
+// in a pooled struct and re-armed with Init, and must not be copied while in
+// use.
 type Quorum struct {
 	need, total  int
 	succ, failed int
-	result       *Future[bool]
+	result       Future[bool]
 }
 
 // NewQuorum returns a quorum that resolves true after need of total
 // attempts succeed. need must be in [0, total].
 func NewQuorum(k *Kernel, need, total int) *Quorum {
-	q := &Quorum{need: need, total: total, result: NewFuture[bool](k)}
+	q := &Quorum{}
+	q.Init(k, need, total)
+	return q
+}
+
+// Init makes q an undecided quorum of need out of total attempts, bound to
+// k, forgetting any earlier count. No process may be waiting on it.
+func (q *Quorum) Init(k *Kernel, need, total int) {
+	q.need, q.total, q.succ, q.failed = need, total, 0, 0
+	q.result.Init(k)
 	if need <= 0 {
 		q.result.Set(true)
 	}
-	return q
 }
 
 // Succeed records one successful attempt.
@@ -187,4 +210,4 @@ func (q *Quorum) Fail() {
 func (q *Quorum) Wait(p *Proc) bool { return q.result.Await(p) }
 
 // Done returns the quorum's result future.
-func (q *Quorum) Done() *Future[bool] { return q.result }
+func (q *Quorum) Done() *Future[bool] { return &q.result }

@@ -186,16 +186,25 @@ func fold(out, r, into *Row) *Row {
 	return out
 }
 
-// ScanRow is one result of Engine.Scan.
+// ScanRow is one result of Engine.ScanInto.
 type ScanRow struct {
 	Key kv.Key
 	Row *Row
 }
 
-// Scan returns up to limit live rows with key ≥ start, in key order,
-// reconciled across all levels. I/O is charged per block entered. Rows are
-// shared under the same read-only contract as Get.
+// Scan is ScanInto without a buffer: it allocates the slice it returns.
 func (e *Engine) Scan(p *sim.Proc, start kv.Key, limit int) []ScanRow {
+	return e.ScanInto(p, start, limit, nil)
+}
+
+// ScanInto returns up to limit live rows with key ≥ start, in key order,
+// reconciled across all levels. I/O is charged per block entered. Rows are
+// shared under the same read-only contract as Get. The result is built in
+// into from its start, reusing its capacity — the caller's for as long as
+// into is — or, when into is nil, in a fresh slice of capacity limit.
+//
+//simlint:hotpath
+func (e *Engine) ScanInto(p *sim.Proc, start kv.Key, limit int, into []ScanRow) []ScanRow {
 	e.Scans++
 	var levels [scanLevels]cursor
 	srcs := append(levels[:0], e.mem.seek(start))
@@ -205,7 +214,10 @@ func (e *Engine) Scan(p *sim.Proc, start kv.Key, limit int) []ScanRow {
 	for _, t := range e.tables {
 		srcs = append(srcs, t.seek(p, e.io, e.cache, start))
 	}
-	out := make([]ScanRow, 0, max(limit, 0))
+	out := into[:0]
+	if out == nil {
+		out = make([]ScanRow, 0, max(limit, 0))
+	}
 	for len(out) < limit {
 		key, row, ok := mergeNext(srcs)
 		if !ok {
@@ -227,6 +239,8 @@ const scanLevels = 8
 // mergeNext pops the smallest current key across srcs (newest source
 // first) and returns it with its reconciled row, advancing every source
 // that held it.
+//
+//simlint:hotpath
 func mergeNext(srcs []cursor) (kv.Key, *Row, bool) {
 	var minKey kv.Key
 	found := false
@@ -247,15 +261,21 @@ func mergeNext(srcs []cursor) (kv.Key, *Row, bool) {
 }
 
 // MergeScans is the coordinator's half of a fanned-out range scan: a
-// streaming k-way merge of parts — one Engine.Scan result per replica
+// streaming k-way merge of parts — one Engine.ScanInto result per replica
 // asked, a nil one for a replica that did not answer — into the first
 // limit live rows in key order, each a view restricted to fields. Replicas
 // of one key reconcile with Merged in part order, so the first replica's
 // own row is kept unless a later one really holds something newer. The
 // merge consumes parts (each is resliced past what it used) and stops at
-// limit without looking at the rest.
-func MergeScans(parts [][]ScanRow, limit int, fields []string) []kv.KV {
-	out := make([]kv.KV, 0, max(limit, 0))
+// limit without looking at the rest. The result is built in into from its
+// start, reusing its capacity, or in a fresh slice when into is nil.
+//
+//simlint:hotpath
+func MergeScans(parts [][]ScanRow, limit int, fields []string, into []kv.KV) []kv.KV {
+	out := into[:0]
+	if out == nil {
+		out = make([]kv.KV, 0, max(limit, 0))
+	}
 	for len(out) < limit {
 		var minKey kv.Key
 		found := false

@@ -241,14 +241,23 @@ func (r *Row) Live() bool {
 // is fully dead.
 func (r *Row) Record() kv.Record { return r.Project(nil) }
 
-// Project materializes the row's live cells restricted to fields (nil or
-// empty selects all) in one pass with an exact size hint. A fully dead row
-// yields nil; a live row yields a non-nil record even when none of the
-// requested fields is live. The record is the published result of a read:
-// the one allocation a read's caller asks for.
+// Project is ProjectInto without a record to fill: it allocates the one it
+// returns, sized exactly.
 //
 //simlint:coldpath
-func (r *Row) Project(fields []string) kv.Record {
+func (r *Row) Project(fields []string) kv.Record { return r.ProjectInto(fields, nil) }
+
+// ProjectInto materializes the row's live cells restricted to fields (nil or
+// empty selects all) in one pass. A fully dead row yields nil; a live row
+// yields a non-nil record even when none of the requested fields is live.
+// The record is into, emptied first whatever the row holds — clear keeps the
+// map's storage, so a caller that passes the same record again and again
+// stops allocating once it has held its widest row — or, when into is nil, a
+// fresh one with an exact size hint.
+//
+//simlint:hotpath
+func (r *Row) ProjectInto(fields []string, into kv.Record) kv.Record {
+	clear(into)
 	live := 0
 	for _, c := range r.cells {
 		if c.Ver > r.Tomb {
@@ -259,21 +268,25 @@ func (r *Row) Project(fields []string) kv.Record {
 		return nil
 	}
 	if len(fields) == 0 {
-		rec := make(kv.Record, live)
+		if into == nil {
+			into = make(kv.Record, live)
+		}
 		for _, c := range r.cells {
 			if c.Ver > r.Tomb {
-				rec[c.Field] = c.Val
+				into[c.Field] = c.Val
 			}
 		}
-		return rec
+		return into
 	}
-	rec := make(kv.Record, min(live, len(fields)))
+	if into == nil {
+		into = make(kv.Record, min(live, len(fields)))
+	}
 	for _, f := range fields {
 		if c, ok := r.Cell(f); ok && c.Ver > r.Tomb {
-			rec[f] = c.Val
+			into[f] = c.Val
 		}
 	}
-	return rec
+	return into
 }
 
 // ProjectedBytes returns Project(fields).Bytes() — the modeled size of the

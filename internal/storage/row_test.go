@@ -378,6 +378,126 @@ func TestRowProjectMatchesRecordProject(t *testing.T) {
 	}
 }
 
+// refProject is the projection written the obvious way, allocating every
+// map: the reference ProjectInto's reused record is checked against.
+func refProject(r *Row, fields []string) kv.Record {
+	live := kv.Record{}
+	for _, c := range r.cells {
+		if c.Ver > r.Tomb {
+			live[c.Field] = c.Val
+		}
+	}
+	if len(live) == 0 {
+		return nil
+	}
+	if len(fields) == 0 {
+		return live
+	}
+	rec := kv.Record{}
+	for _, f := range fields {
+		if v, ok := live[f]; ok {
+			rec[f] = v
+		}
+	}
+	return rec
+}
+
+var projectFieldLists = [][]string{
+	nil, {}, {"f0"}, {"f3", "f3"}, {"zz"}, {"f9", "zz", "f1", "f9"}, {"f7", "f2"},
+	{"f0", "f1", "f2", "f3", "f4", "f5", "f6", "f7", "f8", "f9"},
+}
+
+// checkProjectInto projects a sequence of rows into one record, as a client
+// does with the one it returns from Read, and compares every result with
+// Project and the reference. Four bytes a row: a ten-bit mask of the fields
+// it holds (their versions 1..4 follow from the field and the second byte),
+// a tombstone version 0..5 and a field list.
+func checkProjectInto(t *testing.T, script []byte) {
+	t.Helper()
+	var into kv.Record
+	for step := 0; len(script) >= 4; step, script = step+1, script[4:] {
+		r := NewRow()
+		for f, mask := 0, uint(script[0])|uint(script[1]&3)<<8; f < 10; f++ {
+			if mask>>f&1 == 1 {
+				ver := kv.Version(1 + (f+int(script[1]>>2))%4)
+				r.Apply(kv.Record{fmt.Sprintf("f%d", f): kv.SizedValue(10*f + int(ver))}, ver)
+			}
+		}
+		r.Delete(kv.Version(script[2] % 6))
+		fields := projectFieldLists[int(script[3])%len(projectFieldLists)]
+		want := refProject(r, fields)
+		got := r.ProjectInto(fields, into)
+		if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(r.Project(fields), want) {
+			t.Fatalf("step %d: ProjectInto(%v) of %+v = %v, Project %v, reference %v", step, fields, r, got, r.Project(fields), want)
+		}
+		if got == nil && len(into) != 0 {
+			t.Fatalf("step %d: a dead row left %v in the reused record", step, into)
+		}
+		if got != nil {
+			if into != nil && reflect.ValueOf(got).Pointer() != reflect.ValueOf(into).Pointer() {
+				t.Fatalf("step %d: ProjectInto built a record beside the one it was given", step)
+			}
+			into = got
+		}
+	}
+}
+
+// projectIntoScripts are the table test's cases and the fuzz target's seeds.
+var projectIntoScripts = []struct {
+	name   string
+	script []byte
+}{
+	{"a ten-field row, a one-field row, a dead row, the ten again", []byte{
+		0xff, 0x03, 0, 0,
+		0x08, 0x00, 0, 0,
+		0xff, 0x03, 5, 0,
+		0xff, 0x03, 0, 7}},
+	{"a tombstone between the cells' versions", []byte{0x0f, 0x00, 2, 0, 0x0f, 0x00, 2, 7}},
+	{"duplicate and absent field names", []byte{0xff, 0x03, 0, 3, 0xff, 0x03, 0, 5, 0x01, 0x00, 0, 5, 0xff, 0x03, 0, 4}},
+	{"live row, none of the requested fields live", []byte{0x09, 0x00, 1, 2, 0x02, 0x00, 0, 6}},
+	{"an empty field list is all fields", []byte{0x30, 0x01, 0, 1, 0x03, 0x00, 0, 0}},
+	{"never written", []byte{0, 0, 0, 0, 0xff, 0x03, 0, 0, 0, 0, 0, 7}},
+}
+
+// TestProjectIntoMatchesProject: a record reused across rows of every width,
+// tombstoned, dead and projected every way reads exactly as a fresh one.
+func TestProjectIntoMatchesProject(t *testing.T) {
+	for _, c := range projectIntoScripts {
+		t.Run(c.name, func(t *testing.T) { checkProjectInto(t, c.script) })
+	}
+	rng := rand.New(rand.NewSource(31))
+	script := make([]byte, 4*64)
+	for n := 0; n < 300; n++ {
+		rng.Read(script)
+		checkProjectInto(t, script)
+	}
+}
+
+func FuzzProjectInto(f *testing.F) {
+	for _, c := range projectIntoScripts {
+		f.Add(c.script)
+	}
+	f.Fuzz(checkProjectInto)
+}
+
+// TestProjectIntoReusedRecordZeroAlloc: the proof behind ProjectInto's
+// hotpath marker, which the analyzer cannot give for a map store.
+func TestProjectIntoReusedRecordZeroAlloc(t *testing.T) {
+	wide, narrow := NewRow(), NewRow()
+	wide.Apply(fullRecord(10), 1)
+	narrow.Apply(kv.Record{"field3": kv.SizedValue(7)}, 1)
+	into := wide.Project(nil)
+	for _, fields := range [][]string{nil, {"field3", "field9"}} {
+		if allocs := testing.AllocsPerRun(1000, func() {
+			if len(wide.ProjectInto(fields, into)) == 0 || len(narrow.ProjectInto(fields, into)) != 1 {
+				t.Error("projection lost its fields")
+			}
+		}); allocs != 0 {
+			t.Errorf("ProjectInto(%v) into a record that has held the row: %.1f allocs/op, want 0", fields, allocs)
+		}
+	}
+}
+
 func mustPanic(t *testing.T, what string, f func()) {
 	t.Helper()
 	defer func() {

@@ -145,18 +145,24 @@ func checkScanMerge(t *testing.T, data []byte) {
 	t.Helper()
 	parts, limit, fields := scanCase(data)
 	want := refScanMerge(parts, limit)
-	got := MergeScans(slices.Clone(parts), limit, fields)
-	if len(got) != len(want) {
-		t.Fatalf("case %v: merged %d rows, reference %d", data, len(got), len(want))
-	}
-	for i, w := range want {
-		rec := w.Row.Project(fields)
-		if got[i].Key != w.Key || !reflect.DeepEqual(got[i].Record(), rec) || got[i].Bytes() != rec.Bytes() {
-			t.Fatalf("case %v row %d: %s %v (%d bytes), reference %s %v (%d bytes)",
-				data, i, got[i].Key, got[i].Record(), got[i].Bytes(), w.Key, rec, rec.Bytes())
+	// Once into a fresh slice and once into the buffer every earlier case
+	// has used, as a client's Scan does.
+	scanMergeBuf = MergeScans(slices.Clone(parts), limit, fields, scanMergeBuf)
+	for _, got := range [][]kv.KV{MergeScans(slices.Clone(parts), limit, fields, nil), scanMergeBuf} {
+		if len(got) != len(want) {
+			t.Fatalf("case %v: merged %d rows, reference %d", data, len(got), len(want))
+		}
+		for i, w := range want {
+			rec := w.Row.Project(fields)
+			if got[i].Key != w.Key || !reflect.DeepEqual(got[i].Record(), rec) || got[i].Bytes() != rec.Bytes() {
+				t.Fatalf("case %v row %d: %s %v (%d bytes), reference %s %v (%d bytes)",
+					data, i, got[i].Key, got[i].Record(), got[i].Bytes(), w.Key, rec, rec.Bytes())
+			}
 		}
 	}
 }
+
+var scanMergeBuf []kv.KV
 
 // TestMergeScansMatchesMapAndSort checks the streaming replica merge
 // against the map-and-sort code it replaced, on the named cases and on
@@ -231,6 +237,7 @@ func TestScanDeeperThanCursorArrayMatchesModel(t *testing.T) {
 			}
 		}
 		slices.Sort(live)
+		var buf []ScanRow
 		for n := 0; n < 200; n++ {
 			start := kv.Key(fmt.Sprintf("user%04d", rng.Intn(320)))
 			limit := 1 + rng.Intn(60)
@@ -240,11 +247,19 @@ func TestScanDeeperThanCursorArrayMatchesModel(t *testing.T) {
 			if len(rows) != len(want) {
 				t.Fatalf("Scan(%s, %d) returned %d rows, model %d", start, limit, len(rows), len(want))
 			}
+			// The same scan into the buffer every earlier one has used.
+			buf = e.ScanInto(p, start, limit, buf)
+			if len(buf) != len(rows) {
+				t.Fatalf("ScanInto(%s, %d) into a used buffer returned %d rows, Scan %d", start, limit, len(buf), len(rows))
+			}
 			for j, r := range rows {
 				if r.Key != want[j] {
 					t.Fatalf("Scan(%s, %d) row %d = %s, model %s", start, limit, j, r.Key, want[j])
 				}
 				model[r.Key].check(t, n, r.Row)
+				if buf[j].Key != r.Key || !sameRow(buf[j].Row, r.Row) {
+					t.Fatalf("ScanInto(%s, %d) row %d = %s %+v, Scan %s %+v", start, limit, j, buf[j].Key, buf[j].Row, r.Key, r.Row)
+				}
 			}
 		}
 	})

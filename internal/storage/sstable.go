@@ -130,7 +130,10 @@ func (t *SSTable) WarmCache(cache *BlockCache) {
 
 // seek returns a cursor at the first key ≥ start that charges p, against io
 // and cache, one block load per block it enters — the first one here.
+//
+//simlint:hotpath
 func (t *SSTable) seek(p *sim.Proc, io TableIO, cache *BlockCache, start kv.Key) cursor {
+	//simlint:ignore hotpath the closure handed to sort.Search does not escape (the scan alloc gates hold a steady-state scan at its pooled count)
 	i := sort.Search(len(t.entries), func(i int) bool { return t.entries[i].Key >= start })
 	c := cursor{t: t, i: i, block: -1, p: p, io: io, cache: cache}
 	c.chargeBlock()

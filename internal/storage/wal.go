@@ -17,8 +17,11 @@ type WAL struct {
 	// batch on the device gave up, so the two trade places batch by batch and
 	// neither is grown again once it has held the largest batch.
 	waiters, spare []*sim.Future[struct{}]
-	flushing       bool
-	flush          func(*sim.Proc) // flushLoop, bound once: starting a flusher allocates nothing
+	// free holds the futures of appends that have returned, for the next
+	// ones: a steady load waits without allocating.
+	free     []*sim.Future[struct{}]
+	flushing bool
+	flush    func(*sim.Proc) // flushLoop, bound once: starting a flusher allocates nothing
 
 	// Appends counts individual Append calls; Batches counts device
 	// writes. Batches ≤ Appends, and the gap measures group commit.
@@ -38,10 +41,16 @@ func NewWAL(k *sim.Kernel, log AppendLog) *WAL {
 func (w *WAL) Append(p *sim.Proc, bytes int) {
 	w.Appends++
 	w.pendingBytes += bytes
-	f := sim.NewFuture[struct{}](w.k)
+	f := sim.Take(&w.free)
+	if f == nil {
+		f = new(sim.Future[struct{}])
+	}
+	f.Init(w.k)
 	w.waiters = append(w.waiters, f)
 	w.ensureFlusher()
 	f.Await(p)
+	// The flusher dropped f when it set it, and p was its only waiter.
+	w.free = append(w.free, f)
 }
 
 // AppendAsync logs bytes without blocking the caller: the write is acked
