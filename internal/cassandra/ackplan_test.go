@@ -285,7 +285,7 @@ func checkAckSequence(t *testing.T, cases []ackCase) {
 			}
 		}
 		structs[r.op] = true
-		r.op.refs = 1
+		r.op.Begin()
 		if !r.op.acks.plan(db, c.cl, c.cz, replicas) {
 			if r.wantAt != -1 || r.want {
 				t.Fatalf("%+v: planned unavailable, reference decides %v at %d", c, r.want, r.wantAt)
@@ -322,8 +322,8 @@ func checkAckSequence(t *testing.T, cases []ackCase) {
 		t.Fatalf("%d op structs were made, %d are back on the free list", len(structs), len(db.writeOps))
 	}
 	for _, op := range db.writeOps {
-		if op.refs != 0 || op.used != 0 {
-			t.Fatalf("op on the free list with %d holders and %d legs in use", op.refs, op.used)
+		if op.Held() {
+			t.Fatal("op on the free list still held")
 		}
 	}
 }

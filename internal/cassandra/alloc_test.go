@@ -168,8 +168,8 @@ func TestTimedOutReadHoldsItsOpUntilLegsFinish(t *testing.T) {
 		}
 		p.Sleep(30 * time.Second)
 		for _, op := range db.readOps {
-			if op.refs != 0 || op.used != 0 {
-				t.Fatalf("op on the free list with %d holders and %d legs in use", op.refs, op.used)
+			if op.Held() {
+				t.Fatal("op on the free list still held")
 			}
 		}
 		if n := len(db.readOps); n < 2 {
@@ -258,12 +258,12 @@ func TestRecycledReadOpsNeverMixRows(t *testing.T) {
 		p.Sleep(30 * time.Second)
 		for _, op := range db.readOps {
 			rows := []*storage.Row{&op.blockingRow, &op.backgroundRow}
-			for _, l := range op.legs {
-				rows = append(rows, &l.row)
+			for _, l := range op.Built() {
+				rows = append(rows, &l.Row)
 			}
 			for _, r := range rows {
-				if op.refs != 0 || r.Version() != 0 || r.Bytes() != storage.NewRow().Bytes() {
-					t.Fatalf("op on the free list with %d holders and a scratch row still holding %v @%d", op.refs, r.Record(), r.Version())
+				if op.Held() || r.Version() != 0 || r.Bytes() != storage.NewRow().Bytes() {
+					t.Fatalf("op on the free list, held %t, with a scratch row still holding %v @%d", op.Held(), r.Record(), r.Version())
 				}
 			}
 			// The record its repairs wrote is the op's too, refilled by the

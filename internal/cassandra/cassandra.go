@@ -250,20 +250,14 @@ func (db *DB) apply(p *sim.Proc, rep *replica.Host, m replica.Mutation, src cons
 	rep.Apply(p, m, src, true)
 }
 
-// writeOp is one coordinator write, pooled: the mutation, the ack plan, its
-// legs (kept across uses) and a count of who still needs them — the
-// coordinator until it has its answer, and every leg in flight. ONE returns
-// while two legs are on their way, so the op goes back to the free list only
-// when the last holder lets go: a late ack or loss always lands on the write
-// it belongs to, whose future is settled and has nobody waiting.
+// writeOp is one coordinator write, pooled (sim.Op): the mutation and the ack
+// plan its legs report to.
 type writeOp struct {
+	sim.Op[writeLeg]
 	db    *DB
-	refs  int
 	coord *Replica
 	m     mutation
 	acks  ackPlan
-	legs  []*writeLeg
-	used  int
 }
 
 // writeLeg carries its op's mutation from one node to rep and the ack back.
@@ -278,29 +272,23 @@ type writeLeg struct {
 }
 
 //simlint:coldpath
-func newWriteLeg(op *writeOp) *writeLeg {
+func (op *writeOp) newLeg() *writeLeg {
 	l := &writeLeg{op: op}
 	l.run = l.deliver
 	return l
 }
 
-// leg hands out op's next leg, aimed from from at rep; it holds op until
-// deliver has run.
+// leg hands out op's next leg, aimed from from at rep.
 func (op *writeOp) leg(from *cluster.Node, rep *Replica) *writeLeg {
-	if op.used == len(op.legs) {
-		op.legs = append(op.legs, newWriteLeg(op))
-	}
-	l := op.legs[op.used]
-	op.used++
+	l := op.Leg(op.newLeg)
 	l.from, l.rep, l.relay = from, rep, l.relay[:0]
-	op.refs++
 	return l
 }
 
 // release drops one hold on op; the last one returns it to the free list.
 func (op *writeOp) release() {
-	if op.refs--; op.refs == 0 {
-		op.used, op.m = 0, mutation{}
+	if op.Release() {
+		op.m = mutation{}
 		op.db.writeOps = append(op.db.writeOps, op)
 	}
 }
@@ -320,7 +308,8 @@ func (db *DB) write(p *sim.Proc, coord *Replica, key kv.Key, rec kv.Record, del 
 	if op == nil {
 		op = &writeOp{db: db}
 	}
-	op.refs, op.coord = 1, coord
+	op.Begin()
+	op.coord = coord
 	err := op.coordinate(p, key, rec, del, cl)
 	op.release()
 	return err
@@ -413,17 +402,13 @@ func (l *writeLeg) deliver(q *sim.Proc) {
 	op.release()
 }
 
-// readOp is one coordinator read, pooled like a writeOp and held by the
-// coordinator and by every process working for it — fetch legs, the
-// background repair, repair writes — so a read that timed out or returned
-// at ONE is not reused while a leg still reads its key or sets its future.
-// The slices and legs are kept across uses, and so is the capacity of the
-// scratch rows — each leg's fetch and the two reconciliations — that the
-// read's rows live in when a replica could not share a frozen one, and of the
-// record a repair writes: they are valid until the last holder lets go.
+// readOp is one coordinator read, pooled (sim.Op). Besides its legs, the
+// background repair holds it. The slices are kept across uses, and so is the
+// capacity of the scratch rows — each leg's fetch and the two
+// reconciliations — and of the record a repair writes.
 type readOp struct {
+	sim.Op[readLeg]
 	db    *DB
-	refs  int
 	coord *Replica
 	key   kv.Key
 
@@ -431,19 +416,14 @@ type readOp struct {
 	pool      []*Replica         // LOCAL_QUORUM's and EACH_QUORUM's contact set
 	contacted []*Replica         // who the level made the coordinator wait for
 	resps     []replica.Response // their answers
-	legs      []*readLeg
-	used      int
 
-	// The repair in progress: the reconciled record (nil: a delete), its
-	// version and the repair writes still out. A read runs one at a time:
-	// the blocking one is over before the background one is spawned. The
-	// record is projected into repairRec, which only the repair legs — they
-	// hold the op — ever see: Host.Apply copies its cells into the memtable
-	// and a repair write leaves no hint.
+	// The repair in progress: the reconciled record (nil: a delete) and its
+	// version. A read runs one at a time: the blocking one is over before the
+	// background one is spawned. The record is projected into repairRec,
+	// which only the repair legs — they hold the op — ever see: Host.Apply
+	// copies its cells into the memtable and a repair write leaves no hint.
 	rec, repairRec kv.Record
 	ver            kv.Version
-	repairs        int
-	repaired       sim.Future[struct{}]
 	// What blockingRepair and repairRest reconcile into. The blocking one
 	// is the row the client is answered from, possibly while the background
 	// one is being built.
@@ -452,56 +432,45 @@ type readOp struct {
 	background func(*sim.Proc) // repairRest, bound once
 }
 
-// readLeg is one process spawned for a readOp: a fetch of rep's row into
-// row when the replica has to copy it, answered through f, or a repair write
-// to rep.
+// readLeg is one process spawned for a readOp: a fetch of its host's row, or
+// a repair write to it.
 type readLeg struct {
-	op                 *readOp
-	rep                *replica.Host
-	digestOnly, repair bool
-	row                storage.Row
-	f                  sim.Future[replica.Response]
-	fetch, write       func(*sim.Proc) // fetchRow and repairWrite, bound once
+	replica.FetchLeg
+	op           *readOp
+	repair       bool
+	fetch, write func(*sim.Proc) // fetchRow and repairWrite, bound once
 }
 
 //simlint:coldpath
-func newReadLeg(op *readOp) *readLeg {
+func (op *readOp) newLeg() *readLeg {
 	l := &readLeg{op: op}
-	l.f.Init(op.db.K)
+	l.Answer.Init(op.db.K)
 	l.fetch, l.write = l.fetchRow, l.repairWrite
 	return l
 }
 
-// leg hands out op's next leg, aimed at rep; it holds op until its process
-// has finished.
+// leg hands out op's next leg, aimed at rep.
 func (op *readOp) leg(rep *replica.Host, digestOnly, repair bool) *readLeg {
-	if op.used == len(op.legs) {
-		op.legs = append(op.legs, newReadLeg(op))
-	}
-	l := op.legs[op.used]
-	op.used++
-	l.rep, l.digestOnly, l.repair = rep, digestOnly, repair
-	op.refs++
+	l := op.Leg(op.newLeg)
+	l.Host, l.Digest, l.repair = rep, digestOnly, repair
 	return l
 }
 
 // release drops one hold on op; the last one forgets the rows and the
-// record the read saw and returns it to the free list. The scratch rows are
-// emptied, so a row used past this point reads as never written rather than
-// as the next read's.
+// record the read saw and returns it to the free list.
 func (op *readOp) release() {
-	if op.refs--; op.refs > 0 {
+	if !op.Release() {
 		return
 	}
-	for _, l := range op.legs[:op.used] {
-		l.f.Init(op.db.K)
-		l.row.Reset()
+	for _, l := range op.Legs() {
+		l.Answer.Init(op.db.K)
+		l.Row.Reset()
 	}
 	op.blockingRow.Reset()
 	op.backgroundRow.Reset()
 	clear(op.resps)
 	clear(op.repairRec)
-	op.used, op.key, op.rec = 0, "", nil
+	op.key, op.rec = "", nil
 	op.db.readOps = append(op.db.readOps, op)
 }
 
@@ -522,9 +491,9 @@ func (l *readLeg) fetchRow(q *sim.Proc) {
 	if l.repair {
 		t0, prev = db.Mute(q)
 	}
-	l.f.Set(l.rep.Fetch(q, replica.Caller{Node: op.coord.Node}, op.key, l.digestOnly, &l.row))
+	l.Answer.Set(l.Host.Fetch(q, replica.Caller{Node: op.coord.Node}, op.key, l.Digest, &l.Row))
 	if l.repair {
-		db.Bill(q, trace.PhaseReadRepair, l.rep.Node, t0, prev, true)
+		db.Bill(q, trace.PhaseReadRepair, l.Host.Node, t0, prev, true)
 	}
 	op.release()
 }
@@ -544,7 +513,8 @@ func (db *DB) read(p *sim.Proc, coord *Replica, key kv.Key, cl kv.ConsistencyLev
 		op = &readOp{db: db}
 		op.background = op.repairRest
 	}
-	op.refs, op.coord, op.key = 1, coord, key
+	op.Begin()
+	op.coord, op.key = coord, key
 	row, err := op.coordinate(p, cl)
 	return op, row, err
 }
@@ -598,21 +568,13 @@ func (op *readOp) coordinate(p *sim.Proc, cl kv.ConsistencyLevel) (*storage.Row,
 	for i, rep := range op.contacted {
 		db.K.Go("c*-read", op.leg(&rep.Host, i != 0, false).fetch)
 	}
-	deadline := db.cfg.Timeout
-	start := p.Now()
-	op.resps = op.resps[:0]
-	for _, l := range op.legs[:need] {
-		remaining := deadline - p.Now().Sub(start)
-		r, ok := l.f.AwaitTimeout(p, remaining)
-		if !ok {
-			db.CoordinatorTimeouts++
-			return nil, kv.ErrTimeout
-		}
-		if !r.OK {
-			db.Unavails++
-			return nil, kv.ErrUnavailable
-		}
-		op.resps = append(op.resps, r)
+	var err error
+	if op.resps, err = replica.Await(p, db.cfg.Timeout, op.Legs(), op.resps[:0]); err == kv.ErrTimeout {
+		db.CoordinatorTimeouts++
+		return nil, err
+	} else if err != nil {
+		db.Unavails++
+		return nil, err
 	}
 
 	dataRow := op.resps[0].Row
@@ -653,7 +615,7 @@ func (op *readOp) coordinate(p *sim.Proc, cl kv.ConsistencyLevel) (*storage.Row,
 	// with RF−1).
 	if len(op.alive) > need && db.rollRepair() {
 		db.AsyncRepairs++
-		op.refs++
+		op.Hold()
 		db.K.Go("c*-bg-repair", op.background)
 	}
 	return dataRow, nil
@@ -697,14 +659,14 @@ func (op *readOp) repairRest(q *sim.Proc) {
 // gather fetches the full row from every one of reps not in skip, all at
 // once, and appends the answers that arrive to resps.
 func (op *readOp) gather(p *sim.Proc, reps, skip []*Replica, repair bool, resps []replica.Response) []replica.Response {
-	first := op.used
+	first := len(op.Legs())
 	for _, rep := range reps {
 		if !slices.Contains(skip, rep) {
 			op.db.K.Go("c*-read", op.leg(&rep.Host, false, repair).fetch)
 		}
 	}
-	for _, l := range op.legs[first:op.used] {
-		if r := l.f.Await(p); r.OK {
+	for _, l := range op.Legs()[first:] {
+		if r := l.Answer.Await(p); r.OK {
 			resps = append(resps, r)
 		}
 	}
@@ -713,7 +675,9 @@ func (op *readOp) gather(p *sim.Proc, reps, skip []*Replica, repair bool, resps 
 
 // writeRepairs sends the reconciled row to every responder whose version
 // lags; the record is built only once one does. When wait is true the
-// caller blocks until the repairs finish.
+// caller, the coordinator, blocks until the repairs finish: every other leg
+// of the read has finished by then, and the background repair is not yet
+// spawned.
 func (op *readOp) writeRepairs(p *sim.Proc, merged *storage.Row, resps []replica.Response, wait bool) {
 	if merged == nil {
 		return
@@ -722,25 +686,23 @@ func (op *readOp) writeRepairs(p *sim.Proc, merged *storage.Row, resps []replica
 	if target == 0 {
 		return
 	}
-	op.repairs = 0
+	first := len(op.Legs())
 	for _, r := range resps {
 		if r.Ver >= target {
 			continue
 		}
-		if op.repairs == 0 {
+		if len(op.Legs()) == first {
 			if op.rec, op.ver = merged.ProjectInto(nil, op.repairRec), target; op.rec == nil {
 				op.ver = merged.Tomb
 			} else {
 				op.repairRec = op.rec
 			}
-			op.repaired.Init(op.db.K)
 		}
-		op.repairs++
 		op.db.RepairWrites++
 		op.db.K.Go("c*-repair-write", op.leg(r.Host, false, false).write)
 	}
-	if wait && op.repairs > 0 {
-		op.repaired.Await(p)
+	if wait {
+		op.AwaitLegs(p)
 	}
 }
 
@@ -751,7 +713,7 @@ func (op *readOp) writeRepairs(p *sim.Proc, merged *storage.Row, resps []replica
 //
 //simlint:hotpath
 func (l *readLeg) repairWrite(q *sim.Proc) {
-	op, db, rep, coord := l.op, l.op.db, l.rep, l.op.coord.Node
+	op, db, rep, coord := l.op, l.op.db, l.Host, l.op.coord.Node
 	t0, prev := db.Mute(q)
 	if rep.Node == coord || coord.SendTo(q, rep.Node, db.MutationSize(op.key, op.rec)) {
 		db.apply(q, rep, replica.Mutation{Key: op.key, Rec: op.rec, Del: op.rec == nil, Ver: op.ver}, consistency.ApplyRepair)
@@ -760,9 +722,6 @@ func (l *readLeg) repairWrite(q *sim.Proc) {
 		}
 	}
 	db.Bill(q, trace.PhaseReadRepair, rep.Node, t0, prev, true)
-	if op.repairs--; op.repairs == 0 {
-		op.repaired.Set(struct{}{})
-	}
 	op.release()
 }
 

@@ -108,16 +108,7 @@ func (c *Client) Read(p *sim.Proc, key kv.Key, fields []string) (kv.Record, erro
 	if row != nil {
 		respSize += row.ProjectedBytes(fields)
 	}
-	if c.db.Oracle != nil {
-		// The observed version is the reconciled row the coordinator is
-		// about to return (a tombstone's version for deleted rows, 0 for
-		// never-written keys) — exactly what this client sees.
-		var ver kv.Version
-		if row != nil {
-			ver = row.Version()
-		}
-		c.db.Oracle.ReadObserved(c.oid, key, ver, start)
-	}
+	c.db.Observed(c.oid, key, row, start) // the row the coordinator is about to return
 	if !coord.Node.SendTo(p, c.node, respSize) {
 		op.release()
 		return nil, kv.ErrUnavailable

@@ -158,8 +158,8 @@ func TestFailedWriteHoldsItsOpUntilLegsFinish(t *testing.T) {
 			p.Sleep(pause)
 		}
 		for _, op := range db.writeOps {
-			if op.refs != 0 || op.used != 0 {
-				t.Fatalf("op on the free list with %d holders and %d legs in use", op.refs, op.used)
+			if op.Held() {
+				t.Fatal("write op on the free list still held")
 			}
 		}
 		if n := len(db.writeOps); n < 2 {

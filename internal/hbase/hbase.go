@@ -201,20 +201,14 @@ func (db *DB) regionFor(key kv.Key) *Region {
 	return db.regions[i-1]
 }
 
-// writeOp is one write's replication to the server's peers, pooled: the
-// edit's size, the ack count, the legs (kept across uses) and a count of who
-// still needs them — the write until it is answered, and every leg in
-// flight. One lost message fails the write while the other peer's leg is on
-// its way, so the op goes back to the free list only when the last holder
-// lets go: a late confirmation always lands on the write it belongs to.
+// writeOp is one write's replication to the server's peers, pooled (sim.Op):
+// the edit's size and the ack count its legs report to.
 type writeOp struct {
+	sim.Op[writeLeg]
 	db   *DB
-	refs int
 	rs   *RegionServer
 	size int // the edit's wire size
 	acks sim.Quorum
-	legs []*writeLeg
-	used int
 }
 
 // writeLeg carries its op's edit to one peer and the confirmation back.
@@ -224,25 +218,16 @@ type writeLeg struct {
 	run  func(*sim.Proc) // replicate, bound once: spawning a leg allocates nothing
 }
 
-// leg hands out op's next leg, aimed at peer; it holds op until replicate
-// has run.
-func (op *writeOp) leg(peer *cluster.Node) *writeLeg {
-	if op.used == len(op.legs) {
-		l := &writeLeg{op: op}
-		l.run = l.replicate
-		op.legs = append(op.legs, l)
-	}
-	l := op.legs[op.used]
-	op.used++
-	l.peer = peer
-	op.refs++
+//simlint:coldpath
+func (op *writeOp) newLeg() *writeLeg {
+	l := &writeLeg{op: op}
+	l.run = l.replicate
 	return l
 }
 
 // release drops one hold on op; the last one returns it to the free list.
 func (op *writeOp) release() {
-	if op.refs--; op.refs == 0 {
-		op.used = 0
+	if op.Release() {
 		op.db.writeOps = append(op.db.writeOps, op)
 	}
 }
@@ -272,11 +257,14 @@ func (rs *RegionServer) write(p *sim.Proc, r *Region, key kv.Key, rec kv.Record,
 	if op == nil {
 		op = &writeOp{db: db}
 	}
-	op.refs, op.rs, op.size = 1, rs, db.MutationSize(key, rec)
+	op.Begin()
+	op.rs, op.size = rs, db.MutationSize(key, rec)
 	op.acks.Init(db.K, len(rs.memPeers), len(rs.memPeers))
 	for _, peer := range rs.memPeers {
 		db.ReplicationSends++
-		db.K.Go(label, op.leg(peer).run)
+		l := op.Leg(op.newLeg)
+		l.peer = peer
+		db.K.Go(label, l.run)
 	}
 	if del {
 		r.Engine.ApplyDelete(p, key, ver)
@@ -404,13 +392,7 @@ func (c *Client) Read(p *sim.Proc, key kv.Key, fields []string) (kv.Record, erro
 	if row != nil {
 		respSize += row.ProjectedBytes(fields)
 	}
-	if c.db.Oracle != nil {
-		var ver kv.Version
-		if row != nil {
-			ver = row.Version()
-		}
-		c.db.Oracle.ReadObserved(c.oid, key, ver, start)
-	}
+	c.db.Observed(c.oid, key, row, start)
 	// The row stays the read's across the response: the record is filled
 	// once it has arrived, and Read does not yield again before returning it.
 	arrived := r.Server.Node.SendTo(p, c.node, respSize)

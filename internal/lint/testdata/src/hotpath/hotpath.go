@@ -151,3 +151,52 @@ func (r *ring) callsIface(s store) {
 	_ = s.get("k") // coldpath interface method: ok
 	s.put("k")     // want `call in hot path callsIface reaches an allocating callee: \(hotpath\.mapStore\)\.put concatenates strings`
 }
+
+// --- a pooled fan-out (sim.Op): each leg is built once per slot with its
+// body bound then, so handing one out and spawning its body allocates
+// nothing; a closure spawned beside it allocates per call. ---
+
+type kernel struct{}
+
+func (k *kernel) Go(name string, fn func()) {}
+
+type op[L any] struct {
+	legs []*L
+	used int
+}
+
+//simlint:hotpath
+func (o *op[L]) Leg(build func() *L) *L {
+	if o.used == len(o.legs) {
+		o.legs = append(o.legs, build())
+	}
+	o.used++
+	return o.legs[o.used-1]
+}
+
+type fanout struct {
+	op[leg]
+	k *kernel
+}
+
+type leg struct {
+	f   *fanout
+	run func() // deliver, bound once
+}
+
+//simlint:coldpath
+func (f *fanout) newLeg() *leg {
+	l := &leg{f: f}
+	l.run = l.deliver
+	return l
+}
+
+func (l *leg) deliver() {}
+
+//simlint:hotpath
+func (f *fanout) send(n int) {
+	for i := 0; i < n; i++ {
+		f.k.Go("leg", f.Leg(f.newLeg).run) // a pooled leg's bound body: ok
+	}
+	f.k.Go("closure", func() { f.send(0) }) // want `closure allocated in hot path send`
+}

@@ -5,6 +5,7 @@ import (
 	"cloudbench/internal/kv"
 	"cloudbench/internal/replica"
 	"cloudbench/internal/sim"
+	"cloudbench/internal/storage"
 )
 
 // Client is an object-store client bound to a client machine — it plays
@@ -50,39 +51,82 @@ var _ kv.Client = (*Client)(nil)
 // caller is how the servers see this client: a client-facing request.
 func (c *Client) caller() replica.Caller { return replica.Caller{Node: c.node, Client: true} }
 
-// liveReplicas filters a placement to its reachable members.
-func liveReplicas(placement []*Server) []*Server {
-	var live []*Server
+// readOp is one Read, pooled (sim.Op): the live replicas, a leg per one
+// asked, and the row their answers reconcile into.
+type readOp struct {
+	sim.Op[readLeg]
+	db    *DB
+	c     replica.Caller
+	key   kv.Key
+	live  []*Server
+	resps []replica.Response
+	row   storage.Row
+}
+
+// readLeg is a proxy's GET to one object server: request, server service,
+// response.
+type readLeg struct {
+	replica.FetchLeg
+	op  *readOp
+	run func(*sim.Proc) // get, bound once
+}
+
+//simlint:coldpath
+func (op *readOp) newLeg() *readLeg {
+	l := &readLeg{op: op}
+	l.Answer.Init(op.db.K)
+	l.run = l.get
+	return l
+}
+
+//simlint:hotpath
+func (l *readLeg) get(q *sim.Proc) {
+	l.Answer.Set(l.Host.Fetch(q, l.op.c, l.op.key, false, &l.Row))
+	l.op.release()
+}
+
+// release drops one hold on op; the last one forgets the rows the read saw
+// and returns it to the free list.
+func (op *readOp) release() {
+	if !op.Release() {
+		return
+	}
+	for _, l := range op.Legs() {
+		l.Answer.Init(op.db.K)
+		l.Row.Reset()
+	}
+	op.row.Reset()
+	clear(op.resps)
+	op.key = ""
+	op.db.readOps = append(op.db.readOps, op)
+}
+
+// Read implements kv.Client under the client's read mode.
+//
+//simlint:hotpath
+func (c *Client) Read(p *sim.Proc, key kv.Key, fields []string) (kv.Record, error) {
+	db := c.db
+	op := sim.Take(&db.readOps)
+	if op == nil {
+		op = &readOp{db: db}
+	}
+	op.Begin()
+	placement := db.PlacementFor(key)
+	live := op.live[:0]
 	for _, s := range placement {
 		if !s.Node.Down() {
 			live = append(live, s)
 		}
 	}
-	return live
-}
-
-// fetch reads the full row from srv on a spawned process: request leg,
-// server service, response leg, like a proxy's GET to one object server.
-func (c *Client) fetch(srv *Server, key kv.Key, f *sim.Future[replica.Response]) {
-	c.db.K.Go("o*-read", func(q *sim.Proc) { f.Set(srv.Fetch(q, c.caller(), key, false, nil)) })
-}
-
-// Read implements kv.Client under the client's read mode.
-func (c *Client) Read(p *sim.Proc, key kv.Key, fields []string) (kv.Record, error) {
-	db := c.db
-	placement := db.PlacementFor(key)
-	live := liveReplicas(placement)
-	if len(live) == 0 {
-		db.Unavails++
-		return nil, kv.ErrUnavailable
-	}
+	op.live = live
 	need := 1
 	if c.mode == ReadQuorumFresh {
 		need = len(placement)/2 + 1
-		if len(live) < need {
-			db.Unavails++
-			return nil, kv.ErrUnavailable
-		}
+	}
+	if len(live) < need {
+		db.Unavails++
+		op.release()
+		return nil, kv.ErrUnavailable
 	}
 	db.Reads++
 	start := p.Now()
@@ -91,38 +135,23 @@ func (c *Client) Read(p *sim.Proc, key kv.Key, fields []string) (kv.Record, erro
 	// replication has not reached yet.
 	offset := c.next % len(live)
 	c.next++
-	futs := make([]*sim.Future[replica.Response], need)
+	op.c, op.key = c.caller(), key
 	for i := 0; i < need; i++ {
-		futs[i] = sim.NewFuture[replica.Response](db.K)
-		c.fetch(live[(offset+i)%len(live)], key, futs[i])
+		l := op.Leg(op.newLeg)
+		l.Host = &live[(offset+i)%len(live)].Host
+		db.K.Go("o*-read", l.run)
 	}
-	deadline := db.cfg.Timeout
-	resps := make([]replica.Response, 0, need)
-	for _, f := range futs {
-		remaining := deadline - p.Now().Sub(start)
-		r, ok := f.AwaitTimeout(p, remaining)
-		if !ok {
-			db.Unavails++
-			return nil, kv.ErrTimeout
-		}
-		if !r.OK {
-			db.Unavails++
-			return nil, kv.ErrUnavailable
-		}
-		resps = append(resps, r)
+	var err error
+	if op.resps, err = replica.Await(p, db.cfg.Timeout, op.Legs(), op.resps[:0]); err != nil {
+		db.Unavails++
+		op.release()
+		return nil, err
 	}
-	row := replica.Reconcile(resps, nil)
-	if db.Oracle != nil {
-		// Report the version the client actually observes after
-		// reconciliation (a tombstone's version for deleted rows, 0 for
-		// never-written keys).
-		var ver kv.Version
-		if row != nil {
-			ver = row.Version()
-		}
-		db.Oracle.ReadObserved(c.oid, key, ver, start)
-	}
-	return replica.Fill(&c.rec, row, fields)
+	row := replica.Reconcile(op.resps, &op.row)
+	db.Observed(c.oid, key, row, start)
+	rec, err := replica.Fill(&c.rec, row, fields)
+	op.release()
+	return rec, err
 }
 
 // Insert implements kv.Client.

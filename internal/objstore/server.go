@@ -144,6 +144,7 @@ type DB struct {
 	ring partTable
 
 	stopped bool
+	readOps []*readOp // free list; one kernel runs one process at a time
 
 	// Metrics.
 	Reads, Writes, ScansDone       int64

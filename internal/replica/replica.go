@@ -321,6 +321,38 @@ func (h *Host) Fetch(q *sim.Proc, c Caller, key kv.Key, digestOnly bool, into *s
 	return resp
 }
 
+// FetchLeg is what a point read's leg embeds to fetch one host's row: the
+// host, whether it answers with the version alone, the scratch row to fetch
+// into, and the future it answers through.
+type FetchLeg struct {
+	Host   *Host
+	Digest bool
+	Row    storage.Row
+	Answer sim.Future[Response]
+}
+
+func (l *FetchLeg) fetchLeg() *FetchLeg { return l }
+
+// Await collects the answers of legs in order, appending them to resps, all
+// within d from now. err is kv.ErrTimeout when an answer is not in by then
+// and kv.ErrUnavailable when one lost a message; legs still out run on.
+//
+//simlint:hotpath
+func Await[L interface{ fetchLeg() *FetchLeg }](p *sim.Proc, d time.Duration, legs []L, resps []Response) ([]Response, error) {
+	start := p.Now()
+	for _, l := range legs {
+		r, ok := l.fetchLeg().Answer.AwaitTimeout(p, d-p.Now().Sub(start))
+		if !ok {
+			return resps, kv.ErrTimeout
+		}
+		if !r.OK {
+			return resps, kv.ErrUnavailable
+		}
+		resps = append(resps, r)
+	}
+	return resps, nil
+}
+
 // Reconcile folds the successful responses' rows in ascending node-id order
 // and returns the result: nil when no host holds the row, one response's own
 // row when none of the others adds to it (the common case between in-sync
@@ -375,52 +407,45 @@ func Fill(rec *kv.Record, row *storage.Row, fields []string) (kv.Record, error) 
 	return out, nil
 }
 
-// scanOp is one ScanAll, pooled like the backends' point ops: a slot per
-// host for its answer, the future the coordinator sleeps on, and a leg per
-// host that keeps its row buffer across uses. A point op is held by every
-// leg because its coordinator may return first; here every leg has counted
-// down, and touches nothing afterwards, before done is set, so ScanAll is
-// the only holder.
+// Observed tells the oracle, if one is attached, what client oid's read of
+// key, issued at start, observes: the version of the reconciled row it is
+// answered from — a tombstone's for a deleted row, 0 when there is none.
+//
+//simlint:hotpath
+func (e *Env) Observed(oid int, key kv.Key, row *storage.Row, start sim.Time) {
+	if e.Oracle != nil {
+		var ver kv.Version
+		if row != nil {
+			ver = row.Version()
+		}
+		e.Oracle.ReadObserved(oid, key, ver, start)
+	}
+}
+
+// scanOp is one ScanAll, pooled (sim.Op): a slot per host for its answer,
+// and a leg per live host that keeps its row buffer across uses.
 type scanOp struct {
+	sim.Op[scanLeg]
 	env     *Env
 	c       Caller
 	start   kv.Key
 	perHost int
 	parts   [][]storage.ScanRow // by host; nil: down, or a message was lost
-	pending int
-	done    sim.Future[struct{}]
-	legs    []*scanLeg // by host
 }
 
 // scanLeg asks one host for its share of its op's range.
 type scanLeg struct {
 	op   *scanOp
 	host int               // index into env.hosts and op.parts
-	rows []storage.ScanRow // what the host's engine last filled
+	rows []storage.ScanRow // what a host's engine last filled
 	run  func(*sim.Proc)   // scan, bound once: spawning a leg allocates nothing
 }
 
 //simlint:coldpath
-func (e *Env) newScanOp() *scanOp {
-	op := &scanOp{env: e, parts: make([][]storage.ScanRow, len(e.hosts))}
-	for i := range e.hosts {
-		l := &scanLeg{op: op, host: i}
-		l.run = l.scan
-		op.legs = append(op.legs, l)
-	}
-	return op
-}
-
-// release empties the buffers — a row that compaction has since replaced is
-// not kept alive by a scan that once returned it — and returns op to the
-// free list.
-func (op *scanOp) release() {
-	for _, l := range op.legs {
-		clear(l.rows)
-	}
-	clear(op.parts)
-	op.start = ""
-	op.env.scanOps = append(op.env.scanOps, op)
+func (op *scanOp) newLeg() *scanLeg {
+	l := &scanLeg{op: op}
+	l.run = l.scan
+	return l
 }
 
 // ScanAll is the range scan of a hash-partitioned store. Consecutive keys
@@ -443,25 +468,34 @@ func (e *Env) ScanAll(p *sim.Proc, label string, c Caller, rf int, start kv.Key,
 	}
 	op := sim.Take(&e.scanOps)
 	if op == nil {
-		op = e.newScanOp()
+		op = &scanOp{env: e, parts: make([][]storage.ScanRow, len(e.hosts))}
 	}
+	op.Begin()
 	// Each host holds roughly limit·RF/alive of the next limit global
 	// keys; fetch that share plus slack. (An exact range scan would need
 	// per-host iteration rounds; the slack makes short ranges complete
 	// in one round at realistic cost.)
 	op.c, op.start, op.perHost = c, start, min(limit, limit*rf/alive+4)
 	// One leg per live host fills that host's slot of parts; p sleeps until
-	// the last leg, answered or not, has counted down.
-	op.pending = alive
-	op.done.Init(e.K)
+	// the last leg, answered or not, has let go.
 	for i, h := range e.hosts {
 		if !h.Node.Down() {
-			e.K.Go(label, op.legs[i].run)
+			l := op.Leg(op.newLeg)
+			l.host = i
+			e.K.Go(label, l.run)
 		}
 	}
-	op.done.Await(p)
+	op.AwaitLegs(p)
 	out = storage.MergeScans(op.parts, limit, fields, into)
-	op.release()
+	// The last holder empties the buffers — a row that compaction has since
+	// replaced is not kept alive by a scan that once returned it.
+	op.Release()
+	for _, l := range op.Legs() {
+		clear(l.rows)
+	}
+	clear(op.parts)
+	op.start = ""
+	e.scanOps = append(e.scanOps, op)
 	return out, true
 }
 
@@ -480,7 +514,5 @@ func (l *scanLeg) scan(q *sim.Proc) {
 			op.parts[l.host] = l.rows
 		}
 	}
-	if op.pending--; op.pending == 0 {
-		op.done.Set(struct{}{})
-	}
+	op.Release()
 }

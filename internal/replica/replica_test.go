@@ -339,16 +339,21 @@ func TestScanAllRunsOnAPooledOp(t *testing.T) {
 		}
 		for _, op := range e.scanOps {
 			held := 0
-			for i, l := range op.legs {
+			for i, l := range op.Built() {
 				held += cap(l.rows)
 				for _, r := range l.rows[:cap(l.rows)] {
-					if r.Row != nil || r.Key != "" || op.parts[i] != nil {
-						t.Fatalf("op on the free list still holds host %d's row %s", i, r.Key)
+					if r.Row != nil || r.Key != "" {
+						t.Fatalf("op on the free list still holds leg %d's row %s", i, r.Key)
 					}
 				}
 			}
-			if held == 0 || op.start != "" {
-				t.Fatalf("op on the free list: %d rows of buffer kept, start %q", held, op.start)
+			for i, part := range op.parts {
+				if part != nil {
+					t.Fatalf("op on the free list still holds host %d's rows", i)
+				}
+			}
+			if held == 0 || op.start != "" || op.Held() {
+				t.Fatalf("op on the free list: %d rows of buffer kept, start %q, held %t", held, op.start, op.Held())
 			}
 		}
 	})

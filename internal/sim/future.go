@@ -33,19 +33,6 @@ func (f *Future[T]) Init(k *Kernel) {
 	*f = Future[T]{k: k, more: f.more}
 }
 
-// Take pops a pooled struct — an operation with embedded futures, its legs,
-// its scratch — off its owner's free list; nil means build one. Everything on
-// one kernel runs one process at a time, so the lists need no lock.
-func Take[T any](free *[]*T) *T {
-	n := len(*free)
-	if n == 0 {
-		return nil
-	}
-	x := (*free)[n-1]
-	*free = (*free)[:n-1]
-	return x
-}
-
 // Done reports whether the future has been set.
 func (f *Future[T]) Done() bool { return f.done }
 
