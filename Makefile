@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-shard bench bench-record bench-compare bench-kernel bench-scale bench-spectrum bench-geo lint lint-report vet trace loc
+.PHONY: all build test race bench-record bench-compare lint lint-report vet trace loc
 
 all: build lint test
 
@@ -15,23 +15,16 @@ build:
 test:
 	$(GO) test -short -timeout 10m ./...
 
+# Megascale's TestMegaScale* cells have no -short skip, so this also runs
+# the multi-shard window engine under the detector.
 race:
 	$(GO) test -race -short -timeout 30m ./...
 
-# Same suite on 4-shard kernel groups: every deployment runs through the
-# conservative window engine, so the cross-shard synchronization is
-# race-clean under real concurrency, not just deterministic.
-race-shard:
-	CLOUDBENCH_SHARDS=4 $(GO) test -race -short -timeout 30m ./...
-
-bench:
-	$(GO) test -bench=. -benchtime=1x -run='^$$' -short -timeout 15m ./...
-
-# The benchmark of record (BENCHMARK.json, bench/README.md): four host-time
+# The benchmark (BENCHMARK.json, bench/README.md): four host-time
 # workloads, end-to-end metrics with regression bounds, results in
 # bench/out/result.json. BENCH_ARGS passes flags through, e.g.
 # `make bench-record BENCH_ARGS="-trace 1"` for the per-layer ladder.
-# Performance claims rest on this, not on the legacy bench-* targets below.
+# Performance claims rest on this.
 BENCH_ARGS ?=
 bench-record:
 	bash bench/run.sh $(BENCH_ARGS)
@@ -43,41 +36,6 @@ NEW ?=
 bench-compare:
 	@test -n "$(OLD)" && test -n "$(NEW)" || { echo "usage: make bench-compare OLD=old.json NEW=new.json"; exit 2; }
 	$(GO) run ./bench -compare $(OLD) $(NEW)
-
-# Kernel hot-path benchmarks (scheduler, spawn churn, queue cycle) at
-# stable iteration counts, archived as a JSON artifact (see DESIGN.md §9).
-bench-kernel:
-	$(GO) test -bench='KernelSleep|KernelScheduleWheel|SpawnChurn|QueueRing' \
-		-benchmem -benchtime=20x -run='^$$' ./internal/sim . \
-		| $(GO) run ./cmd/benchjson -o BENCH_kernel.json
-	@cat BENCH_kernel.json
-
-# Deployment-scale scaling curve: the 512-node, million-session megascale
-# deployment at 1/2/4/8 shards, archived with the host's GOMAXPROCS and
-# CPU count (benchjson records both — the curve is uninterpretable
-# without them). Expect minutes of wall clock; needs ≥8 host cores to
-# show the 8-shard speedup. SCALE_ARGS adds e.g. -short for the CI smoke.
-SCALE_ARGS ?=
-bench-scale:
-	$(GO) test -bench='^BenchmarkMegaScale$$' -benchmem -benchtime=1x -run='^$$' $(SCALE_ARGS) -timeout 60m . \
-		| $(GO) run ./cmd/benchjson -o BENCH_scale.json
-	@cat BENCH_scale.json
-
-# Replication-spectrum headline artifact: the three-backend grid at smoke
-# scale with the async object store's stale-% and t-visibility p99 as
-# reported metrics, archived beside the kernel numbers (DESIGN.md §11).
-bench-spectrum:
-	$(GO) test -bench=Spectrum -benchmem -benchtime=1x -run='^$$' -short -timeout 15m . \
-		| $(GO) run ./cmd/benchjson -o BENCH_spectrum.json
-	@cat BENCH_spectrum.json
-
-# Geo headline artifact: the SLA cell's fixed-EACH_QUORUM versus adaptive
-# write p99 (and the adaptive client's staleness cost) over the 80ms WAN
-# at smoke scale, archived beside the other numbers (DESIGN.md §13).
-bench-geo:
-	$(GO) test -bench='^BenchmarkGeo$$' -benchmem -benchtime=1x -run='^$$' -short -timeout 15m . \
-		| $(GO) run ./cmd/benchjson -o BENCH_geo.json
-	@cat BENCH_geo.json
 
 vet:
 	$(GO) vet ./...

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"cloudbench/internal/core"
-	"cloudbench/internal/trace"
 )
 
 // capture runs the CLI and returns its report with the trailing
@@ -63,11 +62,7 @@ func TestSweepBitIdentical(t *testing.T) {
 // subsystem: the multi-DC grid — WAN-link jitter streams, per-DC quorum
 // fan-out, the DC-partition fault cells, and the adaptive controller's
 // probability-driven decisions — must produce byte-identical CSV across
-// worker-pool sizes AND across kernel shard counts. Geo cells deploy whole
-// on the home shard like every other experiment — the WAN lives inside one
-// kernel — so -shards 4 checks the group's solo path, not cross-shard
-// delivery; TestMegaScaleWorkersBitIdentical is the gate that reaches
-// multi-shard windows.
+// worker-pool sizes.
 func TestGeoSweepBitIdentical(t *testing.T) {
 	base := []string{"-experiment", "geo", "-profile", "smoke", "-csv", "-seed", "42"}
 	serial := capture(t, append(base, "-parallel", "1")...)
@@ -75,14 +70,6 @@ func TestGeoSweepBitIdentical(t *testing.T) {
 	wide := capture(t, append(base, "-parallel", "8")...)
 	if serial != wide {
 		t.Errorf("-parallel 1 and -parallel 8 geo reports differ:\n%s", firstDiff(serial, wide))
-	}
-	seq := capture(t, append(base, "-shards", "1")...)
-	sharded := capture(t, append(base, "-shards", "4")...)
-	if seq != sharded {
-		t.Errorf("-shards 1 and -shards 4 geo reports differ:\n%s", firstDiff(seq, sharded))
-	}
-	if serial != seq {
-		t.Errorf("-parallel and -shards baselines differ:\n%s", firstDiff(serial, seq))
 	}
 }
 
@@ -123,30 +110,6 @@ func TestTraceBitIdentical(t *testing.T) {
 	}
 }
 
-// TestShardedSweepBitIdentical is the acceptance gate for the sharded
-// kernel: every experiment family must produce byte-identical reports on a
-// 4-shard kernel group and on the plain sequential kernel. The benchmark
-// deployments live entirely on the group's home shard (same seed, same
-// event stream), so any diff here means the window engine reordered,
-// duplicated, or dropped events.
-func TestShardedSweepBitIdentical(t *testing.T) {
-	experiments := []string{"fig1", "audit", "spectrum", "tracebreak"}
-	if !testing.Short() {
-		experiments = append(experiments, "fig2", "fig3")
-	}
-	for _, experiment := range experiments {
-		t.Run(experiment, func(t *testing.T) {
-			base := []string{"-experiment", experiment, "-profile", "smoke", "-csv", "-seed", "42", "-rf", "1,3"}
-			seq := capture(t, append(base, "-shards", "1")...)
-			smokeReports[experiment] = seq
-			sharded := capture(t, append(base, "-shards", "4")...)
-			if seq != sharded {
-				t.Errorf("-shards 1 and -shards 4 reports differ:\n%s", firstDiff(seq, sharded))
-			}
-		})
-	}
-}
-
 // TestMegaScaleWorkersBitIdentical is the window-engine gate at the CLI:
 // megascale is the one experiment whose model spans shards, so it is the
 // one whose report passes through multi-shard windows, the barrier merge
@@ -166,35 +129,6 @@ func TestMegaScaleWorkersBitIdentical(t *testing.T) {
 	}
 }
 
-// TestShardedTraceSpansBitIdentical extends the sharded gate to the raw
-// span stream: IDs, timestamps, and phase boundaries must survive the
-// window engine untouched.
-func TestShardedTraceSpansBitIdentical(t *testing.T) {
-	run := func(shards int) []trace.Span {
-		o := core.SmokeOptions()
-		o.Seed = 42
-		o.Shards = shards
-		o.ReplicationFactors = []int{3}
-		_, spans, err := core.RunTraceSpans(o, 50_000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return spans
-	}
-	a, b := run(1), run(4)
-	if len(a) == 0 {
-		t.Fatal("span-retaining cell kept no spans")
-	}
-	if !reflect.DeepEqual(a, b) {
-		for i := range a {
-			if i < len(b) && a[i] != b[i] {
-				t.Fatalf("span %d differs between -shards 1 and -shards 4:\n  a: %+v\n  b: %+v", i, a[i], b[i])
-			}
-		}
-		t.Fatalf("span streams differ in length: %d vs %d", len(a), len(b))
-	}
-}
-
 var update = flag.Bool("update", false, "rewrite "+goldenDigests+" from this checkout's reports")
 
 const goldenDigests = "testdata/smoke_seed42.sha256"
@@ -203,10 +137,10 @@ const goldenDigests = "testdata/smoke_seed42.sha256"
 // test in this file compares a run against another run of the same
 // checkout; this one compares the seed-42 smoke report of each experiment
 // family against the sha256 recorded when the figures were last moved on
-// purpose, so a refactor that shifts a number anywhere fails here. fig2 and
-// fig3 run only outside -short, like TestShardedSweepBitIdentical.
-// Regenerate with -update, and only in a change that declares the
-// re-baseline.
+// purpose, so a refactor that shifts a number anywhere fails here. fig2,
+// fig3 and failover run only outside -short; no other gate captures them, so
+// this test runs them itself. Regenerate with -update, and only in a change
+// that declares the re-baseline.
 func TestSmokeGoldenDigests(t *testing.T) {
 	reports := []struct {
 		name  string // golden name: the experiment, plus a -suffix where flags vary

@@ -9,12 +9,12 @@
 // The experiment names (table1, fig1, ..., spectrum) come from a single
 // registry; run with an unknown name to get the current list. Sweeps fan
 // their independent cells out across host CPUs (-parallel bounds the
-// worker pool; 0 means one worker per CPU). -shards additionally runs
-// each cell's kernel as a sharded group (see DESIGN §10); -shard-workers
-// caps the goroutines megascale — the one experiment whose model spans
-// shards — executes its windows on. Every cell is a deterministic
-// simulation whose event order is independent of all three knobs, so the
-// report is bit-identical whatever their values.
+// worker pool; 0 means one worker per CPU). -shards and -shard-workers
+// size megascale, the one experiment whose model spans member kernels
+// (DESIGN §10): its shard count and the goroutines its windows run on.
+// Every cell is a deterministic simulation whose event order is
+// independent of -parallel and -shard-workers, so the report is
+// bit-identical whatever their values.
 // -seed and -csv apply uniformly to every experiment, including the geo and
 // failover extensions.
 //
@@ -60,7 +60,7 @@ func run(args []string, stdout io.Writer) error {
 	traceOut := fs.String("trace-out", "", "write Chrome trace-event JSON for one span-retaining tracebreak cell to this file")
 	seed := fs.Int64("seed", 1, "simulation seed")
 	parallel := fs.Int("parallel", 0, "sweep cells run concurrently (0 = one per CPU); results are bit-identical for every value")
-	shards := fs.Int("shards", 0, "kernel execution shards per simulation cell (0/1 = sequential kernel); results are bit-identical for every value")
+	shards := fs.Int("shards", 0, "member kernels megascale partitions its deployment across (at least 2)")
 	shardWorkers := fs.Int("shard-workers", 0, "pinned worker goroutines megascale runs its shard windows on (0 = one per CPU); results are bit-identical for every value")
 	rfList := fs.String("rf", "", "comma-separated replication factors (default 1-6)")
 	noReadRepair := fs.Bool("no-read-repair", false, "disable Cassandra read repair (ablation A1 inline)")
@@ -75,6 +75,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 	registry := core.Experiments(core.CLI{
 		Profile:      *profile,
+		Shards:       *shards,
 		ShardWorkers: *shardWorkers,
 		RFSet:        *rfList != "",
 		TraceOut:     *traceOut,
@@ -105,9 +106,6 @@ func run(args []string, stdout io.Writer) error {
 	o.Parallelism = *parallel
 	if *shards < 0 {
 		return fmt.Errorf("bad -shards %d", *shards)
-	}
-	if *shards > 0 {
-		o.Shards = *shards
 	}
 	if *shardWorkers < 0 {
 		return fmt.Errorf("bad -shard-workers %d", *shardWorkers)

@@ -85,6 +85,11 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-experiment", "table1", "-rf", "1,x"}, &b); err == nil {
 		t.Error("bad rf list accepted")
 	}
+	for _, flag := range []string{"-shards", "-shard-workers", "-parallel"} {
+		if err := run([]string{"-experiment", "table1", flag, "-1"}, &b); err == nil {
+			t.Errorf("%s -1 accepted", flag)
+		}
+	}
 }
 
 func TestRunRejectsUnknownExperiment(t *testing.T) {

@@ -24,11 +24,9 @@
 //
 // See README.md for a walkthrough, DESIGN.md for the system inventory and
 // substitutions, and EXPERIMENTS.md for paper-versus-measured results.
-// The benchmarks in bench_test.go regenerate every table and figure:
-//
-//	go test -bench=. -benchmem
-//
-// or, for the CLI harness:
+// The CLI regenerates every table and figure:
 //
 //	go run ./cmd/replbench -experiment all
+//
+// and bench/ (bash bench/run.sh) measures the simulator's own host cost.
 package cloudbench

@@ -190,6 +190,22 @@ func TestNilOracleSafe(t *testing.T) {
 	}
 }
 
+// TestAttachedOracleRegisterDetach: an attached oracle sees a registered
+// client's read through the full write lifecycle; detaching is setting the
+// pointer to nil, whose hooks TestNilOracleSafe pins at 0 allocations.
+func TestAttachedOracleRegisterDetach(t *testing.T) {
+	o := New()
+	cid := o.RegisterClient()
+	o.BeginMeasure(0)
+	o.WriteBegin(k1, 1, 1, sim.Time(1))
+	o.ReplicaApply(k1, 1, 0, ApplyWrite, sim.Time(1))
+	o.WriteAck(k1, 1, sim.Time(1))
+	o.ReadObserved(cid, k1, 1, sim.Time(2))
+	if r := o.Report(); r.Reads != 1 || r.StaleReads != 0 {
+		t.Fatalf("reads=%d stale=%d, want 1/0", r.Reads, r.StaleReads)
+	}
+}
+
 // TestUnknownVersionEventsIgnored: acks and applies for versions the
 // oracle never saw begin (e.g. hint replay of a pre-attach write) are
 // dropped without corrupting state.

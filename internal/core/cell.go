@@ -78,7 +78,6 @@ func (b backend) String() string {
 // deployment is one freshly provisioned database under test.
 type deployment struct {
 	k         *sim.Kernel
-	group     *sim.ShardGroup // non-nil when Options.Shards > 1
 	clus      *cluster.Cluster
 	newClient ycsb.ClientFactory
 	flush     func()
@@ -119,17 +118,11 @@ func engineConfig(o Options) storage.Config {
 // the factory once per thread, in thread order, so the assignment is
 // deterministic).
 //
-// With Options.Shards > 1 the kernel is the home shard of a member-kernel
-// group planned from the cell's topology, otherwise a plain kernel (nil
-// group). Benchmark clients touch every node directly (SendTo/RoundTrip
-// are process-carried), so an experiment's model cannot be split across
-// member kernels without changing its event order: every cell deploys
-// whole onto the home shard, which inherits the cell seed unchanged. That
-// is what makes `-shards N` byte-identical to `-shards 1` for every
-// experiment — with the other members idle the group runs the home shard
-// solo, the same sequential event stream. Spatially partitioned
-// parallelism is exercised by RunMegaScale, whose segments are independent
-// clusters pinned one per shard.
+// The cell runs on one sequential kernel seeded with o.Seed. Benchmark
+// clients touch every node directly (SendTo/RoundTrip are process-carried),
+// so a cell's model cannot be split across member kernels without changing
+// its event order; RunMegaScale, whose segments are independent clusters,
+// is the one experiment on sim.ShardGroup.
 func deploy(o Options, b backend, spec ycsb.Spec) *deployment {
 	dcs, spd := 1, o.ServerNodes // servers per datacenter
 	if b.dcs > 0 {
@@ -149,15 +142,7 @@ func deploy(o Options, b backend, spec ycsb.Spec) *deployment {
 		}
 	}
 
-	d := &deployment{spec: spec}
-	if o.Shards <= 1 {
-		d.k = sim.NewKernel(o.Seed)
-	} else {
-		plan := cluster.PlanShards(ccfg, o.Shards)
-		d.group = sim.NewShardGroup(o.Seed, plan.Shards, plan.Lookahead)
-		d.group.SetPairLookahead(plan.PairLookahead)
-		d.k = d.group.Shard(0).Kernel()
-	}
+	d := &deployment{spec: spec, k: sim.NewKernel(o.Seed)}
 	d.clus = cluster.New(d.k, ccfg)
 	var servers, attach []*cluster.Node
 	for dc := 0; dc < dcs; dc++ {
@@ -280,9 +265,6 @@ func (d *deployment) run(loadThreads int, body func(p *sim.Proc)) error {
 		d.records = w.Inserted()
 		body(p)
 	})
-	if d.group != nil {
-		return d.group.Run()
-	}
 	return d.k.Run()
 }
 

@@ -189,10 +189,9 @@ type GeoResults []GeoResult
 
 // RunGeo runs the geo-replication grid. Like every experiment, each cell
 // is a self-contained deterministic simulation fanned out across the
-// sweep scheduler, and the report is bit-identical for any Parallelism or
-// Shards value: a geo cell deploys all its DCs on the home shard like
-// every other experiment, so the WAN is modelled inside one kernel and
-// the group's cross-shard lookahead never comes into play.
+// sweep scheduler, and the report is bit-identical for any Parallelism.
+// A geo cell deploys all its DCs on one kernel, so the WAN is modelled as
+// link latency inside it.
 func RunGeo(o Options) (GeoResults, error) {
 	return sweep(o, "geo", geoCells(o), runGeoCell)
 }

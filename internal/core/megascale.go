@@ -17,8 +17,8 @@ import (
 // of a million YCSB client processes — partitioned across member kernels
 // by cluster.PlanShards. It is the one experiment whose model is spatially
 // split: the fig/audit/tracebreak/geo cells are process-carried — one
-// client machine's threads touch every server directly — so they run whole
-// on a group's home shard, while each megascale segment is an independent
+// client machine's threads touch every server directly — so they run on one
+// sequential kernel, while each megascale segment is an independent
 // cluster on its own member kernel and a controlled fraction of reads
 // crosses segments through the group's conservative delivery API.
 // The deployment is laid out as one geo topology (one DC per segment on a
@@ -135,8 +135,8 @@ type MegaScaleResult struct {
 // runMegaExperiment is the megascale registry entry. The cell scales with
 // -profile: smoke is the small CI cell, quick a mid-size cell that keeps
 // `-experiment all` tolerable, paper the full 512-node million-session
-// deployment. -shards and -shard-workers carry over, with the shard count
-// clamped to at least 2 so the partitioned engine actually runs (a
+// deployment. -shards and -shard-workers size the group, with the shard
+// count clamped to at least 2 so the partitioned engine actually runs (a
 // megascale deployment on one member kernel is just a very slow sequential
 // simulation).
 func runMegaExperiment(o Options, cli CLI) (Report, error) {
@@ -152,10 +152,7 @@ func runMegaExperiment(o Options, cli CLI) (Report, error) {
 	}
 	mo.Seed = o.Seed
 	mo.Workers = cli.ShardWorkers
-	mo.Shards = o.Shards
-	if mo.Shards < 2 {
-		mo.Shards = 2
-	}
+	mo.Shards = max(cli.Shards, 2)
 	res, err := RunMegaScale(mo)
 	if err != nil {
 		return nil, err
@@ -165,8 +162,8 @@ func runMegaExperiment(o Options, cli CLI) (Report, error) {
 	return printed{tables: []*stats.Table{t}}, nil
 }
 
-// Table renders the per-segment breakdown plus a totals row — the CSV the
-// CI scale job archives next to BENCH_scale.json.
+// Table renders the per-segment breakdown plus a totals row — the
+// megascale.csv CI archives with the other experiment smokes.
 func (r MegaScaleResult) Table() *stats.Table {
 	t := stats.NewTable("Megascale — partitioned Cassandra deployment, session churn per segment (DESIGN §10)",
 		"segment", "nodes", "sessions", "measured-ops", "simops/s", "mean-latency", "remote-reads", "not-found", "errors")

@@ -16,25 +16,11 @@
 package core
 
 import (
-	"os"
-	"strconv"
 	"time"
 
 	"cloudbench/internal/cluster"
 	"cloudbench/internal/kv"
 )
-
-// envShards reads the CLOUDBENCH_SHARDS override, used by CI to run the
-// whole suite on sharded kernels (e.g. the race job) without threading a
-// flag through every test. 0 means unset (sequential).
-func envShards() int {
-	if s := os.Getenv("CLOUDBENCH_SHARDS"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 0 {
-			return n
-		}
-	}
-	return 0
-}
 
 // Options controls the scale and knobs of every experiment.
 type Options struct {
@@ -47,15 +33,6 @@ type Options struct {
 	// every value — cells derive their seeds from Seed alone and are
 	// reassembled in canonical sweep order.
 	Parallelism int
-
-	// Shards is the number of member kernels each experiment cell runs on
-	// (sim.ShardGroup): parallelism *inside* one simulation, orthogonal to
-	// Parallelism's across-cell pool. 0 or 1 is the plain sequential
-	// kernel. Results are bit-identical for every value — the benchmark
-	// deployments place the whole model on the home shard, whose kernel
-	// inherits the cell seed unchanged and runs solo while the other
-	// members stay idle. Defaults to $CLOUDBENCH_SHARDS when set.
-	Shards int
 
 	// Topology: ServerNodes database machines plus one client machine
 	// (which also hosts the HBase master), mirroring the paper's 15+1.
@@ -122,8 +99,8 @@ type Options struct {
 	MutationStageDelay time.Duration
 }
 
-// QuickOptions returns a scale suitable for tests and `go test -bench`:
-// every mechanism exercised, tens of seconds of wall clock.
+// QuickOptions returns replbench's default scale: every mechanism
+// exercised, tens of seconds of wall clock.
 //
 // Calibration notes (regime of the paper's testbed):
 //   - CPUOpCost is raised to the effective per-request CPU of a 2013 JVM
@@ -151,7 +128,6 @@ func QuickOptions() Options {
 	ccfg.ScanRowCost = 10 * time.Microsecond
 	return Options{
 		Seed:                1,
-		Shards:              envShards(),
 		ServerNodes:         15,
 		Cluster:             ccfg,
 		MicroRecords:        30_000,

@@ -25,10 +25,11 @@ type Report interface {
 	Findings(Options) []Finding
 }
 
-// CLI carries the four replbench inputs that are not experiment knobs, each
+// CLI carries the five replbench inputs that are not experiment knobs, each
 // read by the one experiment named on it.
 type CLI struct {
 	Profile      string // resolved -profile; megascale sizes its deployment by it
+	Shards       int    // -shards; megascale's member kernels, clamped to at least 2
 	ShardWorkers int    // -shard-workers; megascale's pinned window workers
 	RFSet        bool   // -rf given; tracebreak sweeps RF 1-6 at every profile otherwise
 	TraceOut     string // -trace-out; tracebreak exports one span-retaining cell here

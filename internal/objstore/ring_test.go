@@ -47,23 +47,6 @@ func TestRingDeterministicAcrossKernels(t *testing.T) {
 	}
 }
 
-// TestRingShardBitIdentity: building the deployment on a member kernel of
-// an 8-way shard group yields the same ring as a plain kernel with the
-// same seed — the property the -shards sweep gates rely on.
-func TestRingShardBitIdentity(t *testing.T) {
-	plain := sim.NewKernel(31)
-	dbPlain, _, _ := testDB(plain, 8, 3, nil)
-	dbPlain.Stop()
-
-	g := sim.NewShardGroup(31, 8, sim.Duration(100*time.Microsecond))
-	dbShard, _, _ := testDB(g.Shard(0).Kernel(), 8, 3, nil)
-	dbShard.Stop()
-
-	if dbPlain.fingerprint() != dbShard.fingerprint() {
-		t.Fatal("ring differs between plain kernel and shard-0 member kernel")
-	}
-}
-
 // TestRingIgnoresFailures: node failures never rebuild the ring — the
 // tables are identical across fail/recover, and only the write target
 // moves (to the next live placement member, then the handoff order).

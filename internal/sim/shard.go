@@ -215,9 +215,6 @@ func (g *ShardGroup) Shards() int { return len(g.shards) }
 // Shard returns the i'th member.
 func (g *ShardGroup) Shard(i int) *Shard { return g.shards[i] }
 
-// Lookahead returns the group's cross-shard lookahead.
-func (g *ShardGroup) Lookahead() Duration { return g.lookahead }
-
 // SetWorkers bounds how many shards execute concurrently per window;
 // 0 (the default) means one worker per available CPU. Results are
 // bit-identical for every value.
@@ -366,9 +363,8 @@ func (g *ShardGroup) RunUntil(limit Time) error {
 			// kernel's windowBreak flag and ends the window before any
 			// further event executes. The staged message is ≥ lookahead
 			// ahead of the send, and any reply another ≥ lookahead after
-			// that, so nothing lands in the solo shard's past. This is
-			// what makes home-shard experiments (-shards N with the whole
-			// model on shard 0) run at plain-kernel speed.
+			// that, so nothing lands in the solo shard's past, and a group
+			// with one busy shard runs at plain-kernel speed.
 			g.solo = true
 			g.active[0].k.runWindow(limit)
 			g.solo = false

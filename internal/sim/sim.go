@@ -596,7 +596,8 @@ func (p *Proc) park(why string) {
 // park was the single largest allocation in the kernel's hot path. The
 // //simlint:hotpath marker makes simlint reject defer, closures, fmt,
 // string concatenation, and interface boxing here, so the 0 allocs/op of
-// BenchmarkKernelSleep is enforced at build time, not just measured.
+// the benchmark's sim.sleep rung is enforced at build time, not just
+// measured.
 //
 //simlint:hotpath
 func (p *Proc) Sleep(d Duration) {

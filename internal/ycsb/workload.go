@@ -115,9 +115,7 @@ func formatKey(pad int, v int64) kv.Key {
 
 // SplitPoints returns n-1 keys that divide the key space into n equal
 // key ranges; used to pre-split HBase regions. These are data-placement
-// splits within one simulated cluster — not to be confused with the
-// execution shards of sim.ShardGroup, which partition the event loop
-// itself (see DESIGN.md §10).
+// splits within one simulated cluster, not execution shards.
 func (s *Spec) SplitPoints(n int) []kv.Key {
 	var out []kv.Key
 	space := s.keySpace()
