@@ -117,15 +117,22 @@ func TestTraceBitIdentical(t *testing.T) {
 // whether those windows run in line on one worker (the sequential
 // reference) or on four pinned workers.
 func TestMegaScaleWorkersBitIdentical(t *testing.T) {
-	base := []string{"-experiment", "megascale", "-short", "-csv", "-seed", "42", "-shards", "4"}
-	inline := capture(t, append(base, "-shard-workers", "1")...)
-	smokeReports["megascale-shards4"] = inline
-	if !strings.Contains(inline, "megascale: 4 shards, ") || strings.Contains(inline, " 0 conservative windows") {
-		t.Fatalf("megascale did not run multi-shard windows:\n%s", inline)
+	out := capture(t, "-experiment", "megascale", "-short", "-csv", "-seed", "42", "-shards", "4")
+	smokeReports["megascale-shards4"] = out
+	if !strings.Contains(out, "megascale: 4 shards, ") || strings.Contains(out, " 0 conservative windows") {
+		t.Fatalf("megascale did not run multi-shard windows:\n%s", out)
 	}
-	pinned := capture(t, append(base, "-shard-workers", "4")...)
-	if inline != pinned {
-		t.Errorf("-shard-workers 1 and -shard-workers 4 megascale reports differ:\n%s", firstDiff(inline, pinned))
+	report := func(workers int) string {
+		mo := core.MegaSmokeOptions()
+		mo.Seed, mo.Shards, mo.Workers = 42, 4, workers
+		res, err := core.RunMegaScale(mo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Table().String()
+	}
+	if inline, pinned := report(1), report(4); inline != pinned {
+		t.Errorf("1 and 4 pinned workers give different megascale reports:\n%s", firstDiff(inline, pinned))
 	}
 }
 

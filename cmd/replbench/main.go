@@ -4,17 +4,16 @@
 // Usage:
 //
 //	replbench -experiment <name>|findings|all \
-//	          [-profile smoke|quick|paper] [-short] [-seed N] [-rf 1,2,3] [-parallel N] [-shards N] [-shard-workers N] [-csv] [-o results.txt] [-trace-out trace.json]
+//	          [-profile smoke|quick|paper] [-short] [-seed N] [-rf 1,2,3] [-parallel N] [-shards N] [-csv] [-o results.txt] [-trace-out trace.json]
 //
 // The experiment names (table1, fig1, ..., spectrum) come from a single
 // registry; run with an unknown name to get the current list. Sweeps fan
 // their independent cells out across host CPUs (-parallel bounds the
-// worker pool; 0 means one worker per CPU). -shards and -shard-workers
-// size megascale, the one experiment whose model spans member kernels
-// (DESIGN §10): its shard count and the goroutines its windows run on.
-// Every cell is a deterministic simulation whose event order is
-// independent of -parallel and -shard-workers, so the report is
-// bit-identical whatever their values.
+// worker pool; 0 means one worker per CPU). -shards sizes megascale, the
+// one experiment whose model spans member kernels (DESIGN §10). Every
+// cell is a deterministic simulation whose event order is independent of
+// -parallel and of how many host goroutines run megascale's windows, so
+// the report is bit-identical whatever their values.
 // -seed and -csv apply uniformly to every experiment, including the geo and
 // failover extensions.
 //
@@ -61,7 +60,6 @@ func run(args []string, stdout io.Writer) error {
 	seed := fs.Int64("seed", 1, "simulation seed")
 	parallel := fs.Int("parallel", 0, "sweep cells run concurrently (0 = one per CPU); results are bit-identical for every value")
 	shards := fs.Int("shards", 0, "member kernels megascale partitions its deployment across (at least 2)")
-	shardWorkers := fs.Int("shard-workers", 0, "pinned worker goroutines megascale runs its shard windows on (0 = one per CPU); results are bit-identical for every value")
 	rfList := fs.String("rf", "", "comma-separated replication factors (default 1-6)")
 	noReadRepair := fs.Bool("no-read-repair", false, "disable Cassandra read repair (ablation A1 inline)")
 	csv := fs.Bool("csv", false, "emit CSV instead of aligned tables")
@@ -74,11 +72,10 @@ func run(args []string, stdout io.Writer) error {
 		*profile = "smoke"
 	}
 	registry := core.Experiments(core.CLI{
-		Profile:      *profile,
-		Shards:       *shards,
-		ShardWorkers: *shardWorkers,
-		RFSet:        *rfList != "",
-		TraceOut:     *traceOut,
+		Profile:  *profile,
+		Shards:   *shards,
+		RFSet:    *rfList != "",
+		TraceOut: *traceOut,
 	})
 	known := *experimentFlag == "all" || *experimentFlag == "findings"
 	for _, e := range registry {
@@ -106,9 +103,6 @@ func run(args []string, stdout io.Writer) error {
 	o.Parallelism = *parallel
 	if *shards < 0 {
 		return fmt.Errorf("bad -shards %d", *shards)
-	}
-	if *shardWorkers < 0 {
-		return fmt.Errorf("bad -shard-workers %d", *shardWorkers)
 	}
 	if *rfList != "" {
 		var rfs []int

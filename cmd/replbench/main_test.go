@@ -85,7 +85,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-experiment", "table1", "-rf", "1,x"}, &b); err == nil {
 		t.Error("bad rf list accepted")
 	}
-	for _, flag := range []string{"-shards", "-shard-workers", "-parallel"} {
+	for _, flag := range []string{"-shards", "-parallel"} {
 		if err := run([]string{"-experiment", "table1", flag, "-1"}, &b); err == nil {
 			t.Errorf("%s -1 accepted", flag)
 		}

@@ -295,7 +295,8 @@ func checkAckSequence(t *testing.T, cases []ackCase) {
 		}
 		runs = append(runs, r)
 		if c.cl != kv.LocalQuorum && c.cl != kv.EachQuorum {
-			r.q = sim.NewQuorum(k, c.cl.Required(len(replicas)), live)
+			r.q = new(sim.Quorum)
+			r.q.Init(k, c.cl.Required(len(replicas)), live)
 		}
 		for _, e := range c.events {
 			if !e.joined {

@@ -175,9 +175,6 @@ func (n *Node) PauseUntil(t sim.Time) {
 	}
 }
 
-// Paused reports whether the node is inside a stop-the-world window.
-func (n *Node) Paused() bool { return n.cluster.K.Now() < n.pausedUntil }
-
 // Exec consumes base CPU service time for one request on this node,
 // first waiting out any stop-the-world window.
 func (n *Node) Exec(p *sim.Proc, cost time.Duration) {

@@ -14,7 +14,7 @@ func TestGCPausesDelayExec(t *testing.T) {
 	var waited time.Duration
 	k.Spawn("op", func(p *sim.Proc) {
 		n.PauseUntil(p.Now().Add(10 * time.Millisecond))
-		if !n.Paused() {
+		if p.Now() >= n.pausedUntil {
 			t.Error("node should report paused")
 		}
 		start := p.Now()

@@ -140,15 +140,6 @@ func (c *Cluster) setZoneCut(a, b int, cut bool) {
 	c.geo.cut[b][a] = cut
 }
 
-// ZonesPartitioned reports whether the WAN link between zones a and b is
-// currently cut.
-func (c *Cluster) ZonesPartitioned(a, b int) bool {
-	if c.geo == nil || a == b {
-		return false
-	}
-	return c.geo.cut[a][b]
-}
-
 // zoneCut reports whether traffic between the two zones is dropped.
 func (c *Cluster) zoneCut(a, b int) bool {
 	return c.geo != nil && a != b && c.geo.cut[a][b]

@@ -156,8 +156,8 @@ func TestPartitionDropsAtSendAndHeals(t *testing.T) {
 	if !after {
 		t.Fatal("cross-DC send failed after heal")
 	}
-	if c.ZonesPartitioned(0, 1) {
-		t.Fatal("ZonesPartitioned still true after heal")
+	if c.zoneCut(0, 1) {
+		t.Fatal("zones still cut after heal")
 	}
 }
 
@@ -194,7 +194,7 @@ func TestPartitionHealSameInstantKeepsCallOrder(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if c.ZonesPartitioned(0, 1) {
+	if c.zoneCut(0, 1) {
 		t.Fatal("partition-then-heal at the same instant left the link cut")
 	}
 
@@ -205,7 +205,7 @@ func TestPartitionHealSameInstantKeepsCallOrder(t *testing.T) {
 	if err := k2.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !c2.ZonesPartitioned(0, 1) {
+	if !c2.zoneCut(0, 1) {
 		t.Fatal("heal-then-partition at the same instant left the link up")
 	}
 }

@@ -59,9 +59,7 @@ func TestRunGeoReproducesFindings(t *testing.T) {
 }
 
 func TestRunFailoverAvailabilityShapes(t *testing.T) {
-	o := DefaultFailoverOptions()
-	o.Threads = 16
-	res, err := RunFailover(Options{Seed: 1}, o)
+	res, err := RunFailover(Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +78,7 @@ func TestRunFailoverAvailabilityShapes(t *testing.T) {
 	// ONE and QUORUM ride through the failure: at most the handful of
 	// in-flight requests at the instant the node dies can error.
 	for _, sys := range []string{"Cassandra-ONE", "Cassandra-QUORUM"} {
-		if s := sums[sys]; s.errs > int64(o.Threads) {
+		if s := sums[sys]; s.errs > failoverThreads {
 			t.Errorf("%s: %d errors, want availability through failure", sys, s.errs)
 		}
 	}
@@ -93,8 +91,8 @@ func TestRunFailoverAvailabilityShapes(t *testing.T) {
 	// Errors are confined to the failure window (± one bucket for ops in
 	// flight when the node dies).
 	for _, tl := range res {
-		failStart := int(o.FailAt/o.Bucket) - 1
-		failEnd := int(o.RecoverAt/o.Bucket) + 1
+		failStart := int(failoverFailAt/failoverBucket) - 1
+		failEnd := int(failoverRecoverAt/failoverBucket) + 1
 		for i, e := range tl.Errors {
 			if e > 0 && (i < failStart || i > failEnd) {
 				t.Errorf("%s: errors in bucket %d outside the failure window", tl.System, i)

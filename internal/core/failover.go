@@ -12,33 +12,20 @@ import (
 	"cloudbench/internal/ycsb"
 )
 
-// FailoverOptions parameterizes the availability extension experiment
-// (related work §5: Pokluda & Sun benchmark failover characteristics by
-// watching throughput and latency while a node fails and recovers).
-type FailoverOptions struct {
-	Servers     int
-	Replication int
-	Records     int64
-	Threads     int
-	Bucket      time.Duration // timeline resolution
-	FailAt      time.Duration
-	RecoverAt   time.Duration
-	End         time.Duration
-}
-
-// DefaultFailoverOptions fails one of six servers for four seconds.
-func DefaultFailoverOptions() FailoverOptions {
-	return FailoverOptions{
-		Servers:     6,
-		Replication: 3,
-		Records:     1_500,
-		Threads:     32,
-		Bucket:      500 * time.Millisecond,
-		FailAt:      2 * time.Second,
-		RecoverAt:   6 * time.Second,
-		End:         10 * time.Second,
-	}
-}
+// The availability extension experiment (related work §5: Pokluda & Sun
+// benchmark failover characteristics by watching throughput and latency
+// while a node fails and recovers) fails one of six servers for four
+// seconds.
+const (
+	failoverServers     = 6
+	failoverReplication = 3
+	failoverRecords     = 1_500
+	failoverThreads     = 32
+	failoverBucket      = 500 * time.Millisecond // timeline resolution
+	failoverFailAt      = 2 * time.Second
+	failoverRecoverAt   = 6 * time.Second
+	failoverEnd         = 10 * time.Second
+)
 
 // FailoverTimeline is the per-bucket availability trace of one system.
 type FailoverTimeline struct {
@@ -86,7 +73,7 @@ func (s failoverSystem) String() string { return s.Name }
 // Cassandra at ONE, QUORUM, and ALL, and for single-owner HBase. The four
 // systems are independent simulations, each on its own kernel seeded from
 // o.Seed, fanned out across the sweep scheduler (o.Parallelism).
-func RunFailover(o Options, fo FailoverOptions) (FailoverResults, error) {
+func RunFailover(o Options) (FailoverResults, error) {
 	systems := []failoverSystem{
 		{ConsistencySetting: ConsistencySetting{Name: "Cassandra-ONE", Read: kv.One, Write: kv.One}},
 		{ConsistencySetting: ConsistencySetting{Name: "Cassandra-QUORUM", Read: kv.Quorum, Write: kv.Quorum}},
@@ -94,7 +81,7 @@ func RunFailover(o Options, fo FailoverOptions) (FailoverResults, error) {
 		{ConsistencySetting: ConsistencySetting{Name: "HBase"}, hbase: true},
 	}
 	return sweep(o, "failover", systems, func(o Options, sys failoverSystem) (FailoverResults, error) {
-		tl, err := runFailoverOne(o.Seed, fo, sys)
+		tl, err := runFailoverOne(o.Seed, sys)
 		return FailoverResults{tl}, err
 	})
 }
@@ -102,31 +89,31 @@ func RunFailover(o Options, fo FailoverOptions) (FailoverResults, error) {
 // runFailoverOne is deliberately not a cell of cell.go's protocol: it
 // measures a timeline, not a run phase — a small default-configured rack,
 // no settle, and open-ended worker loops bucketed by simulated time.
-func runFailoverOne(seed int64, o FailoverOptions, sys failoverSystem) (FailoverTimeline, error) {
+func runFailoverOne(seed int64, sys failoverSystem) (FailoverTimeline, error) {
 	k := sim.NewKernel(seed)
 	ccfg := cluster.DefaultConfig()
-	ccfg.Nodes = o.Servers + 1
+	ccfg.Nodes = failoverServers + 1
 	rack := cluster.New(k, ccfg)
-	servers, clientNode := rack.Nodes[:o.Servers], rack.Nodes[o.Servers]
-	spec := ycsb.ReadUpdate(o.Records)
+	servers, clientNode := rack.Nodes[:failoverServers], rack.Nodes[failoverServers]
+	spec := ycsb.ReadUpdate(failoverRecords)
 	var factory ycsb.ClientFactory
 	replays := func() int64 { return 0 }
 	if sys.hbase {
-		db := hbase.New(k, hbase.DefaultConfig(), servers, clientNode, spec.SplitPoints(2*o.Servers))
+		db := hbase.New(k, hbase.DefaultConfig(), servers, clientNode, spec.SplitPoints(2*failoverServers))
 		factory = func() kv.Client { return db.NewClient(clientNode) }
 	} else {
 		cfg := cassandra.DefaultConfig()
-		cfg.Replication = o.Replication
+		cfg.Replication = failoverReplication
 		cfg.ReadCL, cfg.WriteCL = sys.Read, sys.Write
 		db := cassandra.New(k, cfg, servers)
 		factory = func() kv.Client { return db.NewClient(clientNode) }
 		replays = func() int64 { return db.HintsReplayed }
 	}
 
-	buckets := int(o.End/o.Bucket) + 1
+	buckets := int(failoverEnd/failoverBucket) + 1
 	tl := FailoverTimeline{
 		System: sys.Name,
-		Bucket: o.Bucket,
+		Bucket: failoverBucket,
 		OK:     make([]int64, buckets),
 		Errors: make([]int64, buckets),
 	}
@@ -136,20 +123,20 @@ func runFailoverOne(seed int64, o FailoverOptions, sys failoverSystem) (Failover
 		w := ycsb.NewWorkload(spec)
 		ycsb.Load(p, factory, w, 16, 0, spec.RecordCount)
 		start := p.Now()
-		k.After(o.FailAt, func() { victim.Fail() })
-		k.After(o.RecoverAt, func() { victim.Recover() })
+		k.After(failoverFailAt, func() { victim.Fail() })
+		k.After(failoverRecoverAt, func() { victim.Recover() })
 
-		workers := make([]*sim.Proc, 0, o.Threads)
-		for t := 0; t < o.Threads; t++ {
+		workers := make([]*sim.Proc, 0, failoverThreads)
+		for t := 0; t < failoverThreads; t++ {
 			cl := factory()
 			workers = append(workers, k.Spawn("worker", func(q *sim.Proc) {
 				rng := q.Rand()
 				for {
 					elapsed := q.Now().Sub(start)
-					if elapsed >= o.End {
+					if elapsed >= failoverEnd {
 						return
 					}
-					b := int(elapsed / o.Bucket)
+					b := int(elapsed / failoverBucket)
 					op := w.NextOp(rng)
 					var err error
 					if op.Type == ycsb.OpRead {

@@ -135,10 +135,10 @@ type MegaScaleResult struct {
 // runMegaExperiment is the megascale registry entry. The cell scales with
 // -profile: smoke is the small CI cell, quick a mid-size cell that keeps
 // `-experiment all` tolerable, paper the full 512-node million-session
-// deployment. -shards and -shard-workers size the group, with the shard
-// count clamped to at least 2 so the partitioned engine actually runs (a
-// megascale deployment on one member kernel is just a very slow sequential
-// simulation).
+// deployment. -shards sizes the group, clamped to at least 2 so the
+// partitioned engine actually runs (a megascale deployment on one member
+// kernel is just a very slow sequential simulation). Its windows run on
+// the pinned pool's default, one worker per CPU up to the active shards.
 func runMegaExperiment(o Options, cli CLI) (Report, error) {
 	mo := DefaultMegaScaleOptions()
 	switch cli.Profile {
@@ -151,7 +151,6 @@ func runMegaExperiment(o Options, cli CLI) (Report, error) {
 		mo.LiveSessions = 256
 	}
 	mo.Seed = o.Seed
-	mo.Workers = cli.ShardWorkers
 	mo.Shards = max(cli.Shards, 2)
 	res, err := RunMegaScale(mo)
 	if err != nil {

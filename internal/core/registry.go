@@ -25,14 +25,13 @@ type Report interface {
 	Findings(Options) []Finding
 }
 
-// CLI carries the five replbench inputs that are not experiment knobs, each
+// CLI carries the four replbench inputs that are not experiment knobs, each
 // read by the one experiment named on it.
 type CLI struct {
-	Profile      string // resolved -profile; megascale sizes its deployment by it
-	Shards       int    // -shards; megascale's member kernels, clamped to at least 2
-	ShardWorkers int    // -shard-workers; megascale's pinned window workers
-	RFSet        bool   // -rf given; tracebreak sweeps RF 1-6 at every profile otherwise
-	TraceOut     string // -trace-out; tracebreak exports one span-retaining cell here
+	Profile  string // resolved -profile; megascale sizes its deployment by it
+	Shards   int    // -shards; megascale's member kernels, clamped to at least 2
+	RFSet    bool   // -rf given; tracebreak sweeps RF 1-6 at every profile otherwise
+	TraceOut string // -trace-out; tracebreak exports one span-retaining cell here
 }
 
 // Experiments returns the registry in canonical (`all`) order.
@@ -49,7 +48,7 @@ func Experiments(cli CLI) []Experiment {
 		{"ablation-a2", figure(AblationHBaseSyncRepl)},
 		{"ablation-a3", figure(func(o Options) (*stats.Figure, error) { return AblationClientThreads(o, nil, 3000) })},
 		{"geo", report(RunGeo)},
-		{"failover", report(func(o Options) (FailoverResults, error) { return RunFailover(o, DefaultFailoverOptions()) })},
+		{"failover", report(RunFailover)},
 		{"sla", report(func(o Options) (SLAResult, error) {
 			return RunSLASearch(o, "Cassandra", 3, ycsb.ReadMostly, SLA{Percentile: 95, Limit: 20 * time.Millisecond}, 6)
 		})},

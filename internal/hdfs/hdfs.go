@@ -13,7 +13,6 @@ package hdfs
 
 import (
 	"errors"
-	"sort"
 	"time"
 
 	"cloudbench/internal/cluster"
@@ -258,65 +257,4 @@ func (fs *FS) readFromReplica(p *sim.Proc, b *Block, bytes int, reader *cluster.
 		return nil
 	}
 	return errors.New("hdfs: all replicas down")
-}
-
-// UnderReplicated returns blocks that currently have fewer than the target
-// number of live replicas — input for re-replication. Files are scanned in
-// sorted name order so the re-replication schedule (and therefore the whole
-// event sequence) is independent of map iteration order.
-func (fs *FS) UnderReplicated() []*Block {
-	names := make([]string, 0, len(fs.files))
-	for name := range fs.files {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var out []*Block
-	for _, name := range names {
-		f := fs.files[name]
-		for _, b := range f.Blocks {
-			live := 0
-			for _, dn := range b.Replicas {
-				if !dn.Down() {
-					live++
-				}
-			}
-			if live < fs.cfg.Replication && live > 0 {
-				out = append(out, b)
-			}
-		}
-	}
-	return out
-}
-
-// ReReplicate copies an under-replicated block from a live replica to a
-// fresh node, blocking p for the transfer and write.
-func (fs *FS) ReReplicate(p *sim.Proc, b *Block) error {
-	var src *cluster.Node
-	used := map[int]bool{}
-	for _, dn := range b.Replicas {
-		used[dn.ID] = true
-		if src == nil && !dn.Down() {
-			src = dn
-		}
-	}
-	if src == nil {
-		return errors.New("hdfs: no live replica to copy from")
-	}
-	var dst *cluster.Node
-	for _, n := range fs.nodes {
-		if !used[n.ID] && !n.Down() {
-			dst = n
-			break
-		}
-	}
-	if dst == nil {
-		return errors.New("hdfs: no target for re-replication")
-	}
-	src.Disk.Read(p, int(b.Bytes), false)
-	if !src.SendTo(p, dst, int(b.Bytes)) {
-		return errors.New("hdfs: transfer failed")
-	}
-	dst.Disk.Write(p, int(b.Bytes), false)
-	b.Replicas = append(b.Replicas, dst)
-	return nil
 }

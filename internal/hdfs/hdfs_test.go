@@ -167,36 +167,6 @@ func TestReadFailsWhenAllReplicasDown(t *testing.T) {
 	}
 }
 
-func TestUnderReplicatedAndReReplicate(t *testing.T) {
-	k, c, fs := testFS(t, 5, 3)
-	k.Spawn("writer", func(p *sim.Proc) {
-		f := fs.Create(p, "/t", 1<<20, c.Nodes[0])
-		if len(fs.UnderReplicated()) != 0 {
-			t.Error("fresh file reported under-replicated")
-		}
-		f.Blocks[0].Replicas[1].Fail()
-		ur := fs.UnderReplicated()
-		if len(ur) != 1 {
-			t.Fatalf("under-replicated = %d", len(ur))
-		}
-		if err := fs.ReReplicate(p, ur[0]); err != nil {
-			t.Fatal(err)
-		}
-		live := 0
-		for _, dn := range f.Blocks[0].Replicas {
-			if !dn.Down() {
-				live++
-			}
-		}
-		if live < 3 {
-			t.Errorf("live replicas after re-replication = %d", live)
-		}
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSequentialReadChargesAllBlocks(t *testing.T) {
 	k, c, fs := testFS(t, 4, 2)
 	k.Spawn("writer", func(p *sim.Proc) {

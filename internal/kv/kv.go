@@ -7,7 +7,6 @@ package kv
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // Key is a row key. Keys order lexicographically, which is the physical
@@ -85,16 +84,6 @@ func (r Record) Project(fields []string) Record {
 		}
 	}
 	return c
-}
-
-// FieldNames returns the record's field names in sorted order.
-func (r Record) FieldNames() []string {
-	names := make([]string, 0, len(r))
-	for f := range r {
-		names = append(names, f)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // MergeOlder fills fields missing from r with fields from older, modeling

@@ -50,14 +50,6 @@ func TestRecordMergeOlderPrefersNewer(t *testing.T) {
 	}
 }
 
-func TestFieldNamesSorted(t *testing.T) {
-	r := Record{"z": {}, "a": {}, "m": {}}
-	names := r.FieldNames()
-	if len(names) != 3 || names[0] != "a" || names[2] != "z" {
-		t.Fatalf("names = %v", names)
-	}
-}
-
 func TestConsistencyRequired(t *testing.T) {
 	cases := []struct {
 		cl   ConsistencyLevel

@@ -19,7 +19,7 @@ import (
 // live in the sim package and are exempt.
 //
 // The check is interprocedural: the bodies handed to Kernel.Spawn/Go,
-// Kernel.After, Shard.Send, and Future.OnDone are roots, and the analyzer
+// Kernel.After and Shard.Send are roots, and the analyzer
 // follows static calls, interface calls (via the concrete types in the
 // analyzed packages), and function values (via the points-to engine)
 // through any number of helper frames. Calls that resolve outside the
@@ -89,8 +89,6 @@ func simProcessRootArg(fn *types.Func) (int, string) {
 		return 1, "event callback"
 	case "Shard.Send":
 		return 2, "cross-shard delivery"
-	case "Future.OnDone":
-		return 0, "completion callback"
 	}
 	return -1, ""
 }

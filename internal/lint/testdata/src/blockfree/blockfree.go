@@ -69,12 +69,6 @@ func badDelivery(s *sim.Shard, ch chan int) {
 	})
 }
 
-func badCompletion(fut *sim.Future, ch chan int) {
-	fut.OnDone(func() { // want `completion callback body may block the OS thread: bare channel receive \(directly in the body\)`
-		<-ch
-	})
-}
-
 func badRangeChan(k *sim.Kernel, ch chan int) {
 	k.Go("ranger", func(p *sim.Proc) { // want `process body may block the OS thread: range over a host channel \(directly in the body\)`
 		for v := range ch {

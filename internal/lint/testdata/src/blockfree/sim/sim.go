@@ -36,8 +36,5 @@ func (s *Shard) Send(dst int, delay Duration, fn func(*Shard)) {}
 // Future mirrors an async completion handle.
 type Future struct{}
 
-// OnDone mirrors completion-callback registration; fn is a root.
-func (f *Future) OnDone(fn func()) {}
-
 // Await parks the calling process until completion (trusted park point).
 func (f *Future) Await(p *Proc) {}

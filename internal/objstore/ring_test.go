@@ -59,7 +59,7 @@ func TestRingIgnoresFailures(t *testing.T) {
 	target := key(0)
 	part := db.PartitionOf(target)
 	placement := db.PlacementFor(target)
-	handoff := db.HandoffFor(target)
+	handoff := db.ring.handoff(part)
 
 	if s, in := db.writeTarget(part); s != placement[0] || !in {
 		t.Fatalf("healthy write target = node %d, want primary %d", s.Node.ID, placement[0].Node.ID)

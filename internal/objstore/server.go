@@ -210,11 +210,6 @@ func (db *DB) PlacementFor(key kv.Key) []*Server {
 	return db.ring.placement(db.ring.partition(key))
 }
 
-// HandoffFor returns the handoff order of key's partition.
-func (db *DB) HandoffFor(key kv.Key) []*Server {
-	return db.ring.handoff(db.ring.partition(key))
-}
-
 // writeTarget picks where a write of part lands: the first live placement
 // member, else the first live handoff server (inPlacement false). A nil
 // server means the partition is wholly unreachable.

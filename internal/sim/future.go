@@ -10,12 +10,11 @@ import "slices"
 // with Init; its first waiter is stored inline, so the usual one-waiter wait
 // allocates nothing. It must not be copied while in use.
 type Future[T any] struct {
-	k         *Kernel
-	done      bool
-	val       T
-	waiter    *Proc      // first parked process
-	more      []*Proc    // later ones, in arrival order
-	callbacks *[]func(T) // behind a pointer: OnDone is rare, and a heap Future[struct{}] stays in the 64-byte class
+	k      *Kernel
+	done   bool
+	val    T
+	waiter *Proc   // first parked process
+	more   []*Proc // later ones, in arrival order
 }
 
 // NewFuture returns an unset future bound to k.
@@ -39,8 +38,8 @@ func (f *Future[T]) Done() bool { return f.done }
 // Value returns the future's value and whether it has been set.
 func (f *Future[T]) Value() (T, bool) { return f.val, f.done }
 
-// Set completes the future with v, waking all waiters and running all
-// OnDone callbacks inline. Setting an already-set future is a no-op.
+// Set completes the future with v, waking all waiters. Setting an
+// already-set future is a no-op.
 //
 //simlint:hotpath
 func (f *Future[T]) Set(v T) {
@@ -49,12 +48,6 @@ func (f *Future[T]) Set(v T) {
 	}
 	f.done = true
 	f.val = v
-	if cbs := f.callbacks; cbs != nil {
-		f.callbacks = nil
-		for _, cb := range *cbs {
-			cb(v)
-		}
-	}
 	if f.waiter != nil {
 		f.wake(f.waiter)
 		f.waiter = nil
@@ -74,20 +67,6 @@ func (f *Future[T]) wake(p *Proc) {
 	}
 	f.k.noteRunnable(p)
 	f.k.schedule(f.k.now, p.wake)
-}
-
-// OnDone registers fn to run when the future is set. If the future is
-// already set, fn runs immediately. Callbacks execute in kernel context and
-// must not block.
-func (f *Future[T]) OnDone(fn func(T)) {
-	if f.done {
-		fn(f.val)
-		return
-	}
-	if f.callbacks == nil {
-		f.callbacks = new([]func(T))
-	}
-	*f.callbacks = append(*f.callbacks, fn)
 }
 
 // enqueue queues p, about to park, behind the processes already waiting.
@@ -159,16 +138,9 @@ type Quorum struct {
 	result       Future[bool]
 }
 
-// NewQuorum returns a quorum that resolves true after need of total
-// attempts succeed. need must be in [0, total].
-func NewQuorum(k *Kernel, need, total int) *Quorum {
-	q := &Quorum{}
-	q.Init(k, need, total)
-	return q
-}
-
 // Init makes q an undecided quorum of need out of total attempts, bound to
-// k, forgetting any earlier count. No process may be waiting on it.
+// k, forgetting any earlier count; it resolves true after need of them
+// succeed, and need must be in [0, total]. No process may be waiting on it.
 func (q *Quorum) Init(k *Kernel, need, total int) {
 	q.need, q.total, q.succ, q.failed = need, total, 0, 0
 	q.result.Init(k)

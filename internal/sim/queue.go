@@ -1,7 +1,7 @@
 package sim
 
 // Queue is an unbounded FIFO mailbox. Push never blocks and may be called
-// from kernel context (e.g. an OnDone callback); Pop blocks the calling
+// from kernel context (e.g. a Kernel.After callback); Pop blocks the calling
 // process until an item is available. It is the standard way to feed a
 // server process.
 //
@@ -40,12 +40,7 @@ func (q *Queue[T]) Pop(p *Proc) T {
 	for q.items.len() == 0 {
 		q.waiters.push(p)
 		q.k.noteWaiting(p)
-		// If p is killed while parked here, the wake that was aimed at it
-		// must chain to another waiter so buffered items are not stranded;
-		// see killedUnwind.
-		p.unwind = q
 		p.park("queue")
-		p.unwind = nil
 	}
 	v := q.items.pop()
 	// If items remain and more waiters are parked, keep the chain going:
@@ -65,13 +60,6 @@ func (q *Queue[T]) wakeNext() {
 		q.k.noteRunnable(next)
 		q.k.schedule(q.k.now, next.wake)
 	}
-}
-
-// killedUnwind re-homes the wake that a killed process absorbed: the dead
-// process was woken to consume an item it will never take, so pass the
-// baton to the next waiter if items are available.
-func (q *Queue[T]) killedUnwind(*Proc) {
-	q.wakeNext()
 }
 
 // TryPop removes and returns the head item without blocking. ok reports

@@ -16,7 +16,7 @@ type Resource struct {
 	created   Time
 	lastT     Time
 	busyInt   int64 // ∫ inUse dt, in unit·nanoseconds
-	served    int64
+	served    int64 // completed Use calls, MeanWait's divisor
 	waitTotal Duration
 }
 
@@ -31,12 +31,6 @@ func NewResource(k *Kernel, name string, capacity int) *Resource {
 
 // Name returns the resource's name.
 func (r *Resource) Name() string { return r.name }
-
-// Capacity returns the resource's capacity.
-func (r *Resource) Capacity() int { return r.capacity }
-
-// InUse returns the number of capacity units currently held.
-func (r *Resource) InUse() int { return r.inUse }
 
 // QueueLen returns the number of processes waiting to acquire.
 func (r *Resource) QueueLen() int { return r.queue.len() }
@@ -60,11 +54,7 @@ func (r *Resource) Acquire(p *Proc) {
 	}
 	r.queue.push(p)
 	r.k.noteWaiting(p)
-	// If p is killed while parked here, the capacity unit a releaser
-	// transferred to it must be re-homed; see killedUnwind.
-	p.unwind = r
 	p.park(r.parkLabel)
-	p.unwind = nil
 	// The releaser transferred its unit to us; inUse is already counted.
 	r.waitTotal += r.k.now.Sub(start)
 }
@@ -95,21 +85,6 @@ func (r *Resource) Release() {
 //simlint:coldpath
 func (r *Resource) panicIdleRelease() {
 	panic("sim: release of idle resource " + r.name)
-}
-
-// killedUnwind returns the capacity unit that Release transferred to a
-// process that was killed while parked in Acquire. Without this, the unit
-// would unwind with the dead process and be leaked forever: hand it to the
-// next queued waiter, or put it back as free capacity.
-func (r *Resource) killedUnwind(*Proc) {
-	r.accumulate()
-	if r.queue.len() > 0 {
-		next := r.queue.pop()
-		r.k.noteRunnable(next)
-		r.k.schedule(r.k.now, next.wake)
-		return
-	}
-	r.inUse--
 }
 
 // Use acquires the resource, holds it for the service duration, and
@@ -145,11 +120,8 @@ func (r *Resource) Utilization() float64 {
 	return float64(r.busyInt) / float64(elapsed) / float64(r.capacity)
 }
 
-// Served returns the number of completed Use calls.
-func (r *Resource) Served() int64 { return r.served }
-
 // BusyTime returns the cumulative unit-seconds of capacity held since the
-// resource was created (the integral of InUse over time).
+// resource was created (the integral of held units over time).
 func (r *Resource) BusyTime() Duration {
 	r.accumulate()
 	return Duration(r.busyInt)

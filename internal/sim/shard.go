@@ -533,10 +533,9 @@ func (g *ShardGroup) deliver() {
 
 // runWindow executes every active shard up to its window end. Shards
 // share no mutable state during a window, so any interleaving yields the
-// same result; a panic inside any shard (a model bug or a killed-process
-// unwind escaping) is re-raised on the calling goroutine, preferring the
-// lowest shard id when several shards panic at once so the report is
-// deterministic.
+// same result; a panic inside any shard (a model bug) is re-raised on the
+// calling goroutine, preferring the lowest shard id when several shards
+// panic at once so the report is deterministic.
 //
 // The parallel path releases the persistent pinned workers with one epoch
 // bump, claims shards alongside them, and waits for every worker's

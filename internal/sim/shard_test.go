@@ -198,38 +198,32 @@ func TestShardWindowBoundaryDelivery(t *testing.T) {
 	}
 }
 
-// TestShardKillWhileAwaitingRemote kills a process that is parked on a
-// future whose value arrives as a cross-shard response. The late response
-// must still complete the future, wake the killed process into its unwind,
-// and leave the group drainable with no leaked live processes.
-func TestShardKillWhileAwaitingRemote(t *testing.T) {
+// TestShardAwaitRemoteResponse parks a process on a future whose value
+// arrives as a cross-shard response. The response must complete the
+// future at its delivery time, wake the process, and leave the group
+// drainable with no leaked live processes.
+func TestShardAwaitRemoteResponse(t *testing.T) {
 	const lookahead = 100 * time.Nanosecond
 	g := NewShardGroup(9, 2, lookahead)
 	k0 := g.Shard(0).Kernel()
 	resp := NewFuture[int](k0)
-	reached := false
-	requester := k0.Spawn("requester", func(p *Proc) {
+	var got int
+	var at Time
+	k0.Spawn("requester", func(p *Proc) {
 		g.Shard(0).Send(1, lookahead, func(ds *Shard) {
 			// Serve remotely, then reply to the requester's home shard.
 			ds.Send(0, lookahead, func(home *Shard) {
 				resp.Set(42)
 			})
 		})
-		resp.Await(p)
-		reached = true // must never run: the proc is killed while parked
-	})
-	k0.Spawn("killer", func(p *Proc) {
-		p.Sleep(50 * time.Nanosecond)
-		requester.Kill()
+		got = resp.Await(p)
+		at = p.Now()
 	})
 	if err := g.Run(); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if reached {
-		t.Error("killed requester ran past its remote await")
-	}
-	if v, ok := resp.Value(); !ok || v != 42 {
-		t.Errorf("remote response lost: value %d, set %v", v, ok)
+	if got != 42 || at != Time(2*lookahead) {
+		t.Errorf("requester woke with %d at %v, want 42 at %v", got, at, Time(2*lookahead))
 	}
 	for i := 0; i < g.Shards(); i++ {
 		if live := g.Shard(i).Kernel().Live(); live != 0 {
@@ -343,7 +337,6 @@ func TestShardPairLookaheadFloors(t *testing.T) {
 			if recover() == nil {
 				t.Error("send below the pair floor did not panic")
 			}
-			panic(killedErr{"cheater"})
 		}()
 		g2.Shard(0).Send(2, base, func(*Shard) {}) // clears base, violates the 4*base pair floor
 	})
@@ -361,22 +354,22 @@ func TestShardPairLookaheadFloors(t *testing.T) {
 	}()
 }
 
-// TestShardKillWhileParkedAtBarrier kills a process on one shard — via a
-// cross-shard delivery — while the pinned workers of a multi-worker group
-// are cycling through the epoch barrier. The kill must unwind cleanly, the
-// group must drain, and the pinned pool must be torn down when RunUntil
-// returns so nothing leaks across runs.
-func TestShardKillWhileParkedAtBarrier(t *testing.T) {
+// TestShardPinnedPoolTornDownAndRebuilt wakes a parked process on one
+// shard — via a cross-shard delivery — while the pinned workers of a
+// multi-worker group are cycling through the epoch barrier. The group must
+// drain, the pinned pool must be torn down when RunUntil returns so
+// nothing leaks across runs, and a second run must rebuild it.
+func TestShardPinnedPoolTornDownAndRebuilt(t *testing.T) {
 	const lookahead = 100 * time.Nanosecond
 	base := runtime.NumGoroutine()
 	g := NewShardGroup(13, 4, lookahead)
 	g.SetWorkers(4)
 	k1 := g.Shard(1).Kernel()
 	gate := NewFuture[struct{}](k1)
-	victimRanPast := false
-	victim := k1.Spawn("victim", func(p *Proc) {
-		gate.Await(p) // parked until the assassin wakes it into its unwind
-		victimRanPast = true
+	var wokeAt Time
+	k1.Spawn("waiter", func(p *Proc) {
+		gate.Await(p) // parked until the waker's delivery sets the gate
+		wokeAt = p.Now()
 	})
 	for i := 0; i < 4; i++ {
 		i := i
@@ -387,14 +380,10 @@ func TestShardKillWhileParkedAtBarrier(t *testing.T) {
 			}
 		})
 	}
-	g.Shard(2).Kernel().Spawn("assassin", func(p *Proc) {
+	g.Shard(2).Kernel().Spawn("waker", func(p *Proc) {
 		p.Sleep(2 * time.Microsecond)
 		g.Shard(2).Send(1, lookahead, func(ds *Shard) {
-			// The victim lives on shard 1, which this closure runs on.
-			//simlint:ignore shardsafe
-			victim.Kill()
-			// Kill alone does not wake a parked process; set its gate so
-			// the resume sees the kill flag and unwinds.
+			// The waiter's gate lives on shard 1, which this closure runs on.
 			//simlint:ignore shardsafe
 			gate.Set(struct{}{})
 		})
@@ -402,8 +391,8 @@ func TestShardKillWhileParkedAtBarrier(t *testing.T) {
 	if err := g.Run(); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if victimRanPast {
-		t.Error("killed victim ran past its await")
+	if want := Time(2*time.Microsecond + lookahead); wokeAt != want {
+		t.Errorf("waiter woke at %v, want %v", wokeAt, want)
 	}
 	for i := 0; i < g.Shards(); i++ {
 		if live := g.Shard(i).Kernel().Live(); live != 0 {
@@ -474,7 +463,6 @@ func TestShardSendBelowLookaheadPanics(t *testing.T) {
 			if recover() == nil {
 				t.Error("send below lookahead did not panic")
 			}
-			panic(killedErr{"cheater"}) // unwind the process cleanly
 		}()
 		g.Shard(0).Send(1, 0, func(*Shard) {})
 	})

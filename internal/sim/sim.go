@@ -114,7 +114,7 @@ type Kernel struct {
 	overflow eventHeap // timers ≥ wheelSpan ahead
 	due      []*event  // drained level-0 slot for the current instant, seq order
 	dueIdx   int
-	free     []*event // recycled event structs (see schedule/RunUntil)
+	free     []*event // recycled event structs (see schedule/runWindow)
 	stats    Stats
 	rng      *rand.Rand
 	seed     int64
@@ -270,16 +270,8 @@ type Proc struct {
 	resume chan struct{} // shared with the worker goroutine running this proc
 	src    *Source       // backs rng for pooled (Go) processes only; nil for Spawn
 	rng    *rand.Rand
-	killed bool
 	done   *Future[struct{}] // nil for detached (Go) processes
 	parked string            // what the process is blocked on, for deadlock reports
-
-	// unwind is set while the process is parked inside a primitive that
-	// may transfer ownership (a Resource capacity unit, a Queue wake) to
-	// it. If the process is killed and unwinds out of that park, the
-	// kernel calls killedUnwind so the primitive can pass the ownership
-	// on instead of leaking it.
-	unwind killUnwinder
 
 	// tctx is an opaque trace context (owned by internal/trace). It is
 	// inherited by processes this one spawns, so request attribution
@@ -323,14 +315,6 @@ func (p *Proc) fireTimeout() {
 	p.k.dispatch(p)
 }
 
-// killUnwinder is implemented by blocking primitives (Resource, Queue)
-// whose wakers transfer ownership to the process they wake. When a killed
-// process unwinds out of a park inside such a primitive, the kernel gives
-// the primitive a chance to re-home whatever was transferred.
-type killUnwinder interface {
-	killedUnwind(p *Proc)
-}
-
 // Name returns the name the process was spawned with.
 func (p *Proc) Name() string { return p.name }
 
@@ -359,11 +343,6 @@ func (p *Proc) TraceCtx() any { return p.tctx }
 // spawned from a request path (flushers, compactors, hint replayers) do
 // this so their work is not billed to the op that happened to start them.
 func (p *Proc) SetTraceCtx(ctx any) { p.tctx = ctx }
-
-// killedErr is the sentinel panic value used to unwind a killed process.
-type killedErr struct{ name string }
-
-func (e killedErr) Error() string { return "sim: process killed: " + e.name }
 
 // procWorker is a pooled process goroutine. Spawning a goroutine plus its
 // resume channel for every short-lived fan-out process is the dominant
@@ -397,31 +376,8 @@ func (w *procWorker) run() {
 	returned := false
 	defer func() {
 		r := recover()
-		switch {
-		case r != nil:
-			if _, ok := r.(killedErr); ok {
-				if p.unwind != nil {
-					p.unwind.killedUnwind(p)
-					p.unwind = nil
-				}
-			} else {
-				k.failed = r
-			}
-		case !returned:
-			// fn is exiting via runtime.Goexit — in practice t.Fatal or
-			// t.Skip called from inside a process. Goexit runs this defer
-			// and then kills the goroutine regardless, so the worker must
-			// NOT return to the pool: a later resume (reuse or drainPools
-			// teardown) would block forever on a dead goroutine.
-			w.p = nil
-			w.fn = nil
-			k.live--
-			k.current = nil
-			if p.done != nil {
-				p.done.Set(struct{}{})
-			}
-			k.yield <- struct{}{}
-			return
+		if r != nil {
+			k.failed = r
 		}
 		k.live--
 		k.current = nil
@@ -430,9 +386,16 @@ func (w *procWorker) run() {
 		}
 		w.p = nil
 		w.fn = nil
+		// Neither returned nor panicked: fn is exiting via runtime.Goexit —
+		// in practice t.Fatal or t.Skip called from inside a process. Goexit
+		// runs this defer and then kills the goroutine regardless, so the
+		// worker must NOT return to the pool: a later resume (reuse or
+		// drainPools teardown) would block forever on a dead goroutine.
 		// The kernel goroutine is blocked in dispatch until the yield send
 		// below, so mutating the pool from here is race-free.
-		k.workerFree = append(k.workerFree, w)
+		if returned || r != nil {
+			k.workerFree = append(k.workerFree, w)
+		}
 		k.yield <- struct{}{}
 	}()
 	k.current = p
@@ -472,8 +435,8 @@ func (k *Kernel) drainPools() {
 // Spawn starts fn as a new process and returns its handle. The process
 // begins executing at the current virtual time, after the caller blocks or
 // returns to the kernel. The goroutine under the process is pooled; the
-// Proc itself is freshly allocated because the handle (Done, Kill) may
-// outlive the process. For fire-and-forget work that needs no handle, Go
+// Proc itself is freshly allocated because the handle (Done) may outlive
+// the process. For fire-and-forget work that needs no handle, Go
 // is cheaper.
 func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 	k.procs++
@@ -532,10 +495,8 @@ func (k *Kernel) Go(name string, fn func(p *Proc)) {
 	}
 	p.id = k.procs
 	p.name = name
-	p.killed = false
 	p.done = nil
 	p.parked = ""
-	p.unwind = nil
 	p.tctx = nil
 	if k.current != nil {
 		p.tctx = k.current.tctx
@@ -583,9 +544,6 @@ func (p *Proc) park(why string) {
 	<-p.resume
 	p.parked = ""
 	p.k.current = p
-	if p.killed {
-		panic(killedErr{p.name})
-	}
 }
 
 // Sleep suspends the process for d of virtual time.
@@ -612,14 +570,6 @@ func (p *Proc) Sleep(d Duration) {
 // events at this instant run first.
 func (p *Proc) Yield() { p.Sleep(0) }
 
-// Kill marks the process for termination. The next time it would resume
-// from a blocking operation it unwinds and terminates instead. Killing a
-// process blocked forever (e.g. on a future that is never set) does not by
-// itself wake it.
-func (p *Proc) Kill() {
-	p.killed = true
-}
-
 // DeadlockError reports that the simulation can make no further progress
 // while processes are still live.
 type DeadlockError struct {
@@ -640,33 +590,12 @@ func (e *DeadlockError) Error() string {
 func (k *Kernel) Run() error { return k.RunUntil(Time(1<<63 - 1)) }
 
 // RunUntil executes events with time ≤ limit. Events beyond the limit stay
-// queued, and reaching the limit is not a deadlock.
-//
-// This is the kernel event loop: everything inside the for is the hottest
-// code in the repository, and the //simlint:hotpath marker keeps it
-// allocation-free by construction (no defer, closures, fmt, string
-// concatenation, or interface boxing).
-//
-//simlint:hotpath
+// queued, and reaching the limit is not a deadlock; a limit already past
+// runs nothing and leaves the clock where it is.
 func (k *Kernel) RunUntil(limit Time) error {
-	if k.now > limit {
-		k.now = limit
+	k.runWindow(limit)
+	if k.pending > 0 {
 		return nil
-	}
-	for k.pending > 0 {
-		e := k.pop(limit)
-		if e == nil {
-			return nil
-		}
-		fn := e.fn
-		k.pending--
-		k.stats.Events++
-		k.recycle(e)
-		// Every scheduled event carries a fn (schedule never stores nil);
-		// a nil here is kernel corruption, and the panic is the best
-		// possible report — a nil guard would silently drop the event.
-		//simlint:ignore hookguard event fns are set by schedule; nil means kernel corruption and must panic
-		fn()
 	}
 	if k.live > 0 {
 		return &DeadlockError{Time: k.now, Blocked: k.blockedNames()}
@@ -675,12 +604,17 @@ func (k *Kernel) RunUntil(limit Time) error {
 	return nil
 }
 
-// runWindow is the shard-group member's event loop: identical event
-// execution to RunUntil, but reaching the limit with live processes and no
-// local events is not a deadlock (a cross-shard message may still arrive),
-// the worker pool is not drained — both become group-level decisions
-// (ShardGroup.finish) — and the external message lane (k.inbox) is
-// interleaved with local events. k.now never moves backward.
+// runWindow is the kernel event loop: everything inside the for is the
+// hottest code in the repository, and the //simlint:hotpath marker keeps it
+// allocation-free by construction (no defer, closures, fmt, string
+// concatenation, or interface boxing). It executes events with time ≤
+// limit and never moves k.now backward. Deadlock detection and draining
+// the worker pool are the caller's: RunUntil's for a plain kernel,
+// ShardGroup.finish's for a group member, where reaching the limit with
+// live processes and no local events is not a deadlock (a cross-shard
+// message may still arrive). A member also interleaves the external
+// message lane (k.inbox), empty outside a multi-shard group, with local
+// events.
 //
 // The lane rule: at each instant, local events run before lane messages,
 // and messages fire in lane order; work a message schedules at its own
@@ -732,7 +666,9 @@ func (k *Kernel) runWindow(limit Time) {
 		k.pending--
 		k.stats.Events++
 		k.recycle(e)
-		// See RunUntil: a nil fn is kernel corruption and must panic.
+		// Every scheduled event carries a fn (schedule never stores nil);
+		// a nil here is kernel corruption, and the panic is the best
+		// possible report — a nil guard would silently drop the event.
 		//simlint:ignore hookguard event fns are set by schedule; nil means kernel corruption and must panic
 		fn()
 		if k.windowBreak {
@@ -773,7 +709,7 @@ func (k *Kernel) nextPendingBound() (Time, bool) {
 
 // blockedNames formats the parked-process inventory for DeadlockError.
 // It runs once, after the event loop has already failed — a sanctioned
-// allocation boundary off RunUntil's hot path.
+// allocation boundary off runWindow's hot path.
 //
 //simlint:coldpath
 func (k *Kernel) blockedNames() []string {

@@ -140,18 +140,6 @@ func TestFutureTimeoutBeatenBySet(t *testing.T) {
 	}
 }
 
-func TestFutureOnDoneRunsInline(t *testing.T) {
-	k := NewKernel(1)
-	f := NewFuture[int](k)
-	var seen []int
-	f.OnDone(func(v int) { seen = append(seen, v) })
-	f.Set(5)
-	f.OnDone(func(v int) { seen = append(seen, v*2) })
-	if len(seen) != 2 || seen[0] != 5 || seen[1] != 10 {
-		t.Fatalf("seen = %v", seen)
-	}
-}
-
 func TestResourceSerializesAtCapacity(t *testing.T) {
 	k := NewKernel(1)
 	r := NewResource(k, "disk", 1)
@@ -234,7 +222,8 @@ func TestResourceUtilization(t *testing.T) {
 
 func TestQuorumResolvesOnNeed(t *testing.T) {
 	k := NewKernel(1)
-	q := NewQuorum(k, 2, 3)
+	var q Quorum
+	q.Init(k, 2, 3)
 	var ok bool
 	var at Time
 	k.Spawn("coordinator", func(p *Proc) {
@@ -256,7 +245,8 @@ func TestQuorumResolvesOnNeed(t *testing.T) {
 
 func TestQuorumFailsWhenImpossible(t *testing.T) {
 	k := NewKernel(1)
-	q := NewQuorum(k, 3, 3)
+	var q Quorum
+	q.Init(k, 3, 3)
 	var ok bool
 	k.Spawn("coordinator", func(p *Proc) { ok = q.Wait(p) })
 	k.After(time.Millisecond, func() { q.Succeed() })
@@ -271,7 +261,8 @@ func TestQuorumFailsWhenImpossible(t *testing.T) {
 
 func TestQuorumZeroNeedIsImmediate(t *testing.T) {
 	k := NewKernel(1)
-	q := NewQuorum(k, 0, 3)
+	var q Quorum
+	q.Init(k, 0, 3)
 	if !q.Done().Done() {
 		t.Fatal("need=0 quorum should resolve immediately")
 	}
@@ -393,25 +384,76 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 	}
 }
 
-func TestKillUnwindsProcess(t *testing.T) {
+// TestRunUntilNeverMovesTimeBackward: a limit already in the past runs
+// nothing and leaves the clock where it is.
+func TestRunUntilNeverMovesTimeBackward(t *testing.T) {
 	k := NewKernel(1)
-	var reached bool
-	p := k.Spawn("victim", func(p *Proc) {
-		p.Sleep(10 * time.Millisecond)
+	ticks := 0
+	k.Spawn("ticker", func(p *Proc) {
+		for {
+			p.Sleep(3)
+			ticks++
+		}
+	})
+	if err := k.RunUntil(10); err != nil {
+		t.Fatal(err)
+	}
+	if k.Now() != 10 || ticks != 3 {
+		t.Fatalf("after RunUntil(10): now = %d, ticks = %d; want 10, 3", k.Now(), ticks)
+	}
+	if err := k.RunUntil(5); err != nil {
+		t.Fatal(err)
+	}
+	if k.Now() != 10 || ticks != 3 {
+		t.Fatalf("after RunUntil(5): now = %d, ticks = %d; want 10, 3", k.Now(), ticks)
+	}
+	if err := k.RunUntil(13); err != nil {
+		t.Fatal(err)
+	}
+	if k.Now() != 13 || ticks != 4 {
+		t.Fatalf("after RunUntil(13): now = %d, ticks = %d; want 13, 4", k.Now(), ticks)
+	}
+}
+
+// TestGoexitTerminatesProcess: a process that leaves through
+// runtime.Goexit (what t.Fatal and t.Skip do) terminates like one that
+// returns — its Done is set and Live drops — and its dead goroutine stays
+// out of the worker pool, so a later Spawn on the same kernel still runs
+// and the drain at the end of the run does not block on it.
+func TestGoexitTerminatesProcess(t *testing.T) {
+	k := NewKernel(1)
+	reached := false
+	p := k.Spawn("quitter", func(p *Proc) {
+		p.Sleep(time.Millisecond)
+		runtime.Goexit()
 		reached = true
 	})
-	k.Spawn("killer", func(q *Proc) {
-		q.Sleep(time.Millisecond)
-		p.Kill()
+	k.Go("bystander", func(p *Proc) { p.Sleep(2 * time.Millisecond) })
+	if err := k.RunUntil(Time(time.Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	if reached {
+		t.Fatal("process ran past runtime.Goexit")
+	}
+	if !p.Done().Done() {
+		t.Fatal("Done not set after runtime.Goexit")
+	}
+	if k.Live() != 1 {
+		t.Fatalf("Live = %d after the Goexit, want 1 (the bystander)", k.Live())
+	}
+	ran := false
+	k.Spawn("later", func(p *Proc) {
+		p.Sleep(time.Millisecond)
+		ran = true
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if reached {
-		t.Fatal("killed process ran past its sleep")
+	if !ran {
+		t.Fatal("a process spawned after the Goexit never ran")
 	}
-	if !p.Done().Done() {
-		t.Fatal("killed process did not terminate")
+	if k.Live() != 0 {
+		t.Fatalf("Live = %d after drain, want 0", k.Live())
 	}
 }
 
@@ -555,116 +597,6 @@ func TestSleepHotPathDoesNotAllocate(t *testing.T) {
 	perEvent := float64(after.Mallocs-before.Mallocs) / events
 	if perEvent > 0.1 {
 		t.Errorf("allocs/event = %.3f, want ~0 (free list or wake closure regressed)", perEvent)
-	}
-}
-
-func TestKilledResourceWaiterHandsUnitToNextWaiter(t *testing.T) {
-	// Regression: a process killed while parked in Resource.Acquire absorbs
-	// the capacity unit the releaser transferred to it. Without killedUnwind
-	// the unit unwinds with the dead process and every later acquirer
-	// deadlocks.
-	k := NewKernel(1)
-	r := NewResource(k, "disk", 1)
-	var victimRan bool
-	var thirdAt Time
-	k.Spawn("holder", func(p *Proc) {
-		r.Acquire(p)
-		p.Sleep(10 * time.Millisecond)
-		r.Release()
-	})
-	victim := k.Spawn("victim", func(p *Proc) {
-		p.Sleep(time.Millisecond)
-		r.Acquire(p)
-		victimRan = true
-		r.Release()
-	})
-	k.Spawn("killer", func(p *Proc) {
-		p.Sleep(2 * time.Millisecond)
-		victim.Kill()
-	})
-	k.Spawn("third", func(p *Proc) {
-		p.Sleep(5 * time.Millisecond)
-		r.Acquire(p)
-		thirdAt = p.Now()
-		r.Release()
-	})
-	if err := k.Run(); err != nil {
-		t.Fatalf("Run: %v (unit leaked by killed waiter?)", err)
-	}
-	if victimRan {
-		t.Fatal("killed waiter acquired the resource")
-	}
-	if thirdAt != Time(10*time.Millisecond) {
-		t.Fatalf("third acquired at %v, want %v", thirdAt, Time(10*time.Millisecond))
-	}
-}
-
-func TestKilledResourceWaiterReturnsUnitToCapacity(t *testing.T) {
-	// Same leak, no other waiter queued: the unit transferred to the killed
-	// process must come back as free capacity for a later acquirer.
-	k := NewKernel(1)
-	r := NewResource(k, "disk", 1)
-	var lateAt Time
-	k.Spawn("holder", func(p *Proc) {
-		r.Acquire(p)
-		p.Sleep(10 * time.Millisecond)
-		r.Release()
-	})
-	victim := k.Spawn("victim", func(p *Proc) {
-		p.Sleep(time.Millisecond)
-		r.Acquire(p)
-		r.Release()
-	})
-	k.Spawn("killer", func(p *Proc) {
-		p.Sleep(2 * time.Millisecond)
-		victim.Kill()
-	})
-	k.Spawn("late", func(p *Proc) {
-		p.Sleep(20 * time.Millisecond)
-		r.Acquire(p)
-		lateAt = p.Now()
-		r.Release()
-	})
-	if err := k.Run(); err != nil {
-		t.Fatalf("Run: %v (unit leaked by killed waiter?)", err)
-	}
-	if lateAt != Time(20*time.Millisecond) {
-		t.Fatalf("late acquired at %v, want %v (unit not returned to capacity)", lateAt, Time(20*time.Millisecond))
-	}
-	if r.InUse() != 0 {
-		t.Fatalf("InUse = %d after drain, want 0", r.InUse())
-	}
-}
-
-func TestKilledQueueWaiterChainsWakeToNext(t *testing.T) {
-	// A Push wakes exactly one waiter; if that waiter was killed while
-	// parked, the wake must chain to the next waiter so the buffered item is
-	// not stranded.
-	k := NewKernel(1)
-	q := NewQueue[int](k)
-	var got []int
-	victim := k.Spawn("victim", func(p *Proc) {
-		got = append(got, q.Pop(p)*-1)
-	})
-	k.Spawn("backup", func(p *Proc) {
-		got = append(got, q.Pop(p))
-	})
-	k.Spawn("killer", func(p *Proc) {
-		p.Sleep(time.Millisecond)
-		victim.Kill()
-	})
-	k.Spawn("producer", func(p *Proc) {
-		p.Sleep(2 * time.Millisecond)
-		q.Push(7)
-	})
-	if err := k.Run(); err != nil {
-		t.Fatalf("Run: %v (wake stranded on killed waiter?)", err)
-	}
-	if fmt.Sprint(got) != "[7]" {
-		t.Fatalf("got %v, want [7] delivered to the backup waiter", got)
-	}
-	if q.Len() != 0 {
-		t.Fatalf("queue still buffers %d item(s)", q.Len())
 	}
 }
 

@@ -75,7 +75,7 @@ func TestResourceUseTimedReportsQueueWait(t *testing.T) {
 	if secondWait != 10*time.Millisecond {
 		t.Fatalf("contended wait = %v, want 10ms", secondWait)
 	}
-	if r.Served() != 2 {
-		t.Fatalf("served = %d", r.Served())
+	if r.served != 2 {
+		t.Fatalf("served = %d", r.served)
 	}
 }

@@ -66,12 +66,3 @@ func (c *BlockCache) Contains(table int64, block int) bool {
 	_, ok := c.index[blockID{table, block}]
 	return ok
 }
-
-// HitRate returns the fraction of Touch calls that hit.
-func (c *BlockCache) HitRate() float64 {
-	t := c.Hits + c.Misses
-	if t == 0 {
-		return 0
-	}
-	return float64(c.Hits) / float64(t)
-}

@@ -250,8 +250,8 @@ func TestBlockCacheLRUEviction(t *testing.T) {
 	if !c.Contains(1, 1) {
 		t.Fatal("block 1 should remain")
 	}
-	if c.HitRate() <= 0 {
-		t.Fatal("hit rate should be positive")
+	if c.Hits != 1 || c.Misses != 2 {
+		t.Fatalf("hits/misses = %d/%d, want 1/2", c.Hits, c.Misses)
 	}
 }
 

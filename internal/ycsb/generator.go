@@ -136,18 +136,12 @@ func (s *ScrambledZipfian) Next(rng *rand.Rand) int64 {
 // insert key numbering and the latest distribution.
 type Counter struct{ next int64 }
 
-// NewCounter starts counting at start.
-func NewCounter(start int64) *Counter { return &Counter{next: start} }
-
 // Next implements Generator (rng unused).
 func (c *Counter) Next(*rand.Rand) int64 {
 	v := c.next
 	c.next++
 	return v
 }
-
-// Last returns the most recently issued value.
-func (c *Counter) Last() int64 { return c.next - 1 }
 
 // AcknowledgedCounter issues consecutive integers like Counter but
 // separately tracks which have been acknowledged (operation completed),

@@ -146,8 +146,8 @@ func TestDiscreteProportions(t *testing.T) {
 }
 
 func TestCounterSequential(t *testing.T) {
-	c := NewCounter(10)
-	if c.Next(nil) != 10 || c.Next(nil) != 11 || c.Last() != 11 {
+	c := &Counter{next: 10}
+	if c.Next(nil) != 10 || c.Next(nil) != 11 || c.next != 12 {
 		t.Fatal("counter broken")
 	}
 }
