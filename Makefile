@@ -41,7 +41,7 @@ vet:
 	$(GO) vet ./...
 
 # simlint enforces the determinism, hot-path, isolation, and hook
-# invariants (DESIGN.md "Static invariants", §12). Zero non-suppressed
+# invariants (DESIGN.md §9, "Static invariants"). Zero non-suppressed
 # findings required. LINT_ANALYZERS selects a comma-separated subset
 # (e.g. `make lint LINT_ANALYZERS=shardsafe,blockfree`); unknown names
 # fail rather than silently skipping enforcement.

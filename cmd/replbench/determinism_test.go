@@ -75,8 +75,8 @@ func TestGeoSweepBitIdentical(t *testing.T) {
 
 // TestTraceBitIdentical extends the invariant to the tracing subsystem:
 // the per-phase decomposition must be byte-identical across worker-pool
-// sizes, and the raw span stream — IDs included, which are drawn from the
-// per-proc seeded RNGs — must be identical across same-seed runs.
+// sizes, and the raw span stream, IDs included, must be identical across
+// same-seed runs.
 func TestTraceBitIdentical(t *testing.T) {
 	base := []string{"-experiment", "tracebreak", "-profile", "smoke", "-csv", "-seed", "42", "-rf", "1,3"}
 	serial := capture(t, append(base, "-parallel", "1")...)

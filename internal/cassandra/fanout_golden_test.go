@@ -25,8 +25,8 @@ var everyLevel = []kv.ConsistencyLevel{kv.One, kv.Two, kv.Three, kv.Quorum, kv.A
 // fanoutScript drives one deployment through scripted writes, reads and
 // deletes at every consistency level while replicas fail, WAN links are
 // cut and hints replay, and digests what the coordinator paths did step by
-// step: the retained span stream (ids are drawn from each process's seeded
-// RNG, so they pin which process was spawned when), the DB counters and
+// step: the retained span stream (each span's process id pins which
+// process was spawned when), the DB counters and
 // every op's error.
 type fanoutScript struct {
 	p       *sim.Proc

@@ -123,14 +123,17 @@ func TestFig1ReproducesMicroFindings(t *testing.T) {
 		}
 		return
 	}
-	res, err := RunFig1(reducedOptions())
+	o := reducedOptions()
+	res, err := RunFig1(o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res) != 2*2*4 { // 2 DBs × 2 RFs × 4 ops
 		t.Fatalf("results = %d", len(res))
 	}
-	for _, f := range res.Findings(Options{}) {
+	findings := res.Findings(Options{})
+	checkFindingsBlock(t, "fig1", o, findings)
+	for _, f := range findings {
 		t.Log(f)
 		if !f.Pass {
 			t.Errorf("finding failed: %s", f)
@@ -161,14 +164,17 @@ func TestFig2ReproducesStressFindings(t *testing.T) {
 		}
 		return
 	}
-	res, err := RunFig2(reducedOptions())
+	o := reducedOptions()
+	res, err := RunFig2(o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res) != 2*2*5 {
 		t.Fatalf("results = %d", len(res))
 	}
-	for _, f := range res.Findings(Options{}) {
+	findings := res.Findings(Options{})
+	checkFindingsBlock(t, "fig2", o, findings)
+	for _, f := range findings {
 		t.Log(f)
 		if !f.Pass {
 			t.Errorf("finding failed: %s", f)
@@ -193,11 +199,14 @@ func TestFig3ReproducesConsistencyFindings(t *testing.T) {
 		}
 		return
 	}
-	res, err := RunFig3(reducedOptions())
+	o := reducedOptions()
+	res, err := RunFig3(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range res.Findings(Options{}) {
+	findings := res.Findings(Options{})
+	checkFindingsBlock(t, "fig3", o, findings)
+	for _, f := range findings {
 		t.Log(f)
 		// F6a is the documented deviation (see EXPERIMENTS.md); the
 		// others must reproduce.

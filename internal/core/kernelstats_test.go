@@ -66,8 +66,14 @@ func TestKernelStatsPerSimop(t *testing.T) {
 		if res.Errors != 0 {
 			t.Errorf("%s: %d failed operations", b.db, res.Errors)
 		}
-		if m := float64(st.EventMisses) / ops; m > 0.05 {
-			t.Errorf("%s: %.3f event free-list misses per simop, want ~0: canceled or fired events are not coming back", b.db, m)
+		// A miss is a new high-water mark of the event free list, so a burst
+		// of pending events (the queues a GC pause releases) costs misses
+		// once: up to 0.13 per deadline armed at seeds 1-8. The regression
+		// this guards, a canceled deadline whose event is not recycled at
+		// once, costs 0.86.
+		if st.EventMisses*2 > st.TimersScheduled {
+			t.Errorf("%s: %d event free-list misses for %d deadlines armed, want under half: canceled or fired events are not coming back",
+				b.db, st.EventMisses, st.TimersScheduled)
 		}
 		if st.TimersCanceled != st.TimersUnlinked {
 			t.Logf("%s: %d canceled deadlines were dropped lazily (due batch, fast lane or overflow heap)", b.db, st.TimersCanceled-st.TimersUnlinked)

@@ -240,7 +240,7 @@ func (c *remoteMixClient) Read(p *sim.Proc, key kv.Key, fields []string) (kv.Rec
 			resp := remoteResp{rec: rec, err: err}
 			// The reply future is the sanctioned cross-shard handle; the
 			// engine keys generic Future cells by Origin, so fut.val merges
-			// every instantiation's payload (DESIGN.md §12, soundness notes).
+			// every instantiation's payload (DESIGN.md §9, soundness boundary).
 			//simlint:ignore shardsafe reply future; generic cells merge instantiations in the points-to engine
 			ds.Send(srcID, back, func(*sim.Shard) { fut.Set(resp) })
 		})

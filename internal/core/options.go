@@ -41,7 +41,7 @@ type Options struct {
 
 	// Scale. The paper uses 1 B tiny records (micro) and 100 M × 1 KB
 	// records (stress); the simulation scales these down (see the
-	// substitution table in DESIGN.md §2).
+	// substitution table in DESIGN.md §1).
 	MicroRecords  int64
 	StressRecords int64
 	MicroOps      int64

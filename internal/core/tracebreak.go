@@ -70,8 +70,8 @@ func traceCells(o Options) []backend {
 
 // RunTraceBreakdown runs the trace grid. Each cell is a self-contained
 // deployment with a fresh tracer, fanned out across the sweep scheduler;
-// span IDs come from per-proc seeded RNGs, so the report — and the raw
-// span stream — is bit-identical for any parallelism.
+// span IDs count spans in record order, so the report — and the raw span
+// stream — is bit-identical for any parallelism.
 func RunTraceBreakdown(o Options) (TraceResults, error) {
 	return sweep(o, "tracebreak", traceCells(o), func(o Options, b backend) (TraceResults, error) {
 		res, _, err := runTraceCell(o, b, 0)

@@ -24,7 +24,7 @@ import (
 // analyzed packages), and function values (via the points-to engine)
 // through any number of helper frames. Calls that resolve outside the
 // analyzed packages are trusted unless they are themselves a known
-// blocking primitive — the engine's soundness boundary (DESIGN.md §12).
+// blocking primitive — the engine's soundness boundary (DESIGN.md §9).
 var Blockfree = &Analyzer{
 	Name:      "blockfree",
 	Doc:       "process bodies handed to the kernel must not block the OS thread; virtual waits go through sim park points",

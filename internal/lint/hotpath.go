@@ -32,7 +32,7 @@ import (
 // boundaries like the kv.Client verbs, whose implementations model I/O
 // and allocate by design. Calls through plain function values are not
 // chased (the kernel dispatch loop invokes every scheduled closure; see
-// DESIGN.md §12), and callees outside the analyzed packages are trusted.
+// DESIGN.md §9), and callees outside the analyzed packages are trusted.
 var Hotpath = &Analyzer{
 	Name:      "hotpath",
 	Doc:       "functions marked //simlint:hotpath may not allocate, directly or via any callee not marked //simlint:coldpath",

@@ -28,7 +28,7 @@ package lint
 // over-approximates — a set can contain objects no execution stores there
 // — which is the right direction for the invariants built on it (aliasing
 // that *may* exist must be reported); the caveats are documented in
-// DESIGN.md §12.
+// DESIGN.md §9.
 
 import (
 	"fmt"

@@ -31,7 +31,7 @@ package lint
 // the concrete types declared in the targets; calls through function
 // values resolve through the points-to solution, which the solver reaches
 // by iterating constraint generation and dynamic-call linking to a fixed
-// point. Soundness caveats are documented in DESIGN.md §12.
+// point. Soundness caveats are documented in DESIGN.md §9.
 
 import (
 	"fmt"
@@ -311,7 +311,7 @@ func (s *SSA) LitOf(lit *ast.FuncLit) *SSAFunc { return s.byLit[lit] }
 // Callees resolves a call site to the target functions it may invoke:
 // the static callee, the CHA implementations of an interface method, or
 // the points-to set of a dynamic callee value. External callees resolve to
-// nothing — the engine's soundness boundary (DESIGN.md §12).
+// nothing — the engine's soundness boundary (DESIGN.md §9).
 func (s *SSA) Callees(c *SSACall) []*SSAFunc {
 	switch {
 	case c.Static != nil:

@@ -23,8 +23,8 @@ const fanoutGolden = "testdata/fanout.sha256"
 // fanoutScript drives one deployment through scripted writes, reads, scans
 // and deletes while servers fail, jobs spill and the replicator catches up,
 // and digests what the server and client paths did step by step: the
-// retained span stream (ids are drawn from each process's seeded RNG, so
-// they pin which process was spawned when), every DB counter, the oracle's
+// retained span stream (each span's process id pins which process was
+// spawned when), every DB counter, the oracle's
 // report and every op's error.
 type fanoutScript struct {
 	p       *sim.Proc

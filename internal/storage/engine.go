@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"math/rand"
 	"sort"
 
 	"cloudbench/internal/kv"
@@ -49,7 +48,7 @@ type Engine struct {
 	imm      []*skiplist // snapshots being flushed, newest first
 	tables   []*SSTable  // newest first
 	cache    *BlockCache
-	rng      *rand.Rand
+	rng      *sim.Source // memtable skiplist heights
 
 	nextTableID int64
 	compacting  bool
@@ -71,7 +70,7 @@ type Engine struct {
 }
 
 // NewEngine returns an engine writing tables through io and logging through
-// wal. The rng seeds the memtable skiplist deterministically.
+// wal. The seed fixes the memtable skiplist's node heights.
 func NewEngine(k *sim.Kernel, cfg Config, io TableIO, log AppendLog, seed int64) *Engine {
 	e := &Engine{
 		k:     k,
@@ -79,7 +78,7 @@ func NewEngine(k *sim.Kernel, cfg Config, io TableIO, log AppendLog, seed int64)
 		io:    io,
 		wal:   NewWAL(k, log),
 		cache: NewBlockCache(cfg.CacheBytes),
-		rng:   rand.New(rand.NewSource(seed)),
+		rng:   sim.NewSource(uint64(seed)),
 	}
 	e.mem = newSkiplist(e.rng)
 	return e

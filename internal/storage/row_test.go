@@ -221,8 +221,8 @@ func TestMergeCellsInPlaceKeepsIncumbentOnTies(t *testing.T) {
 //
 // Versions come from a small range, so writes arrive out of order and tie.
 // A cell's value is a function of its field and version: which of two tying
-// writes a read keeps depends on where compaction has put them (DESIGN §6
-// has versions unique), and the model does not follow that.
+// writes a read keeps depends on where compaction has put them (the
+// databases draw unique versions), and the model does not follow that.
 func checkGetInto(t *testing.T, script []byte) {
 	t.Helper()
 	k := sim.NewKernel(1)

@@ -1,9 +1,8 @@
 package storage
 
 import (
-	"math/rand"
-
 	"cloudbench/internal/kv"
+	"cloudbench/internal/sim"
 )
 
 const maxHeight = 12
@@ -13,7 +12,7 @@ const maxHeight = 12
 type skiplist struct {
 	head   *slNode
 	height int
-	rng    *rand.Rand
+	rng    *sim.Source
 	n      int
 }
 
@@ -23,13 +22,15 @@ type slNode struct {
 	next [maxHeight]*slNode
 }
 
-func newSkiplist(rng *rand.Rand) *skiplist {
+func newSkiplist(rng *sim.Source) *skiplist {
 	return &skiplist{head: &slNode{}, height: 1, rng: rng}
 }
 
+// randomHeight grows a node one level per two zero bits of one draw: each
+// level is reached with probability 1/4 of the one below.
 func (s *skiplist) randomHeight() int {
 	h := 1
-	for h < maxHeight && s.rng.Intn(4) == 0 {
+	for bits := s.rng.Uint64(); h < maxHeight && bits&3 == 0; bits >>= 2 {
 		h++
 	}
 	return h

@@ -19,7 +19,7 @@ func verOf(row *Row, field string) kv.Version {
 }
 
 func TestSkiplistInsertAndGet(t *testing.T) {
-	s := newSkiplist(rand.New(rand.NewSource(1)))
+	s := newSkiplist(sim.NewSource(1))
 	keys := []kv.Key{"m", "a", "z", "b", "q"}
 	for i, k := range keys {
 		row := s.GetOrCreate(k)
@@ -40,7 +40,7 @@ func TestSkiplistInsertAndGet(t *testing.T) {
 }
 
 func TestSkiplistGetOrCreateIsIdempotent(t *testing.T) {
-	s := newSkiplist(rand.New(rand.NewSource(1)))
+	s := newSkiplist(sim.NewSource(1))
 	a := s.GetOrCreate("k")
 	b := s.GetOrCreate("k")
 	if a != b || s.Len() != 1 {
@@ -50,7 +50,7 @@ func TestSkiplistGetOrCreateIsIdempotent(t *testing.T) {
 
 func TestSkiplistIterationSorted(t *testing.T) {
 	f := func(raw []uint16) bool {
-		s := newSkiplist(rand.New(rand.NewSource(2)))
+		s := newSkiplist(sim.NewSource(2))
 		seen := map[kv.Key]bool{}
 		for _, r := range raw {
 			k := kv.Key(fmt.Sprintf("key%05d", r))
@@ -72,7 +72,7 @@ func TestSkiplistIterationSorted(t *testing.T) {
 }
 
 func TestSkiplistSeek(t *testing.T) {
-	s := newSkiplist(rand.New(rand.NewSource(1)))
+	s := newSkiplist(sim.NewSource(1))
 	for _, k := range []kv.Key{"b", "d", "f"} {
 		s.GetOrCreate(k)
 	}

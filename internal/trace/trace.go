@@ -12,8 +12,10 @@
 // under a synthetic "background" class.
 //
 // Everything is deterministic in virtual time: timestamps come from the
-// sim clock and span IDs are drawn from the recording process's seeded
-// RNG, so traces are bit-identical across runs and -parallel settings.
+// sim clock and span IDs from a counter on the Tracer, so traces are
+// bit-identical across runs and -parallel settings. The tracer draws
+// nothing from the simulation's random streams, so attaching it does not
+// change the run it records.
 //
 // The Tracer is a nil-gated hook: a nil *Tracer is safe to call, and call
 // sites additionally guard with `if tracer != nil` (enforced by the
@@ -163,6 +165,7 @@ type Tracer struct {
 	keep         int
 	spans        []Span
 	dropped      int64
+	lastID       uint64 // span IDs are 1, 2, ... in record order
 }
 
 // New returns an empty tracer.
@@ -175,8 +178,8 @@ func New() *Tracer {
 }
 
 // KeepSpans enables raw span retention, keeping up to n spans in record
-// order (further spans are counted as dropped). Retention does not change
-// RNG consumption, so aggregates are identical with retention on or off.
+// order (further spans are counted as dropped). Retention changes only what
+// is kept: aggregates and span IDs are the same with it on or off.
 func (t *Tracer) KeepSpans(n int) {
 	t.keep = n
 	t.spans = make([]Span, 0, n)
@@ -193,15 +196,14 @@ func (t *Tracer) BeginMeasure(at sim.Time) {
 	t.measureStart = at
 }
 
-// StartOp opens a root span for an op of the given class on p. The span
-// ID comes from p's seeded RNG, so ID sequences are deterministic.
+// StartOp opens a root span for an op of the given class on p.
 func (t *Tracer) StartOp(p *sim.Proc, class OpClass) {
 	if t == nil {
 		return
 	}
 	now := p.Now()
 	s := &Span{
-		ID:    p.Rand().Uint64(),
+		ID:    t.newID(),
 		Class: class,
 		Root:  true,
 		Node:  -1,
@@ -253,10 +255,9 @@ func (t *Tracer) Interval(p *sim.Proc, ph Phase, node int, start, end sim.Time) 
 			parent = sc.root.ID
 		}
 	}
-	// Draw the span ID before the measurement gate so RNG consumption —
-	// and therefore everything downstream of it — does not depend on
+	// Number the span before the measurement gate, so IDs do not depend on
 	// where the warmup boundary falls.
-	id := p.Rand().Uint64()
+	id := t.newID()
 	if !measured {
 		return
 	}
@@ -319,6 +320,14 @@ func (t *Tracer) Detach(p *sim.Proc) {
 		return
 	}
 	p.SetTraceCtx(nil)
+}
+
+// newID numbers the next span. A draw from the recording process's random
+// stream would do as well for uniqueness, but on a client thread that is
+// the stream its keys come from: the tracer would change the run it traces.
+func (t *Tracer) newID() uint64 {
+	t.lastID++
+	return t.lastID
 }
 
 // retain appends a span to the retained set, bounded by KeepSpans.

@@ -204,8 +204,7 @@ func TestSpanRetentionAndChromeExport(t *testing.T) {
 
 // TestDeterministicAcrossRetention checks the two determinism properties
 // the tracebreak experiment depends on: identical runs produce identical
-// span IDs, and enabling retention does not perturb aggregates (RNG
-// consumption is independent of KeepSpans).
+// span IDs, and enabling retention does not perturb aggregates.
 func TestDeterministicAcrossRetention(t *testing.T) {
 	a, b := New(), New()
 	a.KeepSpans(64)

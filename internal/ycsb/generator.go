@@ -1,6 +1,6 @@
 // Package ycsb reimplements the core of the Yahoo! Cloud Serving Benchmark
 // for the simulated cluster: the key-choice distributions (uniform,
-// zipfian, scrambled zipfian, latest, hotspot, exponential), the operation
+// zipfian, scrambled zipfian, latest), the operation
 // mixer, and a closed-loop multi-threaded runner with target-throughput
 // pacing — the same architecture as YCSB's CoreWorkload and client
 // threads, §3 of the paper.
@@ -207,42 +207,6 @@ func (l *Latest) Next(rng *rand.Rand) int64 {
 		return 0
 	}
 	return last - l.z.NextN(rng, last+1)
-}
-
-// HotSpot draws from a hot set with the given probability, else uniformly
-// from the remainder.
-type HotSpot struct {
-	Lo, Hi      int64
-	HotFraction float64 // fraction of the keyspace that is hot
-	HotOpn      float64 // fraction of operations hitting the hot set
-}
-
-// Next implements Generator.
-func (h HotSpot) Next(rng *rand.Rand) int64 {
-	span := h.Hi - h.Lo + 1
-	hot := int64(float64(span) * h.HotFraction)
-	if hot < 1 {
-		hot = 1
-	}
-	if rng.Float64() < h.HotOpn {
-		return h.Lo + rng.Int63n(hot)
-	}
-	if span == hot {
-		return h.Lo + rng.Int63n(span)
-	}
-	return h.Lo + hot + rng.Int63n(span-hot)
-}
-
-// Exponential draws values with an exponential distribution, used by YCSB
-// for think-time style parameters.
-type Exponential struct {
-	// Gamma is the rate; mean is 1/Gamma.
-	Gamma float64
-}
-
-// Next implements Generator.
-func (e Exponential) Next(rng *rand.Rand) int64 {
-	return int64(-math.Log(1-rng.Float64()) / e.Gamma)
 }
 
 // Discrete picks among weighted alternatives — the operation chooser.

@@ -46,7 +46,6 @@ const (
 	DistUniform Distribution = "uniform"
 	DistZipfian Distribution = "zipfian"
 	DistLatest  Distribution = "latest"
-	DistHotSpot Distribution = "hotspot"
 )
 
 // Spec is a workload definition, mirroring a YCSB workload properties
@@ -173,8 +172,6 @@ func NewWorkload(spec Spec) *Workload {
 		w.keyChooser = Uniform{Lo: 0, Hi: spec.RecordCount - 1}
 	case DistLatest:
 		w.keyChooser = NewLatest(w.inserted)
-	case DistHotSpot:
-		w.keyChooser = HotSpot{Lo: 0, Hi: spec.RecordCount - 1, HotFraction: 0.2, HotOpn: 0.8}
 	default: // zipfian
 		w.keyChooser = NewScrambledZipfian(spec.RecordCount)
 	}

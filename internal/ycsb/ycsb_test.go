@@ -109,22 +109,6 @@ func TestLatestFavorsRecent(t *testing.T) {
 	}
 }
 
-func TestHotSpotFractions(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	h := HotSpot{Lo: 0, Hi: 999, HotFraction: 0.2, HotOpn: 0.8}
-	hot := 0
-	const draws = 20000
-	for i := 0; i < draws; i++ {
-		if h.Next(rng) < 200 {
-			hot++
-		}
-	}
-	frac := float64(hot) / draws
-	if frac < 0.75 || frac > 0.85 {
-		t.Fatalf("hot fraction = %.3f, want ~0.80", frac)
-	}
-}
-
 func TestDiscreteProportions(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var d Discrete
