@@ -56,14 +56,13 @@ lint: vet
 lint-report:
 	$(GO) run ./cmd/simlint -ignores -budget 60s ./...
 
-# Non-test Go line counts (comments included) for the packages ROADMAP's
-# "One of each" item tracks; CI echoes this so the count is on record per
-# commit. cmd/replbench is listed beside internal/core (outside the
-# tracked total) so lines moved between the CLI and core can be neither
-# booked as a saving nor hidden as a cost; internal/hbase and
-# internal/cluster are listed outside it too, so the total stays the series
-# it has been since PR 14. internal/replica (PR 22) is inside it: what moved
-# there out of cassandra and objstore still counts.
+# Non-test Go line counts (comments included) of the simulator core; CI
+# echoes this so the count is on record per commit. cmd/replbench is listed
+# beside internal/core (outside the tracked total) so lines moved between
+# the CLI and core can be neither booked as a saving nor hidden as a cost;
+# internal/hbase and internal/cluster are listed outside it too, so the
+# total stays one series. internal/replica is inside it: what moved there
+# out of cassandra and objstore still counts.
 loc:
 	@count() { find $$1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l; }; \
 	total=0; for d in sim core cassandra objstore replica ring; do \
@@ -78,4 +77,4 @@ loc:
 # phase-share grid, trace.json one span-retaining cell in Chrome
 # trace-event format (load into chrome://tracing or Perfetto).
 trace:
-	$(GO) run ./cmd/replbench -experiment tracebreak -short -o tracebreak.csv -trace-out trace.json
+	$(GO) run ./cmd/replbench -experiment tracebreak -short -csv -o tracebreak.csv -trace-out trace.json

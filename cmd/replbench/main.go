@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	replbench -experiment <name>|findings|all \
+//	replbench -experiment <name>|all \
 //	          [-profile smoke|quick|paper] [-short] [-seed N] [-rf 1,2,3] [-parallel N] [-shards N] [-csv] [-o results.txt] [-trace-out trace.json]
 //
 // The experiment names (table1, fig1, ..., spectrum) come from a single
@@ -34,14 +34,14 @@ import (
 	"cloudbench/internal/core"
 )
 
-// experimentNames renders the registry (plus the two pseudo-experiments)
-// for the usage string and the unknown-name error.
+// experimentNames renders the registry (plus "all") for the usage string
+// and the unknown-name error.
 func experimentNames() string {
 	var names []string
 	for _, e := range core.Experiments(core.CLI{}) {
 		names = append(names, e.Name)
 	}
-	return strings.Join(append(names, "findings", "all"), "|")
+	return strings.Join(append(names, "all"), "|")
 }
 
 func main() {
@@ -61,7 +61,6 @@ func run(args []string, stdout io.Writer) error {
 	parallel := fs.Int("parallel", 0, "sweep cells run concurrently (0 = one per CPU); results are bit-identical for every value")
 	shards := fs.Int("shards", 0, "member kernels megascale partitions its deployment across (at least 2)")
 	rfList := fs.String("rf", "", "comma-separated replication factors (default 1-6)")
-	noReadRepair := fs.Bool("no-read-repair", false, "disable Cassandra read repair (ablation A1 inline)")
 	csv := fs.Bool("csv", false, "emit CSV instead of aligned tables")
 	out := fs.String("o", "", "also write the report to this file")
 	if err := fs.Parse(args); err != nil {
@@ -77,7 +76,7 @@ func run(args []string, stdout io.Writer) error {
 		RFSet:    *rfList != "",
 		TraceOut: *traceOut,
 	})
-	known := *experimentFlag == "all" || *experimentFlag == "findings"
+	known := *experimentFlag == "all"
 	for _, e := range registry {
 		known = known || e.Name == *experimentFlag
 	}
@@ -115,9 +114,6 @@ func run(args []string, stdout io.Writer) error {
 		}
 		o.ReplicationFactors = rfs
 	}
-	if *noReadRepair {
-		o.ReadRepairChance = 0
-	}
 
 	w := stdout
 	if *out != "" {
@@ -145,7 +141,7 @@ func run(args []string, stdout io.Writer) error {
 		}
 		findings = append(findings, rep.Findings(o)...)
 	}
-	if len(findings) > 0 || *experimentFlag == "findings" {
+	if len(findings) > 0 {
 		fmt.Fprintln(w, "Findings versus the paper's qualitative claims:")
 		for _, f := range findings {
 			fmt.Fprintln(w, " ", f)

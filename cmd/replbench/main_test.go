@@ -100,10 +100,15 @@ func TestRunRejectsUnknownExperiment(t *testing.T) {
 	}
 	// The error lists the registry so the valid names never drift from the
 	// dispatch.
-	for _, want := range []string{"bogus", "table1", "spectrum", "findings", "all"} {
+	for _, want := range []string{"bogus", "table1", "spectrum", "all"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("unknown-experiment error missing %q: %v", want, err)
 		}
+	}
+	// findings is not an experiment: every run already ends with its
+	// findings.
+	if err := run([]string{"-experiment", "findings"}, &b); err == nil || !strings.Contains(err.Error(), `unknown experiment "findings"`) {
+		t.Errorf("-experiment findings: err = %v, want the unknown-experiment error", err)
 	}
 }
 
@@ -117,7 +122,7 @@ func TestRegistryMatchesCLI(t *testing.T) {
 	for _, e := range core.Experiments(cli) {
 		names = append(names, e.Name)
 	}
-	valid := strings.Join(append(names, "findings", "all"), "|")
+	valid := strings.Join(append(names, "all"), "|")
 	if got := experimentNames(); got != valid {
 		t.Errorf("usage string = %q, want the registry %q", got, valid)
 	}

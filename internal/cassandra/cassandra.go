@@ -32,8 +32,6 @@ import (
 type Config struct {
 	// Replication is the keyspace replication factor, the paper's knob.
 	Replication int
-	// VNodes is the number of virtual-node tokens per host.
-	VNodes int
 	// DCReplicas, when non-empty, is NetworkTopologyStrategy placement
 	// with an explicit replication factor per data center (DCReplicas[z]
 	// replicas in zone z), overriding Replication: the effective total
@@ -47,13 +45,8 @@ type Config struct {
 	// Cassandra 2.0 defaults to 0.1 and the paper notes the feature is on
 	// by default).
 	ReadRepairChance float64
-	// HintedHandoff stores mutations for down replicas and replays them
-	// on recovery.
-	HintedHandoff bool
 	// Engine configures each node's storage.
 	Engine storage.Config
-	// RequestOverhead is the fixed per-message overhead in bytes.
-	RequestOverhead int
 	// Timeout bounds how long a coordinator waits for replica responses.
 	Timeout time.Duration
 	// HintReplayInterval is how often stored hints are retried.
@@ -87,13 +80,10 @@ func DefaultConfig() Config {
 	ecfg.SyncWAL = false
 	return Config{
 		Replication:        3,
-		VNodes:             16,
 		ReadCL:             kv.One,
 		WriteCL:            kv.One,
 		ReadRepairChance:   0.1,
-		HintedHandoff:      true,
 		Engine:             ecfg,
-		RequestOverhead:    64,
 		Timeout:            5 * time.Second,
 		HintReplayInterval: 10 * time.Second,
 		HintWindow:         3 * time.Hour,
@@ -185,10 +175,7 @@ func New(k *sim.Kernel, cfg Config, nodes []*cluster.Node) *DB {
 	if cfg.Replication > len(nodes) {
 		cfg.Replication = len(nodes)
 	}
-	if cfg.VNodes < 1 {
-		cfg.VNodes = 1
-	}
-	db := &DB{Env: replica.Env{K: k, RequestOverhead: cfg.RequestOverhead}, cfg: cfg}
+	db := &DB{Env: replica.Env{K: k}, cfg: cfg}
 	if len(nodes) > 0 {
 		db.Cluster = nodes[0].Cluster()
 	}
@@ -201,7 +188,7 @@ func New(k *sim.Kernel, cfg Config, nodes []*cluster.Node) *DB {
 		db.reps = append(db.reps, rep)
 	}
 	rng := k.Rand()
-	db.ring = ring.New(db.reps, func(r *Replica) int { return r.Node.Zone }, cfg.VNodes, rng.Uint64)
+	db.ring = ring.New(db.reps, func(r *Replica) int { return r.Node.Zone }, ring.VNodes, rng.Uint64)
 	db.placement = db.ring.Memoize(db.place)
 	if cfg.ReadRepairChance > 0 {
 		db.repairPeriod = max(1, uint64(1.0/cfg.ReadRepairChance))
@@ -393,7 +380,7 @@ func (l *writeLeg) deliver(q *sim.Proc) {
 			db.K.Go("c*-relay-write", op.leg(rep.Node, r).run)
 		}
 		db.apply(q, &rep.Host, op.m.Mutation, consistency.ApplyWrite)
-		if db.Hop(q, rep.Node, op.coord.Node, db.RequestOverhead) {
+		if db.Hop(q, rep.Node, op.coord.Node, replica.RequestOverhead) {
 			op.acks.ack(z)
 		} else {
 			op.acks.fail(z)
@@ -718,21 +705,18 @@ func (l *readLeg) repairWrite(q *sim.Proc) {
 	if rep.Node == coord || coord.SendTo(q, rep.Node, db.MutationSize(op.key, op.rec)) {
 		db.apply(q, rep, replica.Mutation{Key: op.key, Rec: op.rec, Del: op.rec == nil, Ver: op.ver}, consistency.ApplyRepair)
 		if rep.Node != coord {
-			rep.Node.SendTo(q, coord, db.RequestOverhead)
+			rep.Node.SendTo(q, coord, replica.RequestOverhead)
 		}
 	}
 	db.Bill(q, trace.PhaseReadRepair, rep.Node, t0, prev, true)
 	op.release()
 }
 
-// noteHint, with hinted handoff on, stores m at the coordinator on behalf of
-// the down replica target and ensures the replay process is running. The
-// process exits when all hints have drained, so simulations with no failed
-// nodes terminate cleanly.
+// noteHint stores m at the coordinator on behalf of the down replica target
+// and ensures the replay process is running. The process exits when all
+// hints have drained, so simulations with no failed nodes terminate
+// cleanly.
 func (db *DB) noteHint(coord, target *Replica, m mutation) {
-	if !db.cfg.HintedHandoff {
-		return
-	}
 	coord.hints = append(coord.hints, hint{target: target, mutation: m, stored: db.K.Now()})
 	db.HintsStored++
 	if !db.hintProcLive {
@@ -778,7 +762,7 @@ func (db *DB) hintReplayLoop(p *sim.Proc) {
 					continue
 				}
 				db.apply(p, &h.target.Host, h.Mutation, consistency.ApplyHint)
-				h.target.Node.SendTo(p, rep.Node, db.RequestOverhead)
+				h.target.Node.SendTo(p, rep.Node, replica.RequestOverhead)
 				db.Bill(p, trace.PhaseHintReplay, h.target.Node, t0, prev, true)
 				db.HintsReplayed++
 			}

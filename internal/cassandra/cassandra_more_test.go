@@ -127,7 +127,7 @@ func TestVNodesSpreadKeyOwnership(t *testing.T) {
 	// With vnodes, consecutive regions of the hash space interleave
 	// owners; a node's keys should not be one contiguous range.
 	k := sim.NewKernel(11)
-	db, _ := testDB(k, 4, 1, func(c *Config) { c.VNodes = 32 })
+	db, _ := testDB(k, 4, 1, nil)
 	owners := make([]*Replica, 0, 256)
 	for i := 0; i < 256; i++ {
 		owners = append(owners, db.ReplicasFor(key(i))[0])

@@ -94,7 +94,7 @@ func (c *Client) Read(p *sim.Proc, key kv.Key, fields []string) (kv.Record, erro
 	}
 	c.db.Reads++
 	start := p.Now()
-	reqSize := len(key) + c.db.RequestOverhead
+	reqSize := len(key) + replica.RequestOverhead
 	if !c.node.SendTo(p, coord.Node, reqSize) {
 		return nil, kv.ErrUnavailable
 	}
@@ -104,7 +104,7 @@ func (c *Client) Read(p *sim.Proc, key kv.Key, fields []string) (kv.Record, erro
 		op.release()
 		return nil, err
 	}
-	respSize := c.db.RequestOverhead
+	respSize := replica.RequestOverhead
 	if row != nil {
 		respSize += row.ProjectedBytes(fields)
 	}
@@ -147,7 +147,7 @@ func (c *Client) put(p *sim.Proc, key kv.Key, rec kv.Record, del bool) error {
 	if err := c.db.write(p, coord, key, rec, del, c.writeCL); err != nil {
 		return err
 	}
-	if !coord.Node.SendTo(p, c.node, c.db.RequestOverhead) {
+	if !coord.Node.SendTo(p, c.node, replica.RequestOverhead) {
 		return kv.ErrUnavailable
 	}
 	return nil
@@ -165,7 +165,7 @@ func (c *Client) Scan(p *sim.Proc, start kv.Key, limit int, fields []string) ([]
 		return nil, err
 	}
 	c.db.ScansDone++
-	reqSize := len(start) + c.db.RequestOverhead
+	reqSize := len(start) + replica.RequestOverhead
 	if !c.node.SendTo(p, coord.Node, reqSize) {
 		return nil, kv.ErrUnavailable
 	}
@@ -175,7 +175,7 @@ func (c *Client) Scan(p *sim.Proc, start kv.Key, limit int, fields []string) ([]
 	}
 	c.scanning = true
 	c.kvs, _ = c.db.ScanAll(p, "c*-scan", replica.Caller{Node: coord.Node}, c.db.cfg.Replication, start, limit, fields, c.kvs)
-	respSize := c.db.RequestOverhead
+	respSize := replica.RequestOverhead
 	for _, r := range c.kvs {
 		respSize += r.Bytes()
 	}

@@ -68,9 +68,6 @@ func (d *Disk) Utilization() float64 { return d.res.Utilization() }
 // BusyTime returns cumulative device-active time.
 func (d *Disk) BusyTime() time.Duration { return d.res.BusyTime() }
 
-// QueueLen returns the number of I/Os waiting for the drive.
-func (d *Disk) QueueLen() int { return d.res.QueueLen() }
-
 func (d *Disk) xfer(bytes int, bw float64) time.Duration {
 	return time.Duration(float64(bytes) / bw * float64(time.Second))
 }

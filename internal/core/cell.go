@@ -110,7 +110,7 @@ func engineConfig(o Options) storage.Config {
 	return cfg
 }
 
-// deploy provisions the backend on the paper's testbed — o.ServerNodes
+// deploy provisions the backend on the paper's testbed — serverNodes
 // database machines plus one client machine (which also hosts the HBase
 // master) on one rack — or, for a geo backend, one such block per
 // datacenter, with HBase regions pre-split for spec's key space. Client
@@ -124,7 +124,7 @@ func engineConfig(o Options) storage.Config {
 // its event order; RunMegaScale, whose segments are independent clusters,
 // is the one experiment on sim.ShardGroup.
 func deploy(o Options, b backend, spec ycsb.Spec) *deployment {
-	dcs, spd := 1, o.ServerNodes // servers per datacenter
+	dcs, spd := 1, serverNodes // servers per datacenter
 	if b.dcs > 0 {
 		dcs, spd = b.dcs, geoServersPerDC
 	}
@@ -157,8 +157,7 @@ func deploy(o Options, b backend, spec ycsb.Spec) *deployment {
 		cfg.Replication = b.rf
 		cfg.Engine = engineConfig(o)
 		cfg.MemReplication = o.MemReplication
-		cfg.RegionsPerServer = o.RegionsPerServer
-		splits := spec.SplitPoints(o.ServerNodes * o.RegionsPerServer)
+		splits := spec.SplitPoints(serverNodes * cfg.RegionsPerServer)
 		db := hbase.New(d.k, cfg, servers, attach[0], splits)
 		d.hb, d.flush = db, db.FlushAll
 		d.newClient = func() kv.Client { return db.NewClient(attach[0]) }
@@ -275,7 +274,7 @@ func (o Options) stressRun(target float64) ycsb.RunConfig {
 		Threads:          o.Threads,
 		Ops:              o.StressOps,
 		TargetThroughput: target,
-		WarmupFraction:   o.WarmupFraction,
+		WarmupFraction:   warmupFraction,
 	}
 }
 

@@ -61,7 +61,7 @@ func runFig1Cell(o Options, b backend) (Fig1Results, error) {
 			res := d.phase(p, microSpec(op, o.MicroRecords), ycsb.RunConfig{
 				Threads:        o.MicroThreads,
 				Ops:            o.MicroOps,
-				WarmupFraction: o.WarmupFraction,
+				WarmupFraction: warmupFraction,
 			})
 			out = append(out, MicroResult{
 				DB:         b.db,

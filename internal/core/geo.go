@@ -217,7 +217,7 @@ func runGeoCell(o Options, c geoCell) (GeoResults, error) {
 		rcfg := ycsb.RunConfig{
 			Threads:        geoThreads(o),
 			Ops:            ops,
-			WarmupFraction: o.WarmupFraction,
+			WarmupFraction: warmupFraction,
 		}
 		if c.mode == geoModeFault {
 			// Cut the DC 0–1 WAN link a quarter into the run and heal it

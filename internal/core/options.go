@@ -22,6 +22,15 @@ import (
 	"cloudbench/internal/kv"
 )
 
+// The paper's testbed and client shape, the same at every profile:
+// serverNodes database machines plus one client machine (which also hosts
+// the HBase master), mirroring the paper's 15+1, and the share of each
+// measured phase's operations run as warmup before measurement starts.
+const (
+	serverNodes    = 15
+	warmupFraction = 0.1
+)
+
 // Options controls the scale and knobs of every experiment.
 type Options struct {
 	Seed int64
@@ -34,10 +43,7 @@ type Options struct {
 	// reassembled in canonical sweep order.
 	Parallelism int
 
-	// Topology: ServerNodes database machines plus one client machine
-	// (which also hosts the HBase master), mirroring the paper's 15+1.
-	ServerNodes int
-	Cluster     cluster.Config
+	Cluster cluster.Config
 
 	// Scale. The paper uses 1 B tiny records (micro) and 100 M × 1 KB
 	// records (stress); the simulation scales these down (see the
@@ -49,8 +55,7 @@ type Options struct {
 
 	// Client shape (§3.1: enough threads that client-side queueing does
 	// not pollute latency).
-	Threads        int
-	WarmupFraction float64
+	Threads int
 
 	// MicroThreads keeps the micro benchmark unsaturated (§4.1 "we keep
 	// the load of the testbed in unsaturated state by limiting the
@@ -82,7 +87,6 @@ type Options struct {
 	// Ablation knobs.
 	ReadRepairChance float64 // Cassandra read_repair_chance (A1: set 0)
 	MemReplication   bool    // HBase in-memory replication (A2: set false)
-	RegionsPerServer int
 
 	// SpectrumReplIntervals is the object store's anti-entropy period
 	// sweep for the replication-spectrum experiment, ascending. The first
@@ -128,14 +132,12 @@ func QuickOptions() Options {
 	ccfg.ScanRowCost = 10 * time.Microsecond
 	return Options{
 		Seed:                1,
-		ServerNodes:         15,
 		Cluster:             ccfg,
 		MicroRecords:        30_000,
 		StressRecords:       6_000,
 		MicroOps:            21_000,
 		StressOps:           20_000,
 		Threads:             256,
-		WarmupFraction:      0.1,
 		MicroThreads:        110,
 		CacheBytes:          4 << 20,
 		ReplicationFactors:  []int{1, 2, 3, 4, 5, 6},
@@ -151,7 +153,6 @@ func QuickOptions() Options {
 		},
 		ReadRepairChance: 1.0,
 		MemReplication:   true,
-		RegionsPerServer: 4,
 		SpectrumReplIntervals: []time.Duration{
 			200 * time.Millisecond, time.Second, 5 * time.Second,
 		},

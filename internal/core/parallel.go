@@ -54,34 +54,17 @@ func (o Options) workers() int {
 
 // runCells executes n independent cells on a bounded pool of workers and
 // returns their results in cell order. Cells are claimed in index order, so
-// with one worker the execution order matches the legacy sequential loops
-// exactly. The first cell error stops further cells from being claimed;
-// cells already claimed run to completion. Because claims are in index
-// order, every cell below the first erroring one completes, so the
-// lowest-indexed recorded error — the one returned — is a deterministic
-// function of the cells, independent of host scheduling. A panic inside a
-// cell (e.g. a simulation invariant violation) is re-raised on the calling
-// goroutine, as it would be in a sequential loop.
+// one worker runs them one at a time in that order. The first cell error
+// stops further cells from being claimed; cells already claimed run to
+// completion. Because claims are in index order, every cell below the
+// first erroring one completes, so the lowest-indexed recorded error — the
+// one returned — is a deterministic function of the cells, independent of
+// host scheduling. A panic inside a cell (e.g. a simulation invariant
+// violation) is re-raised on the calling goroutine, as it would be in a
+// sequential loop.
 func runCells[T any](workers, n int, run func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
-	if n == 0 {
-		return out, nil
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		// Sequential fast path: no goroutines, stop at the first error.
-		for i := 0; i < n; i++ {
-			v, err := run(i)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
-		}
-		return out, nil
-	}
-
+	workers = min(workers, n)
 	var (
 		next     atomic.Int64 // next unclaimed cell index
 		canceled atomic.Bool  // set on first error; unstarted cells skip

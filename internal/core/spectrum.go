@@ -169,7 +169,7 @@ func runSpectrumCell(o Options, c spectrumCell) (SpectrumResults, error) {
 			// Fail one server a quarter into the run and recover it at
 			// the midpoint, by operation progress so the cycle lands
 			// inside the measured window at every profile scale.
-			victim := d.clus.Nodes[o.ServerNodes/2]
+			victim := d.clus.Nodes[serverNodes/2]
 			rcfg.Events = []ycsb.RunEvent{
 				{AfterOps: o.StressOps / 4, Fn: victim.Fail},
 				{AfterOps: o.StressOps / 2, Fn: victim.Recover},

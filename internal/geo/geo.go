@@ -38,16 +38,17 @@ func WriteLadder(read kv.ConsistencyLevel) []Stage {
 	}
 }
 
+// stepDownPercentile is the percentile of the current stage's latency
+// histogram compared against Deadline when deciding a pre-issue step-down,
+// on the 0–100 scale stats.Histogram uses.
+const stepDownPercentile = 95
+
 // ControllerConfig parameterizes the adaptive controller.
 type ControllerConfig struct {
 	// Ladder lists the stages strongest first. Required, at least one.
 	Ladder []Stage
 	// Deadline is the per-operation latency SLA the controller defends.
 	Deadline time.Duration
-	// Percentile of the current stage's latency histogram compared
-	// against Deadline when deciding a pre-issue step-down, on the 0–100
-	// scale stats.Histogram uses (default 95).
-	Percentile float64
 	// MinSamples is how many completions a stage's histogram needs before
 	// its estimate is trusted for step-down decisions (default 20).
 	MinSamples int
@@ -60,9 +61,6 @@ type ControllerConfig struct {
 }
 
 func (cfg ControllerConfig) withDefaults() ControllerConfig {
-	if cfg.Percentile <= 0 {
-		cfg.Percentile = 95
-	}
 	if cfg.MinSamples <= 0 {
 		cfg.MinSamples = 20
 	}
@@ -145,7 +143,7 @@ func (c *Controller) Metrics() Metrics {
 func (c *Controller) stageFor(p *sim.Proc) (stage int, probe bool) {
 	for c.stage < len(c.cfg.Ladder)-1 {
 		h := &c.hist[c.stage]
-		if h.Count() < int64(c.cfg.MinSamples) || h.Percentile(c.cfg.Percentile) <= c.cfg.Deadline {
+		if h.Count() < int64(c.cfg.MinSamples) || h.Percentile(stepDownPercentile) <= c.cfg.Deadline {
 			break
 		}
 		c.shiftTo(p, c.stage+1)

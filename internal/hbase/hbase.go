@@ -35,16 +35,11 @@ type Config struct {
 	RegionsPerServer int
 	// Engine configures each region's memstore and store files.
 	Engine storage.Config
-	// HDFS configures the underlying filesystem (Replication overrides
-	// its factor).
-	HDFS hdfs.Config
 	// MemReplication selects the paper-described write path: WAL append
 	// plus in-memory replication to Replication-1 peers. When false,
 	// writes replicate synchronously to peer disks instead (ablation A2),
 	// which the paper's expectations section assumed before measuring.
 	MemReplication bool
-	// RequestOverhead is the fixed per-request message overhead in bytes.
-	RequestOverhead int
 }
 
 // DefaultConfig returns an HBase configuration matching the paper's
@@ -54,9 +49,7 @@ func DefaultConfig() Config {
 		Replication:      3,
 		RegionsPerServer: 4,
 		Engine:           storage.DefaultConfig(),
-		HDFS:             hdfs.DefaultConfig(),
 		MemReplication:   true,
-		RequestOverhead:  64,
 	}
 }
 
@@ -144,12 +137,10 @@ func New(k *sim.Kernel, cfg Config, serverNodes []*cluster.Node, masterNode *clu
 	if cfg.Replication > len(serverNodes) {
 		cfg.Replication = len(serverNodes)
 	}
-	fcfg := cfg.HDFS
-	fcfg.Replication = cfg.Replication
 	db := &DB{
-		Env:    replica.Env{K: k, Cluster: masterNode.Cluster(), RequestOverhead: cfg.RequestOverhead},
+		Env:    replica.Env{K: k, Cluster: masterNode.Cluster()},
 		cfg:    cfg,
-		fs:     hdfs.New(k, fcfg, serverNodes),
+		fs:     hdfs.New(k, hdfs.Config{Replication: cfg.Replication}, serverNodes),
 		master: masterNode,
 	}
 	for _, n := range serverNodes {
@@ -303,7 +294,7 @@ func (l *writeLeg) replicate(q *sim.Proc) {
 			peer.Exec(q, db.Cluster.Config.CPUOpCost)
 			peer.Disk.Append(q, op.size)
 		}
-		ok = peer.SendTo(q, rs.Node, db.RequestOverhead)
+		ok = peer.SendTo(q, rs.Node, replica.RequestOverhead)
 	}
 	if ok {
 		if db.Tracer != nil {
@@ -358,7 +349,7 @@ func (c *Client) caller() replica.Caller { return replica.Caller{Node: c.node, C
 func (c *Client) locate(p *sim.Proc, key kv.Key) (*Region, error) {
 	r := c.db.regionFor(key)
 	if !c.meta[r] {
-		if !c.node.RoundTrip(p, c.db.master, c.db.RequestOverhead, c.db.RequestOverhead, func() {
+		if !c.node.RoundTrip(p, c.db.master, replica.RequestOverhead, replica.RequestOverhead, func() {
 			c.db.master.Exec(p, c.db.Cluster.Config.MemOpCost)
 		}) {
 			return nil, kv.ErrUnavailable
@@ -380,7 +371,7 @@ func (c *Client) Read(p *sim.Proc, key kv.Key, fields []string) (kv.Record, erro
 	}
 	c.db.Reads++
 	start := p.Now()
-	if !c.node.SendTo(p, r.Server.Node, len(key)+c.db.RequestOverhead) {
+	if !c.node.SendTo(p, r.Server.Node, len(key)+replica.RequestOverhead) {
 		return nil, kv.ErrUnavailable
 	}
 	if c.reading {
@@ -388,7 +379,7 @@ func (c *Client) Read(p *sim.Proc, key kv.Key, fields []string) (kv.Record, erro
 	}
 	c.reading = true
 	row := r.Get(p, c.caller(), key, &c.row)
-	respSize := c.db.RequestOverhead
+	respSize := replica.RequestOverhead
 	if row != nil {
 		respSize += row.ProjectedBytes(fields)
 	}
@@ -424,7 +415,7 @@ func (c *Client) put(p *sim.Proc, key kv.Key, rec kv.Record, del bool) error {
 		return err
 	}
 	c.db.Writes++
-	ok := c.node.RoundTrip(p, r.Server.Node, c.db.MutationSize(key, rec), c.db.RequestOverhead, func() {
+	ok := c.node.RoundTrip(p, r.Server.Node, c.db.MutationSize(key, rec), replica.RequestOverhead, func() {
 		r.Server.write(p, r, key, rec, del)
 	})
 	if !ok {
@@ -450,7 +441,7 @@ func (c *Client) Scan(p *sim.Proc, start kv.Key, limit int, fields []string) ([]
 		if err != nil {
 			return c.kvs, err
 		}
-		if !c.node.SendTo(p, r.Server.Node, len(key)+c.db.RequestOverhead) {
+		if !c.node.SendTo(p, r.Server.Node, len(key)+replica.RequestOverhead) {
 			return c.kvs, kv.ErrUnavailable
 		}
 		var resp int

@@ -20,26 +20,25 @@ import (
 	"cloudbench/internal/trace"
 )
 
+const (
+	// blockBytes is the HDFS block size (dfs.blocksize), scaled for
+	// simulation: 64 MB in production would make every simulated table one
+	// block, hiding block-level behaviour.
+	blockBytes = 8 << 20
+	// pipelineHop is the per-hop forwarding latency inside a write
+	// pipeline (packet store-and-forward cost per extra replica).
+	pipelineHop = 500 * time.Microsecond
+)
+
 // Config parameterizes the filesystem.
 type Config struct {
-	// BlockBytes is the HDFS block size (dfs.blocksize).
-	BlockBytes int64
 	// Replication is the default replication factor (dfs.replication).
 	Replication int
-	// PipelineHop is the per-hop forwarding latency inside a write
-	// pipeline (packet store-and-forward cost per extra replica).
-	PipelineHop time.Duration
 }
 
-// DefaultConfig returns HDFS parameters scaled for simulation: 8 MB blocks
-// (64 MB in production would make every simulated table one block, hiding
-// block-level behaviour) and replication 3.
+// DefaultConfig returns replication 3.
 func DefaultConfig() Config {
-	return Config{
-		BlockBytes:  8 << 20,
-		Replication: 3,
-		PipelineHop: 500 * time.Microsecond,
-	}
+	return Config{Replication: 3}
 }
 
 // FS is the filesystem: a NameNode plus the set of DataNodes.
@@ -139,10 +138,7 @@ func (fs *FS) Create(p *sim.Proc, name string, bytes int64, writer *cluster.Node
 	f := &File{Name: name, Bytes: bytes}
 	remaining := bytes
 	for remaining > 0 {
-		n := fs.cfg.BlockBytes
-		if n > remaining {
-			n = remaining
-		}
+		n := min(remaining, blockBytes)
 		fs.nextBlk++
 		b := &Block{ID: fs.nextBlk, Bytes: n, Replicas: fs.placeReplicas(writer)}
 		fs.writeBlockPipeline(p, b)
@@ -171,7 +167,7 @@ func (fs *FS) writeBlockPipeline(p *sim.Proc, b *Block) {
 				defer func() { tr.Interval(q, trace.PhaseHDFS, dn.ID, t0, q.Now()) }()
 			}
 			// Pipeline fill: hop i starts after i store-and-forward hops.
-			q.Sleep(time.Duration(i) * fs.cfg.PipelineHop)
+			q.Sleep(time.Duration(i) * pipelineHop)
 			// Persist on the replica's disk, chunked so foreground I/O
 			// interleaves.
 			rem := b.Bytes

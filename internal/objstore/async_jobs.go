@@ -21,6 +21,15 @@ import (
 // anti-entropy replicator, like auklet's updater walking the
 // async-pending directory) retries once the target is back.
 
+// The retry schedule of a delivery to an unreachable target: capped
+// exponential backoff from asyncRetryBase, and a spill to the updater after
+// asyncMaxAttempts deliveries.
+const (
+	asyncRetryBase   = 50 * time.Millisecond
+	asyncRetryMax    = time.Second
+	asyncMaxAttempts = 4
+)
+
 // job is one pending replication of a single mutation to one target.
 type job struct {
 	replica.Mutation
@@ -80,27 +89,15 @@ func (db *DB) runJob(p *sim.Proc, s *Server, j job) {
 			return
 		}
 		j.attempts++
-		if j.attempts >= db.cfg.AsyncMaxAttempts {
+		if j.attempts >= asyncMaxAttempts {
 			db.JobsSpilled++
 			j.src = consistency.ApplyHint
 			s.pending = append(s.pending, j)
 			return
 		}
 		db.JobRetries++
-		p.Sleep(db.backoff(j.attempts))
+		p.Sleep(min(asyncRetryBase<<(j.attempts-1), asyncRetryMax))
 	}
-}
-
-// backoff returns the capped exponential delay before attempt n+1.
-func (db *DB) backoff(attempts int) time.Duration {
-	d := db.cfg.AsyncRetryBase
-	for i := 1; i < attempts && d < db.cfg.AsyncRetryMax; i++ {
-		d *= 2
-	}
-	if d > db.cfg.AsyncRetryMax {
-		d = db.cfg.AsyncRetryMax
-	}
-	return d
 }
 
 // deliver pushes one mutation to the job's target, recording the delivery
@@ -116,7 +113,7 @@ func (db *DB) deliver(p *sim.Proc, s *Server, j job) bool {
 		j.target.apply(p, db, j.Mutation, j.src, true)
 		// The ack leg is best-effort: the apply already happened, so a
 		// source that died mid-ack does not undeliver the job.
-		j.target.Node.SendTo(p, s.Node, db.RequestOverhead)
+		j.target.Node.SendTo(p, s.Node, replica.RequestOverhead)
 	}
 	db.Bill(p, trace.PhaseAsyncJob, j.target.Node, t0, prev, ok)
 	return ok

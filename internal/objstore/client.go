@@ -187,7 +187,7 @@ func (c *Client) put(p *sim.Proc, key kv.Key, rec kv.Record, del bool) error {
 	}
 	db.Serve(p, target.Node)
 	db.write(p, target, inPlacement, key, rec, del)
-	if !target.Node.SendTo(p, c.node, db.RequestOverhead) {
+	if !target.Node.SendTo(p, c.node, replica.RequestOverhead) {
 		return kv.ErrUnavailable
 	}
 	return nil

@@ -115,7 +115,7 @@ func (db *DB) syncPartition(p *sim.Proc, s, peer *Server, part int) {
 	done := func(record bool) { db.Bill(p, trace.PhaseAntiEntropy, peer.Node, t0, prev, record) }
 
 	// Digest request: (key, version) pairs for everything held locally.
-	digestSize := db.RequestOverhead
+	digestSize := replica.RequestOverhead
 	for _, k := range keys {
 		digestSize += len(k) + 8
 	}
@@ -126,7 +126,7 @@ func (db *DB) syncPartition(p *sim.Proc, s, peer *Server, part int) {
 	}
 	peer.Node.Exec(p, db.Cluster.Config.InternalCost())
 	var missing []kv.Key
-	respSize := db.RequestOverhead
+	respSize := replica.RequestOverhead
 	for _, k := range keys {
 		if peer.localVersion(part, k) < local[k] {
 			missing = append(missing, k)

@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
-	"cloudbench/internal/cluster"
 	"cloudbench/internal/sim"
 )
 
@@ -82,30 +80,6 @@ func TestRingIgnoresFailures(t *testing.T) {
 	}
 	if db.fingerprint() != before {
 		t.Fatal("recovery rebuilt the ring")
-	}
-}
-
-// TestRingZoneAwarePlacement: with TopologyAware set on a multi-DC cluster,
-// each partition's replica set spans distinct zones (RF ≤ zone count).
-func TestRingZoneAwarePlacement(t *testing.T) {
-	k := sim.NewKernel(51)
-	ccfg := cluster.DefaultConfig()
-	ccfg.Nodes = 6
-	ccfg.Geo = &cluster.GeoTopology{DCSizes: []int{2, 2, 2}, WANOneWay: cluster.WANChain(3, 10*time.Millisecond)}
-	c := cluster.New(k, ccfg)
-	cfg := DefaultConfig()
-	cfg.Replication = 3
-	cfg.TopologyAware = true
-	db := New(k, cfg, c.Nodes)
-	db.Stop()
-	for part := range db.ring.parts {
-		zones := map[int]bool{}
-		for _, s := range db.ring.placement(part) {
-			if zones[s.Node.Zone] {
-				t.Fatalf("partition %d doubles up zone %d", part, s.Node.Zone)
-			}
-			zones[s.Node.Zone] = true
-		}
 	}
 }
 

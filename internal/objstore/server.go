@@ -62,22 +62,11 @@ func (m ReadMode) String() string {
 type Config struct {
 	// Replication is the ring's replica count per partition.
 	Replication int
-	// VNodes is the number of virtual-node tokens per server.
-	VNodes int
-	// PartPower sets the partition count to 2^PartPower (Swift's
-	// part_power).
-	PartPower uint
-	// TopologyAware spreads each partition's replicas across zones before
-	// doubling up in any one, mirroring Swift's as-unique-as-possible
-	// placement. With a single zone it is a no-op.
-	TopologyAware bool
 	// ReadMode is the default client read policy.
 	ReadMode ReadMode
 	// Engine configures each server's storage. SyncWAL stays true: the
 	// W=1 ack promises a durable local copy, which is the entire promise.
 	Engine storage.Config
-	// RequestOverhead is the fixed per-message overhead in bytes.
-	RequestOverhead int
 	// Timeout bounds how long a client waits for read responses.
 	Timeout time.Duration
 	// AsyncQueueCap bounds each server's async replication job queue;
@@ -88,13 +77,6 @@ type Config struct {
 	// job manager's worker pool): one WAL-synced remote apply at a time
 	// cannot keep up with a saturating write load.
 	AsyncWorkers int
-	// AsyncRetryBase and AsyncRetryMax shape the capped exponential
-	// backoff between delivery attempts to an unreachable target.
-	AsyncRetryBase time.Duration
-	AsyncRetryMax  time.Duration
-	// AsyncMaxAttempts is how many deliveries a job tries before spilling
-	// to the updater.
-	AsyncMaxAttempts int
 	// ReplicatorInterval is the anti-entropy pass period; 0 disables the
 	// replicator (async jobs and the updater then carry all repair).
 	ReplicatorInterval time.Duration
@@ -105,17 +87,11 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		Replication:        3,
-		VNodes:             16,
-		PartPower:          6,
 		ReadMode:           ReadOne,
 		Engine:             storage.DefaultConfig(),
-		RequestOverhead:    64,
 		Timeout:            5 * time.Second,
 		AsyncQueueCap:      256,
 		AsyncWorkers:       8,
-		AsyncRetryBase:     50 * time.Millisecond,
-		AsyncRetryMax:      time.Second,
-		AsyncMaxAttempts:   4,
 		ReplicatorInterval: time.Second,
 	}
 }
@@ -166,13 +142,10 @@ func New(k *sim.Kernel, cfg Config, nodes []*cluster.Node) *DB {
 	if cfg.Replication > len(nodes) {
 		cfg.Replication = len(nodes)
 	}
-	if cfg.VNodes < 1 {
-		cfg.VNodes = 1
-	}
 	if cfg.AsyncWorkers < 1 {
 		cfg.AsyncWorkers = 1
 	}
-	db := &DB{Env: replica.Env{K: k, RequestOverhead: cfg.RequestOverhead}, cfg: cfg}
+	db := &DB{Env: replica.Env{K: k}, cfg: cfg}
 	if len(nodes) > 0 {
 		db.Cluster = nodes[0].Cluster()
 	}
@@ -188,7 +161,7 @@ func New(k *sim.Kernel, cfg Config, nodes []*cluster.Node) *DB {
 		db.srvs = append(db.srvs, s)
 	}
 	rng := k.Rand()
-	db.ring = buildPartTable(db.srvs, cfg.VNodes, cfg.PartPower, cfg.TopologyAware, cfg.Replication, rng.Uint64)
+	db.ring = buildPartTable(db.srvs, cfg.Replication, rng.Uint64)
 	if cfg.ReplicatorInterval > 0 {
 		db.K.Go("o*-replicator", db.replicatorLoop)
 	}

@@ -21,6 +21,10 @@ import (
 	"cloudbench/internal/trace"
 )
 
+// RequestOverhead is the fixed per-message overhead in bytes: what a request
+// or an acknowledgement costs on the wire beyond its key and record.
+const RequestOverhead = 64
+
 // Env is the state one deployment's hosts share; each backend's DB embeds
 // it. Tracer and Oracle are nil unless attached: every call site is gated
 // on a nil check, so the paper's performance experiments pay nothing for
@@ -29,10 +33,8 @@ type Env struct {
 	K *sim.Kernel
 	// Cluster supplies the service times; nil only over no nodes.
 	Cluster *cluster.Cluster
-	// RequestOverhead is the fixed per-message overhead in bytes.
-	RequestOverhead int
-	Tracer          *trace.Tracer
-	Oracle          *consistency.Oracle
+	Tracer  *trace.Tracer
+	Oracle  *consistency.Oracle
 
 	hosts       []*Host
 	nextVersion kv.Version
@@ -101,7 +103,7 @@ func (e *Env) Version() kv.Version {
 
 // MutationSize models the wire size of a mutation.
 func (e *Env) MutationSize(key kv.Key, rec kv.Record) int {
-	return rec.Bytes() + len(key) + e.RequestOverhead
+	return rec.Bytes() + len(key) + RequestOverhead
 }
 
 // Serve charges n's CPU for one client-facing request. With a tracer
@@ -276,7 +278,7 @@ func (h *Host) Scan(q *sim.Proc, c Caller, start kv.Key, n int, into []storage.S
 	if e.Tracer != nil {
 		e.Tracer.Phase(q, trace.PhaseStorage, h.Node.ID, s0)
 	}
-	size = e.RequestOverhead
+	size = RequestOverhead
 	for _, r := range rows {
 		size += r.Row.Bytes()
 	}
@@ -300,11 +302,11 @@ type Response struct {
 func (h *Host) Fetch(q *sim.Proc, c Caller, key kv.Key, digestOnly bool, into *storage.Row) Response {
 	e := h.env
 	resp := Response{Host: h}
-	if !e.send(q, c, c.Node, h.Node, len(key)+e.RequestOverhead) {
+	if !e.send(q, c, c.Node, h.Node, len(key)+RequestOverhead) {
 		return resp
 	}
 	row := h.Get(q, c, key, into)
-	size := e.RequestOverhead
+	size := RequestOverhead
 	if row != nil && !digestOnly {
 		size += row.Bytes()
 	}
@@ -507,7 +509,7 @@ func (e *Env) ScanAll(p *sim.Proc, label string, c Caller, rf int, start kv.Key,
 func (l *scanLeg) scan(q *sim.Proc) {
 	op, e := l.op, l.op.env
 	h, c := e.hosts[l.host], op.c
-	if e.send(q, c, c.Node, h.Node, len(op.start)+e.RequestOverhead) {
+	if e.send(q, c, c.Node, h.Node, len(op.start)+RequestOverhead) {
 		var size int
 		l.rows, size = h.Scan(q, c, op.start, op.perHost, l.rows)
 		if e.send(q, c, h.Node, c.Node, size) {

@@ -20,7 +20,7 @@ func testEnv(k *sim.Kernel, n int) (*Env, []*Host) {
 	ccfg := cluster.DefaultConfig()
 	ccfg.Nodes = n
 	c := cluster.New(k, ccfg)
-	e := &Env{K: k, Cluster: c, RequestOverhead: 64}
+	e := &Env{K: k, Cluster: c}
 	hosts := make([]*Host, n)
 	for i, node := range c.Nodes {
 		hosts[i] = new(Host)

@@ -1,6 +1,6 @@
 // Package ring is the consistent-hash ring shared by the Cassandra and
 // object-store backends: the key hash, seed-derived vnode tokens, and the
-// three clockwise placement strategies. A ring is a pure function of its
+// two clockwise placement strategies. A ring is a pure function of its
 // member list and token stream, so a backend's placement depends only on
 // (topology, seed) — never on failures, which move traffic but not the
 // ring.
@@ -11,6 +11,9 @@ import (
 
 	"cloudbench/internal/kv"
 )
+
+// VNodes is the number of virtual-node tokens each backend gives a host.
+const VNodes = 16
 
 // Token is a position on the hash ring.
 type Token uint64
@@ -48,7 +51,7 @@ type Ring[M comparable] struct {
 
 // New assigns every member vnodes tokens — member-major, vnode-minor, each
 // the next randToken draw — and sorts the ring. zoneOf is read once per
-// member; the zone-aware strategies place by the zones recorded here.
+// member; PerZone places by the zones recorded here.
 func New[M comparable](members []M, zoneOf func(M) int, vnodes int, randToken func() uint64) *Ring[M] {
 	r := &Ring[M]{entries: make([]entry[M], 0, len(members)*vnodes)}
 	for _, m := range members {
@@ -61,20 +64,18 @@ func New[M comparable](members []M, zoneOf func(M) int, vnodes int, randToken fu
 	return r
 }
 
-// walk is the clockwise distinct-member walk every strategy is built on:
-// starting at the first vnode at or after t, it appends each member not
-// already in out whose zone admit accepts (nil accepts every zone), until
-// out holds want members or the ring has been circled once. admit runs
-// only for members not yet placed, so it may count what it accepts. An
-// empty ring places nothing and returns out as given.
-func (r *Ring[M]) walk(out []M, t Token, want int, admit func(zone int) bool) []M {
+// walk is the clockwise distinct-member walk both strategies are built on:
+// starting at the first vnode at or after t, it takes each member not
+// already taken whose zone admit accepts (nil accepts every zone), until
+// it holds want members or the ring has been circled once. admit runs only
+// for members not yet placed, so it may count what it accepts. An empty
+// ring places nothing and returns nil.
+func (r *Ring[M]) walk(t Token, want int, admit func(zone int) bool) []M {
 	n := len(r.entries)
 	if n == 0 {
-		return out
+		return nil
 	}
-	if out == nil {
-		out = make([]M, 0, want)
-	}
+	out := make([]M, 0, want)
 	start := sort.Search(n, func(i int) bool { return r.entries[i].token >= t })
 walk:
 	for i := 0; i < n && len(out) < want; i++ {
@@ -95,27 +96,7 @@ walk:
 // clockwise from t. The first member returned is the paper's "main
 // replica".
 func (r *Ring[M]) Simple(t Token, rf int) []M {
-	return r.walk(nil, t, rf, nil)
-}
-
-// ZoneSpread is as-unique-as-possible placement (NetworkTopologyStrategy
-// without per-DC counts, Swift's zone spreading): walking clockwise it
-// first takes at most one member per zone until every zone is represented
-// or rf is reached, then fills the remainder in ring order. The result
-// still starts with the ring-order main replica.
-func (r *Ring[M]) ZoneSpread(t Token, rf int) []M {
-	var buf [8]int
-	taken := buf[:0]
-	out := r.walk(nil, t, rf, func(zone int) bool {
-		for _, z := range taken {
-			if z == zone {
-				return false
-			}
-		}
-		taken = append(taken, zone)
-		return true
-	})
-	return r.walk(out, t, rf, nil)
+	return r.walk(t, rf, nil)
 }
 
 // PerZone is NetworkTopologyStrategy placement with an explicit
@@ -129,7 +110,7 @@ func (r *Ring[M]) PerZone(t Token, quota []int) []M {
 	for _, n := range remaining {
 		total += n
 	}
-	return r.walk(nil, t, total, func(zone int) bool {
+	return r.walk(t, total, func(zone int) bool {
 		if zone >= len(remaining) || remaining[zone] <= 0 {
 			return false
 		}
@@ -148,7 +129,7 @@ type Table[M comparable] struct {
 	sets   [][]M
 }
 
-// Memoize evaluates place — Simple, ZoneSpread or PerZone at fixed
+// Memoize evaluates place — Simple or PerZone at fixed
 // arguments — at each vnode's token.
 func (r *Ring[M]) Memoize(place func(Token) []M) *Table[M] {
 	tb := &Table[M]{tokens: make([]Token, len(r.entries)), sets: make([][]M, len(r.entries))}

@@ -30,7 +30,6 @@ var pinKeys = []kv.Key{"user00000001", "user00000002", "user00000003", "k", ""}
 func TestPlacementPinned(t *testing.T) {
 	r := build([]int{0, 0, 1, 1, 2, 2})
 	simple := func(rf int) func(Token) []int { return func(t Token) []int { return r.Simple(t, rf) } }
-	spread := func(rf int) func(Token) []int { return func(t Token) []int { return r.ZoneSpread(t, rf) } }
 	quota := func(q ...int) func(Token) []int { return func(t Token) []int { return r.PerZone(t, q) } }
 	for _, c := range []struct {
 		name  string
@@ -41,12 +40,6 @@ func TestPlacementPinned(t *testing.T) {
 		{"simple rf=3", simple(3), [5][]int{{0, 5, 2}, {0, 2, 4}, {4, 3, 1}, {0, 3, 1}, {3, 4, 1}}},
 		{"simple rf>members", simple(9), [5][]int{
 			{0, 5, 2, 4, 3, 1}, {0, 2, 4, 1, 3, 5}, {4, 3, 1, 5, 0, 2}, {0, 3, 1, 5, 2, 4}, {3, 4, 1, 5, 0, 2}}},
-		{"spread rf=2", spread(2), [5][]int{{0, 5}, {0, 2}, {4, 3}, {0, 3}, {3, 4}}},
-		{"spread rf=3", spread(3), [5][]int{{0, 5, 2}, {0, 2, 4}, {4, 3, 1}, {0, 3, 5}, {3, 4, 1}}},
-		{"spread rf=5", spread(5), [5][]int{
-			{0, 5, 2, 4, 3}, {0, 2, 4, 1, 3}, {4, 3, 1, 5, 0}, {0, 3, 5, 1, 2}, {3, 4, 1, 5, 0}}},
-		{"spread rf>members", spread(9), [5][]int{
-			{0, 5, 2, 4, 3, 1}, {0, 2, 4, 1, 3, 5}, {4, 3, 1, 5, 0, 2}, {0, 3, 5, 1, 2, 4}, {3, 4, 1, 5, 0, 2}}},
 		{"quota 2+1", quota(2, 1), [5][]int{{0, 2, 1}, {0, 2, 1}, {3, 1, 0}, {0, 3, 1}, {3, 1, 0}}},
 		{"quota 1+1+1", quota(1, 1, 1), [5][]int{{0, 5, 2}, {0, 2, 4}, {4, 3, 1}, {0, 3, 5}, {3, 4, 1}}},
 		// Zone 1 has two members: its quota of 3 is exhausted at 2.
@@ -65,7 +58,7 @@ func TestPlacementPinned(t *testing.T) {
 // partition's base token — which objstore splits at rf into placement and
 // handoff — to the tables its pre-merge buildRing produced on this
 // fixture, including the single-partition partPower == 0 table (base token
-// 0) and an rf above the member count (everything placed, no handoff).
+// 0).
 func TestPartitionOrderPinned(t *testing.T) {
 	r := build([]int{0, 0, 0, 1, 1, 2, 2})
 	const n = 7
@@ -73,30 +66,17 @@ func TestPartitionOrderPinned(t *testing.T) {
 	for _, c := range []struct {
 		name      string
 		partPower uint
-		spread    bool
 		rf        int
 		placement [][]int
 		handoff   [][]int
 	}{
-		{"simple", 3, false, 3,
+		{"simple", 3, 3,
 			[][]int{{1, 5, 4}, {5, 2, 4}, {6, 5, 2}, {2, 4, 1}, {2, 1, 0}, {3, 6, 1}, {6, 5, 1}, {5, 4, 3}},
 			[][]int{{0, 6, 2, 3}, {0, 3, 6, 1}, {4, 1, 0, 3}, {5, 6, 0, 3}, {3, 6, 4, 5}, {4, 5, 2, 0}, {3, 2, 0, 4}, {6, 1, 0, 2}}},
-		{"zone-aware", 3, true, 3,
-			[][]int{{1, 5, 4}, {5, 2, 4}, {6, 2, 4}, {2, 4, 5}, {2, 3, 6}, {3, 6, 1}, {6, 1, 3}, {5, 4, 1}},
-			[][]int{{0, 6, 2, 3}, {0, 3, 6, 1}, {5, 1, 0, 3}, {1, 6, 0, 3}, {1, 0, 4, 5}, {4, 5, 2, 0}, {5, 2, 0, 4}, {3, 6, 0, 2}}},
-		{"partPower 0", 0, false, 3, [][]int{{1, 5, 4}}, [][]int{{0, 6, 2, 3}}},
-		{"partPower 0 zone-aware", 0, true, 2, [][]int{{1, 5}}, [][]int{{4, 0, 6, 2, 3}}},
-		{"rf>members", 2, true, n,
-			[][]int{{1, 5, 4, 0, 6, 2, 3}, {6, 2, 4, 5, 1, 0, 3}, {2, 3, 6, 1, 0, 4, 5}, {6, 1, 3, 5, 2, 0, 4}},
-			[][]int{{}, {}, {}, {}}},
+		{"partPower 0", 0, 3, [][]int{{1, 5, 4}}, [][]int{{0, 6, 2, 3}}},
 	} {
 		for part := range c.placement {
-			var order []int
-			if c.spread {
-				order = r.ZoneSpread(base(part, c.partPower), n)
-			} else {
-				order = r.Simple(base(part, c.partPower), n)
-			}
+			order := r.Simple(base(part, c.partPower), n)
 			want := append(append([]int{}, c.placement[part]...), c.handoff[part]...)
 			if !reflect.DeepEqual(order, want) {
 				t.Errorf("%s partition %d: order %v, pre-merge placement|handoff %v", c.name, part, order, want)
@@ -125,9 +105,6 @@ func TestEmptyRingPlacesNothing(t *testing.T) {
 	if got := r.Simple(1, 3); got != nil {
 		t.Errorf("Simple on an empty ring = %v", got)
 	}
-	if got := r.ZoneSpread(1, 3); got != nil {
-		t.Errorf("ZoneSpread on an empty ring = %v", got)
-	}
 	if got := r.PerZone(1, []int{1}); got != nil {
 		t.Errorf("PerZone on an empty ring = %v", got)
 	}
@@ -147,7 +124,6 @@ func TestPlacementAllocs(t *testing.T) {
 		max   float64
 	}{
 		{"Simple", func() { r.Simple(tok, 3) }, 1},
-		{"ZoneSpread", func() { r.ZoneSpread(tok, 3) }, 1},
 		{"PerZone", func() { r.PerZone(tok, quota) }, 2},
 	} {
 		if got := testing.AllocsPerRun(100, c.place); got > c.max {
@@ -163,7 +139,6 @@ func TestMemoizedTableMatchesWalk(t *testing.T) {
 	r := build([]int{0, 0, 1, 1, 2, 2})
 	for name, place := range map[string]func(Token) []int{
 		"simple":  func(t Token) []int { return r.Simple(t, 3) },
-		"spread":  func(t Token) []int { return r.ZoneSpread(t, 3) },
 		"perzone": func(t Token) []int { return r.PerZone(t, []int{2, 1, 1}) },
 	} {
 		tb := r.Memoize(place)

@@ -32,9 +32,6 @@ func NewResource(k *Kernel, name string, capacity int) *Resource {
 // Name returns the resource's name.
 func (r *Resource) Name() string { return r.name }
 
-// QueueLen returns the number of processes waiting to acquire.
-func (r *Resource) QueueLen() int { return r.queue.len() }
-
 //simlint:hotpath
 func (r *Resource) accumulate() {
 	dt := int64(r.k.now - r.lastT)

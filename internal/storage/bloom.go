@@ -2,32 +2,30 @@ package storage
 
 import "cloudbench/internal/kv"
 
+// A filter spends bloomBitsPerKey bits on each key and probes
+// bloomBitsPerKey × ln 2 of them, rounded down.
+const (
+	bloomBitsPerKey = 10
+	bloomProbes     = bloomBitsPerKey * 69 / 100
+)
+
 // Bloom is a standard Bloom filter over row keys, built once per SSTable.
 // It uses double hashing over a 64-bit FNV-1a base hash.
 type Bloom struct {
 	bits []uint64
 	m    uint64 // number of bits
-	k    int    // number of probes
 }
 
-// NewBloom sizes a filter for n keys at bitsPerKey bits each; k probes are
-// derived as bitsPerKey * ln2 (clamped to [1, 30]).
-func NewBloom(n, bitsPerKey int) *Bloom {
+// NewBloom sizes a filter for n keys.
+func NewBloom(n int) *Bloom {
 	if n < 1 {
 		n = 1
 	}
-	m := uint64(n * bitsPerKey)
+	m := uint64(n * bloomBitsPerKey)
 	if m < 64 {
 		m = 64
 	}
-	k := int(float64(bitsPerKey) * 0.69)
-	if k < 1 {
-		k = 1
-	}
-	if k > 30 {
-		k = 30
-	}
-	return &Bloom{bits: make([]uint64, (m+63)/64), m: m, k: k}
+	return &Bloom{bits: make([]uint64, (m+63)/64), m: m}
 }
 
 func fnv64(s kv.Key) uint64 {
@@ -43,7 +41,7 @@ func fnv64(s kv.Key) uint64 {
 func (b *Bloom) Add(key kv.Key) {
 	h := fnv64(key)
 	delta := h>>33 | h<<31
-	for i := 0; i < b.k; i++ {
+	for i := 0; i < bloomProbes; i++ {
 		pos := h % b.m
 		b.bits[pos/64] |= 1 << (pos % 64)
 		h += delta
@@ -54,7 +52,7 @@ func (b *Bloom) Add(key kv.Key) {
 func (b *Bloom) MayContain(key kv.Key) bool {
 	h := fnv64(key)
 	delta := h>>33 | h<<31
-	for i := 0; i < b.k; i++ {
+	for i := 0; i < bloomProbes; i++ {
 		pos := h % b.m
 		if b.bits[pos/64]&(1<<(pos%64)) == 0 {
 			return false

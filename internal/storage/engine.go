@@ -9,10 +9,9 @@ import (
 
 // Config parameterizes an Engine.
 type Config struct {
-	MemtableBytes   int64 // flush threshold
-	BlockBytes      int   // SSTable block size
-	CacheBytes      int64 // block cache budget
-	BloomBitsPerKey int
+	MemtableBytes int64 // flush threshold
+	BlockBytes    int   // SSTable block size
+	CacheBytes    int64 // block cache budget
 	// CompactMinTables is the number of similar-sized tables that
 	// triggers a size-tiered compaction of that tier.
 	CompactMinTables int
@@ -28,7 +27,6 @@ func DefaultConfig() Config {
 		MemtableBytes:    4 << 20,
 		BlockBytes:       64 << 10,
 		CacheBytes:       8 << 20,
-		BloomBitsPerKey:  10,
 		CompactMinTables: 4,
 		SyncWAL:          true,
 	}
@@ -337,7 +335,7 @@ func (e *Engine) flush(p *sim.Proc, snap *skiplist) {
 		entries = append(entries, TableEntry{Key: c.key(), Row: c.row()})
 	}
 	e.nextTableID++
-	t := BuildTable(e.nextTableID, entries, e.cfg.BlockBytes, e.cfg.BloomBitsPerKey)
+	t := BuildTable(e.nextTableID, entries, e.cfg.BlockBytes)
 	e.io.WriteTable(p, t.ID, t.Bytes())
 	t.WarmCache(e.cache)
 	// Install: newest first, remove the snapshot from the flushing list.
@@ -424,7 +422,7 @@ func (e *Engine) compact(p *sim.Proc, inputs []*SSTable) {
 		entries = append(entries, TableEntry{Key: key, Row: row})
 	}
 	e.nextTableID++
-	out := BuildTable(e.nextTableID, entries, e.cfg.BlockBytes, e.cfg.BloomBitsPerKey)
+	out := BuildTable(e.nextTableID, entries, e.cfg.BlockBytes)
 	e.io.WriteTable(p, out.ID, out.Bytes())
 	out.WarmCache(e.cache)
 

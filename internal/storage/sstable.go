@@ -32,8 +32,8 @@ type SSTable struct {
 // BuildTable constructs an SSTable from entries, which must be sorted by
 // key and contain no duplicates. It freezes every row it installs: from
 // here on reads hand the rows out uncopied.
-func BuildTable(id int64, entries []TableEntry, blockBytes, bloomBitsPerKey int) *SSTable {
-	t := &SSTable{ID: id, entries: entries, bloom: NewBloom(len(entries), bloomBitsPerKey)}
+func BuildTable(id int64, entries []TableEntry, blockBytes int) *SSTable {
+	t := &SSTable{ID: id, entries: entries, bloom: NewBloom(len(entries))}
 	cur := 0
 	for i, e := range entries {
 		e.Row.frozen = true

@@ -86,7 +86,7 @@ func TestSkiplistSeek(t *testing.T) {
 }
 
 func TestBloomNoFalseNegatives(t *testing.T) {
-	b := NewBloom(1000, 10)
+	b := NewBloom(1000)
 	for i := 0; i < 1000; i++ {
 		b.Add(kv.Key(fmt.Sprintf("user%d", i)))
 	}
@@ -98,7 +98,7 @@ func TestBloomNoFalseNegatives(t *testing.T) {
 }
 
 func TestBloomFalsePositiveRateReasonable(t *testing.T) {
-	b := NewBloom(10000, 10)
+	b := NewBloom(10000)
 	for i := 0; i < 10000; i++ {
 		b.Add(kv.Key(fmt.Sprintf("user%d", i)))
 	}
@@ -168,7 +168,7 @@ func TestBuildTableAndGet(t *testing.T) {
 		r.Apply(kv.Record{"f": kv.SizedValue(100)}, kv.Version(i+1))
 		entries = append(entries, TableEntry{Key: kv.Key(fmt.Sprintf("user%06d", i)), Row: r})
 	}
-	tbl := BuildTable(1, entries, 4<<10, 10)
+	tbl := BuildTable(1, entries, 4<<10)
 	if tbl.Len() != 500 || tbl.Blocks() < 2 {
 		t.Fatalf("len=%d blocks=%d", tbl.Len(), tbl.Blocks())
 	}
@@ -207,7 +207,7 @@ func TestTableIterChargesPerBlock(t *testing.T) {
 		r.Apply(kv.Record{"f": kv.SizedValue(100)}, 1)
 		entries = append(entries, TableEntry{Key: kv.Key(fmt.Sprintf("user%06d", i)), Row: r})
 	}
-	tbl := BuildTable(1, entries, 2<<10, 10) // ~16 rows per block
+	tbl := BuildTable(1, entries, 2<<10) // ~16 rows per block
 	k := sim.NewKernel(1)
 	d := cluster.NewDisk(k, "d", cluster.DefaultDiskConfig())
 	io := LocalIO{Disk: d}

@@ -11,7 +11,6 @@ func StressDefaults(s Spec, records int64) Spec {
 	s.RecordCount = records
 	s.FieldCount = 10
 	s.FieldLength = 100
-	s.ReadAllFields = true
 	s.WriteAllFields = false
 	s.MaxScanLength = 100
 	s.KeyPad = 10
@@ -24,7 +23,6 @@ func MicroDefaults(s Spec, records int64) Spec {
 	s.RecordCount = records
 	s.FieldCount = 1
 	s.FieldLength = 1
-	s.ReadAllFields = true
 	s.WriteAllFields = true
 	s.MaxScanLength = 50
 	s.KeyPad = 10

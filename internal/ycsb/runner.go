@@ -129,17 +129,7 @@ func Run(driver *sim.Proc, newClient ClientFactory, w *Workload, cfg RunConfig) 
 		cfg.Threads = 1
 	}
 	k := driver.Kernel()
-	res := Result{
-		Workload: w.Spec.Name,
-		Threads:  cfg.Threads,
-		Target:   cfg.TargetThroughput,
-		Overall:  &stats.Histogram{},
-		Intended: &stats.Histogram{},
-		PerOp:    make(map[OpType]*stats.Histogram),
-	}
-	for _, t := range []OpType{OpRead, OpUpdate, OpInsert, OpScan, OpReadModifyWrite} {
-		res.PerOp[t] = &stats.Histogram{}
-	}
+	res := newResult(w.Spec.Name, cfg.Threads, cfg.TargetThroughput)
 
 	warmupOps := int64(cfg.WarmupFraction * float64(cfg.Ops))
 	var issued, completed int64
@@ -218,15 +208,7 @@ func Run(driver *sim.Proc, newClient ClientFactory, w *Workload, cfg RunConfig) 
 						cfg.Tracer.BeginMeasure(measureStart)
 					}
 				} else if measuring {
-					res.MeasuredOps++
-					res.Overall.Record(lat)
-					res.Intended.Record(end.Sub(intendedStart))
-					res.PerOp[op.Type].Record(lat)
-					if err == kv.ErrNotFound {
-						res.NotFound++
-					} else if err != nil {
-						res.Errors++
-					}
+					res.record(op.Type, lat, end.Sub(intendedStart), err)
 				}
 			}
 		}))
@@ -234,10 +216,7 @@ func Run(driver *sim.Proc, newClient ClientFactory, w *Workload, cfg RunConfig) 
 	for _, p := range procs {
 		p.Done().Await(driver)
 	}
-	res.Elapsed = k.Now().Sub(measureStart)
-	if res.Elapsed > 0 {
-		res.Throughput = float64(res.MeasuredOps) / res.Elapsed.Seconds()
-	}
+	res.finish(measureStart, k.Now())
 	if cfg.Oracle != nil {
 		rep := cfg.Oracle.Report()
 		res.Consistency = &rep
@@ -279,16 +258,7 @@ func RunSessions(driver *sim.Proc, newClient ClientFactory, w *Workload, cfg Ses
 		cfg.OpsPerSession = 1
 	}
 	k := driver.Kernel()
-	res := Result{
-		Workload: w.Spec.Name,
-		Threads:  cfg.Live,
-		Overall:  &stats.Histogram{},
-		Intended: &stats.Histogram{},
-		PerOp:    make(map[OpType]*stats.Histogram),
-	}
-	for _, t := range []OpType{OpRead, OpUpdate, OpInsert, OpScan, OpReadModifyWrite} {
-		res.PerOp[t] = &stats.Histogram{}
-	}
+	res := newResult(w.Spec.Name, cfg.Live, 0)
 
 	totalOps := cfg.Sessions * cfg.OpsPerSession
 	warmupOps := int64(cfg.WarmupFraction * float64(totalOps))
@@ -314,15 +284,7 @@ func RunSessions(driver *sim.Proc, newClient ClientFactory, w *Workload, cfg Ses
 					measuring = true
 					measureStart = p.Now()
 				} else if measuring {
-					res.MeasuredOps++
-					res.Overall.Record(lat)
-					res.Intended.Record(lat)
-					res.PerOp[o.Type].Record(lat)
-					if err == kv.ErrNotFound {
-						res.NotFound++
-					} else if err != nil {
-						res.Errors++
-					}
+					res.record(o.Type, lat, lat, err)
 				}
 			}
 			free.Push(cl)
@@ -332,18 +294,50 @@ func RunSessions(driver *sim.Proc, newClient ClientFactory, w *Workload, cfg Ses
 	for i := 0; i < cfg.Live; i++ {
 		free.Pop(driver)
 	}
-	res.Elapsed = k.Now().Sub(measureStart)
-	if res.Elapsed > 0 {
-		res.Throughput = float64(res.MeasuredOps) / res.Elapsed.Seconds()
+	res.finish(measureStart, k.Now())
+	return res
+}
+
+// newResult returns an empty Result of a phase of workload on threads
+// clients offered target ops/s, with a histogram for every operation type.
+func newResult(workload string, threads int, target float64) Result {
+	res := Result{
+		Workload: workload,
+		Threads:  threads,
+		Target:   target,
+		Overall:  &stats.Histogram{},
+		Intended: &stats.Histogram{},
+		PerOp:    make(map[OpType]*stats.Histogram),
+	}
+	for _, t := range []OpType{OpRead, OpUpdate, OpInsert, OpScan, OpReadModifyWrite} {
+		res.PerOp[t] = &stats.Histogram{}
 	}
 	return res
 }
 
-// execute performs one operation against the client. ErrNotFound on reads
-// is reported to the caller but is not a client error (it is how stale or
-// racing reads manifest). It runs once per YCSB operation — millions of
-// times per sweep cell — hence the hotpath marker.
-//
+// record counts one operation completed inside the measurement window:
+// lat from its issue, intended from its scheduled start.
+func (r *Result) record(t OpType, lat, intended time.Duration, err error) {
+	r.MeasuredOps++
+	r.Overall.Record(lat)
+	r.Intended.Record(intended)
+	r.PerOp[t].Record(lat)
+	if err == kv.ErrNotFound {
+		r.NotFound++
+	} else if err != nil {
+		r.Errors++
+	}
+}
+
+// finish closes the measurement window [start, end]: Elapsed and
+// Throughput.
+func (r *Result) finish(start, end sim.Time) {
+	r.Elapsed = end.Sub(start)
+	if r.Elapsed > 0 {
+		r.Throughput = float64(r.MeasuredOps) / r.Elapsed.Seconds()
+	}
+}
+
 // classOf maps an operation type to its trace class.
 func classOf(t OpType) trace.OpClass {
 	switch t {
@@ -362,11 +356,16 @@ func classOf(t OpType) trace.OpClass {
 	}
 }
 
+// execute performs one operation against the client. ErrNotFound on reads
+// is reported to the caller but is not a client error (it is how stale or
+// racing reads manifest). It runs once per YCSB operation — millions of
+// times per sweep cell — hence the hotpath marker.
+//
 //simlint:hotpath
 func execute(p *sim.Proc, cl kv.Client, op Op) error {
 	switch op.Type {
 	case OpRead:
-		_, err := cl.Read(p, op.Key, op.Fields)
+		_, err := cl.Read(p, op.Key, nil)
 		return err
 	case OpUpdate:
 		return cl.Update(p, op.Key, op.Record)

@@ -67,7 +67,6 @@ type Spec struct {
 
 	RequestDistribution Distribution
 	MaxScanLength       int
-	ReadAllFields       bool
 	WriteAllFields      bool
 
 	// KeyPad is the zero-padded width of key numbers; the key space is
@@ -134,7 +133,6 @@ type Op struct {
 	// read-only: neither the caller nor the kv.Client it is handed to may
 	// modify it.
 	Record  kv.Record
-	Fields  []string // for reads; nil = all
 	ScanLen int
 }
 
@@ -282,10 +280,6 @@ func (w *Workload) NextOp(rng *rand.Rand) Op {
 			Record: w.buildValues(rng, w.Spec.WriteAllFields),
 		}
 	default:
-		var fields []string
-		if !w.Spec.ReadAllFields {
-			fields = []string{w.fieldNames[rng.Intn(len(w.fieldNames))]}
-		}
-		return Op{Type: OpRead, Key: w.keyFor(w.nextKeynum(rng)), Fields: fields}
+		return Op{Type: OpRead, Key: w.keyFor(w.nextKeynum(rng))}
 	}
 }
