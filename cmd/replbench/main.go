@@ -139,7 +139,7 @@ func run(args []string, stdout io.Writer) error {
 		for _, t := range rep.Tables() {
 			t.Write(w, *csv)
 		}
-		findings = append(findings, rep.Findings(o)...)
+		findings = append(findings, rep.Findings()...)
 	}
 	if len(findings) > 0 {
 		fmt.Fprintln(w, "Findings versus the paper's qualitative claims:")

@@ -154,7 +154,7 @@ func TestRegistryMatchesCLI(t *testing.T) {
 		for _, tb := range tables {
 			tb.Write(&want, true)
 		}
-		findings = append(findings, rep.Findings(o)...)
+		findings = append(findings, rep.Findings()...)
 	}
 	if testing.Short() {
 		return

@@ -137,7 +137,7 @@ func (r AuditResults) Tables() []*stats.Table {
 }
 
 // Findings evaluates the audit's qualitative claims.
-func (r AuditResults) Findings(Options) []Finding {
+func (r AuditResults) Findings() []Finding {
 	var fs []Finding
 
 	// FA1: HBase, the strong-consistency control, is always fresh.
@@ -191,11 +191,7 @@ func (r AuditResults) Findings(Options) []Finding {
 		if len(series) < 2 {
 			continue
 		}
-		for i := 1; i < len(series); i++ {
-			if series[i] <= series[i-1] {
-				pass3 = false
-			}
-		}
+		pass3 = pass3 && stats.Increasing(series)
 		detail3 += fmt.Sprintf("%s:", spec)
 		for i, v := range series {
 			detail3 += fmt.Sprintf(" rf%d=%.3f%%", rfs[i], 100*v)

@@ -27,7 +27,9 @@ func TestConsistencyAuditSmoke(t *testing.T) {
 	if res.fault() == nil {
 		t.Fatal("fault cell missing")
 	}
-	for _, f := range res.Findings(o) {
+	findings := res.Findings()
+	checkFindingsBlock(t, "audit", "Smoke profile (`auditSmokeOptions`)", o, findings)
+	for _, f := range findings {
 		t.Log(f)
 		if !f.Pass {
 			t.Errorf("finding failed: %s", f)
@@ -113,7 +115,7 @@ func TestCheckAuditShape(t *testing.T) {
 
 	// The expected shape passes all four findings.
 	good := syntheticAudit(rfs, []int64{0, 40, 90}, 120, 7)
-	for _, f := range good.Findings(Options{}) {
+	for _, f := range good.Findings() {
 		if !f.Pass {
 			t.Errorf("good grid failed %s: %s", f.ID, f.Detail)
 		}
@@ -121,7 +123,7 @@ func TestCheckAuditShape(t *testing.T) {
 
 	// A plateau at CL=ONE breaks FA3's strict monotonicity.
 	plateau := syntheticAudit(rfs, []int64{0, 40, 40}, 120, 7)
-	if f := findingByID(plateau.Findings(Options{}), "FA3"); f == nil || f.Pass {
+	if f := findingByID(plateau.Findings(), "FA3"); f == nil || f.Pass {
 		t.Error("FA3 passed on a non-increasing series")
 	}
 
@@ -133,22 +135,22 @@ func TestCheckAuditShape(t *testing.T) {
 			break
 		}
 	}
-	if f := findingByID(dirty.Findings(Options{}), "FA2"); f == nil || f.Pass {
+	if f := findingByID(dirty.Findings(), "FA2"); f == nil || f.Pass {
 		t.Error("FA2 passed with a stale quorum read")
 	}
 	dirty = syntheticAudit(rfs, []int64{0, 40, 90}, 120, 7)
 	dirty[0].Consistency.MonotonicViolations = 1
-	if f := findingByID(dirty.Findings(Options{}), "FA1"); f == nil || f.Pass {
+	if f := findingByID(dirty.Findings(), "FA1"); f == nil || f.Pass {
 		t.Error("FA1 passed with an HBase monotonic violation")
 	}
 
 	// FA4 requires hint replays and at least healthy-level staleness.
 	noHints := syntheticAudit(rfs, []int64{0, 40, 90}, 120, 0)
-	if f := findingByID(noHints.Findings(Options{}), "FA4"); f == nil || f.Pass {
+	if f := findingByID(noHints.Findings(), "FA4"); f == nil || f.Pass {
 		t.Error("FA4 passed without hint replays")
 	}
 	cleanFault := syntheticAudit(rfs, []int64{0, 40, 90}, 10, 7)
-	if f := findingByID(cleanFault.Findings(Options{}), "FA4"); f == nil || f.Pass {
+	if f := findingByID(cleanFault.Findings(), "FA4"); f == nil || f.Pass {
 		t.Error("FA4 passed with the fault cell less stale than healthy")
 	}
 }

@@ -131,8 +131,8 @@ func TestFig1ReproducesMicroFindings(t *testing.T) {
 	if len(res) != 2*2*4 { // 2 DBs × 2 RFs × 4 ops
 		t.Fatalf("results = %d", len(res))
 	}
-	findings := res.Findings(Options{})
-	checkFindingsBlock(t, "fig1", o, findings)
+	findings := res.Findings()
+	checkFindingsBlock(t, "fig1", "Reduced profile (`reducedOptions`)", o, findings)
 	for _, f := range findings {
 		t.Log(f)
 		if !f.Pass {
@@ -172,8 +172,8 @@ func TestFig2ReproducesStressFindings(t *testing.T) {
 	if len(res) != 2*2*5 {
 		t.Fatalf("results = %d", len(res))
 	}
-	findings := res.Findings(Options{})
-	checkFindingsBlock(t, "fig2", o, findings)
+	findings := res.Findings()
+	checkFindingsBlock(t, "fig2", "Reduced profile (`reducedOptions`)", o, findings)
 	for _, f := range findings {
 		t.Log(f)
 		if !f.Pass {
@@ -190,7 +190,7 @@ func TestFig3ReproducesConsistencyFindings(t *testing.T) {
 		// 1-cell smoke: one workload at one consistency level.
 		o := smokeOptions()
 		spec := ycsb.StressWorkloads(o.StressRecords)[0]
-		res, err := runFig3Cell(o, fig3Cell{levels()[1], spec, []float64{0}})
+		res, err := runFig3Cell(o, fig3Cell{lv: levels()[1], spec: spec})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,8 +204,8 @@ func TestFig3ReproducesConsistencyFindings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings := res.Findings(Options{})
-	checkFindingsBlock(t, "fig3", o, findings)
+	findings := res.Findings()
+	checkFindingsBlock(t, "fig3", "Reduced profile (`reducedOptions`)", o, findings)
 	for _, f := range findings {
 		t.Log(f)
 		// F6a is the documented deviation (see EXPERIMENTS.md); the

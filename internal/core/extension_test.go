@@ -26,7 +26,9 @@ func TestRunGeoReproducesFindings(t *testing.T) {
 	if want := len(geoCells(o)); len(res) != want {
 		t.Fatalf("cells = %d, want %d", len(res), want)
 	}
-	for _, f := range res.Findings(o) {
+	findings := res.Findings()
+	checkFindingsBlock(t, "geo", "Smoke profile, trimmed (`geoTestOptions`)", o, findings)
+	for _, f := range findings {
 		if !f.Pass {
 			t.Errorf("finding failed: %s", f)
 		}

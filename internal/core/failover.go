@@ -58,7 +58,7 @@ func (r FailoverResults) Tables() []*stats.Table {
 }
 
 // Findings is empty: the shapes are asserted by the package's tests.
-func (FailoverResults) Findings(Options) []Finding { return nil }
+func (FailoverResults) Findings() []Finding { return nil }
 
 // failoverSystem is one traced system: Cassandra at a consistency setting,
 // or single-owner HBase.

@@ -28,39 +28,50 @@ type Fig3Results []ConsistencyResult
 // and recording the runtime throughput (§4.3). HBase is excluded exactly
 // as in the paper: it offers no request-time consistency knob.
 //
-// The target sweep is auto-calibrated per workload: an unthrottled run at
-// CL=ONE measures the capacity, and Options.Fig3TargetFractions of that
-// capacity become the shared target list for all three levels.
+// The target sweep is auto-calibrated per workload: each CL=ONE cell runs
+// unthrottled first, and Options.Fig3TargetFractions of that capacity
+// become its own throttled targets and the shared target list of the
+// workload's QUORUM and write-ALL cells.
 //
 // Every (consistency level, workload) pair is a self-contained deployment,
-// so the capacity probes fan out across the sweep scheduler first and the
-// full level × workload grid fans out after the shared targets are known.
+// so the five ONE cells fan out across the sweep scheduler first and the
+// other ten fan out once the shared targets are known.
 func RunFig3(o Options) (Fig3Results, error) {
-	// Capacity probe per workload at ONE.
-	out, err := sweep(o, "fig3 capacity probe", fig3Cells(o, levels()[:1], nil), runFig3Cell)
+	out, err := sweep(o, "fig3", fig3Cells(o, levels()[:1], nil), runFig3Cell)
 	if err != nil {
 		return nil, err
 	}
-	// Shared target lists from the probed capacities.
 	targets := make(map[string][]float64)
-	for _, probe := range out {
-		for _, f := range o.Fig3TargetFractions {
-			targets[probe.Workload] = append(targets[probe.Workload], probe.Runtime*f)
+	for _, m := range out {
+		if m.Target == 0 {
+			targets[m.Workload] = fig3Targets(o, m.Runtime)
 		}
 	}
-	grid, err := sweep(o, "fig3", fig3Cells(o, levels(), targets), runFig3Cell)
+	rest, err := sweep(o, "fig3", fig3Cells(o, levels()[1:], targets), runFig3Cell)
 	if err != nil {
 		return nil, err
 	}
-	return append(out, grid...), nil
+	return append(out, rest...), nil
 }
 
-// fig3Cell is one workload at one consistency setting, run through a list
-// of target throughputs (0 = unthrottled closed loop).
+// fig3Targets returns the throttled targets for a measured capacity.
+func fig3Targets(o Options, capacity float64) []float64 {
+	targets := make([]float64, len(o.Fig3TargetFractions))
+	for i, f := range o.Fig3TargetFractions {
+		targets[i] = capacity * f
+	}
+	return targets
+}
+
+// fig3Cell is one workload at one consistency setting: an unthrottled
+// closed-loop phase, then a list of throttled target throughputs. A cell
+// without a target list (probe) takes its targets from its own
+// unthrottled phase.
 type fig3Cell struct {
 	lv      ConsistencySetting
 	spec    ycsb.Spec
 	targets []float64
+	probe   bool
 }
 
 func (c fig3Cell) String() string { return c.lv.Name + "/" + c.spec.Name }
@@ -70,12 +81,13 @@ func (c fig3Cell) String() string { return c.lv.Name + "/" + c.spec.Name }
 // unthrottled (closed-loop) first — the paper detects the *peak* runtime
 // throughput and the closed loop is each level's natural maximum — then
 // its workload's throttled targets ascending, so the overloaded
-// high-target runs (which leave queue backlogs behind) come last.
+// high-target runs (which leave queue backlogs behind) come last. With no
+// targets given, every cell probes its own.
 func fig3Cells(o Options, lvs []ConsistencySetting, targets map[string][]float64) []fig3Cell {
 	var cells []fig3Cell
 	for _, lv := range lvs {
 		for _, spec := range ycsb.StressWorkloads(o.StressRecords) {
-			cells = append(cells, fig3Cell{lv, spec, append([]float64{0}, targets[spec.Name]...)})
+			cells = append(cells, fig3Cell{lv, spec, targets[spec.Name], targets == nil})
 		}
 	}
 	return cells
@@ -91,7 +103,7 @@ func runFig3Cell(o Options, c fig3Cell) (Fig3Results, error) {
 	var out Fig3Results
 	d := deploy(o, cassandraAt(3, c.lv), c.spec)
 	err := d.run(o.Threads, func(p *sim.Proc) {
-		for _, target := range c.targets {
+		phase := func(target float64) float64 {
 			res := d.phase(p, c.spec, o.stressRun(target))
 			out = append(out, ConsistencyResult{
 				Workload: c.spec.Name,
@@ -101,14 +113,22 @@ func runFig3Cell(o Options, c fig3Cell) (Fig3Results, error) {
 				Mean:     res.MeanLatency(),
 			})
 			p.Sleep(quiesce)
+			return res.Throughput
+		}
+		targets := c.targets
+		if capacity := phase(0); c.probe {
+			targets = fig3Targets(o, capacity)
+		}
+		for _, target := range targets {
+			phase(target)
 		}
 	})
 	return out, err
 }
 
 // Figures renders one runtime-vs-target panel per workload with a series
-// per consistency level, mirroring the paper's Fig. 3. Capacity-probe
-// points (target 0) are omitted.
+// per consistency level, mirroring the paper's Fig. 3. Unthrottled points
+// (target 0) are omitted; Tables prints them.
 func (r Fig3Results) Figures() []*stats.Figure {
 	var figs []*stats.Figure
 	for _, wl := range workloadOrder() {
@@ -128,16 +148,34 @@ func (r Fig3Results) Figures() []*stats.Figure {
 	return figs
 }
 
-// Tables renders Fig. 3 as the paper's panels.
-func (r Fig3Results) Tables() []*stats.Table { return figureTables(r.Figures()) }
+// Tables renders Fig. 3 as the paper's panels, then each level's
+// unthrottled capacity per workload: the closed-loop runs the F6 findings
+// compare.
+func (r Fig3Results) Tables() []*stats.Table {
+	t := stats.NewTable("Fig. 3 — unthrottled capacity by workload and consistency level",
+		"workload", "level", "runtime (ops/s)", "mean-latency")
+	for _, wl := range workloadOrder() {
+		for _, lv := range levels() {
+			for _, m := range r {
+				if m.Workload == wl && m.Level == lv.Name && m.Target == 0 {
+					t.AddRow(wl, lv.Name, m.Runtime, m.Mean.Round(time.Microsecond).String())
+				}
+			}
+		}
+	}
+	return append(figureTables(r.Figures()), t)
+}
 
-// peak returns the best runtime throughput for (workload, level) across
-// the level's sweep, including its unthrottled closed-loop point, or -1.
-func (r Fig3Results) peak(workload, level string) float64 {
-	best := -1.0
+// peaks returns each level's best runtime throughput on workload, in
+// levels() order, across the level's sweep including its unthrottled
+// closed-loop point; -1 for a level with no rows.
+func (r Fig3Results) peaks(workload string) [3]float64 {
+	best, lvs := [3]float64{-1, -1, -1}, levels()
 	for _, m := range r {
-		if m.Workload == workload && m.Level == level && m.Runtime > best {
-			best = m.Runtime
+		for i, lv := range lvs {
+			if m.Workload == workload && m.Level == lv.Name && m.Runtime > best[i] {
+				best[i] = m.Runtime
+			}
 		}
 	}
 	return best

@@ -10,20 +10,20 @@ import (
 
 var update = flag.Bool("update", false, "rewrite EXPERIMENTS.md's findings blocks from this run")
 
-// experimentsDoc holds the findings blocks the Fig. 1–3 tests keep equal to
-// what they compute.
+// experimentsDoc holds the findings blocks the experiment tests keep equal
+// to what they compute.
 const experimentsDoc = "../../EXPERIMENTS.md"
 
 // checkFindingsBlock renders findings, one Finding.String line each under a
-// header naming the profile and seed, and compares them with the block
-// between <!-- findings:name --> and <!-- /findings:name --> in
-// EXPERIMENTS.md; with -update it rewrites that block instead. The Fig.
-// tests call it before they check a verdict, so a red verdict is recorded
-// too.
-func checkFindingsBlock(t *testing.T, name string, o Options, findings []Finding) {
+// header naming the options (opts), the seed and the test, and compares
+// them with the block between <!-- findings:name --> and
+// <!-- /findings:name --> in EXPERIMENTS.md; with -update it rewrites that
+// block instead. The tests call it before they check a verdict, so a red
+// verdict is recorded too.
+func checkFindingsBlock(t *testing.T, name, opts string, o Options, findings []Finding) {
 	t.Helper()
 	var b strings.Builder
-	fmt.Fprintf(&b, "Reduced profile (`reducedOptions`), seed %d, from `%s`:\n\n```\n", o.Seed, t.Name())
+	fmt.Fprintf(&b, "%s, seed %d, from `%s`:\n\n```\n", opts, o.Seed, t.Name())
 	for _, f := range findings {
 		b.WriteString(f.String() + "\n")
 	}

@@ -1,0 +1,316 @@
+package core
+
+import (
+	"testing"
+	"time"
+
+	"cloudbench/internal/geo"
+)
+
+// The shape tests below feed each Findings method synthetic rows: one grid
+// with the paper's shape, on which every finding passes, then one edit per
+// finding that breaks exactly the shape that finding asserts. They pin
+// the verdict logic independent of the simulator.
+
+// allPass fails t for every finding in fs that does not pass.
+func allPass(t *testing.T, fs []Finding) {
+	t.Helper()
+	if len(fs) == 0 {
+		t.Fatal("no findings")
+	}
+	for _, f := range fs {
+		if !f.Pass {
+			t.Errorf("good grid failed %s", f)
+		}
+	}
+}
+
+// fails fails t unless finding id is present in fs and does not pass.
+func fails(t *testing.T, fs []Finding, id, why string) {
+	t.Helper()
+	if f := findingByID(fs, id); f == nil || f.Pass {
+		t.Errorf("%s passed %s", id, why)
+	}
+}
+
+// synthFig1 is a Fig. 1 grid with the paper's shape: every median flat in
+// RF, Cassandra's read and scan means rising with it.
+func synthFig1() Fig1Results {
+	var r Fig1Results
+	for _, db := range []string{"HBase", "Cassandra"} {
+		for _, rf := range []int{1, 3, 6} {
+			for _, op := range microOrder {
+				mean := time.Millisecond
+				if db == "Cassandra" && (op == "read" || op == "scan") {
+					mean += time.Duration(rf) * time.Millisecond / 2
+				}
+				r = append(r, MicroResult{DB: db, RF: rf, Op: op, P50: time.Millisecond, Mean: mean})
+			}
+		}
+	}
+	return r
+}
+
+// at returns the row for (db, op, rf).
+func (r Fig1Results) at(db, op string, rf int) *MicroResult {
+	for i := range r {
+		if r[i].DB == db && r[i].Op == op && r[i].RF == rf {
+			return &r[i]
+		}
+	}
+	panic("no row " + db + "/" + op)
+}
+
+func TestCheckFig1Shape(t *testing.T) {
+	allPass(t, synthFig1().Findings())
+
+	r := synthFig1()
+	r.at("HBase", "scan", 6).P50 = 2 * time.Millisecond
+	fails(t, r.Findings(), "F1", "with HBase scan latency doubling over RF")
+
+	r = synthFig1()
+	r.at("HBase", "update", 3).P50 = 2 * time.Millisecond
+	fails(t, r.Findings(), "F2", "with HBase update latency doubling over RF")
+
+	r = synthFig1()
+	r.at("Cassandra", "insert", 1).P50 = 2 * time.Millisecond
+	fails(t, r.Findings(), "F3", "with Cassandra insert latency halving over RF")
+
+	r = synthFig1()
+	r.at("Cassandra", "scan", 6).Mean = r.at("Cassandra", "scan", 1).Mean
+	fails(t, r.Findings(), "F4", "with Cassandra scan latency flat in RF")
+}
+
+// synthFig2 is a Fig. 2 grid with the paper's shape: HBase throughput
+// flat in RF, Cassandra's halving from RF 1 to RF 6 while its latency
+// doubles.
+func synthFig2() Fig2Results {
+	var r Fig2Results
+	for _, db := range []string{"HBase", "Cassandra"} {
+		for _, wl := range workloadOrder() {
+			for _, rf := range []int{1, 6} {
+				m := StressResult{DB: db, RF: rf, Workload: wl, Throughput: 1000, Mean: 10 * time.Millisecond}
+				if db == "Cassandra" && rf == 6 {
+					m.Throughput, m.Mean = 500, 20*time.Millisecond
+				}
+				r = append(r, m)
+			}
+		}
+	}
+	return r
+}
+
+// at returns the row for (db, workload, rf).
+func (r Fig2Results) at(db, wl string, rf int) *StressResult {
+	for i := range r {
+		if r[i].DB == db && r[i].Workload == wl && r[i].RF == rf {
+			return &r[i]
+		}
+	}
+	panic("no row " + db + "/" + wl)
+}
+
+func TestCheckFig2Shape(t *testing.T) {
+	allPass(t, synthFig2().Findings())
+
+	r := synthFig2()
+	r.at("Cassandra", "read-latest", 6).Mean = 5 * time.Millisecond
+	fails(t, r.Findings(), "F5a", "with throughput and latency falling together")
+
+	r = synthFig2()
+	m := r.at("HBase", "scan-short-ranges", 6)
+	m.Throughput, m.Mean = 400, 25*time.Millisecond
+	fails(t, r.Findings(), "F5b", "with HBase throughput falling 2.5x over RF")
+
+	r = synthFig2()
+	for _, wl := range []string{"read-mostly", "read-update"} {
+		m := r.at("Cassandra", wl, 6)
+		m.Throughput, m.Mean = 1000, 10*time.Millisecond
+	}
+	fails(t, r.Findings(), "F5c", "with two Cassandra workloads not degraded")
+}
+
+// synthFig3 is a Fig. 3 grid with the paper's shape, each (workload,
+// level) one unthrottled row and one throttled row below it.
+func synthFig3() Fig3Results {
+	capacity := map[string][3]float64{ // ONE, QUORUM, writeALL
+		"read-latest":       {90, 100, 100},
+		"scan-short-ranges": {100, 100, 100},
+		"read-mostly":       {100, 99, 98},
+		"read-modify-write": {100, 95, 90},
+		"read-update":       {100, 98, 80},
+	}
+	var r Fig3Results
+	for i, lv := range levels() {
+		for _, wl := range workloadOrder() {
+			c := capacity[wl][i]
+			r = append(r,
+				ConsistencyResult{Workload: wl, Level: lv.Name, Runtime: c, Mean: time.Millisecond},
+				ConsistencyResult{Workload: wl, Level: lv.Name, Target: 50, Runtime: 50, Mean: time.Millisecond})
+		}
+	}
+	return r
+}
+
+// setCapacity sets the unthrottled runtime of (workload, level).
+func (r Fig3Results) setCapacity(wl, level string, runtime float64) {
+	for i := range r {
+		if r[i].Workload == wl && r[i].Level == level && r[i].Target == 0 {
+			r[i].Runtime = runtime
+		}
+	}
+}
+
+func TestCheckFig3Shape(t *testing.T) {
+	allPass(t, synthFig3().Findings())
+
+	r := synthFig3()
+	r.setCapacity("read-latest", "ONE", 110)
+	fails(t, r.Findings(), "F6a", "with ONE best on read-latest")
+
+	r = synthFig3()
+	r.setCapacity("scan-short-ranges", "writeALL", 80)
+	fails(t, r.Findings(), "F6b", "with a 1.25 spread on scans")
+
+	r = synthFig3()
+	r.setCapacity("read-update", "writeALL", 100)
+	fails(t, r.Findings(), "F6c", "with writeALL tied for best on read-update")
+
+	r = synthFig3()
+	r.setCapacity("read-mostly", "writeALL", 50)
+	fails(t, r.Findings(), "F6d", "with the read-mostly spread above read-update's")
+}
+
+// synthSpectrum fills the spectrum grid of o with the expected shape: the
+// object store acks as fast as CL=ONE but reads staler, its visibility
+// tail grows with RF and, under faults, with the anti-entropy interval,
+// and read-quorum halves read-one's staleness.
+func synthSpectrum(o Options) SpectrumResults {
+	var r SpectrumResults
+	for _, c := range spectrumCells(o) {
+		m := SpectrumResult{
+			DB: c.db, Workload: c.spec.Name, Level: c.level(), RF: c.rf,
+			ReplInterval: c.interval, Fault: c.fault,
+			Runtime: 1000, WriteP99: 10 * time.Millisecond,
+		}
+		m.Consistency.Reads = 10_000
+		switch {
+		case c.db == "ObjStore" && c.fault:
+			m.Consistency.TVisAllP99 = 5 * c.interval
+		case c.db == "ObjStore":
+			m.Consistency.StaleReads = 3000
+			if m.Level == "async/read-quorum" {
+				m.Consistency.StaleReads = 1500
+			}
+			m.Consistency.AsyncRegressions = 20
+			m.Consistency.TVisAllP99 = time.Duration(c.rf) * 10 * time.Millisecond
+		case m.Level == "ONE":
+			m.Consistency.StaleReads = 50
+		}
+		r = append(r, m)
+	}
+	return r
+}
+
+func TestCheckSpectrumShape(t *testing.T) {
+	o := SmokeOptions()
+	anchor, fastest := anchorRF(o), o.SpectrumReplIntervals[0]
+	allPass(t, synthSpectrum(o).Findings())
+
+	r := synthSpectrum(o)
+	r.get("Cassandra", "read-update", "ONE", anchor, 0).WriteP99 = 5 * time.Millisecond
+	fails(t, r.Findings(), "FS1", "with the async write tail twice CL=ONE's")
+
+	r = synthSpectrum(o)
+	for _, rf := range o.ReplicationFactors {
+		r.get("ObjStore", "read-latest", "async/read-one", rf, fastest).Consistency.TVisAllP99 = time.Second
+	}
+	fails(t, r.Findings(), "FS2", "with all-replica visibility flat in RF")
+
+	r = synthSpectrum(o)
+	f := r.faults()
+	f[0].Consistency.TVisAllP99, f[1].Consistency.TVisAllP99 = f[1].Consistency.TVisAllP99, f[0].Consistency.TVisAllP99
+	fails(t, r.Findings(), "FS3", "with visibility falling as the interval grows")
+
+	r = synthSpectrum(o)
+	r.get("ObjStore", "read-update", "async/read-quorum", anchor, fastest).Consistency.StaleReads = 4000
+	fails(t, r.Findings(), "FS4", "with read-quorum staler than read-one")
+}
+
+// synthGeo fills the geo grid of o with the expected shape.
+func synthGeo(o Options) GeoResults {
+	var r GeoResults
+	for _, c := range geoCells(o) {
+		m := GeoResult{
+			DCs: c.dcs, RTT: c.rtt, Level: c.lv.Name, PerDC: rfLabel(c.perDC), Mode: c.mode,
+			Throughput: 1000, WriteMean: 2 * time.Millisecond, WriteP99: 4 * time.Millisecond,
+		}
+		m.Consistency.Reads = 10_000
+		switch c.lv.Name {
+		case "EACH_QUORUM":
+			m.WriteMean, m.WriteP99 = c.rtt+time.Millisecond, c.rtt+5*time.Millisecond
+			if c.mode == geoModeFault {
+				m.Errors = 100
+			}
+		case "LOCAL_QUORUM":
+			m.Consistency.StaleReads = 1000
+		case "ONE":
+			m.Consistency.StaleReads = 1200
+		case "adaptive":
+			m.Consistency.StaleReads = 1000
+			m.Adaptive = &geo.Metrics{OpsPerStage: []int64{20, 1000}, StepDowns: 1}
+			m.AdaptiveStage = "LOCAL_QUORUM"
+		}
+		r = append(r, m)
+	}
+	return r
+}
+
+func TestCheckGeoShape(t *testing.T) {
+	o := SmokeOptions()
+	anchor := rfLabel(geoUniformRF(2, 2))
+	allPass(t, synthGeo(o).Findings())
+
+	r := synthGeo(o)
+	r.find(geoModeGrid, 2, 200*time.Millisecond, "LOCAL_QUORUM", anchor).WriteMean = 10 * time.Millisecond
+	fails(t, r.Findings(), "FG1", "with LOCAL_QUORUM write latency growing 5x with RTT")
+
+	r = synthGeo(o)
+	r.find(geoModeGrid, 2, geoAnchorRTT, "EACH_QUORUM", anchor).Consistency.StaleReads = 1
+	fails(t, r.Findings(), "FG2", "with a stale read at EACH_QUORUM")
+
+	r = synthGeo(o)
+	r.find(geoModeAdaptive, 2, geoAnchorRTT, "adaptive", anchor).WriteP99 = 50 * time.Millisecond
+	fails(t, r.Findings(), "FG3", "with the adaptive client over the deadline")
+
+	r = synthGeo(o)
+	r.find(geoModeFault, 2, geoAnchorRTT, "LOCAL_QUORUM", anchor).Errors = 1
+	fails(t, r.Findings(), "FG4", "with LOCAL_QUORUM failing writes under partition")
+}
+
+// TestFindingsOnNoRows: a claim with no data behind it fails. Every family
+// judges empty results without panicking, and none of its findings pass.
+func TestFindingsOnNoRows(t *testing.T) {
+	for name, rep := range map[string]Report{
+		"fig1":       Fig1Results(nil),
+		"fig2":       Fig2Results(nil),
+		"fig3":       Fig3Results(nil),
+		"audit":      AuditResults(nil),
+		"spectrum":   SpectrumResults(nil),
+		"geo":        GeoResults(nil),
+		"tracebreak": TraceResults(nil),
+	} {
+		func() {
+			defer func() {
+				if p := recover(); p != nil {
+					t.Errorf("%s: Findings panicked on no rows: %v", name, p)
+				}
+			}()
+			for _, f := range rep.Findings() {
+				if f.Pass {
+					t.Errorf("%s: %s passed with no rows", name, f)
+				}
+			}
+		}()
+	}
+}

@@ -168,6 +168,7 @@ type GeoResult struct {
 	PerDC string // NetworkTopologyStrategy allocation, e.g. "2+2"
 	Mode  string // grid, fault, sla-fixed, or sla-adaptive
 
+	Ops        int64 // operations the cell's run phase issued
 	Throughput float64
 	ReadMean   time.Duration
 	ReadP99    time.Duration
@@ -211,8 +212,9 @@ func runGeoCell(o Options, c geoCell) (GeoResults, error) {
 	d.attach(oracle, nil)
 	out := GeoResult{
 		DCs: c.dcs, RTT: c.rtt, Level: c.lv.Name, PerDC: rfLabel(c.perDC), Mode: c.mode,
+		Ops: geoOps(o),
 	}
-	ops := geoOps(o)
+	ops := out.Ops
 	err := d.run(geoThreads(o), func(p *sim.Proc) {
 		rcfg := ycsb.RunConfig{
 			Threads:        geoThreads(o),
@@ -302,7 +304,7 @@ func (r GeoResults) Tables() []*stats.Table {
 }
 
 // Findings evaluates the geo experiment's qualitative claims.
-func (r GeoResults) Findings(o Options) []Finding {
+func (r GeoResults) Findings() []Finding {
 	var fs []Finding
 	rtts := geoRTTs()
 	anchor := rfLabel(geoUniformRF(2, 2))
@@ -310,26 +312,23 @@ func (r GeoResults) Findings(o Options) []Finding {
 	// FG1: EACH_QUORUM write latency grows with the WAN RTT (the slowest
 	// round trip is on the write path) while LOCAL_QUORUM stays flat (all
 	// WAN traffic is asynchronous).
-	var eqMeans, lqMeans []time.Duration
+	var eqMeans, lqMeans []float64
 	for _, rtt := range rtts {
 		if m := r.find(geoModeGrid, 2, rtt, "EACH_QUORUM", anchor); m != nil {
-			eqMeans = append(eqMeans, m.WriteMean)
+			eqMeans = append(eqMeans, float64(m.WriteMean))
 		}
 		if m := r.find(geoModeGrid, 2, rtt, "LOCAL_QUORUM", anchor); m != nil {
-			lqMeans = append(lqMeans, m.WriteMean)
+			lqMeans = append(lqMeans, float64(m.WriteMean))
 		}
 	}
-	eqGrowth := 0.0
-	if len(eqMeans) >= 2 {
-		eqGrowth = ratio(float64(eqMeans[len(eqMeans)-1]), float64(eqMeans[0]))
-	}
-	lqFlat := flatness(lqMeans)
+	eqGrowth := stats.Ratio(last(eqMeans), first(eqMeans))
+	lqFlat := stats.Spread(lqMeans...)
 	fs = append(fs, Finding{
 		ID:    "FG1",
 		Claim: "EACH_QUORUM write latency grows with WAN RTT; LOCAL_QUORUM stays flat",
-		Pass:  len(eqMeans) == len(rtts) && len(lqMeans) == len(rtts) && eqGrowth > 2.0 && lqFlat < 1.5,
+		Pass:  len(eqMeans) == len(rtts) && len(lqMeans) == len(rtts) && eqGrowth > 2.0 && lqFlat > 0 && lqFlat < 1.5,
 		Detail: fmt.Sprintf("EACH_QUORUM mean %v→%v (x%.1f, threshold 2.0); LOCAL_QUORUM max/min=%.2f (threshold 1.5)",
-			first(eqMeans), last(eqMeans), eqGrowth, lqFlat),
+			time.Duration(first(eqMeans)), time.Duration(last(eqMeans)), eqGrowth, lqFlat),
 	})
 
 	// FG2: the staleness each write level leaks orders inversely to its
@@ -382,21 +381,21 @@ func (r GeoResults) Findings(o Options) []Finding {
 			Claim: "DC partition: LOCAL_QUORUM stays available, EACH_QUORUM writes fail until heal",
 			Pass:  eqF.Errors > 0 && lqF.Errors == 0,
 			Detail: fmt.Sprintf("errors during partitioned run: EACH_QUORUM=%d LOCAL_QUORUM=%d (of %d ops)",
-				eqF.Errors, lqF.Errors, geoOps(o)),
+				eqF.Errors, lqF.Errors, eqF.Ops),
 		})
 	}
 	return fs
 }
 
 // first and last guard empty latency series in finding details.
-func first(v []time.Duration) time.Duration {
+func first(v []float64) float64 {
 	if len(v) == 0 {
 		return 0
 	}
 	return v[0]
 }
 
-func last(v []time.Duration) time.Duration {
+func last(v []float64) float64 {
 	if len(v) == 0 {
 		return 0
 	}

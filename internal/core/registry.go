@@ -22,7 +22,7 @@ type Experiment struct {
 // none). The typed results (Fig1Results, GeoResults, ...) are the Reports.
 type Report interface {
 	Tables() []*stats.Table
-	Findings(Options) []Finding
+	Findings() []Finding
 }
 
 // CLI carries the four replbench inputs that are not experiment knobs, each
@@ -79,8 +79,8 @@ type printed struct {
 	findings []Finding
 }
 
-func (p printed) Tables() []*stats.Table     { return p.tables }
-func (p printed) Findings(Options) []Finding { return p.findings }
+func (p printed) Tables() []*stats.Table { return p.tables }
+func (p printed) Findings() []Finding    { return p.findings }
 
 // figureTables renders each figure as its series table.
 func figureTables(figs []*stats.Figure) []*stats.Table {

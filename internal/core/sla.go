@@ -59,7 +59,7 @@ func (r SLAResult) Tables() []*stats.Table {
 }
 
 // Findings is empty: the search reports a number, not a claim.
-func (SLAResult) Findings(Options) []Finding { return nil }
+func (SLAResult) Findings() []Finding { return nil }
 
 // RunSLASearch finds, by bisection over the target throughput, the
 // maximum offered load at which the given database and workload still

@@ -64,7 +64,9 @@ func TestSpectrumSmoke(t *testing.T) {
 	if testing.Verbose() {
 		t.Log("\n" + results.Tables()[0].String())
 	}
-	for _, f := range results.Findings(o) {
+	findings := results.Findings()
+	checkFindingsBlock(t, "spectrum", "Smoke profile (`SmokeOptions`)", o, findings)
+	for _, f := range findings {
 		t.Log(f.String())
 		if !f.Pass {
 			t.Errorf("finding %s failed: %s", f.ID, f.Detail)

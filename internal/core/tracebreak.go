@@ -121,7 +121,7 @@ func runTraceExperiment(o Options, cli CLI) (Report, error) {
 	}
 	ts := res.Tables()
 	ts[0].Note = fmt.Sprintf("wrote %d spans to %s (chrome://tracing / Perfetto format)", len(spans), cli.TraceOut)
-	return printed{ts, res.Findings(o)}, nil
+	return printed{ts, res.Findings()}, nil
 }
 
 // runTraceCell deploys one database with a tracer attached, loads, runs
@@ -166,17 +166,6 @@ func runTraceCell(o Options, b backend, keep int) (TraceResult, []trace.Span, er
 	return out, spans, err
 }
 
-// get returns the cell for (db, level, rf), or nil.
-func (r TraceResults) get(db, level string, rf int) *TraceResult {
-	for i := range r {
-		m := &r[i]
-		if m.DB == db && m.Level == level && m.RF == rf {
-			return m
-		}
-	}
-	return nil
-}
-
 // phaseShare returns the share of the named phase within the named class
 // of the cell, 0 when the phase recorded nothing.
 func (m *TraceResult) phaseShare(class, phase string) float64 {
@@ -218,7 +207,7 @@ func (r TraceResults) Tables() []*stats.Table {
 }
 
 // Findings evaluates the decomposition's qualitative claims.
-func (r TraceResults) Findings(Options) []Finding {
+func (r TraceResults) Findings() []Finding {
 	var fs []Finding
 
 	// FT1: HBase reads never fan out — the single region owner serves
@@ -253,18 +242,14 @@ func (r TraceResults) Findings(Options) []Finding {
 			rfs = append(rfs, m.RF)
 		}
 	}
-	pass2 := len(shares) >= 2
 	detail2 := ""
 	for i, v := range shares {
-		if i > 0 && v <= shares[i-1] {
-			pass2 = false
-		}
 		detail2 += fmt.Sprintf(" rf%d=%.1f%%", rfs[i], 100*v)
 	}
 	fs = append(fs, Finding{
 		ID:     "FT2",
 		Claim:  "Cassandra CL=ONE read-repair share of read latency increases with RF for RF >= 3",
-		Pass:   pass2,
+		Pass:   stats.Increasing(shares),
 		Detail: strings.TrimSpace(detail2),
 	})
 

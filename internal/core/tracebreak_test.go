@@ -20,7 +20,9 @@ func TestTraceBreakdownSmoke(t *testing.T) {
 	if want := len(traceCells(o)); len(res) != want {
 		t.Fatalf("cells = %d, want %d", len(res), want)
 	}
-	for _, f := range res.Findings(o) {
+	findings := res.Findings()
+	checkFindingsBlock(t, "tracebreak", "Smoke profile, RF 1, 3, 4 (`SmokeOptions`)", o, findings)
+	for _, f := range findings {
 		t.Log(f)
 		if !f.Pass {
 			t.Errorf("finding failed: %s", f)
@@ -84,7 +86,7 @@ func TestCheckTraceShape(t *testing.T) {
 	rfs := []int{1, 3, 4}
 
 	good := synthTrace(rfs, []float64{0.3, 0.5, 0.6})
-	for _, f := range good.Findings(Options{}) {
+	for _, f := range good.Findings() {
 		if !f.Pass {
 			t.Errorf("good grid failed %s: %s", f.ID, f.Detail)
 		}
@@ -92,7 +94,7 @@ func TestCheckTraceShape(t *testing.T) {
 
 	// A plateau across the RF ≥ 3 points breaks FT2.
 	plateau := synthTrace(rfs, []float64{0.3, 0.5, 0.5})
-	if f := findingByID(plateau.Findings(Options{}), "FT2"); f == nil || f.Pass {
+	if f := findingByID(plateau.Findings(), "FT2"); f == nil || f.Pass {
 		t.Error("FT2 passed on a non-increasing repair-share series")
 	}
 
@@ -100,7 +102,7 @@ func TestCheckTraceShape(t *testing.T) {
 	fanout := synthTrace(rfs, []float64{0.3, 0.5, 0.6})
 	cs := fanout[0].Trace.Class("read")
 	cs.Phases = append(cs.Phases, trace.PhaseStat{Phase: "fanout", Count: 1})
-	if f := findingByID(fanout.Findings(Options{}), "FT1"); f == nil || f.Pass {
+	if f := findingByID(fanout.Findings(), "FT1"); f == nil || f.Pass {
 		t.Error("FT1 passed with HBase read fan-out spans")
 	}
 
@@ -108,7 +110,7 @@ func TestCheckTraceShape(t *testing.T) {
 	wal := synthTrace(rfs, []float64{0.3, 0.5, 0.6})
 	cs = wal[len(wal)-1].Trace.Class("update")
 	cs.Phases = append(cs.Phases, trace.PhaseStat{Phase: "wal", Count: 1})
-	if f := findingByID(wal.Findings(Options{}), "FT3"); f == nil || f.Pass {
+	if f := findingByID(wal.Findings(), "FT3"); f == nil || f.Pass {
 		t.Error("FT3 passed with Cassandra WAL spans")
 	}
 }

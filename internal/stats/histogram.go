@@ -133,24 +133,6 @@ func (h *Histogram) Percentile(p float64) time.Duration {
 	return time.Duration(h.max)
 }
 
-// Merge adds all observations from o into h.
-func (h *Histogram) Merge(o *Histogram) {
-	if o.count == 0 {
-		return
-	}
-	for i, c := range o.counts {
-		h.counts[i] += c
-	}
-	if h.count == 0 || o.min < h.min {
-		h.min = o.min
-	}
-	if o.max > h.max {
-		h.max = o.max
-	}
-	h.count += o.count
-	h.sum += o.sum
-}
-
 // Reset clears the histogram.
 func (h *Histogram) Reset() { *h = Histogram{} }
 

@@ -58,24 +58,6 @@ func TestHistogramMeanExact(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	var a, b Histogram
-	for i := 0; i < 100; i++ {
-		a.Record(time.Duration(i) * time.Microsecond)
-		b.Record(time.Duration(i+100) * time.Microsecond)
-	}
-	a.Merge(&b)
-	if a.Count() != 200 {
-		t.Fatalf("count = %d", a.Count())
-	}
-	if a.Max() != b.Max() {
-		t.Fatalf("max = %v, want %v", a.Max(), b.Max())
-	}
-	if a.Min() != 0 {
-		t.Fatalf("min = %v", a.Min())
-	}
-}
-
 func TestHistogramQuantizationErrorBounded(t *testing.T) {
 	// Property: a recorded value's bucket midpoint is within ~3.2% (one
 	// sub-bucket) of the value, for all values above the linear range.
@@ -164,5 +146,22 @@ func TestFigureTableUnionOfXs(t *testing.T) {
 	}
 	if f.Get("hbase") != a || f.Get("nope") != nil {
 		t.Fatal("Get misbehaves")
+	}
+}
+
+// TestHistogramPercentileInterpolates: quantiles inside a single wide
+// bucket move with p rather than all snapping to the bucket midpoint.
+func TestHistogramPercentileInterpolates(t *testing.T) {
+	var h Histogram
+	lo := int64(1) << 20 // bucket width here is 2^15
+	for k := int64(0); k < 32; k++ {
+		h.Record(time.Duration(lo + k*1024))
+	}
+	p10, p50, p90 := h.Percentile(10), h.Percentile(50), h.Percentile(90)
+	if !(p10 < p50 && p50 < p90) {
+		t.Fatalf("percentiles do not increase through the bucket: p10=%v p50=%v p90=%v", p10, p50, p90)
+	}
+	if p10 < h.Min() || p90 > h.Max() {
+		t.Fatalf("percentiles escape [min,max]: p10=%v p90=%v min=%v max=%v", p10, p90, h.Min(), h.Max())
 	}
 }

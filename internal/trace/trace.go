@@ -147,11 +147,11 @@ type spanCtx struct {
 	muted bool
 }
 
-// classAgg accumulates one op class: the root-latency histogram plus a
-// per-phase Breakdown.
+// classAgg accumulates one op class: the root-latency histogram plus one
+// histogram per phase.
 type classAgg struct {
 	root   stats.Histogram
-	phases *stats.Breakdown
+	phases [NumPhases]stats.Histogram
 }
 
 // Tracer aggregates spans per (class, phase) and optionally retains raw
@@ -170,11 +170,7 @@ type Tracer struct {
 
 // New returns an empty tracer.
 func New() *Tracer {
-	t := &Tracer{}
-	for i := range t.classes {
-		t.classes[i].phases = stats.NewBreakdown(phaseNames[:]...)
-	}
-	return t
+	return &Tracer{}
 }
 
 // KeepSpans enables raw span retention, keeping up to n spans in record
@@ -261,7 +257,7 @@ func (t *Tracer) Interval(p *sim.Proc, ph Phase, node int, start, end sim.Time) 
 	if !measured {
 		return
 	}
-	t.classes[class].phases.Record(int(ph), end.Sub(start))
+	t.classes[class].phases[ph].Record(end.Sub(start))
 	if t.keep > 0 {
 		t.retain(Span{
 			ID: id, Parent: parent, Class: class, Phase: ph,
@@ -411,13 +407,13 @@ func (t *Tracer) Report() Report {
 			Mean:  agg.root.Mean(),
 			P99:   agg.root.Percentile(99),
 		}
-		for pi := 0; pi < agg.phases.Lanes(); pi++ {
-			lane := agg.phases.Lane(pi)
+		for pi := range agg.phases {
+			lane := &agg.phases[pi]
 			if lane.Count() == 0 {
 				continue
 			}
 			ps := PhaseStat{
-				Phase: agg.phases.Label(pi),
+				Phase: Phase(pi).String(),
 				Count: lane.Count(),
 				Total: lane.Sum(),
 				P50:   lane.Percentile(50),
