@@ -113,6 +113,31 @@ func TestPointOpAllocs(t *testing.T) {
 	}
 }
 
+// TestReplicatedInsertAllocs fences what an RF 3 write of a key no replica
+// holds costs: each replica's memtable node and row, and one set of cells,
+// built by the first replica to apply the write and shared by the other two.
+// (When each replica built its own cells, the insert cost 9.)
+func TestReplicatedInsertAllocs(t *testing.T) {
+	fresh := make([]kv.Key, 1024) // more than the harness's runs
+	for i := range fresh {
+		fresh[i] = key(1000 + i)
+	}
+	rec := kv.Record{}
+	for _, f := range []string{"f0", "f1", "f2", "f3", "f4", "f5", "f6", "f7", "f8", "f9"} {
+		rec[f] = kv.SizedValue(100)
+	}
+	n := 0
+	insert := func(p *sim.Proc, c *Client, _ kv.Key) error {
+		n++
+		return c.Insert(p, fresh[n-1], rec)
+	}
+	allocs := pointOpAllocs(t, 0, kv.All, false, insert)
+	t.Logf("allocs/op: ALL insert of a fresh key %.2f", allocs)
+	if allocs > 7 {
+		t.Errorf("ALL insert of a fresh key: %.2f allocs/op, want at most 7", allocs)
+	}
+}
+
 // TestTimedOutReadHoldsItsOpUntilLegsFinish: rows flushed to a degraded
 // disk (no block cache, 300 ms seeks) take far longer to fetch than the
 // coordinator's 20 ms timeout, so every read of one returns ErrTimeout while
@@ -267,8 +292,9 @@ func TestRecycledReadOpsNeverMixRows(t *testing.T) {
 				}
 			}
 			// The record its repairs wrote is the op's too, refilled by the
-			// next repair: the replicas checked below copied its cells.
-			if op.rec != nil || len(op.repairRec) != 0 {
+			// next repair: the replicas checked below keep the Write's
+			// cells, which the op dropped.
+			if op.repair.Rec != nil || op.repair.Ver != 0 || len(op.repairRec) != 0 {
 				t.Fatalf("op on the free list still holding the repair record %v", op.repairRec)
 			}
 		}
@@ -287,6 +313,65 @@ func TestRecycledReadOpsNeverMixRows(t *testing.T) {
 	}
 	if db.CoordinatorTimeouts != slow || db.AsyncRepairs == 0 || db.RepairWrites == 0 {
 		t.Fatalf("timeouts = %d (want %d), background repairs = %d, repair writes = %d", db.CoordinatorTimeouts, slow, db.AsyncRepairs, db.RepairWrites)
+	}
+}
+
+// TestRecycledWriteOpsKeepTheirCells: every leg of a write applies the Write
+// its pooled op embeds, and a hint keeps its own copy of it. A ONE write of
+// one key stores a hint for a down replica; the writes of other keys that
+// follow, each of its own record, recycle that op again and again, and the
+// live replicas' memtables adopt each one's cells. Once the replica is back
+// and the hints have replayed, every replica of every key must hold that
+// key's fields at its version. CI runs this under -race -count=20.
+func TestRecycledWriteOpsKeepTheirCells(t *testing.T) {
+	k := sim.NewKernel(13)
+	db, base := testDB(k, 4, 3, nil)
+	one := base.WithConsistency(kv.One, kv.One)
+	down := db.ReplicasFor(key(0))[2]
+	const keys = 64
+	recs := make([]kv.Record, keys)
+	for i := range recs {
+		recs[i] = kv.Record{}
+		for f := 0; f <= i%5; f++ {
+			recs[i][fmt.Sprintf("f%d", f+i%3)] = kv.SizedValue(100*i + f)
+		}
+	}
+	k.Spawn("client", func(p *sim.Proc) {
+		down.Node.Fail()
+		for i, rec := range recs {
+			if err := one.Insert(p, key(i), rec); err != nil {
+				t.Fatalf("insert %d: %v", i, err)
+			}
+			if i == 0 && db.HintsStored != 1 {
+				t.Fatalf("hints stored = %d, want 1", db.HintsStored)
+			}
+		}
+		p.Sleep(time.Second) // every leg has let its op go
+		if n := len(db.writeOps); n == 0 || n > keys/8 {
+			t.Fatalf("%d write ops for %d writes: the pool did not recycle", n, keys)
+		}
+		down.Node.Recover()
+		p.Sleep(2 * db.cfg.HintReplayInterval)
+		if db.PendingHints() != 0 {
+			t.Fatalf("%d hints still pending", db.PendingHints())
+		}
+		for i, want := range recs {
+			reps := db.ReplicasFor(key(i))
+			var ver kv.Version // the write's: every replica's, the newest one's at least
+			for _, rep := range reps {
+				if row := rep.Engine.Get(p, key(i)); row != nil {
+					ver = max(ver, row.Version())
+				}
+			}
+			for _, rep := range reps {
+				if row := rep.Engine.Get(p, key(i)); row == nil || row.Version() != ver || !reflect.DeepEqual(row.Record(), want) {
+					t.Errorf("key %d on %s: %v, want %v @%d", i, rep.Node.Name, row, want, ver)
+				}
+			}
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
 	}
 }
 

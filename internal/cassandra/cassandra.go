@@ -98,13 +98,14 @@ type Replica struct {
 }
 
 // mutation is one write on its way to the replicas. write builds it once,
-// in the writeOp every leg of the write points at.
+// in the writeOp every leg of the write points at, around the op's Write.
 type mutation struct {
 	replica.Mutation
 	size int // wire size
 }
 
-// hint is a mutation stored on behalf of a down replica.
+// hint is a mutation stored on behalf of a down replica, with its own copy
+// of the Write: the op it came from goes back to its pool.
 type hint struct {
 	target *Replica
 	mutation
@@ -237,12 +238,13 @@ func (db *DB) apply(p *sim.Proc, rep *replica.Host, m replica.Mutation, src cons
 	rep.Apply(p, m, src, true)
 }
 
-// writeOp is one coordinator write, pooled (sim.Op): the mutation and the ack
-// plan its legs report to.
+// writeOp is one coordinator write, pooled (sim.Op): the Write every leg
+// applies, the mutation around it and the ack plan its legs report to.
 type writeOp struct {
 	sim.Op[writeLeg]
 	db    *DB
 	coord *Replica
+	w     storage.Write
 	m     mutation
 	acks  ackPlan
 }
@@ -275,7 +277,9 @@ func (op *writeOp) leg(from *cluster.Node, rep *Replica) *writeLeg {
 // release drops one hold on op; the last one returns it to the free list.
 func (op *writeOp) release() {
 	if op.Release() {
-		op.m = mutation{}
+		// Replicas' memtables may hold the Write's cells: the next use
+		// builds its own rather than reuse their capacity.
+		op.w, op.m = storage.Write{}, mutation{}
 		op.db.writeOps = append(op.db.writeOps, op)
 	}
 }
@@ -315,7 +319,8 @@ func (op *writeOp) coordinate(p *sim.Proc, key kv.Key, rec kv.Record, del bool, 
 		db.Unavails++
 		return kv.ErrUnavailable
 	}
-	op.m = mutation{replica.Mutation{Key: key, Rec: rec, Del: del, Ver: db.Version()}, db.MutationSize(key, rec)}
+	op.w = storage.Write{Rec: rec, Ver: db.Version()}
+	op.m = mutation{replica.Mutation{Key: key, Write: &op.w, Del: del}, db.MutationSize(key, rec)}
 	if db.Oracle != nil {
 		db.Oracle.WriteBegin(key, op.m.Ver, len(replicas), db.K.Now())
 	}
@@ -404,13 +409,15 @@ type readOp struct {
 	contacted []*Replica         // who the level made the coordinator wait for
 	resps     []replica.Response // their answers
 
-	// The repair in progress: the reconciled record (nil: a delete) and its
-	// version. A read runs one at a time: the blocking one is over before the
-	// background one is spawned. The record is projected into repairRec,
-	// which only the repair legs — they hold the op — ever see: Host.Apply
-	// copies its cells into the memtable and a repair write leaves no hint.
-	rec, repairRec kv.Record
-	ver            kv.Version
+	// The repair in progress: the Write of the reconciled record (nil: a
+	// delete), its version and tombstone, shared by every stale replica it
+	// goes to. A read runs one at a time: the blocking one is over before
+	// the background one is spawned. The record is projected into
+	// repairRec, which only the repair legs — they hold the op — ever see:
+	// Host.Apply keeps the Write's cells, not the record, and a repair
+	// write leaves no hint.
+	repair    storage.Write
+	repairRec kv.Record
 	// What blockingRepair and repairRest reconcile into. The blocking one
 	// is the row the client is answered from, possibly while the background
 	// one is being built.
@@ -457,7 +464,7 @@ func (op *readOp) release() {
 	op.backgroundRow.Reset()
 	clear(op.resps)
 	clear(op.repairRec)
-	op.key, op.rec = "", nil
+	op.key, op.repair = "", storage.Write{}
 	op.db.readOps = append(op.db.readOps, op)
 }
 
@@ -679,11 +686,13 @@ func (op *readOp) writeRepairs(p *sim.Proc, merged *storage.Row, resps []replica
 			continue
 		}
 		if len(op.Legs()) == first {
-			if op.rec, op.ver = merged.ProjectInto(nil, op.repairRec), target; op.rec == nil {
-				op.ver = merged.Tomb
-			} else {
-				op.repairRec = op.rec
+			// A dead row's version is its tombstone's. A live one's
+			// tombstone goes too, or the cells it shadows come back.
+			rec := merged.ProjectInto(nil, op.repairRec)
+			if rec != nil {
+				op.repairRec = rec
 			}
+			op.repair = storage.Write{Rec: rec, Ver: target, Tomb: merged.Tomb}
 		}
 		op.db.RepairWrites++
 		op.db.K.Go("c*-repair-write", op.leg(r.Host, false, false).write)
@@ -702,8 +711,8 @@ func (op *readOp) writeRepairs(p *sim.Proc, merged *storage.Row, resps []replica
 func (l *readLeg) repairWrite(q *sim.Proc) {
 	op, db, rep, coord := l.op, l.op.db, l.Host, l.op.coord.Node
 	t0, prev := db.Mute(q)
-	if rep.Node == coord || coord.SendTo(q, rep.Node, db.MutationSize(op.key, op.rec)) {
-		db.apply(q, rep, replica.Mutation{Key: op.key, Rec: op.rec, Del: op.rec == nil, Ver: op.ver}, consistency.ApplyRepair)
+	if rep.Node == coord || coord.SendTo(q, rep.Node, db.MutationSize(op.key, op.repair.Rec)) {
+		db.apply(q, rep, replica.Mutation{Key: op.key, Write: &op.repair, Del: op.repair.Rec == nil}, consistency.ApplyRepair)
 		if rep.Node != coord {
 			rep.Node.SendTo(q, coord, replica.RequestOverhead)
 		}
@@ -717,6 +726,8 @@ func (l *readLeg) repairWrite(q *sim.Proc) {
 // hints have drained, so simulations with no failed nodes terminate
 // cleanly.
 func (db *DB) noteHint(coord, target *Replica, m mutation) {
+	w := *m.Write
+	m.Write = &w
 	coord.hints = append(coord.hints, hint{target: target, mutation: m, stored: db.K.Now()})
 	db.HintsStored++
 	if !db.hintProcLive {

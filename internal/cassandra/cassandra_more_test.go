@@ -367,7 +367,7 @@ func TestHintStoredDuringReplayPassSurvives(t *testing.T) {
 	coord, a, b := db.reps[0], db.reps[1], db.reps[2]
 	hintFor := func(target *Replica, i int) {
 		rec := kv.Record{"v": kv.SizedValue(8)}
-		db.noteHint(coord, target, mutation{replica.Mutation{Key: key(i), Rec: rec, Ver: db.Version()}, db.MutationSize(key(i), rec)})
+		db.noteHint(coord, target, mutation{replica.Mutation{Key: key(i), Write: &storage.Write{Rec: rec, Ver: db.Version()}}, db.MutationSize(key(i), rec)})
 	}
 	k.Spawn("client", func(p *sim.Proc) {
 		a.Node.Fail()

@@ -228,6 +228,43 @@ func TestBackgroundReadRepairConvergesReplicas(t *testing.T) {
 	}
 }
 
+// TestReadRepairKeepsTheTombstone: a row deleted and then written again
+// holds a live field and, under its tombstone, a dead one. The repair of a
+// replica that missed the delete must carry the tombstone, or the dead field
+// comes back there — at the reconciled version, so no later repair fixes it
+// and a ONE read that replica serves returns it.
+func TestReadRepairKeepsTheTombstone(t *testing.T) {
+	k := sim.NewKernel(43)
+	db, base := testDB(k, 3, 3, func(c *Config) { c.ReadRepairChance = 1.0 })
+	k.Spawn("client", func(p *sim.Proc) {
+		target := key(7)
+		reps := db.ReplicasFor(target)
+		for i, rep := range reps {
+			rep.Engine.Apply(p, target, kv.Record{"a": kv.SizedValue(10), "b": kv.SizedValue(20)}, 1)
+			if i < 2 {
+				rep.Engine.ApplyDelete(p, target, 2)
+				rep.Engine.Apply(p, target, kv.Record{"a": kv.SizedValue(30)}, 3)
+			}
+		}
+		if rec, err := base.WithConsistency(kv.All, kv.All).Read(p, target, nil); err != nil || len(rec) != 1 {
+			t.Fatalf("ALL read = %v, %v; want field a alone", rec, err)
+		}
+		p.Sleep(time.Second)
+		for _, rep := range reps {
+			row := rep.Engine.Get(p, target)
+			if rec := row.Record(); row.Version() != 3 || len(rec) != 1 || rec["a"].Bytes() != 30 {
+				t.Errorf("replica %s after the repair: %v @%d, want field a alone @3", rep.Node.Name, rec, row.Version())
+			}
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if db.RepairWrites == 0 {
+		t.Fatal("the stale replica was never repaired")
+	}
+}
+
 func TestHintedHandoffReplaysOnRecovery(t *testing.T) {
 	k := sim.NewKernel(41)
 	db, cl := testDB(k, 4, 3, nil)

@@ -178,7 +178,7 @@ func TestAntiEntropyDigestPush(t *testing.T) {
 	k.Spawn("driver", func(p *sim.Proc) {
 		// Apply directly at the primary, bypassing the write path: models
 		// a replica whose async jobs were lost.
-		placement[0].apply(p, db, replica.Mutation{Key: target, Rec: rec("lone"), Ver: db.Version()}, consistency.ApplyWrite, true)
+		placement[0].apply(p, db, replica.Mutation{Key: target, Write: &storage.Write{Rec: rec("lone"), Ver: db.Version()}}, consistency.ApplyWrite, true)
 		p.Sleep(2 * db.cfg.ReplicatorInterval)
 		db.Stop()
 	})
@@ -193,6 +193,42 @@ func TestAntiEntropyDigestPush(t *testing.T) {
 	if db.DigestsSent == 0 || db.AntiEntropyPushes < 2 {
 		t.Errorf("digests=%d pushes=%d, want digest-driven pushes to both peers",
 			db.DigestsSent, db.AntiEntropyPushes)
+	}
+}
+
+// TestAntiEntropyKeepsTheTombstone: two replicas hold a row deleted and then
+// written again — a live field and, under the tombstone, a dead one — and
+// the third missed the delete and the rewrite. The anti-entropy push must
+// carry the tombstone, or the dead field comes back on the third replica at
+// the version its peers hold, which no later exchange corrects.
+func TestAntiEntropyKeepsTheTombstone(t *testing.T) {
+	k := sim.NewKernel(7)
+	db, _, _ := testDB(k, 3, 3, nil)
+	target := key(3)
+	placement := db.PlacementFor(target)
+	k.Spawn("driver", func(p *sim.Proc) {
+		apply := func(s *Server, m replica.Mutation) { s.apply(p, db, m, consistency.ApplyWrite, true) }
+		for i, s := range placement {
+			apply(s, replica.Mutation{Key: target, Write: &storage.Write{Rec: kv.Record{"a": kv.SizedValue(10), "b": kv.SizedValue(20)}, Ver: 1}})
+			if i < 2 {
+				apply(s, replica.Mutation{Key: target, Write: &storage.Write{Ver: 2}, Del: true})
+				apply(s, replica.Mutation{Key: target, Write: &storage.Write{Rec: kv.Record{"a": kv.SizedValue(30)}, Ver: 3}})
+			}
+		}
+		p.Sleep(2 * db.cfg.ReplicatorInterval)
+		for _, s := range placement {
+			row := s.Engine.Get(p, target)
+			if rec := row.Record(); row.Version() != 3 || len(rec) != 1 || rec["a"].Bytes() != 30 {
+				t.Errorf("server %d after anti-entropy: %v @%d, want field a alone @3", s.Node.ID, rec, row.Version())
+			}
+		}
+		db.Stop()
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if db.AntiEntropyPushes == 0 {
+		t.Fatal("anti-entropy never pushed the row")
 	}
 }
 

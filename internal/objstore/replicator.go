@@ -8,6 +8,7 @@ import (
 	"cloudbench/internal/kv"
 	"cloudbench/internal/replica"
 	"cloudbench/internal/sim"
+	"cloudbench/internal/storage"
 	"cloudbench/internal/trace"
 )
 
@@ -144,8 +145,10 @@ func (db *DB) syncPartition(p *sim.Proc, s, peer *Server, part int) {
 		if row == nil {
 			continue
 		}
+		// The tombstone goes with the live cells, or the cells it shadows
+		// come back on the peer.
 		rec := row.Record()
-		m := replica.Mutation{Key: k, Rec: rec, Del: rec == nil, Ver: row.Version()}
+		m := replica.Mutation{Key: k, Write: &storage.Write{Rec: rec, Ver: row.Version(), Tomb: row.Tomb}, Del: rec == nil}
 		if !s.Node.SendTo(p, peer.Node, db.MutationSize(k, rec)) {
 			break
 		}

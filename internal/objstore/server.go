@@ -237,7 +237,9 @@ func (s *Server) apply(p *sim.Proc, db *DB, m replica.Mutation, src consistency.
 func (db *DB) write(p *sim.Proc, s *Server, inPlacement bool, key kv.Key, rec kv.Record, del bool) {
 	part := db.ring.partition(key)
 	placement := db.ring.placement(part)
-	m := replica.Mutation{Key: key, Rec: rec, Del: del, Ver: db.Version()}
+	// One Write for the local apply and every job: the replicas' memtables
+	// share its cells.
+	m := replica.Mutation{Key: key, Write: &storage.Write{Rec: rec, Ver: db.Version()}, Del: del}
 	if db.Oracle != nil {
 		db.Oracle.WriteBegin(key, m.Ver, len(placement), db.K.Now())
 	}

@@ -172,13 +172,13 @@ func (e *Env) Bill(q *sim.Proc, ph trace.Phase, node *cluster.Node, t0 sim.Time,
 	}
 }
 
-// Mutation is one versioned write on its way to a host: a record's cells,
-// or a delete.
+// Mutation is one versioned write on its way to a host: the Write of a
+// record, or a delete at the Write's version. The caller that fans a write
+// out hands every host the same Write, so their memtables share its cells.
 type Mutation struct {
 	Key kv.Key
-	Rec kv.Record
+	*storage.Write
 	Del bool
-	Ver kv.Version
 }
 
 // Apply performs the host-side work of a mutation that arrived as an
@@ -199,7 +199,7 @@ func (h *Host) Apply(p *sim.Proc, m Mutation, src consistency.ApplySource, repor
 	if m.Del {
 		h.Engine.ApplyDelete(p, m.Key, m.Ver)
 	} else {
-		h.Engine.Apply(p, m.Key, m.Rec, m.Ver)
+		h.Engine.ApplyShared(p, m.Key, m.Write)
 	}
 	if e.Tracer != nil {
 		e.Tracer.Phase(p, trace.PhaseStorage, h.Node.ID, t0)

@@ -164,7 +164,7 @@ func TestApplyReportsOnlyWhenAsked(t *testing.T) {
 	e.SetOracle(o)
 	key := kv.Key("user1")
 	k.Spawn("driver", func(p *sim.Proc) {
-		m := Mutation{Key: key, Rec: kv.Record{"v": kv.SizedValue(8)}, Ver: e.Version()}
+		m := Mutation{Key: key, Write: &storage.Write{Rec: kv.Record{"v": kv.SizedValue(8)}, Ver: e.Version()}}
 		o.WriteBegin(key, m.Ver, 2, p.Now())
 		hosts[0].Apply(p, m, consistency.ApplyHint, false)
 		if n := o.Report().HintApplies; n != 0 {
@@ -242,7 +242,7 @@ func TestSharedReadPathAllocs(t *testing.T) {
 	e, hosts := testEnv(k, 3)
 	key := kv.Key("user1")
 	k.Spawn("driver", func(p *sim.Proc) {
-		m := Mutation{Key: key, Rec: kv.Record{"v": kv.SizedValue(100)}, Ver: e.Version()}
+		m := Mutation{Key: key, Write: &storage.Write{Rec: kv.Record{"v": kv.SizedValue(100)}, Ver: e.Version()}}
 		for _, h := range hosts {
 			h.Apply(p, m, consistency.ApplyWrite, true)
 		}
@@ -271,7 +271,7 @@ func TestSharedReadPathAllocs(t *testing.T) {
 
 		// Host 2 alone takes a newer write of another field: its fetch is a
 		// memtable-over-SSTable merge, and the reconciliation gains from it.
-		newer := Mutation{Key: key, Rec: kv.Record{"w": kv.SizedValue(7)}, Ver: e.Version()}
+		newer := Mutation{Key: key, Write: &storage.Write{Rec: kv.Record{"w": kv.SizedValue(7)}, Ver: e.Version()}}
 		hosts[2].Apply(p, newer, consistency.ApplyWrite, true)
 		diverged := func() {
 			row := read()
@@ -303,7 +303,7 @@ func TestScanAllRunsOnAPooledOp(t *testing.T) {
 	caller := Caller{Node: hosts[0].Node}
 	k.Spawn("driver", func(p *sim.Proc) {
 		for i := 0; i < 60; i++ { // key i on hosts i%4 and (i+1)%4; a third flushed
-			m := Mutation{Key: kv.Key(fmt.Sprintf("user%03d", i)), Rec: kv.Record{"v": kv.SizedValue(100 + i)}, Ver: e.Version()}
+			m := Mutation{Key: kv.Key(fmt.Sprintf("user%03d", i)), Write: &storage.Write{Rec: kv.Record{"v": kv.SizedValue(100 + i)}, Ver: e.Version()}}
 			hosts[i%4].Apply(p, m, consistency.ApplyWrite, true)
 			hosts[(i+1)%4].Apply(p, m, consistency.ApplyWrite, true)
 			if i == 20 {

@@ -92,13 +92,24 @@ func (e *Engine) WALStats() *WAL { return e.wal }
 func (e *Engine) Tables() int { return len(e.tables) }
 
 // Apply writes rec at version ver to key: WAL append (when SyncWAL), then
-// memtable apply, then a flush if the memtable is full.
+// memtable apply, then a flush if the memtable is full. The memtable row
+// owns its cells.
 func (e *Engine) Apply(p *sim.Proc, key kv.Key, rec kv.Record, ver kv.Version) {
+	w := Write{Rec: rec, Ver: ver}
+	e.apply(p, key, &w, false)
+}
+
+// ApplyShared is Apply of a write that other engines apply too: a memtable
+// row with no cells for key yet adopts w's, built once for all of them,
+// instead of building its own. w is read and its cells kept, never written.
+func (e *Engine) ApplyShared(p *sim.Proc, key kv.Key, w *Write) { e.apply(p, key, w, true) }
+
+func (e *Engine) apply(p *sim.Proc, key kv.Key, w *Write, share bool) {
 	e.Puts++
-	size := rec.Bytes() + len(key) + 16
+	size := w.bytes() + len(key) + 16
 	e.walAppend(p, size)
 	row := e.mem.GetOrCreate(key)
-	row.Apply(rec, ver)
+	row.apply(w, share)
 	e.memBytes += int64(size)
 	e.maybeFlush()
 }

@@ -36,10 +36,50 @@ type Cell struct {
 // the two rows actually diverge — into a scratch row the reader owns, when
 // it passes one. The zero Row is an empty mutable row, so an owner can embed
 // its scratch by value.
+//
+// A memtable row that a replicated write created holds that Write's cells,
+// shared with every other replica's row of it (Engine.ApplyShared). Nobody
+// writes through shared cells: the row copies them before its first write
+// that would (mergeCells, via unshare), and Reset and snapshot drop them
+// rather than reuse their capacity.
 type Row struct {
 	cells  []Cell     // sorted by Field, no duplicates
 	Tomb   kv.Version // delete timestamp; cells with Ver <= Tomb are dead
 	frozen bool
+	shared bool // cells are a Write's, read-only
+}
+
+// Write is one versioned write of a record, built by the caller that fans
+// it out and applied to each of its engines with Engine.ApplyShared. Its
+// sorted cells are built the first time an engine adopts them — into a
+// memtable row the key has no cells in yet — and shared by every later one;
+// nothing writes them after that. A caller that pools its Write starts each
+// use from a fresh one, so cells some row still holds are never reused.
+type Write struct {
+	Rec kv.Record
+	Ver kv.Version
+	// Tomb is a delete the write carries with it: a repair of a row that
+	// was deleted and then written again. 0: none.
+	Tomb kv.Version
+
+	size  int // Rec.Bytes(), once known
+	cells []Cell
+}
+
+// bytes returns the modeled size of the write's record, computed once.
+func (w *Write) bytes() int {
+	if w.size == 0 {
+		w.size = w.Rec.Bytes()
+	}
+	return w.size
+}
+
+// sortedCells returns the write's cells, building them on first use.
+func (w *Write) sortedCells() []Cell {
+	if w.cells == nil {
+		w.cells = appendSorted(make([]Cell, 0, len(w.Rec)), w.Rec, w.Ver)
+	}
+	return w.cells
 }
 
 // NewRow returns an empty mutable row.
@@ -65,14 +105,28 @@ func (r *Row) mustOwn() {
 // newest version of each cell. A write into an empty row sizes the cell
 // slice once from len(rec); a write of fields the row already holds
 // updates them in place without allocating.
-func (r *Row) Apply(rec kv.Record, ver kv.Version) {
+func (r *Row) Apply(rec kv.Record, ver kv.Version) { r.apply(&Write{Rec: rec, Ver: ver}, false) }
+
+// apply merges w into the row. An empty row adopts w's cells when share is
+// set and builds its own otherwise; a row that holds cells merges w's into
+// them, from w's own when some engine has built them and from stack scratch
+// when none has.
+func (r *Row) apply(w *Write, share bool) {
 	r.mustOwn()
-	if len(r.cells) == 0 {
-		r.cells = appendSorted(make([]Cell, 0, len(rec)), rec, ver)
-		return
+	if w.Tomb > r.Tomb {
+		r.Tomb = w.Tomb
 	}
-	var buf [16]Cell // stack scratch: mergeCells copies out of it
-	r.mergeCells(appendSorted(buf[:0], rec, ver))
+	switch {
+	case len(r.cells) == 0 && share:
+		r.cells, r.shared = w.sortedCells(), true
+	case len(r.cells) == 0:
+		r.cells, r.shared = appendSorted(make([]Cell, 0, len(w.Rec)), w.Rec, w.Ver), false
+	case w.cells != nil:
+		r.mergeCells(w.cells)
+	default:
+		var buf [16]Cell // stack scratch: mergeCells copies out of it
+		r.mergeCells(appendSorted(buf[:0], w.Rec, w.Ver))
+	}
 }
 
 // appendSorted appends rec's fields to dst as cells at version ver, sorted
@@ -115,9 +169,13 @@ func (r *Row) MergeFrom(o *Row) {
 // in back to front when r.cells has the spare capacity — a scratch row that
 // has held a row this wide before — and cost one exact-capacity reallocation
 // otherwise. add is copied from, never retained, and must not alias r.cells.
+// Shared cells are first copied (unshare): both steps write in place.
 //
 //simlint:hotpath
 func (r *Row) mergeCells(add []Cell) {
+	if r.shared && !r.unshare(add) {
+		return
+	}
 	old := r.cells
 	missing, i := 0, 0
 	for _, c := range add {
@@ -167,6 +225,28 @@ func (r *Row) mergeCells(add []Cell) {
 	r.cells = append(out, old[i:]...)
 }
 
+// unshare replaces r's shared cells with a private copy, sized for the
+// fields add brings that r lacks, before mergeCells writes into it. It
+// reports false, and leaves the cells shared, when add changes nothing.
+func (r *Row) unshare(add []Cell) bool {
+	missing, newer, i := 0, false, 0
+	for _, c := range add {
+		for i < len(r.cells) && r.cells[i].Field < c.Field {
+			i++
+		}
+		if i == len(r.cells) || r.cells[i].Field != c.Field {
+			missing++
+		} else if c.Ver > r.cells[i].Ver {
+			newer = true
+		}
+	}
+	if missing == 0 && !newer {
+		return false
+	}
+	r.cells, r.shared = append(make([]Cell, 0, len(r.cells)+missing), r.cells...), false
+	return true
+}
+
 // Merged returns the reconciliation of a and b (a is the incumbent on
 // version ties) without mutating a source: a itself when b holds no newer
 // cell or tombstone — the common case between in-sync replicas and between
@@ -198,7 +278,7 @@ func (r *Row) snapshot(into *Row) *Row {
 		return r.Clone()
 	}
 	into.mustOwn()
-	into.cells = append(into.cells[:0], r.cells...)
+	into.cells, into.shared = append(into.spare(), r.cells...), false
 	into.Tomb = r.Tomb
 	return into
 }
@@ -207,7 +287,16 @@ func (r *Row) snapshot(into *Row) *Row {
 // holds it reads a row that was never written.
 func (r *Row) Reset() {
 	r.mustOwn()
-	r.cells, r.Tomb = r.cells[:0], 0
+	r.cells, r.shared, r.Tomb = r.spare(), false, 0
+}
+
+// spare returns r's cell capacity to refill from empty: none when the cells
+// are shared, whose capacity is a Write's.
+func (r *Row) spare() []Cell {
+	if r.shared {
+		return nil
+	}
+	return r.cells[:0]
 }
 
 // gainsFrom reports whether merging o into r would change r.

@@ -322,6 +322,138 @@ func FuzzGetInto(f *testing.F) {
 	f.Fuzz(checkGetInto)
 }
 
+// checkSharedWrites runs a script against three engines that apply the same
+// Writes through ApplyShared — so their memtable rows hold one Write's cells
+// — interleaved with what one engine does alone: an update of fields its row
+// already holds, a delete, a flush, a pause in which flushes and compactions
+// land. After every step each engine's read of each key must match its own
+// map model: a row that wrote through cells it shares would show up in
+// another engine's read, or in a frozen row's. Three bytes a step: the
+// operation and five field bits; the key, the engines (for a shared write)
+// or the engine (otherwise), and one more field bit; the version. Values
+// are a function of field and version, as in checkGetInto.
+func checkSharedWrites(t *testing.T, script []byte) {
+	t.Helper()
+	k := sim.NewKernel(1)
+	cfg := DefaultConfig()
+	cfg.MemtableBytes = 1 << 30 // the script says when to flush
+	cfg.CompactMinTables = 2
+	cfg.CacheBytes = 0
+	cfg.SyncWAL = false
+	keys := []kv.Key{"k0", "k1", "k2", "k3"}
+	var engines [3]*Engine
+	var models [3][]*refRow
+	var scratch [3]Row
+	for i := range engines {
+		engines[i], _ = newTestEngine(t, k, cfg)
+		models[i] = make([]*refRow, len(keys))
+	}
+	model := func(e, key int) *refRow {
+		if models[e][key] == nil {
+			models[e][key] = newRefRow()
+		}
+		return models[e][key]
+	}
+	k.Spawn("script", func(p *sim.Proc) {
+		for step := 0; len(script) >= 3; step, script = step+1, script[3:] {
+			op, key, ver := script[0], int(script[1])%len(keys), kv.Version(1+script[2]%32)
+			one := int(script[1]>>2) % len(engines)
+			rec := kv.Record{}
+			for f, bits := 0, uint(op>>3)|uint(script[1]>>7)<<5; f < 6; f++ {
+				if bits>>f&1 == 1 {
+					rec[fmt.Sprintf("f%d", f)] = kv.SizedValue(1 + 16*int(ver) + f)
+				}
+			}
+			switch op % 8 {
+			case 0, 1, 2, 3:
+				// A shared write to the engines in the mask, all when it is
+				// empty; case 3 carries an older tombstone, as a repair does.
+				w := &Write{Rec: rec, Ver: ver}
+				if op%8 == 3 {
+					w.Tomb = ver / 2
+				}
+				for e := range engines {
+					if mask := script[1] >> 2 & 7; mask == 0 || mask>>e&1 == 1 {
+						engines[e].ApplyShared(p, keys[key], w)
+						model(e, key).apply(w.Rec, w.Ver)
+						model(e, key).delete(w.Tomb)
+					}
+				}
+			case 4:
+				// One engine rewrites fields its row already holds.
+				m := model(one, key)
+				held := kv.Record{}
+				for f := range m.cells {
+					if len(rec) == 0 || rec[f].Size > 0 {
+						held[f] = kv.SizedValue(1 + 16*int(ver) + int(f[1]-'0'))
+					}
+				}
+				engines[one].Apply(p, keys[key], held, ver)
+				m.apply(held, ver)
+			case 5:
+				engines[one].ApplyDelete(p, keys[key], ver)
+				model(one, key).delete(ver)
+			case 6:
+				engines[one].ForceFlush()
+			case 7:
+				p.Sleep(time.Second) // flushes and compactions land
+			}
+			for e, eng := range engines {
+				for i, key := range keys {
+					got, want := eng.GetInto(p, key, &scratch[e]), models[e][i]
+					if (got == nil) != (want == nil) {
+						t.Fatalf("step %d: engine %d: GetInto(%s) = %v, model %v", step, e, key, got, want)
+					}
+					if got != nil {
+						want.check(t, step, got)
+					}
+				}
+			}
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// sharedWriteScripts are the model test's inputs and the fuzz target's
+// seeds: one spelled out — a write shared by all three engines, rewritten
+// in place on one, flushed on another and rewritten there again — and
+// random ones.
+func sharedWriteScripts() [][]byte {
+	scripts := [][]byte{{
+		0x18, 0x00, 1, // k0: f0 and f1 on every engine, one Write's cells
+		4, 0x00, 5, // engine 0 rewrites both in place
+		6, 0x04, 0, // engine 1 flushes its row: frozen, still shared
+		4, 0x08, 7, // engine 2 rewrites both in place
+		7, 0, 0, // settle
+		0x20, 0x1c, 9, // k0: f2 on every engine, over differing rows
+		0x0b, 0x05, 12, // k1: f0 with a tombstone, engine 0 only
+		4, 0x05, 13, // engine 1 rewrites k1, which it does not hold
+	}}
+	rng := rand.New(rand.NewSource(31))
+	for n := 0; n < 40; n++ {
+		script := make([]byte, 3*(20+rng.Intn(100)))
+		rng.Read(script)
+		scripts = append(scripts, script)
+	}
+	return scripts
+}
+
+// TestSharedWritesMatchModel is the copy-on-write test of shared cells.
+func TestSharedWritesMatchModel(t *testing.T) {
+	for _, script := range sharedWriteScripts() {
+		checkSharedWrites(t, script)
+	}
+}
+
+func FuzzSharedWrites(f *testing.F) {
+	for _, script := range sharedWriteScripts()[:8] {
+		f.Add(script)
+	}
+	f.Fuzz(checkSharedWrites)
+}
+
 // TestGetIntoSnapshotsAtTheLookup: a read that finds its key in the active
 // memtable and then sleeps on a table's disk block answers with the
 // memtable row as it was when it looked, whatever is written meanwhile —
