@@ -167,7 +167,6 @@ func TestSmokeGoldenDigests(t *testing.T) {
 		{name: "ablation-a1"},
 		{name: "ablation-a2"},
 		{name: "ablation-a3"},
-		{name: "sla"},
 		{name: "failover", long: true}, // four 40-s-of-sim-time timelines: as slow as fig3
 	}
 	raw, err := os.ReadFile(goldenDigests)

@@ -105,17 +105,21 @@ func TestRunRejectsUnknownExperiment(t *testing.T) {
 			t.Errorf("unknown-experiment error missing %q: %v", want, err)
 		}
 	}
-	// findings is not an experiment: every run already ends with its
-	// findings.
-	if err := run([]string{"-experiment", "findings"}, &b); err == nil || !strings.Contains(err.Error(), `unknown experiment "findings"`) {
-		t.Errorf("-experiment findings: err = %v, want the unknown-experiment error", err)
+	// Neither findings nor sla is an experiment: every run already ends
+	// with its findings, and geo's FG3 judges the SLA proposal of §6.
+	for _, name := range []string{"findings", "sla"} {
+		if err := run([]string{"-experiment", name}, &b); err == nil || !strings.Contains(err.Error(), `unknown experiment "`+name+`"`) {
+			t.Errorf("-experiment %s: err = %v, want the unknown-experiment error", name, err)
+		}
 	}
 }
 
 // TestRegistryMatchesCLI: core.Experiments() is the only list. The usage
 // string and the unknown-name error are generated from it, every entry
-// runs and reports at least one table, and `-experiment all` is exactly
-// the entries' reports in registry order followed by their findings.
+// runs and reports at least one table, every entry but table1 (checked by
+// core.VerifyTable1) and megascale asserts at least one finding, and
+// `-experiment all` is exactly the entries' reports in registry order
+// followed by their findings.
 func TestRegistryMatchesCLI(t *testing.T) {
 	cli := core.CLI{Profile: "smoke", RFSet: true}
 	var names []string
@@ -154,7 +158,11 @@ func TestRegistryMatchesCLI(t *testing.T) {
 		for _, tb := range tables {
 			tb.Write(&want, true)
 		}
-		findings = append(findings, rep.Findings()...)
+		fs := rep.Findings()
+		if len(fs) == 0 && e.Name != "table1" && e.Name != "megascale" {
+			t.Errorf("%s: asserts no finding", e.Name)
+		}
+		findings = append(findings, fs...)
 	}
 	if testing.Short() {
 		return

@@ -28,11 +28,7 @@ func TestRunGeoReproducesFindings(t *testing.T) {
 	}
 	findings := res.Findings()
 	checkFindingsBlock(t, "geo", "Smoke profile, trimmed (`geoTestOptions`)", o, findings)
-	for _, f := range findings {
-		if !f.Pass {
-			t.Errorf("finding failed: %s", f)
-		}
-	}
+	allPass(t, findings)
 	// The WAN floor separates the write levels at the anchor point: an
 	// EACH_QUORUM write waits out the 80ms round trip, LOCAL_QUORUM and
 	// ONE complete inside the DC.
@@ -61,52 +57,17 @@ func TestRunGeoReproducesFindings(t *testing.T) {
 }
 
 func TestRunFailoverAvailabilityShapes(t *testing.T) {
-	res, err := RunFailover(Options{Seed: 1})
+	o := Options{Seed: 1}
+	res, err := RunFailover(o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res) != 4 {
 		t.Fatalf("systems = %d", len(res))
 	}
-	sums := map[string]struct{ ok, errs int64 }{}
-	for _, tl := range res {
-		var ok, errs int64
-		for i := range tl.OK {
-			ok += tl.OK[i]
-			errs += tl.Errors[i]
-		}
-		sums[tl.System] = struct{ ok, errs int64 }{ok, errs}
-	}
-	// ONE and QUORUM ride through the failure: at most the handful of
-	// in-flight requests at the instant the node dies can error.
-	for _, sys := range []string{"Cassandra-ONE", "Cassandra-QUORUM"} {
-		if s := sums[sys]; s.errs > failoverThreads {
-			t.Errorf("%s: %d errors, want availability through failure", sys, s.errs)
-		}
-	}
-	// ALL and single-owner HBase error throughout the outage.
-	for _, sys := range []string{"Cassandra-ALL", "HBase"} {
-		if s := sums[sys]; s.errs < 50 {
-			t.Errorf("%s: only %d errors despite a dead node", sys, s.errs)
-		}
-	}
-	// Errors are confined to the failure window (± one bucket for ops in
-	// flight when the node dies).
-	for _, tl := range res {
-		failStart := int(failoverFailAt/failoverBucket) - 1
-		failEnd := int(failoverRecoverAt/failoverBucket) + 1
-		for i, e := range tl.Errors {
-			if e > 0 && (i < failStart || i > failEnd) {
-				t.Errorf("%s: errors in bucket %d outside the failure window", tl.System, i)
-			}
-		}
-	}
-	// Hinted handoff replayed for the weak levels.
-	for _, tl := range res {
-		if strings.HasPrefix(tl.System, "Cassandra-ONE") && tl.Replays == 0 {
-			t.Errorf("%s: no hint replays after recovery", tl.System)
-		}
-	}
+	findings := res.Findings()
+	checkFindingsBlock(t, "failover", "Six-server rack (the `failover.go` constants)", o, findings)
+	allPass(t, findings)
 	if ts := res.Tables(); len(ts) != 2 || len(ts[0].Headers) != 5 || len(ts[1].Headers) != 5 {
 		t.Error("timeline tables malformed: want two, one column per system")
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"time"
 
 	"cloudbench/internal/cassandra"
@@ -57,8 +58,52 @@ func (r FailoverResults) Tables() []*stats.Table {
 	return figureTables([]*stats.Figure{ok, errs})
 }
 
-// Findings is empty: the shapes are asserted by the package's tests.
-func (FailoverResults) Findings() []Finding { return nil }
+// Findings judges the failover claims: FF1, Cassandra at ONE and QUORUM
+// rides through the outage; FF2, at ALL and on single-owner HBase it errors
+// through the outage and only inside it; FF3, hinted handoff replays the
+// missed writes at ONE and QUORUM once the node is back. A system with no
+// timeline fails every claim about it.
+func (r FailoverResults) Findings() []Finding {
+	// Errors may land one bucket either side of the outage: ops in flight
+	// when the node dies or returns.
+	first, last := int(failoverFailAt/failoverBucket)-1, int(failoverRecoverAt/failoverBucket)+1
+	type tally struct {
+		found                  bool
+		errs, outside, replays int64
+	}
+	by := map[string]tally{}
+	for _, tl := range r {
+		t := tally{found: true, replays: tl.Replays}
+		for i, e := range tl.Errors {
+			t.errs += e
+			if i < first || i > last {
+				t.outside += e
+			}
+		}
+		by[tl.System] = t
+	}
+	one, quorum, all, hb := by["Cassandra-ONE"], by["Cassandra-QUORUM"], by["Cassandra-ALL"], by["HBase"]
+	ridesThrough := func(t tally) bool { return t.found && t.errs <= failoverThreads && t.outside == 0 }
+	failsThrough := func(t tally) bool { return t.found && t.errs >= 50 && t.outside == 0 }
+	return []Finding{{
+		ID:    "FF1",
+		Claim: "Cassandra ONE and QUORUM ride through a node failure: only requests in flight at the failure error",
+		Pass:  ridesThrough(one) && ridesThrough(quorum),
+		Detail: fmt.Sprintf("errors ONE=%d QUORUM=%d (at most %d, one per client thread); outside the outage ONE=%d QUORUM=%d",
+			one.errs, quorum.errs, failoverThreads, one.outside, quorum.outside),
+	}, {
+		ID:    "FF2",
+		Claim: "Cassandra ALL and single-owner HBase error through the outage, and only inside it (±1 bucket)",
+		Pass:  failsThrough(all) && failsThrough(hb),
+		Detail: fmt.Sprintf("errors ALL=%d HBase=%d (at least 50); outside the outage ALL=%d HBase=%d",
+			all.errs, hb.errs, all.outside, hb.outside),
+	}, {
+		ID:     "FF3",
+		Claim:  "hinted handoff replays the missed writes at ONE and QUORUM after recovery",
+		Pass:   one.replays > 0 && quorum.replays > 0,
+		Detail: fmt.Sprintf("hints replayed ONE=%d QUORUM=%d", one.replays, quorum.replays),
+	}}
+}
 
 // failoverSystem is one traced system: Cassandra at a consistency setting,
 // or single-owner HBase.

@@ -114,18 +114,6 @@ func (r Fig1Results) Tables() []*stats.Table {
 	return append(figureTables(r.Figures()), t)
 }
 
-// get returns the median latency for a specific point, or -1. The median
-// is the robust statistic for shape checks: stop-the-world pause outliers
-// dominate means over short measurement windows but barely move p50.
-func (r Fig1Results) get(db, op string, rf int) time.Duration {
-	for _, m := range r {
-		if m.DB == db && m.Op == op && m.RF == rf {
-			return m.P50
-		}
-	}
-	return -1
-}
-
 // getMean returns the mean latency for a specific point, or -1.
 func (r Fig1Results) getMean(db, op string, rf int) time.Duration {
 	for _, m := range r {

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"cloudbench/internal/geo"
+	"cloudbench/internal/stats"
 )
 
 // The shape tests below feed each Findings method synthetic rows: one grid
@@ -12,7 +13,8 @@ import (
 // finding that breaks exactly the shape that finding asserts. They pin
 // the verdict logic independent of the simulator.
 
-// allPass fails t for every finding in fs that does not pass.
+// allPass fails t for every finding in fs that does not pass, and when fs
+// is empty.
 func allPass(t *testing.T, fs []Finding) {
 	t.Helper()
 	if len(fs) == 0 {
@@ -20,7 +22,7 @@ func allPass(t *testing.T, fs []Finding) {
 	}
 	for _, f := range fs {
 		if !f.Pass {
-			t.Errorf("good grid failed %s", f)
+			t.Errorf("finding failed: %s", f)
 		}
 	}
 }
@@ -288,17 +290,108 @@ func TestCheckGeoShape(t *testing.T) {
 	fails(t, r.Findings(), "FG4", "with LOCAL_QUORUM failing writes under partition")
 }
 
+// synthFigure is a figure of one series per name, each with points
+// (x[i], ys[name][i]), in the order of names.
+func synthFigure(x []float64, names []string, ys map[string][]float64) *stats.Figure {
+	f := stats.NewFigure("synthetic", "x", "y")
+	for _, name := range names {
+		s := f.AddSeries(name)
+		for i, y := range ys[name] {
+			s.Add(x[i], y)
+		}
+	}
+	return f
+}
+
+func TestCheckAblationShapes(t *testing.T) {
+	rfs := []float64{1, 6}
+	a1 := func(on, off []float64) ReadRepairAblation {
+		return ReadRepairAblation{synthFigure(rfs, []string{"read-repair-on", "read-repair-off"},
+			map[string][]float64{"read-repair-on": on, "read-repair-off": off})}
+	}
+	allPass(t, a1([]float64{100, 200}, []float64{100, 110}).Findings())
+	fails(t, a1([]float64{100, 130}, []float64{100, 110}).Findings(), "F4′", "with repair on growing only 1.18x the off growth")
+
+	a2 := func(mem, sync []float64) SyncReplAblation {
+		return SyncReplAblation{synthFigure(rfs, []string{"in-memory-replication", "synchronous-replication"},
+			map[string][]float64{"in-memory-replication": mem, "synchronous-replication": sync})}
+	}
+	allPass(t, a2([]float64{100, 150}, []float64{100, 300}).Findings())
+	fails(t, a2([]float64{100, 150}, []float64{100, 160}).Findings(), "F2′", "with sync growing no faster than in-memory")
+	fails(t, a2([]float64{200, 300}, []float64{50, 290}).Findings(), "F2′", "with sync faster at the top RF")
+
+	threads := []float64{1, 2, 4, 8}
+	a3 := func(ys ...float64) ClientThreadsAblation {
+		return ClientThreadsAblation{synthFigure(threads, []string{"HBase"}, map[string][]float64{"HBase": ys})}
+	}
+	allPass(t, a3(900, 400, 200, 150).Findings())
+	fails(t, a3(900, 400, 400, 150).Findings(), "M1", "with a plateau between 2 and 4 threads")
+}
+
+// synthFailover is a failover run with the claimed shape: the weak levels
+// lose a few in-flight requests at the failure and replay hints, ALL and
+// HBase error in every bucket of the outage.
+func synthFailover() FailoverResults {
+	buckets := int(failoverEnd/failoverBucket) + 1
+	failB, recoverB := int(failoverFailAt/failoverBucket), int(failoverRecoverAt/failoverBucket)
+	var r FailoverResults
+	for _, sys := range []string{"Cassandra-ONE", "Cassandra-QUORUM", "Cassandra-ALL", "HBase"} {
+		tl := FailoverTimeline{System: sys, Bucket: failoverBucket, OK: make([]int64, buckets), Errors: make([]int64, buckets)}
+		switch sys {
+		case "Cassandra-ALL", "HBase":
+			for b := failB; b <= recoverB; b++ {
+				tl.Errors[b] = 20
+			}
+		default:
+			tl.Errors[failB] = 3
+			tl.Replays = 100
+		}
+		r = append(r, tl)
+	}
+	return r
+}
+
+func TestCheckFailoverShape(t *testing.T) {
+	allPass(t, synthFailover().Findings())
+
+	r := synthFailover()
+	r[1].Errors[5] = failoverThreads
+	fails(t, r.Findings(), "FF1", "with QUORUM erroring more than one request per thread")
+
+	r = synthFailover()
+	r[0].Errors[len(r[0].Errors)-1] = 1
+	fails(t, r.Findings(), "FF1", "with ONE erroring after the outage")
+
+	r = synthFailover()
+	r[3].Errors[1] = 1
+	fails(t, r.Findings(), "FF2", "with HBase erroring before the outage")
+
+	r = synthFailover()
+	r[2].Errors = make([]int64, len(r[2].Errors))
+	fails(t, r.Findings(), "FF2", "with ALL available through the outage")
+
+	r = synthFailover()
+	r[1].Replays = 0
+	fails(t, r.Findings(), "FF3", "with no hints replayed at QUORUM")
+
+	fails(t, synthFailover()[:3].Findings(), "FF2", "with no HBase timeline")
+}
+
 // TestFindingsOnNoRows: a claim with no data behind it fails. Every family
 // judges empty results without panicking, and none of its findings pass.
 func TestFindingsOnNoRows(t *testing.T) {
 	for name, rep := range map[string]Report{
-		"fig1":       Fig1Results(nil),
-		"fig2":       Fig2Results(nil),
-		"fig3":       Fig3Results(nil),
-		"audit":      AuditResults(nil),
-		"spectrum":   SpectrumResults(nil),
-		"geo":        GeoResults(nil),
-		"tracebreak": TraceResults(nil),
+		"fig1":        Fig1Results(nil),
+		"fig2":        Fig2Results(nil),
+		"fig3":        Fig3Results(nil),
+		"audit":       AuditResults(nil),
+		"spectrum":    SpectrumResults(nil),
+		"geo":         GeoResults(nil),
+		"tracebreak":  TraceResults(nil),
+		"ablation-a1": ReadRepairAblation{stats.NewFigure("", "", "")},
+		"ablation-a2": SyncReplAblation{stats.NewFigure("", "", "")},
+		"ablation-a3": ClientThreadsAblation{stats.NewFigure("", "", "")},
+		"failover":    FailoverResults(nil),
 	} {
 		func() {
 			defer func() {

@@ -63,10 +63,11 @@ type Options struct {
 	// client threads.
 	MicroThreads int
 
-	// CacheBytes is the per-node block cache. Experiments size it to
-	// cover the working set after warmup, matching the paper's testbed
-	// where the dataset fits the cluster's aggregate page cache; disks
-	// then carry commit logs, flushes, and compactions.
+	// CacheBytes is the per-node block cache, meant to hold the working
+	// set after warmup as the paper's dataset fit its testbed's aggregate
+	// page cache. It holds only a table that does not grow: Fig. 3's
+	// read-latest phases each insert about 4k records, and from phase to
+	// phase more of its reads go to disk (ROADMAP.md, open item 1).
 	CacheBytes int64
 
 	// ReplicationFactors is the sweep for Fig. 1 and Fig. 2.
@@ -110,9 +111,11 @@ type Options struct {
 //   - CPUOpCost is raised to the effective per-request CPU of a 2013 JVM
 //     database (thrift/RPC serialization, stage hand-offs, GC pressure):
 //     the cluster's knee is CPU, not the simulated disks.
-//   - The dataset fits the block caches after warmup, as the paper's
-//     100 M × 1 KB rows fit the 480 GB of aggregate page cache; disks
-//     carry commit logs, flushes, and compactions.
+//   - The block caches are meant to hold the dataset after warmup, as the
+//     paper's 100 M × 1 KB rows fit the 480 GB of aggregate page cache.
+//     They do only while a table does not grow: on Fig. 3's read-latest
+//     the table grows from 10k to 30k records past the 4 MB cache and
+//     its disks go from 16 % to 68 % busy (ROADMAP.md, open item 1).
 //   - ReadRepairChance is 1.0 (the thrift-era column-family default):
 //     §4.1 and §4.3 attribute first-order effects to read repair, which
 //     is only possible with global repair on (nearly) every read. The A1
@@ -144,9 +147,11 @@ func QuickOptions() Options {
 		Fig3TargetFractions: []float64{0.25, 0.5, 0.75, 1.0, 1.25},
 		EnableGC:            true,
 		GC: cluster.GCConfig{
-			// Scaled relative to the default so sub-second measurement
-			// windows average over many pauses while the tails remain
-			// heavy enough to differentiate ack-count waits.
+			// Scaled relative to the default so the tails are heavy
+			// enough to differentiate ack-count waits. A measured window
+			// does not average them out: a 20k-op stress phase covers
+			// about 0.2 s of simulated time and holds about 6 pauses
+			// across the 15 servers (ROADMAP.md, open item 1).
 			MeanInterval: 500 * time.Millisecond,
 			MeanPause:    25 * time.Millisecond,
 			MinPause:     time.Millisecond,
