@@ -41,7 +41,7 @@ var smokeReports = map[string]string{}
 // protect — any wall-clock read, global rand call, or map-order leak in
 // a sim-reachable package eventually shows up here as a diff.
 func TestSweepBitIdentical(t *testing.T) {
-	for _, experiment := range []string{"fig1", "audit", "spectrum"} {
+	for _, experiment := range []string{"fig1", "spectrum"} {
 		t.Run(experiment, func(t *testing.T) {
 			base := []string{"-experiment", experiment, "-profile", "smoke", "-csv", "-seed", "42"}
 			serial := capture(t, append(base, "-parallel", "1")...)
@@ -157,7 +157,6 @@ func TestSmokeGoldenDigests(t *testing.T) {
 		{name: "fig1"},
 		{name: "fig2", long: true},
 		{name: "fig3", long: true},
-		{name: "audit"},
 		{name: "spectrum"},
 		{name: "tracebreak", extra: []string{"-rf", "1,3"}}, // smoke's own RF set; unset, tracebreak sweeps 1-6
 		{name: "geo"},

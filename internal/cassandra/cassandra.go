@@ -64,9 +64,9 @@ type Config struct {
 	// read issued after a write's ack can never overtake the main
 	// replica's pending apply, so CL=ONE staleness is structurally
 	// impossible. The latency experiments leave it off (sub-millisecond
-	// jitter is second order for latency); the consistency audit turns it
-	// on, because this per-message reordering is exactly what opens the
-	// real-world CL=ONE visibility window it measures.
+	// jitter is second order for latency); the cells that measure
+	// staleness turn it on, because this per-message reordering is exactly
+	// what opens the real-world CL=ONE visibility window they measure.
 	MutationStageMeanDelay time.Duration
 }
 

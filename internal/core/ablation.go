@@ -35,11 +35,11 @@ func (a ClientThreadsAblation) Tables() []*stats.Table { return []*stats.Table{a
 func AblationReadRepair(o Options) (ReadRepairAblation, error) {
 	a := ReadRepairAblation{stats.NewFigure("Ablation A1 — Cassandra micro read latency vs RF, read repair on/off",
 		"replication-factor", "mean read latency (µs)")}
-	one := func(rf int) backend { return cassandraAt(rf, levels()[0]) }
-	off := o
-	off.ReadRepairChance = 0
-	return a, microAblation(o, "ablation-a1", a.Figure, one, "read", func(m MicroResult) time.Duration { return m.Mean },
-		abMode{"read-repair-on", o}, abMode{"read-repair-off", off})
+	on := cassandraAt(0, levels()[0])
+	off := on
+	off.noReadRepair = true
+	return a, microAblation(o, "ablation-a1", a.Figure, "read", func(m MicroResult) time.Duration { return m.Mean },
+		abMode{"read-repair-on", on}, abMode{"read-repair-off", off})
 }
 
 // Findings judges F4′: with read repair off, most of the mean read growth
@@ -64,9 +64,10 @@ func (a ReadRepairAblation) Findings() []Finding {
 func AblationHBaseSyncRepl(o Options) (SyncReplAblation, error) {
 	a := SyncReplAblation{stats.NewFigure("Ablation A2 — HBase micro update latency vs RF, in-memory vs sync replication",
 		"replication-factor", "median update latency (µs)")}
-	mem, sync := o, o
-	mem.MemReplication, sync.MemReplication = true, false
-	return a, microAblation(o, "ablation-a2", a.Figure, hbaseAt, "update", func(m MicroResult) time.Duration { return m.P50 },
+	mem := hbaseAt(0)
+	sync := mem
+	sync.syncRepl = true
+	return a, microAblation(o, "ablation-a2", a.Figure, "update", func(m MicroResult) time.Duration { return m.P50 },
 		abMode{"in-memory-replication", mem}, abMode{"synchronous-replication", sync})
 }
 
@@ -105,11 +106,12 @@ func rfSpan(f *stats.Figure) string {
 	return fmt.Sprintf("rf%g/rf%g", x[len(x)-1], x[0])
 }
 
-// abMode is one series of a micro ablation: a name and the Options with
-// the ablated knob turned.
+// abMode is one series of a micro ablation: a name and the backend, with
+// the ablated knob turned or not, that every cell of the series deploys
+// at its own replication factor.
 type abMode struct {
 	name string
-	o    Options
+	b    backend
 }
 
 // abCell is one (mode, replication factor) point of an ablation sweep.
@@ -120,10 +122,10 @@ type abCell struct {
 
 func (c abCell) String() string { return fmt.Sprintf("%s rf=%d", c.name, c.rf) }
 
-// microAblation reruns one database's Fig. 1 round at every replication
-// factor under each mode and plots stat of op's latency, one series per
-// mode, into f. Cells are mode-major: outer mode loop, inner RF loop.
-func microAblation(o Options, name string, f *stats.Figure, at func(rf int) backend, op string,
+// microAblation reruns a Fig. 1 round at every replication factor under
+// each mode and plots stat of op's latency, one series per mode, into f.
+// Cells are mode-major: outer mode loop, inner RF loop.
+func microAblation(o Options, name string, f *stats.Figure, op string,
 	stat func(MicroResult) time.Duration, modes ...abMode) error {
 	var cells []abCell
 	for _, mode := range modes {
@@ -131,8 +133,10 @@ func microAblation(o Options, name string, f *stats.Figure, at func(rf int) back
 			cells = append(cells, abCell{mode, rf})
 		}
 	}
-	vals, err := sweep(o, name, cells, func(_ Options, c abCell) ([]float64, error) {
-		res, err := runFig1Cell(c.o, at(c.rf))
+	vals, err := sweep(o, name, cells, func(o Options, c abCell) ([]float64, error) {
+		b := c.b
+		b.rf = c.rf
+		res, err := runFig1Cell(o, b)
 		var v time.Duration
 		for _, m := range res {
 			if m.Op == op {

@@ -28,8 +28,11 @@ import (
 // order (kernel → cluster → database → GC → driver spawn) and every Sleep
 // are part of the figures: they fix the order of RNG draws and events.
 
-// backend is a cell's database description: which system, at which
-// replication factor, with the knobs that system has.
+// backend is a cell's whole database description: which system, at which
+// replication factor, with the knobs that system has. Its zero knobs are
+// the paper's configuration — JVM GC pauses on, Cassandra
+// read_repair_chance 1.0, HBase in-memory replication, no replica
+// MutationStage jitter — and a cell that runs anything else says so here.
 type backend struct {
 	db string // "HBase", "Cassandra" or "ObjStore"
 	rf int
@@ -49,6 +52,28 @@ type backend struct {
 	rtt      time.Duration
 	perDC    []int
 	adaptive bool
+
+	// noGC turns the JVM stop-the-world pauses off. Both databases are
+	// JVM-hosted in the paper's testbed, and pauses are what create
+	// replica lag, staleness at CL=ONE and the slow-replica tail that ALL
+	// writes wait out; geo and tracebreak measure effects they would
+	// only smear.
+	noGC bool
+	// noReadRepair sets Cassandra's read_repair_chance to 0 (A1). The
+	// paper's 1.0 is the thrift-era column-family default: §4.1 and §4.3
+	// attribute first-order effects to read repair, which is only
+	// possible with global repair on (nearly) every read.
+	noReadRepair bool
+	// syncRepl replaces HBase's in-memory replication with synchronous
+	// disk replication (A2).
+	syncRepl bool
+	// stageDelay is the mean of Cassandra's per-mutation replica-stage
+	// scheduling jitter (cassandra.Config.MutationStageMeanDelay). At zero
+	// the fan-out delivers strictly FIFO and a CL=ONE read can never
+	// overtake a pending apply; the cells that measure staleness turn it
+	// on, because that per-message reordering is the real-world CL=ONE
+	// visibility window.
+	stageDelay time.Duration
 }
 
 func hbaseAt(rf int) backend {
@@ -110,10 +135,11 @@ func engineConfig(o Options) storage.Config {
 	return cfg
 }
 
-// deploy provisions the backend on the paper's testbed — serverNodes
-// database machines plus one client machine (which also hosts the HBase
-// master) on one rack — or, for a geo backend, one such block per
-// datacenter, with HBase regions pre-split for spec's key space. Client
+// deploy provisions the backend, configured as b says, on the paper's
+// testbed — serverNodes database machines plus one client machine (which
+// also hosts the HBase master) on one rack — or, for a geo backend, one
+// such block per datacenter, with HBase regions pre-split for spec's key
+// space. Client
 // threads round-robin across the attach machines (the ycsb runner calls
 // the factory once per thread, in thread order, so the assignment is
 // deterministic).
@@ -156,7 +182,7 @@ func deploy(o Options, b backend, spec ycsb.Spec) *deployment {
 		cfg := hbase.DefaultConfig()
 		cfg.Replication = b.rf
 		cfg.Engine = engineConfig(o)
-		cfg.MemReplication = o.MemReplication
+		cfg.MemReplication = !b.syncRepl
 		splits := spec.SplitPoints(serverNodes * cfg.RegionsPerServer)
 		db := hbase.New(d.k, cfg, servers, attach[0], splits)
 		d.hb, d.flush = db, db.FlushAll
@@ -167,8 +193,11 @@ func deploy(o Options, b backend, spec ycsb.Spec) *deployment {
 		cfg.DCReplicas = b.perDC
 		cfg.Engine = engineConfig(o)
 		cfg.Engine.SyncWAL = false // commitlog_sync: periodic
-		cfg.ReadRepairChance = o.ReadRepairChance
-		cfg.MutationStageMeanDelay = o.MutationStageDelay
+		cfg.ReadRepairChance = 1.0
+		if b.noReadRepair {
+			cfg.ReadRepairChance = 0
+		}
+		cfg.MutationStageMeanDelay = b.stageDelay
 		if b.adaptive {
 			d.ctrl = geo.NewController(geo.ControllerConfig{
 				Ladder:   geo.WriteLadder(kv.LocalQuorum),
@@ -209,7 +238,7 @@ func deploy(o Options, b backend, spec ycsb.Spec) *deployment {
 		d.obj, d.flush = db, db.FlushAll
 		d.newClient = func() kv.Client { return db.NewClient(attach[0]) }
 	}
-	if o.EnableGC {
+	if !b.noGC {
 		d.gc = cluster.StartGC(d.k, o.GC, servers)
 	}
 	return d

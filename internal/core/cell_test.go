@@ -81,24 +81,6 @@ func TestCellsCanonicalOrder(t *testing.T) {
 		cells any
 		want  string
 	}{
-		{"audit", auditCells(o), `
-HBase/strong/rf1/read-latest
-HBase/strong/rf3/read-latest
-Cassandra/ONE/rf1/read-latest
-Cassandra/ONE/rf3/read-latest
-Cassandra/QUORUM/rf1/read-latest
-Cassandra/QUORUM/rf3/read-latest
-Cassandra/writeALL/rf1/read-latest
-Cassandra/writeALL/rf3/read-latest
-HBase/strong/rf1/read-update
-HBase/strong/rf3/read-update
-Cassandra/ONE/rf1/read-update
-Cassandra/ONE/rf3/read-update
-Cassandra/QUORUM/rf1/read-update
-Cassandra/QUORUM/rf3/read-update
-Cassandra/writeALL/rf1/read-update
-Cassandra/writeALL/rf3/read-update
-Cassandra/ONE/rf3/read-update/fault`},
 		{"tracebreak", traceCells(o), `
 HBase/strong/rf1
 HBase/strong/rf3

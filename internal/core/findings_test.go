@@ -27,6 +27,16 @@ func allPass(t *testing.T, fs []Finding) {
 	}
 }
 
+// findingByID returns the finding id in fs, or nil.
+func findingByID(fs []Finding, id string) *Finding {
+	for i := range fs {
+		if fs[i].ID == id {
+			return &fs[i]
+		}
+	}
+	return nil
+}
+
 // fails fails t unless finding id is present in fs and does not pass.
 func fails(t *testing.T, fs []Finding, id, why string) {
 	t.Helper()
@@ -183,10 +193,13 @@ func TestCheckFig3Shape(t *testing.T) {
 	fails(t, r.Findings(), "F6d", "with the read-mostly spread above read-update's")
 }
 
-// synthSpectrum fills the spectrum grid of o with the expected shape: the
-// object store acks as fast as CL=ONE but reads staler, its visibility
-// tail grows with RF and, under faults, with the anti-entropy interval,
-// and read-quorum halves read-one's staleness.
+// synthSpectrum fills the spectrum grid of o with the expected shape.
+// The synchronous half: HBase and Cassandra at QUORUM/writeALL never
+// stale, CL=ONE staler at every step up in RF, and Cassandra's fault cell
+// staler than its healthy twin with hints replayed. The asynchronous half:
+// the object store acks as fast as CL=ONE but reads staler, its
+// visibility tail grows with RF and, under faults, with the anti-entropy
+// interval, and read-quorum halves read-one's staleness.
 func synthSpectrum(o Options) SpectrumResults {
 	var r SpectrumResults
 	for _, c := range spectrumCells(o) {
@@ -206,14 +219,49 @@ func synthSpectrum(o Options) SpectrumResults {
 			}
 			m.Consistency.AsyncRegressions = 20
 			m.Consistency.TVisAllP99 = time.Duration(c.rf) * 10 * time.Millisecond
+		case c.fault:
+			m.Consistency.StaleReads = 100 * int64(c.rf)
+			m.Consistency.HintApplies = 7
+			// Longer than any object-store fault cell's: FS3 fails if it
+			// reads this cell.
+			m.Consistency.TVisAllP99 = time.Hour
 		case m.Level == "ONE":
-			m.Consistency.StaleReads = 50
+			m.Consistency.StaleReads = 10 * int64(c.rf)
 		}
 		r = append(r, m)
 	}
 	return r
 }
 
+// TestCheckAuditShape breaks the synchronous half's shapes one at a time.
+func TestCheckAuditShape(t *testing.T) {
+	o := SmokeOptions()
+	anchor := anchorRF(o)
+	allPass(t, synthSpectrum(o).Findings())
+
+	r := synthSpectrum(o)
+	r.get("HBase", "read-update", "strong", 1, 0).Consistency.MonotonicViolations = 1
+	fails(t, r.Findings(), "FA1", "with an HBase monotonic violation")
+
+	r = synthSpectrum(o)
+	r.get("Cassandra", "read-latest", "QUORUM", anchor, 0).Consistency.StaleReads = 1
+	fails(t, r.Findings(), "FA2", "with a stale quorum read")
+
+	r = synthSpectrum(o)
+	r.get("Cassandra", "read-latest", "ONE", anchor, 0).Consistency.StaleReads = 10
+	fails(t, r.Findings(), "FA3", "on a CL=ONE plateau in RF")
+
+	r = synthSpectrum(o)
+	r.faults("Cassandra")[0].Consistency.HintApplies = 0
+	fails(t, r.Findings(), "FA4", "without hint replays")
+
+	r = synthSpectrum(o)
+	r.faults("Cassandra")[0].Consistency.StaleReads = 1
+	fails(t, r.Findings(), "FA4", "with the fault cell less stale than healthy")
+}
+
+// TestCheckSpectrumShape breaks the asynchronous half's shapes one at a
+// time.
 func TestCheckSpectrumShape(t *testing.T) {
 	o := SmokeOptions()
 	anchor, fastest := anchorRF(o), o.SpectrumReplIntervals[0]
@@ -230,7 +278,7 @@ func TestCheckSpectrumShape(t *testing.T) {
 	fails(t, r.Findings(), "FS2", "with all-replica visibility flat in RF")
 
 	r = synthSpectrum(o)
-	f := r.faults()
+	f := r.faults("ObjStore")
 	f[0].Consistency.TVisAllP99, f[1].Consistency.TVisAllP99 = f[1].Consistency.TVisAllP99, f[0].Consistency.TVisAllP99
 	fails(t, r.Findings(), "FS3", "with visibility falling as the interval grows")
 
@@ -384,7 +432,6 @@ func TestFindingsOnNoRows(t *testing.T) {
 		"fig1":        Fig1Results(nil),
 		"fig2":        Fig2Results(nil),
 		"fig3":        Fig3Results(nil),
-		"audit":       AuditResults(nil),
 		"spectrum":    SpectrumResults(nil),
 		"geo":         GeoResults(nil),
 		"tracebreak":  TraceResults(nil),

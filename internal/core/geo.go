@@ -38,12 +38,13 @@ import (
 //     an 80 ms WAN — tail latency on one side, oracle-measured staleness
 //     on the other.
 //
-// Every cell attaches the consistency oracle with the audit's
-// MutationStage jitter, so the staleness each level leaks is a measured
-// column, not a story. GC pauses stay off in this experiment: the effects
-// under test are multi-millisecond WAN waits and the 40 ms SLA verdict,
-// and 25 ms JVM pause tails (measured by the single-rack figures) would
-// smear both without adding geo-specific information.
+// Every cell attaches the consistency oracle and, as in the spectrum's
+// Cassandra cells, runs with the replica MutationStage jitter (geoAt), so
+// the staleness each level leaks is a measured column, not a story. GC
+// pauses stay off in this experiment (geoAt too): the effects under test
+// are multi-millisecond WAN waits and the 40 ms SLA verdict, and 25 ms JVM
+// pause tails (measured by the single-rack figures) would smear both
+// without adding geo-specific information.
 
 const (
 	// geoServersPerDC keeps each DC small enough that the 3-DC × 200 ms
@@ -131,7 +132,8 @@ type geoCell struct {
 func (c geoCell) String() string { return c.backend.String() + "/" + c.mode }
 
 func geoAt(dcs int, rtt time.Duration, lv ConsistencySetting, perDC []int) backend {
-	return backend{db: "Cassandra", lv: lv, dcs: dcs, rtt: rtt, perDC: perDC}
+	return backend{db: "Cassandra", lv: lv, dcs: dcs, rtt: rtt, perDC: perDC,
+		noGC: true, stageDelay: mutationStageJitter}
 }
 
 // geoCells enumerates the canonical sweep order: the 2- and 3-DC RTT ×
@@ -201,11 +203,6 @@ func RunGeo(o Options) (GeoResults, error) {
 // (optionally cutting and healing the DC 0–1 WAN link mid-run), lets
 // propagation settle, and snapshots the oracle and controller.
 func runGeoCell(o Options, c geoCell) (GeoResults, error) {
-	// GC stays off (see the header), and staleness is a reported column in
-	// every geo cell, so the replica MutationStage jitter is on, as in the
-	// consistency audit.
-	o.EnableGC = false
-	o.MutationStageDelay = auditMutationStage
 	spec := ycsb.ReadUpdate(o.StressRecords)
 	d := deploy(o, c.backend, spec)
 	oracle := consistency.New()
@@ -239,7 +236,7 @@ func runGeoCell(o Options, c geoCell) (GeoResults, error) {
 		out.Errors = res.Errors
 		settle := quiesce
 		if c.mode == geoModeFault {
-			settle = auditFaultSettle
+			settle = faultSettle
 		}
 		p.Sleep(settle)
 	})

@@ -16,11 +16,12 @@ import (
 // stream would shift every key that thread chooses after it.
 func TestInstrumentsDoNotPerturbRun(t *testing.T) {
 	o := smokeOptions()
-	o.EnableGC = false
 	o.Threads = 24
 	spec := ycsb.ReadUpdate(o.StressRecords)
+	b := cassandraAt(3, levels()[0])
+	b.noGC = true
 	run := func(oracle *consistency.Oracle, tr *trace.Tracer) ycsb.Result {
-		d := deploy(o, cassandraAt(3, levels()[0]), spec)
+		d := deploy(o, b, spec)
 		d.attach(oracle, tr)
 		var res ycsb.Result
 		if err := d.run(o.Threads, func(p *sim.Proc) { res = d.phase(p, spec, o.stressRun(0)) }); err != nil {

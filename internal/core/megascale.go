@@ -16,7 +16,7 @@ import (
 // Cassandra cluster — hundreds of database machines, RF 3, on the order
 // of a million YCSB client processes — partitioned across member kernels
 // by cluster.PlanShards. It is the one experiment whose model is spatially
-// split: the fig/audit/tracebreak/geo cells are process-carried — one
+// split: the fig/spectrum/tracebreak/geo cells are process-carried — one
 // client machine's threads touch every server directly — so they run on one
 // sequential kernel, while each megascale segment is an independent
 // cluster on its own member kernel and a controlled fraction of reads

@@ -31,7 +31,8 @@ const (
 	warmupFraction = 0.1
 )
 
-// Options controls the scale and knobs of every experiment.
+// Options controls the scale of every experiment and the testbed it runs
+// on; what a cell deploys at that scale is its backend (cell.go).
 type Options struct {
 	Seed int64
 
@@ -78,30 +79,15 @@ type Options struct {
 	// workload.
 	Fig3TargetFractions []float64
 
-	// GC models JVM stop-the-world pauses on the server nodes; EnableGC
-	// turns them on (both databases are JVM-hosted in the paper's
-	// testbed, and pauses are what create replica lag, staleness at
-	// CL=ONE, and the slow-replica tail that ALL writes wait out).
-	EnableGC bool
-	GC       cluster.GCConfig
-
-	// Ablation knobs.
-	ReadRepairChance float64 // Cassandra read_repair_chance (A1: set 0)
-	MemReplication   bool    // HBase in-memory replication (A2: set false)
+	// GC models JVM stop-the-world pauses on the server nodes of every
+	// cell whose backend leaves them on.
+	GC cluster.GCConfig
 
 	// SpectrumReplIntervals is the object store's anti-entropy period
 	// sweep for the replication-spectrum experiment, ascending. The first
 	// (fastest) interval anchors the cross-backend comparison cells; the
 	// rest extend the interval sweep and the fault cells.
 	SpectrumReplIntervals []time.Duration
-
-	// MutationStageDelay is Cassandra's per-mutation replica-stage
-	// scheduling jitter (cassandra.Config.MutationStageMeanDelay). The
-	// performance experiments leave it zero — the fan-out then delivers
-	// strictly FIFO and CL=ONE reads can never overtake a pending apply —
-	// and the consistency audit sets it, because that per-message
-	// reordering is the real-world CL=ONE visibility window it measures.
-	MutationStageDelay time.Duration
 }
 
 // QuickOptions returns replbench's default scale: every mechanism
@@ -116,10 +102,6 @@ type Options struct {
 //     They do only while a table does not grow: on Fig. 3's read-latest
 //     the table grows from 10k to 30k records past the 4 MB cache and
 //     its disks go from 16 % to 68 % busy (ROADMAP.md, open item 1).
-//   - ReadRepairChance is 1.0 (the thrift-era column-family default):
-//     §4.1 and §4.3 attribute first-order effects to read repair, which
-//     is only possible with global repair on (nearly) every read. The A1
-//     ablation sweeps this.
 func QuickOptions() Options {
 	ccfg := cluster.DefaultConfig()
 	// Fewer, slower effective execution slots than raw hardware threads:
@@ -145,7 +127,6 @@ func QuickOptions() Options {
 		CacheBytes:          4 << 20,
 		ReplicationFactors:  []int{1, 2, 3, 4, 5, 6},
 		Fig3TargetFractions: []float64{0.25, 0.5, 0.75, 1.0, 1.25},
-		EnableGC:            true,
 		GC: cluster.GCConfig{
 			// Scaled relative to the default so the tails are heavy
 			// enough to differentiate ack-count waits. A measured window
@@ -156,8 +137,6 @@ func QuickOptions() Options {
 			MeanPause:    25 * time.Millisecond,
 			MinPause:     time.Millisecond,
 		},
-		ReadRepairChance: 1.0,
-		MemReplication:   true,
 		SpectrumReplIntervals: []time.Duration{
 			200 * time.Millisecond, time.Second, 5 * time.Second,
 		},
@@ -166,8 +145,8 @@ func QuickOptions() Options {
 
 // SmokeOptions returns a minimal scale for CI smoke runs and -short tests:
 // every subsystem is still exercised (replication, repair, GC pauses, the
-// audit fault cell) but each sweep cell finishes in well under a second of
-// wall clock. Shapes at this scale are noisy; it exists to prove the
+// spectrum's fault cells) but each sweep cell finishes in well under a
+// second of wall clock. Shapes at this scale are noisy; it exists to prove the
 // machinery end to end, not to reproduce the paper's curves.
 func SmokeOptions() Options {
 	o := QuickOptions()
@@ -196,8 +175,8 @@ func PaperOptions() Options {
 }
 
 // anchorRF picks the replication factor of the cells an experiment pins
-// rather than sweeps (the audit's fault cell, the spectrum's cross-backend
-// comparison): the paper's recommended 3 when the sweep includes it,
+// rather than sweeps (the spectrum's Cassandra fault cell and its
+// cross-backend comparison): the paper's recommended 3 when the sweep includes it,
 // otherwise the largest swept factor, so the swept counterpart cell always
 // exists.
 func anchorRF(o Options) int {

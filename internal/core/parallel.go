@@ -11,7 +11,7 @@ import (
 //
 // Every report is a sweep over independent cells — (database, replication
 // factor) for Fig. 1 and Fig. 2, (consistency level, workload) for Fig. 3,
-// (mode, replication factor) for the ablations, the audit, spectrum,
+// (mode, replication factor) for the ablations, the spectrum,
 // tracebreak and geo grids, the failover systems. Each cell is a
 // self-contained deterministic simulation: it builds its own sim.Kernel
 // from Options.Seed, runs single-threaded in virtual time, and shares no

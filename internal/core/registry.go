@@ -38,7 +38,6 @@ func Experiments(cli CLI) []Experiment {
 		{"fig1", report(RunFig1)},
 		{"fig2", report(RunFig2)},
 		{"fig3", report(RunFig3)},
-		{"audit", report(RunConsistencyAudit)},
 		{"spectrum", report(RunSpectrum)},
 		{"tracebreak", func(o Options) (Report, error) { return runTraceExperiment(o, cli) }},
 		{"ablation-a1", report(AblationReadRepair)},

@@ -12,40 +12,87 @@ import (
 	"cloudbench/internal/ycsb"
 )
 
-// The replication-spectrum experiment.
+// The replication-spectrum experiment: one consistency grid.
 //
-// The paper's grid stops at Cassandra CL=ONE: the weakest setting it
-// measures still replicates synchronously in the request path — the
-// coordinator fans the mutation to every replica and waits for one ack, so
-// write cost grows with RF and the unacked replicas are already in flight
-// when the client resumes. Asynchronous replication, the Swift/Dynamo end
-// of the spectrum, acks after a single durable local apply and replicates
-// strictly after the ack. This experiment extends the paper's CL axis with
-// that third point: the same two staleness-sensitive workloads as the
-// consistency audit, over HBase (strong control), Cassandra at
-// ONE/QUORUM/writeALL, and the object store across its replication-factor
-// and anti-entropy-interval sweeps, reporting throughput, latency tails,
-// client-centric staleness, and t-visibility side by side.
+// The paper's §4.1 and §4.3 explain Cassandra's latency curves with a
+// causal story about stale replicas: writes at CL=ONE ack on the fastest
+// replica while the fixed "main replica" that serves subsequent reads may
+// lag behind, and read repair is what closes the gap. The paper never
+// measures the staleness itself, and its grid stops at CL=ONE, the
+// weakest setting it measures: the coordinator still fans the mutation to
+// every replica in the request path and waits for one ack.
+// Asynchronous replication, the Swift/Dynamo end of the spectrum, acks
+// after a single durable local apply and replicates strictly after the
+// ack.
 //
-// Expected shape, asserted by SpectrumResults.Findings:
+// This grid measures both halves with the consistency oracle, on the two
+// workloads whose read/write interleaving makes staleness observable
+// (read-latest targets just-written keys; read&update is the 50/50 mixer
+// of Fig. 3). The synchronous half is the performance figures' CL × RF
+// grid: HBase (the strong-consistency control) and Cassandra at
+// ONE/QUORUM/writeALL at every swept RF. The asynchronous half is the
+// object store: read-quorum-of-fresh at the anchor RF, read-one across
+// its replication-factor sweep at the fastest anti-entropy interval, and
+// its interval sweep at the anchor RF. Fault cells close the grid:
+// Cassandra at ONE, then one object-store cell per interval. Every cell
+// reports throughput, latency tails, client-centric staleness and
+// t-visibility side by side.
+//
+// Cassandra cells run with the replica MutationStage jitter on
+// (backend.stageDelay): without it the simulated fan-out delivers
+// strictly FIFO per node and a read issued after a write's ack can never
+// overtake the main replica's pending apply, so CL=ONE staleness would be
+// structurally zero — unlike a real cluster, where per-message stage
+// hand-off and JVM scheduling variance reorder the apply behind the read.
+// The latency experiments leave the jitter off (it is second order for
+// latency), which keeps Fig. 1–3 bit-identical.
+//
+// Expected shape, asserted by SpectrumResults.Findings — the synchronous
+// half (FA1–FA4):
+//   - HBase (single-owner regions) and Cassandra at QUORUM/writeALL
+//     (R+W > N) never serve stale reads: any read set intersects every
+//     acked write set, and digest mismatch triggers blocking repair
+//     before the read returns;
+//   - at CL=ONE the stale fraction grows strictly with RF: the ack comes
+//     from the fastest of RF independently jittered replicas while the
+//     read keeps hitting the fixed main replica, so more replicas mean an
+//     earlier ack — and a more heavily loaded mutation stage — both
+//     widening the window in which an acknowledged write is invisible;
+//   - under fault injection (one server fails a quarter into the run and
+//     recovers at the midpoint) the recovered server resumes serving its
+//     main-replica reads while still missing the down-window writes,
+//     visible as a staleness/monotonic spike relative to the healthy
+//     cell, and hinted handoff is what closes the gap — visible as
+//     hint-replay applies during the settle window;
+//
+// and the asynchronous half (FS1–FS4):
 //   - the async ack path decouples write latency from RF: the object
 //     store's write tail is flat across the RF sweep while all-replica
 //     visibility (TVisAll) keeps growing — replication work still scales
 //     with RF, it just moves off the request path;
 //   - the visibility cost is real: at the anchor cell the object store's
-//     TVisAll tail exceeds Cassandra CL=ONE's, whose fan-out is already in
-//     flight at ack time, and its read-one staleness exceeds CL=ONE's;
+//     read-one staleness exceeds Cassandra CL=ONE's, whose fan-out is
+//     already in flight at ack time;
 //   - under fault injection the anti-entropy interval is the convergence
 //     knob: a faster replicator closes the post-recovery staleness window
 //     that spilled async jobs left open;
 //   - read-quorum-of-fresh buys back most read-side staleness without
 //     touching the write path.
 
-// spectrumFaultDowntime is how long the fault cells hold the victim
-// server down: past the async job retry budget (~6× the default retry
-// base), so replication to it spills to the updater and convergence is
-// carried by the anti-entropy pass.
-const spectrumFaultDowntime = time.Second
+const (
+	// mutationStageJitter is the per-mutation stage jitter mean (scaled by
+	// RF inside cassandra) of every cell that measures Cassandra's
+	// staleness: the spectrum's and geo's.
+	mutationStageJitter = 150 * time.Microsecond
+	// faultSettle keeps a fault cell's simulation alive after the run so
+	// the hint-replay loop (default interval 10 s) demonstrably drains.
+	faultSettle = 15 * time.Second
+	// spectrumFaultDowntime is how long the object-store fault cells hold
+	// the victim server down: past the async job retry budget (~6× the
+	// default retry base), so replication to it spills to the updater and
+	// convergence is carried by the anti-entropy pass.
+	spectrumFaultDowntime = time.Second
+)
 
 // SpectrumResult is one cell of the replication-spectrum grid.
 type SpectrumResult struct {
@@ -69,8 +116,7 @@ type SpectrumResult struct {
 // SpectrumResults collects the full spectrum grid.
 type SpectrumResults []SpectrumResult
 
-// spectrumCell is one grid point of the spectrum — and of the consistency
-// audit, whose cells are the same protocol without the object-store arm.
+// spectrumCell is one grid point of the spectrum.
 type spectrumCell struct {
 	backend
 	spec  ycsb.Spec
@@ -92,20 +138,34 @@ func objstoreAt(rf int, interval time.Duration, mode objstore.ReadMode) backend 
 	return backend{db: "ObjStore", rf: rf, interval: interval, mode: mode}
 }
 
+// staleCassandraAt is a Cassandra backend with the replica MutationStage
+// jitter on, so its CL=ONE staleness is measurable.
+func staleCassandraAt(rf int, lv ConsistencySetting) backend {
+	b := cassandraAt(rf, lv)
+	b.stageDelay = mutationStageJitter
+	return b
+}
+
 // spectrumCells enumerates the canonical order: workload-major; per
-// workload the anchor-RF backend comparison (HBase, the three Cassandra
-// levels, objstore read-quorum), then the object store's RF sweep at the
-// fastest anti-entropy interval and its interval sweep at the anchor RF;
-// finally one fault-injected object-store cell per interval.
+// workload the HBase control sweep, Cassandra level-major with RF
+// ascending, the object store's read-quorum cell at the anchor RF and the
+// fastest anti-entropy interval, its RF sweep at that interval and its
+// interval sweep at the anchor RF; then the fault cells — Cassandra at ONE
+// and the anchor RF, and one object-store cell per interval.
 func spectrumCells(o Options) []spectrumCell {
 	anchor := anchorRF(o)
 	ivals := o.SpectrumReplIntervals
 	fastest := ivals[0]
 	var cells []spectrumCell
-	for _, spec := range auditSpecs(o) {
-		cells = append(cells, spectrumCell{backend: hbaseAt(anchor), spec: spec})
+	faultSpec := ycsb.ReadUpdate(o.StressRecords)
+	for _, spec := range []ycsb.Spec{ycsb.ReadLatest(o.StressRecords), faultSpec} {
+		for _, rf := range o.ReplicationFactors {
+			cells = append(cells, spectrumCell{backend: hbaseAt(rf), spec: spec})
+		}
 		for _, lv := range levels() {
-			cells = append(cells, spectrumCell{backend: cassandraAt(anchor, lv), spec: spec})
+			for _, rf := range o.ReplicationFactors {
+				cells = append(cells, spectrumCell{backend: staleCassandraAt(rf, lv), spec: spec})
+			}
 		}
 		cells = append(cells, spectrumCell{backend: objstoreAt(anchor, fastest, objstore.ReadQuorumFresh), spec: spec})
 		for _, rf := range o.ReplicationFactors {
@@ -115,11 +175,9 @@ func spectrumCells(o Options) []spectrumCell {
 			cells = append(cells, spectrumCell{backend: objstoreAt(anchor, iv, objstore.ReadOne), spec: spec})
 		}
 	}
+	cells = append(cells, spectrumCell{backend: staleCassandraAt(anchor, levels()[0]), spec: faultSpec, fault: true})
 	for _, iv := range ivals {
-		cells = append(cells, spectrumCell{
-			backend: objstoreAt(anchor, iv, objstore.ReadOne),
-			spec:    ycsb.ReadUpdate(o.StressRecords), fault: true,
-		})
+		cells = append(cells, spectrumCell{backend: objstoreAt(anchor, iv, objstore.ReadOne), spec: faultSpec, fault: true})
 	}
 	return cells
 }
@@ -153,10 +211,7 @@ func writeHistogram(res *ycsb.Result) *stats.Histogram {
 // runSpectrumCell deploys one backend, attaches an oracle, loads, runs the
 // workload (optionally failing and recovering a server mid-run), lets
 // replication, repairs and hint replay settle, and snapshots the report.
-// Cassandra cells run with the replica MutationStage jitter on (see the
-// audit's header): without it CL=ONE staleness is structurally zero.
 func runSpectrumCell(o Options, c spectrumCell) (SpectrumResults, error) {
-	o.MutationStageDelay = auditMutationStage
 	d := deploy(o, c.backend, c.spec)
 	oracle := consistency.New()
 	d.attach(oracle, nil)
@@ -204,8 +259,8 @@ func runSpectrumCell(o Options, c spectrumCell) (SpectrumResults, error) {
 		if 2*c.interval > settle {
 			settle = 2 * c.interval
 		}
-		if c.fault && settle < auditFaultSettle {
-			settle = auditFaultSettle
+		if c.fault && settle < faultSettle {
+			settle = faultSettle
 		}
 		p.Sleep(settle)
 	})
@@ -233,24 +288,28 @@ func (r SpectrumResults) get(db, workload, level string, rf int, interval time.D
 	return nil
 }
 
-// faults returns the fault-injected cells in interval order.
-func (r SpectrumResults) faults() []*SpectrumResult {
+// faults returns db's fault-injected cells in row (for the object store,
+// interval) order.
+func (r SpectrumResults) faults(db string) []*SpectrumResult {
 	var out []*SpectrumResult
 	for i := range r {
-		if r[i].Fault {
+		if r[i].Fault && r[i].DB == db {
 			out = append(out, &r[i])
 		}
 	}
 	return out
 }
 
-// Tables renders the spectrum as one row per cell.
+// Tables renders the spectrum as one row per cell: staleness and
+// visibility next to latency.
 func (r SpectrumResults) Tables() []*stats.Table {
 	t := stats.NewTable("Replication spectrum — synchronous to asynchronous replication side by side",
 		"db", "workload", "level", "rf", "repl-interval", "fault",
 		"ops/sec", "mean-latency", "read-p99", "write-p99",
-		"reads", "stale-%", "async-regress", "mono-viol",
-		"tvis-all-p50", "tvis-all-p99")
+		"reads", "stale", "stale-%", "mean-lag", "max-lag", "async-regress", "mono-viol",
+		"tvis-q-p50", "tvis-q-p99", "tvis-all-p50", "tvis-all-p99",
+		"repair-applies", "hint-applies")
+	us := func(d time.Duration) string { return d.Round(time.Microsecond).String() }
 	for _, m := range r {
 		c := m.Consistency
 		interval := "-"
@@ -258,22 +317,121 @@ func (r SpectrumResults) Tables() []*stats.Table {
 			interval = m.ReplInterval.String()
 		}
 		t.AddRow(m.DB, m.Workload, m.Level, m.RF, interval, m.Fault,
-			m.Runtime, m.Mean.Round(time.Microsecond).String(),
-			m.ReadP99.Round(time.Microsecond).String(),
-			m.WriteP99.Round(time.Microsecond).String(),
-			c.Reads, fmt.Sprintf("%.3f", 100*c.StaleFraction()),
-			c.AsyncRegressions, c.MonotonicViolations,
-			c.TVisAllP50.Round(time.Microsecond).String(),
-			c.TVisAllP99.Round(time.Microsecond).String())
+			m.Runtime, us(m.Mean), us(m.ReadP99), us(m.WriteP99),
+			c.Reads, c.StaleReads, fmt.Sprintf("%.3f", 100*c.StaleFraction()),
+			fmt.Sprintf("%.2f", c.MeanLag), c.MaxLag, c.AsyncRegressions, c.MonotonicViolations,
+			us(c.TVisQuorumP50), us(c.TVisQuorumP99), us(c.TVisAllP50), us(c.TVisAllP99),
+			c.RepairApplies, c.HintApplies)
 	}
 	return []*stats.Table{t}
 }
 
-// Findings evaluates the spectrum's qualitative claims. The grid's axes
-// come from its rows: the anchor RF is the HBase cells', the fastest
-// anti-entropy interval the read-quorum cells', and the workloads are
-// those of the healthy cells, in row order.
+// Findings evaluates the grid's claims: FA1–FA4 on its synchronous half,
+// then FS1–FS4 on its asynchronous half.
 func (r SpectrumResults) Findings() []Finding {
+	return append(r.syncFindings(), r.asyncFindings()...)
+}
+
+// syncFindings judges the synchronous half: HBase and Cassandra's level ×
+// RF grid and Cassandra's fault cell.
+func (r SpectrumResults) syncFindings() []Finding {
+	var fs []Finding
+
+	// FA1: HBase, the strong-consistency control, is always fresh.
+	hbStale, hbMono, hbCells := int64(0), int64(0), 0
+	for _, m := range r {
+		if m.DB == "HBase" {
+			hbCells++
+			hbStale += m.Consistency.StaleReads
+			hbMono += m.Consistency.MonotonicViolations
+		}
+	}
+	fs = append(fs, Finding{
+		ID:     "FA1",
+		Claim:  "HBase serves zero stale reads at every replication factor",
+		Pass:   hbCells > 0 && hbStale == 0 && hbMono == 0,
+		Detail: fmt.Sprintf("%d cells: stale=%d monotonic-violations=%d", hbCells, hbStale, hbMono),
+	})
+
+	// FA2: R+W > N (QUORUM/QUORUM and ONE-read/ALL-write) never stale on
+	// a healthy cluster: any read quorum intersects every acked write set.
+	var qStale, qReads int64
+	qCells := 0
+	for _, m := range r {
+		if m.DB == "Cassandra" && !m.Fault && (m.Level == "QUORUM" || m.Level == "writeALL") {
+			qCells++
+			qStale += m.Consistency.StaleReads
+			qReads += m.Consistency.Reads
+		}
+	}
+	fs = append(fs, Finding{
+		ID:     "FA2",
+		Claim:  "Cassandra never serves stale reads when R+W > N (QUORUM, writeALL)",
+		Pass:   qCells > 0 && qStale == 0,
+		Detail: fmt.Sprintf("%d cells, %d reads: stale=%d", qCells, qReads, qStale),
+	})
+
+	// FA3: at CL=ONE the stale fraction grows strictly with RF — the
+	// mechanism behind the paper's F4: acks come from the fastest of RF
+	// replicas while reads keep hitting the fixed main replica.
+	pass3 := true
+	detail3 := ""
+	for _, spec := range []string{"read-latest", "read-update"} {
+		var series []float64
+		var rfs []int
+		for _, m := range r {
+			if m.DB == "Cassandra" && m.Workload == spec && m.Level == "ONE" && !m.Fault {
+				series = append(series, m.Consistency.StaleFraction())
+				rfs = append(rfs, m.RF)
+			}
+		}
+		if len(series) < 2 {
+			continue
+		}
+		pass3 = pass3 && stats.Increasing(series)
+		detail3 += fmt.Sprintf("%s:", spec)
+		for i, v := range series {
+			detail3 += fmt.Sprintf(" rf%d=%.3f%%", rfs[i], 100*v)
+		}
+		detail3 += "  "
+	}
+	fs = append(fs, Finding{
+		ID:     "FA3",
+		Claim:  "stale-read fraction at CL=ONE strictly increases with replication factor",
+		Pass:   pass3 && detail3 != "",
+		Detail: detail3,
+	})
+
+	// FA4: fault injection at ONE adds staleness/monotonic regressions,
+	// and hinted handoff is what closes the gap after recovery.
+	if f := r.faults("Cassandra"); len(f) > 0 {
+		f := f[0]
+		h := r.get(f.DB, f.Workload, f.Level, f.RF, 0)
+		pass := f.Consistency.HintApplies > 0
+		detail := fmt.Sprintf("fault cell (%s %s rf%d): stale=%.3f%% mono-viol=%d hint-applies=%d",
+			f.Level, f.Workload, f.RF, 100*f.Consistency.StaleFraction(),
+			f.Consistency.MonotonicViolations, f.Consistency.HintApplies)
+		if h != nil {
+			pass = pass && f.Consistency.StaleFraction() >= h.Consistency.StaleFraction() &&
+				f.Consistency.MonotonicViolations >= h.Consistency.MonotonicViolations
+			detail += fmt.Sprintf(" vs healthy: stale=%.3f%% mono-viol=%d",
+				100*h.Consistency.StaleFraction(), h.Consistency.MonotonicViolations)
+		}
+		fs = append(fs, Finding{
+			ID:     "FA4",
+			Claim:  "fault injection adds staleness at ONE; hinted handoff replays close the gap",
+			Pass:   pass,
+			Detail: detail,
+		})
+	}
+	return fs
+}
+
+// asyncFindings judges the asynchronous half against the synchronous
+// one. The axes come from the rows: the anchor RF and the fastest
+// anti-entropy interval are the read-quorum cells', and the workloads are
+// those of the healthy cells, in row order.
+func (r SpectrumResults) asyncFindings() []Finding {
 	var anchor int
 	var fastest time.Duration
 	var workloads []string
@@ -281,11 +439,8 @@ func (r SpectrumResults) Findings() []Finding {
 		if m.Fault {
 			continue
 		}
-		if m.DB == "HBase" && anchor == 0 {
-			anchor = m.RF
-		}
 		if m.Level == "async/read-quorum" && fastest == 0 {
-			fastest = m.ReplInterval
+			anchor, fastest = m.RF, m.ReplInterval
 		}
 		if !slices.Contains(workloads, m.Workload) {
 			workloads = append(workloads, m.Workload)
@@ -374,7 +529,7 @@ func (r SpectrumResults) Findings() []Finding {
 	// (the all-replica visibility tail) grows with the interval.
 	var tvis []float64
 	detail3 := ""
-	for _, m := range r.faults() {
+	for _, m := range r.faults("ObjStore") {
 		tvis = append(tvis, float64(m.Consistency.TVisAllP99))
 		detail3 += fmt.Sprintf("interval=%v: tvis-all-p99=%v stale=%.3f%% async-regress=%d  ",
 			m.ReplInterval, m.Consistency.TVisAllP99.Round(time.Millisecond),

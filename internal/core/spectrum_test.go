@@ -1,42 +1,109 @@
 package core
 
 import (
+	"fmt"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"cloudbench/internal/objstore"
+	"cloudbench/internal/ycsb"
 )
 
 // TestSpectrumCellsCanonicalOrder pins the grid enumeration the CSV and
-// the bit-identity gates depend on.
+// the bit-identity gates depend on, at the smoke profile, and that every
+// cell is run once: no two cells share a label.
 func TestSpectrumCellsCanonicalOrder(t *testing.T) {
-	o := SmokeOptions()
-	cells := spectrumCells(o)
-	// Per workload: HBase + 3 Cassandra levels + read-quorum + RF sweep +
-	// extra intervals; then one fault cell per interval.
-	perWorkload := 1 + 3 + 1 + len(o.ReplicationFactors) + len(o.SpectrumReplIntervals) - 1
-	want := 2*perWorkload + len(o.SpectrumReplIntervals)
-	if len(cells) != want {
-		t.Fatalf("spectrumCells = %d cells, want %d", len(cells), want)
-	}
-	if cells[0].db != "HBase" || cells[0].spec.Name != "read-latest" {
-		t.Fatalf("first cell = %s/%s, want HBase/read-latest", cells[0].db, cells[0].spec.Name)
-	}
-	last := cells[len(cells)-1]
-	if !last.fault || last.db != "ObjStore" ||
-		last.interval != o.SpectrumReplIntervals[len(o.SpectrumReplIntervals)-1] {
-		t.Fatalf("last cell = %+v, want the slowest-interval fault cell", last)
-	}
-	// The label sweep errors carry names every axis the grid varies.
-	if got, want := last.String(), "ObjStore/async/read-one/rf3/read-update/2s/fault"; got != want {
-		t.Errorf("last cell label = %q, want %q", got, want)
-	}
+	cells := spectrumCells(SmokeOptions())
+	var labels []string
+	seen := map[string]bool{}
 	for _, c := range cells {
-		if c.db == "ObjStore" && c.interval == 0 {
-			t.Fatalf("objstore cell without interval: %+v", c)
+		l := c.String()
+		if seen[l] {
+			t.Errorf("cell %s enumerated twice", l)
 		}
-		if c.fault && (c.spec.Name != "read-update" || c.mode != objstore.ReadOne) {
-			t.Fatalf("fault cell = %+v, want read-update/read-one", c)
+		seen[l] = true
+		labels = append(labels, l)
+	}
+	var want strings.Builder
+	for _, wl := range []string{"read-latest", "read-update"} {
+		for _, b := range []string{
+			"HBase/strong/rf1", "HBase/strong/rf3",
+			"Cassandra/ONE/rf1", "Cassandra/ONE/rf3",
+			"Cassandra/QUORUM/rf1", "Cassandra/QUORUM/rf3",
+			"Cassandra/writeALL/rf1", "Cassandra/writeALL/rf3",
+		} {
+			fmt.Fprintf(&want, "%s/%s\n", b, wl)
+		}
+		fmt.Fprintf(&want, "ObjStore/async/read-quorum/rf3/%[1]s/200ms\nObjStore/async/read-one/rf1/%[1]s/200ms\n"+
+			"ObjStore/async/read-one/rf3/%[1]s/200ms\nObjStore/async/read-one/rf3/%[1]s/2s\n", wl)
+	}
+	want.WriteString(`Cassandra/ONE/rf3/read-update/fault
+ObjStore/async/read-one/rf3/read-update/200ms/fault
+ObjStore/async/read-one/rf3/read-update/2s/fault`)
+	if got := strings.Join(labels, "\n"); got != want.String() {
+		t.Errorf("spectrum cells enumerate as\n%s\nwant\n%s", got, want.String())
+	}
+	// Only the cells that measure Cassandra's staleness reorder its
+	// replica stage.
+	for _, c := range cells {
+		if (c.stageDelay > 0) != (c.db == "Cassandra") {
+			t.Errorf("cell %s: stage jitter %v", c, c.stageDelay)
+		}
+	}
+}
+
+// smokeSpectrum runs the full grid at smoke scale once; the audit-half and
+// whole-grid smoke tests both judge that one run.
+var smokeSpectrum = sync.OnceValues(func() (SpectrumResults, error) {
+	return RunSpectrum(SmokeOptions())
+})
+
+// TestConsistencyAuditSmoke checks the grid's synchronous half at smoke
+// scale: every HBase and Cassandra cell served reads, Cassandra's fault
+// cell ran, the table carries the staleness columns, and FA1–FA4 hold.
+func TestConsistencyAuditSmoke(t *testing.T) {
+	o := SmokeOptions()
+	results, err := smokeSpectrum()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results.faults("Cassandra")) != 1 {
+		t.Fatal("Cassandra fault cell missing")
+	}
+	cells := 0
+	for _, m := range results {
+		if m.DB == "ObjStore" {
+			continue
+		}
+		cells++
+		if m.Runtime <= 0 || m.Consistency.Reads == 0 {
+			t.Errorf("empty cell %s/%s/%s/rf%d: tput=%.0f reads=%d",
+				m.DB, m.Workload, m.Level, m.RF, m.Runtime, m.Consistency.Reads)
+		}
+	}
+	// 2 workloads × (HBase + three Cassandra levels) × RF, plus the fault cell.
+	if want := 2*4*len(o.ReplicationFactors) + 1; cells != want {
+		t.Errorf("synchronous cells = %d, want %d", cells, want)
+	}
+	out := results.Tables()[0].String()
+	for _, want := range []string{"stale-%", "tvis-q-p50", "mono-viol", "hint-applies", "HBase", "writeALL"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("table missing %q", want)
+		}
+	}
+	fs := results.syncFindings()
+	if len(fs) != 4 {
+		t.Fatalf("synchronous findings = %d, want FA1–FA4", len(fs))
+	}
+	for i, f := range fs {
+		if want := fmt.Sprintf("FA%d", i+1); f.ID != want {
+			t.Errorf("finding %d is %s, want %s", i, f.ID, want)
+		}
+		t.Log(f)
+		if !f.Pass {
+			t.Errorf("finding failed: %s", f)
 		}
 	}
 }
@@ -45,13 +112,17 @@ func TestSpectrumCellsCanonicalOrder(t *testing.T) {
 // qualitative findings hold end to end.
 func TestSpectrumSmoke(t *testing.T) {
 	o := SmokeOptions()
-	results, err := RunSpectrum(o)
+	results, err := smokeSpectrum()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(results) != len(spectrumCells(o)) {
 		t.Fatalf("results = %d, want %d", len(results), len(spectrumCells(o)))
 	}
+	if len(results.faults("ObjStore")) != len(o.SpectrumReplIntervals) {
+		t.Fatal("object-store fault cells missing")
+	}
+	// Every cell actually served traffic and measured reads.
 	for _, m := range results {
 		if m.Runtime <= 0 || m.Consistency.Reads == 0 {
 			t.Errorf("cell %s/%s/%s rf%d: throughput=%.0f reads=%d — did not run",
@@ -61,8 +132,15 @@ func TestSpectrumSmoke(t *testing.T) {
 			t.Errorf("objstore cell %s/%s rf%d: no writes observed", m.Workload, m.Level, m.RF)
 		}
 	}
+	out := results.Tables()[0].String()
+	for _, want := range []string{"stale-%", "tvis-q-p50", "mono-viol", "hint-applies", "async-regress",
+		"HBase", "writeALL", "async/read-quorum"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("table missing %q", want)
+		}
+	}
 	if testing.Verbose() {
-		t.Log("\n" + results.Tables()[0].String())
+		t.Log("\n" + out)
 	}
 	findings := results.Findings()
 	checkFindingsBlock(t, "spectrum", "Smoke profile (`SmokeOptions`)", o, findings)
@@ -81,7 +159,7 @@ func TestSpectrumSmoke(t *testing.T) {
 func TestSpectrumObjstoreAsyncAccounting(t *testing.T) {
 	o := SmokeOptions()
 	rows, err := runSpectrumCell(o, spectrumCell{
-		backend: objstoreAt(3, 500*time.Millisecond, objstore.ReadOne), spec: auditSpecs(o)[0],
+		backend: objstoreAt(3, 500*time.Millisecond, objstore.ReadOne), spec: ycsb.ReadLatest(o.StressRecords),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -135,7 +135,7 @@ func runTraceCell(o Options, b backend, keep int) (TraceResult, []trace.Span, er
 	// class's summed latency (every share's denominator) by more than the
 	// effects under study. Trace cells therefore run with GC off; the
 	// latency experiments keep it on (and stay bit-identical).
-	o.EnableGC = false
+	b.noGC = true
 	spec := ycsb.ReadUpdate(o.StressRecords)
 	d := deploy(o, b, spec)
 	tr := trace.New()

@@ -229,9 +229,9 @@ func (rs *RegionServer) write(p *sim.Proc, r *Region, key kv.Key, rec kv.Record,
 	db.Serve(p, rs.Node)
 	ver := db.Version()
 	if db.Oracle != nil {
-		// HBase is the audit's strong-consistency control: zero stale reads,
-		// zero monotonic violations. One read-serving replica per key: the
-		// owning region. Peer
+		// HBase is the spectrum's strong-consistency control: zero stale
+		// reads, zero monotonic violations. One read-serving replica per
+		// key: the owning region. Peer
 		// memstores (or peer WALs on the ablation path) are durability
 		// copies that never serve reads, so they are not visibility
 		// events.

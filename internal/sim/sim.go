@@ -478,7 +478,7 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 // what makes recycling allocation-free. The streams are deterministic and
 // procSeed-derived either way, just different generators; Go processes in
 // the database models draw from theirs only off the performance paths
-// (audit-mode jitter).
+// (the MutationStage jitter of the cells that measure staleness).
 //
 // The *Proc passed to fn must not be retained after fn returns.
 func (k *Kernel) Go(name string, fn func(p *Proc)) {
