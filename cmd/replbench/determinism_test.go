@@ -163,8 +163,6 @@ func TestSmokeGoldenDigests(t *testing.T) {
 		{name: "megascale-shards2", extra: []string{"-shards", "2"}},
 		{name: "megascale-shards4", extra: []string{"-shards", "4"}},
 		{name: "table1"},
-		{name: "ablation-a1"},
-		{name: "ablation-a2"},
 		{name: "ablation-a3"},
 		{name: "failover", long: true}, // four 40-s-of-sim-time timelines: as slow as fig3
 	}

@@ -60,7 +60,7 @@ func run(args []string, stdout io.Writer) error {
 	seed := fs.Int64("seed", 1, "simulation seed")
 	parallel := fs.Int("parallel", 0, "sweep cells run concurrently (0 = one per CPU); results are bit-identical for every value")
 	shards := fs.Int("shards", 0, "member kernels megascale partitions its deployment across (at least 2)")
-	rfList := fs.String("rf", "", "comma-separated replication factors (default 1-6)")
+	rfList := fs.String("rf", "", "comma-separated replication factors, ascending (default 1-6)")
 	csv := fs.Bool("csv", false, "emit CSV instead of aligned tables")
 	out := fs.String("o", "", "also write the report to this file")
 	if err := fs.Parse(args); err != nil {
@@ -106,8 +106,9 @@ func run(args []string, stdout io.Writer) error {
 	if *rfList != "" {
 		var rfs []int
 		for _, part := range strings.Split(*rfList, ",") {
+			// Findings walk the rows in RF order, so the list ascends.
 			n, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil || n < 1 {
+			if err != nil || n < 1 || (len(rfs) > 0 && n <= rfs[len(rfs)-1]) {
 				return fmt.Errorf("bad -rf entry %q", part)
 			}
 			rfs = append(rfs, n)

@@ -91,8 +91,12 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-experiment", "table1", "-profile", "bogus"}, &b); err == nil {
 		t.Error("bad profile accepted")
 	}
-	if err := run([]string{"-experiment", "table1", "-rf", "1,x"}, &b); err == nil {
-		t.Error("bad rf list accepted")
+	// A list out of ascending order would turn every finding that walks
+	// rows in RF order red on good data.
+	for _, rfs := range []string{"1,x", "3,1", "3,3"} {
+		if err := run([]string{"-experiment", "table1", "-rf", rfs}, &b); err == nil || !strings.Contains(err.Error(), "bad -rf") {
+			t.Errorf("-rf %s: err = %v, want the bad -rf error", rfs, err)
+		}
 	}
 	for _, flag := range []string{"-shards", "-parallel"} {
 		if err := run([]string{"-experiment", "table1", flag, "-1"}, &b); err == nil {
@@ -114,10 +118,11 @@ func TestRunRejectsUnknownExperiment(t *testing.T) {
 			t.Errorf("unknown-experiment error missing %q: %v", want, err)
 		}
 	}
-	// Neither findings nor sla nor audit is an experiment: every run
-	// already ends with its findings, geo's FG3 judges the SLA proposal of
-	// §6, and the staleness grid is the spectrum's synchronous half.
-	for _, name := range []string{"findings", "sla", "audit"} {
+	// Neither findings nor sla nor audit nor A1/A2 is an experiment: every
+	// run already ends with its findings, geo's FG3 judges the SLA proposal
+	// of §6, the staleness grid is the spectrum's synchronous half, and the
+	// read repair and replication counterfactuals are Fig. 1's twin cells.
+	for _, name := range []string{"findings", "sla", "audit", "ablation-a1", "ablation-a2"} {
 		if err := run([]string{"-experiment", name}, &b); err == nil || !strings.Contains(err.Error(), `unknown experiment "`+name+`"`) {
 			t.Errorf("-experiment %s: err = %v, want the unknown-experiment error", name, err)
 		}

@@ -20,7 +20,7 @@
 //   - internal/core — the paper's methodology: the micro benchmark for
 //     replication (Fig. 1), the stress benchmark for replication (Fig. 2),
 //     the stress benchmark for consistency (Fig. 3), Table 1, and the
-//     ablations documented in DESIGN.md.
+//     counterfactuals and ablation documented in DESIGN.md.
 //
 // See README.md for a walkthrough, DESIGN.md for the system inventory and
 // substitutions, and EXPERIMENTS.md for paper-versus-measured results.

@@ -59,13 +59,14 @@ type backend struct {
 	// writes wait out; geo and tracebreak measure effects they would
 	// only smear.
 	noGC bool
-	// noReadRepair sets Cassandra's read_repair_chance to 0 (A1). The
-	// paper's 1.0 is the thrift-era column-family default: §4.1 and §4.3
-	// attribute first-order effects to read repair, which is only
-	// possible with global repair on (nearly) every read.
+	// noReadRepair sets Cassandra's read_repair_chance to 0: Fig. 1's
+	// read-repair-off twin cells (F4′). The paper's 1.0 is the thrift-era
+	// column-family default: §4.1 and §4.3 attribute first-order effects
+	// to read repair, which is only possible with global repair on
+	// (nearly) every read.
 	noReadRepair bool
 	// syncRepl replaces HBase's in-memory replication with synchronous
-	// disk replication (A2).
+	// disk replication: Fig. 1's sync-replication twin cells (F2′).
 	syncRepl bool
 	// stageDelay is the mean of Cassandra's per-mutation replica-stage
 	// scheduling jitter (cassandra.Config.MutationStageMeanDelay). At zero
@@ -92,12 +93,28 @@ func (b backend) level() string {
 	return b.lv.Name
 }
 
-// String labels the backend in sweep errors.
+// config names the configuration the backend runs: "paper", or the
+// counterfactual it switches on.
+func (b backend) config() string {
+	switch {
+	case b.noReadRepair:
+		return "read-repair-off"
+	case b.syncRepl:
+		return "sync-replication"
+	}
+	return "paper"
+}
+
+// String labels the backend in sweep errors, naming a counterfactual.
 func (b backend) String() string {
 	if b.dcs > 0 {
 		return fmt.Sprintf("%ddc/%v/%s/%s", b.dcs, b.rtt, b.lv.Name, rfLabel(b.perDC))
 	}
-	return fmt.Sprintf("%s/%s/rf%d", b.db, b.level(), b.rf)
+	s := fmt.Sprintf("%s/%s/rf%d", b.db, b.level(), b.rf)
+	if c := b.config(); c != "paper" {
+		s += "/" + c
+	}
+	return s
 }
 
 // deployment is one freshly provisioned database under test.

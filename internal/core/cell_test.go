@@ -68,6 +68,31 @@ func TestPhaseCarriesInsertedCount(t *testing.T) {
 	}
 }
 
+// TestFig1CellsCanonicalOrder pins Fig. 1's grid at the smoke profile: the
+// paper's cells exactly as Fig. 2 sweeps them, then their counterfactual
+// twins, each labelled apart from its paper cell.
+func TestFig1CellsCanonicalOrder(t *testing.T) {
+	o := SmokeOptions()
+	cells, paper := fig1Cells(o), dbRFCells(o)
+	want := "[HBase/strong/rf1 HBase/strong/rf3 Cassandra/ONE/rf1 Cassandra/ONE/rf3 " +
+		"HBase/strong/rf1/sync-replication HBase/strong/rf3/sync-replication " +
+		"Cassandra/ONE/rf1/read-repair-off Cassandra/ONE/rf3/read-repair-off]"
+	if got := fmt.Sprint(cells); got != want {
+		t.Errorf("fig1 cells enumerate as\n%s\nwant\n%s", got, want)
+	}
+	if got, want := fmt.Sprint(cells[:len(paper)]), fmt.Sprint(paper); got != want {
+		t.Errorf("fig1's paper cells are %s, want Fig. 2's %s", got, want)
+	}
+	seen := map[string]bool{}
+	for _, c := range cells {
+		if l := c.String(); seen[l] {
+			t.Errorf("cell %s enumerated twice", l)
+		} else {
+			seen[l] = true
+		}
+	}
+}
+
 // TestCellsCanonicalOrder pins the cell enumeration sweep reassembles rows
 // in — the order every CSV and bit-identity gate depends on — for the grids
 // TestSpectrumCellsCanonicalOrder does not cover, at the smoke profile.

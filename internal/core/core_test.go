@@ -2,6 +2,7 @@ package core
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -108,32 +109,32 @@ func TestGCStopsWithDriver(t *testing.T) {
 	}
 }
 
+// reducedFig1 and smokeFig1 each run Fig. 1 once; the paper-claims and
+// counterfactual tests all judge those runs.
+var (
+	reducedFig1 = sync.OnceValues(func() (Fig1Results, error) { return RunFig1(reducedOptions()) })
+	smokeFig1   = sync.OnceValues(func() (Fig1Results, error) { return RunFig1(SmokeOptions()) })
+)
+
 func TestFig1ReproducesMicroFindings(t *testing.T) {
 	if testing.Short() {
-		// 1-cell smoke: one database at one RF, plumbing only.
-		res, err := runFig1Cell(smokeOptions(), cassandraAt(3, levels()[0]))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res) != 4 {
-			t.Fatalf("smoke results = %d, want 4 ops", len(res))
-		}
-		if len(res.Figures()) != 4 {
-			t.Fatal("smoke figures malformed")
+		// Plumbing only: the smoke run the counterfactual tests judge.
+		if res, err := smokeFig1(); err != nil || len(res) != 2*2*2*4 || len(res.Figures()) != 4 {
+			t.Fatalf("smoke run malformed: %d rows, err %v", len(res), err)
 		}
 		return
 	}
 	o := reducedOptions()
-	res, err := RunFig1(o)
+	res, err := reducedFig1()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res) != 2*2*4 { // 2 DBs × 2 RFs × 4 ops
+	if len(res) != 2*2*2*4 { // paper and twin × 2 DBs × 2 RFs × 4 ops
 		t.Fatalf("results = %d", len(res))
 	}
 	findings := res.Findings()
 	checkFindingsBlock(t, "fig1", "Reduced profile (`reducedOptions`)", o, findings)
-	allPass(t, findings)
+	allPass(t, findings[:4]) // F1–F4; F4′ and F2′ are TestAblationReadRepair's and TestAblationHBaseSyncRepl's
 	// Rendering sanity.
 	figs := res.Figures()
 	if len(figs) != 4 {
@@ -141,6 +142,45 @@ func TestFig1ReproducesMicroFindings(t *testing.T) {
 	}
 	if !strings.Contains(figs[0].Table().String(), "HBase") {
 		t.Error("figure table missing series")
+	}
+}
+
+// counterfactualFig1 returns the run the A1 and A2 tests judge: the
+// reduced one, or the smoke one under -short. On either, a knob is inert
+// without replicas: each RF-1 twin row equals its paper row but Config.
+func counterfactualFig1(t *testing.T) Fig1Results {
+	t.Helper()
+	run := reducedFig1
+	if testing.Short() {
+		run = smokeFig1
+	}
+	res, err := run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, twin := range res {
+		paper := *res.at("paper", twin.DB, twin.Op, twin.RF)
+		paper.Config = twin.Config
+		if twin.RF == 1 && twin != paper {
+			t.Errorf("%s rf1 %s differs from the paper cell: %+v, want %+v", twin.Config, twin.Op, twin, paper)
+		}
+	}
+	return res
+}
+
+// TestAblationReadRepair judges F4′ (A1: Cassandra's read growth is read
+// repair's); one step of RF under -short does not carry it.
+func TestAblationReadRepair(t *testing.T) {
+	if f := findingByID(counterfactualFig1(t).Findings(), "F4′"); f == nil || !f.Pass && !testing.Short() {
+		t.Errorf("finding failed: %v", f)
+	}
+}
+
+// TestAblationHBaseSyncRepl judges F2′ (A2: HBase's flat updates are
+// in-memory replication's).
+func TestAblationHBaseSyncRepl(t *testing.T) {
+	if f := findingByID(counterfactualFig1(t).Findings(), "F2′"); f == nil || !f.Pass {
+		t.Errorf("finding failed: %v", f)
 	}
 }
 
@@ -207,39 +247,6 @@ func TestFig3ReproducesConsistencyFindings(t *testing.T) {
 	if len(res.Figures()) != 5 {
 		t.Error("figure panels missing")
 	}
-}
-
-func TestAblationReadRepair(t *testing.T) {
-	if testing.Short() {
-		// One RF, plumbing only: F4′ is judged at the reduced profile.
-		a, err := AblationReadRepair(smokeOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if on := a.Get("read-repair-on"); on == nil || len(on.Y) != 1 || len(a.Findings()) != 1 {
-			t.Fatalf("smoke report malformed: %+v", a.Figure)
-		}
-		return
-	}
-	o := reducedOptions()
-	a, err := AblationReadRepair(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	findings := a.Findings()
-	checkFindingsBlock(t, "ablation-a1", "Reduced profile (`reducedOptions`)", o, findings)
-	allPass(t, findings)
-}
-
-func TestAblationHBaseSyncRepl(t *testing.T) {
-	o := SmokeOptions()
-	a, err := AblationHBaseSyncRepl(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	findings := a.Findings()
-	checkFindingsBlock(t, "ablation-a2", "Smoke profile (`SmokeOptions`)", o, findings)
-	allPass(t, findings)
 }
 
 func TestAblationClientThreads(t *testing.T) {

@@ -10,11 +10,13 @@ import (
 )
 
 // MicroResult is one point of Fig. 1: one database, one replication
-// factor, one atomic operation.
+// factor, one atomic operation, under the paper's configuration or the
+// counterfactual that switches off the mechanism §4.1 credits.
 type MicroResult struct {
 	DB         string
 	RF         int
 	Op         string
+	Config     string // "paper", "read-repair-off" or "sync-replication"
 	Mean       time.Duration
 	P50        time.Duration
 	P95        time.Duration
@@ -24,7 +26,7 @@ type MicroResult struct {
 // Fig1Results collects the full micro-benchmark sweep.
 type Fig1Results []MicroResult
 
-// microOps is the paper's in-round test order: update, read, insert, scan
+// microOrder is the paper's in-round test order: update, read, insert, scan
 // (§4.1 runs "the update/read/insert/scan test one after another"). The
 // order matters: reads follow updates, which is the read-after-write
 // pipeline that triggers Cassandra's read repair.
@@ -48,7 +50,20 @@ func microSpec(op string, records int64) ycsb.Spec {
 // on an unsaturated cluster, for both databases. Rounds are independent
 // simulations and fan out across the sweep scheduler (Options.Parallelism).
 func RunFig1(o Options) (Fig1Results, error) {
-	return sweep(o, "fig1", dbRFCells(o), runFig1Cell)
+	return sweep(o, "fig1", fig1Cells(o), runFig1Cell)
+}
+
+// fig1Cells is the paper's database × RF grid (dbRFCells) followed by its
+// counterfactual twin in the same order: each HBase cell with synchronous
+// disk replication in place of in-memory replication (F2′), each Cassandra
+// cell with read repair off (F4′).
+func fig1Cells(o Options) []backend {
+	cells := dbRFCells(o)
+	for _, b := range cells { // ranges over the paper cells only
+		b.syncRepl, b.noReadRepair = b.db == "HBase", b.db == "Cassandra"
+		cells = append(cells, b)
+	}
+	return cells
 }
 
 // runFig1Cell runs one round of the micro benchmark: one database at one
@@ -67,6 +82,7 @@ func runFig1Cell(o Options, b backend) (Fig1Results, error) {
 				DB:         b.db,
 				RF:         b.rf,
 				Op:         op,
+				Config:     b.config(),
 				Mean:       res.MeanLatency(),
 				P50:        res.Overall.Percentile(50),
 				P95:        res.Overall.Percentile(95),
@@ -79,9 +95,11 @@ func runFig1Cell(o Options, b backend) (Fig1Results, error) {
 }
 
 // Figures renders Fig. 1 as one latency-vs-RF panel per operation, with a
-// series per database — the same panels the paper plots.
+// series per database — the same panels the paper plots, of the paper's
+// configuration only.
 func (r Fig1Results) Figures() []*stats.Figure {
 	var figs []*stats.Figure
+	r = r.config("paper")
 	for _, op := range microOrder {
 		f := stats.NewFigure(
 			fmt.Sprintf("Fig. 1 (micro replication): %s latency vs replication factor", op),
@@ -103,15 +121,26 @@ func (r Fig1Results) Figures() []*stats.Figure {
 // one row.
 func (r Fig1Results) Tables() []*stats.Table {
 	t := stats.NewTable("Fig. 1 — micro benchmark for replication",
-		"db", "rf", "op", "median-latency", "mean-latency", "p95-latency", "ops/sec")
+		"db", "config", "rf", "op", "median-latency", "mean-latency", "p95-latency", "ops/sec")
 	for _, m := range r {
-		t.AddRow(m.DB, m.RF, m.Op,
+		t.AddRow(m.DB, m.Config, m.RF, m.Op,
 			m.P50.Round(time.Microsecond).String(),
 			m.Mean.Round(time.Microsecond).String(),
 			m.P95.Round(time.Microsecond).String(),
 			m.Throughput)
 	}
 	return append(figureTables(r.Figures()), t)
+}
+
+// config returns the rows of one configuration, in sweep order.
+func (r Fig1Results) config(name string) Fig1Results {
+	var out Fig1Results
+	for _, m := range r {
+		if m.Config == name {
+			out = append(out, m)
+		}
+	}
+	return out
 }
 
 // getMean returns the mean latency for a specific point, or -1.

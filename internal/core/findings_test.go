@@ -46,51 +46,74 @@ func fails(t *testing.T, fs []Finding, id, why string) {
 }
 
 // synthFig1 is a Fig. 1 grid with the paper's shape: every median flat in
-// RF, Cassandra's read and scan means rising with it.
+// RF, Cassandra's read and scan means rising with it. Its counterfactual
+// twin has the shape F4′ and F2′ claim: with read repair off, Cassandra's
+// means are flat; with synchronous replication, HBase's medians grow with
+// RF.
 func synthFig1() Fig1Results {
 	var r Fig1Results
+	twin := map[string]string{"HBase": "sync-replication", "Cassandra": "read-repair-off"}
 	for _, db := range []string{"HBase", "Cassandra"} {
-		for _, rf := range []int{1, 3, 6} {
-			for _, op := range microOrder {
-				mean := time.Millisecond
-				if db == "Cassandra" && (op == "read" || op == "scan") {
-					mean += time.Duration(rf) * time.Millisecond / 2
+		for _, config := range []string{"paper", twin[db]} {
+			for _, rf := range []int{1, 3, 6} {
+				for _, op := range microOrder {
+					m := MicroResult{DB: db, RF: rf, Op: op, Config: config, P50: time.Millisecond, Mean: time.Millisecond}
+					switch {
+					case config == "sync-replication":
+						m.P50 = time.Duration(rf) * time.Millisecond / 2
+					case config == "paper" && db == "Cassandra" && (op == "read" || op == "scan"):
+						m.Mean += time.Duration(rf) * time.Millisecond / 2
+					}
+					r = append(r, m)
 				}
-				r = append(r, MicroResult{DB: db, RF: rf, Op: op, P50: time.Millisecond, Mean: mean})
 			}
 		}
 	}
 	return r
 }
 
-// at returns the row for (db, op, rf).
-func (r Fig1Results) at(db, op string, rf int) *MicroResult {
+// at returns the row for (config, db, op, rf).
+func (r Fig1Results) at(config, db, op string, rf int) *MicroResult {
 	for i := range r {
-		if r[i].DB == db && r[i].Op == op && r[i].RF == rf {
+		if r[i].Config == config && r[i].DB == db && r[i].Op == op && r[i].RF == rf {
 			return &r[i]
 		}
 	}
-	panic("no row " + db + "/" + op)
+	panic("no row " + config + "/" + db + "/" + op)
 }
 
 func TestCheckFig1Shape(t *testing.T) {
 	allPass(t, synthFig1().Findings())
 
 	r := synthFig1()
-	r.at("HBase", "scan", 6).P50 = 2 * time.Millisecond
+	r.at("paper", "HBase", "scan", 6).P50 = 2 * time.Millisecond
 	fails(t, r.Findings(), "F1", "with HBase scan latency doubling over RF")
 
 	r = synthFig1()
-	r.at("HBase", "update", 3).P50 = 2 * time.Millisecond
+	r.at("paper", "HBase", "update", 3).P50 = 2 * time.Millisecond
 	fails(t, r.Findings(), "F2", "with HBase update latency doubling over RF")
 
 	r = synthFig1()
-	r.at("Cassandra", "insert", 1).P50 = 2 * time.Millisecond
+	r.at("paper", "Cassandra", "insert", 1).P50 = 2 * time.Millisecond
 	fails(t, r.Findings(), "F3", "with Cassandra insert latency halving over RF")
 
 	r = synthFig1()
-	r.at("Cassandra", "scan", 6).Mean = r.at("Cassandra", "scan", 1).Mean
+	r.at("paper", "Cassandra", "scan", 6).Mean = r.at("paper", "Cassandra", "scan", 1).Mean
 	fails(t, r.Findings(), "F4", "with Cassandra scan latency flat in RF")
+
+	r = synthFig1()
+	for _, rf := range []int{1, 6} {
+		r.at("read-repair-off", "Cassandra", "read", rf).Mean = r.at("paper", "Cassandra", "read", rf).Mean
+	}
+	fails(t, r.Findings(), "F4′", "with repair off growing as fast as on")
+
+	r = synthFig1()
+	r.at("sync-replication", "HBase", "update", 1).P50 = 3 * time.Millisecond
+	fails(t, r.Findings(), "F2′", "with sync growing no faster than in-memory")
+
+	r = synthFig1()
+	r.at("sync-replication", "HBase", "update", 6).P50 = 900 * time.Microsecond
+	fails(t, r.Findings(), "F2′", "with sync faster at the top RF")
 }
 
 // synthFig2 is a Fig. 2 grid with the paper's shape: HBase throughput
@@ -352,22 +375,6 @@ func synthFigure(x []float64, names []string, ys map[string][]float64) *stats.Fi
 }
 
 func TestCheckAblationShapes(t *testing.T) {
-	rfs := []float64{1, 6}
-	a1 := func(on, off []float64) ReadRepairAblation {
-		return ReadRepairAblation{synthFigure(rfs, []string{"read-repair-on", "read-repair-off"},
-			map[string][]float64{"read-repair-on": on, "read-repair-off": off})}
-	}
-	allPass(t, a1([]float64{100, 200}, []float64{100, 110}).Findings())
-	fails(t, a1([]float64{100, 130}, []float64{100, 110}).Findings(), "F4′", "with repair on growing only 1.18x the off growth")
-
-	a2 := func(mem, sync []float64) SyncReplAblation {
-		return SyncReplAblation{synthFigure(rfs, []string{"in-memory-replication", "synchronous-replication"},
-			map[string][]float64{"in-memory-replication": mem, "synchronous-replication": sync})}
-	}
-	allPass(t, a2([]float64{100, 150}, []float64{100, 300}).Findings())
-	fails(t, a2([]float64{100, 150}, []float64{100, 160}).Findings(), "F2′", "with sync growing no faster than in-memory")
-	fails(t, a2([]float64{200, 300}, []float64{50, 290}).Findings(), "F2′", "with sync faster at the top RF")
-
 	threads := []float64{1, 2, 4, 8}
 	a3 := func(ys ...float64) ClientThreadsAblation {
 		return ClientThreadsAblation{synthFigure(threads, []string{"HBase"}, map[string][]float64{"HBase": ys})}
@@ -435,8 +442,6 @@ func TestFindingsOnNoRows(t *testing.T) {
 		"spectrum":    SpectrumResults(nil),
 		"geo":         GeoResults(nil),
 		"tracebreak":  TraceResults(nil),
-		"ablation-a1": ReadRepairAblation{stats.NewFigure("", "", "")},
-		"ablation-a2": SyncReplAblation{stats.NewFigure("", "", "")},
 		"ablation-a3": ClientThreadsAblation{stats.NewFigure("", "", "")},
 		"failover":    FailoverResults(nil),
 	} {

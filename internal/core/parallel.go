@@ -10,9 +10,9 @@ import (
 // The parallel sweep scheduler.
 //
 // Every report is a sweep over independent cells — (database, replication
-// factor) for Fig. 1 and Fig. 2, (consistency level, workload) for Fig. 3,
-// (mode, replication factor) for the ablations, the spectrum,
-// tracebreak and geo grids, the failover systems. Each cell is a
+// factor) for Fig. 2 and, with each cell's counterfactual twin, Fig. 1,
+// (consistency level, workload) for Fig. 3, client threads for A3, the
+// spectrum, tracebreak and geo grids, the failover systems. Each cell is a
 // self-contained deterministic simulation: it builds its own sim.Kernel
 // from Options.Seed, runs single-threaded in virtual time, and shares no
 // state with any other cell. The sweep is therefore embarrassingly parallel

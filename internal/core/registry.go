@@ -40,8 +40,6 @@ func Experiments(cli CLI) []Experiment {
 		{"fig3", report(RunFig3)},
 		{"spectrum", report(RunSpectrum)},
 		{"tracebreak", func(o Options) (Report, error) { return runTraceExperiment(o, cli) }},
-		{"ablation-a1", report(AblationReadRepair)},
-		{"ablation-a2", report(AblationHBaseSyncRepl)},
 		{"ablation-a3", report(AblationClientThreads)},
 		{"geo", report(RunGeo)},
 		{"failover", report(RunFailover)},

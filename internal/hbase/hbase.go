@@ -37,8 +37,9 @@ type Config struct {
 	Engine storage.Config
 	// MemReplication selects the paper-described write path: WAL append
 	// plus in-memory replication to Replication-1 peers. When false,
-	// writes replicate synchronously to peer disks instead (ablation A2),
-	// which the paper's expectations section assumed before measuring.
+	// writes replicate synchronously to peer disks instead, which the
+	// paper's expectations section assumed before measuring (Fig. 1's
+	// sync-replication twin cells).
 	MemReplication bool
 }
 
@@ -232,7 +233,7 @@ func (rs *RegionServer) write(p *sim.Proc, r *Region, key kv.Key, rec kv.Record,
 		// HBase is the spectrum's strong-consistency control: zero stale
 		// reads, zero monotonic violations. One read-serving replica per
 		// key: the owning region. Peer
-		// memstores (or peer WALs on the ablation path) are durability
+		// memstores (or peer WALs on the synchronous path) are durability
 		// copies that never serve reads, so they are not visibility
 		// events.
 		db.Oracle.WriteBegin(key, ver, 1, p.Now())
@@ -273,7 +274,7 @@ func (rs *RegionServer) write(p *sim.Proc, r *Region, key kv.Key, rec kv.Record,
 }
 
 // replicate is one peer's leg of a write. On the paper path the peer applies
-// the edit to its memstore; on ablation A2 it WALs it to disk before
+// the edit to its memstore; on the synchronous path it WALs it to disk before
 // confirming — synchronous replication, what the paper's expectations
 // predicted.
 func (l *writeLeg) replicate(q *sim.Proc) {
