@@ -5,6 +5,7 @@
 //
 //	replbench -experiment <name>|all \
 //	          [-profile smoke|quick|paper] [-short] [-seed N] [-rf 1,2,3] [-parallel N] [-shards N] [-csv] [-o results.txt] [-trace-out trace.json]
+//	          [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
 // The experiment names (table1, fig1, ..., spectrum) come from a single
 // registry; run with an unknown name to get the current list. Sweeps fan
@@ -15,7 +16,8 @@
 // -parallel and of how many host goroutines run megascale's windows, so
 // the report is bit-identical whatever their values.
 // -seed and -csv apply uniformly to every experiment, including the geo and
-// failover extensions.
+// failover extensions. -cpuprofile and -memprofile write pprof profiles of
+// the host process (`go tool pprof`); they leave the report unchanged.
 //
 // Each experiment prints the corresponding table or figure series in the
 // same rows the paper reports, plus a findings summary comparing the
@@ -27,6 +29,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 	"time"
@@ -51,7 +55,7 @@ func main() {
 	}
 }
 
-func run(args []string, stdout io.Writer) error {
+func run(args []string, stdout io.Writer) (err error) {
 	fs := flag.NewFlagSet("replbench", flag.ContinueOnError)
 	experimentFlag := fs.String("experiment", "all", experimentNames())
 	profile := fs.String("profile", "quick", "smoke, quick, or paper scale")
@@ -63,6 +67,8 @@ func run(args []string, stdout io.Writer) error {
 	rfList := fs.String("rf", "", "comma-separated replication factors, ascending (default 1-6)")
 	csv := fs.Bool("csv", false, "emit CSV instead of aligned tables")
 	out := fs.String("o", "", "also write the report to this file")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	memProfile := fs.String("memprofile", "", "write an allocation profile of the run to this file")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -126,6 +132,18 @@ func run(args []string, stdout io.Writer) error {
 		w = io.MultiWriter(stdout, f)
 	}
 
+	if *cpuProfile != "" {
+		stop, err := startCPUProfile(*cpuProfile)
+		if err != nil {
+			return err
+		}
+		defer func() {
+			if serr := stop(); err == nil {
+				err = serr
+			}
+		}()
+	}
+
 	started := time.Now()
 	var findings []core.Finding
 	for _, e := range registry {
@@ -150,5 +168,37 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintln(w)
 	}
 	fmt.Fprintf(w, "done in %v (wall clock)\n", time.Since(started).Round(time.Second))
+	if *memProfile != "" {
+		return writeAllocProfile(*memProfile)
+	}
 	return nil
+}
+
+// startCPUProfile starts a CPU profile into path; stop ends it and closes
+// the file.
+func startCPUProfile(path string) (stop func() error, err error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return nil, err
+	}
+	return func() error { pprof.StopCPUProfile(); return f.Close() }, nil
+}
+
+// writeAllocProfile writes the allocations made since the process started,
+// sampled at the runtime's default rate, to path.
+func writeAllocProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC() // the profile's in-use figures are as of the last collection
+	if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -198,5 +199,22 @@ func TestRunWritesOutputFile(t *testing.T) {
 	var b strings.Builder
 	if err := run([]string{"-experiment", "table1", "-o", dir + "/r.txt"}, &b); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestProfilesLeaveReportUnchanged: -cpuprofile and -memprofile write
+// non-empty profiles and change nothing above the wall-clock line.
+func TestProfilesLeaveReportUnchanged(t *testing.T) {
+	dir := t.TempDir()
+	base := []string{"-experiment", "ablation-a3", "-profile", "smoke", "-seed", "42"}
+	plain := capture(t, base...)
+	profiled := capture(t, append(base, "-cpuprofile", dir+"/cpu.pprof", "-memprofile", dir+"/mem.pprof")...)
+	if plain != profiled {
+		t.Errorf("profiling changed the report:\n%s", firstDiff(plain, profiled))
+	}
+	for _, name := range []string{"cpu.pprof", "mem.pprof"} {
+		if fi, err := os.Stat(dir + "/" + name); err != nil || fi.Size() == 0 {
+			t.Errorf("%s: %v, want a non-empty profile", name, err)
+		}
 	}
 }

@@ -1,7 +1,5 @@
 package storage
 
-import "container/list"
-
 // blockID identifies one block of one SSTable.
 type blockID struct {
 	table int64
@@ -11,18 +9,26 @@ type blockID struct {
 // BlockCache is a byte-budgeted LRU cache of SSTable blocks. Only block
 // identity and size are cached — the data itself is already in host
 // memory — so a hit models "block present in RAM" and skips the disk.
+//
+// The recency list is linked by slot index through one slice: slot 0 is
+// the sentinel of a circular list (its next is the most recent block, its
+// prev the least), and evicted slots are chained through next into a free
+// list that later inserts reuse, so a cache at its working size allocates
+// nothing.
 type BlockCache struct {
 	capacity int64
 	used     int64
-	ll       *list.List // front = most recent
-	index    map[blockID]*list.Element
+	index    map[blockID]int32 // slot of each cached block
+	slots    []cacheSlot
+	free     int32 // first free slot; 0: none
 
 	Hits, Misses int64
 }
 
-type cacheEntry struct {
-	id   blockID
-	size int64
+type cacheSlot struct {
+	id         blockID
+	size       int64
+	prev, next int32
 }
 
 // NewBlockCache returns a cache with the given byte capacity. A zero or
@@ -30,8 +36,8 @@ type cacheEntry struct {
 func NewBlockCache(capacity int64) *BlockCache {
 	return &BlockCache{
 		capacity: capacity,
-		ll:       list.New(),
-		index:    make(map[blockID]*list.Element),
+		index:    make(map[blockID]int32),
+		slots:    make([]cacheSlot, 1), // the sentinel, linked to itself
 	}
 }
 
@@ -43,22 +49,45 @@ func (c *BlockCache) Touch(table int64, block, size int) bool {
 		return false
 	}
 	id := blockID{table, block}
-	if el, ok := c.index[id]; ok {
-		c.ll.MoveToFront(el)
+	if i, ok := c.index[id]; ok {
+		c.unlink(i)
+		c.pushFront(i)
 		c.Hits++
 		return true
 	}
 	c.Misses++
 	c.used += int64(size)
-	c.index[id] = c.ll.PushFront(cacheEntry{id: id, size: int64(size)})
-	for c.used > c.capacity && c.ll.Len() > 1 {
-		el := c.ll.Back()
-		e := el.Value.(cacheEntry)
-		c.ll.Remove(el)
-		delete(c.index, e.id)
-		c.used -= e.size
+	i := c.free
+	if i != 0 {
+		c.free = c.slots[i].next
+	} else {
+		i = int32(len(c.slots))
+		c.slots = append(c.slots, cacheSlot{})
+	}
+	c.slots[i] = cacheSlot{id: id, size: int64(size)}
+	c.pushFront(i)
+	c.index[id] = i
+	for c.used > c.capacity && len(c.index) > 1 {
+		lru := c.slots[0].prev
+		c.unlink(lru)
+		delete(c.index, c.slots[lru].id)
+		c.used -= c.slots[lru].size
+		c.slots[lru].next, c.free = c.free, lru
 	}
 	return false
+}
+
+// pushFront links slot i in as the most recent block.
+func (c *BlockCache) pushFront(i int32) {
+	first := c.slots[0].next
+	c.slots[i].prev, c.slots[i].next = 0, first
+	c.slots[first].prev, c.slots[0].next = i, i
+}
+
+// unlink takes slot i out of the recency list.
+func (c *BlockCache) unlink(i int32) {
+	s := &c.slots[i]
+	c.slots[s.prev].next, c.slots[s.next].prev = s.next, s.prev
 }
 
 // Contains reports whether the block is cached, without promoting it.

@@ -51,9 +51,9 @@ func (c *cursor) key() kv.Key {
 
 func (c *cursor) row() *Row {
 	if c.t == nil {
-		return c.node.row
+		return &c.node.row
 	}
-	return c.t.entries[c.i].Row
+	return &c.t.entries[c.i].Row
 }
 
 // next advances the cursor, charging a block load when a charging table

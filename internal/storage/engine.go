@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"slices"
 	"sort"
 
 	"cloudbench/internal/kv"
@@ -227,7 +228,7 @@ func (e *Engine) ScanInto(p *sim.Proc, start kv.Key, limit int, into []ScanRow) 
 		out = make([]ScanRow, 0, max(limit, 0))
 	}
 	for len(out) < limit {
-		key, row, ok := mergeNext(srcs)
+		key, row, ok := mergeNext(srcs, nil)
 		if !ok {
 			break
 		}
@@ -246,10 +247,12 @@ const scanLevels = 8
 
 // mergeNext pops the smallest current key across srcs (newest source
 // first) and returns it with its reconciled row, advancing every source
-// that held it.
+// that held it. A merge that two sources' rows need is built in into,
+// whose cells are sized once for every source's fields, or in a fresh row
+// when into is nil.
 //
 //simlint:hotpath
-func mergeNext(srcs []cursor) (kv.Key, *Row, bool) {
+func mergeNext(srcs []cursor, into *Row) (kv.Key, *Row, bool) {
 	var minKey kv.Key
 	found := false
 	for i := range srcs {
@@ -261,11 +264,42 @@ func mergeNext(srcs []cursor) (kv.Key, *Row, bool) {
 	var row *Row
 	for i := range srcs {
 		if s := &srcs[i]; s.valid() && s.key() == minKey {
-			row = fold(row, s.row(), nil)
+			if into != nil && row != nil && row.frozen && row.gainsFrom(s.row()) {
+				into.reserve(unionLen(row, srcs[i:], minKey))
+			}
+			row = fold(row, s.row(), into)
 			s.next()
 		}
 	}
 	return minKey, row, found
+}
+
+// unionLen returns how many distinct fields row and the rows srcs hold at
+// key have between them.
+func unionLen(row *Row, srcs []cursor, key kv.Key) int {
+	n := len(row.cells)
+	for i := range srcs {
+		if s := &srcs[i]; s.valid() && s.key() == key {
+			for _, c := range s.row().cells {
+				if _, ok := row.Cell(c.Field); !ok && !heldAt(srcs[:i], key, c.Field) {
+					n++
+				}
+			}
+		}
+	}
+	return n
+}
+
+// heldAt reports whether a row srcs hold at key has a cell for field.
+func heldAt(srcs []cursor, key kv.Key, field string) bool {
+	for i := range srcs {
+		if s := &srcs[i]; s.valid() && s.key() == key {
+			if _, ok := s.row().Cell(field); ok {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // MergeScans is the coordinator's half of a fanned-out range scan: a
@@ -343,7 +377,7 @@ func (e *Engine) ForceFlush() {
 func (e *Engine) flush(p *sim.Proc, snap *skiplist) {
 	entries := make([]TableEntry, 0, snap.Len())
 	for c := snap.seek(""); c.valid(); c.next() {
-		entries = append(entries, TableEntry{Key: c.key(), Row: c.row()})
+		entries = append(entries, TableEntry{Key: c.key(), Row: *c.row()})
 	}
 	e.nextTableID++
 	t := BuildTable(e.nextTableID, entries, e.cfg.BlockBytes)
@@ -351,12 +385,9 @@ func (e *Engine) flush(p *sim.Proc, snap *skiplist) {
 	t.WarmCache(e.cache)
 	// Install: newest first, remove the snapshot from the flushing list.
 	e.tables = append([]*SSTable{t}, e.tables...)
-	for i, m := range e.imm {
-		if m == snap {
-			e.imm = append(e.imm[:i], e.imm[i+1:]...)
-			break
-		}
-	}
+	// DeleteFunc clears the slot it vacates, so the snapshot, and with it
+	// the memtable's arena, is unreachable once its last reader is done.
+	e.imm = slices.DeleteFunc(e.imm, func(m *skiplist) bool { return m == snap })
 	e.Flushes++
 	e.maybeCompact()
 }
@@ -417,21 +448,28 @@ func (e *Engine) compact(p *sim.Proc, inputs []*SSTable) {
 
 	// Streaming k-way merge over the inputs' already-sorted entries,
 	// newest input first so version ties resolve as they do on reads. A
-	// key held by one input keeps that input's frozen row.
+	// key held by one input keeps that input's cells under a copy of its
+	// row header; a key whose inputs diverge is merged in its output slot.
 	srcs := make([]cursor, len(inputs))
 	total := 0
 	for i, t := range inputs {
 		srcs[i] = cursor{t: t} // no process: advancing charges nothing
 		total += len(t.entries)
 	}
-	entries := make([]TableEntry, 0, total)
-	for {
-		key, row, ok := mergeNext(srcs)
+	entries := make([]TableEntry, total+1) // every key once, and the probe past the last
+	n := 0
+	for ; ; n++ {
+		en := &entries[n]
+		key, row, ok := mergeNext(srcs, &en.Row)
 		if !ok {
 			break
 		}
-		entries = append(entries, TableEntry{Key: key, Row: row})
+		en.Key = key
+		if row != &en.Row {
+			en.Row = *row
+		}
 	}
+	entries = entries[:n]
 	e.nextTableID++
 	out := BuildTable(e.nextTableID, entries, e.cfg.BlockBytes)
 	e.io.WriteTable(p, out.ID, out.Bytes())

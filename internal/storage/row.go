@@ -1,7 +1,8 @@
 // Package storage implements the log-structured storage engine shared by
-// both databases: a write-ahead log with group commit, a skiplist memtable,
-// immutable SSTables with block indexes and bloom filters, an LRU block
-// cache, and size-tiered compaction.
+// the databases: a write-ahead log with group commit, a skiplist memtable
+// that carves its nodes and rows from its own arena, immutable SSTables
+// that hold their rows by value with block indexes and bloom filters, an
+// LRU block cache, and size-tiered compaction.
 //
 // The engine stores real data structures in memory while charging disk and
 // network costs in virtual time through the cluster package, so performance
@@ -30,11 +31,11 @@ type Cell struct {
 // Cells live in one flat slice sorted by field name. A row is mutable while
 // its creator owns it and frozen once it is shared: the engine freezes a
 // memtable's rows when the memtable is rotated and BuildTable freezes the
-// rows it installs. Engine.Get and Engine.Scan hand frozen rows out
-// without copying, so Apply, Delete and MergeFrom on a frozen row panic;
-// readers that need a reconciled row use Merged, which copies only when
-// the two rows actually diverge — into a scratch row the reader owns, when
-// it passes one. The zero Row is an empty mutable row, so an owner can embed
+// rows it installs, copies of those rows' headers that share their cells.
+// Engine.Get and Engine.Scan hand frozen rows out without copying, so
+// Apply, Delete and MergeFrom on a frozen row panic; readers that need a
+// reconciled row use Merged, which copies only when the two rows actually
+// diverge — into a scratch row the reader owns, when it passes one. The zero Row is an empty mutable row, so an owner can embed
 // its scratch by value.
 //
 // A memtable row that a replicated write created holds that Write's cells,
@@ -281,6 +282,15 @@ func (r *Row) snapshot(into *Row) *Row {
 	into.cells, into.shared = append(into.spare(), r.cells...), false
 	into.Tomb = r.Tomb
 	return into
+}
+
+// reserve gives r's spare capacity room for n cells ahead of a snapshot
+// into it, so that a merge then builds there without growing.
+func (r *Row) reserve(n int) {
+	r.mustOwn()
+	if cap(r.spare()) < n {
+		r.cells, r.shared = make([]Cell, 0, n), false
+	}
 }
 
 // Reset empties a scratch row, keeping its cell capacity: whoever still

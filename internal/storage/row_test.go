@@ -680,12 +680,12 @@ func flushedEngine(t *testing.T, k *sim.Kernel, rows int) *Engine {
 func TestReadsShareFrozenRows(t *testing.T) {
 	k := sim.NewKernel(1)
 	e := flushedEngine(t, k, 200)
-	stored := e.tables[0].entries[7]
+	stored := &e.tables[0].entries[7]
 	want := stored.Row.Clone()
 	k.Spawn("reader", func(p *sim.Proc) {
 		got := e.Get(p, stored.Key)
 		scanned := e.Scan(p, stored.Key, 3)
-		if got != stored.Row || scanned[0].Row != stored.Row {
+		if got != &stored.Row || scanned[0].Row != &stored.Row {
 			t.Error("single-source read copied the SSTable's row")
 		}
 		mustPanic(t, "Apply", func() { got.Apply(kv.Record{"field0": kv.SizedValue(1)}, 1<<40) })
@@ -697,7 +697,7 @@ func TestReadsShareFrozenRows(t *testing.T) {
 		e.Apply(p, stored.Key, kv.Record{"field3": kv.SizedValue(7)}, 1<<40)
 		memRow := e.mem.Get(stored.Key)
 		for _, r := range []*Row{e.Get(p, stored.Key), e.Scan(p, stored.Key, 1)[0].Row} {
-			if r == stored.Row || r == memRow {
+			if r == &stored.Row || r == memRow {
 				t.Error("two-source read aliased one of its sources")
 			}
 			if r.Version() != 1<<40 || len(r.cells) != 10 || r.Record()["field3"].Bytes() != 7 {
@@ -715,14 +715,15 @@ func TestReadsShareFrozenRows(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !sameRow(stored.Row, want) || !stored.Row.frozen {
+	if !sameRow(&stored.Row, want) || !stored.Row.frozen {
 		t.Errorf("stored row changed: %+v, want %+v", stored.Row, want)
 	}
 }
 
 // TestCompactionMatchesMapMerge checks the streaming k-way merge against
 // the map-and-sort merge it replaced: same keys in the same order, same
-// merged cells, same modeled size, and untouched single-input rows reused.
+// merged cells, same modeled size, and a key held by one input keeping that
+// input's cells.
 func TestCompactionMatchesMapMerge(t *testing.T) {
 	k := sim.NewKernel(1)
 	cfg := DefaultConfig()
@@ -732,7 +733,7 @@ func TestCompactionMatchesMapMerge(t *testing.T) {
 	e, _ := newTestEngine(t, k, cfg)
 	model := map[kv.Key]*refRow{}
 	rng := rand.New(rand.NewSource(9))
-	var once *Row
+	var once []Cell
 	k.Spawn("load", func(p *sim.Proc) {
 		ver := kv.Version(0)
 		for table := 0; table < 4; table++ {
@@ -755,7 +756,7 @@ func TestCompactionMatchesMapMerge(t *testing.T) {
 				e.Apply(p, "solo", kv.Record{"f": kv.SizedValue(1)}, 1)
 				model["solo"] = newRefRow()
 				model["solo"].apply(kv.Record{"f": kv.SizedValue(1)}, 1)
-				once = e.mem.Get("solo")
+				once = e.mem.Get("solo").cells
 			}
 			e.ForceFlush()
 			p.Sleep(1e9)
@@ -772,11 +773,12 @@ func TestCompactionMatchesMapMerge(t *testing.T) {
 		t.Fatalf("compacted table has %d keys, want %d", out.Len(), len(model))
 	}
 	var bytes int64
-	for i, en := range out.entries {
+	for i := range out.entries {
+		en := &out.entries[i]
 		if i > 0 && out.entries[i-1].Key >= en.Key {
 			t.Fatalf("entries out of order at %d: %q then %q", i, out.entries[i-1].Key, en.Key)
 		}
-		model[en.Key].check(t, i, en.Row)
+		model[en.Key].check(t, i, &en.Row)
 		if !en.Row.frozen {
 			t.Fatalf("row %q installed unfrozen", en.Key)
 		}
@@ -785,8 +787,8 @@ func TestCompactionMatchesMapMerge(t *testing.T) {
 	if out.Bytes() != bytes {
 		t.Errorf("table bytes = %d, want %d", out.Bytes(), bytes)
 	}
-	if got := out.entries[sort.Search(out.Len(), func(i int) bool { return out.entries[i].Key >= "solo" })].Row; got != once {
-		t.Error("a key held by one input was copied instead of reused")
+	if got := out.entries[sort.Search(out.Len(), func(i int) bool { return out.entries[i].Key >= "solo" })].Row.cells; len(got) != 1 || &got[0] != &once[0] {
+		t.Error("a key held by one input had its cells copied instead of shared")
 	}
 }
 
@@ -838,7 +840,7 @@ func TestGetMemtableOverSSTableZeroAlloc(t *testing.T) {
 		if n := e.Copies - copies; n != 1002 {
 			t.Errorf("Copies rose by %d over 1002 merging reads", n)
 		}
-		if e.GetInto(p, e.tables[0].entries[1].Key, &scratch) != e.tables[0].entries[1].Row || e.Copies-copies != 1002 {
+		if e.GetInto(p, e.tables[0].entries[1].Key, &scratch) != &e.tables[0].entries[1].Row || e.Copies-copies != 1002 {
 			t.Error("a single-source read was copied, or counted as a copy")
 		}
 	})

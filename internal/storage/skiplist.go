@@ -7,23 +7,42 @@ import (
 
 const maxHeight = 12
 
-// skiplist is a deterministic skiplist keyed by kv.Key, mapping each key to
-// its mutable *Row. It backs the memtable.
+// Arena chunk sizes, in nodes: the first chunk holds minChunk nodes and
+// each later one as many as the skiplist already has, up to maxChunk, so a
+// tiny memtable stays small and a full one costs a few allocations per
+// thousand keys.
+const (
+	minChunk = 8
+	maxChunk = 1024
+)
+
+// skiplist is a deterministic skiplist keyed by kv.Key that holds each
+// key's mutable Row inline. It backs the memtable, and is the memtable's
+// arena: nodes are carved from chunks of slNodes, and each node's tower
+// from chunks of links, so a new key allocates nothing of its own. Nothing
+// outside the skiplist points into a chunk once the memtable is flushed
+// (tables hold their rows by value), and the chunks are freed with it.
 type skiplist struct {
-	head   *slNode
+	head   slNode
+	tower  [maxHeight]*slNode // head's links
 	height int
 	rng    *sim.Source
 	n      int
+
+	nodes []slNode  // the current chunk's unused nodes
+	links []*slNode // the current chunk's unused tower links
 }
 
 type slNode struct {
 	key  kv.Key
-	row  *Row
-	next [maxHeight]*slNode
+	row  Row
+	next []*slNode // the tower: one link per level the node reaches
 }
 
 func newSkiplist(rng *sim.Source) *skiplist {
-	return &skiplist{head: &slNode{}, height: 1, rng: rng}
+	s := &skiplist{height: 1, rng: rng}
+	s.head.next = s.tower[:]
+	return s
 }
 
 // randomHeight grows a node one level per two zero bits of one draw: each
@@ -36,10 +55,27 @@ func (s *skiplist) randomHeight() int {
 	return h
 }
 
+// newNode carves a node with a tower of height h from the arena. A tower
+// averages 4/3 links, so a links chunk twice a node chunk's length outlasts
+// it.
+func (s *skiplist) newNode(h int) *slNode {
+	chunk := min(max(s.n, minChunk), maxChunk)
+	if len(s.nodes) == 0 {
+		s.nodes = make([]slNode, chunk)
+	}
+	if len(s.links) < h {
+		s.links = make([]*slNode, max(2*chunk, maxHeight))
+	}
+	node := &s.nodes[0]
+	s.nodes = s.nodes[1:]
+	node.next, s.links = s.links[:h:h], s.links[h:]
+	return node
+}
+
 // findGE returns the first node with key ≥ k, recording the rightmost node
 // before it on each level in prev (when prev != nil).
 func (s *skiplist) findGE(k kv.Key, prev *[maxHeight]*slNode) *slNode {
-	x := s.head
+	x := &s.head
 	for level := s.height - 1; level >= 0; level-- {
 		for x.next[level] != nil && x.next[level].key < k {
 			x = x.next[level]
@@ -54,7 +90,7 @@ func (s *skiplist) findGE(k kv.Key, prev *[maxHeight]*slNode) *slNode {
 // Get returns the row at key, or nil.
 func (s *skiplist) Get(k kv.Key) *Row {
 	if n := s.findGE(k, nil); n != nil && n.key == k {
-		return n.row
+		return &n.row
 	}
 	return nil
 }
@@ -63,20 +99,26 @@ func (s *skiplist) Get(k kv.Key) *Row {
 func (s *skiplist) GetOrCreate(k kv.Key) *Row {
 	var prev [maxHeight]*slNode
 	if n := s.findGE(k, &prev); n != nil && n.key == k {
-		return n.row
+		return &n.row
 	}
-	h := s.randomHeight()
+	return s.insert(k, &prev, s.randomHeight())
+}
+
+// insert links a new node for k of height h in after the nodes findGE left
+// in prev, and returns its row.
+func (s *skiplist) insert(k kv.Key, prev *[maxHeight]*slNode, h int) *Row {
 	for s.height < h {
-		prev[s.height] = s.head
+		prev[s.height] = &s.head
 		s.height++
 	}
-	node := &slNode{key: k, row: NewRow()}
-	for level := 0; level < h; level++ {
+	node := s.newNode(h)
+	node.key = k
+	for level := range node.next {
 		node.next[level] = prev[level].next[level]
 		prev[level].next[level] = node
 	}
 	s.n++
-	return node.row
+	return &node.row
 }
 
 // Len returns the number of keys.

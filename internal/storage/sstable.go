@@ -8,10 +8,12 @@ import (
 	"cloudbench/internal/sim"
 )
 
-// TableEntry is one key's frozen row inside an SSTable.
+// TableEntry is one key's frozen row inside an SSTable. The table holds the
+// row by value: its header is the table's own, and its cells may be shared
+// with the memtable row or the input table row it was copied from.
 type TableEntry struct {
 	Key kv.Key
-	Row *Row // frozen by BuildTable
+	Row Row // frozen by BuildTable
 }
 
 // SSTable is an immutable sorted run of rows, organized into fixed-size
@@ -35,7 +37,8 @@ type SSTable struct {
 func BuildTable(id int64, entries []TableEntry, blockBytes int) *SSTable {
 	t := &SSTable{ID: id, entries: entries, bloom: NewBloom(len(entries))}
 	cur := 0
-	for i, e := range entries {
+	for i := range entries {
+		e := &entries[i]
 		e.Row.frozen = true
 		t.bloom.Add(e.Key)
 		if cur == 0 || cur >= blockBytes {
@@ -110,7 +113,7 @@ func (t *SSTable) Get(p *sim.Proc, io TableIO, cache *BlockCache, key kv.Key) *R
 	//simlint:ignore hotpath the closure handed to sort.Search does not escape (TestGetSingleSSTableZeroAlloc holds it at 0)
 	i := lo + sort.Search(hi-lo, func(i int) bool { return t.entries[lo+i].Key >= key })
 	if i < hi && t.entries[i].Key == key {
-		return t.entries[i].Row
+		return &t.entries[i].Row
 	}
 	return nil
 }

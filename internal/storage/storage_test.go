@@ -166,7 +166,7 @@ func TestBuildTableAndGet(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		r := NewRow()
 		r.Apply(kv.Record{"f": kv.SizedValue(100)}, kv.Version(i+1))
-		entries = append(entries, TableEntry{Key: kv.Key(fmt.Sprintf("user%06d", i)), Row: r})
+		entries = append(entries, TableEntry{Key: kv.Key(fmt.Sprintf("user%06d", i)), Row: *r})
 	}
 	tbl := BuildTable(1, entries, 4<<10)
 	if tbl.Len() != 500 || tbl.Blocks() < 2 {
@@ -205,7 +205,7 @@ func TestTableIterChargesPerBlock(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		r := NewRow()
 		r.Apply(kv.Record{"f": kv.SizedValue(100)}, 1)
-		entries = append(entries, TableEntry{Key: kv.Key(fmt.Sprintf("user%06d", i)), Row: r})
+		entries = append(entries, TableEntry{Key: kv.Key(fmt.Sprintf("user%06d", i)), Row: *r})
 	}
 	tbl := BuildTable(1, entries, 2<<10) // ~16 rows per block
 	k := sim.NewKernel(1)
