@@ -75,6 +75,7 @@ loc:
 
 # Per-phase latency decomposition at smoke scale: tracebreak.csv holds the
 # phase-share grid, trace.json one span-retaining cell in Chrome
-# trace-event format (load into chrome://tracing or Perfetto).
+# trace-event format (load into chrome://tracing or Perfetto). RF 1, 3, 4:
+# FT2 judges a trend over RF >= 3, which smoke's default RFs {1, 3} lack.
 trace:
-	$(GO) run ./cmd/replbench -experiment tracebreak -short -csv -o tracebreak.csv -trace-out trace.json
+	$(GO) run ./cmd/replbench -experiment tracebreak -short -rf 1,3,4 -csv -o tracebreak.csv -trace-out trace.json

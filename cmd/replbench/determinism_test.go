@@ -13,13 +13,13 @@ import (
 	"cloudbench/internal/core"
 )
 
-// capture runs the CLI and returns its report with the trailing
-// wall-clock "done in ..." line stripped — the only line allowed to
-// differ between runs.
-func capture(t *testing.T, args ...string) string {
+// capture runs the CLI on the given registry and returns its report with
+// the trailing wall-clock "done in ..." line stripped — the only line
+// allowed to differ between runs.
+func capture(t *testing.T, experiments func(core.CLI) []core.Experiment, args ...string) string {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := run(args, &buf); err != nil {
+	if err := run(args, &buf, experiments); err != nil {
 		t.Fatalf("replbench %v: %v", args, err)
 	}
 	out := buf.String()
@@ -30,61 +30,79 @@ func capture(t *testing.T, args ...string) string {
 	return out[:i]
 }
 
-// smokeReports holds the seed-42 smoke reports the gates below have already
-// captured, keyed by golden name, so TestSmokeGoldenDigests hashes those
-// instead of running each sweep once more.
-var smokeReports = map[string]string{}
+// smokeArgs are a golden's flags, the seed-42 smoke report in CSV on 8
+// workers (checkBitIdentical proves the count moves nothing), plus extra.
+func smokeArgs(experiment string, extra ...string) []string {
+	return append([]string{"-experiment", experiment, "-profile", "smoke", "-csv", "-seed", "42", "-parallel", "8"}, extra...)
+}
 
-// TestSweepBitIdentical is the determinism regression test: a same-seed
-// sweep must produce byte-identical CSV whatever the worker-pool size.
-// This is the invariant the detwalk and seedflow analyzers exist to
-// protect — any wall-clock read, global rand call, or map-order leak in
-// a sim-reachable package eventually shows up here as a diff.
+// memoRun is one simulated run of a registry entry.
+type memoRun struct {
+	name string
+	cli  core.CLI
+	o    core.Options
+	rep  core.Report
+	err  error
+}
+
+// memo is every run memoized has simulated. The package's tests run one
+// at a time, and run calls an entry on the test's own goroutine.
+var memo []memoRun
+
+// memoized is core.Experiments with each entry's Run simulated once per
+// (name, CLI, Options) in this test binary. A gate that passes it to run
+// still parses, dispatches, renders and aggregates for real; only the
+// simulation is shared. Options compare with reflect.DeepEqual because
+// cluster.Config.Geo is a pointer.
+func memoized(cli core.CLI) []core.Experiment {
+	exps := core.Experiments(cli)
+	for i, e := range exps {
+		exps[i].Run = func(o core.Options) (core.Report, error) {
+			for _, m := range memo {
+				if m.name == e.Name && m.cli == cli && reflect.DeepEqual(m.o, o) {
+					return m.rep, m.err
+				}
+			}
+			rep, err := e.Run(o)
+			memo = append(memo, memoRun{e.Name, cli, o, rep, err})
+			return rep, err
+		}
+	}
+	return exps
+}
+
+// checkBitIdentical is the determinism regression test: an experiment's
+// memoized smoke report, swept on 8 workers, must equal a fresh -parallel 1
+// run byte for byte. This is the invariant the detwalk and
+// seedflow analyzers protect — any wall-clock read, global rand call, or
+// map-order leak in a sim-reachable package shows up here as a diff.
+func checkBitIdentical(t *testing.T, experiment string) {
+	t.Helper()
+	wide := capture(t, memoized, smokeArgs(experiment)...)
+	serial := capture(t, core.Experiments, smokeArgs(experiment, "-parallel", "1")...)
+	if serial != wide {
+		t.Errorf("%s: -parallel 1 and -parallel 8 give different reports:\n%s", experiment, firstDiff(serial, wide))
+	}
+}
+
 func TestSweepBitIdentical(t *testing.T) {
 	for _, experiment := range []string{"fig1", "spectrum"} {
-		t.Run(experiment, func(t *testing.T) {
-			base := []string{"-experiment", experiment, "-profile", "smoke", "-csv", "-seed", "42"}
-			serial := capture(t, append(base, "-parallel", "1")...)
-			smokeReports[experiment] = serial
-			wide := capture(t, append(base, "-parallel", "8")...)
-			if serial != wide {
-				t.Errorf("-parallel 1 and -parallel 8 reports differ:\n%s", firstDiff(serial, wide))
-			}
-			repeat := capture(t, append(base, "-parallel", "8")...)
-			if wide != repeat {
-				t.Errorf("two -parallel 8 runs with the same seed differ:\n%s", firstDiff(wide, repeat))
-			}
-		})
+		t.Run(experiment, func(t *testing.T) { checkBitIdentical(t, experiment) })
 	}
 }
 
 // TestGeoSweepBitIdentical extends the determinism gate to the geo
 // subsystem: the multi-DC grid — WAN-link jitter streams, per-DC quorum
 // fan-out, the DC-partition fault cells, and the adaptive controller's
-// probability-driven decisions — must produce byte-identical CSV across
-// worker-pool sizes.
-func TestGeoSweepBitIdentical(t *testing.T) {
-	base := []string{"-experiment", "geo", "-profile", "smoke", "-csv", "-seed", "42"}
-	serial := capture(t, append(base, "-parallel", "1")...)
-	smokeReports["geo"] = serial
-	wide := capture(t, append(base, "-parallel", "8")...)
-	if serial != wide {
-		t.Errorf("-parallel 1 and -parallel 8 geo reports differ:\n%s", firstDiff(serial, wide))
-	}
-}
+// probability-driven decisions.
+func TestGeoSweepBitIdentical(t *testing.T) { checkBitIdentical(t, "geo") }
 
 // TestTraceBitIdentical extends the invariant to the tracing subsystem:
 // the per-phase decomposition must be byte-identical across worker-pool
 // sizes, and the raw span stream, IDs included, must be identical across
 // same-seed runs.
 func TestTraceBitIdentical(t *testing.T) {
-	base := []string{"-experiment", "tracebreak", "-profile", "smoke", "-csv", "-seed", "42", "-rf", "1,3"}
-	serial := capture(t, append(base, "-parallel", "1")...)
-	smokeReports["tracebreak"] = serial
-	wide := capture(t, append(base, "-parallel", "8")...)
-	if serial != wide {
-		t.Errorf("-parallel 1 and -parallel 8 tracebreak reports differ:\n%s", firstDiff(serial, wide))
-	}
+	checkBitIdentical(t, "tracebreak")
 
 	o := core.SmokeOptions()
 	o.Seed = 42
@@ -117,8 +135,7 @@ func TestTraceBitIdentical(t *testing.T) {
 // whether those windows run in line on one worker (the sequential
 // reference) or on four pinned workers.
 func TestMegaScaleWorkersBitIdentical(t *testing.T) {
-	out := capture(t, "-experiment", "megascale", "-short", "-csv", "-seed", "42", "-shards", "4")
-	smokeReports["megascale-shards4"] = out
+	out := capture(t, memoized, smokeArgs("megascale", "-shards", "4")...)
 	if !strings.Contains(out, "megascale: 4 shards, ") || strings.Contains(out, " 0 conservative windows") {
 		t.Fatalf("megascale did not run multi-shard windows:\n%s", out)
 	}
@@ -140,32 +157,19 @@ var update = flag.Bool("update", false, "rewrite "+goldenDigests+" from this che
 
 const goldenDigests = "testdata/smoke_seed42.sha256"
 
+// goldenNames are the reports smoke_seed42.sha256 pins: one per experiment,
+// megascale at two -shards values.
+var goldenNames = []string{"fig1", "fig2", "fig3", "spectrum", "tracebreak", "geo",
+	"megascale-shards2", "megascale-shards4", "table1", "ablation-a3", "failover"}
+
 // TestSmokeGoldenDigests is the cross-commit identity gate. Every other
 // test in this file compares a run against another run of the same
 // checkout; this one compares the seed-42 smoke report of each experiment
 // family against the sha256 recorded when the figures were last moved on
-// purpose, so a refactor that shifts a number anywhere fails here. fig2,
-// fig3 and failover run only outside -short; no other gate captures them, so
-// this test runs them itself. Regenerate with -update, and only in a change
-// that declares the re-baseline.
+// purpose, so a refactor that shifts a number anywhere fails here. It reads
+// the memoized runs the other gates share. Regenerate with -update, and
+// only in a change that declares the re-baseline.
 func TestSmokeGoldenDigests(t *testing.T) {
-	reports := []struct {
-		name  string // golden name: the experiment, plus a -suffix where flags vary
-		extra []string
-		long  bool
-	}{
-		{name: "fig1"},
-		{name: "fig2", long: true},
-		{name: "fig3", long: true},
-		{name: "spectrum"},
-		{name: "tracebreak", extra: []string{"-rf", "1,3"}}, // smoke's own RF set; unset, tracebreak sweeps 1-6
-		{name: "geo"},
-		{name: "megascale-shards2", extra: []string{"-shards", "2"}},
-		{name: "megascale-shards4", extra: []string{"-shards", "4"}},
-		{name: "table1"},
-		{name: "ablation-a3"},
-		{name: "failover", long: true}, // four 40-s-of-sim-time timelines: as slow as fig3
-	}
 	raw, err := os.ReadFile(goldenDigests)
 	if err != nil {
 		t.Fatal(err)
@@ -179,28 +183,24 @@ func TestSmokeGoldenDigests(t *testing.T) {
 		}
 		want[name] = sum
 	}
-	for _, r := range reports {
-		if r.long && testing.Short() && !*update {
-			continue
+	for _, name := range goldenNames {
+		experiment, shards, ok := strings.Cut(name, "-shards")
+		args := smokeArgs(experiment)
+		if ok {
+			args = smokeArgs(experiment, "-shards", shards)
 		}
-		out, ok := smokeReports[r.name]
-		if !ok {
-			experiment, _, _ := strings.Cut(r.name, "-shards")
-			args := []string{"-experiment", experiment, "-profile", "smoke", "-csv", "-seed", "42"}
-			out = capture(t, append(args, r.extra...)...)
-		}
-		got := fmt.Sprintf("%x", sha256.Sum256([]byte(out)))
+		got := fmt.Sprintf("%x", sha256.Sum256([]byte(capture(t, memoized, args...))))
 		if *update {
-			want[r.name] = got
-		} else if got != want[r.name] {
-			t.Errorf("%s: report sha256 %s, golden %s — the seed-42 smoke figures moved", r.name, got, want[r.name])
+			want[name] = got
+		} else if got != want[name] {
+			t.Errorf("%s: report sha256 %s, golden %s — the seed-42 smoke figures moved", name, got, want[name])
 		}
 	}
 	if *update {
 		var b strings.Builder
 		b.WriteString(lines[0] + "\n")
-		for _, r := range reports {
-			fmt.Fprintf(&b, "%s  %s\n", want[r.name], r.name)
+		for _, name := range goldenNames {
+			fmt.Fprintf(&b, "%s  %s\n", want[name], name)
 		}
 		if err := os.WriteFile(goldenDigests, []byte(b.String()), 0o644); err != nil {
 			t.Fatal(err)

@@ -40,24 +40,26 @@ import (
 
 // experimentNames renders the registry (plus "all") for the usage string
 // and the unknown-name error.
-func experimentNames() string {
+func experimentNames(experiments func(core.CLI) []core.Experiment) string {
 	var names []string
-	for _, e := range core.Experiments(core.CLI{}) {
+	for _, e := range experiments(core.CLI{}) {
 		names = append(names, e.Name)
 	}
 	return strings.Join(append(names, "all"), "|")
 }
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	if err := run(os.Args[1:], os.Stdout, core.Experiments); err != nil {
 		fmt.Fprintln(os.Stderr, "replbench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string, stdout io.Writer) (err error) {
+// run parses args and runs what experiments returns (main passes the
+// registry); a report that could not be fully written is an error.
+func run(args []string, stdout io.Writer, experiments func(core.CLI) []core.Experiment) (err error) {
 	fs := flag.NewFlagSet("replbench", flag.ContinueOnError)
-	experimentFlag := fs.String("experiment", "all", experimentNames())
+	experimentFlag := fs.String("experiment", "all", experimentNames(experiments))
 	profile := fs.String("profile", "quick", "smoke, quick, or paper scale")
 	short := fs.Bool("short", false, "shorthand for -profile smoke")
 	traceOut := fs.String("trace-out", "", "write Chrome trace-event JSON for one span-retaining tracebreak cell to this file")
@@ -76,10 +78,9 @@ func run(args []string, stdout io.Writer) (err error) {
 	if *short {
 		*profile = "smoke"
 	}
-	registry := core.Experiments(core.CLI{
+	registry := experiments(core.CLI{
 		Profile:  *profile,
 		Shards:   *shards,
-		RFSet:    *rfList != "",
 		TraceOut: *traceOut,
 	})
 	known := *experimentFlag == "all"
@@ -87,7 +88,7 @@ func run(args []string, stdout io.Writer) (err error) {
 		known = known || e.Name == *experimentFlag
 	}
 	if !known {
-		return fmt.Errorf("unknown experiment %q (valid: %s)", *experimentFlag, experimentNames())
+		return fmt.Errorf("unknown experiment %q (valid: %s)", *experimentFlag, experimentNames(experiments))
 	}
 
 	var o core.Options
@@ -122,14 +123,18 @@ func run(args []string, stdout io.Writer) (err error) {
 		o.ReplicationFactors = rfs
 	}
 
-	w := stdout
+	w := &stickyWriter{w: stdout}
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
 			return err
 		}
-		defer f.Close()
-		w = io.MultiWriter(stdout, f)
+		defer func() {
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}()
+		w.w = io.MultiWriter(stdout, f)
 	}
 
 	if *cpuProfile != "" {
@@ -168,10 +173,27 @@ func run(args []string, stdout io.Writer) (err error) {
 		fmt.Fprintln(w)
 	}
 	fmt.Fprintf(w, "done in %v (wall clock)\n", time.Since(started).Round(time.Second))
-	if *memProfile != "" {
+	if *memProfile != "" && w.err == nil {
 		return writeAllocProfile(*memProfile)
 	}
-	return nil
+	return w.err
+}
+
+// stickyWriter passes writes through until the first one fails and keeps
+// that error, so a report that could not be written fails the run however
+// its printers treat write errors.
+type stickyWriter struct {
+	w   io.Writer
+	err error
+}
+
+func (s *stickyWriter) Write(p []byte) (int, error) {
+	if s.err != nil {
+		return 0, s.err
+	}
+	n, err := s.w.Write(p)
+	s.err = err
+	return n, err
 }
 
 // startCPUProfile starts a CPU profile into path; stop ends it and closes

@@ -28,7 +28,7 @@ func (s readSpy) Read(p *sim.Proc, key kv.Key, fields []string) (kv.Record, erro
 func TestPhaseCarriesInsertedCount(t *testing.T) {
 	const loaded, ops = 200, 300
 	load := ycsb.MicroUpdate(loaded)
-	d := deploy(smokeOptions(), hbaseAt(1), load)
+	d := deploy(SmokeOptions(), hbaseAt(1), load)
 	rcfg := ycsb.RunConfig{Threads: 4, Ops: ops}
 	var afterLoad, afterInsert, afterRead int64
 	var grownReads int

@@ -24,20 +24,6 @@ func reducedOptions() Options {
 	return o
 }
 
-// smokeOptions shrinks a sweep to single small cells for `go test -short`:
-// every mechanism still runs end to end, but the scale only supports
-// plumbing checks (row counts, rendering), not the paper's findings.
-func smokeOptions() Options {
-	o := QuickOptions()
-	o.ReplicationFactors = []int{3}
-	o.MicroRecords = 2_000
-	o.MicroOps = 3_000
-	o.StressRecords = 1_500
-	o.StressOps = 2_500
-	o.Fig3TargetFractions = []float64{1.0}
-	return o
-}
-
 func TestVerifyTable1(t *testing.T) {
 	if err := VerifyTable1(); err != nil {
 		t.Fatal(err)
@@ -187,7 +173,7 @@ func TestAblationHBaseSyncRepl(t *testing.T) {
 func TestFig2ReproducesStressFindings(t *testing.T) {
 	if testing.Short() {
 		// 1-cell smoke: one database at one RF, plumbing only.
-		res, err := runFig2Cell(smokeOptions(), hbaseAt(3))
+		res, err := runFig2Cell(SmokeOptions(), hbaseAt(3))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,7 +204,7 @@ func TestFig2ReproducesStressFindings(t *testing.T) {
 func TestFig3ReproducesConsistencyFindings(t *testing.T) {
 	if testing.Short() {
 		// 1-cell smoke: one workload at one consistency level.
-		o := smokeOptions()
+		o := SmokeOptions()
 		spec := ycsb.StressWorkloads(o.StressRecords)[0]
 		res, err := runFig3Cell(o, fig3Cell{lv: levels()[1], spec: spec})
 		if err != nil {

@@ -15,7 +15,7 @@ import (
 // instruments observe the run; one draw from a client thread's random
 // stream would shift every key that thread chooses after it.
 func TestInstrumentsDoNotPerturbRun(t *testing.T) {
-	o := smokeOptions()
+	o := SmokeOptions()
 	o.Threads = 24
 	spec := ycsb.ReadUpdate(o.StressRecords)
 	b := cassandraAt(3, levels()[0])

@@ -12,7 +12,7 @@ import (
 // (Cassandra ONE/ONE, read repair on, 50/50 zipfian read/update) and the
 // same input through HBase, how often the kernel parked a process and how
 // often it had to allocate an event struct, per simulated YCSB operation.
-// Parks per simop is the size of the prize for ROADMAP item 6 (fewer
+// Parks per simop is the size of the prize for ROADMAP item 10 (fewer
 // goroutine switches per op); free-list misses per simop is the evidence
 // that a canceled timeout's event is recycled — before eager unlinking it
 // was one miss per AwaitTimeout, i.e. at least one per operation. Beside
@@ -21,7 +21,7 @@ import (
 // snapshot the memtable's or merge two sources (Engine.Copies) — the reads
 // that cost a copy, into the caller's scratch row or a fresh one.
 func TestKernelStatsPerSimop(t *testing.T) {
-	o := smokeOptions()
+	o := SmokeOptions()
 	spec := ycsb.ReadUpdate(o.StressRecords)
 	for _, b := range []backend{cassandraAt(3, levels()[0]), hbaseAt(3)} {
 		d := deploy(o, b, spec)

@@ -149,14 +149,7 @@ func TestSweepOrdersRowsAndLabelsErrors(t *testing.T) {
 // interleavings, or result ordering. A sequential and a 4-worker run of the
 // same Fig. 2 sweep must be deep-equal, bit for bit.
 func TestParallelSweepDeterminism(t *testing.T) {
-	o := QuickOptions()
-	o.ReplicationFactors = []int{1, 6}
-	o.StressRecords = 1_500
-	o.StressOps = 2_500
-	if testing.Short() {
-		o.ReplicationFactors = []int{3}
-	}
-
+	o := SmokeOptions()
 	seq := o
 	seq.Parallelism = 1
 	a, err := RunFig2(seq)

@@ -22,12 +22,11 @@ type Report interface {
 	Findings() []Finding
 }
 
-// CLI carries the four replbench inputs that are not experiment knobs, each
-// read by the one experiment named on it.
+// CLI carries the three replbench inputs that are not experiment knobs,
+// each read by the one experiment named on it.
 type CLI struct {
 	Profile  string // resolved -profile; megascale sizes its deployment by it
 	Shards   int    // -shards; megascale's member kernels, clamped to at least 2
-	RFSet    bool   // -rf given; tracebreak sweeps RF 1-6 at every profile otherwise
 	TraceOut string // -trace-out; tracebreak exports one span-retaining cell here
 }
 

@@ -91,15 +91,11 @@ func RunTraceSpans(o Options, keep int) (TraceResult, []trace.Span, error) {
 	return runTraceCell(o, cassandraAt(rf, levels()[0]), keep)
 }
 
-// runTraceExperiment is the tracebreak registry entry. The decomposition
-// is about how shares move with the replication factor (F4's read-repair
-// growth needs at least RF 3..6), so it sweeps the full range at every
-// profile scale unless -rf narrowed it explicitly; with -trace-out it also
+// runTraceExperiment is the tracebreak registry entry. It sweeps the
+// profile's replication factors like every other entry (RF 1-6 at quick
+// and paper, 1 and 3 at smoke; -rf narrows them); with -trace-out it also
 // exports one span-retaining cell as Chrome trace-event JSON.
 func runTraceExperiment(o Options, cli CLI) (Report, error) {
-	if !cli.RFSet {
-		o.ReplicationFactors = []int{1, 2, 3, 4, 5, 6}
-	}
 	res, err := RunTraceBreakdown(o)
 	if err != nil || cli.TraceOut == "" {
 		return res, err
