@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"cloudbench/internal/sim"
@@ -11,8 +12,10 @@ import (
 
 // MicroResult is one point of Fig. 1: one database, one replication
 // factor, one atomic operation, under the paper's configuration or the
-// counterfactual that switches off the mechanism §4.1 credits.
+// counterfactual that switches off the mechanism §4.1 credits, from the
+// run at Seed.
 type MicroResult struct {
+	Seed       int64
 	DB         string
 	RF         int
 	Op         string
@@ -79,6 +82,7 @@ func runFig1Cell(o Options, b backend) (Fig1Results, error) {
 				WarmupFraction: warmupFraction,
 			})
 			out = append(out, MicroResult{
+				Seed:       o.Seed,
 				DB:         b.db,
 				RF:         b.rf,
 				Op:         op,
@@ -134,9 +138,30 @@ func (r Fig1Results) Tables() []*stats.Table {
 
 // config returns the rows of one configuration, in sweep order.
 func (r Fig1Results) config(name string) Fig1Results {
+	return r.filter(func(m MicroResult) bool { return m.Config == name })
+}
+
+// seed returns the rows of the run at one seed, in sweep order.
+func (r Fig1Results) seed(s int64) Fig1Results {
+	return r.filter(func(m MicroResult) bool { return m.Seed == s })
+}
+
+// seeds returns the seeds r holds rows of, in order of first appearance.
+func (r Fig1Results) seeds() []int64 {
+	var out []int64
+	for _, m := range r {
+		if !slices.Contains(out, m.Seed) {
+			out = append(out, m.Seed)
+		}
+	}
+	return out
+}
+
+// filter returns the rows keep accepts, in sweep order.
+func (r Fig1Results) filter(keep func(MicroResult) bool) Fig1Results {
 	var out Fig1Results
 	for _, m := range r {
-		if m.Config == name {
+		if keep(m) {
 			out = append(out, m)
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -82,6 +83,24 @@ func (r Fig1Results) at(config, db, op string, rf int) *MicroResult {
 	panic("no row " + config + "/" + db + "/" + op)
 }
 
+// synthF4Seeds is synthFig1's grid once per seed, seeds 1 to len(read),
+// with Cassandra's mean read and scan latency growing by read[i] and
+// scan[i] from RF 1 to RF 6 at seed i+1.
+func synthF4Seeds(read, scan []float64) Fig1Results {
+	var r Fig1Results
+	for i := range read {
+		g := synthFig1()
+		for j := range g {
+			g[j].Seed = int64(i + 1)
+		}
+		for op, growth := range map[string]float64{"read": read[i], "scan": scan[i]} {
+			g.at("paper", "Cassandra", op, 6).Mean = time.Duration(growth * float64(g.at("paper", "Cassandra", op, 1).Mean))
+		}
+		r = append(r, g...)
+	}
+	return r
+}
+
 func TestCheckFig1Shape(t *testing.T) {
 	allPass(t, synthFig1().Findings())
 
@@ -100,6 +119,67 @@ func TestCheckFig1Shape(t *testing.T) {
 	r = synthFig1()
 	r.at("paper", "Cassandra", "scan", 6).Mean = r.at("paper", "Cassandra", "scan", 1).Mean
 	fails(t, r.Findings(), "F4", "with Cassandra scan latency flat in RF")
+
+	// One seed has no interval: F4 holds each growth to the 1.25 margin.
+	for _, c := range []struct {
+		growth float64
+		pass   bool
+		detail string
+	}{
+		{2.5, true, "mean read rf6/rf1=2.50 scan=2.50 (threshold 1.25)"},
+		{1.17, false, "mean read rf6/rf1=1.17 scan=1.17 (threshold 1.25)"},
+	} {
+		one := []float64{c.growth}
+		if f := findingByID(synthF4Seeds(one, one).Findings(), "F4"); f.Pass != c.pass || f.Detail != c.detail {
+			t.Errorf("one seed growing %.2f: %s, want pass %v and %q", c.growth, f, c.pass, c.detail)
+		}
+	}
+
+	// Over seeds, F4 holds when every seed rises sharply, and the other
+	// findings judge seed 1 alone: seed 4's read growth fails F4′ and
+	// seed 2's tripled medians fail F1–F3 if they are read.
+	rising := synthF4Seeds([]float64{1.3, 1.5, 1.4, 1.6}, []float64{1.4, 1.3, 1.35, 1.5})
+	for i := range rising {
+		if rising[i].Seed == 2 && rising[i].RF == 6 {
+			rising[i].P50 *= 3
+		}
+	}
+	fs := rising.Findings()
+	allPass(t, fs)
+	if f := findingByID(fs, "F4"); !strings.Contains(f.Detail, "; geometric means over 4 seeds 1–4") {
+		t.Errorf("F4 does not name its seeds: %s", f)
+	}
+	for _, c := range []struct {
+		read, scan []float64
+		why        string
+	}{
+		{[]float64{0.9, 1.1, 1.2}, []float64{0.9, 1.1, 1.2}, "with per-seed growth straddling 1"},
+		// Read growth with read repair off, seeds 1–6 (ROADMAP probe 2).
+		{[]float64{0.59, 0.79, 1.01, 0.99, 0.53, 0.96}, []float64{1.3, 1.4, 1.3, 1.5, 1.2, 1.4}, "with the read-repair-off shape"},
+		{[]float64{1.5, 1.6, 1.7}, []float64{1, 1, 1}, "with scans flat at every seed"},
+		// Each seed alone fails the margin, so their mean must too.
+		{[]float64{1.1, 1.1, 1.1, 1.1, 1.1, 1.1, 1.1, 1.1}, []float64{1.5, 1.5, 1.5, 1.5, 1.5, 1.5, 1.5, 1.5}, "with reads rising 1.1 at every seed"},
+		{[]float64{1.5, 1.6, 1.7}, []float64{1.2, 1.22, 1.24}, "with scans rising below the margin at every seed"},
+		// A geometric mean above the margin whose interval reaches below 1.
+		{[]float64{0.8, 2.5}, []float64{1.5, 1.5}, "with two seeds too far apart to show growth"},
+	} {
+		fails(t, synthF4Seeds(c.read, c.scan).Findings(), "F4", c.why)
+	}
+	// growth.rises, the recorded scan deviation's check, needs an interval
+	// above 1 and no margin.
+	for _, c := range []struct {
+		ratios []float64
+		rises  bool
+	}{
+		{[]float64{1.1, 1.2, 1.15}, true},
+		{[]float64{0.9, 1.1, 1.2}, false},
+		{[]float64{1.5}, false},
+	} {
+		_, g := synthF4Seeds(c.ratios, c.ratios).config("paper").f4Growth()
+		if g.rises() != c.rises {
+			t.Errorf("growth %v over %v: rises = %v, want %v", g, c.ratios, g.rises(), c.rises)
+		}
+	}
 
 	r = synthFig1()
 	for _, rf := range []int{1, 6} {
