@@ -31,7 +31,7 @@ func capture(t *testing.T, experiments func(core.CLI) []core.Experiment, args ..
 }
 
 // smokeArgs are a golden's flags, the seed-42 smoke report in CSV on 8
-// workers (checkBitIdentical proves the count moves nothing), plus extra.
+// workers (TestSweepBitIdentical proves the count moves nothing), plus extra.
 func smokeArgs(experiment string, extra ...string) []string {
 	return append([]string{"-experiment", experiment, "-profile", "smoke", "-csv", "-seed", "42", "-parallel", "8"}, extra...)
 }
@@ -45,8 +45,10 @@ type memoRun struct {
 	err  error
 }
 
-// memo is every run memoized has simulated. The package's tests run one
-// at a time, and run calls an entry on the test's own goroutine.
+// memo is every run memoized has simulated. Tests touch it only from
+// their sequential part: run calls an entry on the calling goroutine, and
+// TestSweepBitIdentical's subtests read their memoized report before they
+// call t.Parallel.
 var memo []memoRun
 
 // memoized is core.Experiments with each entry's Run simulated once per
@@ -71,39 +73,35 @@ func memoized(cli core.CLI) []core.Experiment {
 	return exps
 }
 
-// checkBitIdentical is the determinism regression test: an experiment's
-// memoized smoke report, swept on 8 workers, must equal a fresh -parallel 1
-// run byte for byte. This is the invariant the detwalk and
-// seedflow analyzers protect — any wall-clock read, global rand call, or
-// map-order leak in a sim-reachable package shows up here as a diff.
-func checkBitIdentical(t *testing.T, experiment string) {
-	t.Helper()
-	wide := capture(t, memoized, smokeArgs(experiment)...)
-	serial := capture(t, core.Experiments, smokeArgs(experiment, "-parallel", "1")...)
-	if serial != wide {
-		t.Errorf("%s: -parallel 1 and -parallel 8 give different reports:\n%s", experiment, firstDiff(serial, wide))
-	}
-}
-
+// TestSweepBitIdentical is the determinism regression test: each swept
+// experiment's memoized smoke report, run on 8 workers, must equal a fresh
+// -parallel 1 run byte for byte. This is the invariant the detwalk and
+// seedflow analyzers protect: any wall-clock read, global rand call, or
+// map-order leak in a sim-reachable package shows up here as a diff. The
+// table covers the micro grid, the consistency grid, the per-phase
+// decomposition and the multi-DC grid (WAN-link jitter streams, per-DC
+// quorum fan-out, the partition cells, the adaptive controller), and
+// Fig. 3, the one sweep whose cells depend on others': its QUORUM and
+// writeALL cells take their targets from the ONE cells' probes. Each
+// serial rerun keeps one core busy, so the reruns run side by side, the
+// longest, Fig. 3's, first.
 func TestSweepBitIdentical(t *testing.T) {
-	for _, experiment := range []string{"fig1", "spectrum"} {
-		t.Run(experiment, func(t *testing.T) { checkBitIdentical(t, experiment) })
+	for _, experiment := range []string{"fig3", "fig1", "spectrum", "tracebreak", "geo"} {
+		t.Run(experiment, func(t *testing.T) {
+			wide := capture(t, memoized, smokeArgs(experiment)...)
+			t.Parallel()
+			serial := capture(t, core.Experiments, smokeArgs(experiment, "-parallel", "1")...)
+			if serial != wide {
+				t.Errorf("-parallel 1 and -parallel 8 give different reports:\n%s", firstDiff(serial, wide))
+			}
+		})
 	}
 }
 
-// TestGeoSweepBitIdentical extends the determinism gate to the geo
-// subsystem: the multi-DC grid — WAN-link jitter streams, per-DC quorum
-// fan-out, the DC-partition fault cells, and the adaptive controller's
-// probability-driven decisions.
-func TestGeoSweepBitIdentical(t *testing.T) { checkBitIdentical(t, "geo") }
-
-// TestTraceBitIdentical extends the invariant to the tracing subsystem:
-// the per-phase decomposition must be byte-identical across worker-pool
-// sizes, and the raw span stream, IDs included, must be identical across
-// same-seed runs.
+// TestTraceBitIdentical extends the invariant to the raw span stream of the
+// tracing subsystem: IDs included, it must be identical across same-seed
+// runs.
 func TestTraceBitIdentical(t *testing.T) {
-	checkBitIdentical(t, "tracebreak")
-
 	o := core.SmokeOptions()
 	o.Seed = 42
 	o.ReplicationFactors = []int{3}

@@ -113,9 +113,10 @@ func run(args []string, stdout io.Writer, experiments func(core.CLI) []core.Expe
 	if *rfList != "" {
 		var rfs []int
 		for _, part := range strings.Split(*rfList, ",") {
-			// Findings walk the rows in RF order, so the list ascends.
+			// Findings walk the rows in RF order, so the list ascends; a
+			// factor above the testbed would run, clamped, under its label.
 			n, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil || n < 1 || (len(rfs) > 0 && n <= rfs[len(rfs)-1]) {
+			if err != nil || n < 1 || n > core.ServerNodes || (len(rfs) > 0 && n <= rfs[len(rfs)-1]) {
 				return fmt.Errorf("bad -rf entry %q", part)
 			}
 			rfs = append(rfs, n)

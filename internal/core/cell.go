@@ -153,7 +153,7 @@ func engineConfig(o Options) storage.Config {
 }
 
 // deploy provisions the backend, configured as b says, on the paper's
-// testbed — serverNodes database machines plus one client machine (which
+// testbed — ServerNodes database machines plus one client machine (which
 // also hosts the HBase master) on one rack — or, for a geo backend, one
 // such block per datacenter, with HBase regions pre-split for spec's key
 // space. Client
@@ -167,7 +167,7 @@ func engineConfig(o Options) storage.Config {
 // its event order; RunMegaScale, whose segments are independent clusters,
 // is the one experiment on sim.ShardGroup.
 func deploy(o Options, b backend, spec ycsb.Spec) *deployment {
-	dcs, spd := 1, serverNodes // servers per datacenter
+	dcs, spd := 1, ServerNodes // servers per datacenter
 	if b.dcs > 0 {
 		dcs, spd = b.dcs, geoServersPerDC
 	}
@@ -200,7 +200,7 @@ func deploy(o Options, b backend, spec ycsb.Spec) *deployment {
 		cfg.Replication = b.rf
 		cfg.Engine = engineConfig(o)
 		cfg.MemReplication = !b.syncRepl
-		splits := spec.SplitPoints(serverNodes * cfg.RegionsPerServer)
+		splits := spec.SplitPoints(ServerNodes * cfg.RegionsPerServer)
 		db := hbase.New(d.k, cfg, servers, attach[0], splits)
 		d.hb, d.flush = db, db.FlushAll
 		d.newClient = func() kv.Client { return db.NewClient(attach[0]) }

@@ -139,7 +139,6 @@ Cassandra/writeALL/rf3`},
 2dc/80ms/LOCAL_QUORUM/3+3/grid
 2dc/80ms/EACH_QUORUM/2+2/fault
 2dc/80ms/LOCAL_QUORUM/2+2/fault
-2dc/80ms/EACH_QUORUM/2+2/sla-fixed
 2dc/80ms/adaptive/2+2/sla-adaptive`},
 	} {
 		if got := labels(tc.cells); got != strings.TrimSpace(tc.want) {

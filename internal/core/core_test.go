@@ -133,6 +133,7 @@ type seededCell struct {
 func (c seededCell) String() string { return fmt.Sprintf("seed%d/%v", c.seed, c.b) }
 
 func TestFig1ReproducesMicroFindings(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		// Plumbing only: the smoke run the counterfactual tests judge.
 		if res, err := smokeFig1(); err != nil || len(res) != 2*2*2*4 || len(res.Figures()) != 4 {
@@ -203,6 +204,7 @@ func counterfactualFig1(t *testing.T) Fig1Results {
 // TestAblationReadRepair judges F4′ (A1: Cassandra's read growth is read
 // repair's); one step of RF under -short does not carry it.
 func TestAblationReadRepair(t *testing.T) {
+	t.Parallel()
 	if f := findingByID(counterfactualFig1(t).Findings(), "F4′"); f == nil || !f.Pass && !testing.Short() {
 		t.Errorf("finding failed: %v", f)
 	}
@@ -211,12 +213,14 @@ func TestAblationReadRepair(t *testing.T) {
 // TestAblationHBaseSyncRepl judges F2′ (A2: HBase's flat updates are
 // in-memory replication's).
 func TestAblationHBaseSyncRepl(t *testing.T) {
+	t.Parallel()
 	if f := findingByID(counterfactualFig1(t).Findings(), "F2′"); f == nil || !f.Pass {
 		t.Errorf("finding failed: %v", f)
 	}
 }
 
 func TestFig2ReproducesStressFindings(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		// 1-cell smoke: one database at one RF, plumbing only.
 		res, err := runFig2Cell(SmokeOptions(), hbaseAt(3))
@@ -248,6 +252,7 @@ func TestFig2ReproducesStressFindings(t *testing.T) {
 }
 
 func TestFig3ReproducesConsistencyFindings(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		// 1-cell smoke: one workload at one consistency level.
 		o := SmokeOptions()

@@ -7,7 +7,7 @@ import (
 )
 
 // geoTestOptions trims the smoke profile further so the full geo grid —
-// 18 RTT × level cells, the RF sweep, the fault cells, and the SLA pair —
+// 18 RTT × level cells, the RF sweep, the fault cells, and the SLA cell —
 // stays cheap enough for the unit suite.
 func geoTestOptions() Options {
 	o := SmokeOptions()
@@ -18,6 +18,7 @@ func geoTestOptions() Options {
 }
 
 func TestRunGeoReproducesFindings(t *testing.T) {
+	t.Parallel()
 	o := geoTestOptions()
 	res, err := RunGeo(o)
 	if err != nil {
@@ -57,6 +58,7 @@ func TestRunGeoReproducesFindings(t *testing.T) {
 }
 
 func TestRunFailoverAvailabilityShapes(t *testing.T) {
+	t.Parallel()
 	o := Options{Seed: 1}
 	res, err := RunFailover(o)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -13,6 +14,11 @@ var update = flag.Bool("update", false, "rewrite EXPERIMENTS.md's findings block
 // experimentsDoc holds the findings blocks the experiment tests keep equal
 // to what they compute.
 const experimentsDoc = "../../EXPERIMENTS.md"
+
+// experimentsDocMu makes checkFindingsBlock's read, compare and rewrite of
+// experimentsDoc one step: the experiment tests run in parallel, and
+// -update must rewrite every block exactly once.
+var experimentsDocMu sync.Mutex
 
 // checkFindingsBlock renders findings, one Finding.String line each under a
 // header naming the options (opts), the seed and the test, and compares
@@ -30,6 +36,8 @@ func checkFindingsBlock(t *testing.T, name, opts string, o Options, findings []F
 	b.WriteString("```\n")
 	block := b.String()
 
+	experimentsDocMu.Lock()
+	defer experimentsDocMu.Unlock()
 	raw, err := os.ReadFile(experimentsDoc)
 	if err != nil {
 		t.Fatal(err)

@@ -436,6 +436,10 @@ func TestCheckGeoShape(t *testing.T) {
 	r.find(geoModeAdaptive, 2, geoAnchorRTT, "adaptive", anchor).WriteP99 = 50 * time.Millisecond
 	fails(t, r.Findings(), "FG3", "with the adaptive client over the deadline")
 
+	r = synthGeo(o) // the anchor grid cell is FG3's fixed side
+	r.find(geoModeGrid, 2, geoAnchorRTT, "EACH_QUORUM", anchor).WriteP99 = 30 * time.Millisecond
+	fails(t, r.Findings(), "FG3", "with fixed EACH_QUORUM inside the deadline")
+
 	r = synthGeo(o)
 	r.find(geoModeFault, 2, geoAnchorRTT, "LOCAL_QUORUM", anchor).Errors = 1
 	fails(t, r.Findings(), "FG4", "with LOCAL_QUORUM failing writes under partition")

@@ -22,14 +22,14 @@ import (
 	"cloudbench/internal/kv"
 )
 
-// The paper's testbed and client shape, the same at every profile:
-// serverNodes database machines plus one client machine (which also hosts
-// the HBase master), mirroring the paper's 15+1, and the share of each
-// measured phase's operations run as warmup before measurement starts.
-const (
-	serverNodes    = 15
-	warmupFraction = 0.1
-)
+// ServerNodes is the paper's testbed, the same at every profile: 15
+// database machines plus one client machine (which also hosts the HBase
+// master). No replication factor can exceed it.
+const ServerNodes = 15
+
+// warmupFraction is the share of each measured phase's operations run as
+// warmup before measurement starts.
+const warmupFraction = 0.1
 
 // Options controls the scale of every experiment and the testbed it runs
 // on; what a cell deploys at that scale is its backend (cell.go).

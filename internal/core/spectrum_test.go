@@ -133,8 +133,8 @@ func TestSpectrumSmoke(t *testing.T) {
 		}
 	}
 	out := results.Tables()[0].String()
-	for _, want := range []string{"stale-%", "tvis-q-p50", "mono-viol", "hint-applies", "async-regress",
-		"HBase", "writeALL", "async/read-quorum"} {
+	for _, want := range []string{"Replication spectrum", "repl-interval", "stale-%", "tvis-q-p50", "mono-viol",
+		"hint-applies", "async-regress", "HBase", "Cassandra", "ObjStore", "writeALL", "async/read-one", "async/read-quorum"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("table missing %q", want)
 		}

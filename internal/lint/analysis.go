@@ -9,17 +9,23 @@
 // `go list -deps -json` and type-checked from source with go/types (see
 // load.go), which is exactly what x/tools' source importer does.
 //
-// Four analyzers ship today:
+// Seven analyzers ship today (All):
 //
-//   - detwalk:   nondeterminism sources in sim-reachable packages (wall
+//   - detwalk:     nondeterminism sources in sim-reachable packages (wall
 //     clock, global math/rand, order-dependent map iteration, multi-case
 //     select),
-//   - hookguard: calls through nullable hook/callback fields must be
+//   - hookguard:   calls through nullable hook/callback fields must be
 //     dominated by a nil check,
-//   - hotpath:   functions marked //simlint:hotpath may not allocate via
+//   - hotpath:     functions marked //simlint:hotpath may not allocate via
 //     defer, closures, fmt, string concatenation, or interface boxing,
-//   - seedflow:  every rand.New must be traceable to a seed parameter or
-//     Options.Seed-style field.
+//   - seedflow:    every rand.New must be traceable to a seed parameter or
+//     Options.Seed-style field,
+//   - shardsafe:   cross-shard delivery closures must not capture or reach
+//     the sending shard's kernel objects,
+//   - blockfree:   process bodies handed to the kernel must not block the
+//     OS thread; virtual waits go through sim park points,
+//   - ignoreaudit: every //simlint:ignore directive must still suppress a
+//     live diagnostic (implemented in run.go, not as a pass).
 //
 // False positives are suppressed in place with
 //
