@@ -78,4 +78,4 @@ loc:
 # trace-event format (load into chrome://tracing or Perfetto). RF 1, 3, 4:
 # FT2 judges a trend over RF >= 3, which smoke's default RFs {1, 3} lack.
 trace:
-	$(GO) run ./cmd/replbench -experiment tracebreak -short -rf 1,3,4 -csv -o tracebreak.csv -trace-out trace.json
+	$(GO) run ./cmd/replbench -experiment tracebreak -profile smoke -rf 1,3,4 -csv -o tracebreak.csv -trace-out trace.json

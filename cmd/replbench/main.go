@@ -4,7 +4,7 @@
 // Usage:
 //
 //	replbench -experiment <name>|all \
-//	          [-profile smoke|quick|paper] [-short] [-seed N] [-rf 1,2,3] [-parallel N] [-shards N] [-csv] [-o results.txt] [-trace-out trace.json]
+//	          [-profile smoke|quick|paper] [-seed N] [-rf 1,2,3] [-parallel N] [-shards N] [-csv] [-o results.txt] [-trace-out trace.json]
 //	          [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
 // The experiment names (table1, fig1, ..., spectrum) come from a single
@@ -61,7 +61,6 @@ func run(args []string, stdout io.Writer, experiments func(core.CLI) []core.Expe
 	fs := flag.NewFlagSet("replbench", flag.ContinueOnError)
 	experimentFlag := fs.String("experiment", "all", experimentNames(experiments))
 	profile := fs.String("profile", "quick", "smoke, quick, or paper scale")
-	short := fs.Bool("short", false, "shorthand for -profile smoke")
 	traceOut := fs.String("trace-out", "", "write Chrome trace-event JSON for one span-retaining tracebreak cell to this file")
 	seed := fs.Int64("seed", 1, "simulation seed")
 	parallel := fs.Int("parallel", 0, "sweep cells run concurrently (0 = one per CPU); results are bit-identical for every value")
@@ -75,9 +74,6 @@ func run(args []string, stdout io.Writer, experiments func(core.CLI) []core.Expe
 		return err
 	}
 
-	if *short {
-		*profile = "smoke"
-	}
 	registry := experiments(core.CLI{
 		Profile:  *profile,
 		Shards:   *shards,

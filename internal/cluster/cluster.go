@@ -247,29 +247,6 @@ func (n *Node) SendTo(p *sim.Proc, dst *Node, size int) bool {
 	return true
 }
 
-// Deliver schedules fn to run (in kernel context) after the network delay
-// for a message of the given size from n to dst. The caller does not
-// block; fn is dropped if either endpoint is down — or the zones are
-// partitioned — at send or receive time.
-func (n *Node) Deliver(dst *Node, size int, fn func()) {
-	if n.down || dst.down || n.cluster.zoneCut(n.Zone, dst.Zone) {
-		return
-	}
-	var d time.Duration
-	if dst != n {
-		d = n.netDelay(dst, size)
-		n.BytesSent += int64(size)
-	}
-	k := n.cluster.K
-	k.After(d, func() {
-		if dst.down || n.cluster.zoneCut(n.Zone, dst.Zone) {
-			return
-		}
-		dst.BytesReceived += int64(size)
-		fn()
-	})
-}
-
 // RoundTrip models a full request/response exchange carried by p: request
 // of reqSize to dst, handler work executed against dst's resources by the
 // same process, then a response of respSize back. It returns false if

@@ -107,34 +107,6 @@ func TestSendToDownNodeFails(t *testing.T) {
 	}
 }
 
-func TestDeliverRunsAtArrivalTime(t *testing.T) {
-	k := sim.NewKernel(1)
-	c := New(k, testConfig(2))
-	var at sim.Time
-	c.Nodes[0].Deliver(c.Nodes[1], 1000, func() { at = k.Now() })
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	want := sim.Time(8*time.Microsecond + 100*time.Microsecond)
-	if at != want {
-		t.Fatalf("delivered at %v, want %v", at, want)
-	}
-}
-
-func TestDeliverDroppedWhenReceiverDies(t *testing.T) {
-	k := sim.NewKernel(1)
-	c := New(k, testConfig(2))
-	ran := false
-	c.Nodes[0].Deliver(c.Nodes[1], 1000, func() { ran = true })
-	c.Nodes[1].Fail() // fails before the message lands
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if ran {
-		t.Fatal("message delivered to node that failed in flight")
-	}
-}
-
 func TestRoundTripRunsHandler(t *testing.T) {
 	k := sim.NewKernel(1)
 	c := New(k, testConfig(2))

@@ -79,21 +79,3 @@ func TestSendToSurvivesFailRecoverCycleInFlight(t *testing.T) {
 		t.Fatal("send lost although the receiver was up at arrival")
 	}
 }
-
-// TestDeliverDroppedAtSendWhenReceiverDown: a message addressed to a node
-// that is already down is dropped immediately, even if the node recovers
-// before the would-be arrival time.
-func TestDeliverDroppedAtSendWhenReceiverDown(t *testing.T) {
-	k := sim.NewKernel(1)
-	c := New(k, testConfig(2))
-	c.Nodes[1].Fail()
-	ran := false
-	c.Nodes[0].Deliver(c.Nodes[1], 1000, func() { ran = true })
-	c.Nodes[1].Recover() // recovers well before the ~108µs arrival
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if ran {
-		t.Fatal("delivery to a down node was not dropped at send time")
-	}
-}

@@ -76,7 +76,7 @@ func TestKernelStatsPerSimop(t *testing.T) {
 				b.db, st.EventMisses, st.TimersScheduled)
 		}
 		if st.TimersCanceled != st.TimersUnlinked {
-			t.Logf("%s: %d canceled deadlines were dropped lazily (due batch, fast lane or overflow heap)", b.db, st.TimersCanceled-st.TimersUnlinked)
+			t.Logf("%s: %d canceled deadlines were dropped lazily (due batch or fast lane)", b.db, st.TimersCanceled-st.TimersUnlinked)
 		}
 	}
 }

@@ -114,9 +114,6 @@ func NewController(cfg ControllerConfig) *Controller {
 	}
 }
 
-// Stage returns the current ladder rung.
-func (c *Controller) Stage() int { return c.stage }
-
 // StageName returns the name of the current rung.
 func (c *Controller) StageName() string { return c.cfg.Ladder[c.stage].Name }
 

@@ -42,12 +42,12 @@ func TestEstimateDrivenStepDown(t *testing.T) {
 			}
 			c.observe(p, s, probe, 80*time.Millisecond, nil)
 		}
-		if c.Stage() != 0 {
+		if c.stage != 0 {
 			t.Fatalf("stepped down on %d samples, below MinSamples", 19)
 		}
 		c.observe(p, 0, false, 80*time.Millisecond, nil)
 		s, _ := c.stageFor(p)
-		if s != 1 || c.Stage() != 1 {
+		if s != 1 || c.stage != 1 {
 			t.Fatalf("stage = %d after trusted over-deadline estimate, want 1", s)
 		}
 	})
@@ -62,13 +62,13 @@ func TestErrorStepsDownImmediately(t *testing.T) {
 	drive(t, 2, func(p *sim.Proc) {
 		s, probe := c.stageFor(p)
 		c.observe(p, s, probe, time.Millisecond, kv.ErrUnavailable)
-		if c.Stage() != 1 {
-			t.Fatalf("stage = %d after unavailable, want 1", c.Stage())
+		if c.stage != 1 {
+			t.Fatalf("stage = %d after unavailable, want 1", c.stage)
 		}
 		// Stale completions from the old rung must not double-shift.
 		c.observe(p, 0, false, time.Millisecond, kv.ErrUnavailable)
-		if c.Stage() != 1 {
-			t.Fatalf("stage = %d after stale-rung error, want 1", c.Stage())
+		if c.stage != 1 {
+			t.Fatalf("stage = %d after stale-rung error, want 1", c.stage)
 		}
 	})
 }
@@ -88,8 +88,8 @@ func TestProbeStepsBackUpAfterCooldown(t *testing.T) {
 		}
 		// Failed probe: stay down, cooldown restarts.
 		c.observe(p, s, probe, 80*time.Millisecond, nil)
-		if c.Stage() != 1 {
-			t.Fatalf("failed probe moved the ladder to %d", c.Stage())
+		if c.stage != 1 {
+			t.Fatalf("failed probe moved the ladder to %d", c.stage)
 		}
 		if s, probe := c.stageFor(p); s != 1 || probe {
 			t.Fatalf("probe fired again at stage=%d probe=%v before the restarted cooldown", s, probe)
@@ -102,8 +102,8 @@ func TestProbeStepsBackUpAfterCooldown(t *testing.T) {
 			t.Fatalf("stage=%d probe=%v after restarted cooldown", s, probe)
 		}
 		c.observe(p, s, probe, time.Millisecond, nil)
-		if c.Stage() != 0 {
-			t.Fatalf("successful probe left the ladder at %d", c.Stage())
+		if c.stage != 0 {
+			t.Fatalf("successful probe left the ladder at %d", c.stage)
 		}
 	})
 	m := c.Metrics()

@@ -89,9 +89,6 @@ func New(k *sim.Kernel, cfg Config, nodes []*cluster.Node) *FS {
 	return &FS{k: k, cfg: cfg, nodes: nodes, files: make(map[string]*File)}
 }
 
-// Replication returns the effective replication factor.
-func (fs *FS) Replication() int { return fs.cfg.Replication }
-
 // SetTracer installs (or, with nil, removes) the tracer observing pipeline
 // hops.
 func (fs *FS) SetTracer(t *trace.Tracer) { fs.tracer = t }

@@ -186,8 +186,8 @@ func TestSequentialReadChargesAllBlocks(t *testing.T) {
 
 func TestReplicationClampedToClusterSize(t *testing.T) {
 	k, c, fs := testFS(t, 2, 6)
-	if fs.Replication() != 2 {
-		t.Fatalf("replication = %d, want clamped 2", fs.Replication())
+	if fs.cfg.Replication != 2 {
+		t.Fatalf("replication = %d, want clamped 2", fs.cfg.Replication)
 	}
 	k.Spawn("writer", func(p *sim.Proc) {
 		f := fs.Create(p, "/t", 100, c.Nodes[0])

@@ -29,9 +29,6 @@ func NewResource(k *Kernel, name string, capacity int) *Resource {
 	return &Resource{k: k, name: name, parkLabel: "resource:" + name, capacity: capacity, created: k.now, lastT: k.now}
 }
 
-// Name returns the resource's name.
-func (r *Resource) Name() string { return r.name }
-
 //simlint:hotpath
 func (r *Resource) accumulate() {
 	dt := int64(r.k.now - r.lastT)

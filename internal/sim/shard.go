@@ -209,9 +209,6 @@ func (g *ShardGroup) computeReach() {
 	}
 }
 
-// Shards returns the number of member kernels.
-func (g *ShardGroup) Shards() int { return len(g.shards) }
-
 // Shard returns the i'th member.
 func (g *ShardGroup) Shard(i int) *Shard { return g.shards[i] }
 

@@ -27,7 +27,7 @@ type ringModel struct {
 func (m *ringModel) runOnGroup(t *testing.T, g *ShardGroup, delay Duration) string {
 	t.Helper()
 	m.logs = make([][]string, m.nodes)
-	shardOf := func(node int) int { return node % g.Shards() }
+	shardOf := func(node int) int { return node % len(g.shards) }
 	for i := 0; i < m.nodes; i++ {
 		i := i
 		s := g.Shard(shardOf(i))
@@ -225,8 +225,8 @@ func TestShardAwaitRemoteResponse(t *testing.T) {
 	if got != 42 || at != Time(2*lookahead) {
 		t.Errorf("requester woke with %d at %v, want 42 at %v", got, at, Time(2*lookahead))
 	}
-	for i := 0; i < g.Shards(); i++ {
-		if live := g.Shard(i).Kernel().Live(); live != 0 {
+	for i := 0; i < len(g.shards); i++ {
+		if live := g.Shard(i).Kernel().live; live != 0 {
 			t.Errorf("shard %d leaked %d live processes", i, live)
 		}
 	}
@@ -394,8 +394,8 @@ func TestShardPinnedPoolTornDownAndRebuilt(t *testing.T) {
 	if want := Time(2*time.Microsecond + lookahead); wokeAt != want {
 		t.Errorf("waiter woke at %v, want %v", wokeAt, want)
 	}
-	for i := 0; i < g.Shards(); i++ {
-		if live := g.Shard(i).Kernel().Live(); live != 0 {
+	for i := 0; i < len(g.shards); i++ {
+		if live := g.Shard(i).Kernel().live; live != 0 {
 			t.Errorf("shard %d leaked %d live processes", i, live)
 		}
 	}

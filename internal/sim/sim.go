@@ -12,14 +12,13 @@
 // virtual time, so latency and throughput measurements are exact and
 // independent of host machine speed.
 //
-// Internally events live in a hierarchical timing wheel with a same-instant
-// fast lane and a heap fallback for far-future timers (see wheel.go), and
-// process goroutines are pooled across process lifetimes, so both the event
+// Internally events live in a hierarchical timing wheel that spans all of
+// virtual time, with a same-instant fast lane (see wheel.go), and process
+// goroutines are pooled across process lifetimes, so both the event
 // loop and process churn are allocation-free at steady state.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -45,9 +44,8 @@ func (t Time) String() string { return Duration(t).String() }
 
 // event is a pending kernel event: at time t, run fn. A fired event has
 // fn == nil. A wheel-resident event knows its position, so cancel unlinks
-// and recycles it at once; in the fast lane, the due batch or the overflow
-// heap (level -1) it is marked canceled and dropped when the scheduler
-// reaches it.
+// and recycles it at once; in the fast lane or the due batch (level -1) it
+// is marked canceled and dropped when the scheduler reaches it.
 type event struct {
 	t        Time
 	seq      uint64
@@ -75,29 +73,6 @@ type Stats struct {
 	EventHits, EventMisses, ProcHits, ProcMisses    int64
 }
 
-// eventHeap is the far-future overflow heap, ordered by (t, seq). Only
-// timers beyond the wheel span live here; they migrate into the wheel as
-// virtual time approaches.
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
-}
-
 // Kernel is a discrete-event simulation kernel. Create one with NewKernel,
 // spawn processes with Spawn (detached fire-and-forget work: Go), and drive
 // it with Run or RunUntil.
@@ -106,22 +81,21 @@ func (h *eventHeap) Pop() any {
 // all interaction must happen either before Run or from within simulation
 // processes.
 type Kernel struct {
-	now      Time
-	seq      uint64
-	pending  int          // scheduled events that are neither fired nor canceled
-	fast     ring[*event] // same-instant FIFO lane (events at exactly now)
-	wheel    timerWheel
-	overflow eventHeap // timers ≥ wheelSpan ahead
-	due      []*event  // drained level-0 slot for the current instant, seq order
-	dueIdx   int
-	free     []*event // recycled event structs (see schedule/runWindow)
-	stats    Stats
-	rng      *rand.Rand
-	seed     int64
-	live     int   // processes spawned and not yet terminated
-	procs    int64 // total processes ever spawned (id source)
-	yield    chan struct{}
-	failed   any // panic value recovered from a process
+	now     Time
+	seq     uint64
+	pending int          // scheduled events that are neither fired nor canceled
+	fast    ring[*event] // same-instant FIFO lane (events at exactly now)
+	wheel   timerWheel
+	due     []*event // drained level-0 slot for the current instant, seq order
+	dueIdx  int
+	free    []*event // recycled event structs (see schedule/runWindow)
+	stats   Stats
+	rng     *rand.Rand
+	seed    int64
+	live    int   // processes spawned and not yet terminated
+	procs   int64 // total processes ever spawned (id source)
+	yield   chan struct{}
+	failed  any // panic value recovered from a process
 
 	// workerFree pools parked process goroutines (and, for Go, their Proc
 	// structs) across process lifetimes. RunUntil releases the pool when a
@@ -179,21 +153,17 @@ func (k *Kernel) Rand() *rand.Rand { return k.rng }
 // Seed returns the seed the kernel was created with.
 func (k *Kernel) Seed() int64 { return k.seed }
 
-// Live reports the number of processes that have been spawned and have not
-// yet terminated.
-func (k *Kernel) Live() int { return k.live }
-
 // Stats returns the kernel's activity counters.
 func (k *Kernel) Stats() Stats { return k.stats }
 
 // schedule enqueues fn to run at time t. Events at or before the current
 // instant go to the FIFO fast lane — the dominant wake pattern
 // schedule(k.now, p.wake) never touches the wheel — and later events go to
-// the wheel, or to the overflow heap beyond the wheel span. The event
-// struct comes from the kernel's free list when possible: Sleep-heavy
-// workloads churn millions of events per run, and recycling them keeps the
-// hot path allocation-free. A caller that may cancel the event keeps a
-// timer{e, e.seq}, never the bare pointer.
+// the wheel, whatever their distance. The event struct comes from the
+// kernel's free list when possible: Sleep-heavy workloads churn millions of
+// events per run, and recycling them keeps the hot path allocation-free. A
+// caller that may cancel the event keeps a timer{e, e.seq}, never the bare
+// pointer.
 //
 //simlint:hotpath
 func (k *Kernel) schedule(t Time, fn func()) *event {
@@ -216,11 +186,7 @@ func (k *Kernel) schedule(t Time, fn func()) *event {
 		k.fast.push(e)
 	} else {
 		e.t = t
-		if uint64(t-k.now) < wheelSpan {
-			k.wheel.place(e, k.now)
-		} else {
-			heap.Push(&k.overflow, e)
-		}
+		k.wheel.place(e, k.now)
 	}
 	return e
 }
@@ -314,9 +280,6 @@ func (p *Proc) fireTimeout() {
 	p.k.noteRunnable(p)
 	p.k.dispatch(p)
 }
-
-// Name returns the name the process was spawned with.
-func (p *Proc) Name() string { return p.name }
 
 // ID returns the process's unique id.
 func (p *Proc) ID() int64 { return p.id }
@@ -566,10 +529,6 @@ func (p *Proc) Sleep(d Duration) {
 	p.park("sleep")
 }
 
-// Yield reschedules the process at the current time, letting other pending
-// events at this instant run first.
-func (p *Proc) Yield() { p.Sleep(0) }
-
 // DeadlockError reports that the simulation can make no further progress
 // while processes are still live.
 type DeadlockError struct {
@@ -680,9 +639,9 @@ func (k *Kernel) runWindow(limit Time) {
 
 // nextPendingBound returns a lower bound on the time of the earliest
 // pending event, and whether any event is pending at all. The bound is
-// exact for fast-lane, due-batch, and overflow events; for wheel events it
-// is the occupied slot's lower bound, which is never later than the event
-// itself — good enough for a conservative window start.
+// exact for fast-lane and due-batch events; for wheel events it is the
+// occupied slot's lower bound, which is never later than the event itself
+// — good enough for a conservative window start.
 func (k *Kernel) nextPendingBound() (Time, bool) {
 	if k.pending == 0 {
 		return 0, false
@@ -692,12 +651,7 @@ func (k *Kernel) nextPendingBound() (Time, bool) {
 	}
 	t := Time(1<<63 - 1)
 	if k.wheel.count > 0 {
-		if _, lb := k.wheel.next(k.now); lb < t {
-			t = lb
-		}
-	}
-	if len(k.overflow) > 0 && k.overflow[0].t < t {
-		t = k.overflow[0].t
+		_, t = k.wheel.next(k.now)
 	}
 	// Undelivered lane messages are pending work too, and their times are
 	// exact (the lane is sorted, so the head is the earliest).

@@ -438,8 +438,8 @@ func TestGoexitTerminatesProcess(t *testing.T) {
 	if !p.Done().Done() {
 		t.Fatal("Done not set after runtime.Goexit")
 	}
-	if k.Live() != 1 {
-		t.Fatalf("Live = %d after the Goexit, want 1 (the bystander)", k.Live())
+	if k.live != 1 {
+		t.Fatalf("Live = %d after the Goexit, want 1 (the bystander)", k.live)
 	}
 	ran := false
 	k.Spawn("later", func(p *Proc) {
@@ -452,8 +452,8 @@ func TestGoexitTerminatesProcess(t *testing.T) {
 	if !ran {
 		t.Fatal("a process spawned after the Goexit never ran")
 	}
-	if k.Live() != 0 {
-		t.Fatalf("Live = %d after drain, want 0", k.Live())
+	if k.live != 0 {
+		t.Fatalf("Live = %d after drain, want 0", k.live)
 	}
 }
 
@@ -615,8 +615,8 @@ func TestGoRunsDetachedProcesses(t *testing.T) {
 	if done != 50 {
 		t.Fatalf("done = %d, want 50", done)
 	}
-	if k.Live() != 0 {
-		t.Fatalf("Live = %d after drain, want 0", k.Live())
+	if k.live != 0 {
+		t.Fatalf("Live = %d after drain, want 0", k.live)
 	}
 }
 

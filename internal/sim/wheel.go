@@ -1,23 +1,20 @@
 package sim
 
-import (
-	"container/heap"
-	"math/bits"
-)
+import "math/bits"
 
 // The scheduler is a hierarchical timing wheel with a same-instant fast
-// lane and a binary-heap fallback for far-future timers:
+// lane:
 //
 //	fast lane  — FIFO ring for events at exactly k.now (process wakes,
-//	             Yield, After(0)). The dominant schedule(k.now, p.wake)
+//	             Sleep(0), After(0)). The dominant schedule(k.now, p.wake)
 //	             pattern never touches the wheel at all.
 //	wheel      — wheelLevels levels of wheelSlots slots. Level l covers
 //	             deltas in [2^(6l), 2^(6(l+1))) at a granularity of 2^(6l)
-//	             ns, so any delta below wheelSpan lands in O(1). A uint64
-//	             occupancy bitmap per level turns "next occupied slot" into
-//	             a rotate + trailing-zero count.
-//	overflow   — container/heap for deltas ≥ wheelSpan (≈68.7 s). Far
-//	             timers migrate into the wheel as virtual time approaches.
+//	             ns, so any delta lands in O(1). Eleven levels of 6 bits
+//	             are 66 bits, more than any delta a Time can hold, so the
+//	             wheel spans all of virtual time. A uint64 occupancy bitmap
+//	             per level turns "next occupied slot" into a rotate +
+//	             trailing-zero count.
 //
 // Determinism argument (why (t, seq) order is preserved exactly):
 //
@@ -32,23 +29,24 @@ import (
 //  3. A coarse slot is cascaded exactly when virtual time reaches its
 //     lower bound, before any level-0 slot at the same bound is drained,
 //     so events redistribute downward before anything at their time fires.
-//  4. Heap timers migrate into the wheel the moment their delta fits,
-//     which is always before time reaches them; after migration the heap
-//     top is strictly beyond every wheel event.
+//
+// The top level is never full: a Time below 2^63 puts an event only in
+// level-10 slots 0–7, and the slot now is inside never holds one there (a
+// level-10 delta is at least 2^60, which reaches the next slot), so next()'s
+// candidate bound (base+tz)<<60 stays inside Time.
 //
 // Cancellation is eager inside the wheel: a resident event records its
 // level and index, so Kernel.cancel swap-removes it in O(1) and recycles it,
 // and count is exactly the live events resident. The swap reorders a slot,
 // which is invisible: a cascade re-places events one by one and drainDue
 // sorts by seq (point 2), so the (t, seq) order of the events that fire is
-// unchanged. Only the fast lane, the due batch and the overflow heap hold a
-// canceled event until they reach it; k.pending counts live events only.
+// unchanged. Only the fast lane and the due batch hold a canceled event
+// until they reach it; k.pending counts live events only.
 const (
 	wheelBits   = 6
 	wheelSlots  = 1 << wheelBits // 64 slots per level
 	wheelMask   = wheelSlots - 1
-	wheelLevels = 6
-	wheelSpan   = 1 << (wheelBits * wheelLevels) // 2^36 ns ≈ 68.7 s
+	wheelLevels = 11 // 66 bits ≥ the 63 of a Time delta
 )
 
 type timerWheel struct {
@@ -59,8 +57,8 @@ type timerWheel struct {
 
 // place files e into the level whose granularity matches its delta from
 // now. Events at or before now must go to the fast lane instead; place is
-// also used by cascade and heap migration, where e.t == now is legal and
-// lands in the due level-0 slot.
+// also used by cascade, where e.t == now is legal and lands in the due
+// level-0 slot.
 //
 //simlint:hotpath
 func (w *timerWheel) place(e *event, now Time) {
@@ -221,28 +219,8 @@ func (k *Kernel) drainDue(t Time) {
 //simlint:hotpath
 func (k *Kernel) advance(limit Time) bool {
 	for {
-		// Migrate far-future timers whose delta now fits the wheel.
-		for len(k.overflow) > 0 && k.overflow[0].t-k.now < wheelSpan {
-			e := heap.Pop(&k.overflow).(*event)
-			if e.canceled {
-				k.recycle(e)
-				continue
-			}
-			k.wheel.place(e, k.now)
-		}
 		if k.wheel.count == 0 {
-			if len(k.overflow) == 0 {
-				return false
-			}
-			// The nearest event is a far timer: jump to it (or the limit)
-			// and re-run migration.
-			t := k.overflow[0].t
-			if t > limit {
-				k.now = limit
-				return false
-			}
-			k.now = t
-			continue
+			return false
 		}
 		level, lb := k.wheel.next(k.now)
 		if lb > limit {

@@ -50,7 +50,8 @@ func mix64(x uint64) uint64 {
 }
 
 // scriptDelay picks a delay for child c of event id, mixing same-instant
-// wakes, near timers, cascade-boundary values, and beyond-span far timers.
+// wakes, near timers, cascade-boundary values, and far timers on levels
+// 6–8 (up to 2^50, so a chain of them stays inside Time).
 func scriptDelay(id, c uint64) Duration {
 	r := mix64(id*131 + c)
 	switch r % 8 {
@@ -63,9 +64,9 @@ func scriptDelay(id, c uint64) Duration {
 	case 3:
 		return Duration((1 << (6 * (1 + r%5))) + r%1000) // level boundaries
 	case 4:
-		return Duration(1<<(6*wheelLevels) - 1 - r%3) // just inside the span
+		return Duration(1<<36 - 1 - r%3) // top of level 5
 	case 5:
-		return Duration(1<<(6*wheelLevels) + r%1000) // overflow heap
+		return Duration(1<<36 + r%(1<<50)) // levels 6–8
 	case 6:
 		return Duration(r % (1 << 20))
 	default:
@@ -160,7 +161,7 @@ func runReferenceScript(seed uint64) []firing {
 }
 
 // runKernelScript executes the same script through the kernel scheduler
-// (fast lane + wheel + overflow heap), keeping a timer handle per event so
+// (fast lane + wheel), keeping a timer handle per event so
 // cancels are legal.
 func runKernelScript(t *testing.T, seed uint64) []firing {
 	k := NewKernel(int64(seed))
@@ -221,21 +222,21 @@ func (k *Kernel) timerAt(t Time, fn func()) timer {
 
 // --- targeted edge cases ---------------------------------------------------
 
-// TestWheelCancelWheelResidentAndOverflow cancels one timer resident in
-// the wheel and one parked in the overflow heap; neither may fire, and the
-// run must still drain (pending accounting covers the eager unlink and the
-// heap's lazy removal alike).
+// TestWheelCancelWheelResidentAndOverflow cancels one timer on level 1 and
+// one far timer past 2^36 ns, on level 6; neither may fire, and the run
+// must still drain (pending accounting covers both eager unlinks).
 func TestWheelCancelWheelResidentAndOverflow(t *testing.T) {
+	const far = 1<<36 + 500
 	k := NewKernel(1)
 	fired := map[string]bool{}
 	nearVictim := k.timerAt(Time(500), func() { fired["nearVictim"] = true })
-	farVictim := k.timerAt(Time(wheelSpan+500), func() { fired["farVictim"] = true })
+	farVictim := k.timerAt(Time(far), func() { fired["farVictim"] = true })
 	k.After(100, func() {
 		fired["early"] = true
 		k.cancel(nearVictim)
 		k.cancel(farVictim)
 	})
-	k.After(Duration(wheelSpan+1000), func() { fired["late"] = true })
+	k.After(Duration(far+500), func() { fired["late"] = true })
 	if err := k.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -245,18 +246,18 @@ func TestWheelCancelWheelResidentAndOverflow(t *testing.T) {
 	if fired["nearVictim"] || fired["farVictim"] {
 		t.Fatalf("canceled timer fired: %v", fired)
 	}
-	if k.now != Time(wheelSpan+1000) {
-		t.Fatalf("final now = %v, want %v (canceled trailing timers must not advance time)", k.now, Time(wheelSpan+1000))
+	if k.now != Time(far+500) {
+		t.Fatalf("final now = %v, want %v (canceled trailing timers must not advance time)", k.now, Time(far+500))
 	}
 }
 
 // TestWheelCascadeBoundaries schedules events exactly on (and around)
-// level-boundary deltas and checks they fire in time order at the exact
-// scheduled instants.
+// every level boundary through level 10 and checks they fire in time order
+// at the exact scheduled instants.
 func TestWheelCascadeBoundaries(t *testing.T) {
 	k := NewKernel(1)
 	var deltas []Duration
-	for l := 1; l <= wheelLevels; l++ {
+	for l := 1; l < wheelLevels; l++ {
 		b := Duration(1) << (wheelBits * l)
 		deltas = append(deltas, b-1, b, b+1)
 	}
@@ -275,6 +276,64 @@ func TestWheelCascadeBoundaries(t *testing.T) {
 		if got[i] != Time(d) {
 			t.Fatalf("event %d fired at %d, want %d", i, got[i], Time(d))
 		}
+	}
+}
+
+// TestWheelAtTheHorizon schedules and cancels events at the last instant a
+// Time can hold and just below it, from time zero (level 10) and again
+// from within level 10's top occupied slot, stops once short of the
+// horizon, and runs to it: the survivors fire in (t, seq) order at their
+// exact times, and the clock never moves backward or wraps.
+func TestWheelAtTheHorizon(t *testing.T) {
+	const horizon = Time(1<<63 - 1)
+	k := NewKernel(1)
+	type fire struct {
+		name string
+		t    Time
+	}
+	var got []fire
+	last := Time(0)
+	at := func(name string, when Time) timer {
+		return k.timerAt(when, func() {
+			if k.now < last {
+				t.Fatalf("%s: clock moved back from %d to %d", name, last, k.now)
+			}
+			last = k.now
+			got = append(got, fire{name, k.now})
+		})
+	}
+	at("a", horizon)
+	at("b", horizon-1)
+	victim := at("victim", horizon)
+	at("c", horizon)
+	lowVictim := at("lowVictim", horizon-64)
+	k.timerAt(horizon-1<<40, func() {
+		got = append(got, fire{"mid", k.now})
+		k.cancel(victim)
+		at("d", horizon)
+		at("e", horizon-1)
+		k.cancel(at("f", horizon))
+	})
+	k.cancel(lowVictim)
+	if err := k.RunUntil(horizon - 2); err != nil {
+		t.Fatalf("RunUntil: %v", err)
+	}
+	if k.now != horizon-2 {
+		t.Fatalf("now = %d after RunUntil, want %d", k.now, horizon-2)
+	}
+	if err := k.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	want := []fire{
+		{"mid", horizon - 1<<40},
+		{"b", horizon - 1}, {"e", horizon - 1},
+		{"a", horizon}, {"c", horizon}, {"d", horizon},
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("got %v, want %v", got, want)
+	}
+	if k.now != horizon || k.pending != 0 || k.wheel.count != 0 {
+		t.Fatalf("after the run: now = %d, pending = %d, wheel.count = %d", k.now, k.pending, k.wheel.count)
 	}
 }
 
@@ -314,13 +373,13 @@ func TestWheelAfterZeroOrdersWithWakes(t *testing.T) {
 	var got []string
 	k.Spawn("a", func(p *Proc) {
 		got = append(got, "a0")
-		p.Yield()
+		p.Sleep(0)
 		got = append(got, "a1")
 	})
 	k.After(0, func() { got = append(got, "cb0") })
 	k.Spawn("b", func(p *Proc) {
 		got = append(got, "b0")
-		p.Yield()
+		p.Sleep(0)
 		got = append(got, "b1")
 	})
 	k.After(0, func() { got = append(got, "cb1") })

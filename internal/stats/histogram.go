@@ -4,7 +4,6 @@
 package stats
 
 import (
-	"fmt"
 	"math/bits"
 	"time"
 )
@@ -135,35 +134,3 @@ func (h *Histogram) Percentile(p float64) time.Duration {
 
 // Reset clears the histogram.
 func (h *Histogram) Reset() { *h = Histogram{} }
-
-// Summary is a compact snapshot of a histogram.
-type Summary struct {
-	Count             int64
-	Mean, Min, Max    time.Duration
-	P50, P95, P99     time.Duration
-	P999              time.Duration
-	TotalObservedTime time.Duration
-}
-
-// Summarize computes a Summary from the histogram.
-func (h *Histogram) Summarize() Summary {
-	return Summary{
-		Count:             h.count,
-		Mean:              h.Mean(),
-		Min:               h.Min(),
-		Max:               h.Max(),
-		P50:               h.Percentile(50),
-		P95:               h.Percentile(95),
-		P99:               h.Percentile(99),
-		P999:              h.Percentile(99.9),
-		TotalObservedTime: h.Sum(),
-	}
-}
-
-// String renders the summary on one line.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%v p50=%v p95=%v p99=%v max=%v",
-		s.Count, s.Mean.Round(time.Microsecond), s.P50.Round(time.Microsecond),
-		s.P95.Round(time.Microsecond), s.P99.Round(time.Microsecond),
-		s.Max.Round(time.Microsecond))
-}

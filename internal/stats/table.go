@@ -158,16 +158,6 @@ func (f *Figure) AddSeries(name string) *Series {
 	return s
 }
 
-// Get returns the named series, or nil.
-func (f *Figure) Get(name string) *Series {
-	for _, s := range f.Series {
-		if s.Name == name {
-			return s
-		}
-	}
-	return nil
-}
-
 // Table renders the figure as a table with one row per x value and one
 // column per series. Missing points render as empty cells.
 func (f *Figure) Table() *Table {

@@ -61,6 +61,3 @@ func (b *Bloom) MayContain(key kv.Key) bool {
 	}
 	return true
 }
-
-// Bytes returns the filter's modeled size.
-func (b *Bloom) Bytes() int { return len(b.bits) * 8 }

@@ -89,9 +89,6 @@ func (e *Engine) Cache() *BlockCache { return e.cache }
 // WALStats exposes the engine's WAL for reporting.
 func (e *Engine) WALStats() *WAL { return e.wal }
 
-// Tables returns the current number of SSTables.
-func (e *Engine) Tables() int { return len(e.tables) }
-
 // Apply writes rec at version ver to key: WAL append (when SyncWAL), then
 // memtable apply, then a flush if the memtable is full. The memtable row
 // owns its cells.

@@ -75,10 +75,3 @@ type DiskLog struct{ Disk *cluster.Disk }
 
 // Append implements AppendLog.
 func (d DiskLog) Append(p *sim.Proc, bytes int) { d.Disk.Append(p, bytes) }
-
-// NopLog discards appends without cost; used to model commitlog-disabled
-// configurations in ablations.
-type NopLog struct{}
-
-// Append implements AppendLog.
-func (NopLog) Append(*sim.Proc, int) {}

@@ -667,8 +667,8 @@ func flushedEngine(t *testing.T, k *sim.Kernel, rows int) *Engine {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if e.Tables() != 1 || e.mem.Len() != 0 || len(e.imm) != 0 {
-		t.Fatalf("tables=%d mem=%d imm=%d, want one table only", e.Tables(), e.mem.Len(), len(e.imm))
+	if len(e.tables) != 1 || e.mem.Len() != 0 || len(e.imm) != 0 {
+		t.Fatalf("tables=%d mem=%d imm=%d, want one table only", len(e.tables), e.mem.Len(), len(e.imm))
 	}
 	return e
 }
@@ -765,12 +765,12 @@ func TestCompactionMatchesMapMerge(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if e.Compactions != 1 || e.Tables() != 1 {
-		t.Fatalf("compactions=%d tables=%d, want 1 and 1", e.Compactions, e.Tables())
+	if e.Compactions != 1 || len(e.tables) != 1 {
+		t.Fatalf("compactions=%d tables=%d, want 1 and 1", e.Compactions, len(e.tables))
 	}
 	out := e.tables[0]
-	if out.Len() != len(model) {
-		t.Fatalf("compacted table has %d keys, want %d", out.Len(), len(model))
+	if len(out.entries) != len(model) {
+		t.Fatalf("compacted table has %d keys, want %d", len(out.entries), len(model))
 	}
 	var bytes int64
 	for i := range out.entries {
@@ -787,7 +787,7 @@ func TestCompactionMatchesMapMerge(t *testing.T) {
 	if out.Bytes() != bytes {
 		t.Errorf("table bytes = %d, want %d", out.Bytes(), bytes)
 	}
-	if got := out.entries[sort.Search(out.Len(), func(i int) bool { return out.entries[i].Key >= "solo" })].Row.cells; len(got) != 1 || &got[0] != &once[0] {
+	if got := out.entries[sort.Search(len(out.entries), func(i int) bool { return out.entries[i].Key >= "solo" })].Row.cells; len(got) != 1 || &got[0] != &once[0] {
 		t.Error("a key held by one input had its cells copied instead of shared")
 	}
 }

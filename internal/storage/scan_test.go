@@ -226,9 +226,9 @@ func TestScanDeeperThanCursorArrayMatchesModel(t *testing.T) {
 				e.ForceFlush() // still flushing while the scans below run
 			}
 		}
-		if levels := 1 + len(e.imm) + len(e.tables); e.Tables() != 12 || len(e.imm) != 1 || levels <= scanLevels {
+		if levels := 1 + len(e.imm) + len(e.tables); len(e.tables) != 12 || len(e.imm) != 1 || levels <= scanLevels {
 			t.Fatalf("tables=%d flushing=%d: %d levels, want more than the %d cursors kept on the stack",
-				e.Tables(), len(e.imm), levels, scanLevels)
+				len(e.tables), len(e.imm), levels, scanLevels)
 		}
 		var live []kv.Key
 		for key, r := range model {

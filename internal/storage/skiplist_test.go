@@ -159,8 +159,8 @@ func TestFlushedMemtableArenaIsFreed(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if e.Flushes != 1 || e.Tables() != 1 || len(e.imm) != 0 {
-		t.Fatalf("flushes=%d tables=%d imm=%d, want 1, 1, 0", e.Flushes, e.Tables(), len(e.imm))
+	if e.Flushes != 1 || len(e.tables) != 1 || len(e.imm) != 0 {
+		t.Fatalf("flushes=%d tables=%d imm=%d, want 1, 1, 0", e.Flushes, len(e.tables), len(e.imm))
 	}
 	for i := 0; i < 100 && !freed.Load(); i++ {
 		runtime.GC()

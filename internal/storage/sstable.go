@@ -55,14 +55,8 @@ func BuildTable(id int64, entries []TableEntry, blockBytes int) *SSTable {
 	return t
 }
 
-// Len returns the number of rows.
-func (t *SSTable) Len() int { return len(t.entries) }
-
 // Bytes returns the table's modeled on-disk size.
 func (t *SSTable) Bytes() int64 { return t.bytes }
-
-// Blocks returns the number of blocks.
-func (t *SSTable) Blocks() int { return len(t.blockStart) }
 
 // MayContain consults the bloom filter.
 func (t *SSTable) MayContain(key kv.Key) bool {

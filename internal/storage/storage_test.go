@@ -169,8 +169,8 @@ func TestBuildTableAndGet(t *testing.T) {
 		entries = append(entries, TableEntry{Key: kv.Key(fmt.Sprintf("user%06d", i)), Row: *r})
 	}
 	tbl := BuildTable(1, entries, 4<<10)
-	if tbl.Len() != 500 || tbl.Blocks() < 2 {
-		t.Fatalf("len=%d blocks=%d", tbl.Len(), tbl.Blocks())
+	if len(tbl.entries) != 500 || len(tbl.blockStart) < 2 {
+		t.Fatalf("len=%d blocks=%d", len(tbl.entries), len(tbl.blockStart))
 	}
 
 	k := sim.NewKernel(1)

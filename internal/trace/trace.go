@@ -134,9 +134,6 @@ type Span struct {
 	measured bool
 }
 
-// Duration returns the span's length in virtual time.
-func (s Span) Duration() time.Duration { return s.End.Sub(s.Start) }
-
 // spanCtx is the per-process trace context carried opaquely by sim.Proc
 // and inherited across Spawn. root is nil for background-attributed work;
 // muted suppresses phase recording so composite phases (read repair, hint

@@ -166,7 +166,7 @@ func TestSpanRetentionAndChromeExport(t *testing.T) {
 	if root.ID == 0 || storage.Parent != root.ID {
 		t.Fatalf("parent linkage broken: root=%+v storage=%+v", root, storage)
 	}
-	if storage.Node != 3 || storage.Duration() != 4*time.Millisecond {
+	if storage.Node != 3 || storage.End.Sub(storage.Start) != 4*time.Millisecond {
 		t.Fatalf("storage span = %+v", storage)
 	}
 

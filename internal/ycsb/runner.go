@@ -78,9 +78,6 @@ type Result struct {
 	Consistency *consistency.Report
 }
 
-// Summary returns the overall latency summary.
-func (r *Result) Summary() stats.Summary { return r.Overall.Summarize() }
-
 // MeanLatency returns the overall mean latency.
 func (r *Result) MeanLatency() time.Duration { return r.Overall.Mean() }
 
