@@ -134,11 +134,10 @@ type ackRun struct {
 	wantAt int
 	want   bool
 	op     *writeOp
-	legs   int         // legs still out: one per event that ends a leg
-	q      *sim.Quorum // second reference, zone-agnostic levels only
-	next   int         // next event to play
-	at     int         // event the plan decided at; len(events) while undecided
-	coord  bool        // the coordinator still holds the op
+	legs   int  // legs still out: one per event that ends a leg
+	next   int  // next event to play
+	at     int  // event the plan decided at; len(events) while undecided
+	coord  bool // the coordinator still holds the op
 }
 
 // planState is everything of a plan a stray ack or loss could disturb.
@@ -166,13 +165,6 @@ func (r *ackRun) step(t *testing.T) {
 	} else {
 		r.op.acks.fail(c.zone[e.replica])
 	}
-	if r.q != nil {
-		if e.ok {
-			r.q.Succeed()
-		} else {
-			r.q.Fail()
-		}
-	}
 	r.verify(t, i)
 	if !e.joined { // the leg's process ends: see deliver
 		r.legs--
@@ -180,17 +172,12 @@ func (r *ackRun) step(t *testing.T) {
 	}
 }
 
-// verify compares the plan with both references after event i (-1: as
+// verify compares the plan with the reference after event i (-1: as
 // planned).
 func (r *ackRun) verify(t *testing.T, i int) {
 	t.Helper()
 	c := r.c
 	got, done := r.op.acks.f.Value()
-	if r.q != nil {
-		if qv, qdone := r.q.Done().Value(); qdone != done || qv != got {
-			t.Fatalf("%+v: after event %d plan = %v/%v, sim.Quorum = %v/%v", c, i, got, done, qv, qdone)
-		}
-	}
 	if done && r.at == len(c.events) {
 		r.at = i
 		if got != r.want {
@@ -207,7 +194,7 @@ func (r *ackRun) verify(t *testing.T, i int) {
 // write's coordinator lets go of its op once the plan has decided (or, with
 // giveUp, after one event), the next write starts, and the earlier writes'
 // remaining events — late acks and losses — arrive interleaved with it.
-// Every event is checked against refAcks (and sim.Quorum) for its own
+// Every event is checked against refAcks for its own
 // write; no event may change another write's plan; and an op or leg struct
 // is reused only after everyone holding it has let go.
 func checkAckSequence(t *testing.T, cases []ackCase) {
@@ -263,14 +250,11 @@ func checkAckSequence(t *testing.T, cases []ackCase) {
 		// Replica i sits on the next free node of its zone's block.
 		next := make([]int, zones)
 		replicas := make([]*Replica, len(c.zone))
-		live := 0
 		for i, z := range c.zone {
 			n := cl.Nodes[z*perZone+next[z]]
 			next[z]++
 			if n.Recover(); c.down[i] {
 				n.Fail()
-			} else {
-				live++
 			}
 			replicas[i] = &Replica{Host: replica.Host{Node: n}}
 		}
@@ -294,10 +278,6 @@ func checkAckSequence(t *testing.T, cases []ackCase) {
 			continue
 		}
 		runs = append(runs, r)
-		if c.cl != kv.LocalQuorum && c.cl != kv.EachQuorum {
-			r.q = new(sim.Quorum)
-			r.q.Init(k, c.cl.Required(len(replicas)), live)
-		}
 		for _, e := range c.events {
 			if !e.joined {
 				r.op.leg(nil, replicas[e.replica])
@@ -432,7 +412,7 @@ var ackSeeds = [][]byte{
 }
 
 // TestAckPlanMatchesReference drives the plan over the seed table and a
-// few thousand random layouts and sequences against refAcks and sim.Quorum.
+// few thousand random layouts and sequences against refAcks.
 func TestAckPlanMatchesReference(t *testing.T) {
 	for _, s := range ackSeeds {
 		cases := decodeAckSequence(s)

@@ -68,27 +68,42 @@ func TestPhaseCarriesInsertedCount(t *testing.T) {
 	}
 }
 
-// TestFig1CellsCanonicalOrder pins Fig. 1's grid at the smoke profile: the
-// paper's cells exactly as Fig. 2 sweeps them, then their counterfactual
-// twins, each labelled apart from its paper cell.
+// TestFig1CellsCanonicalOrder pins Fig. 1's grid: the paper's cells
+// exactly as Fig. 2 sweeps them, then the counterfactual twins F4′ and F2′
+// read, each labelled apart from its paper cell. Twins run at the highest
+// RF and at the lowest only above RF 1, where a twin would rerun its paper
+// cell (TestFig1TwinsInertAtRF1).
 func TestFig1CellsCanonicalOrder(t *testing.T) {
-	o := SmokeOptions()
-	cells, paper := fig1Cells(o), dbRFCells(o)
-	want := "[HBase/strong/rf1 HBase/strong/rf3 Cassandra/ONE/rf1 Cassandra/ONE/rf3 " +
-		"HBase/strong/rf1/sync-replication HBase/strong/rf3/sync-replication " +
-		"Cassandra/ONE/rf1/read-repair-off Cassandra/ONE/rf3/read-repair-off]"
-	if got := fmt.Sprint(cells); got != want {
-		t.Errorf("fig1 cells enumerate as\n%s\nwant\n%s", got, want)
-	}
-	if got, want := fmt.Sprint(cells[:len(paper)]), fmt.Sprint(paper); got != want {
-		t.Errorf("fig1's paper cells are %s, want Fig. 2's %s", got, want)
-	}
-	seen := map[string]bool{}
-	for _, c := range cells {
-		if l := c.String(); seen[l] {
-			t.Errorf("cell %s enumerated twice", l)
-		} else {
-			seen[l] = true
+	quick, rf24 := QuickOptions(), QuickOptions()
+	rf24.ReplicationFactors = []int{2, 4}
+	for _, tc := range []struct {
+		name string
+		o    Options
+		want string
+	}{
+		{"smoke", SmokeOptions(), "[HBase/strong/rf1 HBase/strong/rf3 Cassandra/ONE/rf1 Cassandra/ONE/rf3 " +
+			"HBase/strong/rf3/sync-replication Cassandra/ONE/rf3/read-repair-off]"},
+		{"quick", quick, "[HBase/strong/rf1 HBase/strong/rf2 HBase/strong/rf3 HBase/strong/rf4 HBase/strong/rf5 HBase/strong/rf6 " +
+			"Cassandra/ONE/rf1 Cassandra/ONE/rf2 Cassandra/ONE/rf3 Cassandra/ONE/rf4 Cassandra/ONE/rf5 Cassandra/ONE/rf6 " +
+			"HBase/strong/rf6/sync-replication Cassandra/ONE/rf6/read-repair-off]"},
+		{"rf2,4", rf24, "[HBase/strong/rf2 HBase/strong/rf4 Cassandra/ONE/rf2 Cassandra/ONE/rf4 " +
+			"HBase/strong/rf2/sync-replication HBase/strong/rf4/sync-replication " +
+			"Cassandra/ONE/rf2/read-repair-off Cassandra/ONE/rf4/read-repair-off]"},
+	} {
+		cells, paper := fig1Cells(tc.o), dbRFCells(tc.o)
+		if got := fmt.Sprint(cells); got != tc.want {
+			t.Errorf("%s: fig1 cells enumerate as\n%s\nwant\n%s", tc.name, got, tc.want)
+		}
+		if got, want := fmt.Sprint(cells[:len(paper)]), fmt.Sprint(paper); got != want {
+			t.Errorf("%s: fig1's paper cells are %s, want Fig. 2's %s", tc.name, got, want)
+		}
+		seen := map[string]bool{}
+		for _, c := range cells {
+			if l := c.String(); seen[l] {
+				t.Errorf("%s: cell %s enumerated twice", tc.name, l)
+			} else {
+				seen[l] = true
+			}
 		}
 	}
 }
@@ -111,9 +126,7 @@ HBase/strong/rf1
 HBase/strong/rf3
 Cassandra/ONE/rf1
 Cassandra/ONE/rf3
-Cassandra/QUORUM/rf1
 Cassandra/QUORUM/rf3
-Cassandra/writeALL/rf1
 Cassandra/writeALL/rf3`},
 		{"geo", geoCells(o), `
 2dc/20ms/ONE/2+2/grid

@@ -136,7 +136,7 @@ func TestFig1ReproducesMicroFindings(t *testing.T) {
 	t.Parallel()
 	if testing.Short() {
 		// Plumbing only: the smoke run the counterfactual tests judge.
-		if res, err := smokeFig1(); err != nil || len(res) != 2*2*2*4 || len(res.Figures()) != 4 {
+		if res, err := smokeFig1(); err != nil || len(res) != (2*2+2)*4 || len(res.Figures()) != 4 {
 			t.Fatalf("smoke run malformed: %d rows, err %v", len(res), err)
 		}
 		return
@@ -146,7 +146,7 @@ func TestFig1ReproducesMicroFindings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res) != 2*2*2*4 { // paper and twin × 2 DBs × 2 RFs × 4 ops
+	if len(res) != (2*2+2)*4 { // (2 DBs × 2 RFs, a twin per DB at the top RF) × 4 ops
 		t.Fatalf("results = %d", len(res))
 	}
 	f4Rows, err := reducedF4Seeds()
@@ -179,8 +179,7 @@ func TestFig1ReproducesMicroFindings(t *testing.T) {
 }
 
 // counterfactualFig1 returns the run the A1 and A2 tests judge: the
-// reduced one, or the smoke one under -short. On either, a knob is inert
-// without replicas: each RF-1 twin row equals its paper row but Config.
+// reduced one, or the smoke one under -short.
 func counterfactualFig1(t *testing.T) Fig1Results {
 	t.Helper()
 	run := reducedFig1
@@ -191,14 +190,36 @@ func counterfactualFig1(t *testing.T) Fig1Results {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, twin := range res {
+	return res
+}
+
+// TestFig1TwinsInertAtRF1 runs the two twin cells fig1Cells leaves out, at
+// RF 1 and the smoke profile: without replicas neither knob has anything
+// to act on, so each row must equal its paper row in every field but
+// Config. That is why F4′ and F2′ may read the paper row as a twin's RF-1
+// value.
+func TestFig1TwinsInertAtRF1(t *testing.T) {
+	t.Parallel()
+	hb, ca := hbaseAt(1), cassandraAt(1, levels()[0])
+	hb.syncRepl, ca.noReadRepair = true, true
+	twins, err := sweep(SmokeOptions(), "fig1", []backend{hb, ca}, runFig1Cell)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := smokeFig1()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(twins) != 2*len(microOrder) {
+		t.Fatalf("twin rows = %d", len(twins))
+	}
+	for _, twin := range twins {
 		paper := *res.at("paper", twin.DB, twin.Op, twin.RF)
 		paper.Config = twin.Config
-		if twin.RF == 1 && twin != paper {
+		if twin != paper {
 			t.Errorf("%s rf1 %s differs from the paper cell: %+v, want %+v", twin.Config, twin.Op, twin, paper)
 		}
 	}
-	return res
 }
 
 // TestAblationReadRepair judges F4′ (A1: Cassandra's read growth is read

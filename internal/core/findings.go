@@ -97,20 +97,22 @@ func (r Fig1Results) Findings() []Finding {
 
 	// F4′ and F2′ compare a statistic's growth from the lowest RF to the
 	// highest between the paper's cells and their twins, in whole µs, the
-	// resolution F2′ prints; top is the highest RF's value.
+	// resolution F2′ prints; top is the highest RF's value. A twin has no
+	// row at RF 1 (fig1Cells), where it would equal its paper row.
 	span := fmt.Sprintf("rf%d/rf%d", maxRF, minRF)
 	growthOf := func(db, op, config string, stat func(MicroResult) time.Duration) (g, top float64) {
-		var lo float64
-		for _, m := range r {
-			if m.DB == db && m.Op == op && m.Config == config {
-				v := float64(stat(m).Microseconds())
-				if m.RF == minRF {
-					lo = v
-				}
-				if m.RF == maxRF {
-					top = v
+		at := func(config string, rf int) (float64, bool) {
+			for _, m := range r {
+				if m.DB == db && m.Op == op && m.Config == config && m.RF == rf {
+					return float64(stat(m).Microseconds()), true
 				}
 			}
+			return 0, false
+		}
+		top, _ = at(config, maxRF)
+		lo, ok := at(config, minRF)
+		if !ok {
+			lo, _ = at("paper", minRF)
 		}
 		return stats.Ratio(top, lo), top
 	}

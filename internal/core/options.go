@@ -205,5 +205,14 @@ type ConsistencySetting struct {
 	Write kv.ConsistencyLevel
 }
 
+// repeatsOne reports whether lv, not being ONE, asks ONE's read and write
+// ack counts at rf (QUORUM and writeALL at RF 1). A cell at such a level
+// reruns ONE's cell row for row, so the level sweeps leave it out.
+func (lv ConsistencySetting) repeatsOne(rf int) bool {
+	one := levels()[0]
+	return lv != one && lv.Read.Required(rf) == one.Read.Required(rf) &&
+		lv.Write.Required(rf) == one.Write.Required(rf)
+}
+
 // quiesce is the settle time between benchmark phases.
 const quiesce = 2 * time.Second

@@ -10,7 +10,7 @@ import (
 // The parallel sweep scheduler.
 //
 // Every report is a sweep over independent cells — (database, replication
-// factor) for Fig. 2 and, with each cell's counterfactual twin, Fig. 1,
+// factor) for Fig. 2 and, with its counterfactual twins, Fig. 1,
 // (consistency level, workload) for Fig. 3, client threads for A3, the
 // spectrum, tracebreak and geo grids, the failover systems. Each cell is a
 // self-contained deterministic simulation: it builds its own sim.Kernel

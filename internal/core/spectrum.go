@@ -148,7 +148,8 @@ func staleCassandraAt(rf int, lv ConsistencySetting) backend {
 
 // spectrumCells enumerates the canonical order: workload-major; per
 // workload the HBase control sweep, Cassandra level-major with RF
-// ascending, the object store's read-quorum cell at the anchor RF and the
+// ascending (but for the cells that would repeat ONE's, repeatsOne), the
+// object store's read-quorum cell at the anchor RF and the
 // fastest anti-entropy interval, its RF sweep at that interval and its
 // interval sweep at the anchor RF; then the fault cells — Cassandra at ONE
 // and the anchor RF, and one object-store cell per interval.
@@ -164,7 +165,9 @@ func spectrumCells(o Options) []spectrumCell {
 		}
 		for _, lv := range levels() {
 			for _, rf := range o.ReplicationFactors {
-				cells = append(cells, spectrumCell{backend: staleCassandraAt(rf, lv), spec: spec})
+				if !lv.repeatsOne(rf) {
+					cells = append(cells, spectrumCell{backend: staleCassandraAt(rf, lv), spec: spec})
+				}
 			}
 		}
 		cells = append(cells, spectrumCell{backend: objstoreAt(anchor, fastest, objstore.ReadQuorumFresh), spec: spec})

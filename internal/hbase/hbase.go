@@ -194,13 +194,12 @@ func (db *DB) regionFor(key kv.Key) *Region {
 }
 
 // writeOp is one write's replication to the server's peers, pooled (sim.Op):
-// the edit's size and the ack count its legs report to.
+// the edit's size, and one leg per peer that the write waits out.
 type writeOp struct {
 	sim.Op[writeLeg]
 	db   *DB
 	rs   *RegionServer
 	size int // the edit's wire size
-	acks sim.Quorum
 }
 
 // writeLeg carries its op's edit to one peer and the confirmation back.
@@ -240,7 +239,8 @@ func (rs *RegionServer) write(p *sim.Proc, r *Region, key kv.Key, rec kv.Record,
 	}
 
 	// WAL locally, replicate the edit to every peer in parallel, ack when
-	// all peers confirm (strong consistency).
+	// every peer's leg has finished: confirmed, or failed against a peer
+	// that is down (strong consistency).
 	label := "hbase-syncrepl"
 	if db.cfg.MemReplication {
 		label = "hbase-memrepl"
@@ -251,7 +251,6 @@ func (rs *RegionServer) write(p *sim.Proc, r *Region, key kv.Key, rec kv.Record,
 	}
 	op.Begin()
 	op.rs, op.size = rs, db.MutationSize(key, rec)
-	op.acks.Init(db.K, len(rs.memPeers), len(rs.memPeers))
 	for _, peer := range rs.memPeers {
 		db.ReplicationSends++
 		l := op.Leg(op.newLeg)
@@ -266,7 +265,7 @@ func (rs *RegionServer) write(p *sim.Proc, r *Region, key kv.Key, rec kv.Record,
 	if db.Oracle != nil {
 		db.Oracle.ReplicaApply(key, ver, rs.Node.ID, consistency.ApplyWrite, p.Now())
 	}
-	op.acks.Wait(p)
+	op.AwaitLegs(p)
 	if db.Oracle != nil {
 		db.Oracle.WriteAck(key, ver, p.Now())
 	}
@@ -297,13 +296,8 @@ func (l *writeLeg) replicate(q *sim.Proc) {
 		}
 		ok = peer.SendTo(q, rs.Node, replica.RequestOverhead)
 	}
-	if ok {
-		if db.Tracer != nil {
-			db.Tracer.Phase(q, trace.PhaseFanout, peer.ID, t0)
-		}
-		op.acks.Succeed()
-	} else {
-		op.acks.Fail()
+	if ok && db.Tracer != nil {
+		db.Tracer.Phase(q, trace.PhaseFanout, peer.ID, t0)
 	}
 	op.release()
 }

@@ -124,49 +124,3 @@ func (f *Future[T]) AwaitTimeout(p *Proc, d Duration) (T, bool) {
 	}
 	return f.val, true
 }
-
-// Quorum counts successes and failures of a fixed number of attempts and
-// resolves as soon as the outcome is decided: success when need attempts
-// succeed, failure when so many have failed that need can no longer be
-// reached. It models the coordinator ack-counting at the heart of tunable
-// consistency. Like the Future it holds, a Quorum may be embedded by value
-// in a pooled struct and re-armed with Init, and must not be copied while in
-// use.
-type Quorum struct {
-	need, total  int
-	succ, failed int
-	result       Future[bool]
-}
-
-// Init makes q an undecided quorum of need out of total attempts, bound to
-// k, forgetting any earlier count; it resolves true after need of them
-// succeed, and need must be in [0, total]. No process may be waiting on it.
-func (q *Quorum) Init(k *Kernel, need, total int) {
-	q.need, q.total, q.succ, q.failed = need, total, 0, 0
-	q.result.Init(k)
-	if need <= 0 {
-		q.result.Set(true)
-	}
-}
-
-// Succeed records one successful attempt.
-func (q *Quorum) Succeed() {
-	q.succ++
-	if q.succ >= q.need {
-		q.result.Set(true)
-	}
-}
-
-// Fail records one failed attempt.
-func (q *Quorum) Fail() {
-	q.failed++
-	if q.total-q.failed < q.need {
-		q.result.Set(false)
-	}
-}
-
-// Wait blocks p until the quorum outcome is decided and returns it.
-func (q *Quorum) Wait(p *Proc) bool { return q.result.Await(p) }
-
-// Done returns the quorum's result future.
-func (q *Quorum) Done() *Future[bool] { return &q.result }

@@ -220,54 +220,6 @@ func TestResourceUtilization(t *testing.T) {
 	}
 }
 
-func TestQuorumResolvesOnNeed(t *testing.T) {
-	k := NewKernel(1)
-	var q Quorum
-	q.Init(k, 2, 3)
-	var ok bool
-	var at Time
-	k.Spawn("coordinator", func(p *Proc) {
-		ok = q.Wait(p)
-		at = p.Now()
-	})
-	delays := []Duration{5 * time.Millisecond, 1 * time.Millisecond, 9 * time.Millisecond}
-	for _, d := range delays {
-		d := d
-		k.After(d, func() { q.Succeed() })
-	}
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !ok || at != Time(5*time.Millisecond) {
-		t.Fatalf("ok=%v at=%v, want true at 5ms (2nd ack)", ok, at)
-	}
-}
-
-func TestQuorumFailsWhenImpossible(t *testing.T) {
-	k := NewKernel(1)
-	var q Quorum
-	q.Init(k, 3, 3)
-	var ok bool
-	k.Spawn("coordinator", func(p *Proc) { ok = q.Wait(p) })
-	k.After(time.Millisecond, func() { q.Succeed() })
-	k.After(2*time.Millisecond, func() { q.Fail() })
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if ok {
-		t.Fatal("quorum resolved true despite an unreachable need")
-	}
-}
-
-func TestQuorumZeroNeedIsImmediate(t *testing.T) {
-	k := NewKernel(1)
-	var q Quorum
-	q.Init(k, 0, 3)
-	if !q.Done().Done() {
-		t.Fatal("need=0 quorum should resolve immediately")
-	}
-}
-
 func TestQueueBlocksAndDelivers(t *testing.T) {
 	k := NewKernel(1)
 	q := NewQueue[int](k)
