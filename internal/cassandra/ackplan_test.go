@@ -15,7 +15,8 @@ import (
 // TestSingleRackLocalQuorumIsQuorum: one rack is one DC, so LOCAL_QUORUM
 // and EACH_QUORUM there are QUORUM — a majority of the replication factor,
 // down replicas counted. With two of three replicas down no majority level
-// may succeed on the survivor's single ack.
+// may succeed on the survivor's single ack (each write level read back at
+// its readLevel).
 func TestSingleRackLocalQuorumIsQuorum(t *testing.T) {
 	k := sim.NewKernel(3)
 	db, base := testDB(k, 5, 3, nil)
@@ -29,7 +30,7 @@ func TestSingleRackLocalQuorumIsQuorum(t *testing.T) {
 		replicas[1].Node.Fail()
 		replicas[2].Node.Fail()
 		for _, lv := range []kv.ConsistencyLevel{kv.Quorum, kv.LocalQuorum, kv.EachQuorum} {
-			cl := base.WithConsistency(lv, lv)
+			cl := base.WithConsistency(readLevel(lv), lv)
 			if err := cl.Update(p, target, kv.Record{"v": kv.SizedValue(9)}); !errors.Is(err, kv.ErrUnavailable) {
 				t.Errorf("%v update with 1 of 3 replicas up: err = %v, want unavailable", lv, err)
 			}

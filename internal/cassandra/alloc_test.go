@@ -220,6 +220,17 @@ func timedOutReadHoldsItsOp(t *testing.T, seed int64) {
 	}
 }
 
+// mergeOlder is the model's newest-wins merge of a partial write: it fills
+// the fields missing from r with older's, and returns r.
+func mergeOlder(r, older kv.Record) kv.Record {
+	for f, v := range older {
+		if _, ok := r[f]; !ok {
+			r[f] = v
+		}
+	}
+	return r
+}
+
 // TestRecycledReadOpsNeverMixRows is the same hazard seen from the rows: a
 // read's rows now live in scratch rows its pooled op and legs keep, so an op
 // recycled early, or a scratch reused while somebody still reads it, would
@@ -251,7 +262,7 @@ func TestRecycledReadOpsNeverMixRows(t *testing.T) {
 			if err := all.Update(p, key(i), rec); err != nil {
 				t.Fatalf("write %d: %v", i, err)
 			}
-			model[i] = rec.Clone().MergeOlder(model[i])
+			model[i] = mergeOlder(rec.Clone(), model[i])
 		}
 		for i := 0; i < slow; i++ {
 			write(i, kv.Record{"f0": kv.SizedValue(1000 * i)})
@@ -282,7 +293,7 @@ func TestRecycledReadOpsNeverMixRows(t *testing.T) {
 				case 3:
 					rec := kv.Record{"z": kv.SizedValue(1000*i + 500 + reads)}
 					db.ReplicasFor(key(i))[0].Engine.Apply(p, key(i), rec, db.Version())
-					model[i] = rec.Clone().MergeOlder(model[i])
+					model[i] = mergeOlder(rec.Clone(), model[i])
 				}
 				rec, err := one.Read(p, key(i), nil)
 				if err != nil || !reflect.DeepEqual(rec, model[i]) {
@@ -415,7 +426,7 @@ func TestSharedClientReadsReturnOwnKeys(t *testing.T) {
 			if err := all.Update(p, key(i), rec); err != nil {
 				t.Fatalf("write %d: %v", i, err)
 			}
-			model[i] = rec.Clone().MergeOlder(model[i])
+			model[i] = mergeOlder(rec.Clone(), model[i])
 		}
 		for i := 0; i < slow; i++ {
 			write(p, i, kv.Record{"slow": kv.SizedValue(1000 * i)})
@@ -450,7 +461,7 @@ func TestSharedClientReadsReturnOwnKeys(t *testing.T) {
 						// differ and the read repairs before it answers.
 						rec := kv.Record{fmt.Sprintf("k%d-z", i): kv.SizedValue(1000*i + 500 + n)}
 						db.ReplicasFor(key(i))[0].Engine.Apply(p, key(i), rec, db.Version())
-						model[i] = rec.Clone().MergeOlder(model[i])
+						model[i] = mergeOlder(rec.Clone(), model[i])
 					case 7:
 						if rec, err := read((n / 8) % slow); err != kv.ErrTimeout {
 							t.Fatalf("reader %d: read of a flushed key: rec = %v, err = %v, want timeout", r, rec, err)

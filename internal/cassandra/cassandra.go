@@ -38,7 +38,7 @@ type Config struct {
 	// replication factor is the sum. Empty is SimpleStrategy.
 	DCReplicas []int
 	// ReadCL and WriteCL are the default consistency levels; clients may
-	// override per request.
+	// override per request. EACH_QUORUM is a write-only level.
 	ReadCL, WriteCL kv.ConsistencyLevel
 	// ReadRepairChance is the probability that a point read triggers a
 	// background repair across all replicas (table read_repair_chance;
@@ -147,6 +147,7 @@ type DB struct {
 
 // New builds a database over the given server nodes.
 func New(k *sim.Kernel, cfg Config, nodes []*cluster.Node) *DB {
+	refuseEachQuorumRead(cfg.ReadCL)
 	if len(cfg.DCReplicas) > 0 {
 		// Clamp each DC's target to its actual host count and derive the
 		// effective total replication factor.
@@ -196,9 +197,6 @@ func New(k *sim.Kernel, cfg Config, nodes []*cluster.Node) *DB {
 	}
 	return db
 }
-
-// Replicas returns the database's hosts.
-func (db *DB) Replicas() []*Replica { return db.reps }
 
 // ReplicasFor returns the replica set for key in ring order (main replica
 // first). The slice is shared by every key the ring places alike: callers
@@ -405,7 +403,7 @@ type readOp struct {
 	key   kv.Key
 
 	alive     []*Replica         // live replicas, proximity-sorted
-	pool      []*Replica         // LOCAL_QUORUM's and EACH_QUORUM's contact set
+	pool      []*Replica         // LOCAL_QUORUM's contact set
 	contacted []*Replica         // who the level made the coordinator wait for
 	resps     []replica.Response // their answers
 
@@ -536,8 +534,7 @@ func (op *readOp) coordinate(p *sim.Proc, cl kv.ConsistencyLevel) (*storage.Row,
 	}
 	need := cl.Required(len(replicas))
 	pool := op.alive
-	switch cl {
-	case kv.LocalQuorum:
+	if cl == kv.LocalQuorum {
 		// LOCAL_QUORUM reads contact only the coordinator's DC, blocking
 		// for a majority of its replication factor; a coordinator whose DC
 		// holds no replicas degrades to the plain-quorum pool.
@@ -545,14 +542,6 @@ func (op *readOp) coordinate(p *sim.Proc, cl kv.ConsistencyLevel) (*storage.Row,
 		if op.pool, localNeed = dcLocalPlan(op.pool[:0], replicas, coord.Node.Zone); localNeed > 0 {
 			pool, need = op.pool, localNeed
 		}
-	case kv.EachQuorum:
-		// EACH_QUORUM reads block on a majority in every DC.
-		var ok bool
-		if op.pool, ok = db.eachQuorumRead(op.pool[:0], replicas, coord.Node.Zone); !ok {
-			db.Unavails++
-			return nil, kv.ErrUnavailable
-		}
-		pool, need = op.pool, len(op.pool)
 	}
 	if len(pool) < need {
 		db.Unavails++

@@ -62,7 +62,7 @@ func TestScanPerHostFetchCapped(t *testing.T) {
 		gets := totalGets(db) - getsBefore
 		_ = gets // engine.Scans counts scans, not rows; sanity only
 		var scans int64
-		for _, rep := range db.Replicas() {
+		for _, rep := range db.reps {
 			scans += rep.Engine.Scans
 		}
 		if scans != 10 {
@@ -76,7 +76,7 @@ func TestScanPerHostFetchCapped(t *testing.T) {
 
 func totalGets(db *DB) int64 {
 	var n int64
-	for _, rep := range db.Replicas() {
+	for _, rep := range db.reps {
 		n += rep.Engine.Gets
 	}
 	return n

@@ -42,8 +42,9 @@ func (db *DB) NewClient(node *cluster.Node) *Client {
 }
 
 // WithConsistency returns a copy of the client using the given read and
-// write levels.
+// write levels. EACH_QUORUM is a write-only level.
 func (c *Client) WithConsistency(read, write kv.ConsistencyLevel) *Client {
+	refuseEachQuorumRead(read)
 	cc := *c
 	cc.readCL = read
 	cc.writeCL = write
@@ -52,6 +53,15 @@ func (c *Client) WithConsistency(read, write kv.ConsistencyLevel) *Client {
 }
 
 var _ kv.Client = (*Client)(nil)
+
+// refuseEachQuorumRead panics when read is EACH_QUORUM: Cassandra 2.0
+// accepts that level for writes only (ConsistencyLevel.validateForRead
+// rejects it; read support came in 3.0).
+func refuseEachQuorumRead(read kv.ConsistencyLevel) {
+	if read == kv.EachQuorum {
+		panic("cassandra: EACH_QUORUM is a write-only level; read at LOCAL_QUORUM or QUORUM")
+	}
+}
 
 // coordinator picks the next live host round-robin, preferring hosts in
 // the client's own zone (a DC-aware load-balancing policy): requests only

@@ -17,15 +17,16 @@ func TestClientConformance(t *testing.T) {
 }
 
 // TestClientConformanceMultiDC runs the same suite through the DC-aware
-// levels on two data centers 80 ms apart: every level whose read and write
-// sets intersect must give a single client its own writes back, whichever
-// side of the WAN the acknowledging replicas sit on.
+// write levels on two data centers 80 ms apart, each read at readLevel:
+// every pairing whose read and write sets intersect must give a single
+// client its own writes back, whichever side of the WAN the acknowledging
+// replicas sit on.
 func TestClientConformanceMultiDC(t *testing.T) {
 	for _, lv := range []kv.ConsistencyLevel{kv.EachQuorum, kv.LocalQuorum, kv.Quorum} {
 		t.Run(lv.String(), func(t *testing.T) {
 			k := sim.NewKernel(7)
 			db, client, _ := multiDCDB(k, 3, []int{2, 2}, 80*time.Millisecond)
-			kv.RunConformance(t, harness(k, db, client.WithConsistency(lv, lv)))
+			kv.RunConformance(t, harness(k, db, client.WithConsistency(readLevel(lv), lv)))
 		})
 	}
 }

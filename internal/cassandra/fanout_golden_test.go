@@ -64,9 +64,9 @@ func (s *fanoutScript) op(log *strings.Builder, class trace.OpClass, what string
 	fmt.Fprintf(log, "%s %v: %v\n", what, lv, err)
 }
 
-// ops runs update, read, delete, read, insert on k at every level. before,
-// when set, runs ahead of each write to schedule a mid-flight fault. skip
-// names the levels to leave out.
+// ops runs update, read, delete, read, insert on k at every write level,
+// reading at its readLevel. before, when set, runs ahead of each write to
+// schedule a mid-flight fault. skip names the levels to leave out.
 func (s *fanoutScript) ops(log *strings.Builder, k kv.Key, before func(), skip ...kv.ConsistencyLevel) {
 	p := s.p
 	for i, lv := range everyLevel {
@@ -235,7 +235,7 @@ func TestWriteFanoutGolden(t *testing.T) {
 		db.SetTracer(tr)
 		s := &fanoutScript{db: db, c: c, tr: tr, oneRack: c.Zones() == 1}
 		for _, lv := range everyLevel {
-			s.clients = append(s.clients, base.WithConsistency(lv, lv))
+			s.clients = append(s.clients, base.WithConsistency(readLevel(lv), lv))
 		}
 		k.Spawn("script", func(p *sim.Proc) {
 			s.p = p

@@ -4,12 +4,24 @@ import (
 	"testing"
 	"time"
 
+	"cloudbench/internal/cluster"
 	"cloudbench/internal/kv"
 	"cloudbench/internal/sim"
 )
 
 // These tests run on multiDCDB's two-DC deployments, 80 ms apart.
 const wanRTT = 80 * time.Millisecond
+
+// zoneNodes returns c's nodes in zone, in ID order.
+func zoneNodes(c *cluster.Cluster, zone int) []*cluster.Node {
+	var out []*cluster.Node
+	for _, n := range c.Nodes {
+		if n.Zone == zone {
+			out = append(out, n)
+		}
+	}
+	return out
+}
 
 func TestZonesAssignedContiguously(t *testing.T) {
 	k := sim.NewKernel(1)
@@ -20,7 +32,7 @@ func TestZonesAssignedContiguously(t *testing.T) {
 	if c.Nodes[5].Zone != 1 {
 		t.Fatalf("node5 zone = %d", c.Nodes[5].Zone)
 	}
-	if len(c.ZoneNodes(0)) == 0 || len(c.ZoneNodes(1)) == 0 {
+	if len(zoneNodes(c, 0)) == 0 || len(zoneNodes(c, 1)) == 0 {
 		t.Fatal("zone listing empty")
 	}
 }
@@ -61,8 +73,8 @@ func TestInterZoneTrafficPaysWideAreaRTT(t *testing.T) {
 	_, _, c := multiDCDB(k, 2, []int{1, 1}, wanRTT)
 	var intra, inter time.Duration
 	k.Spawn("probe", func(p *sim.Proc) {
-		z0 := c.ZoneNodes(0)
-		z1 := c.ZoneNodes(1)
+		z0 := zoneNodes(c, 0)
+		z1 := zoneNodes(c, 1)
 		start := p.Now()
 		z0[0].SendTo(p, z0[1], 100)
 		intra = p.Now().Sub(start)
@@ -154,7 +166,7 @@ func TestLocalQuorumUnavailableWhenZoneDown(t *testing.T) {
 		// simpler: fail all zone-0 servers; coordinators in zone 1 then
 		// use zone-1 locals and succeed, so steer the client to zone 1
 		// coordinators being down instead: fail zone 1.
-		for _, n := range c.ZoneNodes(1) {
+		for _, n := range zoneNodes(c, 1) {
 			if n != base.node {
 				n.Fail()
 			}

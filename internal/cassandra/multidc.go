@@ -2,8 +2,8 @@ package cassandra
 
 // The DC-aware half of the coordinator: the acknowledgement plan every
 // write waits on (one target for the zone-agnostic levels and
-// LOCAL_QUORUM, one per DC for EACH_QUORUM), the per-DC contact sets of
-// LOCAL_QUORUM and EACH_QUORUM reads; the write path itself (cassandra.go)
+// LOCAL_QUORUM, one per DC for EACH_QUORUM), the DC-local contact set of
+// LOCAL_QUORUM reads; the write path itself (cassandra.go)
 // sends ONE mutation per remote DC across the WAN — to a forwarder replica
 // that relays it over local links — instead of one per remote replica,
 // exactly as Cassandra's coordinator does. The paper's single rack is one DC
@@ -42,23 +42,6 @@ func dcLocalPlan(dst, replicas []*Replica, zone int) (local []*Replica, need int
 		}
 	}
 	return dst, kv.Quorum.Required(rf)
-}
-
-// eachQuorumRead selects the contact set for an EACH_QUORUM read into
-// pool: for every DC holding replicas, the first majority-of-RF live
-// replicas in ring order, the coordinator's DC first so a nearby replica
-// serves the data read. ok is false when some DC cannot seat its majority.
-func (db *DB) eachQuorumRead(pool, replicas []*Replica, zone int) (_ []*Replica, ok bool) {
-	zones := db.zones()
-	for i := 0; i < zones; i++ {
-		n, need := len(pool), 0
-		pool, need = dcLocalPlan(pool, replicas, (zone+i)%zones)
-		if len(pool)-n < need {
-			return pool, false
-		}
-		pool = pool[:n+need]
-	}
-	return pool, true
 }
 
 // anyZone scopes an ackTarget to every replica, whatever its DC.

@@ -2,6 +2,7 @@ package cassandra
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -52,12 +53,48 @@ func TestDCReplicasPlacement(t *testing.T) {
 	}
 }
 
+// readLevel pairs a write level with the read level the tests use beside
+// it: EACH_QUORUM is write-only, so its writes are read back at
+// LOCAL_QUORUM, which their local majority intersects.
+func readLevel(write kv.ConsistencyLevel) kv.ConsistencyLevel {
+	if write == kv.EachQuorum {
+		return kv.LocalQuorum
+	}
+	return write
+}
+
+// TestEachQuorumReadsRefusedByName: Cassandra 2.0 accepts EACH_QUORUM for
+// writes only, so a client or a database configured to read at it panics
+// and says so.
+func TestEachQuorumReadsRefusedByName(t *testing.T) {
+	refused := func(what string, fn func()) {
+		t.Helper()
+		defer func() {
+			t.Helper()
+			if r, _ := recover().(string); !strings.Contains(r, "EACH_QUORUM is a write-only level") {
+				t.Errorf("%s: recovered %q, want a panic naming EACH_QUORUM as write-only", what, r)
+			}
+		}()
+		fn()
+	}
+	k := sim.NewKernel(11)
+	_, base, c := multiDCDB(k, 3, []int{2, 2}, 80*time.Millisecond)
+	refused("WithConsistency", func() { base.WithConsistency(kv.EachQuorum, kv.EachQuorum) })
+	refused("New", func() {
+		cfg := DefaultConfig()
+		cfg.ReadCL = kv.EachQuorum
+		New(k, cfg, c.Nodes)
+	})
+	// The write level is not refused.
+	base.WithConsistency(kv.LocalQuorum, kv.EachQuorum)
+}
+
 func TestEachQuorumWritePaysWANButLocalQuorumDoesNot(t *testing.T) {
 	k := sim.NewKernel(12)
 	_, base, _ := multiDCDB(k, 3, []int{2, 2}, 80*time.Millisecond)
 	lq := base.WithConsistency(kv.LocalQuorum, kv.LocalQuorum)
-	eq := base.WithConsistency(kv.EachQuorum, kv.EachQuorum)
-	var lqW, eqW, lqR, eqR time.Duration
+	eq := base.WithConsistency(kv.LocalQuorum, kv.EachQuorum)
+	var lqW, eqW, lqR time.Duration
 	k.Spawn("client", func(p *sim.Proc) {
 		if err := lq.Insert(p, key(1), kv.Record{"v": kv.SizedValue(10)}); err != nil {
 			t.Error(err)
@@ -76,15 +113,14 @@ func TestEachQuorumWritePaysWANButLocalQuorumDoesNot(t *testing.T) {
 		lqW = timed(func() error { return lq.Update(p, key(1), kv.Record{"v": kv.SizedValue(1)}) })
 		eqW = timed(func() error { return eq.Update(p, key(1), kv.Record{"v": kv.SizedValue(2)}) })
 		lqR = timed(func() error { _, err := lq.Read(p, key(1), nil); return err })
-		eqR = timed(func() error { _, err := eq.Read(p, key(1), nil); return err })
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	// EACH_QUORUM pays the full 80ms WAN round trip (forward + ack);
-	// LOCAL_QUORUM completes inside the DC.
-	if eqW < 70*time.Millisecond || eqR < 70*time.Millisecond {
-		t.Fatalf("EACH_QUORUM write=%v read=%v did not cross the WAN", eqW, eqR)
+	// An EACH_QUORUM write pays the full 80ms WAN round trip (forward +
+	// ack); LOCAL_QUORUM completes inside the DC.
+	if eqW < 70*time.Millisecond {
+		t.Fatalf("EACH_QUORUM write=%v did not cross the WAN", eqW)
 	}
 	if lqW > 10*time.Millisecond || lqR > 10*time.Millisecond {
 		t.Fatalf("LOCAL_QUORUM write=%v read=%v paid a wide-area wait", lqW, lqR)
@@ -128,7 +164,7 @@ func TestPartitionFailsEachQuorumButNotLocalQuorum(t *testing.T) {
 	k := sim.NewKernel(14)
 	_, base, c := multiDCDB(k, 3, []int{2, 2}, 80*time.Millisecond)
 	lq := base.WithConsistency(kv.LocalQuorum, kv.LocalQuorum)
-	eq := base.WithConsistency(kv.EachQuorum, kv.EachQuorum)
+	eq := base.WithConsistency(kv.LocalQuorum, kv.EachQuorum)
 	k.Spawn("client", func(p *sim.Proc) {
 		if err := eq.Insert(p, key(5), kv.Record{"v": kv.SizedValue(4)}); err != nil {
 			t.Error(err)

@@ -108,17 +108,6 @@ func (c *Cluster) Zones() int {
 	return 1
 }
 
-// ZoneNodes returns the nodes in the given zone.
-func (c *Cluster) ZoneNodes(zone int) []*Node {
-	var out []*Node
-	for _, n := range c.Nodes {
-		if n.Zone == zone {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
 // Node is one machine in the rack.
 type Node struct {
 	ID      int

@@ -62,9 +62,6 @@ func NewDisk(k *sim.Kernel, name string, cfg DiskConfig) *Disk {
 	}
 }
 
-// Utilization returns the drive's mean busy fraction.
-func (d *Disk) Utilization() float64 { return d.res.Utilization() }
-
 // BusyTime returns cumulative device-active time.
 func (d *Disk) BusyTime() time.Duration { return d.res.BusyTime() }
 

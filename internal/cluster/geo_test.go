@@ -64,8 +64,14 @@ func TestGeoZoneAssignment(t *testing.T) {
 	}
 	// One rack is one DC holding every node.
 	cfg.Geo = nil
-	if c := New(k, cfg); c.Zones() != 1 || len(c.ZoneNodes(0)) != cfg.Nodes {
-		t.Fatalf("single rack: Zones() = %d, %d nodes in zone 0", c.Zones(), len(c.ZoneNodes(0)))
+	c = New(k, cfg)
+	if c.Zones() != 1 {
+		t.Fatalf("single rack: Zones() = %d", c.Zones())
+	}
+	for _, n := range c.Nodes {
+		if n.Zone != 0 {
+			t.Fatalf("single rack: node %d in zone %d", n.ID, n.Zone)
+		}
 	}
 }
 

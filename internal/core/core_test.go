@@ -165,7 +165,7 @@ func TestFig1ReproducesMicroFindings(t *testing.T) {
 	if !read.sharp() {
 		t.Errorf("F4: mean read growth %v does not clear the %.2f margin with its interval above 1", read, f4Margin)
 	}
-	if !scan.rises() {
+	if !rises(scan) {
 		t.Errorf("F4: mean scan growth %v does not rise, its interval not above 1", scan)
 	}
 	// Rendering sanity.

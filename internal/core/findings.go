@@ -164,10 +164,6 @@ type growth struct {
 // seed that is the ratio's own point check.
 func (g growth) sharp() bool { return g.gm > f4Margin && (g.n < 2 || g.lo > 1) }
 
-// rises reports whether g's interval lies above 1, which needs two or more
-// seeds: latency grows with RF, by whatever margin.
-func (g growth) rises() bool { return g.n >= 2 && g.lo > 1 }
-
 // String prints the geometric mean, then the interval if there is one.
 func (g growth) String() string {
 	if g.n < 2 {

@@ -179,12 +179,6 @@ func New(k *sim.Kernel, cfg Config, serverNodes []*cluster.Node, masterNode *clu
 // FS exposes the underlying HDFS for inspection.
 func (db *DB) FS() *hdfs.FS { return db.fs }
 
-// Servers returns the region servers.
-func (db *DB) Servers() []*RegionServer { return db.servers }
-
-// Regions returns the regions in key order.
-func (db *DB) Regions() []*Region { return db.regions }
-
 // regionFor returns the region owning key.
 func (db *DB) regionFor(key kv.Key) *Region {
 	// regions are sorted by StartKey; find the last region whose start

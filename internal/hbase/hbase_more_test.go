@@ -93,7 +93,7 @@ func TestHigherRFWritesMoreHDFSBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 		var total int64
-		for _, s := range db.Servers() {
+		for _, s := range db.servers {
 			total += s.Node.Disk.BytesWri
 		}
 		return total
@@ -108,7 +108,7 @@ func TestHigherRFWritesMoreHDFSBytes(t *testing.T) {
 func TestEnginesExposed(t *testing.T) {
 	k := sim.NewKernel(4)
 	db, _ := testDB(k, 4, 3)
-	if len(db.Engines()) != len(db.Regions()) {
+	if len(db.Engines()) != len(db.regions) {
 		t.Fatal("engines/regions mismatch")
 	}
 }

@@ -31,8 +31,8 @@ func key(i int) kv.Key { return kv.Key(fmt.Sprintf("user%08d", i)) }
 func TestRegionRouting(t *testing.T) {
 	k := sim.NewKernel(1)
 	db, _ := testDB(k, 4, 3)
-	if len(db.Regions()) != 8 {
-		t.Fatalf("regions = %d", len(db.Regions()))
+	if len(db.regions) != 8 {
+		t.Fatalf("regions = %d", len(db.regions))
 	}
 	for _, i := range []int{0, 1249, 1250, 9999} {
 		r := db.regionFor(key(i))
@@ -42,7 +42,7 @@ func TestRegionRouting(t *testing.T) {
 	}
 	// Regions spread across servers.
 	seen := map[*RegionServer]bool{}
-	for _, r := range db.Regions() {
+	for _, r := range db.regions {
 		seen[r.Server] = true
 	}
 	if len(seen) != 4 {

@@ -86,17 +86,6 @@ func (r Record) Project(fields []string) Record {
 	return c
 }
 
-// MergeOlder fills fields missing from r with fields from older, modeling
-// the newest-wins merge of partial writes. It mutates and returns r.
-func (r Record) MergeOlder(older Record) Record {
-	for f, v := range older {
-		if _, ok := r[f]; !ok {
-			r[f] = v
-		}
-	}
-	return r
-}
-
 // ConsistencyLevel selects how many replicas must acknowledge an operation
 // before the coordinator responds, exactly as in Cassandra.
 type ConsistencyLevel int
@@ -107,8 +96,8 @@ type ConsistencyLevel int
 // center), down replicas counted — the level multi-datacenter deployments
 // use to avoid wide-area waits. EachQuorum demands such a majority in
 // *every* data center, the strongest cross-DC level Cassandra offers short
-// of ALL. A single rack is one data center, so there both are exactly
-// Quorum.
+// of ALL; Cassandra 2.0 accepts it for writes only. A single rack is one
+// data center, so there both are exactly Quorum.
 const (
 	One ConsistencyLevel = iota + 1
 	Two

@@ -41,15 +41,6 @@ func TestRecordProject(t *testing.T) {
 	}
 }
 
-func TestRecordMergeOlderPrefersNewer(t *testing.T) {
-	newer := Record{"a": SizedValue(1)}
-	older := Record{"a": SizedValue(100), "b": SizedValue(2)}
-	m := newer.MergeOlder(older)
-	if m["a"].Bytes() != 1 || m["b"].Bytes() != 2 {
-		t.Fatalf("merge = %v", m)
-	}
-}
-
 func TestConsistencyRequired(t *testing.T) {
 	cases := []struct {
 		cl   ConsistencyLevel

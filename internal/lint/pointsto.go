@@ -31,7 +31,6 @@ package lint
 // DESIGN.md §9.
 
 import (
-	"fmt"
 	"go/token"
 	"go/types"
 	"sort"
@@ -387,12 +386,6 @@ func (g *ptGraph) ensureObjFor(n nodeID, typ types.Type) {
 	}
 }
 
-// seedExternal marks a call result that came from outside the analyzed
-// packages. The engine does not model external bodies; empty sets are
-// instead completed at query time by the virtual-object expansion
-// (reachability walks), so no objects are materialized here.
-func (g *ptGraph) seedExternal(nodeID, types.Type, token.Pos) {}
-
 // funcsIn returns the lowered functions a cell may point to, for dynamic
 // call resolution.
 func (g *ptGraph) funcsIn(n nodeID) []*SSAFunc {
@@ -468,7 +461,7 @@ func (g *ptGraph) applyConstraint(c *ptConstraint, obj nodeID) {
 	}
 }
 
-// --- public query API (engine golden tests, analyzer layers) ---
+// --- query API (analyzer layers) ---
 
 // VarNode returns the cell for a source variable, or 0 when obj is not a
 // variable the engine has seen.
@@ -481,84 +474,6 @@ func (s *SSA) VarNode(obj types.Object) NodeID {
 		return id
 	}
 	return 0
-}
-
-// FieldOf returns the cell for parent's named field ($elem/$key address
-// container state), or 0.
-func (s *SSA) FieldOf(parent NodeID, name string) NodeID {
-	if parent == 0 {
-		return 0
-	}
-	if id, ok := s.pt.fields[fieldKeyT{parent, name}]; ok {
-		return id
-	}
-	return 0
-}
-
-// PointsTo returns the objects a cell may point to, sorted by position.
-func (s *SSA) PointsTo(n NodeID) []NodeID {
-	if n == 0 {
-		return nil
-	}
-	out := make([]nodeID, 0, len(s.pt.node(n).pts))
-	for o := range s.pt.node(n).pts {
-		out = append(out, o)
-	}
-	sort.Slice(out, func(i, j int) bool { return s.pt.node(out[i]).pos < s.pt.node(out[j]).pos })
-	return out
-}
-
-// NodeType returns the static type recorded for a cell (may be nil).
-func (s *SSA) NodeType(n NodeID) types.Type {
-	if n == 0 {
-		return nil
-	}
-	return s.pt.node(n).typ
-}
-
-// NodePos returns the source position recorded for a cell.
-func (s *SSA) NodePos(n NodeID) token.Pos {
-	if n == 0 {
-		return token.NoPos
-	}
-	return s.pt.node(n).pos
-}
-
-// DescribeNode renders a cell for diagnostics and engine tests.
-func (s *SSA) DescribeNode(n NodeID) string {
-	if n == 0 {
-		return "<none>"
-	}
-	pn := s.pt.node(n)
-	switch pn.kind {
-	case nkVar:
-		return fmt.Sprintf("var %s", pn.obj.Name())
-	case nkField:
-		return fmt.Sprintf("%s.%s", s.DescribeNode(pn.parent), pn.field)
-	case nkFunc:
-		return "func " + pn.fn.Name
-	case nkAlloc:
-		if pn.typ != nil {
-			return "alloc " + pn.typ.String()
-		}
-		return "alloc"
-	case nkBox:
-		if pn.typ != nil {
-			return "box " + pn.typ.String()
-		}
-		return "box"
-	}
-	return "temp"
-}
-
-// PointsToAnyVar reports whether cell n's points-to set contains the cell
-// of variable v (i.e. n may alias &v).
-func (s *SSA) PointsToAnyVar(n NodeID, v types.Object) bool {
-	vn := s.VarNode(v)
-	if vn == 0 || n == 0 {
-		return false
-	}
-	return s.pt.node(n).pts[vn]
 }
 
 // --- reachability (shardsafe v2) ---

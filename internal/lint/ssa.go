@@ -1114,14 +1114,8 @@ func (l *lowerer) call(e *ast.CallExpr, nresults int) []nodeID {
 			}
 		}
 	}
-	external := c.Static != nil && l.ssa.FuncOf(c.Static) == nil && c.Iface == nil
-	for i, rt := range resTypes {
-		rn := l.pt().tempNode(rt, e.Pos())
-		if external {
-			l.pt().seedExternal(rn, rt, e.Pos())
-		}
-		c.results = append(c.results, rn)
-		_ = i
+	for _, rt := range resTypes {
+		c.results = append(c.results, l.pt().tempNode(rt, e.Pos()))
 	}
 
 	l.fn.Calls = append(l.fn.Calls, c)

@@ -21,7 +21,7 @@ func TestReadAllocs(t *testing.T) {
 		for _, rewritten := range []bool{false, true} {
 			k := sim.NewKernel(7)
 			db, base, _ := testDB(k, 5, 3, func(cfg *Config) { cfg.ReplicatorInterval = 0 })
-			c := base.WithReadMode(mode)
+			c := withReadMode(base, mode)
 			const records = 64
 			keys := make([]kv.Key, records) // made up front: the read is all that is measured
 			for i := range keys {
@@ -100,7 +100,7 @@ func timedOutReadHoldsItsOp(t *testing.T, seed int64) {
 	cfg.ReplicatorInterval = 0
 	cfg.Engine.CacheBytes = 0
 	db := New(k, cfg, c.Nodes[:5])
-	quorum := db.NewClient(c.Nodes[5]).WithReadMode(ReadQuorumFresh)
+	quorum := withReadMode(db.NewClient(c.Nodes[5]), ReadQuorumFresh)
 	const slow, fast = 12, 8
 	timeouts := 0
 	k.Spawn("client", func(p *sim.Proc) {

@@ -38,14 +38,6 @@ func (db *DB) NewClient(node *cluster.Node) *Client {
 	return &Client{db: db, node: node, mode: db.cfg.ReadMode, oid: oid}
 }
 
-// WithReadMode returns a copy of the client using the given read policy.
-func (c *Client) WithReadMode(m ReadMode) *Client {
-	cc := *c
-	cc.mode = m
-	cc.rec, cc.kvs = nil, nil // the copy returns its own
-	return &cc
-}
-
 var _ kv.Client = (*Client)(nil)
 
 // caller is how the servers see this client: a client-facing request.

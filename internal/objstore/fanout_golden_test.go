@@ -49,7 +49,7 @@ func (s *fanoutScript) step(name string, body func(log *strings.Builder)) {
 	fmt.Fprintf(&log, "ops=%d/%d/%d handoff=%d unavail=%d jobs=%d/%d/%d/%d ae=%d/%d/%d pending=%d now=%d\n",
 		db.Reads, db.Writes, db.ScansDone, db.HandoffWrites, db.Unavails,
 		db.AsyncJobsRun, db.JobRetries, db.JobsSpilled, db.UpdaterReplays,
-		db.AntiEntropyPasses, db.DigestsSent, db.AntiEntropyPushes, db.PendingJobs(), s.p.Now())
+		db.AntiEntropyPasses, db.DigestsSent, db.AntiEntropyPushes, pendingJobs(db), s.p.Now())
 	fmt.Fprintf(&log, "%+v\n", db.Oracle.Report())
 	s.digests = append(s.digests, fmt.Sprintf("%s %x", name, sha256.Sum256([]byte(log.String()))))
 }
@@ -259,7 +259,7 @@ func TestObjstoreFanoutGolden(t *testing.T) {
 	// The clients register with the oracle, so they are made after it is
 	// attached.
 	one := db.NewClient(base.node)
-	s := &fanoutScript{db: db, tr: tr, one: one, qf: one.WithReadMode(ReadQuorumFresh)}
+	s := &fanoutScript{db: db, tr: tr, one: one, qf: withReadMode(one, ReadQuorumFresh)}
 	k.Spawn("script", func(p *sim.Proc) {
 		s.p = p
 		s.run()

@@ -34,6 +34,24 @@ func key(i int) kv.Key { return kv.Key(fmt.Sprintf("user%08d", i)) }
 
 func rec(s string) kv.Record { return kv.Record{"f0": kv.ByteValue([]byte(s))} }
 
+// withReadMode returns a copy of c that reads under m, with its own result
+// record and slice.
+func withReadMode(c *Client, m ReadMode) *Client {
+	cc := *c
+	cc.mode = m
+	cc.rec, cc.kvs = nil, nil
+	return &cc
+}
+
+// pendingJobs counts db's queued plus spilled replication jobs.
+func pendingJobs(db *DB) int {
+	n := 0
+	for _, s := range db.srvs {
+		n += s.jobs.Len() + len(s.pending)
+	}
+	return n
+}
+
 // TestAsyncReplicationConverges: a write is acked after one durable apply
 // and the remaining replicas catch up through the async job queue — after
 // the kernel drains, every placement member holds the same version.
@@ -70,8 +88,8 @@ func TestAsyncReplicationConverges(t *testing.T) {
 	if db.AsyncJobsRun != writes*2 {
 		t.Errorf("AsyncJobsRun = %d, want %d (RF-1 per write)", db.AsyncJobsRun, writes*2)
 	}
-	if db.PendingJobs() != 0 {
-		t.Errorf("PendingJobs = %d after drain, want 0", db.PendingJobs())
+	if pendingJobs(db) != 0 {
+		t.Errorf("PendingJobs = %d after drain, want 0", pendingJobs(db))
 	}
 }
 
@@ -275,7 +293,7 @@ func TestReadModesAfterConvergence(t *testing.T) {
 			t.Errorf("insert: %v", err)
 		}
 		p.Sleep(2 * time.Second)
-		for i, cl := range []*Client{c, c.WithReadMode(ReadQuorumFresh)} {
+		for i, cl := range []*Client{c, withReadMode(c, ReadQuorumFresh)} {
 			// Several reads so ReadOne's rotation visits every replica.
 			for n := 0; n < 3; n++ {
 				got, err := cl.Read(p, key(0), nil)
@@ -297,7 +315,7 @@ func TestUnavailableWhenAllDown(t *testing.T) {
 	k := sim.NewKernel(13)
 	db, c, _ := testDB(k, 3, 3, func(cfg *Config) { cfg.ReplicatorInterval = 0 })
 	k.Spawn("driver", func(p *sim.Proc) {
-		for _, s := range db.Servers() {
+		for _, s := range db.srvs {
 			s.Node.Fail()
 		}
 		if _, err := c.Read(p, key(0), nil); err != kv.ErrUnavailable {
@@ -451,8 +469,8 @@ func TestSpillDuringDrainSurvives(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if db.JobsSpilled != 800 || db.UpdaterReplays != db.JobsSpilled || db.PendingJobs() != 0 {
+	if db.JobsSpilled != 800 || db.UpdaterReplays != db.JobsSpilled || pendingJobs(db) != 0 {
 		t.Errorf("spilled=%d replays=%d pending=%d, want 800 spilled and every one replayed",
-			db.JobsSpilled, db.UpdaterReplays, db.PendingJobs())
+			db.JobsSpilled, db.UpdaterReplays, pendingJobs(db))
 	}
 }

@@ -172,9 +172,6 @@ func New(k *sim.Kernel, cfg Config, nodes []*cluster.Node) *DB {
 // kernel can drain; experiments call it when the driver finishes.
 func (db *DB) Stop() { db.stopped = true }
 
-// Servers returns the deployment's object servers.
-func (db *DB) Servers() []*Server { return db.srvs }
-
 // PartitionOf maps a key to its ring partition.
 func (db *DB) PartitionOf(key kv.Key) int { return db.ring.partition(key) }
 
@@ -258,14 +255,4 @@ func (db *DB) write(p *sim.Proc, s *Server, inPlacement bool, key kv.Key, rec kv
 	if db.Oracle != nil {
 		db.Oracle.WriteAck(key, m.Ver, db.K.Now())
 	}
-}
-
-// PendingJobs reports queued plus spilled replication jobs across all
-// servers (diagnostic).
-func (db *DB) PendingJobs() int {
-	n := 0
-	for _, s := range db.srvs {
-		n += s.jobs.Len() + len(s.pending)
-	}
-	return n
 }

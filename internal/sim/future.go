@@ -32,9 +32,6 @@ func (f *Future[T]) Init(k *Kernel) {
 	*f = Future[T]{k: k, more: f.more}
 }
 
-// Done reports whether the future has been set.
-func (f *Future[T]) Done() bool { return f.done }
-
 // Value returns the future's value and whether it has been set.
 func (f *Future[T]) Value() (T, bool) { return f.val, f.done }
 

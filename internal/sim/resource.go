@@ -13,7 +13,6 @@ type Resource struct {
 	queue     ring[*Proc]
 
 	// statistics
-	created   Time
 	lastT     Time
 	busyInt   int64 // ∫ inUse dt, in unit·nanoseconds
 	served    int64 // completed Use calls, MeanWait's divisor
@@ -26,7 +25,7 @@ func NewResource(k *Kernel, name string, capacity int) *Resource {
 	if capacity < 1 {
 		panic("sim: resource capacity must be >= 1")
 	}
-	return &Resource{k: k, name: name, parkLabel: "resource:" + name, capacity: capacity, created: k.now, lastT: k.now}
+	return &Resource{k: k, name: name, parkLabel: "resource:" + name, capacity: capacity, lastT: k.now}
 }
 
 //simlint:hotpath
@@ -101,17 +100,6 @@ func (r *Resource) UseTimed(p *Proc, service Duration) Duration {
 	r.Release()
 	r.served++
 	return waited
-}
-
-// Utilization returns the mean fraction of capacity in use since the
-// resource was created.
-func (r *Resource) Utilization() float64 {
-	r.accumulate()
-	elapsed := int64(r.k.now - r.created)
-	if elapsed == 0 {
-		return 0
-	}
-	return float64(r.busyInt) / float64(elapsed) / float64(r.capacity)
 }
 
 // BusyTime returns the cumulative unit-seconds of capacity held since the

@@ -215,7 +215,7 @@ func TestResourceUtilization(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if u := r.Utilization(); u < 0.29 || u > 0.31 {
+	if u := float64(r.BusyTime()) / float64(k.Now()); u < 0.29 || u > 0.31 {
 		t.Fatalf("utilization = %v, want ~0.30", u)
 	}
 }
@@ -387,7 +387,7 @@ func TestGoexitTerminatesProcess(t *testing.T) {
 	if reached {
 		t.Fatal("process ran past runtime.Goexit")
 	}
-	if !p.Done().Done() {
+	if !p.Done().done {
 		t.Fatal("Done not set after runtime.Goexit")
 	}
 	if k.live != 1 {

@@ -89,9 +89,3 @@ func (c *BlockCache) unlink(i int32) {
 	s := &c.slots[i]
 	c.slots[s.prev].next, c.slots[s.next].prev = s.next, s.prev
 }
-
-// Contains reports whether the block is cached, without promoting it.
-func (c *BlockCache) Contains(table int64, block int) bool {
-	_, ok := c.index[blockID{table, block}]
-	return ok
-}

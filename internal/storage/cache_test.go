@@ -71,8 +71,9 @@ func TestBlockCacheMatchesListModel(t *testing.T) {
 				t.Fatalf("seed %d step %d: Touch(%d, %d, %d) = %v, model %v", seed, step, table, block, size, got, want)
 			}
 			probe := blockID{int64(rng.Intn(8)), rng.Intn(64)}
-			if _, want := ref.index[probe]; c.Contains(probe.table, probe.block) != want {
-				t.Fatalf("seed %d step %d: Contains(%v) = %v, model %v", seed, step, probe, !want, want)
+			_, got := c.index[probe]
+			if _, want := ref.index[probe]; got != want {
+				t.Fatalf("seed %d step %d: cached(%v) = %v, model %v", seed, step, probe, got, want)
 			}
 			if c.Hits != ref.hits || c.Misses != ref.misses || c.used != ref.used || len(c.index) != ref.ll.Len() {
 				t.Fatalf("seed %d step %d: hits/misses/used/len %d/%d/%d/%d, model %d/%d/%d/%d", seed, step,

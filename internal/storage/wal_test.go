@@ -88,7 +88,7 @@ func TestCacheDropTableOnDeleteEviction(t *testing.T) {
 	}
 	live := 0
 	for b := 0; b < 8; b++ {
-		if c.Contains(2, b) {
+		if cached(c, 2, b) {
 			live++
 		}
 	}
