@@ -10,10 +10,13 @@ import (
 
 // TestKernelStatsPerSimop prints, for a small cass_mixed-shaped cell
 // (Cassandra ONE/ONE, read repair on, 50/50 zipfian read/update) and the
-// same input through HBase, how often the kernel parked a process and how
-// often it had to allocate an event struct, per simulated YCSB operation.
-// Parks per simop is the size of the prize for ROADMAP item 10 (fewer
-// goroutine switches per op); free-list misses per simop is the evidence
+// same input through HBase, how often the kernel parked a process, how
+// often control passed to another goroutine (a switch, at a park or at a
+// process's end; a process whose own wake came next kept control), and
+// how often it had to allocate an
+// event struct, per simulated YCSB operation. Parks and switches per simop
+// are the size of the prize for ROADMAP item 10 (fewer goroutine switches
+// per op); free-list misses per simop is the evidence
 // that a canceled timeout's event is recycled — before eager unlinking it
 // was one miss per AwaitTimeout, i.e. at least one per operation. Beside
 // them, what the storage engines did for the op: how many row lookups, and
@@ -48,6 +51,7 @@ func TestKernelStatsPerSimop(t *testing.T) {
 			st = d.k.Stats()
 			st.Events -= before.Events
 			st.Parks -= before.Parks
+			st.Switches -= before.Switches
 			st.EventMisses -= before.EventMisses
 			st.EventHits -= before.EventHits
 			st.ProcMisses -= before.ProcMisses
@@ -58,8 +62,8 @@ func TestKernelStatsPerSimop(t *testing.T) {
 			t.Fatal(err)
 		}
 		ops := float64(o.StressOps)
-		t.Logf("%-8s per simop: %.1f events, %.1f parks, %.4f event free-list misses, %.4f proc-pool misses; %.2f deadlines armed, %.2f canceled, %.2f of those unlinked eagerly",
-			b.db, float64(st.Events)/ops, float64(st.Parks)/ops, float64(st.EventMisses)/ops, float64(st.ProcMisses)/ops,
+		t.Logf("%-8s per simop: %.1f events, %.1f parks, %.1f switches, %.4f event free-list misses, %.4f proc-pool misses; %.2f deadlines armed, %.2f canceled, %.2f of those unlinked eagerly",
+			b.db, float64(st.Events)/ops, float64(st.Parks)/ops, float64(st.Switches)/ops, float64(st.EventMisses)/ops, float64(st.ProcMisses)/ops,
 			float64(st.TimersScheduled)/ops, float64(st.TimersCanceled)/ops, float64(st.TimersUnlinked)/ops)
 		t.Logf("%-8s per simop: %.2f engine gets, %.2f of them copies (memtable snapshot or cross-source merge)",
 			b.db, float64(gets)/ops, float64(copies)/ops)

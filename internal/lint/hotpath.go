@@ -17,7 +17,7 @@ import (
 //
 //   - defer (runtime bookkeeping per call),
 //   - function literals (closure allocation — reuse a stored closure like
-//     Proc.wake instead),
+//     storage.WAL's flush instead),
 //   - calls into fmt or log (formatting allocates; use static strings),
 //   - string concatenation (every + allocates),
 //   - interface boxing of non-pointer values (conversions and call
@@ -167,7 +167,7 @@ func checkHotpathBody(pass *Pass, fn *ast.FuncDecl) {
 		case *ast.DeferStmt:
 			pass.Reportf(n.Pos(), "defer in hot path %s: per-call runtime bookkeeping; restructure with explicit cleanup", name)
 		case *ast.FuncLit:
-			pass.Reportf(n.Pos(), "closure allocated in hot path %s: hoist it to a struct field built once (see Proc.wake)", name)
+			pass.Reportf(n.Pos(), "closure allocated in hot path %s: hoist it to a struct field built once (see storage.WAL's flush)", name)
 			return false // the literal's body runs elsewhere
 		case *ast.CallExpr:
 			checkHotpathCall(pass, n, name)

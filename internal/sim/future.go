@@ -63,7 +63,7 @@ func (f *Future[T]) wake(p *Proc) {
 		p.deadline, p.awaiting = timer{}, nil
 	}
 	f.k.noteRunnable(p)
-	f.k.schedule(f.k.now, p.wake)
+	f.k.wakeAt(f.k.now, p)
 }
 
 // enqueue queues p, about to park, behind the processes already waiting.
@@ -110,7 +110,8 @@ func (f *Future[T]) AwaitTimeout(p *Proc, d Duration) (T, bool) {
 	if f.done {
 		return f.val, true
 	}
-	e := f.k.schedule(f.k.now.Add(d), p.expire)
+	e := f.k.wakeAt(f.k.now.Add(d), p)
+	e.expire = true
 	f.k.stats.TimersScheduled++
 	p.deadline, p.awaiting, p.timedOut = timer{e, e.seq}, f, false
 	f.enqueue(p)

@@ -29,7 +29,7 @@ func (q *Queue[T]) Push(v T) {
 	if q.waiters.len() > 0 {
 		p := q.waiters.pop()
 		q.k.noteRunnable(p)
-		q.k.schedule(q.k.now, p.wake)
+		q.k.wakeAt(q.k.now, p)
 	}
 }
 
@@ -58,7 +58,7 @@ func (q *Queue[T]) wakeNext() {
 	if q.items.len() > 0 && q.waiters.len() > 0 {
 		next := q.waiters.pop()
 		q.k.noteRunnable(next)
-		q.k.schedule(q.k.now, next.wake)
+		q.k.wakeAt(q.k.now, next)
 	}
 }
 

@@ -61,7 +61,7 @@ func (r *Resource) Release() {
 	if r.queue.len() > 0 {
 		p := r.queue.pop()
 		r.k.noteRunnable(p)
-		r.k.schedule(r.k.now, p.wake)
+		r.k.wakeAt(r.k.now, p)
 		return
 	}
 	if r.inUse == 0 {

@@ -16,6 +16,17 @@
 // virtual time, with a same-instant fast lane (see wheel.go), and process
 // goroutines are pooled across process lifetimes, so both the event
 // loop and process churn are allocation-free at steady state.
+//
+// The event loop has no goroutine of its own: it runs on whichever
+// goroutine holds control. Run starts it on the caller's goroutine; a
+// process that parks runs it on its own, and a worker whose process
+// returned carries it on. When the loop reaches an event that resumes a
+// process, control passes straight to that process's goroutine (one
+// switch), or, when it is the parking process itself, park just returns
+// (no switch). When the window ends, control goes back to the goroutine
+// that called Run. A panic in a process or in an event callback, on
+// whichever goroutine it happens, is re-raised there, in the caller of
+// Run (or of RunUntil, or of the ShardGroup's).
 package sim
 
 import (
@@ -42,15 +53,19 @@ func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 // String formats the time as a duration since simulation start.
 func (t Time) String() string { return Duration(t).String() }
 
-// event is a pending kernel event: at time t, run fn. A fired event has
-// fn == nil. A wheel-resident event knows its position, so cancel unlinks
-// and recycles it at once; in the fast lane or the due batch (level -1) it
-// is marked canceled and dropped when the scheduler reaches it.
+// event is a pending kernel event: at time t, run fn, or resume process p
+// (after taking it off the future it waits on, when the event is p's
+// AwaitTimeout deadline). A fired event has neither. A wheel-resident event
+// knows its position, so cancel unlinks and recycles it at once; in the
+// fast lane or the due batch (level -1) it is marked canceled and dropped
+// when the scheduler reaches it.
 type event struct {
 	t        Time
 	seq      uint64
 	fn       func()
+	p        *Proc
 	canceled bool
+	expire   bool  // p's deadline: p leaves its future before it resumes
 	level    int8  // wheel level holding the event; -1 outside the wheel
 	idx      int32 // position in that level's slot
 }
@@ -64,11 +79,13 @@ type timer struct {
 }
 
 // Stats counts what the kernel has done: events dispatched, process parks,
+// goroutine handoffs (control passed over a channel to another process or
+// back to the caller of Run; a process that resumes itself costs none),
 // AwaitTimeout deadlines armed / canceled by a Set / of those, unlinked from
 // the wheel at once, and hits and misses of the event free list and of the
 // process-goroutine pool. Nothing reads the counters back.
 type Stats struct {
-	Events, Parks                                   int64
+	Events, Parks, Switches                         int64
 	TimersScheduled, TimersCanceled, TimersUnlinked int64
 	EventHits, EventMisses, ProcHits, ProcMisses    int64
 }
@@ -88,14 +105,15 @@ type Kernel struct {
 	wheel   timerWheel
 	due     []*event // drained level-0 slot for the current instant, seq order
 	dueIdx  int
-	free    []*event // recycled event structs (see schedule/runWindow)
+	free    []*event // recycled event structs (see newEvent/runEvents)
 	stats   Stats
 	rng     *rand.Rand
 	seed    int64
-	live    int   // processes spawned and not yet terminated
-	procs   int64 // total processes ever spawned (id source)
-	yield   chan struct{}
-	failed  any // panic value recovered from a process
+	live    int           // processes spawned and not yet terminated
+	procs   int64         // total processes ever spawned (id source)
+	limit   Time          // last instant of the running window
+	yield   chan struct{} // control back to the goroutine that started the window
+	failed  any           // panic value recovered from a process or an event
 
 	// workerFree pools parked process goroutines (and, for Go, their Proc
 	// structs) across process lifetimes. RunUntil releases the pool when a
@@ -106,15 +124,15 @@ type Kernel struct {
 	// itself runs (between events).
 	current *Proc
 
-	// windowBreak asks runWindow to return after the current event. Only
+	// windowBreak ends the running window before any further event runs:
+	// after the current event, or once the process it resumed parks. Only
 	// Shard.Send sets it, when a solo-mode window (see ShardGroup.RunUntil)
-	// stages the first cross-shard message and the unbounded window must
-	// end before any further event runs.
+	// stages the first cross-shard message.
 	windowBreak bool
 
 	// inbox is the external message lane for sharded execution: cross-shard
 	// messages merged in at barriers, sorted by (t, source shard, source
-	// seq), consumed lazily by runWindow. inboxIdx is the first unfired
+	// seq), consumed lazily by runEvents. inboxIdx is the first unfired
 	// entry; extShard is the member shard handed to message fns. Keeping
 	// messages in their own lane (instead of scheduling a wrapper closure
 	// per message into the wheel) makes delivery allocation-free and — more
@@ -127,9 +145,10 @@ type Kernel struct {
 	inboxIdx int
 	extShard *Shard
 
-	// waiting tracks processes parked on non-timer conditions (futures,
-	// resources, queues) so deadlock reports can name them.
-	waiting waitRegistry
+	// waiting lists processes parked on non-timer conditions (futures,
+	// resources, queues) so deadlock reports can name them. Each knows its
+	// slot (Proc.waitIdx), so leaving is a swap-remove.
+	waiting []*Proc
 }
 
 // NewKernel returns a kernel with virtual time zero and a deterministic
@@ -156,25 +175,44 @@ func (k *Kernel) Seed() int64 { return k.seed }
 // Stats returns the kernel's activity counters.
 func (k *Kernel) Stats() Stats { return k.stats }
 
-// schedule enqueues fn to run at time t. Events at or before the current
-// instant go to the FIFO fast lane — the dominant wake pattern
-// schedule(k.now, p.wake) never touches the wheel — and later events go to
-// the wheel, whatever their distance. The event struct comes from the
-// kernel's free list when possible: Sleep-heavy workloads churn millions of
-// events per run, and recycling them keeps the hot path allocation-free. A
-// caller that may cancel the event keeps a timer{e, e.seq}, never the bare
-// pointer.
+// schedule enqueues fn to run at time t.
 //
 //simlint:hotpath
 func (k *Kernel) schedule(t Time, fn func()) *event {
+	e := k.newEvent(t)
+	e.fn = fn
+	return e
+}
+
+// wakeAt enqueues the resumption of p at time t: the event carries p
+// itself, so a park/unpark cycle needs no callback.
+//
+//simlint:hotpath
+func (k *Kernel) wakeAt(t Time, p *Proc) *event {
+	e := k.newEvent(t)
+	e.p = p
+	return e
+}
+
+// newEvent enqueues a blank event at time t. Events at or before the
+// current instant go to the FIFO fast lane — the dominant wake pattern
+// wakeAt(k.now, p) never touches the wheel — and later events go to the
+// wheel, whatever their distance. The event struct comes from the kernel's
+// free list when possible: Sleep-heavy workloads churn millions of events
+// per run, and recycling them keeps the hot path allocation-free. A caller
+// that may cancel the event keeps a timer{e, e.seq}, never the bare
+// pointer.
+//
+//simlint:hotpath
+func (k *Kernel) newEvent(t Time) *event {
 	var e *event
 	if n := len(k.free); n > 0 {
 		e = k.free[n-1]
 		k.free = k.free[:n-1]
-		e.fn, e.canceled = fn, false
+		e.canceled, e.expire = false, false
 		k.stats.EventHits++
 	} else {
-		e = &event{fn: fn}
+		e = &event{}
 		k.stats.EventMisses++
 	}
 	e.level = -1
@@ -195,7 +233,7 @@ func (k *Kernel) schedule(t Time, fn func()) *event {
 //
 //simlint:hotpath
 func (k *Kernel) recycle(e *event) {
-	e.fn = nil
+	e.fn, e.p = nil, nil
 	k.free = append(k.free, e)
 }
 
@@ -207,7 +245,7 @@ func (k *Kernel) recycle(e *event) {
 //simlint:hotpath
 func (k *Kernel) cancel(tm timer) {
 	e := tm.e
-	if e == nil || e.seq != tm.seq || e.canceled || e.fn == nil {
+	if e == nil || e.seq != tm.seq || e.canceled || e.fn == nil && e.p == nil {
 		return
 	}
 	k.pending--
@@ -233,11 +271,14 @@ type Proc struct {
 	k      *Kernel
 	id     int64
 	name   string
-	resume chan struct{} // shared with the worker goroutine running this proc
-	src    *Source       // backs rng for pooled (Go) processes only; nil for Spawn
-	rng    *rand.Rand
+	w      *procWorker       // the pooled goroutine running this process
+	rng    *rand.Rand        // a Go process's is built on its first Rand call
 	done   *Future[struct{}] // nil for detached (Go) processes
 	parked string            // what the process is blocked on, for deadlock reports
+
+	// waitIdx is p's slot in the kernel's wait registry while p is parked
+	// on a future, a resource or a queue.
+	waitIdx int
 
 	// tctx is an opaque trace context (owned by internal/trace). It is
 	// inherited by processes this one spawns, so request attribution
@@ -245,31 +286,16 @@ type Proc struct {
 	// about tracing.
 	tctx any
 
-	// wake is the reusable "dispatch me" closure. Every park/unpark cycle
-	// schedules it, so allocating it once per process instead of once per
-	// event keeps Sleep and resource handoffs off the allocator.
-	wake func()
-
 	// AwaitTimeout state. A process waits on one future at a time, so the
-	// timeout callback (bound once, like wake), the handle a Set cancels,
-	// the future to leave on expiry and the outcome live here instead of in
-	// a closure per wait.
-	expire   func()
+	// handle a Set cancels, the future to leave on expiry and the outcome
+	// live here instead of in a closure per wait.
 	deadline timer
 	awaiting interface{ dropWaiter(*Proc) }
 	timedOut bool
 }
 
-// bind builds the callbacks every park of p reuses.
-//
-//simlint:coldpath
-func (p *Proc) bind() {
-	p.wake = func() { p.k.dispatch(p) }
-	p.expire = p.fireTimeout
-}
-
-// fireTimeout runs when p's deadline passes first: p leaves the future and
-// resumes inside this event, not via a scheduled wake.
+// fireTimeout runs when p's deadline passes first: p leaves the future,
+// and the deadline event itself resumes p, not a scheduled wake.
 //
 //simlint:hotpath
 func (p *Proc) fireTimeout() {
@@ -278,7 +304,6 @@ func (p *Proc) fireTimeout() {
 	p.awaiting.dropWaiter(p)
 	p.awaiting = nil
 	p.k.noteRunnable(p)
-	p.k.dispatch(p)
 }
 
 // ID returns the process's unique id.
@@ -290,8 +315,20 @@ func (p *Proc) Kernel() *Kernel { return p.k }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.k.now }
 
-// Rand returns a deterministic random stream private to this process.
-func (p *Proc) Rand() *rand.Rand { return p.rng }
+// Rand returns a deterministic random stream private to this process. A
+// Go process's stream is seeded from its id on the first call, so a
+// process that never draws never pays for one.
+func (p *Proc) Rand() *rand.Rand {
+	if p.rng == nil {
+		w := p.w
+		w.src.Reseed(uint64(procSeed(p.k.seed, p.id)))
+		if w.stream == nil {
+			w.stream = rand.New(&w.src)
+		}
+		p.rng = w.stream
+	}
+	return p.rng
+}
 
 // Done returns a future that completes when the process terminates. It is
 // nil for detached processes started with Kernel.Go.
@@ -310,15 +347,16 @@ func (p *Proc) SetTraceCtx(ctx any) { p.tctx = ctx }
 // procWorker is a pooled process goroutine. Spawning a goroutine plus its
 // resume channel for every short-lived fan-out process is the dominant
 // cost of process churn, so workers park between process lifetimes and are
-// reused. Each worker also lazily owns one reusable Proc struct (pp) that
-// Kernel.Go hands out: detached processes expose no handle, so recycling
-// the struct is invisible.
+// reused. Each worker also carries the Proc that Kernel.Go hands out, with
+// the random source and stream behind it: detached processes expose no
+// handle, so recycling them is invisible.
 type procWorker struct {
-	k      *Kernel
+	Proc              // the reusable Proc for detached (Go) processes
+	src    Source     // backs stream
+	stream *rand.Rand // built on the first Rand call of a Go process here
 	resume chan struct{}
 	p      *Proc // process to run on next resume; nil means terminate
 	fn     func(*Proc)
-	pp     *Proc // reusable Proc for detached (Go) processes
 }
 
 //simlint:coldpath a worker's lifetime; getWorker starts one on a pool miss only
@@ -328,44 +366,97 @@ func (w *procWorker) loop() {
 		if w.p == nil {
 			return // pool teardown (drainPools)
 		}
-		w.run()
+		for w.run() {
+		}
 	}
 }
 
-// run executes one process lifetime on this worker.
-func (w *procWorker) run() {
+// run executes one process lifetime on this worker. The goroutine still
+// holds control when the process ends, so it then carries the event loop
+// on; run reports whether the loop came to this worker's own next process
+// (an event spawned one here after the pool took the worker back), which
+// the caller then runs without a switch.
+func (w *procWorker) run() (again bool) {
 	k := w.k
 	p := w.p
 	returned := false
 	defer func() {
+		if returned {
+			return
+		}
 		r := recover()
-		if r != nil {
-			k.failed = r
-		}
-		k.live--
-		k.current = nil
-		if p.done != nil {
-			p.done.Set(struct{}{})
-		}
-		w.p = nil
-		w.fn = nil
 		// Neither returned nor panicked: fn is exiting via runtime.Goexit —
 		// in practice t.Fatal or t.Skip called from inside a process. Goexit
 		// runs this defer and then kills the goroutine regardless, so the
 		// worker must NOT return to the pool: a later resume (reuse or
-		// drainPools teardown) would block forever on a dead goroutine.
-		// The kernel goroutine is blocked in dispatch until the yield send
-		// below, so mutating the pool from here is race-free.
-		if returned || r != nil {
-			k.workerFree = append(k.workerFree, w)
+		// drainPools teardown) would block forever on a dead goroutine. The
+		// dying goroutine still holds control, so it carries the loop on
+		// before it goes.
+		w.exit(p, r != nil)
+		if r != nil {
+			k.fail(r)
+			return
 		}
-		k.yield <- struct{}{}
+		k.carryOn(nil)
 	}()
 	k.current = p
 	if w.fn != nil {
 		w.fn(p)
 	}
 	returned = true
+	w.exit(p, true)
+	return k.carryOn(w)
+}
+
+// exit ends p's lifetime on w; pool puts w back in the kernel's pool.
+func (w *procWorker) exit(p *Proc, pool bool) {
+	k := w.k
+	k.live--
+	k.current = nil
+	if p.done != nil {
+		p.done.Set(struct{}{})
+	}
+	w.p = nil
+	w.fn = nil
+	if pool {
+		k.workerFree = append(k.workerFree, w)
+	}
+}
+
+// carryOn runs the event loop on a goroutine whose process has ended and
+// hands control to the next process, or back to the window's starter. It
+// reports whether the next process is w's own (w nil: never), in which
+// case control stays here. A panic in an event callback goes to the
+// caller of Run, as one inside a process does, and so does an event that
+// calls runtime.Goexit, which would otherwise take control down with this
+// goroutine.
+func (k *Kernel) carryOn(w *procWorker) (inline bool) {
+	ran := false
+	defer func() {
+		if ran {
+			return
+		}
+		r := recover()
+		if r == nil {
+			r = "sim: runtime.Goexit in an event callback"
+		}
+		k.fail(r)
+	}()
+	q := k.runEvents()
+	ran = true
+	if q != nil && w != nil && q == w.p {
+		return true
+	}
+	k.handOff(q)
+	return false
+}
+
+// fail records a panic raised on a goroutine holding control and hands
+// control back to the window's starter, which re-raises it.
+func (k *Kernel) fail(r any) {
+	k.failed = r
+	k.current = nil
+	k.handOff(nil)
 }
 
 // getWorker pops a pooled worker or starts a fresh one.
@@ -378,7 +469,8 @@ func (k *Kernel) getWorker() *procWorker {
 		return w
 	}
 	k.stats.ProcMisses++
-	w := &procWorker{k: k, resume: make(chan struct{})}
+	w := &procWorker{resume: make(chan struct{})}
+	w.k, w.w = k, w
 	go w.loop()
 	return w
 }
@@ -410,21 +502,20 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 	// to these exact streams. Only the pooled fire-and-forget path (Go)
 	// trades it for the reseedable small-state Source — see Go.
 	p := &Proc{
-		k:      k,
-		id:     k.procs,
-		name:   name,
-		resume: w.resume,
-		rng:    rand.New(rand.NewSource(procSeed(k.seed, k.procs))),
+		k:    k,
+		id:   k.procs,
+		name: name,
+		w:    w,
+		rng:  rand.New(rand.NewSource(procSeed(k.seed, k.procs))),
 	}
 	if k.current != nil {
 		p.tctx = k.current.tctx
 	}
-	p.bind()
 	p.done = NewFuture[struct{}](k)
 	w.p = p
 	w.fn = fn
 	k.live++
-	k.schedule(k.now, p.wake)
+	k.wakeAt(k.now, p)
 	return p
 }
 
@@ -447,18 +538,10 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 func (k *Kernel) Go(name string, fn func(p *Proc)) {
 	k.procs++
 	w := k.getWorker()
-	p := w.pp
-	if p == nil {
-		src := NewSource(uint64(procSeed(k.seed, k.procs)))
-		p = &Proc{k: k, resume: w.resume, src: src, rng: rand.New(src)}
-		p.bind()
-		w.pp = p
-	} else {
-		p.src.Reseed(uint64(procSeed(k.seed, k.procs)))
-	}
+	p := &w.Proc
 	p.id = k.procs
 	p.name = name
-	p.done = nil
+	p.rng = nil
 	p.parked = ""
 	p.tctx = nil
 	if k.current != nil {
@@ -467,7 +550,7 @@ func (k *Kernel) Go(name string, fn func(p *Proc)) {
 	w.p = p
 	w.fn = fn
 	k.live++
-	k.schedule(k.now, p.wake)
+	k.wakeAt(k.now, p)
 }
 
 // procSeed derives the RNG seed for process id from the kernel seed using a
@@ -482,31 +565,41 @@ func procSeed(seed, id int64) int64 {
 	return int64(x ^ (x >> 31))
 }
 
-// dispatch hands control to p until it parks or terminates.
+// handOff passes control to process q, or back to the goroutine waiting in
+// runWindow when q is nil (the window is over). From the send on, the
+// kernel is the receiver's: the caller touches no kernel state again
+// before it blocks on its own channel or goes back to its worker's pool.
 //
 //simlint:hotpath
-func (k *Kernel) dispatch(p *Proc) {
-	k.current = p
-	p.resume <- struct{}{}
-	<-k.yield
-	if k.failed != nil {
-		panic(k.failed)
+func (k *Kernel) handOff(q *Proc) {
+	k.stats.Switches++
+	if q == nil {
+		k.yield <- struct{}{}
+		return
 	}
+	q.w.resume <- struct{}{}
 }
 
-// park blocks the calling process until something dispatches it again.
-// why describes what the process is waiting on (used in deadlock reports).
-// The label must be a static string — see Sleep.
+// park blocks the calling process until an event resumes it. The event
+// loop runs here, on the parking goroutine, until some event resumes a
+// process: if that is p itself (a Sleep whose wake is the next event, a
+// future already set at this instant), park returns without a goroutine
+// switch; otherwise control passes straight to that process. why describes
+// what the process is waiting on (used in deadlock reports). The label must
+// be a static string — see Sleep.
 //
 //simlint:hotpath
 func (p *Proc) park(why string) {
-	p.k.stats.Parks++
+	k := p.k
+	k.stats.Parks++
 	p.parked = why
-	p.k.current = nil
-	p.k.yield <- struct{}{}
-	<-p.resume
+	k.current = nil
+	if q := k.runEvents(); q != p {
+		k.handOff(q)
+		<-p.w.resume
+	}
 	p.parked = ""
-	p.k.current = p
+	k.current = p
 }
 
 // Sleep suspends the process for d of virtual time.
@@ -525,7 +618,7 @@ func (p *Proc) Sleep(d Duration) {
 	if d < 0 {
 		d = 0
 	}
-	p.k.schedule(p.k.now.Add(d), p.wake)
+	p.k.wakeAt(p.k.now.Add(d), p)
 	p.park("sleep")
 }
 
@@ -563,17 +656,43 @@ func (k *Kernel) RunUntil(limit Time) error {
 	return nil
 }
 
-// runWindow is the kernel event loop: everything inside the for is the
+// runWindow runs the event loop over the window of events with time ≤
+// limit and returns once the window is over, control back on the calling
+// goroutine; it never moves k.now backward. The loop itself (runEvents)
+// runs on whichever goroutine holds control: here until an event resumes
+// a process, then on the processes' goroutines as they park, while this
+// goroutine — the only one that ever waits on k.yield — waits for the
+// window to end. A panic recovered on another goroutine is re-raised
+// here. Deadlock detection and draining the worker pool are the caller's:
+// RunUntil's for a plain kernel, ShardGroup.finish's for a group member,
+// where reaching the limit with live processes and no local events is not
+// a deadlock (a cross-shard message may still arrive).
+//
+//simlint:hotpath
+func (k *Kernel) runWindow(limit Time) {
+	if k.now > limit {
+		return
+	}
+	k.limit = limit
+	k.windowBreak = false
+	if q := k.runEvents(); q != nil {
+		k.handOff(q)
+		<-k.yield
+		if k.failed != nil {
+			panic(k.failed)
+		}
+	}
+}
+
+// runEvents is the kernel event loop: everything inside the for is the
 // hottest code in the repository, and the //simlint:hotpath marker keeps it
 // allocation-free by construction (no defer, closures, fmt, string
-// concatenation, or interface boxing). It executes events with time ≤
-// limit and never moves k.now backward. Deadlock detection and draining
-// the worker pool are the caller's: RunUntil's for a plain kernel,
-// ShardGroup.finish's for a group member, where reaching the limit with
-// live processes and no local events is not a deadlock (a cross-shard
-// message may still arrive). A member also interleaves the external
-// message lane (k.inbox), empty outside a multi-shard group, with local
-// events.
+// concatenation, or interface boxing). It executes the running window's
+// events until one resumes a process, which it returns for the caller to
+// hand control to, or until the window is over (nil): no event is left at
+// or before k.limit, or Shard.Send asked for a break. A member kernel also
+// interleaves the external message lane (k.inbox), empty outside a
+// multi-shard group, with local events.
 //
 // The lane rule: at each instant, local events run before lane messages,
 // and messages fire in lane order; work a message schedules at its own
@@ -583,11 +702,12 @@ func (k *Kernel) RunUntil(limit Time) error {
 // of the model — no matter how the group chops execution into windows.
 //
 //simlint:hotpath
-func (k *Kernel) runWindow(limit Time) {
-	if k.now > limit {
-		return
+func (k *Kernel) runEvents() *Proc {
+	if k.windowBreak {
+		k.windowBreak = false
+		return nil
 	}
-	k.windowBreak = false
+	limit := k.limit
 	for k.pending > 0 {
 		popTo := limit
 		msgDue := false
@@ -599,7 +719,7 @@ func (k *Kernel) runWindow(limit Time) {
 		e := k.pop(popTo)
 		if e == nil {
 			if !msgDue {
-				return
+				return nil
 			}
 			// No local event at or before the lane head: fire the message.
 			// pop may have left now short of the message time when the
@@ -617,24 +737,33 @@ func (k *Kernel) runWindow(limit Time) {
 			mfn(k.extShard)
 			if k.windowBreak {
 				k.windowBreak = false
-				return
+				return nil
 			}
 			continue
 		}
-		fn := e.fn
 		k.pending--
 		k.stats.Events++
+		if p := e.p; p != nil {
+			expire := e.expire
+			k.recycle(e)
+			if expire {
+				p.fireTimeout()
+			}
+			return p
+		}
+		fn := e.fn
 		k.recycle(e)
-		// Every scheduled event carries a fn (schedule never stores nil);
-		// a nil here is kernel corruption, and the panic is the best
-		// possible report — a nil guard would silently drop the event.
+		// Every other event carries a fn (schedule never stores nil); a nil
+		// here is kernel corruption, and the panic is the best possible
+		// report — a nil guard would silently drop the event.
 		//simlint:ignore hookguard event fns are set by schedule; nil means kernel corruption and must panic
 		fn()
 		if k.windowBreak {
 			k.windowBreak = false
-			return
+			return nil
 		}
 	}
+	return nil
 }
 
 // nextPendingBound returns a lower bound on the time of the earliest
@@ -663,7 +792,7 @@ func (k *Kernel) nextPendingBound() (Time, bool) {
 
 // blockedNames formats the parked-process inventory for DeadlockError.
 // It runs once, after the event loop has already failed — a sanctioned
-// allocation boundary off runWindow's hot path.
+// allocation boundary off the event loop's hot path.
 //
 //simlint:coldpath
 func (k *Kernel) blockedNames() []string {
@@ -672,24 +801,32 @@ func (k *Kernel) blockedNames() []string {
 	// information plus the names gathered through parked labels captured
 	// at park time via the wait registry.
 	names := make([]string, 0, len(k.waiting))
-	for p := range k.waiting {
+	for _, p := range k.waiting {
 		names = append(names, fmt.Sprintf("%s(%s)", p.name, p.parked))
 	}
 	sort.Strings(names)
 	return names
 }
 
-// waitRegistry records processes parked on futures, resources and queues.
-// Timer-based parks (Sleep) always have a pending event and never deadlock.
-type waitRegistry = map[*Proc]struct{}
-
+// noteWaiting adds p, about to park on a future, a resource or a queue,
+// to the wait registry. Timer-based parks (Sleep) always have a pending
+// event and never deadlock, so they stay out.
+//
+//simlint:hotpath
 func (k *Kernel) noteWaiting(p *Proc) {
-	if k.waiting == nil {
-		k.waiting = make(waitRegistry)
-	}
-	k.waiting[p] = struct{}{}
+	p.waitIdx = len(k.waiting)
+	k.waiting = append(k.waiting, p)
 }
 
+// noteRunnable takes p, which noteWaiting registered, back out: the last
+// entry moves into its slot.
+//
+//simlint:hotpath
 func (k *Kernel) noteRunnable(p *Proc) {
-	delete(k.waiting, p)
+	n := len(k.waiting) - 1
+	last := k.waiting[n]
+	k.waiting[p.waitIdx] = last
+	last.waitIdx = p.waitIdx
+	k.waiting[n] = nil
+	k.waiting = k.waiting[:n]
 }

@@ -6,7 +6,7 @@ import "math/bits"
 // lane:
 //
 //	fast lane  — FIFO ring for events at exactly k.now (process wakes,
-//	             Sleep(0), After(0)). The dominant schedule(k.now, p.wake)
+//	             Sleep(0), After(0)). The dominant wakeAt(k.now, p)
 //	             pattern never touches the wheel at all.
 //	wheel      — wheelLevels levels of wheelSlots slots. Level l covers
 //	             deltas in [2^(6l), 2^(6(l+1))) at a granularity of 2^(6l)
@@ -19,7 +19,7 @@ import "math/bits"
 // Determinism argument (why (t, seq) order is preserved exactly):
 //
 //  1. Events at the current instant only ever enter the fast lane
-//     (schedule routes t ≤ now there), so a level-0 slot never receives an
+//     (newEvent routes t ≤ now there), so a level-0 slot never receives an
 //     event at the instant it is being drained. Wheel events at time t
 //     therefore always carry a smaller seq than fast-lane events at t, and
 //     draining "due slot, then fast lane" is (t, seq) order.
