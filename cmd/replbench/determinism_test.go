@@ -131,7 +131,7 @@ func TestTraceBitIdentical(t *testing.T) {
 // one whose report passes through multi-shard windows, the barrier merge
 // and the message lane. On 4 shards the report must be byte-identical
 // whether those windows run in line on one worker (the sequential
-// reference) or on four pinned workers.
+// reference) or on a pool of four.
 func TestMegaScaleWorkersBitIdentical(t *testing.T) {
 	out := capture(t, memoized, smokeArgs("megascale", "-shards", "4")...)
 	if !strings.Contains(out, "megascale: 4 shards, ") || strings.Contains(out, " 0 conservative windows") {
@@ -146,8 +146,8 @@ func TestMegaScaleWorkersBitIdentical(t *testing.T) {
 		}
 		return res.Table().String()
 	}
-	if inline, pinned := report(1), report(4); inline != pinned {
-		t.Errorf("1 and 4 pinned workers give different megascale reports:\n%s", firstDiff(inline, pinned))
+	if inline, pooled := report(1), report(4); inline != pooled {
+		t.Errorf("1 and 4 window workers give different megascale reports:\n%s", firstDiff(inline, pooled))
 	}
 }
 

@@ -16,7 +16,8 @@ import (
 // every directed DC pair owns its own jitter stream seeded from the kernel
 // seed, so the i-th message on a link sees the same jitter whatever else is
 // in flight, and WANOneWay stays a true lower bound — which is what lets
-// PlanShards use the cross-DC minimum as the conservative shard lookahead.
+// megascale use the cheaper direction of each WANChain pair as a
+// conservative shard delivery floor.
 type GeoTopology struct {
 	// DCSizes is the number of nodes in each data center; nodes are
 	// assigned in contiguous blocks by id and the sizes must sum to
@@ -146,9 +147,7 @@ func (c *Cluster) zoneCut(a, b int) bool {
 }
 
 // zoneOf returns the zone (data center) of node i: its contiguous DCSizes
-// block, or 0 on a single rack. New and PlanShards share it so
-// execution-shard planning can never drift from the topology the cluster
-// actually builds.
+// block, or 0 on a single rack.
 func (cfg *Config) zoneOf(i int) int {
 	g := cfg.Geo
 	if g == nil {
@@ -161,17 +160,4 @@ func (cfg *Config) zoneOf(i int) int {
 		i -= size
 	}
 	return len(g.DCSizes) - 1
-}
-
-// minOneWay returns the minimum possible one-way latency between nodes i
-// and j — the propagation floor with zero jitter and an idle NIC. For
-// cross-DC pairs this takes the cheaper direction, since messages flow
-// both ways across a shard boundary. PlanShards builds its conservative
-// lookahead from it.
-func (cfg *Config) minOneWay(i, j int) time.Duration {
-	zi, zj := cfg.zoneOf(i), cfg.zoneOf(j)
-	if zi == zj {
-		return cfg.BaseRTT / 2
-	}
-	return min(cfg.Geo.WANOneWay[zi][zj], cfg.Geo.WANOneWay[zj][zi])
 }

@@ -215,21 +215,3 @@ func TestPartitionHealSameInstantKeepsCallOrder(t *testing.T) {
 		t.Fatal("heal-then-partition at the same instant left the link up")
 	}
 }
-
-// TestPlanShardsGeoLookahead: with one shard per DC the every cross-shard
-// edge is a WAN edge, so the conservative lookahead is the cheaper
-// direction of the cross-DC base latency — jitter is additive and cannot
-// shrink it.
-func TestPlanShardsGeoLookahead(t *testing.T) {
-	cfg := geoConfig(5 * time.Millisecond)
-	plan := PlanShards(cfg, 2)
-	for i := 0; i < cfg.Nodes; i++ {
-		if want := cfg.zoneOf(i); plan.NodeShard[i] != want {
-			t.Fatalf("node %d on shard %d, want DC-aligned shard %d", i, plan.NodeShard[i], want)
-		}
-	}
-	want := WANChain(2, 80*time.Millisecond)[1][0] // cheaper direction: 32ms
-	if plan.Lookahead != want {
-		t.Fatalf("lookahead = %v, want %v", plan.Lookahead, want)
-	}
-}

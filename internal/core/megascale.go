@@ -14,18 +14,19 @@ import (
 
 // Megascale is the ROADMAP's "one huge deployment": a paper-scale
 // Cassandra cluster — hundreds of database machines, RF 3, on the order
-// of a million YCSB client processes — partitioned across member kernels
-// by cluster.PlanShards. It is the one experiment whose model is spatially
-// split: the fig/spectrum/tracebreak/geo cells are process-carried — one
-// client machine's threads touch every server directly — so they run on one
-// sequential kernel, while each megascale segment is an independent
-// cluster on its own member kernel and a controlled fraction of reads
-// crosses segments through the group's conservative delivery API.
-// The deployment is laid out as one geo topology (one DC per segment on a
-// WAN chain), PlanShards derives the shard map and the per-pair delivery
-// floors from it, and those floors are what the adaptive window engine
-// widens on: far-apart segments exchange messages rarely and cheaply, so
-// their windows grow far beyond the global minimum lookahead.
+// of a million YCSB client processes — partitioned across the member
+// kernels of a sim.ShardGroup, one segment per shard. It is the one
+// experiment whose model is spatially split: the fig/spectrum/tracebreak/geo
+// cells are process-carried — one client machine's threads touch every
+// server directly — so they run on one sequential kernel, while each
+// megascale segment is an independent cluster on its own member kernel and
+// a controlled fraction of reads crosses segments through the group's
+// conservative delivery API. The segments sit one per DC on a WAN chain
+// (cluster.WANChain); the cheaper direction of each pair's one-way latency
+// is that pair's delivery floor (megaFloors), and those floors are what
+// the adaptive window engine widens on: far-apart segments exchange
+// messages rarely and cheaply, so their windows grow far beyond the global
+// minimum lookahead.
 //
 // Clients are not long-lived threads but a churn of short sessions
 // (ycsb.RunSessions): each arrives, runs a handful of operations, and
@@ -50,33 +51,30 @@ type MegaScaleOptions struct {
 	OpsPerSession int64
 
 	RecordsPerSegment int64
-	Replication       int
-
-	// RemoteEvery sends every RemoteEvery'th read to the next segment on
-	// the chain (wrapping at the end), paying that pair's WAN floor each
-	// way. 0 disables.
-	RemoteEvery int
 
 	// WANRTT is the adjacent-DC round trip of the WAN chain
 	// (cluster.WANChain) the segments sit on.
 	WANRTT time.Duration
 
-	// Workers caps the group's pinned worker goroutines; 0 means one per
-	// available CPU.
+	// Workers bounds how many shards run at once in a window (the group's
+	// SetWorkers); 0 means one per available CPU.
 	Workers int
-
-	Cluster cluster.Config
 }
+
+const (
+	// megaReplication is every segment's Cassandra replication factor.
+	megaReplication = 3
+	// megaRemoteEvery sends every megaRemoteEvery'th read to the next
+	// segment on the chain (wrapping at the end), paying that pair's WAN
+	// floor each way.
+	megaRemoteEvery = 20
+)
 
 // DefaultMegaScaleOptions returns the full deployment: 512 database
 // machines (the paper-scale "500 nodes" rounded so every power-of-two
 // shard count divides it evenly), RF 3, and one million client sessions.
 // Expect minutes of wall clock; tests and CI smoke use MegaSmokeOptions.
 func DefaultMegaScaleOptions() MegaScaleOptions {
-	ccfg := cluster.DefaultConfig()
-	ccfg.CPUSlots = 8
-	ccfg.CPUOpCost = 200 * time.Microsecond
-	ccfg.InternalOpCost = 100 * time.Microsecond
 	return MegaScaleOptions{
 		Seed:              1,
 		Shards:            1,
@@ -85,10 +83,7 @@ func DefaultMegaScaleOptions() MegaScaleOptions {
 		LiveSessions:      2_048,
 		OpsPerSession:     2,
 		RecordsPerSegment: 2_000,
-		Replication:       3,
-		RemoteEvery:       20,
 		WANRTT:            80 * time.Millisecond,
-		Cluster:           ccfg,
 	}
 }
 
@@ -138,7 +133,8 @@ type MegaScaleResult struct {
 // deployment. -shards sizes the group, clamped to at least 2 so the
 // partitioned engine actually runs (a megascale deployment on one member
 // kernel is just a very slow sequential simulation). Its windows run on
-// the pinned pool's default, one worker per CPU up to the active shards.
+// sim.RunCells at the group's default, one worker per CPU up to the active
+// shards.
 func runMegaExperiment(o Options, cli CLI) (Report, error) {
 	mo := DefaultMegaScaleOptions()
 	switch cli.Profile {
@@ -178,7 +174,7 @@ func (r MegaScaleResult) Table() *stats.Table {
 }
 
 // megaSegment is one segment under construction: its own LAN cluster and
-// database on its own member kernel, per the shard plan.
+// database on its own member kernel.
 type megaSegment struct {
 	shard      *sim.Shard
 	db         *cassandra.DB
@@ -249,6 +245,31 @@ func (c *remoteMixClient) Read(p *sim.Proc, key kv.Key, fields []string) (kv.Rec
 	return resp.rec, resp.err
 }
 
+// megaFloors returns the delivery floors of s segments, one DC each, on a
+// WAN chain of adjacent round trip rtt, and the group lookahead, their
+// minimum. A pair's floor is the cheaper direction of its one-way base
+// latency, since messages cross a segment boundary both ways; WAN jitter
+// is additive, so the base is a true lower bound.
+func megaFloors(s int, rtt time.Duration) ([][]time.Duration, time.Duration) {
+	wan := cluster.WANChain(s, rtt)
+	floors := make([][]time.Duration, s)
+	var lookahead time.Duration
+	for i := range floors {
+		floors[i] = make([]time.Duration, s)
+		for j := range floors[i] {
+			if i == j {
+				continue
+			}
+			f := min(wan[i][j], wan[j][i])
+			floors[i][j] = f
+			if lookahead == 0 || f < lookahead {
+				lookahead = f
+			}
+		}
+	}
+	return floors, lookahead
+}
+
 // RunMegaScale builds the deployment and runs the session churn to
 // completion. Every output is a pure function of the options — shard
 // worker count and adaptive windows change wall clock only.
@@ -267,25 +288,9 @@ func RunMegaScale(o MegaScaleOptions) (MegaScaleResult, error) {
 		livePer = 1
 	}
 
-	// The deployment topology: one DC per segment (its servers plus its
-	// client machine) on a WAN chain. PlanShards recovers the contiguous
-	// DC blocks as the shard map and derives the global and per-pair
-	// conservative floors from the WAN matrix.
-	topo := o.Cluster
-	topo.Nodes = o.Nodes + s
-	if s > 1 {
-		sizes := make([]int, s)
-		for i := range sizes {
-			sizes[i] = nodesPer + 1
-		}
-		topo.Geo = &cluster.GeoTopology{
-			DCSizes:   sizes,
-			WANOneWay: cluster.WANChain(s, o.WANRTT),
-		}
-	}
-	plan := cluster.PlanShards(topo, s)
-	g := sim.NewShardGroup(o.Seed, plan.Shards, plan.Lookahead)
-	g.SetPairLookahead(plan.PairLookahead)
+	floors, lookahead := megaFloors(s, o.WANRTT)
+	g := sim.NewShardGroup(o.Seed, s, lookahead)
+	g.SetPairLookahead(floors)
 	g.SetWorkers(o.Workers)
 
 	segs := make([]*megaSegment, s)
@@ -294,14 +299,17 @@ func RunMegaScale(o MegaScaleOptions) (MegaScaleResult, error) {
 		k := shard.Kernel()
 		// Each segment is a standalone LAN cluster on its member kernel;
 		// the WAN between segments lives in the group's delivery floors.
-		ccfg := o.Cluster
+		ccfg := cluster.DefaultConfig()
 		ccfg.Nodes = nodesPer + 1
+		ccfg.CPUSlots = 8
+		ccfg.CPUOpCost = 200 * time.Microsecond
+		ccfg.InternalOpCost = 100 * time.Microsecond
 		clus := cluster.New(k, ccfg)
 		servers := clus.Nodes[:nodesPer]
 		clientNode := clus.Nodes[nodesPer]
 
 		cfg := cassandra.DefaultConfig()
-		cfg.Replication = o.Replication
+		cfg.Replication = megaReplication
 		cfg.Engine.CacheBytes = 4 << 20
 		cfg.Engine.MemtableBytes = 256 << 10
 		cfg.Engine.SyncWAL = false
@@ -319,7 +327,7 @@ func RunMegaScale(o MegaScaleOptions) (MegaScaleResult, error) {
 	for i := 0; i < s; i++ {
 		seg := segs[i]
 		dst := segs[(i+1)%s]
-		every := o.RemoteEvery
+		every := megaRemoteEvery
 		if s == 1 {
 			every = 0 // a lone segment has no one to read from
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"reflect"
 	"testing"
+	"time"
 )
 
 // TestMegaScaleRuns checks the partitioned deployment end to end at
@@ -43,6 +44,28 @@ func TestMegaScaleRuns(t *testing.T) {
 	}
 }
 
+// TestMegaFloorsThreeSegments pins the delivery floors of three segments
+// on an 80 ms WAN chain: each pair's floor is the cheaper, 40 % direction
+// of its hops·rtt round trip, the same both ways, so the end-to-end pair's
+// windows may be twice as wide as the adjacent pairs', and the group
+// lookahead is the one-hop floor.
+func TestMegaFloorsThreeSegments(t *testing.T) {
+	const rtt = 80 * time.Millisecond
+	floors, lookahead := megaFloors(3, rtt)
+	hop := rtt * 4 / 10
+	want := [][]time.Duration{
+		{0, hop, 2 * hop},
+		{hop, 0, hop},
+		{2 * hop, hop, 0},
+	}
+	if !reflect.DeepEqual(floors, want) {
+		t.Errorf("floors = %v, want %v", floors, want)
+	}
+	if lookahead != hop {
+		t.Errorf("lookahead = %v, want %v", lookahead, hop)
+	}
+}
+
 // TestMegaScaleIndivisible pins the divisibility contract.
 func TestMegaScaleIndivisible(t *testing.T) {
 	o := MegaSmokeOptions()
@@ -54,7 +77,7 @@ func TestMegaScaleIndivisible(t *testing.T) {
 
 // TestMegaScaleDeterministic pins determinism across worker counts and
 // window modes: identical options must give bit-identical results whether
-// windows run on 1 or 8 pinned workers — the megascale version of the
+// windows run on 1 or 8 workers — the megascale version of the
 // sharded bit-identity contract (adaptive widening is on by default, so
 // this covers it too).
 func TestMegaScaleDeterministic(t *testing.T) {

@@ -50,8 +50,8 @@ func TestEventPanicAfterProcReturnPropagates(t *testing.T) {
 }
 
 // TestEventPanicInShardWindowPropagates: a callback that panics inside a
-// multi-shard window, in a process's park on a shard a pinned worker (or
-// the coordinator) runs, re-panics in the caller of the group's RunUntil,
+// multi-shard window, in a process's park on a shard a pool worker (or
+// the calling goroutine) runs, re-panics in the caller of the group's RunUntil,
 // at one worker and at two.
 func TestEventPanicInShardWindowPropagates(t *testing.T) {
 	for _, workers := range []int{1, 2} {

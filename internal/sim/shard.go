@@ -2,10 +2,7 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 )
 
 // Sharded conservative parallel execution.
@@ -19,7 +16,8 @@ import (
 //	window     — all shards execute events in [W, W+L) concurrently, where
 //	             W is the minimum next-event time across shards and L is
 //	             the lookahead (the minimum cross-shard delivery latency,
-//	             derived from the topology — see cluster.PlanShards).
+//	             which the model supplies — megascale takes it from its
+//	             WAN chain).
 //	barrier    — shards stop at the window end; staged cross-shard
 //	             messages are merged into their destination kernels; the
 //	             next window starts at the new global minimum.
@@ -56,11 +54,13 @@ import (
 // That is often far past the static end when shards are at different
 // virtual times. Fewer barriers, same results.
 //
-// Execution: persistent per-shard worker goroutines parked on an epoch
-// barrier (pinnedWorkers). A window costs two atomic phases — release
-// (epoch bump) and arrival (counter decrement). With one worker the
-// coordinator runs the active shards in line, in shard order; that loop is
-// the sequential reference the differential tests pin the barrier against.
+// Execution: each window hands its active shards to RunCells, the worker
+// pool the experiment sweeps use, which claims them in shard order and
+// returns when every one has reached its window end. With one worker the
+// calling goroutine runs them in line, in shard order; that loop is the
+// sequential reference the differential tests pin the parallel windows
+// against. A megascale rep runs tens of windows, not millions, so a pool
+// started per window costs nothing a dedicated barrier would save.
 //
 // Cross-shard interaction happens only through Shard.Send. The delivery
 // closure runs in the destination shard's kernel context and must touch
@@ -108,15 +108,13 @@ func (q *xmsgQueue) Swap(i, j int)      { (*q)[i], (*q)[j] = (*q)[j], (*q)[i] }
 type ShardGroup struct {
 	seed      int64
 	lookahead Duration
-	pairLA    [][]Duration // optional per-(src,dst) delivery floors; nil = uniform lookahead
+	floors    [][]Duration // per-(src,dst) delivery floors; the lookahead unless SetPairLookahead refines them
 	reach     [][]Duration // cheapest chain of one or more sends src→dst; [i][i] is i's cheapest round trip
 	workers   int
-	adaptive  bool // per-shard window widening (on by default)
+	adaptive  bool // per-shard window widening; on, and off only in tests
 	shards    []*Shard
 	active    []*Shard // scratch: shards with pending work this window
-	panics    []*any   // scratch: per-active-shard recovered panics
-	pw        *pinnedWorkers
-	windows   int64 // multi-shard windows executed (barrier count)
+	windows   int64    // multi-shard windows executed (barrier count)
 
 	// solo is true while a solo-mode window runs (see RunUntil): the one
 	// running shard's first cross-shard Send must end the window, so Send
@@ -138,8 +136,8 @@ type Shard struct {
 
 	// bound and end are this shard's next-event lower bound and window end
 	// for the current window. Written single-threaded at the barrier,
-	// read by whichever worker runs the shard (published by the epoch
-	// release).
+	// before the window's workers start, and read by whichever one runs
+	// the shard.
 	bound Time
 	end   Time
 }
@@ -161,7 +159,14 @@ func NewShardGroup(seed int64, n int, lookahead Duration) *ShardGroup {
 		panic("sim: negative lookahead")
 	}
 	g := &ShardGroup{seed: seed, lookahead: lookahead, adaptive: true}
+	g.floors = make([][]Duration, n)
 	for i := 0; i < n; i++ {
+		g.floors[i] = make([]Duration, n)
+		for j := range g.floors[i] {
+			if j != i {
+				g.floors[i][j] = lookahead
+			}
+		}
 		shardSeed := seed
 		if i > 0 {
 			shardSeed = procSeed(seed, int64(i))
@@ -193,7 +198,7 @@ func (g *ShardGroup) computeReach() {
 		for j := range g.reach[i] {
 			g.reach[i][j] = unreachable
 			if i != j {
-				g.reach[i][j] = g.floor(i, j)
+				g.reach[i][j] = g.floors[i][j]
 			}
 		}
 	}
@@ -217,22 +222,18 @@ func (g *ShardGroup) Shard(i int) *Shard { return g.shards[i] }
 // bit-identical for every value.
 func (g *ShardGroup) SetWorkers(n int) { g.workers = n }
 
-// SetAdaptive toggles per-shard adaptive window widening (on by default).
-// Results are bit-identical either way — widening only moves barriers,
-// and the message-lane execution rule is barrier-placement-independent —
-// so turning it off is only useful for differential tests and debugging.
-func (g *ShardGroup) SetAdaptive(on bool) { g.adaptive = on }
-
-// SetPairLookahead installs per-(source, destination) delivery floors,
-// typically cluster.PlanShards' PairLookahead matrix. Entry [i][j] is the
-// minimum delay a Send from shard i to shard j must carry; every
-// cross-shard entry must be at least the group lookahead (the matrix
-// refines the uniform floor, it cannot relax it). Adaptive widening uses
-// the per-pair floors to push window ends further than the uniform
-// lookahead allows. Passing nil reverts to the uniform floor.
+// SetPairLookahead installs per-(source, destination) delivery floors in
+// place of the uniform lookahead: megascale's WAN chain floors. Entry
+// [i][j] is the minimum delay a Send from shard i to shard j must carry;
+// the diagonal is ignored, and every cross-shard entry must be at least
+// the group lookahead (the matrix refines the uniform floor, it cannot
+// relax it). Adaptive widening uses the per-pair floors to push window
+// ends further than the uniform lookahead allows. Results are
+// bit-identical with or without widening — it only moves barriers, and
+// the message-lane execution rule does not depend on where they fall.
 func (g *ShardGroup) SetPairLookahead(la [][]Duration) {
 	n := len(g.shards)
-	if la != nil && len(la) != n {
+	if len(la) != n {
 		panic("sim: pair-lookahead matrix must be shards x shards")
 	}
 	for i, row := range la {
@@ -245,7 +246,7 @@ func (g *ShardGroup) SetPairLookahead(la [][]Duration) {
 			}
 		}
 	}
-	g.pairLA = la
+	g.floors = la
 	g.computeReach()
 }
 
@@ -253,14 +254,7 @@ func (g *ShardGroup) SetPairLookahead(la [][]Duration) {
 // per-pair lookahead when a matrix is installed, the group lookahead
 // otherwise. Cross-shard sends must use at least this delay, so callers
 // modeling "the cheapest possible hop" should send with exactly it.
-func (g *ShardGroup) Floor(src, dst int) Duration { return g.floor(src, dst) }
-
-func (g *ShardGroup) floor(src, dst int) Duration {
-	if g.pairLA != nil {
-		return g.pairLA[src][dst]
-	}
-	return g.lookahead
-}
+func (g *ShardGroup) Floor(src, dst int) Duration { return g.floors[src][dst] }
 
 // ID returns the shard's index within its group.
 func (s *Shard) ID() int { return s.id }
@@ -298,7 +292,7 @@ func (s *Shard) Send(dst int, delay Duration, fn func(*Shard)) {
 		s.k.schedule(t, func() { fn(s) })
 		return
 	}
-	if min := s.g.floor(s.id, dst); delay < min {
+	if min := s.g.floors[s.id][dst]; delay < min {
 		s.sendPanic(dst, delay, min)
 	}
 	s.seq++
@@ -323,9 +317,9 @@ func (g *ShardGroup) Run() error { return g.RunUntil(maxTime) }
 
 // RunUntil executes events with time ≤ limit across all shards. Events
 // beyond the limit stay queued, and reaching the limit is not a deadlock.
-// Pinned workers spawned for parallel windows are torn down before
-// RunUntil returns (normally or by panic), so an abandoned group never
-// pins goroutines.
+// The goroutines a parallel window starts are gone when the window ends,
+// so no goroutine of the group outlives RunUntil, whether it returns or
+// panics.
 func (g *ShardGroup) RunUntil(limit Time) error {
 	if len(g.shards) == 1 {
 		// A single-shard group has no cross-shard traffic at all (Send to
@@ -333,7 +327,6 @@ func (g *ShardGroup) RunUntil(limit Time) error {
 		// the run is the plain sequential kernel, byte for byte.
 		return g.shards[0].k.RunUntil(limit)
 	}
-	defer g.stopWorkers()
 	for {
 		g.deliver()
 		// The next window starts at the global minimum next-event time.
@@ -528,191 +521,17 @@ func (g *ShardGroup) deliver() {
 	}
 }
 
-// runWindow executes every active shard up to its window end. Shards
-// share no mutable state during a window, so any interleaving yields the
-// same result; a panic inside any shard (a model bug) is re-raised on the
-// calling goroutine, preferring the lowest shard id when several shards
-// panic at once so the report is deterministic.
+// runWindow executes every active shard up to its window end on the
+// worker pool. Shards share no mutable state during a window, so any
+// interleaving yields the same result; a panic inside any shard (a model
+// bug) is re-raised on the calling goroutine, the lowest shard id's when
+// several shards panic at once, so the report is deterministic.
 //
-// The parallel path releases the persistent pinned workers with one epoch
-// bump, claims shards alongside them, and waits for every worker's
-// arrival back at the barrier — two atomic phases per window.
-//
-//simlint:hotpath
+//simlint:coldpath one pool call per window, whose closure, goroutines and result slices allocate; a mega_shards2 rep runs 74 windows
 func (g *ShardGroup) runWindow() {
-	workers := g.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(g.active) {
-		workers = len(g.active)
-	}
-	if workers <= 1 {
-		for _, s := range g.active {
-			s.k.runWindow(s.end)
-		}
-		return
-	}
-	if cap(g.panics) < len(g.active) {
-		g.panics = make([]*any, len(g.shards))
-	}
-	g.panics = g.panics[:len(g.active)]
-	for i := range g.panics {
-		g.panics[i] = nil
-	}
-	if g.pw == nil || g.pw.n < workers-1 {
-		g.startWorkers(workers - 1)
-	}
-	pw := g.pw
-	pw.next.Store(-1)
-	pw.remain.Store(int64(pw.n))
-	pw.release()
-	pw.work()
-	<-pw.done
-	for _, p := range g.panics {
-		if p != nil {
-			panic(*p)
-		}
-	}
-}
-
-// pinnedWorkers is the persistent window-execution pool: n worker
-// goroutines parked on an epoch barrier, plus the coordinator (the
-// goroutine driving RunUntil), which claims shards alongside them.
-//
-// Protocol, per window:
-//
-//	release  — the coordinator, alone, writes the window plan (g.active,
-//	           per-shard ends, g.panics, the claim counter) and then bumps
-//	           epoch. Workers wait for the bump spinning first, then
-//	           parked on a channel (the slept flag tells the coordinator a
-//	           close is needed; the channel is swapped fresh under the
-//	           same flag, so a wake can never be missed or double-fired).
-//	claim    — everyone claims shard indexes from the shared counter and
-//	           runs each claimed shard to its window end, recovering
-//	           panics into the per-shard slot.
-//	arrive   — each worker decrements remain after its claims are
-//	           exhausted; the last arrival hands the coordinator the done
-//	           token. Completion is arrival-based, not shard-based: when
-//	           the coordinator holds the token, every worker is provably
-//	           back in its wait loop, so mutating the next window's plan
-//	           races with nothing. A worker that sleeps through an entire
-//	           window cannot exist — epochs advance only after all n
-//	           arrive — which is exactly what makes the plain claim
-//	           counter safe to reset.
-type pinnedWorkers struct {
-	g      *ShardGroup
-	epoch  atomic.Uint64
-	next   atomic.Int64
-	remain atomic.Int64
-	done   chan struct{}
-	wake   atomic.Pointer[chan struct{}]
-	slept  atomic.Int32
-	stop   atomic.Bool
-	wg     sync.WaitGroup
-	n      int // spawned worker goroutines, excluding the coordinator
-}
-
-// startWorkers grows the pinned pool to n worker goroutines.
-//
-//simlint:coldpath goroutine spawn is a once-per-run boundary, not window-rate work
-func (g *ShardGroup) startWorkers(n int) {
-	if g.pw == nil {
-		pw := &pinnedWorkers{g: g, done: make(chan struct{}, 1)}
-		ch := make(chan struct{})
-		pw.wake.Store(&ch)
-		g.pw = pw
-	}
-	for g.pw.n < n {
-		g.pw.n++
-		g.pw.wg.Add(1)
-		go g.pw.loop(g.pw.epoch.Load())
-	}
-}
-
-// stopWorkers tears the pinned pool down and waits for the goroutines to
-// exit, so a drained (or panicked, or limit-bounded) group pins nothing.
-// The next RunUntil lazily builds a fresh pool.
-func (g *ShardGroup) stopWorkers() {
-	pw := g.pw
-	if pw == nil {
-		return
-	}
-	g.pw = nil
-	pw.stop.Store(true)
-	pw.release()
-	pw.wg.Wait()
-}
-
-// release publishes the current window plan by bumping the epoch and, if
-// any worker parked, waking every sleeper by closing the wake channel
-// (swapped fresh first, so late parkers find a live channel).
-//
-//simlint:hotpath
-func (w *pinnedWorkers) release() {
-	w.epoch.Add(1)
-	if w.slept.Swap(0) != 0 {
-		old := w.wake.Load()
-		fresh := make(chan struct{})
-		w.wake.Store(&fresh)
-		close(*old)
-	}
-}
-
-// loop is one pinned worker: wait for the epoch to advance, run claims,
-// arrive, repeat. e is the epoch the worker considers already processed.
-func (w *pinnedWorkers) loop(e uint64) {
-	defer w.wg.Done()
-	for {
-		for spins := 0; w.epoch.Load() == e; spins++ {
-			if spins < 128 {
-				// Back-to-back windows release within microseconds; spin
-				// briefly before paying the channel park.
-				runtime.Gosched()
-				continue
-			}
-			ch := w.wake.Load()
-			w.slept.Store(1)
-			if w.epoch.Load() != e {
-				break
-			}
-			<-*ch
-		}
-		e = w.epoch.Load()
-		if w.stop.Load() {
-			return
-		}
-		w.work()
-		if w.remain.Add(-1) == 0 {
-			w.done <- struct{}{}
-		}
-	}
-}
-
-// work claims shard indexes until the window's counter is exhausted and
-// runs each claimed shard to its end.
-//
-//simlint:hotpath
-func (w *pinnedWorkers) work() {
-	g := w.g
-	for {
-		i := int(w.next.Add(1))
-		if i >= len(g.active) {
-			return
-		}
-		w.runShard(g.active[i], i)
-	}
-}
-
-// runShard executes one claimed shard's window, capturing a panic into
-// the shard's deterministic slot for the coordinator to re-raise.
-//
-//simlint:coldpath the deferred recover is the window's panic boundary; an open-coded defer does not allocate
-func (w *pinnedWorkers) runShard(s *Shard, i int) {
-	defer func() {
-		if r := recover(); r != nil {
-			w.g.panics[i] = &r
-		}
-	}()
-	s.k.runWindow(s.end)
+	RunCells(g.workers, len(g.active), func(i int) (struct{}, error) {
+		s := g.active[i]
+		s.k.runWindow(s.end)
+		return struct{}{}, nil
+	})
 }

@@ -31,7 +31,7 @@ func runLaneScript(t *testing.T, script []byte, workers int, adaptive bool) (log
 	lookahead = []Duration{0, 1, 50, 200}[script[0]>>2%4] * time.Nanosecond
 	g := NewShardGroup(1, shards, lookahead)
 	g.SetWorkers(workers)
-	g.SetAdaptive(adaptive)
+	g.adaptive = adaptive
 	logs = make([][]laneDelivery, shards)
 
 	type action struct {
@@ -80,7 +80,7 @@ func runLaneScript(t *testing.T, script []byte, workers int, adaptive bool) (log
 
 // FuzzShardLane drives the message lane with random cross-shard send
 // scripts and checks the two properties every sharded result rests on: the
-// delivery logs are identical on the in-line loop and on four pinned
+// delivery logs are identical on the in-line loop and on a pool of four
 // workers, with adaptive widening on and off (execution is independent of
 // who runs a window and of where the barriers fall), and — whenever the
 // lookahead is positive, so nothing is sent and received in the same

@@ -89,15 +89,15 @@ func (m *ringModel) signature() string {
 
 // TestShardWorkersBitIdentical is the engine's differential gate: the same
 // 4-shard model must produce byte-identical logs on the in-line sequential
-// loop (workers=1, the reference) and on the pinned-worker barrier at 2, 4,
-// and 16 workers, with adaptive widening on and off, and across repeated
+// loop (workers=1, the reference) and on the worker pool at 2, 4 and 16
+// workers, with adaptive widening on and off, and across repeated
 // runs at the same width.
 func TestShardWorkersBitIdentical(t *testing.T) {
 	const lookahead = 200 * time.Nanosecond
 	run := func(workers int, adaptive bool) string {
 		g := NewShardGroup(7, 4, lookahead)
 		g.SetWorkers(workers)
-		g.SetAdaptive(adaptive)
+		g.adaptive = adaptive
 		m := &ringModel{nodes: 8, rounds: 40}
 		return m.runOnGroup(t, g, lookahead)
 	}
@@ -266,7 +266,7 @@ func TestShardAdaptiveWidensWindows(t *testing.T) {
 	run := func(adaptive bool) (string, int64) {
 		g := NewShardGroup(3, 2, lookahead)
 		g.SetWorkers(2)
-		g.SetAdaptive(adaptive)
+		g.adaptive = adaptive
 		var log []string
 		g.Shard(0).Kernel().Spawn("busy", func(p *Proc) {
 			for r := 0; r < 500; r++ {
@@ -356,14 +356,23 @@ func TestShardPairLookaheadFloors(t *testing.T) {
 	}()
 }
 
-// TestShardPinnedPoolTornDownAndRebuilt wakes a parked process on one
-// shard — via a cross-shard delivery — while the pinned workers of a
-// multi-worker group are cycling through the epoch barrier. The group must
-// drain, the pinned pool must be torn down when RunUntil returns so
-// nothing leaks across runs, and a second run must rebuild it.
-func TestShardPinnedPoolTornDownAndRebuilt(t *testing.T) {
+// TestShardNoGoroutineOutlivesRunUntil wakes a parked process on one
+// shard — via a cross-shard delivery — while a four-worker group runs
+// parallel windows. The group must drain, and no goroutine the run started
+// may outlive RunUntil: not after a normal return, not after a second run
+// on the same group, and not after a run that panics in a window.
+func TestShardNoGoroutineOutlivesRunUntil(t *testing.T) {
 	const lookahead = 100 * time.Nanosecond
 	base := runtime.NumGoroutine()
+	noneLeft := func(after string) {
+		t.Helper()
+		for try := 0; try < 100 && runtime.NumGoroutine() > base; try++ {
+			time.Sleep(time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > base {
+			t.Errorf("%s: %d goroutines, started with %d", after, n, base)
+		}
+	}
 	g := NewShardGroup(13, 4, lookahead)
 	g.SetWorkers(4)
 	k1 := g.Shard(1).Kernel()
@@ -401,17 +410,9 @@ func TestShardPinnedPoolTornDownAndRebuilt(t *testing.T) {
 			t.Errorf("shard %d leaked %d live processes", i, live)
 		}
 	}
-	// The pinned pool must be gone: RunUntil tears workers down on exit.
-	for try := 0; try < 100; try++ {
-		if runtime.NumGoroutine() <= base {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > base {
-		t.Errorf("pinned workers leaked: %d goroutines, started with %d", n, base)
-	}
-	// And a second run on the same group must rebuild the pool lazily.
+	noneLeft("after a drained run")
+
+	// A second run on the same group.
 	g.Shard(0).Kernel().Spawn("again", func(p *Proc) {
 		p.Sleep(time.Microsecond)
 		g.Shard(0).Send(3, lookahead, func(*Shard) {})
@@ -420,10 +421,41 @@ func TestShardPinnedPoolTornDownAndRebuilt(t *testing.T) {
 	if err := g.Run(); err != nil {
 		t.Fatalf("second run: %v", err)
 	}
+	noneLeft("after a second run")
+
+	// A run that panics in a window. Its shards tick by event callbacks,
+	// not processes, so an abandoned kernel parks no process goroutine and
+	// any goroutine left over would be the group's.
+	pg := NewShardGroup(17, 4, lookahead)
+	pg.SetWorkers(4)
+	for i := 0; i < 4; i++ {
+		i, k := i, pg.Shard(i).Kernel()
+		var tick func()
+		ticks := 0
+		tick = func() {
+			if ticks++; i == 2 && ticks == 30 {
+				panic("boom in window")
+			}
+			if ticks < 50 {
+				pg.Shard(i).Send((i+1)%4, lookahead, func(*Shard) {})
+				k.After(lookahead/2, tick)
+			}
+		}
+		k.After(0, tick)
+	}
+	func() {
+		defer func() {
+			if r := recover(); r != "boom in window" {
+				t.Errorf("recovered %v, want boom in window", r)
+			}
+		}()
+		pg.Run()
+	}()
+	noneLeft("after a panicking run")
 }
 
 // TestShardPanicInPinnedWorkerLowestWins panics two shards inside the same
-// window and checks the pinned-worker engine re-raises the lowest shard's
+// window and checks the window's worker pool re-raises the lowest shard's
 // panic, deterministically, at every worker count.
 func TestShardPanicInPinnedWorkerLowestWins(t *testing.T) {
 	for _, workers := range []int{2, 4, 8} {
