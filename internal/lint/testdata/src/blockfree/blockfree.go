@@ -97,6 +97,98 @@ func badStoredBody(k *sim.Kernel, ch chan int) {
 	k.Go("stored", body) // want `process body may block the OS thread: bare channel receive \(directly in the body\)`
 }
 
+// --- function values the kernel's callers hand around: each body below
+// blocks only through a value it calls, never by name. ---
+
+// badParamBody: the spawned body calls a func-typed parameter, as a
+// deployment's run hands its driver the measured phases.
+func badParamBody(k *sim.Kernel, ch chan int) {
+	runDriver(k, func(p *sim.Proc) { hostWait(ch) })
+}
+
+func runDriver(k *sim.Kernel, body func(p *sim.Proc)) {
+	k.Spawn("driver", func(p *sim.Proc) { // want `process body may block the OS thread: bare channel receive \(via .+ → blockfree\.hostWait\)`
+		p.Sleep(1)
+		body(p)
+	})
+}
+
+func hostWait(ch chan int) { <-ch }
+
+// badFieldHook: the body calls a func-typed struct field set at
+// construction, as a deployment calls its flush hook.
+type driver struct {
+	k     *sim.Kernel
+	flush func()
+}
+
+func badFieldHook(k *sim.Kernel, mu *sync.Mutex) {
+	d := &driver{k: k, flush: func() { hostLock(mu) }}
+	d.start()
+}
+
+func (d *driver) start() {
+	d.k.Go("flusher", func(p *sim.Proc) { // want `process body may block the OS thread: sync\.Mutex\.Lock \(via .+ → blockfree\.hostLock\)`
+		if d.flush != nil {
+			d.flush()
+		}
+	})
+}
+
+func hostLock(mu *sync.Mutex) { mu.Lock() }
+
+// badEventList: the body calls the Fn of an element of a slice of event
+// structs carried in a config, as the YCSB runner fires its events.
+type runEvent struct {
+	afterOps int
+	fn       func()
+}
+
+type runConfig struct {
+	events []runEvent
+}
+
+func badEventList(k *sim.Kernel) {
+	runEvents(k, runConfig{events: []runEvent{{afterOps: 1, fn: func() { hostNap() }}}})
+}
+
+func runEvents(k *sim.Kernel, cfg runConfig) {
+	k.Go("events", func(p *sim.Proc) { // want `process body may block the OS thread: time\.Sleep \(via .+ → blockfree\.hostNap\)`
+		for next := 0; next < len(cfg.events); next++ {
+			if fn := cfg.events[next].fn; fn != nil {
+				fn()
+			}
+		}
+	})
+}
+
+func hostNap() { time.Sleep(time.Millisecond) }
+
+// badInvokedLiteral: a literal invoked where it is written is a callee
+// like any other, whether called at once or deferred.
+func badInvokedLiteral(k *sim.Kernel, ch chan int) {
+	k.Go("invoked", func(p *sim.Proc) { // want `process body may block the OS thread: bare channel receive \(via [^)]+\)`
+		func() { <-ch }()
+	})
+}
+
+func badDeferredLiteral(k *sim.Kernel, mu *sync.Mutex) {
+	k.Go("deferred", func(p *sim.Proc) { // want `process body may block the OS thread: sync\.Mutex\.Lock \(via [^)]+\)`
+		defer func() { mu.Lock() }()
+		p.Sleep(1)
+	})
+}
+
+// badGenericHelper: an explicit instantiation is a static call of the
+// generic function.
+func badGenericHelper(k *sim.Kernel, ch chan int) {
+	k.Go("generic", func(p *sim.Proc) { // want `process body may block the OS thread: bare channel receive \(via blockfree\.drainAll\)`
+		drainAll[int](ch)
+	})
+}
+
+func drainAll[T any](ch chan T) { <-ch }
+
 func suppressedWallClockBridge(k *sim.Kernel) {
 	//simlint:ignore blockfree wall-clock bridge prototype, runs outside the DES workers
 	k.Spawn("bridge", func(p *sim.Proc) {

@@ -118,6 +118,21 @@ func badMethodValue(s, other *sim.Shard) {
 	s.Send(1, 10, other.Handle) // want `method bound to a \*sim\.Shard on the sending side`
 }
 
+// badInterfaceCapture: the closure captures an interface; the concrete
+// value assigned to it holds the sending shard's kernel.
+type runner interface{ Run() }
+
+type kernelWorker struct{ k *sim.Kernel }
+
+func (w *kernelWorker) Run() {}
+
+func badInterfaceCapture(s *sim.Shard) {
+	var r runner = &kernelWorker{k: s.Kernel()}
+	s.Send(1, 10, func(*sim.Shard) {
+		r.Run() // want `reaches a \*sim\.Kernel from the sending shard through captured "r" \(r\.k\)`
+	})
+}
+
 func suppressedCapture(s *sim.Shard) {
 	s.Send(1, 10, func(*sim.Shard) {
 		//simlint:ignore shardsafe single-threaded bring-up harness, shards never run concurrently here
