@@ -53,8 +53,9 @@ lint: vet
 	@command -v staticcheck >/dev/null 2>&1 && staticcheck ./... || echo "staticcheck not installed; CI runs it pinned"
 
 # The full suite plus the //simlint:ignore inventory and the wall-clock
-# budget the CI job enforces: one process, one SSA/points-to build shared
-# by all seven analyzers, under 60s even on a cold build cache.
+# budget the CI job enforces: one process, one build of the call and flow
+# tables (internal/lint/engine.go) shared by blockfree, hotpath and
+# shardsafe, under 60s even on a cold build cache.
 lint-report:
 	$(GO) run ./cmd/simlint -ignores -budget 60s ./...
 

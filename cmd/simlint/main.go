@@ -13,8 +13,8 @@
 // inventory for CI logs. Run with -list to see the analyzers and what each
 // enforces; -analyzers selects a comma-separated subset; -json emits
 // machine-readable findings; -budget fails the run if analysis exceeds a
-// wall-clock allowance (the CI job pins the SSA+points-to engine under
-// 60s). The suite is built on an API mirroring golang.org/x/tools/go/analysis
+// wall-clock allowance (the CI job holds the whole suite, call and flow
+// tables included, under 60s). The suite is built on an API mirroring golang.org/x/tools/go/analysis
 // (see internal/lint); when that dependency is available the analyzers can
 // be rehosted verbatim and driven by `go vet -vettool`.
 package main

@@ -229,15 +229,14 @@ func (c *remoteMixClient) Read(p *sim.Proc, key kv.Key, fields []string) (kv.Rec
 			// sending-side leak. Every remote read of the segment shares it,
 			// and its record is refilled by the next one (kv.Client): the
 			// copy is what may leave for another shard's kernel thread.
+			//simlint:ignore shardsafe server is the destination segment's client; reaching that segment's kernel is the sanctioned pattern
 			rec, err := server.Read(rp, key, fields)
 			if rec != nil {
 				rec = rec.Clone()
 			}
 			resp := remoteResp{rec: rec, err: err}
-			// The reply future is the sanctioned cross-shard handle; the
-			// engine keys generic Future cells by Origin, so fut.val merges
-			// every instantiation's payload (DESIGN.md §9, soundness boundary).
-			//simlint:ignore shardsafe reply future; generic cells merge instantiations in the points-to engine
+			// The reply future is the sanctioned cross-shard handle, and
+			// its payload is plain data.
 			ds.Send(srcID, back, func(*sim.Shard) { fut.Set(resp) })
 		})
 	})

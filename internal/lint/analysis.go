@@ -70,8 +70,8 @@ type Pass struct {
 	// whose declaration carries //simlint:hook; method calls through a
 	// pointer to such a type require a dominating nil check.
 	HookTypes map[string]bool
-	// Prog is the whole loaded program; interprocedural analyzers reach
-	// the shared SSA/points-to engine through Prog.SSA().
+	// Prog is the whole loaded program; blockfree, hotpath and shardsafe
+	// reach the shared call and flow tables through Prog.engine().
 	Prog *Program
 
 	diags *[]Diagnostic
@@ -110,6 +110,17 @@ func funcObj(info *types.Info, call *ast.CallExpr) *types.Func {
 		return f
 	}
 	return nil
+}
+
+// recvName is the name of the named type a method's receiver is (or
+// points to), or "" for a function.
+func recvName(fn *types.Func) string {
+	if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+		if named, ok := baseNamed(recv.Type()).(*types.Named); ok {
+			return named.Obj().Name()
+		}
+	}
+	return ""
 }
 
 // isPkgFunc reports whether obj is the named package-level function (or

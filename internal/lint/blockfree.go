@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // Blockfree proves that simulated process bodies never block the host OS
@@ -18,13 +19,15 @@ import (
 // kernel's own park points (Proc.Sleep, Future.Await, queue waits), which
 // live in the sim package and are exempt.
 //
-// The check is interprocedural: the bodies handed to Kernel.Spawn/Go,
-// Kernel.After and Shard.Send are roots, and the analyzer
-// follows static calls, interface calls (via the concrete types in the
-// analyzed packages), and function values (via the points-to engine)
-// through any number of helper frames. Calls that resolve outside the
-// analyzed packages are trusted unless they are themselves a known
-// blocking primitive — the engine's soundness boundary (DESIGN.md §9).
+// The check is interprocedural (engine.go): the bodies handed to
+// Kernel.Spawn/Go, Kernel.After and Shard.Send are roots, whether written
+// as a literal, a named function, a method value or a variable or field
+// that holds one, and the analyzer follows the call table through any
+// number of helper frames: static calls, interface calls resolved by CHA,
+// and calls through function values resolved by the flow table. Calls
+// that resolve outside the analyzed packages are trusted unless they are
+// themselves a known blocking primitive — the engine's soundness boundary
+// (DESIGN.md §9).
 var Blockfree = &Analyzer{
 	Name:      "blockfree",
 	Doc:       "process bodies handed to the kernel must not block the OS thread; virtual waits go through sim park points",
@@ -33,8 +36,7 @@ var Blockfree = &Analyzer{
 }
 
 func runBlockfree(pass *Pass) error {
-	s := pass.Prog.SSA()
-	bf := &blockChecker{ssa: s, summaries: make(map[*SSAFunc]*blockFact)}
+	bf := &blockChecker{e: pass.Prog.engine(), summaries: make(map[*function]*blockFact)}
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
@@ -47,8 +49,8 @@ func runBlockfree(pass *Pass) error {
 				return true
 			}
 			arg := ast.Unparen(call.Args[argIdx])
-			for _, root := range bf.rootFuncs(pass, arg) {
-				if root.Pkg != nil && root.Pkg.Types.Name() == "sim" {
+			for _, root := range bf.e.funcsOf(bf.e.flowOf(pass.TypesInfo, arg)) {
+				if root.pkg.Types.Name() == "sim" {
 					continue // the kernel's own machinery is the trust anchor
 				}
 				if fact := bf.blockingOf(root); fact != nil {
@@ -70,19 +72,7 @@ func simProcessRootArg(fn *types.Func) (int, string) {
 	if fn == nil || fn.Pkg() == nil || fn.Pkg().Name() != "sim" {
 		return -1, ""
 	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return -1, ""
-	}
-	recv := sig.Recv().Type()
-	if p, ok := recv.(*types.Pointer); ok {
-		recv = p.Elem()
-	}
-	named, ok := recv.(*types.Named)
-	if !ok {
-		return -1, ""
-	}
-	switch named.Obj().Name() + "." + fn.Name() {
+	switch recvName(fn) + "." + fn.Name() {
 	case "Kernel.Spawn", "Kernel.Go":
 		return 1, "process"
 	case "Kernel.After":
@@ -105,69 +95,37 @@ func (f *blockFact) chainText() string {
 	if len(f.chain) == 0 {
 		return "directly in the body"
 	}
-	return "via " + funcChain(f.chain)
+	return "via " + strings.Join(f.chain, " → ")
 }
 
 type blockChecker struct {
-	ssa       *SSA
-	summaries map[*SSAFunc]*blockFact
-}
-
-// rootFuncs resolves a process-body argument expression to the lowered
-// functions it can denote: a literal, a named function, a method value,
-// or — through the points-to engine — a variable holding closures.
-func (b *blockChecker) rootFuncs(pass *Pass, arg ast.Expr) []*SSAFunc {
-	switch arg := arg.(type) {
-	case *ast.FuncLit:
-		if fn := b.ssa.LitOf(arg); fn != nil {
-			return []*SSAFunc{fn}
-		}
-	case *ast.Ident:
-		switch obj := pass.TypesInfo.ObjectOf(arg).(type) {
-		case *types.Func:
-			if fn := b.ssa.FuncOf(obj); fn != nil {
-				return []*SSAFunc{fn}
-			}
-		case *types.Var:
-			return b.ssa.pt.funcsIn(b.ssa.VarNode(obj))
-		}
-	case *ast.SelectorExpr:
-		if sel, ok := pass.TypesInfo.Selections[arg]; ok && sel.Kind() == types.MethodVal {
-			if m, ok := sel.Obj().(*types.Func); ok {
-				if fn := b.ssa.FuncOf(m); fn != nil {
-					return []*SSAFunc{fn}
-				}
-			}
-		}
-	}
-	return nil
+	e         *engine
+	summaries map[*function]*blockFact
 }
 
 // blockingOf returns how fn (or anything it can reach) blocks the OS
 // thread, or nil. Summaries are memoized; in-progress frames (recursion)
 // are optimistically treated as non-blocking.
-func (b *blockChecker) blockingOf(fn *SSAFunc) *blockFact {
+func (b *blockChecker) blockingOf(fn *function) *blockFact {
 	if fact, ok := b.summaries[fn]; ok {
 		return fact
 	}
 	b.summaries[fn] = nil // cycle cut: optimistic while in progress
-	fact := b.ownBlocking(fn)
-	if fact == nil {
-		for _, c := range fn.Calls {
-			for _, callee := range b.ssa.Callees(c) {
-				if callee.Pkg != nil && callee.Pkg.Types.Name() == "sim" {
-					continue // park points and kernel internals are trusted
-				}
-				if sub := b.blockingOf(callee); sub != nil {
-					fact = &blockFact{
-						op:    sub.op,
-						pos:   sub.pos,
-						chain: append([]string{callee.Name}, sub.chain...),
-					}
-					break
-				}
+	fact := ownBlocking(fn)
+	for _, c := range fn.calls {
+		if fact != nil {
+			break
+		}
+		for _, callee := range b.e.callees(c) {
+			if callee.pkg.Types.Name() == "sim" {
+				continue // park points and kernel internals are trusted
 			}
-			if fact != nil {
+			if sub := b.blockingOf(callee); sub != nil {
+				fact = &blockFact{
+					op:    sub.op,
+					pos:   sub.pos,
+					chain: append([]string{callee.name}, sub.chain...),
+				}
 				break
 			}
 		}
@@ -178,18 +136,15 @@ func (b *blockChecker) blockingOf(fn *SSAFunc) *blockFact {
 
 // ownBlocking scans fn's own body (excluding nested literals, which are
 // separate functions) for blocking primitives.
-func (b *blockChecker) ownBlocking(fn *SSAFunc) *blockFact {
-	if fn.Body == nil || fn.Pkg == nil || fn.Pkg.Info == nil {
-		return nil
-	}
-	info := fn.Pkg.Info
+func ownBlocking(fn *function) *blockFact {
+	info := fn.pkg.Info
 	var fact *blockFact
 	found := func(op string, pos token.Pos) {
 		if fact == nil {
 			fact = &blockFact{op: op, pos: pos}
 		}
 	}
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
+	ast.Inspect(fn.body, func(n ast.Node) bool {
 		if fact != nil {
 			return false
 		}
@@ -234,16 +189,7 @@ func blockingCallee(info *types.Info, call *ast.CallExpr) string {
 			return "time.Sleep"
 		}
 	case "sync":
-		recv := ""
-		if sig, ok := obj.Type().(*types.Signature); ok && sig.Recv() != nil {
-			t := sig.Recv().Type()
-			if p, ok := t.(*types.Pointer); ok {
-				t = p.Elem()
-			}
-			if named, ok := t.(*types.Named); ok {
-				recv = named.Obj().Name()
-			}
-		}
+		recv := recvName(obj)
 		switch recv + "." + obj.Name() {
 		case "Mutex.Lock", "RWMutex.Lock", "RWMutex.RLock", "WaitGroup.Wait", "Cond.Wait", "Once.Do":
 			return "sync." + recv + "." + obj.Name()

@@ -23,10 +23,10 @@ import (
 //   - interface boxing of non-pointer values (conversions and call
 //     arguments; pointers share the interface word and stay free).
 //
-// Since PR 8 the check is also interprocedural: a hotpath function may
-// only call callees that are themselves allocation-free (checked
-// recursively through the call graph, resolving interface calls through
-// the module's concrete types), other //simlint:hotpath functions (each
+// The check is also interprocedural: a hotpath function may only call
+// callees that are themselves allocation-free (checked recursively
+// through the engine's call table, static callees and interface calls
+// resolved by CHA), other //simlint:hotpath functions (each
 // enforced at its own declaration), or functions and interface methods
 // annotated //simlint:coldpath — the explicit escape hatch for sanctioned
 // boundaries like the kv.Client verbs, whose implementations model I/O
@@ -59,23 +59,20 @@ func runHotpath(pass *Pass) error {
 // allocates. Coldpath-annotated callees (and interface methods), hotpath
 // callees, dynamic function values, and external callees bound the walk.
 func checkHotpathCallees(pass *Pass, decl *ast.FuncDecl) {
-	s := pass.Prog.SSA()
+	e := pass.Prog.engine()
 	obj, _ := pass.TypesInfo.Defs[decl.Name].(*types.Func)
-	root := s.FuncOf(obj)
+	root := e.funcOf(obj)
 	if root == nil {
 		return
 	}
-	visited := make(map[*SSAFunc]bool)
-	for _, c := range root.Calls {
-		if c.Iface != nil && s.ColdIface(c.Iface) {
-			continue
+	visited := make(map[*function]bool)
+	for _, c := range root.calls {
+		if c.dynamic() || e.coldIface[c.iface] {
+			continue // function values are not chased
 		}
-		if c.Value != 0 {
-			continue // dynamic function values are not chased
-		}
-		for _, callee := range s.Callees(c) {
-			if fact := allocatingCallee(s, callee, visited, 0); fact != "" {
-				pass.Reportf(c.Pos, "call in hot path %s reaches an allocating callee: %s; mark the boundary //simlint:coldpath or make the callee allocation-free",
+		for _, callee := range e.callees(c) {
+			if fact := allocatingCallee(e, callee, visited, 0); fact != "" {
+				pass.Reportf(c.expr.Pos(), "call in hot path %s reaches an allocating callee: %s; mark the boundary //simlint:coldpath or make the callee allocation-free",
 					decl.Name.Name, fact)
 			}
 		}
@@ -85,24 +82,21 @@ func checkHotpathCallees(pass *Pass, decl *ast.FuncDecl) {
 // allocatingCallee returns a chain description when fn (or any function it
 // can reach under the same rules) has an allocation fact in its own body,
 // or "" when the subtree is clean.
-func allocatingCallee(s *SSA, fn *SSAFunc, visited map[*SSAFunc]bool, depth int) string {
-	if fn.Hotpath || fn.Coldpath || visited[fn] || depth > 40 {
+func allocatingCallee(e *engine, fn *function, visited map[*function]bool, depth int) string {
+	if fn.hotpath || fn.coldpath || visited[fn] || depth > 40 {
 		return ""
 	}
 	visited[fn] = true
 	if fact := ownAllocFact(fn); fact != "" {
-		return fn.Name + " " + fact
+		return fn.name + " " + fact
 	}
-	for _, c := range fn.Calls {
-		if c.Iface != nil && s.ColdIface(c.Iface) {
+	for _, c := range fn.calls {
+		if c.dynamic() || e.coldIface[c.iface] {
 			continue
 		}
-		if c.Value != 0 {
-			continue
-		}
-		for _, callee := range s.Callees(c) {
-			if sub := allocatingCallee(s, callee, visited, depth+1); sub != "" {
-				return fn.Name + " → " + sub
+		for _, callee := range e.callees(c) {
+			if sub := allocatingCallee(e, callee, visited, depth+1); sub != "" {
+				return fn.name + " → " + sub
 			}
 		}
 	}
@@ -112,18 +106,15 @@ func allocatingCallee(s *SSA, fn *SSAFunc, visited map[*SSAFunc]bool, depth int)
 // ownAllocFact scans fn's own body (excluding nested literals) for the
 // same allocation classes the intraprocedural check enforces, returning a
 // short description of the first one.
-func ownAllocFact(fn *SSAFunc) string {
-	if fn.Body == nil || fn.Pkg == nil || fn.Pkg.Info == nil {
-		return ""
-	}
-	info := fn.Pkg.Info
+func ownAllocFact(fn *function) string {
+	info := fn.pkg.Info
 	fact := ""
 	found := func(f string) {
 		if fact == "" {
 			fact = f
 		}
 	}
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
+	ast.Inspect(fn.body, func(n ast.Node) bool {
 		if fact != "" {
 			return false
 		}
@@ -172,11 +163,11 @@ func checkHotpathBody(pass *Pass, fn *ast.FuncDecl) {
 		case *ast.CallExpr:
 			checkHotpathCall(pass, n, name)
 		case *ast.BinaryExpr:
-			if n.Op == token.ADD && isStringExpr(pass, n.X) {
+			if n.Op == token.ADD && isStringInfo(pass.TypesInfo, n.X) {
 				pass.Reportf(n.Pos(), "string concatenation in hot path %s allocates; use a static string or precomputed label", name)
 			}
 		case *ast.AssignStmt:
-			if n.Tok == token.ADD_ASSIGN && len(n.Lhs) == 1 && isStringExpr(pass, n.Lhs[0]) {
+			if n.Tok == token.ADD_ASSIGN && len(n.Lhs) == 1 && isStringInfo(pass.TypesInfo, n.Lhs[0]) {
 				pass.Reportf(n.Pos(), "string concatenation in hot path %s allocates; use a static string or precomputed label", name)
 			}
 		}
@@ -187,7 +178,7 @@ func checkHotpathBody(pass *Pass, fn *ast.FuncDecl) {
 func checkHotpathCall(pass *Pass, call *ast.CallExpr, name string) {
 	// Explicit conversion to an interface type boxes the operand.
 	if tv, ok := pass.TypesInfo.Types[call.Fun]; ok && tv.IsType() {
-		if types.IsInterface(tv.Type) && len(call.Args) == 1 && boxes(pass, call.Args[0]) {
+		if types.IsInterface(tv.Type) && len(call.Args) == 1 && boxesInfo(pass.TypesInfo, call.Args[0]) {
 			pass.Reportf(call.Pos(), "conversion to interface in hot path %s boxes a non-pointer value (allocates)", name)
 		}
 		return
@@ -227,7 +218,7 @@ func checkHotpathCall(pass *Pass, call *ast.CallExpr, name string) {
 		default:
 			continue
 		}
-		if types.IsInterface(pt) && boxes(pass, arg) {
+		if types.IsInterface(pt) && boxesInfo(pass.TypesInfo, arg) {
 			pass.Reportf(arg.Pos(), "argument boxes a non-pointer value into an interface in hot path %s (allocates)", name)
 		}
 	}
@@ -242,13 +233,9 @@ func callSignature(pass *Pass, call *ast.CallExpr) *types.Signature {
 	return sig
 }
 
-// boxes reports whether storing arg in an interface allocates: true for
-// concrete non-pointer-shaped values, false for values already in an
+// boxesInfo reports whether storing arg in an interface allocates: true
+// for concrete non-pointer-shaped values, false for values already in an
 // interface, pointers, channels, maps, funcs, and nil.
-func boxes(pass *Pass, arg ast.Expr) bool {
-	return boxesInfo(pass.TypesInfo, arg)
-}
-
 func boxesInfo(info *types.Info, arg ast.Expr) bool {
 	tv, ok := info.Types[ast.Unparen(arg)]
 	if !ok || tv.Type == nil || tv.IsNil() {
@@ -261,10 +248,6 @@ func boxesInfo(info *types.Info, arg ast.Expr) bool {
 		return tv.Type.Underlying().(*types.Basic).Kind() != types.UnsafePointer
 	}
 	return true
-}
-
-func isStringExpr(pass *Pass, x ast.Expr) bool {
-	return isStringInfo(pass.TypesInfo, x)
 }
 
 func isStringInfo(info *types.Info, x ast.Expr) bool {

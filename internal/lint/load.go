@@ -34,10 +34,10 @@ type Program struct {
 	Fset     *token.FileSet
 	Packages []*Package
 
-	// ssa caches the interprocedural engine (built on first SSA() call)
-	// so every analyzer in one driver run shares one lowering and one
-	// points-to solution.
-	ssa *SSA
+	// eng caches the interprocedural engine (engine.go), built on first
+	// use, so every analyzer in one driver run shares one call table and
+	// one flow table.
+	eng *engine
 }
 
 // Targets returns the packages that matched the load patterns (everything
@@ -134,7 +134,7 @@ func Load(dir string, patterns ...string) (*Program, error) {
 				Defs:       make(map[*ast.Ident]types.Object),
 				Selections: make(map[*ast.SelectorExpr]*types.Selection),
 				// Implicits carries type-switch case variables, which the
-				// SSA-lite lowering needs to track narrowing assignments.
+				// flow table narrows from the switched value.
 				Implicits: make(map[ast.Node]types.Object),
 			}
 		}

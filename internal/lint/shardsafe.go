@@ -16,19 +16,18 @@ import (
 // race the conservative synchronization cannot see and a determinism leak
 // even when it happens not to crash.
 //
-// The analyzer has two layers. The syntactic layer (PR 3) flags delivery
+// The analyzer has two layers. The syntactic layer flags delivery
 // closures whose free variables have those types (directly or as fields
 // reached through a captured struct) and method values bound to them.
-// The points-to layer (PR 8) closes the laundering holes the syntax
-// cannot see: it walks everything *reachable* from each captured value —
-// struct fields whether or not the closure touches them, slice/map/chan
-// elements, interface boxes, and the captures of any closure the payload
-// carries — and flags the capture if a sending-side kernel object is
-// anywhere in that heap. Cells the points-to solution leaves empty are
-// expanded from their static types, so opaque values cannot hide an
-// edge. Kernel handles that legitimately cross shards (a *sim.Future
-// reply handle) stay legal: inside sim-declared structs only payload
-// fields are walked, not the kernel plumbing (see SSA.ReachableBanned).
+// The type walk (engine.reachBanned) closes the laundering holes the
+// syntax cannot see: from each captured value it walks the static types
+// of struct fields whether or not the closure touches them, and of
+// slice, map and channel elements; the concrete types and closures the
+// flow table lets into an interface or func slot; and those closures'
+// captures. It flags the capture if a sending-side kernel object is
+// anywhere in that walk. Kernel handles that legitimately cross shards (a
+// *sim.Future reply handle) stay legal: inside sim-declared structs only
+// payload fields are walked, not the kernel plumbing.
 var Shardsafe = &Analyzer{
 	Name:      "shardsafe",
 	Doc:       "cross-shard delivery closures must not capture or reach the sending shard's kernel objects",
@@ -58,11 +57,10 @@ func runShardsafe(pass *Pass) error {
 				}
 			case *ast.Ident:
 				// A variable holding the payload closure: walk whatever
-				// closures it may hold through the points-to engine (a
-				// stored closure's captures escape the syntactic check).
+				// closures the flow table lets into it (a stored
+				// closure's captures escape the syntactic check).
 				if obj, ok := pass.TypesInfo.ObjectOf(arg).(*types.Var); ok {
-					s := pass.Prog.SSA()
-					if name, path, found := s.ReachableBanned(s.VarNode(obj), obj.Name()); found {
+					if name, path, found := pass.Prog.engine().reachBanned(obj); found {
 						pass.Reportf(arg.Pos(), "cross-shard delivery fn reaches a %s from the sending shard (%s); deliver plain data and reach state through the *sim.Shard it receives", name, path)
 					}
 				}
@@ -76,8 +74,8 @@ func runShardsafe(pass *Pass) error {
 // checkDeliveryCaptures reports free variables of lit (identifiers
 // declared outside the literal) whose types are sending-side kernel
 // objects, and banned-typed fields reached through any captured struct.
-// It returns the capture roots it reported, so the points-to layer does
-// not re-report the same variables.
+// It returns the capture roots it reported, so the type walk does not
+// re-report the same variables.
 func checkDeliveryCaptures(pass *Pass, lit *ast.FuncLit) map[*types.Var]bool {
 	flagged := make(map[*types.Var]bool)
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
@@ -108,22 +106,14 @@ func checkDeliveryCaptures(pass *Pass, lit *ast.FuncLit) map[*types.Var]bool {
 	return flagged
 }
 
-// checkDeliveryReachability runs the points-to layer over lit's free
-// variables, skipping roots the syntactic layer already reported.
+// checkDeliveryReachability runs the type walk over lit's free variables,
+// skipping roots the syntactic layer already reported.
 func checkDeliveryReachability(pass *Pass, lit *ast.FuncLit, flagged map[*types.Var]bool) {
-	s := pass.Prog.SSA()
-	fn := s.LitOf(lit)
-	if fn == nil {
-		return
-	}
-	for _, fv := range fn.FreeVars {
-		if flagged[fv] {
-			continue
+	for _, fv := range freeVarsOf(pass.TypesInfo, lit) {
+		if flagged[fv] || bannedShardType(fv.Type()) != "" {
+			continue // the syntactic layer's territory
 		}
-		if bannedShardType(fv.Type()) != "" {
-			continue // the capture itself is banned: syntactic layer territory
-		}
-		name, path, found := s.ReachableBanned(s.VarNode(fv), fv.Name())
+		name, path, found := pass.Prog.engine().reachBanned(fv)
 		if !found {
 			continue
 		}

@@ -90,7 +90,7 @@ func badNamedFunc(k *sim.Kernel) {
 
 func napWorker(p *sim.Proc) { time.Sleep(time.Second) }
 
-// badStoredBody stores the body in a variable first; the points-to engine
+// badStoredBody stores the body in a variable first; the flow table
 // resolves which closures the variable can hold.
 func badStoredBody(k *sim.Kernel, ch chan int) {
 	body := func(p *sim.Proc) { <-ch }

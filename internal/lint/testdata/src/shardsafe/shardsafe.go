@@ -68,7 +68,7 @@ func badGroupCapture(s *sim.Shard, g *sim.ShardGroup) {
 }
 
 // badStructLaunder touches only the plain field, but the captured struct
-// still carries the shard one dereference away: the points-to layer walks
+// still carries the shard one dereference away: the type walk follows
 // every reachable field, not just the ones the closure mentions.
 func badStructLaunder(s *sim.Shard, seg *segment) {
 	s.Send(1, 10, func(ds *sim.Shard) {
@@ -102,7 +102,7 @@ func badMapValue(s *sim.Shard) {
 }
 
 // badStoredClosure passes a pre-built closure variable as the payload;
-// the syntactic layer never sees its captures, the points-to layer does.
+// the syntactic layer never sees its captures, the type walk does.
 func badStoredClosure(s *sim.Shard) {
 	relay := func(ds *sim.Shard) { _ = s.ID() }
 	s.Send(1, 10, relay) // want `reaches a \*sim\.Shard from the sending shard \(relay captures s\)`
@@ -130,6 +130,57 @@ func badInterfaceCapture(s *sim.Shard) {
 	var r runner = &kernelWorker{k: s.Kernel()}
 	s.Send(1, 10, func(*sim.Shard) {
 		r.Run() // want `reaches a \*sim\.Kernel from the sending shard through captured "r" \(r\.k\)`
+	})
+}
+
+// Two instantiations of one generic reply future, as a remote read ships
+// its reply home: a payload holding a sending-side process is a leak, and
+// a plain payload carried by the same generic type is not. reply is
+// declared here, so the walk sees all of it; sim.Future below is a kernel
+// handle, whose val is its only payload field.
+type reply[T any] struct {
+	val  T
+	done bool
+}
+
+func newReply[T any]() *reply[T] { return &reply[T]{} }
+
+func (r *reply[T]) set(v T) { r.val, r.done = v, true }
+
+type wakeReply struct{ p *sim.Proc }
+
+type plainReply struct {
+	rec []string
+	err error
+}
+
+func badProcReply(s *sim.Shard, p *sim.Proc) {
+	r := newReply[wakeReply]()
+	r.set(wakeReply{p: p})
+	s.Send(1, 10, func(*sim.Shard) {
+		_ = r.done // want `reaches a \*sim\.Proc from the sending shard through captured "r" \(r\.val\.p\)`
+	})
+}
+
+func okPlainReply(s *sim.Shard, key string) {
+	r := newReply[plainReply]()
+	s.Send(1, 10, func(*sim.Shard) {
+		r.set(plainReply{rec: []string{key}}) // ok: this instantiation's payload is plain data
+	})
+}
+
+func badProcReplyFuture(s *sim.Shard, p *sim.Proc) {
+	fut := sim.NewFuture[wakeReply](s.Kernel())
+	fut.Set(wakeReply{p: p})
+	s.Send(1, 10, func(*sim.Shard) {
+		_, _ = fut.Value() // want `reaches a \*sim\.Proc from the sending shard through captured "fut" \(fut\.val\.p\)`
+	})
+}
+
+func okPlainReplyFuture(s *sim.Shard, key string) {
+	fut := sim.NewFuture[plainReply](s.Kernel())
+	s.Send(1, 10, func(*sim.Shard) {
+		fut.Set(plainReply{rec: []string{key}}) // ok: this instantiation's payload is plain data
 	})
 }
 

@@ -49,3 +49,21 @@ func (s *Shard) Send(dst int, delay Duration, fn func(*Shard)) {}
 // Handle is a method whose value has the delivery signature, for the
 // method-value test case.
 func (s *Shard) Handle(ds *Shard) {}
+
+// Future mirrors the kernel's generic completion handle: the back-pointer
+// and the parked waiter are plumbing, val is the payload.
+type Future[T any] struct {
+	k      *Kernel
+	done   bool
+	val    T
+	waiter *Proc
+}
+
+// NewFuture returns an unset future bound to k.
+func NewFuture[T any](k *Kernel) *Future[T] { return &Future[T]{k: k} }
+
+// Set completes the future with v.
+func (f *Future[T]) Set(v T) { f.val, f.done = v, true }
+
+// Value returns the future's value and whether it has been set.
+func (f *Future[T]) Value() (T, bool) { return f.val, f.done }
