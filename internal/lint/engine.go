@@ -48,6 +48,7 @@ type engine struct {
 	coldIface map[*types.Func]bool
 
 	slots   map[any]*slot
+	edges   map[[2]*slot]bool
 	canon   map[string]types.Type
 	dynamic []*callSite
 	work    []flowItem
@@ -91,11 +92,12 @@ type value struct {
 }
 
 // A slot is one entry of the flow table; succ are the slots its values
-// flow on to.
+// flow on to. Both are kept in insertion order, so every walk over them,
+// and every diagnostic built from one, is the same from run to run.
 type slot struct {
 	vals []value
 	has  map[value]bool
-	succ map[*slot]bool
+	succ []*slot
 }
 
 // A flow is what an expression evaluates to: slots whose values it may
@@ -137,6 +139,7 @@ func buildEngine(prog *Program) *engine {
 		impls:     make(map[*types.Func][]*function),
 		coldIface: make(map[*types.Func]bool),
 		slots:     make(map[any]*slot),
+		edges:     make(map[[2]*slot]bool),
 		canon:     make(map[string]types.Type),
 	}
 	// Every declared function first, so a call links to its callee
@@ -334,7 +337,7 @@ func (e *engine) slot(key any, t types.Type) *slot {
 	}
 	s := e.slots[key]
 	if s == nil {
-		s = &slot{has: make(map[value]bool), succ: make(map[*slot]bool)}
+		s = &slot{has: make(map[value]bool)}
 		e.slots[key] = s
 	}
 	return s
@@ -374,10 +377,11 @@ func (e *engine) add(s *slot, v value) {
 }
 
 func (e *engine) edge(from, to *slot) {
-	if from == nil || to == nil || from == to || from.succ[to] {
+	if from == nil || to == nil || from == to || e.edges[[2]*slot{from, to}] {
 		return
 	}
-	from.succ[to] = true
+	e.edges[[2]*slot{from, to}] = true
+	from.succ = append(from.succ, to)
 	for _, v := range from.vals {
 		e.add(to, v)
 	}
@@ -387,7 +391,7 @@ func (e *engine) solve() {
 	for len(e.work) > 0 {
 		it := e.work[len(e.work)-1]
 		e.work = e.work[:len(e.work)-1]
-		for to := range it.s.succ {
+		for _, to := range it.s.succ {
 			e.add(to, it.v)
 		}
 	}
