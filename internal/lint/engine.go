@@ -619,8 +619,10 @@ func (l *lowering) call(e *ast.CallExpr) *callSite {
 	case *ast.SelectorExpr:
 		if sel, ok := l.info.Selections[x]; ok {
 			if sel.Kind() == types.MethodVal {
+				// The method's own receiver, not sel.Recv(): a method
+				// promoted from an embedded interface is an interface call.
 				m := sel.Obj().(*types.Func).Origin()
-				if types.IsInterface(sel.Recv()) {
+				if types.IsInterface(m.Type().(*types.Signature).Recv().Type()) {
 					c.iface = m
 				} else {
 					c.static = m

@@ -189,6 +189,22 @@ func badGenericHelper(k *sim.Kernel, ch chan int) {
 
 func drainAll[T any](ch chan T) { <-ch }
 
+// badEmbeddedInterface: a method promoted from an embedded interface is
+// an interface call, resolved by CHA like any other.
+type waiter interface{ wait() }
+
+type hostWaiter struct{ ch chan int }
+
+func (w *hostWaiter) wait() { <-w.ch }
+
+type session struct{ waiter }
+
+func badEmbeddedInterface(k *sim.Kernel, s session) {
+	k.Go("session", func(p *sim.Proc) { // want `process body may block the OS thread: bare channel receive \(via \(blockfree\.hostWaiter\)\.wait\)`
+		s.wait()
+	})
+}
+
 func suppressedWallClockBridge(k *sim.Kernel) {
 	//simlint:ignore blockfree wall-clock bridge prototype, runs outside the DES workers
 	k.Spawn("bridge", func(p *sim.Proc) {
