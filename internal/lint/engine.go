@@ -590,15 +590,23 @@ func (l *lowering) lhs(e ast.Expr) *slot {
 }
 
 // call records the call site of e, linking a static or interface callee at
-// once; conversions and builtins are not call sites.
+// once; conversions and builtins are not call sites, though append stores
+// its arguments in the slice's element slot.
 func (l *lowering) call(e *ast.CallExpr) *callSite {
 	if c, ok := l.e.calls[e]; ok {
 		return c
 	}
 	fun := ast.Unparen(e.Fun)
 	id, _ := fun.(*ast.Ident)
-	if _, builtin := l.info.Uses[id].(*types.Builtin); builtin || l.info.Types[fun].IsType() {
+	if b, builtin := l.info.Uses[id].(*types.Builtin); builtin || l.info.Types[fun].IsType() {
 		l.e.calls[e] = nil
+		if builtin && b.Name() == "append" && !e.Ellipsis.IsValid() {
+			// append(s, x, …): each x is stored as an element of s.
+			m := l.e.memSlot(elemOf(l.typeOf(e.Args[0])))
+			for _, x := range e.Args[1:] {
+				l.flowExpr(m, x)
+			}
+		}
 		return nil
 	}
 	c := &callSite{expr: e, linked: make(map[*function]bool)}

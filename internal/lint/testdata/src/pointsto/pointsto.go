@@ -1,48 +1,65 @@
-// Package pointsto is engine-test input for the Andersen points-to core.
-// Variable names are globally unique so the engine test can locate each
-// one through types.Info.Defs without scope bookkeeping.
+// Package pointsto is engine-test input for the flow table: which function
+// values and which concrete types may reach a variable. Names are globally
+// unique so the engine test can locate each one through types.Info.Defs
+// without scope bookkeeping.
 package pointsto
 
 type pair struct {
-	a *int
-	b *int
+	a func()
+	b func()
 }
 
-// fieldSensitivity: distinct fields of one struct must keep distinct
-// points-to sets (a field-insensitive solver conflates them).
+func fsX() {}
+func fsY() {}
+
+// fieldSensitivity: distinct fields of one struct keep distinct slots (a
+// field-insensitive table would conflate them).
 func fieldSensitivity() {
-	var fsX, fsY int
-	fsP := pair{a: &fsX, b: &fsY}
+	fsP := pair{a: fsX, b: fsY}
 	fsA := fsP.a
 	fsB := fsP.b
 	_, _ = fsA, fsB
 }
 
-// interfaceBoxing: a pointer survives the round trip through an
-// interface box and a type assertion.
+type runner interface{ Run() }
+
+type ibT struct{}
+type ibU struct{}
+
+func (ibT) Run() {}
+func (ibU) Run() {}
+
+// interfaceBoxing: a concrete type survives the round trip through an
+// empty interface and a type assertion to another interface.
 func interfaceBoxing() {
-	var ibX int
-	var ibI any = &ibX
-	ibQ := ibI.(*int)
-	_ = ibQ
+	var ibI any = ibT{}
+	var ibJ any = ibU{}
+	ibQ := ibI.(runner)
+	_, _ = ibJ, ibQ
 }
 
-// sliceAppendAliasing: an element appended to a slice is visible through
-// a later index expression (append aliases the element cells).
+type saFn func()
+
+func saX() {}
+
+// sliceAppendAliasing: a function value appended to a slice is visible
+// through a later index expression.
 func sliceAppendAliasing() {
-	var saX int
-	saS := []*int{}
-	saS = append(saS, &saX)
+	saS := []saFn{}
+	saS = append(saS, saX)
 	saE := saS[0]
 	_ = saE
 }
 
+type mvFn func(int)
+
+func mvX(int) {}
+
 // mapValueEscape: a value stored under one key is reachable through map
-// lookups (the engine models one $elem cell per map object).
+// lookups (every element of one type shares one slot).
 func mapValueEscape() {
-	var mvX int
-	mvM := map[string]*int{}
-	mvM["k"] = &mvX
+	mvM := map[string]mvFn{}
+	mvM["k"] = mvX
 	mvV := mvM["k"]
 	_ = mvV
 }
